@@ -416,9 +416,6 @@ class BlockMartingale(Martingale):
                               -p.amplitude)
         return total
 
-    def level_values(self, n: int) -> np.ndarray:
-        return self.level_values_range(n, 0, 1 << n)
-
     def level_increments(self, n: int) -> np.ndarray:
         if n < 1:
             raise DomainError("increments start at level 1")

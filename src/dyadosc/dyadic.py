@@ -122,6 +122,18 @@ class DyadicRational:
         a, b, _ = self._common(other)
         return (a > b) - (a < b)
 
+    def __eq__(self, other):
+        if not isinstance(other, (DyadicRational, int, float, Fraction)):
+            return NotImplemented
+        try:
+            return self._cmp(other) == 0
+        except (ValueError, OverflowError):  # not dyadic, or not finite
+            return False
+
+    def __hash__(self):
+        # equal numbers hash alike, as int, float and Fraction do
+        return hash(self.as_fraction())
+
     def __lt__(self, other):
         return self._cmp(other) < 0
 

@@ -239,7 +239,7 @@ def sweep_mass_distribution(S: Martingale, eta: float, depth: int,
 
     # exact masses: num / den with a per-level common denominator
     nums64: Optional[np.ndarray] = np.ones(1, dtype=np.int64) if exact_sums else None
-    nums_big: Optional[list[int]] = None
+    nums_big: Optional[np.ndarray] = None
     den = 1
     bound64 = 1  # running bound on the largest numerator in the int64 path
 
@@ -269,50 +269,32 @@ def sweep_mass_distribution(S: Martingale, eta: float, depth: int,
 
         # lift this level's ratios to a common denominator
         uniq = np.unique(incs)
-        fracs = {float(v): (1 + eta_frac * Fraction(float(v))) / 2 for v in uniq}
+        fracs = [(1 + eta_frac * Fraction(float(v))) / 2 for v in uniq]
         lev_den = 1
-        for f in fracs.values():
+        for f in fracs:
             lev_den = lev_den * f.denominator // math.gcd(lev_den, f.denominator)
-        rnum = {v: f.numerator * (lev_den // f.denominator)
-                for v, f in fracs.items()}
+        lut = [f.numerator * (lev_den // f.denominator) for f in fracs]
         den *= lev_den
 
+        codes = np.searchsorted(uniq, incs)
         if nums64 is not None:
-            max_r = max(rnum.values(), default=1)
-            if bound64 * max(max_r, 1) < (1 << 62) and len(rnum) <= 8:
-                lut = np.zeros(len(uniq), dtype=np.int64)
-                codes = np.searchsorted(uniq, incs)
-                for i, v in enumerate(uniq):
-                    lut[i] = rnum[float(v)]
-                nums64 = np.repeat(nums64, 2) * lut[codes]
-                bound64 *= max(max_r, 1)
+            max_r = max(*lut, 1)
+            if bound64 * max_r < (1 << 62) and len(lut) <= 8:
+                nums64 = np.repeat(nums64, 2) * np.array(lut, dtype=np.int64)[codes]
+                bound64 *= max_r
                 sums_exact = sums_exact and int(nums64.sum(dtype=object)) == den
                 continue
-            nums_big = [int(v) for v in nums64]
+            nums_big = nums64.astype(object)
             nums64 = None
 
-        ratio_list = [rnum[float(v)] for v in incs]
-        nums_big = [nm * rn
-                    for nm, rn in zip(_duplicate(nums_big), ratio_list)]
-        sums_exact = sums_exact and sum(nums_big) == den
+        # big-integer numerators, multiplied as Python ints in object arrays
+        nums_big = np.repeat(nums_big, 2) * np.array(lut, dtype=object)[codes]
+        sums_exact = sums_exact and int(nums_big.sum()) == den
 
     if members == 0:
         worst_margin = math.inf
     return MassSweepReport(depth, eta, members, worst_margin, worst_member,
                            paired, sums_exact, phi)
-
-
-def _duplicate(nums: list[int]) -> list[int]:
-    out = []
-    for v in nums:
-        out.append(v)
-        out.append(v)
-    return out
-
-
-def verify_mass_lower_bound(S: Martingale, eta: float, depth: int) -> MassSweepReport:
-    """Enumerate {I : S(I) >= eta log2(1/|I|)} and audit the mass bound."""
-    return sweep_mass_distribution(S, eta, depth)
 
 
 def covering_content(intervals: Iterable[DyadicInterval], s: float,

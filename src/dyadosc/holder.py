@@ -171,11 +171,6 @@ class WeierstrassFunction(HolderFunction):
         return np.sin(np.outer(np.atleast_1d(ys).astype(float), freqs)) @ amps
 
 
-def weierstrass(b: float, alpha: float, x: float, tol: float = 1e-12) -> float:
-    """Point evaluation helper for the lacunary cosine series."""
-    return WeierstrassFunction(b, alpha)(x, tol)
-
-
 class MartingaleInducedFunction(HolderFunction):
     """Function with dyadic increments f(b)-f(a) = 2^-n S([a,b)).
 

@@ -27,6 +27,26 @@ class TestDyadicRational:
         assert (a < b) == (fa < fb)
         assert (a == b) == (fa == fb)
 
+    @given(st.integers(-2**40, 2**40), st.integers(0, 40),
+           st.one_of(st.integers(-2**12, 2**12),
+                     st.builds(Fraction, st.integers(-2**12, 2**12),
+                               st.sampled_from([1, 2, 3, 8, 1 << 40])),
+                     st.floats()))
+    @settings(max_examples=300, deadline=None)
+    def test_equality_and_hash_match_fractions(self, n, e, other):
+        a, fa = DR(n, e), Fraction(n, 2**e)
+        assert (a == other) == (fa == other)
+        assert (a != other) == (fa != other)
+        assert hash(a) == hash(fa)
+        assert a == fa and a == DR(n << 3, e + 3) and a == float(fa)
+        if a == other:
+            assert hash(a) == hash(other)
+
+    def test_equality_with_integers(self):
+        assert DR(1, 0) == 1 and DR(4, 2) == 1 and 1 == DR(1, 0)
+        assert DR(1, 1) != 1 and DR(1, 1) != "1/2"
+        assert len({DR(1, 0), 1, 1.0, Fraction(1)}) == 1
+
     def test_from_float_exact(self):
         assert DR.from_value(0.375) == DR(3, 3)
         with pytest.raises(d.DomainError):

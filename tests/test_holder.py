@@ -66,7 +66,7 @@ class TestWeierstrass:
         with pytest.raises(d.DomainError):
             d.WeierstrassFunction(0.5, 0.5)
         with pytest.raises(d.DomainError):
-            d.weierstrass(2.0, 0.5, 0.1, tol=-1.0)
+            d.WeierstrassFunction(2.0, 0.5)(0.1, tol=-1.0)
 
 
 class TestMartingaleInduced:
@@ -84,6 +84,13 @@ class TestMartingaleInduced:
         f = d.martingale_function(d.binary_digit_martingale(), 0.5)
         assert f.eval_dyadic(DR(0, 0)) == 0.0
         assert f.eval_dyadic(DR(1, 0)) == 0.0
+
+    def test_difference_to_right_endpoint(self):
+        # f(1) = 0: the b == 1 branch; the tiles [1/4, 1/2) and [1/2, 1)
+        # give 2^-2 S([1/4, 1/2)) + 2^-1 S([1/2, 1)) = 0 + 1/2
+        f = d.martingale_function(d.binary_digit_martingale(), 0.5)
+        assert f.difference(0.25, 1) == 0.5
+        assert f.difference(DR(1, 2), DR(1, 0)) == -f.eval_dyadic(DR(1, 2))
 
     def test_round_trip_exact_depth12(self):
         S = d.binary_digit_martingale()

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -111,6 +112,12 @@ class TestDiscountAndSharpness:
             I = DI(lvl, rng.getrandbits(lvl))
             assert back.value(I) == float(S.value(I))
 
+    def test_discount_returns_the_base(self):
+        S = d.binary_digit_martingale()
+        assert d.discount_transform(d.sharpness_martingale(0.5, S)) is S
+        with pytest.raises(d.DomainError):
+            d.sharpness_martingale(0.5, d.Martingale(lambda child: 0.0, s0=1.0))
+
     def test_beta_star_norm_is_one(self):
         T = d.sharpness_martingale(0.5)
         assert d.beta_star_norm(T, 12) == 1.0
@@ -126,6 +133,22 @@ class TestSummationByParts:
     def test_zero(self):
         T = d.GrowthMartingale(0.4, lambda child: 0.0)
         assert d.summation_by_parts_check(T, 6) == 0.0
+
+    def test_matches_scalar_reference(self):
+        # the identity interval by interval, from scalar reads
+        T = d.random_growth_martingale(0.4, seed=4)
+        S = d.discount_transform(T)
+        beta, worst = T.beta, 0.0
+        for n in range(1, 7):
+            for j in range(1 << n):
+                I = DI(n, j)
+                acc = 0.0
+                for k in range(1, n):
+                    acc += math.pow(2.0, -k * beta) * T.value(I.ancestor(k))
+                rhs = ((1.0 - 2.0 ** -beta) * acc + math.pow(2.0, -n * beta) * T.value(I)
+                       - 2.0 ** -beta * T.t0)
+                worst = max(worst, abs(S.value(I) - rhs))
+        assert d.summation_by_parts_check(T, 6) == worst
 
     def test_level_one_reduces_to_definition(self):
         T = d.random_growth_martingale(0.5, seed=9)
@@ -150,6 +173,13 @@ class TestNormComparison:
         assert full <= factor * star + 1e-12
 
 
+    def test_beta_norm_matches_scalar_reference(self):
+        T = d.random_growth_martingale(0.5, seed=1)
+        ref = max([abs(T.t0)] + [math.pow(2.0, -n * T.beta) * abs(T.value(DI(n, j)))
+                                 for n in range(1, 8) for j in range(1 << n)])
+        assert d.beta_norm(T, 7) == ref
+
+
 class TestSubsample:
     def test_decimated_bound_and_cancellation(self):
         S = d.binary_digit_martingale()
@@ -157,6 +187,19 @@ class TestSubsample:
         sub = d.subsample(S, 4, 2, 0.0)
         assert sub.star_norm(2) <= 1.0 + 1e-15
         assert sub.check_cancellation(2) <= 1e-12
+
+    def test_level_sweeps_match_scalar_reference(self):
+        sub = d.subsample(d.RandomSignMartingale(2, scale=0.3), 3, 1, 0.5)
+        star = cancel = 0.0
+        for n in range(3):
+            lvl, nxt = sub.dyadic_level(n), sub.dyadic_level(n + 1)
+            for j in range(1 << lvl):
+                parent = sub.value(n, DI(lvl, j))
+                kids = [sub.value(n + 1, DI(nxt, 8 * j + c)) for c in range(8)]
+                cancel = max(cancel, abs(parent - sum(kids) / 8))
+                star = max(star, max(abs(v - parent) for v in kids))
+        assert sub.check_cancellation(3) == cancel
+        assert sub.star_norm(3) == star
 
     def test_values_scale(self):
         S = d.binary_digit_martingale()
@@ -226,3 +269,55 @@ class TestRandomSign:
         vals = S.level_values(6)
         for j in range(1 << 6):
             assert vals[j] == S.value(DI(6, j))
+
+    def test_scalar_increment_allocates_no_level(self):
+        # one deep scalar jump must not materialize the 2^23 parent signs
+        S = d.RandomSignMartingale(3)
+        tracemalloc.start()
+        try:
+            S.increment(DI(24, 5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def _vectorized_members():
+    B = d.assemble_martingale(d.build_schedule(0.5, 1, depth_cap=160))
+    return {
+        "binary": d.binary_digit_martingale(),
+        "random-sign": d.RandomSignMartingale(7, scale=0.75),
+        "block": B,
+        "block-discounted": d.ScaledMartingale(B, -0.5, star_bound=0.5),
+        "random-growth": d.random_growth_martingale(0.6, seed=5),
+        "sharpness": d.sharpness_martingale(0.3),
+    }
+
+
+class TestLevelArrayOracle:
+    """Vectorized level arrays against the base-class scalar loops."""
+
+    @pytest.mark.parametrize("name", sorted(_vectorized_members()))
+    def test_level_arrays_match_scalar_loops(self, name):
+        S = _vectorized_members()[name]
+        for n in range(1, 11):
+            assert np.array_equal(S.level_increments(n), d.Martingale.level_increments(S, n))
+        rng = random.Random(name)
+        for _ in range(20):
+            n = rng.randint(0, 16)
+            lo = rng.randrange(1 << n)
+            hi = min(1 << n, lo + rng.randint(1, 300))
+            vals = S.level_values_range(n, lo, hi)
+            assert np.array_equal(vals, [S.value(DI(n, j)) for j in range(lo, hi)])
+            assert np.array_equal(vals, d.Martingale.level_values_range(S, n, lo, hi))
+            if n:
+                incs = S.level_increments(n)[lo:hi]
+                assert np.array_equal(incs, [S.increment(DI(n, j)) for j in range(lo, hi)])
+
+    def test_block_discounted_view_matches_scalar_lambda(self):
+        B = d.assemble_martingale(d.build_schedule(0.5, 1, depth_cap=160))
+        lam = d.Martingale(lambda ch: math.pow(2.0, -ch.level * 0.5) * B.increment(ch),
+                           star_bound=0.5, name="block-discounted")
+        view = d.ScaledMartingale(B, -0.5, star_bound=0.5, name="block-discounted")
+        assert (d.sweep_mass_distribution(view, 0.25, 16)
+                == d.sweep_mass_distribution(lam, 0.25, 16))
