@@ -366,6 +366,8 @@ class BlockMartingale(Martingale):
                          name=f"blocks(beta={schedule.beta})")
         self.schedule = schedule
         self._starts = [p.level for p in schedule.placements]
+        self._ends = [p.end for p in schedule.placements]
+        self._windows = [(p.level, p.end, p.amplitude, p.M) for p in schedule.placements]
 
     def _active_placement(self, i: int) -> Optional[Placement]:
         """Placement with k < i <= k + M, if any."""
@@ -399,6 +401,57 @@ class BlockMartingale(Martingale):
             bits = (I.index >> (I.level - p.level - t)) & ((1 << t) - 1)
             total += p.amplitude * ((math.ldexp(1.0, t) - 1.0) if bits == 0 else -1.0)
         return total
+
+    def primitive(self, start: DyadicInterval, s_start: float,
+                  bits: int, depth: int) -> float:
+        """The integral of S along one address, in closed form.
+
+        S is constant along the path between placement windows, so a run
+        of levels (u, v] adds s * window / 2^v, where window holds the
+        address bits of those levels.  Inside a window (k, k+M] the path
+        rides the block's spine until its first 1-bit, at level i, which
+        adds 2^-i (s_k + amp (2^(i-k) - 1)); from there S is s_k - amp up
+        to the next window, and with no 1-bit S leaves the window at
+        s_k + amp (2^M - 1).  O(placements) work per point, no `increment`.
+        """
+        end = start.level + depth
+        if end > self.max_depth:
+            raise DepthCapError(f"level {end} beyond max depth {self.max_depth}")
+
+        def run(s: float, u: int, v: int) -> float:
+            """s times the integral of the 1-bits at levels (u, v]."""
+            window = (bits >> (end - v)) & ((1 << (v - u)) - 1)
+            if window == 0 or s == 0.0:
+                return 0.0
+            # window / 2^v from its top 60 bits, never float() of a wide int
+            width = window.bit_length()
+            top = window >> max(0, width - 60)
+            return math.ldexp(s * math.ldexp(float(top), -top.bit_length()), width - v)
+
+        acc = 0.0
+        s = s_start
+        lvl = start.level           # S = s on the path from level lvl on
+        first = bisect_right(self._ends, lvl)
+        for k, k_end, amp, M in self._windows[first:]:
+            if k >= end:
+                break
+            # a start inside the window is on the spine iff its address
+            # bits below level k are zero; off it, S stays s
+            off = lvl - k if lvl > k else 0
+            if start.index & ((1 << off) - 1):
+                continue
+            acc += run(s, lvl, k + off)
+            hi = k_end if k_end < end else end
+            window = (bits >> (end - hi)) & ((1 << (hi - k - off)) - 1)
+            spine = math.ldexp(amp, off)        # s = s_k + amp (2^off - 1)
+            if window == 0:
+                s += math.ldexp(amp, M) - spine
+                lvl = hi
+            else:
+                lvl = hi - window.bit_length() + 1
+                acc += math.ldexp(s + (math.ldexp(amp, lvl - k) - spine), -lvl)
+                s -= spine
+        return acc + run(s, lvl, end)
 
     def level_values_range(self, n: int, lo: int, hi: int) -> np.ndarray:
         """Vectorized values of S_n on indices [lo, hi); needs n <= 62."""

@@ -8,6 +8,8 @@ float resolution.  All operations here are pure and all types immutable.
 
 from __future__ import annotations
 
+import numbers
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,13 +54,18 @@ class DyadicRational:
     exponent: int
 
     def __post_init__(self):
-        if self.exponent < 0:
+        num, exp = self.numerator, self.exponent
+        if type(num) is not int or type(exp) is not int:
+            # numpy integers become Python ints, whose shifts never wrap
+            num, exp = operator.index(num), operator.index(exp)
+            object.__setattr__(self, "numerator", num)
+            object.__setattr__(self, "exponent", exp)
+        if exp < 0:
             raise DomainError("exponent must be nonnegative")
-        if self.numerator == 0:
-            if self.exponent != 0:
+        if num == 0:
+            if exp != 0:
                 object.__setattr__(self, "exponent", 0)
-        elif self.numerator % 2 == 0 and self.exponent > 0:
-            num, exp = self.numerator, self.exponent
+        elif num % 2 == 0 and exp > 0:
             shift = min(exp, (num & -num).bit_length() - 1)
             object.__setattr__(self, "numerator", num >> shift)
             object.__setattr__(self, "exponent", exp - shift)
@@ -69,7 +76,8 @@ class DyadicRational:
             return x
         if isinstance(x, int):
             return DyadicRational(x, 0)
-        frac = Fraction(x)  # exact for floats and Fractions alike
+        # exact for floats, Fractions and numpy integers alike
+        frac = Fraction(x)
         den = frac.denominator
         if den & (den - 1):
             raise DomainError(f"{x!r} is not a dyadic rational")
@@ -123,7 +131,8 @@ class DyadicRational:
         return (a > b) - (a < b)
 
     def __eq__(self, other):
-        if not isinstance(other, (DyadicRational, int, float, Fraction)):
+        # the ABC last: its check is slow, and only numpy numbers reach it
+        if not isinstance(other, (DyadicRational, int, float, Fraction, numbers.Rational)):
             return NotImplemented
         try:
             return self._cmp(other) == 0
@@ -244,7 +253,8 @@ def locate(x: Real, n: int) -> DyadicInterval:
     if isinstance(x, int):
         return DyadicInterval(n, x << n)
     frac = Fraction(x)  # exact, so boundary points resolve exactly
-    return DyadicInterval(n, (frac.numerator << n) // frac.denominator)
+    # a numpy integer keeps its type as the numerator, and its shifts wrap
+    return DyadicInterval(n, (operator.index(frac.numerator) << n) // frac.denominator)
 
 
 def intervals_at_level(n: int) -> Iterable[DyadicInterval]:

@@ -2,10 +2,11 @@
 functions, and empirical seminorm estimation.
 
 Every function carries its exponent alpha and an evaluation story: a
-truncation-error bound for series, exact dyadic-point recursion for
-martingale-induced constructions.  Differences of the latter never go
-through two absolute evaluations, so deep-scale divided differences keep
-full relative precision.
+truncation-error bound for series, the integral of the martingale along
+a dyadic point's address for martingale-induced constructions.
+Differences of the latter never go through two absolute evaluations, so
+deep-scale divided differences keep their precision relative to the
+one-sided sums from the common dyadic ancestor.
 """
 
 from __future__ import annotations
@@ -174,10 +175,12 @@ class WeierstrassFunction(HolderFunction):
 class MartingaleInducedFunction(HolderFunction):
     """Function with dyadic increments f(b)-f(a) = 2^-n S([a,b)).
 
-    Exact at dyadic rationals by the refinement recursion; 1-periodic
-    with f(0) = f(1) = 0 (requires S_0 = 0).  Non-dyadic points are
-    evaluated at the truncation depth, with the Holder tail bound
-    reported rather than silently absorbed.
+    At dyadic rationals f is the integral of S along the point's address,
+    ``S.primitive``: closed-form placement runs for block martingales, the
+    bit walk otherwise, either within rounding of the exact rational sum
+    of S's float values.  1-periodic with f(0) = f(1) = 0 (requires S_0 =
+    0).  Non-dyadic points are evaluated at the truncation depth, with the
+    Holder tail bound reported rather than silently absorbed.
     """
 
     def __init__(self, S: Martingale, alpha: float,
@@ -204,31 +207,7 @@ class MartingaleInducedFunction(HolderFunction):
                 f"dyadic point at depth {x.exponent} beyond cap {self.max_depth}")
         if x.numerator == 0 or (x.numerator == 1 and x.exponent == 0):
             return 0.0
-        return self._descend(unit_interval(), 0.0, x.numerator, x.exponent)
-
-    def _descend(self, start: DyadicInterval, s_start: float,
-                 bits: int, depth: int) -> float:
-        """Accumulate f(point) - f(left endpoint of start), descending.
-
-        `bits` are the point's address bits below `start` (depth of them
-        given); each 1-bit adds 2^-(level) S(left child) on the way down.
-        """
-        acc = 0.0
-        cur = start
-        s_cur = s_start
-        for k in range(depth - 1, -1, -1):
-            bit = (bits >> k) & 1
-            left = cur.left_half()
-            inc_left = self.S.increment(left)
-            if bit == 0:
-                cur = left
-                s_cur = s_cur + inc_left
-            else:
-                acc += math.ldexp(s_cur + inc_left, -left.level)
-                right = DyadicInterval(left.level, left.index + 1)
-                s_cur = s_cur + self.S.increment(right)
-                cur = right
-        return acc
+        return self.S.primitive(unit_interval(), 0.0, x.numerator, x.exponent)
 
     def difference(self, a, b, tol: Optional[float] = None) -> float:
         """f(b) - f(a) for dyadic a <= b in [0,1], telescoped exactly.
@@ -252,13 +231,8 @@ class MartingaleInducedFunction(HolderFunction):
             return math.ldexp(self.S.value(DyadicInterval(n, a.floor_scaled(n))), -n)
         if b == 1:
             # f(1) = 0, so the difference is -(f(a) - f(0))
-            return -self._diff_from_zero(a)
+            return -self.eval_dyadic(a)
         return self._diff_common(a, b)
-
-    def _diff_from_zero(self, x: DyadicRational) -> float:
-        if x.numerator == 0:
-            return 0.0
-        return self._descend(unit_interval(), 0.0, x.numerator, x.exponent)
 
     def _diff_common(self, a: DyadicRational, b: DyadicRational) -> float:
         depth = max(a.exponent, b.exponent)
@@ -271,8 +245,8 @@ class MartingaleInducedFunction(HolderFunction):
         anc_level = depth - diff_bits
         anc = DyadicInterval(anc_level, ia >> diff_bits)
         s_anc = self.S.value(anc)
-        ga = self._descend(anc, s_anc, ia & ((1 << diff_bits) - 1), diff_bits)
-        gb = self._descend(anc, s_anc, ib & ((1 << diff_bits) - 1), diff_bits)
+        ga = self.S.primitive(anc, s_anc, ia & ((1 << diff_bits) - 1), diff_bits)
+        gb = self.S.primitive(anc, s_anc, ib & ((1 << diff_bits) - 1), diff_bits)
         return gb - ga
 
     def truncation_bound(self) -> float:

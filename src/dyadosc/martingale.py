@@ -3,12 +3,14 @@
 A martingale here is a map ``S(I)`` on dyadic subintervals of [0,1) whose
 value at an interval is the mean of its children's values (cancellation).
 Every consumer reads it through ``increment(child)``, the scalar jump
-oracle, or the level arrays ``level_increments(n)`` and
-``level_values_range(n, lo, hi)``.  The base class derives the arrays from
-the scalar oracle by plain loops, the reference that vectorized overrides
-reproduce exactly.  Jumps come from increment oracles, which hand each
-pair of children exactly opposite jumps, or from value oracles such as
-divided differences of a function, whose cancellation is checked.
+oracle, the level arrays ``level_increments(n)`` and
+``level_values_range(n, lo, hi)``, or ``primitive``, the integral of S
+along one address.  The base class derives the arrays and the integral
+from the scalar oracle by plain loops, the reference that vectorized and
+closed-form overrides reproduce.  Jumps come from increment oracles,
+which hand each pair of children exactly opposite jumps, or from value
+oracles such as divided differences of a function, whose cancellation is
+checked.
 
 A growth martingale with exponent ``beta`` is the level-scaled view
 ``2^(n beta)`` of its discounted martingale, so the discount transform and
@@ -60,7 +62,9 @@ class Martingale:
     ``star_bound``, when given, declares sup_n ||S_{n+1}-S_n||.
 
     Subclasses keep the scalar ``increment`` and may override the level
-    arrays with vectorized sweeps that return the same floats.
+    arrays with vectorized sweeps that return the same floats, and
+    ``primitive`` with a closed form that agrees with the bit walk to
+    rounding.
     """
 
     def __init__(self, increment_fn: Callable[[DyadicInterval], float],
@@ -92,6 +96,33 @@ class Martingale:
         for lvl in range(1, I.level + 1):
             v = v + self.increment(I.ancestor(lvl))
         return v
+
+    def primitive(self, start: DyadicInterval, s_start: float,
+                  bits: int, depth: int) -> float:
+        """Integral of S from the left endpoint of `start` to the point
+        whose `depth` address bits below `start` are `bits`.
+
+        `s_start` is S(start).  Each 1-bit at level i adds 2^-i S(left
+        sibling) on the way down: this bit walk, one `increment` call per
+        address bit and a second per 1-bit, is the reference that
+        closed-form overrides reproduce.
+        """
+        acc = 0.0
+        cur = start
+        s_cur = s_start
+        for k in range(depth - 1, -1, -1):
+            bit = (bits >> k) & 1
+            left = cur.left_half()
+            inc_left = self.increment(left)
+            if bit == 0:
+                cur = left
+                s_cur = s_cur + inc_left
+            else:
+                acc += math.ldexp(s_cur + inc_left, -left.level)
+                right = DyadicInterval(left.level, left.index + 1)
+                s_cur = s_cur + self.increment(right)
+                cur = right
+        return acc
 
     def level_increments(self, n: int) -> np.ndarray:
         """Increments into level n for all level-n intervals (n >= 1)."""

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,6 +47,33 @@ class TestDyadicRational:
         assert DR(1, 0) == 1 and DR(4, 2) == 1 and 1 == DR(1, 0)
         assert DR(1, 1) != 1 and DR(1, 1) != "1/2"
         assert len({DR(1, 0), 1, 1.0, Fraction(1)}) == 1
+
+    @given(st.integers(-2**62, 2**62), st.integers(0, 100), st.integers(-2**62, 2**62),
+           st.sampled_from([np.int64, np.int32, np.uint8]))
+    @settings(max_examples=200, deadline=None)
+    def test_numpy_integers_match_fractions(self, n, e, m, np_type):
+        # numpy integers behave as the Python ints they hold, also past
+        # 64-bit shifts
+        info = np.iinfo(np_type)
+        m = min(max(m, info.min), info.max)
+        a, fa, x = DR(n, e), Fraction(n, 2**e), np_type(m)
+        assert (a < x) == (fa < m) and (a >= x) == (fa >= m)
+        assert (a == x) == (fa == m) and (a != x) == (fa != m)
+        for big in (DR(1, 64), DR(1, 70), DR(-3, 200)):
+            assert (DR.from_value(x) + big).as_fraction() == m + big.as_fraction()
+            assert (DR(x, e) + big).as_fraction() == Fraction(m, 2**e) + big.as_fraction()
+        assert type(DR.from_value(x).numerator) is int
+        assert type(DR(x, np.int64(e)).numerator) is int
+
+    def test_numpy_integer_regressions(self):
+        assert DR(1, 1) < np.int64(1)
+        assert DR(1, 0) == np.int64(1) and DR(1, 1) != np.int64(1)
+        assert DR.from_value(np.int64(3)) + DR(1, 70) == Fraction(3) + Fraction(1, 2**70)
+        assert d.locate(np.int64(3), 70) == d.DyadicInterval(70, 3 << 70)
+
+    def test_non_integral_numerator_rejected(self):
+        with pytest.raises(TypeError):
+            DR(1.5, 2)
 
     def test_from_float_exact(self):
         assert DR.from_value(0.375) == DR(3, 3)

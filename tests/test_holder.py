@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+import struct
 from fractions import Fraction
 
 import mpmath as mp
@@ -191,3 +193,171 @@ class TestSeminormEstimate:
         cfg = d.SeminormSampler(pairs=1000, seed=9)
         assert (d.holder_seminorm_estimate(weier_half, cfg)
                 == d.holder_seminorm_estimate(weier_half, cfg))
+
+
+def _exact_value(S, I):
+    """S(I) in exact rationals: the sum of the (exact float) increments."""
+    return sum((Fraction(S.increment(I.ancestor(lvl))) for lvl in range(1, I.level + 1)),
+               Fraction(0))
+
+
+def _exact_primitive(S, start, s_start, bits, depth):
+    """The bit walk of `Martingale.primitive` in exact rationals: the sum
+    and the sum of its terms' magnitudes."""
+    acc = mag = Fraction(0)
+    cur, s = start, s_start
+    for k in range(depth - 1, -1, -1):
+        left = cur.left_half()
+        s_left = s + Fraction(S.increment(left))
+        if (bits >> k) & 1:
+            term = s_left / (1 << left.level)
+            acc += term
+            mag += abs(term)
+            cur = DI(left.level, left.index + 1)
+            s = s + Fraction(S.increment(cur))
+        else:
+            cur, s = left, s_left
+    return acc, mag
+
+
+def _exact_sides(S, a, b):
+    """Exact one-sided integrals (ga, gb) of S from the common ancestor of
+    the dyadic points a and b, so that f(b) - f(a) = gb - ga."""
+    depth = max(a.exponent, b.exponent)
+    ia = a.numerator << (depth - a.exponent)
+    ib = b.numerator << (depth - b.exponent)
+    diff_bits = (ia ^ ib).bit_length()
+    anc = DI(depth - diff_bits, ia >> diff_bits)
+    s_anc = _exact_value(S, anc)
+    mask = (1 << diff_bits) - 1
+    return (_exact_primitive(S, anc, s_anc, ia & mask, diff_bits)[0],
+            _exact_primitive(S, anc, s_anc, ib & mask, diff_bits)[0])
+
+
+def _window_starts(sched, rng):
+    """Start intervals strictly inside placement windows, one on the
+    block's spine and one off it per placement (M >= 2)."""
+    out = []
+    for p in sched.placements[:12] + sched.placements[-4:]:
+        if p.M < 2:
+            continue
+        L = rng.randint(p.level + 1, p.end - 1)
+        prefix = rng.getrandbits(p.level) if p.level else 0
+        out.append(DI(L, prefix << (L - p.level)))                 # on the spine
+        low = rng.randint(1, (1 << (L - p.level)) - 1)
+        out.append(DI(L, (prefix << (L - p.level)) | low))         # off it
+    return out
+
+
+class TestRunLengthPrimitive:
+    """`BlockMartingale.primitive` (closed-form runs) against the kept
+    bit walk `Martingale.primitive` and against exact rationals."""
+
+    def test_matches_bit_walk(self, block_schedule_half, block_martingale_half):
+        # Both float paths are within 1e-13 of the exact sum, measured
+        # against the sum of its terms' magnitudes.  Where the sum cancels
+        # (all 1-bits from the root end near f(1) = 0) that is all either
+        # path can give; elsewhere they agree to 1e-13 relative.
+        S, sched = block_martingale_half, block_schedule_half
+        rng = random.Random(11)
+        starts = _window_starts(sched, rng) + [d.unit_interval()]
+        starts += [DI(L, rng.getrandbits(L)) for L in rng.sample(range(1, 150), 10)]
+        compared = cancelling = 0
+        for start in starts:
+            s_start = S.value(start)
+            for depth in (0, 1, 44, rng.randint(190, 210), sched.end_level + 48):
+                depth = min(depth, S.max_depth - start.level)
+                for bits in (0, (1 << depth) - 1, rng.getrandbits(depth)):
+                    walk = d.Martingale.primitive(S, start, s_start, bits, depth)
+                    got = S.primitive(start, s_start, bits, depth)
+                    exact, mag = _exact_primitive(S, start, Fraction(s_start), bits, depth)
+                    assert abs(got - float(exact)) <= 1e-13 * float(mag)
+                    assert abs(walk - float(exact)) <= 1e-13 * float(mag)
+                    if abs(exact) >= mag / 2:
+                        assert got == pytest.approx(walk, rel=1e-13, abs=0), (start, depth)
+                        compared += 1
+                    else:
+                        cancelling += 1
+        assert compared > 500 and cancelling > 0
+
+    def test_difference_matches_exact_sum(self, block_schedule_half,
+                                          block_martingale_half):
+        # exact relative to the rational sum of the same float amplitudes;
+        # the bit walk is no tighter reference on cancelling pairs
+        S, sched = block_martingale_half, block_schedule_half
+        f = d.martingale_function(S, 0.5)
+        rng = random.Random(12)
+        pairs = []
+        for depth in (44, 200, sched.end_level + 48):
+            for _ in range(12):
+                lo = rng.getrandbits(depth)
+                width = rng.getrandbits(rng.randint(1, depth))
+                if 0 < width and lo + width < (1 << depth):
+                    pairs.append((DR(lo, depth), DR(lo + width, depth)))
+        # common ancestors inside placement windows, on and off the spine
+        for anc in _window_starts(sched, rng):
+            depth = anc.level + rng.choice((3, 44, 150))
+            below = depth - anc.level - 1
+            a = ((2 * anc.index) << below) | rng.getrandbits(below)
+            b = ((2 * anc.index + 1) << below) | rng.getrandbits(below)
+            pairs.append((DR(a, depth), DR(b, depth)))
+        for a, b in pairs:
+            ga, gb = _exact_sides(S, a, b)
+            tol = 1e-13 * float(max(abs(ga), abs(gb)))
+            assert abs(f.difference(a, b) - float(gb - ga)) <= tol, (a, b)
+
+    def test_other_martingales_keep_the_walk(self):
+        # sha256 of the packed doubles below as computed by the descent
+        # before it moved into Martingale.primitive: bit-identical outputs
+        rng = random.Random(17)
+        h = hashlib.sha256()
+        for S in (d.binary_digit_martingale(max_depth=60),
+                  d.RandomSignMartingale(21, max_depth=60),
+                  d.sharpness_martingale(0.5, max_depth=60)):
+            f = d.martingale_function(S, 0.5)
+            for _ in range(300):
+                depth = rng.randint(1, 60)
+                lo, hi = sorted((rng.getrandbits(depth), rng.getrandbits(depth)))
+                h.update(struct.pack("<d", f.difference(DR(lo, depth), DR(hi, depth))))
+                h.update(struct.pack("<d", f.eval_dyadic(DR(hi, depth))))
+        assert h.hexdigest() == (
+            "bf0137b823c50b6d0625ef83050de91b9dd569d8e5f0f24a4d6c1492346373af")
+
+    def test_deep_constant_run(self):
+        # one stage ends at level 91: the trailing constant run of a point
+        # 2000 bits deep is far wider than the 1023-bit float range
+        sched = d.build_schedule(0.5, 1)
+        S = d.assemble_martingale(sched)
+        f = d.martingale_function(S, 0.5, max_depth=2048)
+        rng = random.Random(13)
+        for _ in range(3):
+            x = DR(rng.getrandbits(2000) | 1, 2000)
+            walk = d.Martingale.primitive(S, d.unit_interval(), 0.0,
+                                          x.numerator, x.exponent)
+            assert f.eval_dyadic(x) == pytest.approx(walk, rel=1e-13, abs=0)
+
+    def test_depth_cap(self, block_martingale_half):
+        S = block_martingale_half
+        with pytest.raises(d.DepthCapError):
+            S.primitive(d.unit_interval(), 0.0, 1, S.max_depth + 1)
+
+    def test_no_increment_calls(self, monkeypatch, block_schedule_half,
+                                block_martingale_half):
+        # a count, not a time: the closed form never falls back to the walk
+        S, sched = block_martingale_half, block_schedule_half
+        calls = []
+
+        def counting(self, child):
+            calls.append(child)
+            return d.Martingale.increment(self, child)
+
+        monkeypatch.setattr(d.BlockMartingale, "increment", counting, raising=False)
+        f = d.martingale_function(S, 0.5, max_depth=sched.end_level + 64)
+        depth = sched.end_level + 48
+        rng = random.Random(14)
+        lo = rng.getrandbits(depth)
+        a, b = DR(lo, depth), DR(lo + rng.getrandbits(depth - 8), depth)
+        f.difference(a, b)
+        assert calls == []
+        d.Martingale.primitive(S, d.unit_interval(), 0.0, 1, 3)
+        assert len(calls) == 4           # the wrapper does see the walk
