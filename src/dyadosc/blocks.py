@@ -19,7 +19,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -123,15 +123,6 @@ class BuildingBlock:
         for _ in range(self.M):
             out.append(out[-1].left_half())
         return out
-
-    def term_value(self, t: int, x) -> float:
-        """Haar term s_t = delta 2^(K beta) 2^t h_{J_t}(x), 0 <= t < M."""
-        if not 0 <= t < self.M:
-            raise DomainError("term index out of range")
-        J_t = self.J
-        for _ in range(t):
-            J_t = J_t.left_half()
-        return self.amplitude * math.ldexp(1.0, t) * haar(J_t, x)
 
     def value(self, x) -> float:
         """Closed form: peak on J_M, trough on J minus J_M, 0 outside."""
@@ -600,13 +591,6 @@ class SpecialIntervalRegistry:
             peak = p.amplitude * (math.ldexp(1.0, p.M) - 1.0)
             worst = min(worst, math.pow(2.0, -p.end * beta) * (peak - p.norm_before))
         return worst
-
-    def enumerate_members(self, placement: Placement,
-                          max_members: int = 1 << 16) -> Iterable[DyadicInterval]:
-        if (1 << placement.level) > max_members:
-            raise DepthCapError("placement too deep to enumerate")
-        for q in range(1 << placement.level):
-            yield DyadicInterval(placement.end, q << placement.M)
 
     def check_members(self, max_level: int = 16) -> tuple[int, float]:
         """|I'|^beta S(I') >= 1/5 on every enumerable member.

@@ -16,7 +16,6 @@ import csv
 import hashlib
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -28,10 +27,8 @@ from .dyadic import (
     DepthCapError,
     DomainError,
     DyadicInterval,
-    DyadicRational,
     default_max_depth,
     locate,
-    unit_interval,
     whitney,
 )
 from . import blocks, divdiff, entropy, holder, martingale, wavelet
@@ -103,8 +100,12 @@ def _fmt(v):
     return v
 
 
-def _params(args, names) -> dict:
-    return {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
+def _writer(args) -> RunWriter:
+    """Writer whose manifest records every argument of the subcommand run,
+    except the output plumbing and the unset ones."""
+    params = {k: v for k, v in vars(args).items()
+              if k not in ("out", "format", "command", "func") and v is not None}
+    return RunWriter(args.out, args.command, params, table_format=args.format)
 
 
 # ---------------------------------------------------------------------
@@ -114,8 +115,7 @@ def cmd_phi(args) -> int:
     val = entropy.entropy_phi(args.eta)
     print(f"{val:.12g}")
     if args.out:
-        w = RunWriter(args.out, "phi",
-                  _params(args, ["eta"]), table_format=args.format)
+        w = _writer(args)
         w.write_csv("phi.csv", ["eta", "phi"], [[args.eta, val]])
         w.finish()
     return 0
@@ -136,8 +136,7 @@ def cmd_lemma32(args) -> int:
         worst = min(worst, res.log2_margin)
         rows.append([i, res.sum_x, res.product, res.bound, res.log2_margin])
     print(f"instances={args.count} n={n} eta={eta} worst_log2_margin={worst:.3e}")
-    w = RunWriter(args.out, "lemma32", _params(args, ["eta", "n", "count", "seed"]),
-                  table_format=args.format)
+    w = _writer(args)
     w.write_csv("lemma32.csv", ["instance", "sum_x", "product", "bound", "log2_margin"], rows)
     w.finish()
     return 0 if worst >= -1e-10 else 5
@@ -168,8 +167,7 @@ def cmd_mass_measure(args) -> int:
     for n in range(dump_depth + 1):
         for j in range(1 << n):
             rows.append([n, j, mm.mass_log2(DyadicInterval(n, j))])
-    w = RunWriter(args.out, "mass-measure",
-                  _params(args, ["martingale", "eta", "depth", "seed"]), table_format=args.format)
+    w = _writer(args)
     w.write_csv("mass_measure.csv", ["level", "index", "mass_log2"], rows)
     w.write_json("mass_report.json", {
         "members": rep.members,
@@ -194,8 +192,7 @@ def cmd_besicovitch(args) -> int:
         c = entropy.besicovitch_count(N, eta)
         est = entropy.dim_estimate([(N, c)])[0]
         rows.append([N, float(eta), c, est, phi, phi - est])
-    w = RunWriter(args.out, "besicovitch",
-                  _params(args, ["eta", "levels"]), table_format=args.format)
+    w = _writer(args)
     w.write_csv("besicovitch.csv", ["N", "eta", "count", "estimate", "phi", "gap"], rows)
     w.finish()
     for row in rows:
@@ -209,8 +206,7 @@ def cmd_dim_estimate(args) -> int:
         n_str, c_str = item.split(":")
         pairs.append((int(n_str), int(c_str)))
     ests = entropy.dim_estimate(pairs)
-    w = RunWriter(args.out, "dim-estimate",
-                  _params(args, ["counts"]), table_format=args.format)
+    w = _writer(args)
     w.write_csv("dim_estimate.csv", ["N", "count", "estimate"],
                 [[n, c, e] for (n, c), e in zip(pairs, ests)])
     w.finish()
@@ -223,8 +219,7 @@ def cmd_weierstrass(args) -> int:
     f = holder.WeierstrassFunction(args.b, args.alpha)
     xs = np.linspace(args.x_min, args.x_max, args.points)
     vals = f.batch(xs, args.tol)
-    w = RunWriter(args.out, "weierstrass",
-                  _params(args, ["b", "alpha", "x_min", "x_max", "points", "tol"]), table_format=args.format)
+    w = _writer(args)
     w.write_csv("weierstrass.csv", ["x", "f", "tol"],
                 [[float(x), float(v), args.tol] for x, v in zip(xs, vals)])
     w.finish()
@@ -235,8 +230,7 @@ def cmd_weierstrass(args) -> int:
 def cmd_martingale_extract(args) -> int:
     f = holder.WeierstrassFunction(args.b, args.alpha)
     S = martingale.from_function(f, args.depth, tol=args.tol)
-    w = RunWriter(args.out, "martingale-extract",
-                  _params(args, ["b", "alpha", "depth", "tol"]), table_format=args.format)
+    w = _writer(args)
     w.write_csv("martingale.csv", ["level", "index", "value"],
                 martingale.dump_rows(S, args.depth))
     w.finish()
@@ -255,8 +249,7 @@ def cmd_block(args) -> int:
     for t in range(M + 1):
         rows.append([t, blk.partial_sup_scaled(t) if t else 0.0,
                      blk.partial_inf_scaled(t) if t else 0.0])
-    w = RunWriter(args.out, "block",
-                  _params(args, ["delta", "beta", "level", "index"]), table_format=args.format)
+    w = _writer(args)
     w.write_csv("block_partials.csv", ["terms", "scaled_sup", "scaled_inf"], rows)
     w.write_json("block.json", {
         "level": K, "index": J.index, "M": M,
@@ -272,8 +265,7 @@ def cmd_block(args) -> int:
 
 def cmd_schedule(args) -> int:
     sched = blocks.build_schedule(args.beta, args.stages, depth_cap=args.depth)
-    w = RunWriter(args.out, "schedule",
-                  _params(args, ["beta", "stages", "depth"]), table_format=args.format)
+    w = _writer(args)
     w.write_json("schedule.json", sched.to_dict())
     w.finish()
     print(f"stages={len(sched.stages)} end_level={sched.end_level} "
@@ -307,8 +299,7 @@ def cmd_counterexample(args) -> int:
                                   seed=args.seed, dyadic_depth=44))
     holder_ok = est <= f.seminorm_bound
     hits, total = blocks.witness_survey(sched, S, f, alpha, args.points, args.seed)
-    w = RunWriter(args.out, "counterexample",
-                  _params(args, ["alpha", "stages", "depth", "pairs", "points", "seed"]), table_format=args.format)
+    w = _writer(args)
     w.write_csv("floors.csv", ["stage", "from_level", "min_scaled", "floor"], floor_rows)
     registry_rows = []
     for j, rec in enumerate(sched.stages):
@@ -348,8 +339,7 @@ def cmd_counterexample(args) -> int:
 def cmd_wavelet(args) -> int:
     sched = wavelet.wavelet_schedule(args.alpha, args.eps, args.stages)
     f = wavelet.wavelet_oscillator(sched)
-    w = RunWriter(args.out, "wavelet",
-                  _params(args, ["alpha", "eps", "stages", "points", "seed"]), table_format=args.format)
+    w = _writer(args)
     w.write_json("wavelet_schedule.json", sched.to_dict())
     rows = []
     if args.points:
@@ -380,8 +370,7 @@ def cmd_theta(args) -> int:
     for x in np.linspace(args.x_min, args.x_max, args.points):
         th = divdiff.theta(f, args.alpha, float(x), args.eps, quad)
         rows.append([float(x), args.eps, th.value, th.error_estimate])
-    w = RunWriter(args.out, "theta",
-                  _params(args, ["b", "alpha", "eps", "points", "panels"]), table_format=args.format)
+    w = _writer(args)
     w.write_csv("theta.csv", ["x", "eps", "theta", "err"], rows)
     w.finish()
     print(f"wrote {len(rows)} theta values")
@@ -393,9 +382,7 @@ def cmd_sigma_stats(args) -> int:
     st = divdiff.sigma_stats(f, args.alpha, args.x, args.eps,
                              [args.delta], [args.c],
                              samples=args.samples, seed=args.seed)
-    w = RunWriter(args.out, "sigma-stats",
-                  _params(args, ["b", "alpha", "x", "eps", "delta", "c",
-                                 "gamma", "samples", "seed"]), table_format=args.format)
+    w = _writer(args)
     rows = [[args.x, args.eps, f">{args.delta}", st.upper[args.delta][0],
              st.upper[args.delta][1], args.seed],
             [args.x, args.eps, f"<-{args.c}", st.lower[args.c][0],
@@ -421,9 +408,7 @@ def cmd_gap(args) -> int:
         f, args.alpha, args.depth, xs, first_level=args.first_level,
         eps_grid=2, quad=divdiff.QuadratureConfig(args.panels))
     pval = divdiff.trend_pvalue(profile.gaps)
-    w = RunWriter(args.out, "gap",
-                  _params(args, ["b", "alpha", "depth", "first_level",
-                                 "points", "panels", "seed"]), table_format=args.format)
+    w = _writer(args)
     w.write_csv("gap.csv", ["level", "sup_gap", "seed"],
                 [(lvl, g, args.seed)
                  for lvl, g in zip(profile.levels, profile.gaps)])

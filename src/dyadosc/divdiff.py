@@ -48,28 +48,39 @@ class ThetaResult:
         return self.value
 
 
-def _theta_fixed(f: HolderFunction, alpha: float, x: float, eps: float,
-                 panels_per_octave: int, tol: float) -> tuple[float, int]:
-    """Composite Simpson for int_0^U (f(x+2^-u) - f(x)) 2^(u alpha) ln2 du."""
-    U = math.log2(1.0 / eps)
-    octaves = int(math.ceil(U))
-    fx = f(x, tol)
-    total = 0.0
-    panels = 0
-    for j in range(octaves):
-        lo = float(j)
-        hi = min(float(j + 1), U)
-        if hi <= lo:
-            break
-        m = panels_per_octave
-        nodes = np.linspace(lo, hi, 2 * m + 1)
-        hs = np.exp2(-nodes)
-        vals = (f.batch(x + hs, tol) - fx) * np.exp2(alpha * nodes) * LN2
-        step = (hi - lo) / m
-        total += step / 6.0 * (vals[0] + vals[-1] + 4.0 * vals[1::2].sum()
-                               + 2.0 * vals[2:-1:2].sum())
-        panels += m
-    return total, panels
+def _octave_simpson(g, uppers: Sequence[float], m: int) -> list[tuple[float, float]]:
+    """int_0^U g(u) du at each U of the increasing `uppers`, by composite
+    Simpson with m panels per octave [j, min(j+1, U)] on np.linspace(lo, hi,
+    2m+1).  Full octaves are shared by every U; a non-integer U adds its own
+    partial octave.  Each U also gets the rule on every other node (m/2
+    panels of twice the step: the panel-halving reference, for even m)."""
+    def simpson(v, step):
+        return step / 6.0 * (v[0] + v[-1] + 4.0 * v[1::2].sum() + 2.0 * v[2:-1:2].sum())
+
+    out, total, coarse, j = [], 0.0, 0.0, 0
+    for U in uppers:
+        while j < U:
+            hi = min(j + 1.0, U)
+            vals, step = g(np.linspace(float(j), hi, 2 * m + 1)), (hi - j) / m
+            s, c = simpson(vals, step), simpson(vals[::2], 2.0 * step)
+            if hi < j + 1:  # a partial octave serves this U only
+                out.append((total + s, coarse + c))
+                break
+            total, coarse, j = total + s, coarse + c, j + 1
+        else:
+            out.append((total, coarse))
+    return out
+
+
+def _thetas(f: HolderFunction, alpha: float, x: float, eps_values: Sequence[float],
+            quad: QuadratureConfig) -> list[tuple[float, float]]:
+    """Theta and its coarse twin at each eps of the decreasing `eps_values`."""
+    if not all(0.0 < eps < 1.0 for eps in eps_values):
+        raise DomainError("eps must lie in (0, 1)")
+    fx = f(x, quad.tol)
+    return _octave_simpson(
+        lambda u: (f.batch(x + np.exp2(-u), quad.tol) - fx) * np.exp2(alpha * u) * LN2,
+        [math.log2(1.0 / eps) for eps in eps_values], 2 * quad.panels_per_octave)
 
 
 def theta(f: HolderFunction, alpha: float, x: float, eps: float,
@@ -78,15 +89,12 @@ def theta(f: HolderFunction, alpha: float, x: float, eps: float,
 
     Evaluated under h = 2^-u with composite 4th-order panels per octave;
     the reported error estimate is the change under one panel halving
-    (conservative: no Richardson division).
+    (conservative: no Richardson division), read from the same nodes.
     """
-    if not 0.0 < eps < 1.0:
-        raise DomainError("eps must lie in (0, 1)")
     quad = quad or QuadratureConfig()
-    coarse, _ = _theta_fixed(f, alpha, x, eps, quad.panels_per_octave, quad.tol)
-    fine, panels = _theta_fixed(f, alpha, x, eps, 2 * quad.panels_per_octave,
-                                quad.tol)
-    return ThetaResult(fine, abs(fine - coarse), panels)
+    [(fine, coarse)] = _thetas(f, alpha, x, [eps], quad)
+    octaves = math.ceil(math.log2(1.0 / eps))
+    return ThetaResult(fine, abs(fine - coarse), 2 * quad.panels_per_octave * octaves)
 
 
 def theta_linear_closed_form(slope: float, alpha: float, eps: float) -> float:
@@ -178,25 +186,16 @@ def tracking_martingale_value(f: HolderFunction, alpha: float,
     """
     m = I.level
     a, b = float(I.left), float(I.right)
-    u_top = float(m + cutoff_extra)
-    fa = float(f.antiderivative_batch(np.array([a]), tol)[0])
-    fb = float(f.antiderivative_batch(np.array([b]), tol)[0])
-    total = 0.0
+    fa, fb = (float(f.antiderivative_batch(np.array([y]), tol)[0]) for y in (a, b))
     scale = math.ldexp(1.0, m)
-    for j in range(int(math.ceil(u_top))):
-        lo, hi = float(j), min(float(j + 1), u_top)
-        if hi <= lo:
-            break
-        mp_ = panels_per_octave
-        nodes = np.linspace(lo, hi, 2 * mp_ + 1)
-        hs = np.exp2(-nodes)
+
+    def integrand(u):
+        hs = np.exp2(-u)
         inner = (f.antiderivative_batch(b + hs, tol) - fb
                  - (f.antiderivative_batch(a + hs, tol) - fa))
-        vals = scale * inner * np.exp2(alpha * nodes) * LN2
-        step = (hi - lo) / mp_
-        total += step / 6.0 * (vals[0] + vals[-1] + 4.0 * vals[1::2].sum()
-                               + 2.0 * vals[2:-1:2].sum())
-    return total
+        return scale * inner * np.exp2(alpha * u) * LN2
+
+    return _octave_simpson(integrand, [float(m + cutoff_extra)], panels_per_octave)[0][0]
 
 
 def theta_martingale_gap(f: HolderFunction, alpha: float, depth: int,
@@ -216,22 +215,22 @@ def theta_martingale_gap(f: HolderFunction, alpha: float, depth: int,
     """
     quad = quad or QuadratureConfig()
     levels = list(range(first_level, depth + 1))
+    level_eps = [[float(eps) for eps in np.exp2(-np.linspace(n, n + 1, eps_grid))]
+                 for n in levels]
+    eps_values = sorted({eps for es in level_eps for eps in es}, reverse=True)
     gaps = [0.0] * len(levels)
     cache: dict[tuple[int, int], float] = {}
     for x in sample_points:
-        for n in levels:
+        # one quadrature per point serves every eps of every level
+        thetas = dict(zip(eps_values, _thetas(f, alpha, float(x), eps_values, quad)))
+        for idx, n in enumerate(levels):
             I = locate(x, n)
-            key = (I.level, I.index)
-            s_val = cache.get(key)
-            if s_val is None:
-                s_val = tracking_martingale_value(
+            if (n, I.index) not in cache:
+                cache[n, I.index] = tracking_martingale_value(
                     f, alpha, I, cutoff_extra, quad.panels_per_octave, quad.tol)
-                cache[key] = s_val
-            eps_values = np.exp2(-np.linspace(n, n + 1, eps_grid))
-            for eps in eps_values:
-                th = theta(f, alpha, float(x), float(eps), quad)
-                idx = n - first_level
-                gaps[idx] = max(gaps[idx], abs(th.value - s_val))
+            s_val = cache[n, I.index]
+            for eps in level_eps[idx]:
+                gaps[idx] = max(gaps[idx], abs(thetas[eps][0] - s_val))
     return GapProfile(levels, gaps, len(sample_points), eps_grid)
 
 

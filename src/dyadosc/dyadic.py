@@ -13,7 +13,7 @@ import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 DEFAULT_MAX_DEPTH = 48
 
@@ -171,6 +171,10 @@ class DyadicInterval:
     index: int
 
     def __post_init__(self):
+        if type(self.level) is not int or type(self.index) is not int:
+            # numpy integers become Python ints, whose shifts never wrap
+            object.__setattr__(self, "level", operator.index(self.level))
+            object.__setattr__(self, "index", operator.index(self.index))
         if self.level < 0:
             raise DomainError("level must be nonnegative")
 
@@ -185,9 +189,6 @@ class DyadicInterval:
     @property
     def length(self) -> DyadicRational:
         return DyadicRational(1, self.level)
-
-    def length_log2(self) -> int:
-        return -self.level
 
     def contains(self, x: Real) -> bool:
         return locate(x, self.level) == self
@@ -216,15 +217,6 @@ class DyadicInterval:
         if level > self.level:
             raise DomainError("ancestor level must not exceed own level")
         return DyadicInterval(level, self.index >> (self.level - level))
-
-    def is_left_child(self) -> bool:
-        return self.level > 0 and (self.index & 1) == 0
-
-    def bit(self, k: int) -> int:
-        """k-th address bit, 1-based from the root: 0 = left turn, 1 = right."""
-        if not 1 <= k <= self.level:
-            raise DomainError("bit position out of range")
-        return (self.index >> (self.level - k)) & 1
 
     def left_neighbor(self) -> Optional["DyadicInterval"]:
         """Same-length interval immediately to the left.
@@ -255,11 +247,6 @@ def locate(x: Real, n: int) -> DyadicInterval:
     frac = Fraction(x)  # exact, so boundary points resolve exactly
     # a numpy integer keeps its type as the numerator, and its shifts wrap
     return DyadicInterval(n, (operator.index(frac.numerator) << n) // frac.denominator)
-
-
-def intervals_at_level(n: int) -> Iterable[DyadicInterval]:
-    """All level-n intervals of the unit interval, left to right."""
-    return (DyadicInterval(n, j) for j in range(1 << n))
 
 
 @dataclass(frozen=True)

@@ -168,12 +168,6 @@ class MassMeasure:
         jump = Fraction(self.S.increment(child))
         return (1 + self.eta_exact * jump) / 2
 
-    def mass(self, I: DyadicInterval) -> float:
-        m = 1.0
-        for lvl in range(1, I.level + 1):
-            m *= self.ratio(I.ancestor(lvl))
-        return m
-
     def mass_exact(self, I: DyadicInterval) -> Fraction:
         m = Fraction(1)
         for lvl in range(1, I.level + 1):
@@ -212,8 +206,7 @@ class MassSweepReport:
                 and self.worst_log2_margin >= -margin_tol)
 
 
-def sweep_mass_distribution(S: Martingale, eta: float, depth: int,
-                            exact_sums: bool = True) -> MassSweepReport:
+def sweep_mass_distribution(S: Martingale, eta: float, depth: int) -> MassSweepReport:
     """Check mu(I) >= |I|^Phi(eta) on {S(I) >= eta log2(1/|I|)} to `depth`.
 
     Works levelwise with vectorized martingale sweeps.  Masses are audited
@@ -238,7 +231,7 @@ def sweep_mass_distribution(S: Martingale, eta: float, depth: int,
         worst_member = unit_interval()
 
     # exact masses: num / den with a per-level common denominator
-    nums64: Optional[np.ndarray] = np.ones(1, dtype=np.int64) if exact_sums else None
+    nums64: Optional[np.ndarray] = np.ones(1, dtype=np.int64)
     nums_big: Optional[np.ndarray] = None
     den = 1
     bound64 = 1  # running bound on the largest numerator in the int64 path
@@ -263,9 +256,6 @@ def sweep_mass_distribution(S: Martingale, eta: float, depth: int,
             if margins[j] < worst_margin:
                 worst_margin = float(margins[j])
                 worst_member = DyadicInterval(n, int(np.nonzero(mask)[0][j]))
-
-        if nums64 is None and nums_big is None:
-            continue
 
         # lift this level's ratios to a common denominator
         uniq = np.unique(incs)

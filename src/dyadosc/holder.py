@@ -21,7 +21,6 @@ from .dyadic import (
     DomainError,
     DyadicInterval,
     DyadicRational,
-    default_max_depth,
     locate,
     unit_interval,
 )
@@ -114,8 +113,10 @@ class WeierstrassFunction(HolderFunction):
     """f(x) = sum_n b^(-n alpha) cos(b^n x), truncated to a tail bound.
 
     The truncation index is the least N with b^-((N+1) alpha) / (1 -
-    b^-alpha) <= tol, so the reported error never exceeds the requested
-    tolerance and is deterministic in it.
+    b^-alpha) <= tol, so tol bounds the truncation error, deterministically.
+    It does not bound the float error of the phases b^n x: for b not a power
+    of two that error dominates (mpmath measures 4.0e-9 to 9.3e-9 at b = 3,
+    tol = 1e-12, x in {0.1, 0.37, 0.55, 0.93}).
     """
 
     def __init__(self, b: float, alpha: float):

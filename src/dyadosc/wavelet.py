@@ -39,10 +39,6 @@ def _s5(u: Fraction) -> Fraction:
     return u * u * u * (10 + u * (-15 + 6 * u))
 
 
-def _s5_float(u: float) -> float:
-    return u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
-
-
 def _s5_d1(u: float) -> float:
     return 30.0 * u * u * (1.0 - u) * (1.0 - u)
 
@@ -482,18 +478,6 @@ class WitnessScales:
     def scale_reference(self) -> float:
         """2^(k (1-alpha)): the growth scale the big quotient is held to."""
         return math.pow(2.0, self.level * (1.0 - self.alpha))
-
-    def summary(self) -> dict:
-        return {
-            "stage": self.stage,
-            "case": self.case,
-            "h": float(self.h),
-            "h_prime": float(self.h_prime),
-            "quotient_big": self.quotient_big,
-            "quotient_tame": self.quotient_tame,
-            "h_side": self.h_side,
-            "h_prime_side": self.h_prime_side,
-        }
 
 
 def _bisect_zero(f: WaveletOscillator, x: Fraction, t_lo: Fraction,

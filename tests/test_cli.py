@@ -52,6 +52,50 @@ class TestManifests:
         assert "version" in man and "max_depth" in man
         assert set(man["outputs"]) == {"besicovitch.csv"}
 
+    # every argument of every subcommand set, at a small size
+    FULL_ARGV = {
+        "phi": ["--eta", "0.5"],
+        "lemma32": ["--eta", "0.5", "--n", "6", "--count", "5", "--seed", "1"],
+        "mass-measure": ["--martingale", "binary", "--eta", "0.5", "--depth", "4",
+                         "--seed", "1"],
+        "besicovitch": ["--eta", "1/2", "--levels", "20"],
+        "dim-estimate": ["--counts", "20:21700"],
+        "weierstrass": ["--b", "3", "--alpha", "0.5", "--x-min", "0.1",
+                        "--x-max", "0.2", "--points", "4", "--tol", "1e-8"],
+        "martingale-extract": ["--b", "2", "--alpha", "0.5", "--depth", "3",
+                               "--tol", "1e-10"],
+        "block": ["--delta", "0.25", "--beta", "0.5", "--level", "1", "--index", "1"],
+        "schedule": ["--beta", "0.5", "--stages", "1", "--depth", "160"],
+        "counterexample": ["--alpha", "0.5", "--stages", "1", "--depth", "160",
+                           "--pairs", "20", "--points", "2", "--seed", "6"],
+        "wavelet": ["--alpha", "0.5", "--eps", "0.005", "--stages", "2",
+                    "--points", "1", "--seed", "1"],
+        "theta": ["--b", "2", "--alpha", "0.5", "--eps", "0.01", "--x-min", "0.1",
+                  "--x-max", "0.3", "--points", "2", "--panels", "4"],
+        "sigma-stats": ["--b", "2", "--alpha", "0.5", "--x", "0.1", "--eps", "0.01",
+                        "--delta", "0.1", "--c", "0.1", "--gamma", "0.05",
+                        "--samples", "100", "--seed", "1"],
+        "gap": ["--b", "2", "--alpha", "0.5", "--depth", "6", "--first-level", "5",
+                "--points", "1", "--panels", "4", "--seed", "1"],
+    }
+
+    def test_manifest_params_are_the_arguments(self, tmp_path, capsys):
+        subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+        # verify-all prints its checks and writes no manifest
+        assert set(subparsers) - set(self.FULL_ARGV) == {"verify-all"}
+        for cmd, argv in self.FULL_ARGV.items():
+            out = tmp_path / cmd
+            assert run([cmd, *argv, "--out", str(out)]) == 0, cmd
+            man = json.loads((out / f"{cmd}_manifest.json").read_text())
+            dests = {a.dest for a in subparsers[cmd]._actions} - {"help", "out", "format"}
+            assert set(man["params"]) == dests, cmd
+
+    def test_theta_manifest_records_the_x_range(self, tmp_path, capsys):
+        assert run(["theta", "--alpha", "0.5", "--eps", "0.01", "--x-min", "0.1",
+                    "--x-max", "0.3", "--points", "2", "--out", str(tmp_path)]) == 0
+        man = json.loads((tmp_path / "theta_manifest.json").read_text())
+        assert man["params"]["x_min"] == "0.1" and man["params"]["x_max"] == "0.3"
+
     def test_seed_required_for_randomized(self):
         assert run(["lemma32", "--eta", "0.5"]) == 2
         assert run(["sigma-stats", "--alpha", "0.5"]) == 2

@@ -32,6 +32,81 @@ def theta_oracle(x, eps, alpha, nmax=200):
     return float(total)
 
 
+# The replaced per-eps quadratures, kept as oracles for the shared kernel:
+# two Simpson passes per theta, and one theta per (level, eps) in the gap.
+
+def _theta_fixed_reference(f, alpha, x, eps, panels_per_octave, tol):
+    U = math.log2(1.0 / eps)
+    fx = f(x, tol)
+    total = 0.0
+    panels = 0
+    for j in range(int(math.ceil(U))):
+        lo, hi = float(j), min(float(j + 1), U)
+        if hi <= lo:
+            break
+        m = panels_per_octave
+        nodes = np.linspace(lo, hi, 2 * m + 1)
+        hs = np.exp2(-nodes)
+        vals = (f.batch(x + hs, tol) - fx) * np.exp2(alpha * nodes) * math.log(2.0)
+        step = (hi - lo) / m
+        total += step / 6.0 * (vals[0] + vals[-1] + 4.0 * vals[1::2].sum()
+                               + 2.0 * vals[2:-1:2].sum())
+        panels += m
+    return total, panels
+
+
+def theta_reference(f, alpha, x, eps, quad):
+    coarse, _ = _theta_fixed_reference(f, alpha, x, eps, quad.panels_per_octave, quad.tol)
+    fine, panels = _theta_fixed_reference(f, alpha, x, eps, 2 * quad.panels_per_octave,
+                                          quad.tol)
+    return fine, abs(fine - coarse), panels
+
+
+def tracking_reference(f, alpha, I, cutoff_extra, panels_per_octave, tol):
+    m = I.level
+    a, b = float(I.left), float(I.right)
+    u_top = float(m + cutoff_extra)
+    fa = float(f.antiderivative_batch(np.array([a]), tol)[0])
+    fb = float(f.antiderivative_batch(np.array([b]), tol)[0])
+    total = 0.0
+    scale = math.ldexp(1.0, m)
+    for j in range(int(math.ceil(u_top))):
+        lo, hi = float(j), min(float(j + 1), u_top)
+        if hi <= lo:
+            break
+        nodes = np.linspace(lo, hi, 2 * panels_per_octave + 1)
+        hs = np.exp2(-nodes)
+        inner = (f.antiderivative_batch(b + hs, tol) - fb
+                 - (f.antiderivative_batch(a + hs, tol) - fa))
+        vals = scale * inner * np.exp2(alpha * nodes) * math.log(2.0)
+        step = (hi - lo) / panels_per_octave
+        total += step / 6.0 * (vals[0] + vals[-1] + 4.0 * vals[1::2].sum()
+                               + 2.0 * vals[2:-1:2].sum())
+    return total
+
+
+def gap_reference(f, alpha, depth, xs, first_level, eps_grid, quad, cutoff_extra=24):
+    levels = list(range(first_level, depth + 1))
+    gaps = [0.0] * len(levels)
+    for x in xs:
+        for n in levels:
+            s_val = tracking_reference(f, alpha, d.locate(x, n), cutoff_extra,
+                                       quad.panels_per_octave, quad.tol)
+            for eps in np.exp2(-np.linspace(n, n + 1, eps_grid)):
+                th, _, _ = theta_reference(f, alpha, float(x), float(eps), quad)
+                idx = n - first_level
+                gaps[idx] = max(gaps[idx], abs(th - s_val))
+    return levels, gaps
+
+
+KERNEL_FLEET = {
+    "linear": d.LinearFunction(1.0, alpha=0.5),
+    "W2": d.WeierstrassFunction(2.0, 0.5),
+    "W3": d.WeierstrassFunction(3.0, 0.5),
+    "constant": d.ConstantFunction(1.3),
+}
+
+
 class TestDividedDifference:
     def test_constant(self):
         f = d.ConstantFunction(4.0)
@@ -185,3 +260,45 @@ class TestThetaMartingaleGap:
                                       eps_grid=2, quad=d.QuadratureConfig(16))
         p = d.trend_pvalue(prof.gaps)
         assert p >= 0.05
+
+
+class TestSharedOctaveKernel:
+    @pytest.mark.parametrize("panels", [3, 16, 32])
+    @pytest.mark.parametrize("name", sorted(KERNEL_FLEET))
+    def test_theta_matches_two_pass_reference(self, name, panels):
+        f, quad = KERNEL_FLEET[name], d.QuadratureConfig(panels)
+        for x in (0.0, 0.37, 0.93):
+            for eps in (0.5, 2.0 ** -3, 2.0 ** -11, 1e-3, 0.3):
+                got = d.theta(f, 0.5, x, eps, quad)
+                value, err, count = theta_reference(f, 0.5, x, eps, quad)
+                assert (got.value, got.panels) == (value, count), (x, eps)
+                assert type(got.value) is type(value)
+                assert abs(got.error_estimate - err) <= 1e-13, (x, eps)
+
+    @pytest.mark.parametrize("eps_grid", [2, 3])
+    def test_gap_matches_per_eps_reference(self, weier_half, eps_grid):
+        xs, quad = [0.21, 0.64, 0.83], d.QuadratureConfig(8)
+        prof = d.theta_martingale_gap(weier_half, 0.5, 10, xs, first_level=6,
+                                      eps_grid=eps_grid, quad=quad)
+        assert (prof.levels, prof.gaps) == gap_reference(weier_half, 0.5, 10, xs, 6,
+                                                         eps_grid, quad)
+
+    @pytest.mark.parametrize("panels", [3, 16])
+    def test_tracking_matches_reference(self, panels):
+        from dyadosc.divdiff import tracking_martingale_value
+
+        for f in (KERNEL_FLEET["W2"], KERNEL_FLEET["W3"], KERNEL_FLEET["linear"]):
+            for level, cutoff in ((0, 24), (3, 7), (9, 24)):
+                I = d.locate(0.37, level)
+                assert (tracking_martingale_value(f, 0.5, I, cutoff, panels)
+                        == tracking_reference(f, 0.5, I, cutoff, panels, 1e-12))
+
+    def test_gap_integrates_each_point_once(self):
+        # the per-eps path made 378 batch calls per point at these parameters
+        W = d.WeierstrassFunction(2.0, 0.5)
+        batch, calls = W.batch, []
+        W.batch = lambda xs, tol=None: calls.append(1) or batch(xs, tol)
+        xs = [0.3, 0.71]
+        d.theta_martingale_gap(W, 0.5, 14, xs, first_level=6, eps_grid=2,
+                               quad=d.QuadratureConfig(16))
+        assert len(calls) <= 15 * len(xs)

@@ -128,6 +128,14 @@ class TestChildren:
                 cover.add(hi.index)
             assert cover == set(range(1 << (n + 1)))
 
+    @pytest.mark.filterwarnings("error")
+    def test_numpy_index_does_not_wrap(self):
+        I = d.DyadicInterval(np.int64(63), np.int64(2 ** 62))
+        assert type(I.level) is int and type(I.index) is int
+        child = I.left_half()
+        assert child == d.DyadicInterval(64, 2 ** 63)
+        assert d.binary_digit_martingale(max_depth=80).value(child) == 2 - 64
+
 
 class TestLeftNeighbor:
     def test_plain(self):
