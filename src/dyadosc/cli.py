@@ -34,10 +34,6 @@ from .dyadic import (
 from . import blocks, divdiff, entropy, holder, martingale, wavelet
 
 
-class VerificationFailure(RuntimeError):
-    pass
-
-
 # ---------------------------------------------------------------------
 # output plumbing
 
@@ -685,9 +681,6 @@ def main(argv=None) -> int:
     except DepthCapError as exc:
         print(f"depth cap: {exc}", file=sys.stderr)
         return 4
-    except VerificationFailure as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 5
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .dyadic import DomainError, DyadicInterval, unit_interval
-from .martingale import Martingale
+from .martingale import Martingale, check_sweep_budget
 
 
 def _xlog2x(t: float) -> float:
@@ -215,6 +215,7 @@ def sweep_mass_distribution(S: Martingale, eta: float, depth: int) -> MassSweepR
     are) for the sums-to-one test.  A vectorized int64 numerator path
     covers unit-jump martingales; anything larger falls back to big ints.
     """
+    check_sweep_budget(depth)
     phi = entropy_phi(eta)
     eta_frac = Fraction(eta)
     s_vals = np.zeros(1)

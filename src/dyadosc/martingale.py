@@ -34,6 +34,17 @@ from .dyadic import (
 
 _M64 = (1 << 64) - 1
 
+# widest level array (cells of 8 bytes) that a whole-level sweep may build
+SWEEP_CELL_BUDGET = 1 << 24
+
+
+def check_sweep_budget(depth: int) -> None:
+    """Raise DepthCapError before a sweep to `depth` builds a level array
+    wider than SWEEP_CELL_BUDGET cells."""
+    if depth >= SWEEP_CELL_BUDGET.bit_length():    # 2^depth > budget
+        raise DepthCapError(f"a sweep to depth {depth} needs 2^{depth} cells, "
+                            f"beyond the budget of {SWEEP_CELL_BUDGET}")
+
 
 def _splitmix64(z):
     """SplitMix64 output for state z (Steele, Lea & Flood, OOPSLA 2014).
@@ -316,7 +327,7 @@ class CancellationReport:
 
 
 # parents per level-array read in check_cancellation, bounding its memory
-_CANCELLATION_CHUNK = 1 << 20
+_CANCELLATION_CHUNK = 1 << 16
 
 
 def check_cancellation(S: Martingale, depth: int) -> CancellationReport:
@@ -523,6 +534,8 @@ def subsample(S: Martingale, N: int, k: int, C: float) -> SubsampledMartingale:
 
 
 def dump_rows(S: Martingale, depth: int):
-    """(level, index, value) rows for the materialized prefix to `depth`."""
-    for n in range(depth + 1):
-        yield from ((n, j, v) for j, v in enumerate(S.level_values(n).tolist()))
+    """(level, index, value) rows for the materialized prefix to `depth`;
+    the sweep budget is checked before any level is built."""
+    check_sweep_budget(depth)
+    return ((n, j, v) for n in range(depth + 1)
+            for j, v in enumerate(S.level_values(n).tolist()))

@@ -22,21 +22,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .dyadic import DomainError, DyadicRational
 from .holder import HolderFunction
-
-HALF = Fraction(1, 2)
 
 # max |S5'| = 15/8 at u = 1/2 (exact); max |S5''| = 10/sqrt(3), padded up
 _S5_D1_MAX = Fraction(15, 8)
 _S5_D2_MAX = Fraction(57736, 10000)
-
-
-def _s5(u: Fraction) -> Fraction:
-    """Quintic smootherstep: 6u^5 - 15u^4 + 10u^3 on [0, 1]."""
-    return u * u * u * (10 + u * (-15 + 6 * u))
 
 
 def _s5_d1(u: float) -> float:
@@ -57,12 +48,6 @@ class _Piece:
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-    def value(self, x: Fraction) -> Fraction:
-        if self.a == self.b:
-            return self.a
-        u = (x - self.lo) / self.width
-        return self.a + (self.b - self.a) * _s5(u)
 
     def moment0(self) -> Fraction:
         return self.width * (self.a + self.b) / 2
@@ -125,6 +110,15 @@ def _solve_levels() -> tuple[Fraction, Fraction]:
     return q, p
 
 
+_ZERO = Fraction(0)
+
+
+def _float_ratio(x: float) -> tuple[int, int]:
+    """|x| as an exact integer ratio; infinities read as 1/2, outside the
+    support."""
+    return min(abs(float(x)), 0.5).as_integer_ratio()
+
+
 class BaseWavelet:
     """The even C^2 piecewise-quintic base wavelet.
 
@@ -145,52 +139,59 @@ class BaseWavelet:
                           for pc in self.pieces if pc.a != pc.b)
         self.d2_sup = max(abs(pc.b - pc.a) * _S5_D2_MAX / (pc.width * pc.width)
                           for pc in self.pieces if pc.a != pc.b)
-
-    def _piece_at(self, u: Fraction) -> Optional[_Piece]:
+        # every knot has denominator 64, so the cell floor(64 u) of [0, 1/2)
+        # lies in one piece: (piece, 64 lo, 64 width, a D, (b - a) D, D)
+        self._cells = []
         for pc in self.pieces:
-            if pc.lo <= u <= pc.hi:
-                return pc
-        return None
+            w64 = int(64 * pc.width)
+            den = math.lcm(pc.a.denominator, (pc.b - pc.a).denominator)
+            self._cells += [(pc, int(64 * pc.lo), w64, int(pc.a * den),
+                             int((pc.b - pc.a) * den), den)] * w64
+
+    def _cell(self, r: int, d: int):
+        """Cell entry of the piece holding r/d (r >= 0, d > 0), or None
+        outside the support."""
+        return self._cells[(r << 6) // d] if 2 * r < d else None
+
+    def _exact(self, r: int, d: int) -> Fraction:
+        """phi(r/d) for integers r and d > 0, not necessarily coprime."""
+        r = abs(r)
+        cell = self._cell(r, d)
+        if cell is None:
+            return _ZERO
+        pc, lo64, w64, num_a, num_g, den = cell
+        if not num_g:
+            return pc.a
+        # u = (r/d - lo) / width = n/m; S5(u) m^5 = n^3 (10 m^2 - 15 m n + 6 n^2)
+        n, m = (r << 6) - lo64 * d, w64 * d
+        m5 = m ** 5
+        return Fraction(num_a * m5 + num_g * n ** 3 * (10 * m * m - 15 * m * n + 6 * n * n),
+                        den * m5)
 
     def value_exact(self, x: Fraction) -> Fraction:
-        u = abs(Fraction(x))
-        if u >= HALF:
-            return Fraction(0)
-        pc = self._piece_at(u)
-        if pc is None:
-            raise DomainError(f"no piece at {u}")
-        return pc.value(u)
+        x = Fraction(x)
+        return self._exact(x.numerator, x.denominator)
 
     def __call__(self, x: float) -> float:
-        u = abs(float(x))
-        if u >= 0.5:
-            return 0.0
-        return float(self.value_exact(Fraction(u)))
-
-    def batch(self, xs: np.ndarray) -> np.ndarray:
-        return np.array([self(float(x)) for x in np.atleast_1d(xs)])
+        return float(self._exact(*_float_ratio(x)))
 
     def derivative(self, x: float) -> float:
-        u = abs(float(x))
-        if u >= 0.5:
+        cell = self._cell(*_float_ratio(x))
+        if cell is None or not cell[4]:
             return 0.0
-        pc = self._piece_at(Fraction(u))
-        if pc is None or pc.a == pc.b:
-            return 0.0
+        pc = cell[0]
         w = float(pc.width)
-        t = (u - float(pc.lo)) / w
+        t = (abs(float(x)) - float(pc.lo)) / w
         d = float(pc.b - pc.a) / w * _s5_d1(t)
         return d if x >= 0 else -d
 
     def second_derivative(self, x: float) -> float:
-        u = abs(float(x))
-        if u >= 0.5:
+        cell = self._cell(*_float_ratio(x))
+        if cell is None or not cell[4]:
             return 0.0
-        pc = self._piece_at(Fraction(u))
-        if pc is None or pc.a == pc.b:
-            return 0.0
+        pc = cell[0]
         w = float(pc.width)
-        t = (u - float(pc.lo)) / w
+        t = (abs(float(x)) - float(pc.lo)) / w
         return float(pc.b - pc.a) / (w * w) * _s5_d2(t)
 
     def moments_exact(self) -> tuple[Fraction, Fraction, Fraction]:
@@ -315,10 +316,7 @@ class WaveletOscillator(HolderFunction):
 
     def stage_value_exact(self, m: int, t: Fraction) -> Fraction:
         """psi_m(t) = phi(2^(k_m) t - j) for the unique live translate."""
-        k = self.schedule.ks[m - 1]
-        arg = Fraction(t) * (1 << k)
-        j = math.floor(arg + HALF)
-        return self.wavelet.value_exact(arg - j)
+        return self.wavelet._exact(*_reduce(t, self.schedule.ks[m - 1]))
 
     def value_float(self, t: Fraction, lo_stage: int = 1,
                     hi_stage: Optional[int] = None) -> float:
@@ -328,10 +326,6 @@ class WaveletOscillator(HolderFunction):
             total += self.schedule.coefficient(m) * float(self.stage_value_exact(m, t))
         return total
 
-    def main_part(self, m: int, t: Fraction) -> float:
-        """S_m(t): stages strictly before m."""
-        return self.value_float(t, 1, m - 1)
-
     def tail_part(self, m: int, t: Fraction) -> float:
         """R_m(t): stages m and beyond (within the built schedule)."""
         return self.value_float(t, m, self.schedule.stages)
@@ -340,11 +334,9 @@ class WaveletOscillator(HolderFunction):
         total = 0.0
         for n in range(1, m):
             k = self.schedule.ks[n - 1]
-            arg = Fraction(t) * (1 << k)
-            j = math.floor(arg + HALF)
-            u = float(arg - j)
+            r, d = _reduce(t, k)
             total += (self.schedule.coefficient(n) * math.ldexp(1.0, k)
-                      * self.wavelet.derivative(u))
+                      * self.wavelet.derivative(r / d))
         return total
 
     def difference_float(self, a: Fraction, b: Fraction) -> float:
@@ -362,10 +354,6 @@ class WaveletOscillator(HolderFunction):
     def _eval(self, x, tol):
         return self.value_float(Fraction(x))
 
-    def batch(self, xs, tol=None):
-        return np.array([self.value_float(Fraction(float(x)))
-                         for x in np.atleast_1d(xs)])
-
     def truncation_tail_bound(self) -> float:
         """Amplitude available to unbuilt stages: geometric continuation
         of 2^(-k alpha) from the gap pattern (reported, not absorbed)."""
@@ -376,6 +364,13 @@ class WaveletOscillator(HolderFunction):
         gap = ks[-1] - ks[-2]
         first = math.pow(2.0, -(ks[-1] + gap) * self.alpha)
         return first / (1.0 - math.pow(2.0, -gap * self.alpha))
+
+
+def _reduce(t, k: int) -> tuple[int, int]:
+    """(r, d) with r/d = 2^k t - j for the nearest integer j (ties up)."""
+    t = Fraction(t)
+    n, d = t.numerator << k, t.denominator
+    return n - (2 * n + d) // (2 * d) * d, d
 
 
 def _to_fraction(x) -> Fraction:
@@ -437,19 +432,13 @@ def tail_extreme_offsets(f: WaveletOscillator, x: Fraction, m: int
         else:
             lo, hi = x + period, x + 3 * period
         t_star = _nested_plateau_point(f, lo, hi, m, sign)
-        if left:
-            # shift into [x - 2 period, x - period]
-            while t_star < x - 2 * period:
-                t_star += period
-            while t_star > x - period:
-                t_star -= period
-            out[name] = x - t_star
-        else:
-            while t_star > x + 2 * period:
-                t_star -= period
-            while t_star < x + period:
-                t_star += period
-            out[name] = t_star - x
+        # shift by whole periods into the annulus [period, 2 period]
+        off = x - t_star if left else t_star - x
+        while off > 2 * period:
+            off -= period
+        while off < period:
+            off += period
+        out[name] = off
     return out
 
 
@@ -528,10 +517,7 @@ def witness_scales(f: WaveletOscillator, x, m: int) -> WitnessScales:
 
     if abs(q_p) <= 1.0 or abs(q_m) <= 1.0:
         case = "i"
-        if abs(q_p) <= 1.0:
-            h_prime, h = r_p, r_m_
-        else:
-            h_prime, h = r_m_, r_p
+        h_prime, h = (r_p, r_m_) if abs(q_p) <= 1.0 else (r_m_, r_p)
     elif (q_p > 1.0 and q_m < -1.0) or (q_p < -1.0 and q_m > 1.0):
         case = "ii"
         lo, hi = (r_m_, r_p) if r_m_ < r_p else (r_p, r_m_)
@@ -543,12 +529,8 @@ def witness_scales(f: WaveletOscillator, x, m: int) -> WitnessScales:
         h = r_p if move_p >= move_m else r_m_
     else:
         case = "iii"
-        offs_l = offs
-        rho_p, rho_m_ = offs_l["rho_plus"], offs_l["rho_minus"]
-        if q_p > 1.0:
-            h = -rho_p
-        else:
-            h = -rho_m_
+        rho_p, rho_m_ = offs["rho_plus"], offs["rho_minus"]
+        h = -rho_p if q_p > 1.0 else -rho_m_
         lo, hi = (-rho_m_, -rho_p) if -rho_m_ < -rho_p else (-rho_p, -rho_m_)
         h_prime = _bisect_zero(f, x, lo, hi)
 

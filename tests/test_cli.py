@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 import dyadosc as d
-from dyadosc import cli
+from dyadosc import cli, martingale
 
 
 def run(args):
@@ -24,6 +24,17 @@ class TestExitCodes:
     def test_depth_cap(self, tmp_path):
         assert run(["schedule", "--beta", "0.5", "--stages", "1",
                     "--depth", "16", "--out", str(tmp_path)]) == 4
+
+    @pytest.mark.parametrize("argv", [
+        ["mass-measure", "--martingale", "binary", "--eta", "0.5", "--depth", "7"],
+        ["mass-measure", "--martingale", "block-discounted", "--eta", "0.25",
+         "--depth", "7"],
+        ["martingale-extract", "--b", "2", "--alpha", "0.5", "--depth", "7"],
+    ])
+    def test_sweep_budget(self, tmp_path, monkeypatch, argv):
+        monkeypatch.setattr(martingale, "SWEEP_CELL_BUDGET", 1 << 6)
+        assert run(argv + ["--out", str(tmp_path)]) == 4
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_success(self, tmp_path, capsys):
         assert run(["phi", "--eta", "0.5", "--out", str(tmp_path)]) == 0

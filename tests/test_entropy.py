@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dyadosc as d
+from dyadosc import martingale
 from dyadosc.dyadic import DyadicInterval as DI
 
 mp.mp.dps = 40
@@ -172,6 +173,15 @@ class TestMassSweep:
         rep = d.sweep_mass_distribution(S, 0.25, 14)
         assert rep.ok(1e-9)
         assert rep.increments_paired and rep.level_sums_exact
+
+
+    def test_sweep_budget_checked_before_any_level(self, monkeypatch):
+        monkeypatch.setattr(martingale, "SWEEP_CELL_BUDGET", 1 << 6)
+        S = d.binary_digit_martingale()
+        assert d.sweep_mass_distribution(S, 0.5, 6).ok()
+        S.level_increments = lambda n: pytest.fail("level built past the budget")
+        with pytest.raises(d.DepthCapError):
+            d.sweep_mass_distribution(S, 0.5, 7)
 
 
 class TestCoveringContent:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dyadosc as d
+from dyadosc import martingale
 from dyadosc.dyadic import DyadicInterval as DI
 from dyadosc.dyadic import DyadicRational as DR
 
@@ -222,6 +223,28 @@ class TestDumpFormat:
         assert (1, 0, -1) in rows and (1, 1, 1) in rows
         assert len(rows) == 1 + 2 + 4
 
+    def test_sweep_budget_checked_before_any_level(self, monkeypatch):
+        monkeypatch.setattr(martingale, "SWEEP_CELL_BUDGET", 1 << 6)
+        S = d.binary_digit_martingale()
+        assert len(list(d.dump_rows(S, 6))) == (1 << 7) - 1
+        S.level_values = lambda n: pytest.fail("level built past the budget")
+        with pytest.raises(d.DepthCapError):
+            d.dump_rows(S, 7)
+
+
+class TestSweepBudget:
+    def test_benchmark_depths_inside_budget(self):
+        for depth in (0, 16, 22):
+            martingale.check_sweep_budget(depth)
+        with pytest.raises(d.DepthCapError):
+            martingale.check_sweep_budget(40)
+
+    def test_budget_need_not_be_a_power_of_two(self, monkeypatch):
+        monkeypatch.setattr(martingale, "SWEEP_CELL_BUDGET", 100)
+        martingale.check_sweep_budget(6)            # 64 cells
+        with pytest.raises(d.DepthCapError):
+            martingale.check_sweep_budget(7)        # 128 cells
+
 
 class TestCancellationProperty:
     @given(st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=1,
@@ -251,6 +274,30 @@ class TestCancellationProperty:
         S = d.Martingale(inc, s0=0, name="hypothesis-int")
         rep = d.check_cancellation(S, 5)
         assert rep.max_violation == 0.0
+
+
+class TestCancellationChunks:
+    def test_chunking_keeps_the_report(self, monkeypatch):
+        # a chunk's argmax and the strict > keep the first maximum
+        S = d.from_function(d.WeierstrassFunction(3.0, 0.5), 10)
+        whole = d.check_cancellation(S, 10)
+        assert whole.max_violation > 0.0
+        monkeypatch.setattr(martingale, "_CANCELLATION_CHUNK", 4)
+        chunked = d.check_cancellation(S, 10)
+        assert (chunked.max_violation, chunked.worst_interval, chunked.checked) == \
+            (whole.max_violation, whole.worst_interval, whole.checked)
+
+    def test_peak_memory_bounded(self, block_martingale_half):
+        # whole-level reads at depth 20 peaked at ~43 MiB; chunks of 2^16
+        # parents keep the peak near 6 MiB
+        tracemalloc.start()
+        try:
+            rep = d.check_cancellation(block_martingale_half, 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.checked == (1 << 20) - 1 and rep.ok()
+        assert peak < 16 << 20
 
 
 class TestRandomSign:

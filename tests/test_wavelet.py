@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -256,3 +257,132 @@ class TestWitnessScales:
     def test_stage_beyond_schedule(self, oscillator_half):
         with pytest.raises(d.DomainError):
             d.witness_scales(oscillator_half, Fraction(1, 3), 9)
+
+
+# The evaluator the integer kernel replaced, kept as the reference: a linear
+# scan over the pieces, the smootherstep in Fraction arithmetic and the
+# stage reduction 2^k t - floor(2^k t + 1/2) in Fractions.
+def _ref_piece(w, u):
+    for pc in w.pieces:
+        if pc.lo <= u <= pc.hi:
+            return pc
+    raise AssertionError(f"no piece at {u}")
+
+
+def _ref_value(w, x):
+    u = abs(Fraction(x))
+    if u >= Fraction(1, 2):
+        return Fraction(0)
+    pc = _ref_piece(w, u)
+    if pc.a == pc.b:
+        return pc.a
+    s = (u - pc.lo) / pc.width
+    return pc.a + (pc.b - pc.a) * (s * s * s * (10 + s * (-15 + 6 * s)))
+
+
+def _ref_reduce(t, k):
+    arg = Fraction(t) * (1 << k)
+    return arg - math.floor(arg + Fraction(1, 2))
+
+
+def _ref_stage(f, m, t):
+    return _ref_value(f.wavelet, _ref_reduce(t, f.schedule.ks[m - 1]))
+
+
+def _ref_derivative(w, x, order):
+    u = abs(float(x))
+    if u >= 0.5:
+        return 0.0
+    pc = _ref_piece(w, Fraction(u))
+    if pc.a == pc.b:
+        return 0.0
+    wd = float(pc.width)
+    t = (u - float(pc.lo)) / wd
+    if order == 2:
+        return float(pc.b - pc.a) / (wd * wd) * (60.0 * t * (1.0 - t) * (1.0 - 2.0 * t))
+    dv = float(pc.b - pc.a) / wd * (30.0 * t * t * (1.0 - t) * (1.0 - t))
+    return dv if x >= 0 else -dv
+
+
+def _ref_main_derivative(f, m, t):
+    total = 0.0
+    for n in range(1, m):
+        k = f.schedule.ks[n - 1]
+        u = float(_ref_reduce(t, k))
+        total += (f.schedule.coefficient(n) * math.ldexp(1.0, k)
+                  * _ref_derivative(f.wavelet, u, 1))
+    return total
+
+
+NON_DYADIC = [Fraction(1, 7), Fraction(3, 11), Fraction(5, 13)]
+
+
+def _knots_and_neighbours(w):
+    knots = sorted({pc.lo for pc in w.pieces} | {pc.hi for pc in w.pieces})
+    out = []
+    for kn in knots:
+        for delta in (Fraction(0), Fraction(1, 1 << 40), Fraction(1, 64 * 7),
+                      Fraction(1, 128)):
+            out += [kn - delta, kn + delta, -kn - delta, -kn + delta]
+    return out
+
+
+class TestExactKernelOracle:
+    def test_value_exact_matches_scan(self):
+        w = d.base_wavelet()
+        rng = random.Random(41)
+        xs = [Fraction(rng.getrandbits(64) - (1 << 63), 1 << 63) for _ in range(2000)]
+        xs += [s * x for x in NON_DYADIC for s in (1, -1)]
+        xs += [x / 3 for x in NON_DYADIC] + [x + Fraction(1, 64) for x in NON_DYADIC]
+        xs += _knots_and_neighbours(w)
+        xs += [Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(3, 4),
+               Fraction(-5), Fraction(1, 2) + Fraction(1, 1 << 60), 7, -1]
+        for x in xs:
+            got = w.value_exact(x)
+            assert type(got) is Fraction
+            assert got == _ref_value(w, x), x
+
+    def test_float_call_matches_scan(self):
+        w = d.base_wavelet()
+        grid = list(np.linspace(-0.75, 0.75, 3001)) + [float(x) for x in _knots_and_neighbours(w)]
+        for x in grid + [math.inf, -math.inf]:
+            u = abs(float(x))
+            want = 0.0 if u >= 0.5 else float(_ref_value(w, Fraction(u)))
+            assert w(float(x)) == want, x
+
+    def test_stage_value_exact_matches_reduction(self, oscillator_half):
+        f = oscillator_half
+        rng = random.Random(43)
+        ts = [Fraction(rng.getrandbits(200), 1 << 200) for _ in range(200)]
+        ts += NON_DYADIC + [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(-3, 7)]
+        for m in range(1, f.schedule.stages + 1):
+            k = f.schedule.ks[m - 1]
+            # points whose reduced argument is a knot or a knot's neighbour
+            pre = [(5 + x) / (1 << k) for x in _knots_and_neighbours(f.wavelet)[::3]]
+            for t in ts + pre:
+                assert f.stage_value_exact(m, t) == _ref_stage(f, m, t), (m, t)
+
+    def test_derivatives_match_scan(self, oscillator_half):
+        w = d.base_wavelet()
+        grid = list(np.linspace(-0.6, 0.6, 4001)) + [float(x) for x in _knots_and_neighbours(w)]
+        for x in grid:
+            assert w.derivative(float(x)) == _ref_derivative(w, x, 1), x
+            assert w.second_derivative(float(x)) == _ref_derivative(w, x, 2), x
+        f = oscillator_half
+        rng = random.Random(47)
+        for t in [rng.uniform(0.0, 1.0) for _ in range(100)] + NON_DYADIC:
+            for m in (2, 3, 4):
+                assert f.main_derivative(m, t) == _ref_main_derivative(f, m, t)
+
+    def test_witness_scales_digest(self, oscillator_half):
+        # sha256 of the witness records at 20 points and every stage, taken
+        # from the Fraction-scan evaluator before the integer kernel
+        f = oscillator_half
+        rng = random.Random(20)
+        h = hashlib.sha256()
+        for _ in range(20):
+            x = Fraction(rng.getrandbits(200), 1 << 200)
+            for m in (1, 2, 3, 4):
+                h.update(repr(d.witness_scales(f, x, m)).encode())
+        assert h.hexdigest() == (
+            "18a980a148e035e89251477cc599485554b8ce269bd4e9243ddd8dd8b723dd0d")
