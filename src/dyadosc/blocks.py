@@ -226,9 +226,6 @@ class BlockSchedule:
     def stage_placements(self, j: int) -> list[Placement]:
         return [p for p in self.placements if p.stage == j]
 
-    def norm_at(self, i: int) -> float:
-        return max(self.sup_at[i], -self.inf_at[i])
-
     def growth_norm_profile(self) -> np.ndarray:
         """2^(-i beta) ||S_i||_inf for all materialized levels."""
         levels = np.arange(self.end_level + 1)

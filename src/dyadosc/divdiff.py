@@ -10,6 +10,7 @@ Monte Carlo (indicator discontinuities defeat smooth quadrature).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -163,10 +164,6 @@ class GapProfile:
     points: int
     eps_per_level: int
 
-    @property
-    def sup_gap(self) -> float:
-        return max(self.gaps)
-
 
 def tracking_martingale_value(f: HolderFunction, alpha: float,
                               I: DyadicInterval, cutoff_extra: int = 24,
@@ -238,8 +235,25 @@ def trend_pvalue(values: Sequence[float]) -> float:
     """Two-sided Kendall-tau p-value of `values` against their index.
 
     Large p means no detectable monotone trend at the given confidence.
+    As scipy's ``kendalltau(method="auto")``: without ties and with n <= 33
+    or at most one discordant pair either way, the exact tail of the
+    inversion counts; otherwise the tie-corrected normal approximation.
+    NaN for fewer than two values, all-equal values or a NaN value.
     """
-    from scipy.stats import kendalltau
-
-    res = kendalltau(np.arange(len(values)), np.asarray(values))
-    return float(res.pvalue)
+    v = np.asarray(values, dtype=float)
+    n, tot = v.size, v.size * (v.size - 1) // 2
+    ties = [int(t) for t in np.unique(v, return_counts=True)[1] if t > 1]
+    if np.isnan(v).any() or sum(t * (t - 1) // 2 for t in ties) == tot:  # or n < 2
+        return math.nan
+    later = np.subtract.outer(v, v).T[np.triu_indices(n, 1)]   # v_j - v_i, i < j
+    dis = int(np.count_nonzero(later < 0))
+    c = min(dis, tot - dis)
+    if not ties and (n <= 33 or c <= 1):
+        counts = [1] + [0] * c          # permutations by inversion count <= c
+        for j in range(2, n + 1):
+            run = list(itertools.accumulate(counts))
+            counts = [run[k] - (run[k - j] if k >= j else 0) for k in range(c + 1)]
+        return min(1.0, 2 * sum(counts) / math.factorial(n))
+    var = (n * (n - 1.0) * (2 * n + 5) - sum(t * (t - 1) * (2 * t + 5) for t in ties)) / 18
+    s = int(np.count_nonzero(later > 0)) - dis
+    return math.erfc(abs(s) / math.sqrt(var) * math.sqrt(0.5))

@@ -205,9 +205,6 @@ class DyadicInterval:
     def left_half(self) -> "DyadicInterval":
         return DyadicInterval(self.level + 1, 2 * self.index)
 
-    def right_half(self) -> "DyadicInterval":
-        return DyadicInterval(self.level + 1, 2 * self.index + 1)
-
     def parent(self) -> "DyadicInterval":
         if self.level == 0:
             raise DomainError("level-0 interval has no parent")
@@ -260,13 +257,6 @@ class WhitneyDecomposition:
     x: DyadicRational
     h: DyadicRational
     intervals: tuple[DyadicInterval, ...]
-
-    @property
-    def endpoints(self) -> tuple[DyadicRational, ...]:
-        pts = [self.x]
-        for iv in self.intervals:
-            pts.append(iv.right)
-        return tuple(pts)
 
     def per_rank_counts(self) -> dict[int, int]:
         counts: dict[int, int] = {}

@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .dyadic import DomainError, DyadicInterval, unit_interval
-from .martingale import Martingale, check_sweep_budget
+from .martingale import Martingale
 
 
 def _xlog2x(t: float) -> float:
@@ -209,27 +209,22 @@ class MassSweepReport:
 def sweep_mass_distribution(S: Martingale, eta: float, depth: int) -> MassSweepReport:
     """Check mu(I) >= |I|^Phi(eta) on {S(I) >= eta log2(1/|I|)} to `depth`.
 
-    Works levelwise with vectorized martingale sweeps.  Masses are audited
-    two ways: float log2 masses for the lower-bound margin, and exact
-    rational numerators (jumps read as the exact rationals their floats
-    are) for the sums-to-one test.  A vectorized int64 numerator path
-    covers unit-jump martingales; anything larger falls back to big ints.
+    Works levelwise through ``S.levels`` under the mass measure's domain
+    checks, so S_0 = 0 and the root is a member with margin 0.  Masses
+    are audited two ways: float log2 masses for the lower-bound margin,
+    and exact rational numerators (jumps read as the exact rationals their
+    floats are) for the sums-to-one test.  A vectorized int64 numerator
+    path covers unit-jump martingales; anything larger uses big ints.
     """
-    check_sweep_budget(depth)
+    MassMeasure(S, eta)     # its domain checks, before any level is built
     phi = entropy_phi(eta)
     eta_frac = Fraction(eta)
-    s_vals = np.zeros(1)
     log2_mass = np.zeros(1)
-    worst_margin = math.inf
-    worst_member: Optional[DyadicInterval] = None
-    members = 0
+    worst_margin = 0.0
+    worst_member = unit_interval()
+    members = 1
     paired = True
     sums_exact = True
-    if float(S.s0) >= 0.0:
-        # the root always belongs to the threshold family, with margin 0
-        members = 1
-        worst_margin = 0.0
-        worst_member = unit_interval()
 
     # exact masses: num / den with a per-level common denominator
     nums64: Optional[np.ndarray] = np.ones(1, dtype=np.int64)
@@ -237,11 +232,8 @@ def sweep_mass_distribution(S: Martingale, eta: float, depth: int) -> MassSweepR
     den = 1
     bound64 = 1  # running bound on the largest numerator in the int64 path
 
-    for n in range(1, depth + 1):
-        incs = np.asarray(S.level_increments(n), dtype=float)
-        if not np.all(incs[0::2] == -incs[1::2]):
-            paired = False
-        s_vals = np.repeat(s_vals, 2) + incs
+    for n, incs, s_vals in S.levels(depth):
+        paired = paired and bool(np.all(incs[0::2] == -incs[1::2]))
         ratios = (1.0 + eta * incs) / 2.0
         if np.any(ratios < -1e-12) or np.any(ratios > 1.0 + 1e-12):
             raise DomainError("increment bound violated during evaluation")
@@ -261,9 +253,7 @@ def sweep_mass_distribution(S: Martingale, eta: float, depth: int) -> MassSweepR
         # lift this level's ratios to a common denominator
         uniq = np.unique(incs)
         fracs = [(1 + eta_frac * Fraction(float(v))) / 2 for v in uniq]
-        lev_den = 1
-        for f in fracs:
-            lev_den = lev_den * f.denominator // math.gcd(lev_den, f.denominator)
+        lev_den = math.lcm(*(f.denominator for f in fracs))
         lut = [f.numerator * (lev_den // f.denominator) for f in fracs]
         den *= lev_den
 
@@ -273,7 +263,11 @@ def sweep_mass_distribution(S: Martingale, eta: float, depth: int) -> MassSweepR
             if bound64 * max_r < (1 << 62) and len(lut) <= 8:
                 nums64 = np.repeat(nums64, 2) * np.array(lut, dtype=np.int64)[codes]
                 bound64 *= max_r
-                sums_exact = sums_exact and int(nums64.sum(dtype=object)) == den
+                # entries stay below 2^62 and the budget allows 2^24 of
+                # them, so each sum of 31-bit halves stays below 2^55
+                total = ((int((nums64 >> 31).sum()) << 31)
+                         + int((nums64 & ((1 << 31) - 1)).sum()))
+                sums_exact = sums_exact and total == den
                 continue
             nums_big = nums64.astype(object)
             nums64 = None
@@ -282,8 +276,6 @@ def sweep_mass_distribution(S: Martingale, eta: float, depth: int) -> MassSweepR
         nums_big = np.repeat(nums_big, 2) * np.array(lut, dtype=object)[codes]
         sums_exact = sums_exact and int(nums_big.sum()) == den
 
-    if members == 0:
-        worst_margin = math.inf
     return MassSweepReport(depth, eta, members, worst_margin, worst_member,
                            paired, sums_exact, phi)
 
@@ -317,9 +309,7 @@ def covering_content(intervals: Iterable[DyadicInterval], s: float,
 def level_set_family(S: Martingale, eta: float, depth: int) -> list[DyadicInterval]:
     """All intervals to `depth` with S(I) >= eta * level (vectorized sweep)."""
     out: list[DyadicInterval] = []
-    vals = np.zeros(1)
-    for n in range(1, depth + 1):
-        vals = np.repeat(vals, 2) + S.level_increments(n)
+    for n, _, vals in S.levels(depth):
         for j in np.nonzero(vals >= eta * n - 1e-12)[0]:
             out.append(DyadicInterval(n, int(j)))
     return out

@@ -5,9 +5,10 @@ value at an interval is the mean of its children's values (cancellation).
 Every consumer reads it through ``increment(child)``, the scalar jump
 oracle, the level arrays ``level_increments(n)`` and
 ``level_values_range(n, lo, hi)``, or ``primitive``, the integral of S
-along one address.  The base class derives the arrays and the integral
-from the scalar oracle by plain loops, the reference that vectorized and
-closed-form overrides reproduce.  Jumps come from increment oracles,
+along one address; whole-tree certificates walk the levels once, through
+``levels``, behind the sweep budget.  The base class derives the arrays
+and the integral from the scalar oracle by plain loops, the reference
+that vectorized and closed-form overrides reproduce.  Jumps come from increment oracles,
 which hand each pair of children exactly opposite jumps, or from value
 oracles such as divided differences of a function, whose cancellation is
 checked.
@@ -142,19 +143,26 @@ class Martingale:
         return np.array([self.increment(DyadicInterval(n, j)) for j in range(1 << n)],
                         dtype=float)
 
-    def level_values_range(self, n: int, lo: int, hi: int) -> np.ndarray:
-        """Values of S_n on level-n indices [lo, hi), left to right.
-
-        Accumulated from the root through ``level_increments``, in the
-        same order as ``value`` adds them.
-        """
+    def levels(self, depth: int):
+        """Yield (n, increments, values) for n = 1..depth, inside the sweep
+        budget, with values summed from S_0 in the order ``value`` adds."""
+        check_sweep_budget(depth)
         vals = np.full(1, float(self.s0))
-        for m in range(1, n + 1):
-            vals = np.repeat(vals, 2) + self.level_increments(m)
+        for n in range(1, depth + 1):
+            incs = self.level_increments(n)
+            vals = np.repeat(vals, 2) + incs
+            yield n, incs, vals
+
+    def level_values_range(self, n: int, lo: int, hi: int) -> np.ndarray:
+        """Values of S_n on level-n indices [lo, hi), left to right."""
+        vals = np.full(1, float(self.s0))
+        for _, _, vals in self.levels(n):
+            pass
         return vals[lo:hi]
 
     def level_values(self, n: int) -> np.ndarray:
-        """Values of S_n on all 2^n level-n intervals, left to right."""
+        """Values of S_n on all 2^n level-n intervals, inside the budget."""
+        check_sweep_budget(n)
         return self.level_values_range(n, 0, 1 << n)
 
 
@@ -361,8 +369,8 @@ def star_norm(S: Martingale, depth: int) -> float:
     depth.
     """
     worst = 0.0
-    for n in range(1, depth + 1):
-        worst = max(worst, float(np.max(np.abs(S.level_increments(n)))))
+    for _, incs, _ in S.levels(depth):
+        worst = max(worst, float(np.max(np.abs(incs))))
     return worst
 
 
@@ -418,9 +426,8 @@ def beta_star_norm(T: GrowthMartingale, depth: int) -> float:
 def beta_norm(T: GrowthMartingale, depth: int) -> float:
     """sup_{n <= depth} 2^-(n beta) ||T_n||_inf, exhaustively to depth."""
     worst = abs(T.t0)
-    for n in range(1, depth + 1):
-        top = float(np.max(np.abs(T.level_values(n))))
-        worst = max(worst, math.pow(2.0, -n * T.beta) * top)
+    for n, _, vals in T.levels(depth):
+        worst = max(worst, math.pow(2.0, -n * T.beta) * float(np.max(np.abs(vals))))
     return worst
 
 
@@ -459,22 +466,17 @@ def summation_by_parts_check(T: GrowthMartingale, depth: int) -> float:
     (1 - 2^-beta) sum_{k<n} 2^-(k beta) T_k + 2^-(n beta) T_n - 2^-beta T_0
     on every interval to `depth`, level by level.
     """
-    S = discount_transform(T)
     beta = T.beta
-    s_vals = np.zeros(1)
-    t_vals = np.full(1, float(T.t0))
     acc = np.zeros(1)           # sum_{0<k<n} 2^-(k beta) T_k, left to right
     worst = 0.0
-    for n in range(1, depth + 1):
-        if n > 1:
-            acc = acc + math.pow(2.0, -(n - 1) * beta) * t_vals
+    for (n, _, s_vals), (_, _, t_vals) in zip(discount_transform(T).levels(depth),
+                                              T.levels(depth)):
         acc = np.repeat(acc, 2)
-        s_vals = np.repeat(s_vals, 2) + S.level_increments(n)
-        t_vals = np.repeat(t_vals, 2) + T.level_increments(n)
         rhs = ((1.0 - 2.0 ** -beta) * acc
                + math.pow(2.0, -n * beta) * t_vals
                - 2.0 ** -beta * T.t0)
         worst = max(worst, float(np.max(np.abs(s_vals - rhs))))
+        acc = acc + math.pow(2.0, -n * beta) * t_vals
     return worst
 
 

@@ -110,9 +110,6 @@ def _solve_levels() -> tuple[Fraction, Fraction]:
     return q, p
 
 
-_ZERO = Fraction(0)
-
-
 def _float_ratio(x: float) -> tuple[int, int]:
     """|x| as an exact integer ratio; infinities read as 1/2, outside the
     support."""
@@ -153,27 +150,28 @@ class BaseWavelet:
         outside the support."""
         return self._cells[(r << 6) // d] if 2 * r < d else None
 
-    def _exact(self, r: int, d: int) -> Fraction:
-        """phi(r/d) for integers r and d > 0, not necessarily coprime."""
+    def _ratio(self, r: int, d: int) -> tuple[int, int]:
+        """phi(r/d) as an unreduced ratio (num, den > 0) for integers d > 0."""
         r = abs(r)
         cell = self._cell(r, d)
         if cell is None:
-            return _ZERO
-        pc, lo64, w64, num_a, num_g, den = cell
+            return 0, 1
+        _, lo64, w64, num_a, num_g, den = cell
         if not num_g:
-            return pc.a
+            return num_a, den
         # u = (r/d - lo) / width = n/m; S5(u) m^5 = n^3 (10 m^2 - 15 m n + 6 n^2)
         n, m = (r << 6) - lo64 * d, w64 * d
         m5 = m ** 5
-        return Fraction(num_a * m5 + num_g * n ** 3 * (10 * m * m - 15 * m * n + 6 * n * n),
-                        den * m5)
+        return (num_a * m5 + num_g * n ** 3 * (10 * m * m - 15 * m * n + 6 * n * n),
+                den * m5)
 
     def value_exact(self, x: Fraction) -> Fraction:
         x = Fraction(x)
-        return self._exact(x.numerator, x.denominator)
+        return Fraction(*self._ratio(x.numerator, x.denominator))
 
     def __call__(self, x: float) -> float:
-        return float(self._exact(*_float_ratio(x)))
+        num, den = self._ratio(*_float_ratio(x))
+        return num / den
 
     def derivative(self, x: float) -> float:
         cell = self._cell(*_float_ratio(x))
@@ -314,16 +312,22 @@ class WaveletOscillator(HolderFunction):
         self.schedule = schedule
         self.wavelet = base_wavelet()
 
+    def _stage_ratio(self, m: int, t: Fraction) -> tuple[int, int]:
+        """psi_m(t) as an unreduced integer ratio; int / int rounds
+        correctly, so num / den is the float of the exact value."""
+        return self.wavelet._ratio(*_reduce(t, self.schedule.ks[m - 1]))
+
     def stage_value_exact(self, m: int, t: Fraction) -> Fraction:
         """psi_m(t) = phi(2^(k_m) t - j) for the unique live translate."""
-        return self.wavelet._exact(*_reduce(t, self.schedule.ks[m - 1]))
+        return Fraction(*self._stage_ratio(m, t))
 
     def value_float(self, t: Fraction, lo_stage: int = 1,
                     hi_stage: Optional[int] = None) -> float:
         hi = self.schedule.stages if hi_stage is None else hi_stage
         total = 0.0
         for m in range(lo_stage, hi + 1):
-            total += self.schedule.coefficient(m) * float(self.stage_value_exact(m, t))
+            num, den = self._stage_ratio(m, t)
+            total += self.schedule.coefficient(m) * (num / den)
         return total
 
     def tail_part(self, m: int, t: Fraction) -> float:
@@ -344,8 +348,9 @@ class WaveletOscillator(HolderFunction):
         floats (no large-term cancellation)."""
         total = 0.0
         for m in range(1, self.schedule.stages + 1):
-            d = self.stage_value_exact(m, b) - self.stage_value_exact(m, a)
-            total += self.schedule.coefficient(m) * float(d)
+            nb, db = self._stage_ratio(m, b)
+            na, da = self._stage_ratio(m, a)
+            total += self.schedule.coefficient(m) * ((nb * da - na * db) / (db * da))
         return total
 
     def difference(self, a, b, tol: Optional[float] = None) -> float:

@@ -1,8 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dyadosc as d
 
@@ -260,6 +267,56 @@ class TestThetaMartingaleGap:
                                       eps_grid=2, quad=d.QuadratureConfig(16))
         p = d.trend_pvalue(prof.gaps)
         assert p >= 0.05
+
+
+class TestTrendPvalue:
+    """Kendall's test against scipy's kendalltau (method="auto") as oracle."""
+
+    @staticmethod
+    def _scipy(values):
+        from scipy.stats import kendalltau
+
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")     # scipy warns on n < 2
+            return float(kendalltau(np.arange(len(values)), np.asarray(values)).pvalue)
+
+    @given(st.one_of(
+        st.lists(st.floats(-1e6, 1e6, allow_nan=False), max_size=60),
+        st.lists(st.integers(0, 4).map(float), max_size=60),
+        st.lists(st.floats(0.0, 1.0, allow_nan=False), max_size=60).map(sorted)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scipy(self, values):
+        got, want = d.trend_pvalue(values), self._scipy(values)
+        if math.isnan(want):
+            assert math.isnan(got)
+        else:
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("values", [
+        [], [1.0], [2.0, 2.0, 2.0], [0.1, math.nan, 0.3, 0.2]])
+    def test_nan_cases(self, values):
+        assert math.isnan(d.trend_pvalue(values))
+
+    def test_one_pair_out_of_order_is_exact(self):
+        # n > 33 with one discordant pair still takes the exact tail
+        v = [float(i) for i in range(40)]
+        v[3], v[4] = v[4], v[3]
+        assert d.trend_pvalue(v) == pytest.approx(2 * 40 / math.factorial(40), rel=1e-12)
+        assert d.trend_pvalue(v) == pytest.approx(self._scipy(v), rel=1e-12)
+
+    def test_gap_runs_without_scipy(self):
+        code = ("import sys, dyadosc as d\n"
+                "d.trend_pvalue([0.3, 0.1, 0.2, 0.5])\n"
+                "d.theta_martingale_gap(d.WeierstrassFunction(2.0, 0.5), 0.5, 4, [0.3],\n"
+                "                       first_level=2, eps_grid=2,\n"
+                "                       quad=d.QuadratureConfig(8))\n"
+                "print('scipy' in sys.modules)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(d.__file__).parents[1]), env.get("PYTHONPATH", "")])
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
 
 
 class TestSharedOctaveKernel:

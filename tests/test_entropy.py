@@ -175,6 +175,36 @@ class TestMassSweep:
         assert rep.increments_paired and rep.level_sums_exact
 
 
+    def test_nonzero_start_refused_and_family_counted(self):
+        # the sweep and the family used to sum from 0, not S_0: the sweep
+        # reported 22 members where 113 intervals qualify
+        S = d.ScaledMartingale(d.binary_digit_martingale(), 0.0, s0=5.0, star_bound=1.0)
+        with pytest.raises(d.DomainError):
+            d.sweep_mass_distribution(S, 0.5, 6)
+        fam = d.level_set_family(S, 0.5, 6)
+        ref = [DI(n, j) for n in range(1, 7) for j in range(1 << n)
+               if S.value(DI(n, j)) >= 0.5 * n - 1e-12]
+        assert len(ref) == 112 and fam == ref
+
+    @pytest.mark.parametrize("eta, star_bound", [(0.0, 1.0), (1.0, 1.0), (0.5, 2.0)])
+    def test_mass_measure_domain(self, eta, star_bound):
+        S = d.Martingale(lambda ch: 1.0 if ch.index & 1 else -1.0, star_bound=star_bound)
+        with pytest.raises(d.DomainError):
+            d.sweep_mass_distribution(S, eta, 4)
+
+    def test_int64_level_sums_at_depth_20(self):
+        # unit jumps with eta = 1/2 keep every numerator at most 3^20 < 2^62,
+        # so all 20 levels take the int64 path
+        class Unpaired(d.Martingale):
+            def level_increments(self, n):
+                # siblings share a sign: +1 on indices 0, 1 mod 4
+                return np.where((np.arange(1 << n) >> 1) & 1, -1.0, 1.0)
+
+        rep = d.sweep_mass_distribution(Unpaired(None, star_bound=1.0), 0.5, 20)
+        assert not rep.increments_paired and not rep.level_sums_exact
+        rep = d.sweep_mass_distribution(d.binary_digit_martingale(), 0.5, 20)
+        assert rep.increments_paired and rep.level_sums_exact and rep.ok()
+
     def test_sweep_budget_checked_before_any_level(self, monkeypatch):
         monkeypatch.setattr(martingale, "SWEEP_CELL_BUDGET", 1 << 6)
         S = d.binary_digit_martingale()

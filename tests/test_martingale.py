@@ -338,6 +338,7 @@ def _vectorized_members():
         "block-discounted": d.ScaledMartingale(B, -0.5, star_bound=0.5),
         "random-growth": d.random_growth_martingale(0.6, seed=5),
         "sharpness": d.sharpness_martingale(0.3),
+        "offset": d.ScaledMartingale(d.RandomSignMartingale(9), 0.0, s0=5.0),
     }
 
 
@@ -361,6 +362,16 @@ class TestLevelArrayOracle:
                 incs = S.level_increments(n)[lo:hi]
                 assert np.array_equal(incs, [S.increment(DI(n, j)) for j in range(lo, hi)])
 
+    @pytest.mark.parametrize("name", sorted(_vectorized_members()))
+    def test_levels_match_scalar_oracle(self, name):
+        S = _vectorized_members()[name]
+        seen = []
+        for n, incs, vals in S.levels(10):
+            seen.append(n)
+            assert np.array_equal(incs, [S.increment(DI(n, j)) for j in range(1 << n)])
+            assert np.array_equal(vals, [S.value(DI(n, j)) for j in range(1 << n)])
+        assert seen == list(range(1, 11))
+
     def test_block_discounted_view_matches_scalar_lambda(self):
         B = d.assemble_martingale(d.build_schedule(0.5, 1, depth_cap=160))
         lam = d.Martingale(lambda ch: math.pow(2.0, -ch.level * 0.5) * B.increment(ch),
@@ -368,3 +379,79 @@ class TestLevelArrayOracle:
         view = d.ScaledMartingale(B, -0.5, star_bound=0.5, name="block-discounted")
         assert (d.sweep_mass_distribution(view, 0.25, 16)
                 == d.sweep_mass_distribution(lam, 0.25, 16))
+
+
+def _guard_levels(S, attr="level_increments"):
+    """Make the instance's level read fail the test past level 6."""
+    read = getattr(S, attr)
+
+    def guarded(n, *args):
+        if n > 6:
+            pytest.fail(f"level {n} built past the budget")
+        return read(n, *args)
+
+    setattr(S, attr, guarded)
+    return S
+
+
+class TestWholeTreeSweepBudget:
+    """Every whole-level sweep checks SWEEP_CELL_BUDGET before it builds a
+    level past it (here 2^6 cells, so level 7 is refused)."""
+
+    @pytest.fixture(autouse=True)
+    def small_budget(self, monkeypatch):
+        monkeypatch.setattr(martingale, "SWEEP_CELL_BUDGET", 1 << 6)
+
+    def test_levels(self):
+        S = _guard_levels(d.RandomSignMartingale(1))
+        assert [n for n, _, _ in S.levels(6)] == [1, 2, 3, 4, 5, 6]
+        with pytest.raises(d.DepthCapError):
+            next(S.levels(7))
+
+    def test_star_norm(self):
+        S = _guard_levels(d.RandomSignMartingale(1))
+        assert d.star_norm(S, 6) == 1.0
+        with pytest.raises(d.DepthCapError):
+            d.star_norm(S, 7)
+
+    def test_beta_norm(self):
+        T = _guard_levels(d.random_growth_martingale(0.5, seed=1))
+        d.beta_norm(T, 6)
+        with pytest.raises(d.DepthCapError):
+            d.beta_norm(T, 7)
+
+    def test_summation_by_parts(self):
+        T = _guard_levels(d.random_growth_martingale(0.5, seed=1))
+        _guard_levels(T.base)
+        assert d.summation_by_parts_check(T, 6) <= 1e-10
+        with pytest.raises(d.DepthCapError):
+            d.summation_by_parts_check(T, 7)
+
+    def test_level_set_family(self):
+        S = _guard_levels(d.RandomSignMartingale(1))
+        d.level_set_family(S, 0.5, 6)
+        with pytest.raises(d.DepthCapError):
+            d.level_set_family(S, 0.5, 7)
+
+    @pytest.mark.parametrize("S, attr", [
+        (d.binary_digit_martingale(), "level_values_range"),
+        (d.RandomSignMartingale(1), "level_increments"),
+    ], ids=["binary", "random-sign"])
+    def test_level_values(self, S, attr):
+        S = _guard_levels(S, attr)
+        assert S.level_values(6).size == 64
+        with pytest.raises(d.DepthCapError):
+            S.level_values(7)
+
+    def test_subsampled_star_norm(self):
+        # decimated levels 0, 1, 2 sit at dyadic levels 1, 4, 7
+        sub = d.subsample(_guard_levels(d.RandomSignMartingale(1)), 3, 1, 0.0)
+        sub.star_norm(1)
+        with pytest.raises(d.DepthCapError):
+            sub.star_norm(2)
+
+    def test_check_cancellation_random_sign(self):
+        S = _guard_levels(d.RandomSignMartingale(1))
+        assert d.check_cancellation(S, 6).ok(0.0)
+        with pytest.raises(d.DepthCapError):
+            d.check_cancellation(S, 7)

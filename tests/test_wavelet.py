@@ -374,6 +374,27 @@ class TestExactKernelOracle:
             for m in (2, 3, 4):
                 assert f.main_derivative(m, t) == _ref_main_derivative(f, m, t)
 
+    def test_float_paths_match_fraction_oracle(self, oscillator_half):
+        # the integer-ratio floats against the float of each stage's
+        # exact Fraction (difference) or value, summed in the same order
+        f = oscillator_half
+        coef = f.schedule.coefficient
+        stages = range(1, f.schedule.stages + 1)
+        rng = random.Random(53)
+        ts = [Fraction(rng.getrandbits(80), 1 << 80) for _ in range(300)]
+        ts += [Fraction(rng.randrange(1, 10 ** 6), rng.choice([3, 7, 11, 13, 999]) * 10 ** 6 + 1)
+               for _ in range(100)]
+        ts += NON_DYADIC + [Fraction(0), Fraction(1, 2)]
+        for a, b in zip(ts, ts[1:] + ts[:1]):
+            want = 0.0
+            for m in stages:
+                want += coef(m) * float(f.stage_value_exact(m, b) - f.stage_value_exact(m, a))
+            assert f.difference_float(a, b) == want, (a, b)
+            want = 0.0
+            for m in stages:
+                want += coef(m) * float(f.stage_value_exact(m, a))
+            assert f.value_float(a) == want, a
+
     def test_witness_scales_digest(self, oscillator_half):
         # sha256 of the witness records at 20 points and every stage, taken
         # from the Fraction-scan evaluator before the integer kernel
