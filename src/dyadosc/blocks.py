@@ -24,7 +24,13 @@ from typing import Optional
 import numpy as np
 
 from .dyadic import DepthCapError, DomainError, DyadicInterval, DyadicRational
-from .martingale import Martingale
+from .martingale import (
+    FLOAT_EXACT_DEPTH,
+    Martingale,
+    address_bits,
+    bit_lengths,
+    check_sweep_budget,
+)
 
 
 def haar(I: DyadicInterval, x) -> int:
@@ -441,6 +447,70 @@ class BlockMartingale(Martingale):
                 s -= spine
         return acc + run(s, lvl, end)
 
+    def pair_primitives(self, ia: np.ndarray, ib: np.ndarray, depth: int):
+        """The base descent in array form, to depth 53 (the loop goes
+        deeper): one pass per placement above `depth`, with the float
+        operations of `value` and `primitive` in their order, so the
+        results are bit-identical."""
+        if depth > FLOAT_EXACT_DEPTH:
+            return super().pair_primitives(ia, ib, depth)
+        if depth > self.max_depth:
+            raise DepthCapError(f"level {depth} beyond max depth {self.max_depth}")
+        ia = np.asarray(ia, dtype=np.uint64)
+        ib = np.asarray(ib, dtype=np.uint64)
+        bits = bit_lengths(ia ^ ib)
+        level = depth - bits
+        index = ia >> bits.astype(np.uint64)
+        s = self._values(level, index)
+        g = self._primitives(np.tile(level, 2), np.tile(index, 2), np.tile(s, 2),
+                             np.concatenate([ia, ib]), depth)
+        return s, g[:ia.size], g[ia.size:]
+
+    def _values(self, level: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """`value` of the intervals (level, index), per entry."""
+        total = np.zeros(level.shape)
+        for p in self.schedule.placements:
+            on = p.level < level
+            if not on.any():
+                break
+            lv = level[on]
+            t = np.minimum(lv, p.end) - p.level
+            bits = address_bits(index[on], lv - p.level - t, t)
+            total[on] += np.where(bits == 0, p.amplitude * (np.ldexp(1.0, t) - 1.0),
+                                  -p.amplitude)
+        return total
+
+    def _primitives(self, level: np.ndarray, index: np.ndarray, s: np.ndarray,
+                    address: np.ndarray, end: int) -> np.ndarray:
+        """`primitive` per entry, from the interval (level, index) with
+        value s down to the depth-`end` address, end <= 53; each branch
+        of the scalar loop is a `np.where` here."""
+
+        def run(s, u, v):
+            # window / 2^v is m 2^(e - v), exactly, with (m, e) its frexp
+            m, e = np.frexp(address_bits(address, end - v, v - u).astype(float))
+            return np.ldexp(s * m, e - v)
+
+        acc = np.zeros(s.shape)
+        lvl = level
+        for k, k_end, amp, M in self._windows:
+            if k >= end:
+                break
+            off = np.maximum(lvl - k, 0)
+            go = (k_end > level) & (address_bits(index, 0, off) == 0)
+            acc = np.where(go, acc + run(s, lvl, k + off), acc)
+            hi = k_end if k_end < end else end
+            window = address_bits(address, end - hi, np.maximum(hi - k - off, 0))
+            spine = np.ldexp(amp, off)
+            first = hi - bit_lengths(window) + 1
+            hit = go & (window != 0)
+            acc = np.where(hit, acc + np.ldexp(s + (np.ldexp(amp, first - k) - spine),
+                                               -first), acc)
+            s = np.where(hit, s - spine,
+                         np.where(go, s + (math.ldexp(amp, M) - spine), s))
+            lvl = np.where(hit, first, np.where(go, hi, lvl))
+        return acc + run(s, lvl, end)
+
     def level_values_range(self, n: int, lo: int, hi: int) -> np.ndarray:
         """Vectorized values of S_n on indices [lo, hi); needs n <= 62."""
         if n > 62:
@@ -460,8 +530,7 @@ class BlockMartingale(Martingale):
     def level_increments(self, n: int) -> np.ndarray:
         if n < 1:
             raise DomainError("increments start at level 1")
-        if n > 62:
-            raise DepthCapError("vectorized sweep limited to level 62")
+        check_sweep_budget(n)
         p = self._active_placement(n)
         out = np.zeros(1 << n)
         if p is None:
@@ -661,6 +730,8 @@ def witness_survey(schedule: BlockSchedule, S: BlockMartingale, f, alpha: float,
     """
     import random as _random
 
+    if points < 1:
+        raise DomainError("need at least one sampled point")
     rng = _random.Random(seed)
     regs = [special_registry(schedule, j, S)
             for j in range(min(stages, len(schedule.stages)))

@@ -24,7 +24,7 @@ from .dyadic import (
     locate,
     unit_interval,
 )
-from .martingale import Martingale
+from .martingale import FLOAT_EXACT_DEPTH, Martingale, bit_lengths
 
 
 class HolderFunction:
@@ -59,9 +59,30 @@ class HolderFunction:
         t = (tol / 2.0) if tol is not None else None
         return self(b, t) - self(a, t)
 
+    def dyadic_differences(self, lo, hi, depth: int) -> np.ndarray:
+        """f(hi 2^-depth) - f(lo 2^-depth) per pair of integer numerator
+        arrays with 0 <= lo <= hi <= 2^depth.
+
+        A loop over the scalar ``difference``: the reference that array
+        overrides reproduce bit for bit.
+        """
+        lo, hi = _dyadic_pairs(lo, hi, depth)
+        return np.array([self.difference(DyadicRational(a, depth), DyadicRational(b, depth))
+                         for a, b in zip(lo.tolist(), hi.tolist())], dtype=float)
+
     def antiderivative_batch(self, ys: np.ndarray, tol: float = 1e-13) -> np.ndarray:
         """F(y) = int_0^y f, where a closed form exists (else DomainError)."""
         raise DomainError(f"{self.provenance} has no antiderivative")
+
+
+def _dyadic_pairs(lo, hi, depth: int):
+    """The numerator arrays of `dyadic_differences`, domain-checked."""
+    lo, hi = np.asarray(lo), np.asarray(hi)
+    if lo.ndim != 1 or lo.shape != hi.shape:
+        raise DomainError("lo and hi must be 1-d arrays of one length")
+    if depth < 0 or np.any(lo < 0) or np.any(hi < lo) or np.any(hi > (1 << depth)):
+        raise DomainError("dyadic differences expect 0 <= lo <= hi <= 2^depth")
+    return lo, hi
 
 
 class ConstantFunction(HolderFunction):
@@ -250,6 +271,35 @@ class MartingaleInducedFunction(HolderFunction):
         gb = self.S.primitive(anc, s_anc, ib & ((1 << diff_bits) - 1), diff_bits)
         return gb - ga
 
+    def dyadic_differences(self, lo, hi, depth: int) -> np.ndarray:
+        """The three paths of ``difference`` over whole arrays, to depth 53
+        (the loop goes deeper), through one ``S.pair_primitives`` call.
+
+        Working at `depth` rather than at each point's lowest terms only
+        appends zero address bits, which add nothing to either descent.
+        A single interval I = [lo, hi) is the common ancestor of its first
+        and last cells; the root is that of a and its mirror a ^ 2^(depth-1).
+        """
+        lo, hi = _dyadic_pairs(lo, hi, depth)
+        if depth > self.max_depth:
+            raise DepthCapError(f"difference needs depth {depth} beyond cap")
+        if depth > FLOAT_EXACT_DEPTH:
+            return super().dyadic_differences(lo, hi, depth)
+        out = np.zeros(lo.shape)
+        live = lo != hi
+        lo = lo[live].astype(np.uint64)
+        hi = hi[live].astype(np.uint64)
+        width = hi - lo
+        one = np.uint64(1)
+        single = ((width & (width - one)) == 0) & ((lo & (width - one)) == 0)
+        to_one = (hi == one << np.uint64(depth)) & ~single
+        mirror = lo ^ np.uint64((1 << depth) >> 1)
+        s, ga, gb = self.S.pair_primitives(
+            lo, np.where(single, hi - one, np.where(to_one, mirror, hi)), depth)
+        level = depth + 1 - bit_lengths(width)
+        out[live] = np.where(single, np.ldexp(s, -level), np.where(to_one, -ga, gb - ga))
+        return out
+
     def truncation_bound(self) -> float:
         """Holder tail bound for evaluating non-dyadic points at the cap."""
         if self.seminorm_bound is None:
@@ -279,11 +329,26 @@ class SeminormSampler:
                  dyadic_depth: Optional[int] = None):
         if not 0.0 < scale_min <= scale_max:
             raise DomainError("need 0 < scale_min <= scale_max")
+        if pairs < 1:
+            raise DomainError("need at least one sampled pair")
         self.pairs = pairs
         self.scale_min = scale_min
         self.scale_max = scale_max
         self.seed = seed
         self.dyadic_depth = dyadic_depth
+
+
+# sampled pairs per array pass of the dyadic seminorm estimate, bounding
+# its memory
+_SEMINORM_CHUNK = 1 << 16
+
+
+def _exact_ints(v: np.ndarray, depth: int) -> np.ndarray:
+    """Integer-valued floats as exact integers: int64 where they and
+    2^depth fit with room to spare, Python ints otherwise."""
+    if depth < 62 and np.all(np.abs(v) < 2.0 ** 62):
+        return v.astype(np.int64)
+    return np.array([int(t) for t in v.tolist()], dtype=object)
 
 
 def holder_seminorm_estimate(f: HolderFunction,
@@ -301,19 +366,19 @@ def holder_seminorm_estimate(f: HolderFunction,
     hs = np.exp(lo + (hi - lo) * draws[:, 0])
     xs = draws[:, 1] * (1.0 - hs)
     if sampler.dyadic_depth is not None:
+        # pairs [lo, lo + width) 2^-depth at the sampled x and h, rounded
+        # down, at least one cell wide and inside [0, 1]
         depth = sampler.dyadic_depth
+        scale = 2.0 ** depth
         worst = 0.0
-        for x, h in zip(xs, hs):
-            lo = int(math.floor(x * (1 << depth)))
-            width = max(1, int(math.floor(h * (1 << depth))))
-            width = min(width, (1 << depth) - lo)
-            if width <= 0:
-                continue
-            a = DyadicRational(lo, depth)
-            bq = DyadicRational(lo + width, depth)
-            d = f.difference(a, bq)
-            hh = float(bq - a)
-            worst = max(worst, abs(d) / hh ** f.alpha)
+        for c in range(0, sampler.pairs, _SEMINORM_CHUNK):
+            lo = _exact_ints(np.floor(xs[c:c + _SEMINORM_CHUNK] * scale), depth)
+            width = _exact_ints(np.floor(hs[c:c + _SEMINORM_CHUNK] * scale), depth)
+            width = np.minimum(np.maximum(width, 1), (1 << depth) - lo)
+            d = f.dyadic_differences(lo, lo + width, depth)
+            # Python's pow, since np.power can differ from it in the last bit
+            den = np.array([hh ** f.alpha for hh in (width * 2.0 ** -depth).tolist()])
+            worst = max(worst, float(np.max(np.abs(d) / den)))
         return worst
     fx = f.batch(xs)
     fxh = f.batch(xs + hs)

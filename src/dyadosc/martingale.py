@@ -5,8 +5,9 @@ value at an interval is the mean of its children's values (cancellation).
 Every consumer reads it through ``increment(child)``, the scalar jump
 oracle, the level arrays ``level_increments(n)`` and
 ``level_values_range(n, lo, hi)``, or ``primitive``, the integral of S
-along one address; whole-tree certificates walk the levels once, through
-``levels``, behind the sweep budget.  The base class derives the arrays
+along one address (``pair_primitives`` for arrays of address pairs);
+whole-tree certificates walk the levels once, through ``levels``, behind
+the sweep budget.  The base class derives the arrays
 and the integral from the scalar oracle by plain loops, the reference
 that vectorized and closed-form overrides reproduce.  Jumps come from increment oracles,
 which hand each pair of children exactly opposite jumps, or from value
@@ -47,6 +48,25 @@ def check_sweep_budget(depth: int) -> None:
                             f"beyond the budget of {SWEEP_CELL_BUDGET}")
 
 
+# deepest dyadic depth whose addresses, and their xors, convert to float64
+# exactly: array descents to it stay bit-identical to the scalar ones
+FLOAT_EXACT_DEPTH = 53
+
+
+def bit_lengths(x: np.ndarray) -> np.ndarray:
+    """``int.bit_length`` of each entry of a uint64 array below 2^53,
+    exactly (the exponent of frexp of its exact float)."""
+    return np.frexp(x.astype(float))[1].astype(np.int64)
+
+
+def address_bits(x: np.ndarray, shift, width) -> np.ndarray:
+    """(x >> shift) & (2^width - 1) for a uint64 array; `shift` and
+    `width` are nonnegative ints or int arrays, `width` below 64."""
+    u = np.uint64
+    mask = (u(1) << np.asarray(width, dtype=u)) - u(1)
+    return (x >> np.asarray(shift, dtype=u)) & mask
+
+
 def _splitmix64(z):
     """SplitMix64 output for state z (Steele, Lea & Flood, OOPSLA 2014).
 
@@ -74,9 +94,10 @@ class Martingale:
     ``star_bound``, when given, declares sup_n ||S_{n+1}-S_n||.
 
     Subclasses keep the scalar ``increment`` and may override the level
-    arrays with vectorized sweeps that return the same floats, and
+    arrays with vectorized sweeps that return the same floats,
     ``primitive`` with a closed form that agrees with the bit walk to
-    rounding.
+    rounding, and ``pair_primitives`` with array passes that return the
+    floats of their own ``value`` and ``primitive``.
     """
 
     def __init__(self, increment_fn: Callable[[DyadicInterval], float],
@@ -136,10 +157,31 @@ class Martingale:
                 cur = right
         return acc
 
+    def pair_primitives(self, ia: np.ndarray, ib: np.ndarray, depth: int):
+        """The descent behind f(b) - f(a), for arrays of address pairs.
+
+        `ia` and `ib` hold the numerators of depth-`depth` dyadic points.
+        Per pair, returns S(anc) at their deepest common dyadic ancestor
+        anc, and the integrals ga, gb of S from the left endpoint of anc
+        to each point, as three float arrays.  This loop over the scalar
+        ``value`` and ``primitive`` is the reference that array overrides
+        reproduce bit for bit.
+        """
+        out = np.empty((3, len(ia)))
+        for j, (a, b) in enumerate(zip(ia.tolist(), ib.tolist())):
+            bits = (a ^ b).bit_length()
+            anc = DyadicInterval(depth - bits, a >> bits)
+            s = self.value(anc)
+            mask = (1 << bits) - 1
+            out[:, j] = (s, self.primitive(anc, s, a & mask, bits),
+                         self.primitive(anc, s, b & mask, bits))
+        return out[0], out[1], out[2]
+
     def level_increments(self, n: int) -> np.ndarray:
         """Increments into level n for all level-n intervals (n >= 1)."""
         if n < 1:
             raise DomainError("increments start at level 1")
+        check_sweep_budget(n)
         return np.array([self.increment(DyadicInterval(n, j)) for j in range(1 << n)],
                         dtype=float)
 
@@ -215,6 +257,7 @@ class BinaryDigitMartingale(Martingale):
     def level_increments(self, n: int) -> np.ndarray:
         if n < 1:
             raise DomainError("increments start at level 1")
+        check_sweep_budget(n)
         out = np.empty(1 << n)
         out[0::2] = -1.0
         out[1::2] = 1.0
@@ -258,6 +301,7 @@ class RandomSignMartingale(Martingale):
     def level_increments(self, n: int) -> np.ndarray:
         if n < 1:
             raise DomainError("increments start at level 1")
+        check_sweep_budget(n)
         parents = np.arange(1 << (n - 1), dtype=np.uint64)
         left = self._draw(_stream(self.seed, n - 1, parents))
         out = np.empty(1 << n)
@@ -510,11 +554,21 @@ class SubsampledMartingale:
         """T_n on all nodes of decimated level n, left to right."""
         return self.S.level_values(self.dyadic_level(n)) / self.M
 
+    def _level_pairs(self, depth: int):
+        """(T_{n-1}, T_n) for n = 1..depth, each decimated level read once."""
+        if depth < 1:
+            return
+        prev = self._level_values(0)
+        for n in range(1, depth + 1):
+            cur = self._level_values(n)
+            yield prev, cur
+            prev = cur
+
     def star_norm(self, depth: int) -> float:
         """sup over decimated steps to `depth` of |T_n - T_{n-1}|."""
         worst = 0.0
-        for n in range(1, depth + 1):
-            incs = self._level_values(n) - np.repeat(self._level_values(n - 1), 1 << self.N)
+        for prev, cur in self._level_pairs(depth):
+            incs = cur - np.repeat(prev, 1 << self.N)
             worst = max(worst, float(np.max(np.abs(incs))))
         return worst
 
@@ -522,11 +576,11 @@ class SubsampledMartingale:
         """Max deviation of a node value from the mean of its 2^N children."""
         fan = 1 << self.N
         worst = 0.0
-        for n in range(depth):
-            kids = self._level_values(n + 1).reshape(-1, fan)
+        for prev, cur in self._level_pairs(depth):
+            kids = cur.reshape(-1, fan)
             # children summed left to right, like a running scalar sum
             mean = sum(kids[:, c] for c in range(fan)) / fan
-            worst = max(worst, float(np.max(np.abs(self._level_values(n) - mean))))
+            worst = max(worst, float(np.max(np.abs(prev - mean))))
         return worst
 
 

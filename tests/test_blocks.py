@@ -305,6 +305,14 @@ class TestInducedFunctionCertificates:
         hits, total = d.blocks.witness_survey(sched, S, f, 0.5, 100, seed=123)
         assert hits >= 99
 
+    @pytest.mark.parametrize("points", [0, -1])
+    def test_witness_survey_needs_points(self, block_schedule_half,
+                                         block_martingale_half, points):
+        f = d.martingale_function(block_martingale_half, 0.5)
+        with pytest.raises(d.DomainError):
+            d.blocks.witness_survey(block_schedule_half, block_martingale_half,
+                                    f, 0.5, points, seed=1)
+
     def test_holder_pairs(self, block_schedule_half, block_martingale_half):
         sched = block_schedule_half
         B = float(sched.growth_norm_profile().max())

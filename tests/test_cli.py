@@ -36,6 +36,15 @@ class TestExitCodes:
         assert run(argv + ["--out", str(tmp_path)]) == 4
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("flag, count", [
+        ("--pairs", "0"), ("--pairs", "-1"), ("--points", "0"), ("--points", "-1"),
+    ])
+    def test_counterexample_sample_counts(self, tmp_path, flag, count):
+        # no certificate from zero samples, and no traceback from fewer
+        assert run(["counterexample", "--alpha", "0.5", "--stages", "1",
+                    "--depth", "160", "--pairs", "20", "--points", "5",
+                    flag, count, "--seed", "6", "--out", str(tmp_path)]) == 3
+
     def test_success(self, tmp_path, capsys):
         assert run(["phi", "--eta", "0.5", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out

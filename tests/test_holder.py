@@ -7,6 +7,8 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dyadosc as d
 from dyadosc.dyadic import DyadicInterval as DI
@@ -361,3 +363,176 @@ class TestRunLengthPrimitive:
         assert calls == []
         d.Martingale.primitive(S, d.unit_interval(), 0.0, 1, 3)
         assert len(calls) == 4           # the wrapper does see the walk
+
+
+def _scalar_seminorm(f, sampler):
+    """The per-pair seminorm loop that the dyadic branch replaced, kept as
+    its oracle: one scalar `difference` per sampled pair."""
+    rng = np.random.default_rng(sampler.seed)
+    draws = rng.uniform(0.0, 1.0, size=(sampler.pairs, 2))
+    lo, hi = math.log(sampler.scale_min), math.log(sampler.scale_max)
+    hs = np.exp(lo + (hi - lo) * draws[:, 0])
+    xs = draws[:, 1] * (1.0 - hs)
+    depth = sampler.dyadic_depth
+    worst = 0.0
+    for x, h in zip(xs, hs):
+        lo = int(math.floor(x * (1 << depth)))
+        width = max(1, int(math.floor(h * (1 << depth))))
+        width = min(width, (1 << depth) - lo)
+        if width <= 0:
+            continue
+        a = DR(lo, depth)
+        bq = DR(lo + width, depth)
+        worst = max(worst, abs(f.difference(a, bq)) / float(bq - a) ** f.alpha)
+    return worst
+
+
+@st.composite
+def _pair_cases(draw, depths=(0, 1, 2, 17, 44, 53)):
+    """(depth, lo, hi): every path of `difference`, at the listed depths."""
+    depth = draw(st.sampled_from(depths))
+    top = 1 << depth
+    kind = draw(st.sampled_from(["random", "origin", "cell", "aligned", "to-one"]))
+    lo = draw(st.integers(0, top))
+    if kind == "origin":
+        lo = 0
+    if kind == "cell":
+        lo = min(lo, top - 1)
+        return depth, lo, lo + 1
+    if kind == "aligned":
+        s = draw(st.integers(0, depth))
+        lo = (lo >> s << s) % top
+        return depth, lo, lo + (1 << s)
+    if kind == "to-one":
+        return depth, lo, top
+    return depth, lo, draw(st.integers(lo, top))
+
+
+class TestPairVectorizedDifferences:
+    """`dyadic_differences` and `pair_primitives` (array passes) against
+    the kept scalar `difference`, `value` and `primitive`: exactly equal."""
+
+    @pytest.fixture(scope="class")
+    def block_f(self, block_schedule_half, block_martingale_half):
+        return d.martingale_function(block_martingale_half, 0.5,
+                                     max_depth=block_schedule_half.end_level + 64)
+
+    @pytest.fixture(scope="class", params=[0.5, 0.3], ids=["beta=0.5", "beta=0.3"])
+    def blocks_f(self, request, block_f):
+        # at beta = 0.5 every amplitude above level 53 is a power of two, so
+        # sums are exact; beta = 0.3 makes every reordering show
+        if request.param == 0.5:
+            return block_f
+        sched = d.build_schedule(request.param, 2, depth_cap=1024)
+        return d.martingale_function(d.assemble_martingale(sched), 1.0 - request.param,
+                                     max_depth=sched.end_level + 64)
+
+    @staticmethod
+    def _assert_matches_scalar(f, depth, lo, hi):
+        got = f.dyadic_differences(np.array(lo), np.array(hi), depth)
+        want = [f.difference(DR(a, depth), DR(b, depth)) for a, b in zip(lo, hi)]
+        assert got.tolist() == want
+
+    @given(st.lists(_pair_cases(), min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_block_matches_scalar(self, blocks_f, cases):
+        for depth in {c[0] for c in cases}:
+            pairs = [(lo, hi) for D, lo, hi in cases if D == depth]
+            self._assert_matches_scalar(blocks_f, depth, *zip(*pairs))
+
+    def test_block_every_path(self, blocks_f):
+        # common ancestors at every level, inside and between placement
+        # windows, where a reordered float operation shows in ~1 pair of 1,000
+        rng = random.Random(21)
+        for depth in (0, 1, 2, 17, 28, 36, 44, 53):
+            top = 1 << depth
+            lo = [rng.randrange(top) for _ in range(1500)]
+            hi = [min(top, a + rng.getrandbits(rng.randint(0, depth)) + 1) for a in lo]
+            aligned = [a >> 3 << 3 for a in lo[:200]]
+            lo += [0, 0, top, 0] + aligned + lo[:200]
+            hi += [0, top, top, 1] + [min(top, a + 8) for a in aligned] + [top] * 200
+            self._assert_matches_scalar(blocks_f, depth, lo, hi)
+
+    @pytest.mark.parametrize("S", [
+        d.binary_digit_martingale(max_depth=60),
+        d.RandomSignMartingale(21, max_depth=60),
+    ], ids=["binary", "random-sign"])
+    def test_base_loop_matches_scalar(self, S):
+        f = d.martingale_function(S, 0.5)
+        rng = random.Random(22)
+        for depth in (1, 17, 44, 53, 60):
+            top = 1 << depth
+            lo = [rng.randrange(top) for _ in range(60)]
+            hi = [top] * 20 + [min(top, a + (1 << rng.randrange(depth))) for a in lo[20:]]
+            self._assert_matches_scalar(f, depth, lo, hi)
+
+    def test_pair_primitives_match_base_loop(self, blocks_f):
+        S = blocks_f.S
+        rng = random.Random(23)
+        for depth in (1, 17, 44, 53):
+            ia = np.array([rng.getrandbits(depth) for _ in range(300)], dtype=np.uint64)
+            ib = np.array([rng.getrandbits(depth) for _ in range(300)], dtype=np.uint64)
+            got = S.pair_primitives(ia, ib, depth)
+            want = d.Martingale.pair_primitives(S, ia, ib, depth)
+            for g, w in zip(got, want):
+                assert g.tolist() == w.tolist()
+
+    def test_deep_pairs_take_the_loop(self, monkeypatch, block_f):
+        calls = []
+        walk = d.BlockMartingale.primitive
+
+        def counting(self, *args):
+            calls.append(args)
+            return walk(self, *args)
+
+        monkeypatch.setattr(d.BlockMartingale, "primitive", counting)
+        rng = random.Random(24)
+        lo = [rng.getrandbits(60) for _ in range(20)]
+        hi = [a + rng.getrandbits(30) for a in lo]
+        self._assert_matches_scalar(block_f, 60, lo, hi)
+        assert calls
+
+    def test_checks_before_work(self, block_f):
+        for lo, hi, depth in (([-1], [1], 4), ([3], [2], 4), ([0], [17], 4),
+                              ([[0]], [[1]], 4)):
+            with pytest.raises(d.DomainError):
+                block_f.dyadic_differences(np.array(lo), np.array(hi), depth)
+        with pytest.raises(d.DepthCapError):
+            block_f.dyadic_differences(np.array([0]), np.array([1]),
+                                       block_f.max_depth + 1)
+
+    def test_seminorm_matches_per_pair_loop(self, block_f):
+        # the block-witness seminorm seeds of its seed 0, with the values
+        # the per-pair loop gave for them
+        pinned = {3415057689: 0.5564905878429572, 668581066: 0.5886249145240833,
+                  1078139974: 0.6090361382254651, 2748976581: 0.6106394905550027}
+        for seed, value in pinned.items():
+            sampler = d.SeminormSampler(pairs=1000, scale_min=2.0 ** -40, seed=seed,
+                                        dyadic_depth=44)
+            est = d.holder_seminorm_estimate(block_f, sampler)
+            assert est == _scalar_seminorm(block_f, sampler) == value
+
+    def test_seminorm_other_functions_match_loop(self, weier_half):
+        for f in (weier_half, d.martingale_function(d.RandomSignMartingale(3), 0.5)):
+            sampler = d.SeminormSampler(pairs=300, scale_min=2.0 ** -30, seed=4,
+                                        dyadic_depth=40)
+            assert d.holder_seminorm_estimate(f, sampler) == _scalar_seminorm(f, sampler)
+
+    def test_seminorm_makes_no_scalar_descent(self, monkeypatch, block_f):
+        # a count, not a time: the parent made about 2,000 of these calls
+        calls = []
+        walk = d.BlockMartingale.primitive
+
+        def counting(self, *args):
+            calls.append(args)
+            return walk(self, *args)
+
+        monkeypatch.setattr(d.BlockMartingale, "primitive", counting)
+        d.holder_seminorm_estimate(block_f, d.SeminormSampler(
+            pairs=1000, scale_min=2.0 ** -40, seed=5, dyadic_depth=44))
+        assert calls == []
+
+    @pytest.mark.parametrize("pairs", [0, -1])
+    def test_sampler_needs_pairs(self, pairs):
+        with pytest.raises(d.DomainError):
+            d.SeminormSampler(pairs=pairs)

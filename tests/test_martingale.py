@@ -202,6 +202,25 @@ class TestSubsample:
         assert sub.check_cancellation(3) == cancel
         assert sub.star_norm(3) == star
 
+    def test_each_level_read_once(self, monkeypatch):
+        # decimated levels 0..4 sit at dyadic levels 1, 4, 7, 10, 13
+        reads = []
+        read = d.Martingale.level_values
+
+        def counting(self, n):
+            reads.append(n)
+            return read(self, n)
+
+        monkeypatch.setattr(d.Martingale, "level_values", counting)
+        sub = d.subsample(d.RandomSignMartingale(1), 3, 1, 0.0)
+        sub.star_norm(4)
+        assert reads == [1, 4, 7, 10, 13]
+        reads.clear()
+        sub.check_cancellation(4)
+        assert reads == [1, 4, 7, 10, 13]
+        reads.clear()
+        assert sub.star_norm(0) == 0.0 and reads == []
+
     def test_values_scale(self):
         S = d.binary_digit_martingale()
         sub = d.subsample(S, 3, 0, 1.0)
@@ -455,3 +474,16 @@ class TestWholeTreeSweepBudget:
         assert d.check_cancellation(S, 6).ok(0.0)
         with pytest.raises(d.DepthCapError):
             d.check_cancellation(S, 7)
+
+    @pytest.mark.parametrize("make", [
+        d.binary_digit_martingale,
+        lambda: d.RandomSignMartingale(1),
+        lambda: d.assemble_martingale(d.build_schedule(0.5, 1)),
+        lambda: d.sharpness_martingale(0.5),
+    ], ids=["binary", "random-sign", "block", "scaled"])
+    def test_level_increments(self, make):
+        # a direct read, outside any sweep, checks the budget too
+        S = make()
+        assert S.level_increments(6).size == 64
+        with pytest.raises(d.DepthCapError):
+            S.level_increments(7)
