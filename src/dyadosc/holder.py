@@ -327,8 +327,9 @@ class SeminormSampler:
     def __init__(self, pairs: int = 10_000, scale_min: float = 2.0 ** -30,
                  scale_max: float = 0.5, seed: int = 0,
                  dyadic_depth: Optional[int] = None):
-        if not 0.0 < scale_min <= scale_max:
-            raise DomainError("need 0 < scale_min <= scale_max")
+        # base points x = u (1 - h) leave [0, 1) for scales h > 1
+        if not 0.0 < scale_min <= scale_max <= 1.0:
+            raise DomainError("need 0 < scale_min <= scale_max <= 1")
         if pairs < 1:
             raise DomainError("need at least one sampled pair")
         self.pairs = pairs

@@ -311,23 +311,45 @@ class WaveletOscillator(HolderFunction):
         super().__init__(schedule.alpha, f"wavelet(stages={schedule.stages})")
         self.schedule = schedule
         self.wavelet = base_wavelet()
+        self._coefficients = [schedule.coefficient(m)
+                              for m in range(1, schedule.stages + 1)]
 
-    def _stage_ratio(self, m: int, t: Fraction) -> tuple[int, int]:
-        """psi_m(t) as an unreduced integer ratio; int / int rounds
-        correctly, so num / den is the float of the exact value."""
-        return self.wavelet._ratio(*_reduce(t, self.schedule.ks[m - 1]))
+    def _ratios(self, n: int, d: int, lo: int = 1,
+                hi: Optional[int] = None) -> list[tuple[int, int]]:
+        """psi_m(n/d) for stages lo..hi as unreduced integer ratios, for
+        integers d > 0: the point is read once and its numerator shifted
+        by each k_m.  int / int rounds correctly, so num / den is the
+        float of the exact value."""
+        ratio = self.wavelet._ratio
+        out = []
+        for k in self.schedule.ks[lo - 1:hi]:
+            nk = n << k
+            out.append(ratio(nk - (2 * nk + d) // (2 * d) * d, d))
+        return out
+
+    def _point_ratios(self, t, lo: int = 1,
+                      hi: Optional[int] = None) -> list[tuple[int, int]]:
+        t = t if isinstance(t, Fraction) else Fraction(t)
+        return self._ratios(t.numerator, t.denominator, lo, hi)
+
+    def _difference(self, ra: list, rb: list) -> float:
+        """sum_m c_m (psi_m(b) - psi_m(a)) from both points' stage ratios,
+        each stage difference rounded once, summed in stage order."""
+        total = 0.0
+        for c, (na, da), (nb, db) in zip(self._coefficients, ra, rb):
+            total += c * ((nb * da - na * db) / (db * da))
+        return total
 
     def stage_value_exact(self, m: int, t: Fraction) -> Fraction:
         """psi_m(t) = phi(2^(k_m) t - j) for the unique live translate."""
-        return Fraction(*self._stage_ratio(m, t))
+        return Fraction(*self._point_ratios(t, m, m)[0])
 
     def value_float(self, t: Fraction, lo_stage: int = 1,
                     hi_stage: Optional[int] = None) -> float:
-        hi = self.schedule.stages if hi_stage is None else hi_stage
         total = 0.0
-        for m in range(lo_stage, hi + 1):
-            num, den = self._stage_ratio(m, t)
-            total += self.schedule.coefficient(m) * (num / den)
+        for c, (num, den) in zip(self._coefficients[lo_stage - 1:],
+                                 self._point_ratios(t, lo_stage, hi_stage)):
+            total += c * (num / den)
         return total
 
     def tail_part(self, m: int, t: Fraction) -> float:
@@ -344,14 +366,13 @@ class WaveletOscillator(HolderFunction):
         return total
 
     def difference_float(self, a: Fraction, b: Fraction) -> float:
-        """f(b) - f(a): per-stage exact differences, alpha-weighted in
-        floats (no large-term cancellation)."""
-        total = 0.0
-        for m in range(1, self.schedule.stages + 1):
-            nb, db = self._stage_ratio(m, b)
-            na, da = self._stage_ratio(m, a)
-            total += self.schedule.coefficient(m) * ((nb * da - na * db) / (db * da))
-        return total
+        """f(b) - f(a): per-stage exact differences, each rounded once and
+        alpha-weighted in floats.  The stage terms can cancel each other,
+        so the error is relative to the largest term, not to the result:
+        near a stage-4 zero crossing of the alpha = 1/2 schedule, stage-3
+        and stage-4 terms of +-1.958e-29 cancel to about 1.9e-40, and the
+        float sum cannot resolve below their last bit, 2.8e-45."""
+        return self._difference(self._point_ratios(a), self._point_ratios(b))
 
     def difference(self, a, b, tol: Optional[float] = None) -> float:
         return self.difference_float(_to_fraction(a), _to_fraction(b))
@@ -392,8 +413,13 @@ class CertificationError(RuntimeError):
     """An extremizer or case certificate failed at the working tolerance."""
 
 
-def _nested_plateau_point(f: WaveletOscillator, lo: Fraction, hi: Fraction,
-                          m: int, sign: int) -> Fraction:
+def _at(x: Fraction) -> str:
+    """Where a certificate failed: the point as p/q."""
+    return f"x = {x.numerator}/{x.denominator}"
+
+
+def _nested_plateau_point(f: WaveletOscillator, x: Fraction, lo: Fraction,
+                          hi: Fraction, m: int, sign: int) -> Fraction:
     """A point of [lo, hi] where every stage n >= m sits on its sign-
     plateau, so the tail R_m attains exactly +-(sum of amplitudes).
 
@@ -413,9 +439,29 @@ def _nested_plateau_point(f: WaveletOscillator, lo: Fraction, hi: Fraction,
         phi_ = (j + band[1]) * scale
         if phi_ > cur_hi:
             raise CertificationError(
-                f"no full stage-{n} plateau inside [{cur_lo}, {cur_hi}]")
+                f"no full stage-{n} plateau inside [{cur_lo}, {cur_hi}] "
+                f"({_at(x)}, m={m}, bracket [{lo}, {hi}])")
         cur_lo, cur_hi = plo, phi_
     return (cur_lo + cur_hi) / 2
+
+
+def _annulus_offset(f: WaveletOscillator, x: Fraction, m: int, sign: int,
+                    left: bool) -> Fraction:
+    """The offset t in [2^-k_m, 2^(-k_m+1)] where R_m(x + t) (right) or
+    R_m(x - t) (left) is +-(sum of amplitudes), by sign."""
+    period = Fraction(1, 1 << f.schedule.ks[m - 1])
+    if left:
+        lo, hi = x - 3 * period, x - period
+    else:
+        lo, hi = x + period, x + 3 * period
+    t_star = _nested_plateau_point(f, x, lo, hi, m, sign)
+    # shift by whole periods into the annulus [period, 2 period]
+    off = x - t_star if left else t_star - x
+    while off > 2 * period:
+        off -= period
+    while off < period:
+        off += period
+    return off
 
 
 def tail_extreme_offsets(f: WaveletOscillator, x: Fraction, m: int
@@ -427,24 +473,10 @@ def tail_extreme_offsets(f: WaveletOscillator, x: Fraction, m: int
     Constructed through nested plateaus and shifted by whole periods into
     the annulus, so the extreme values are exact stacked amplitudes.
     """
-    k = f.schedule.ks[m - 1]
-    period = Fraction(1, 1 << k)
-    out: dict[str, Fraction] = {}
-    for name, sign, left in (("r_plus", +1, False), ("r_minus", -1, False),
-                             ("rho_plus", +1, True), ("rho_minus", -1, True)):
-        if left:
-            lo, hi = x - 3 * period, x - period
-        else:
-            lo, hi = x + period, x + 3 * period
-        t_star = _nested_plateau_point(f, lo, hi, m, sign)
-        # shift by whole periods into the annulus [period, 2 period]
-        off = x - t_star if left else t_star - x
-        while off > 2 * period:
-            off -= period
-        while off < period:
-            off += period
-        out[name] = off
-    return out
+    x = _to_fraction(x)
+    return {name: _annulus_offset(f, x, m, sign, left)
+            for name, sign, left in (("r_plus", +1, False), ("r_minus", -1, False),
+                                     ("rho_plus", +1, True), ("rho_minus", -1, True))}
 
 
 @dataclass
@@ -474,28 +506,51 @@ class WitnessScales:
         return math.pow(2.0, self.level * (1.0 - self.alpha))
 
 
-def _bisect_zero(f: WaveletOscillator, x: Fraction, t_lo: Fraction,
-                 t_hi: Fraction, tol_rel: float = 1e-4,
+def _bisect_zero(f: WaveletOscillator, x: Fraction, rx: list, m: int,
+                 t_lo: Fraction, t_hi: Fraction, tol_rel: float = 1e-4,
                  max_steps: int = 200) -> Fraction:
-    """Offset t between t_lo, t_hi with |f(x+t)-f(x)| <= tol_rel * |t|."""
-    g_lo = f.difference_float(x, x + t_lo)
-    g_hi = f.difference_float(x, x + t_hi)
+    """Offset t between t_lo, t_hi with |f(x+t)-f(x)| <= tol_rel * |t|.
+
+    rx holds x's stage ratios.  The bracket is carried as integer
+    numerators: offsets over one denominator and points x + t over
+    another, both doubling at each step, so a step costs additions and
+    one kernel call; only the returned midpoint becomes a Fraction.
+    """
+    def g(p: int, q: int) -> float:
+        # strip the common factors of two so the kernel sees smaller ints
+        low = (p | q) & -(p | q)
+        s = low.bit_length() - 1
+        return f._difference(rx, f._ratios(p >> s, q >> s))
+
+    def over(u: Fraction, v: Fraction) -> tuple[int, int, int]:
+        n = math.lcm(u.denominator, v.denominator)
+        return (u.numerator * (n // u.denominator),
+                v.numerator * (n // v.denominator), n)
+
+    a, b, den = over(t_lo, t_hi)
+    pa, pb, q = over(x + t_lo, x + t_hi)
+    g_lo, g_hi = g(pa, q), g(pb, q)
     if g_lo == 0.0:
         return t_lo
     if g_hi == 0.0:
         return t_hi
+    where = f"{_at(x)}, m={m}, bracket [{t_lo}, {t_hi}]"
     if math.copysign(1.0, g_lo) == math.copysign(1.0, g_hi):
-        raise CertificationError("no sign change for the zero crossing")
+        raise CertificationError(f"no sign change for the zero crossing ({where})")
     for _ in range(max_steps):
-        mid = (t_lo + t_hi) / 2
-        g_mid = f.difference_float(x, x + mid)
-        if abs(g_mid) <= tol_rel * abs(float(mid)):
-            return mid
+        c, pc = a + b, pa + pb
+        den, q = 2 * den, 2 * q
+        g_mid = g(pc, q)
+        if abs(g_mid) <= tol_rel * abs(c / den):
+            return Fraction(c, den)
         if math.copysign(1.0, g_mid) == math.copysign(1.0, g_lo):
-            t_lo, g_lo = mid, g_mid
+            a, pa, g_lo = c, pc, g_mid
+            b, pb = 2 * b, 2 * pb
         else:
-            t_hi, g_hi = mid, g_mid
-    raise CertificationError("zero crossing did not converge")
+            a, pa = 2 * a, 2 * pa
+            b, pb = c, pc
+    raise CertificationError(
+        f"zero crossing did not converge in {max_steps} steps ({where})")
 
 
 def witness_scales(f: WaveletOscillator, x, m: int) -> WitnessScales:
@@ -503,19 +558,21 @@ def witness_scales(f: WaveletOscillator, x, m: int) -> WitnessScales:
 
     Follows the right-annulus extremes of the tail and the three-way
     case split on their first-order quotients; case (iii) moves to the
-    left annulus.  All offsets are exact dyadic rationals and the
+    left annulus.  x's stage ratios are read once for the quotients and
+    the bisection.  All offsets are exact dyadic rationals and the
     returned quotients are recomputed from scratch as certificates.
     """
     if not 1 <= m <= f.schedule.stages:
         raise DomainError("stage beyond the built schedule")
     x = _to_fraction(x)
     k = f.schedule.ks[m - 1]
-    offs = tail_extreme_offsets(f, x, m)
-    r_p, r_m_ = offs["r_plus"], offs["r_minus"]
+    r_p = _annulus_offset(f, x, m, +1, False)
+    r_m_ = _annulus_offset(f, x, m, -1, False)
     tail = f.schedule.tail_sum(m)
+    rx = f._ratios(x.numerator, x.denominator)
 
     def quot(offset: Fraction) -> float:
-        return f.difference_float(x, x + offset) / float(offset)
+        return f._difference(rx, f._point_ratios(x + offset)) / float(offset)
 
     q_p, q_m = quot(r_p), quot(r_m_)
     rho_p = rho_m_ = None
@@ -526,7 +583,7 @@ def witness_scales(f: WaveletOscillator, x, m: int) -> WitnessScales:
     elif (q_p > 1.0 and q_m < -1.0) or (q_p < -1.0 and q_m > 1.0):
         case = "ii"
         lo, hi = (r_m_, r_p) if r_m_ < r_p else (r_p, r_m_)
-        h_prime = _bisect_zero(f, x, lo, hi)
+        h_prime = _bisect_zero(f, x, rx, m, lo, hi)
         # the side whose tail moved further from the crossing
         t_tilde = f.tail_part(m, x + h_prime)
         move_p = abs(t_tilde - f.tail_part(m, x + r_p))
@@ -534,10 +591,11 @@ def witness_scales(f: WaveletOscillator, x, m: int) -> WitnessScales:
         h = r_p if move_p >= move_m else r_m_
     else:
         case = "iii"
-        rho_p, rho_m_ = offs["rho_plus"], offs["rho_minus"]
+        rho_p = _annulus_offset(f, x, m, +1, True)
+        rho_m_ = _annulus_offset(f, x, m, -1, True)
         h = -rho_p if q_p > 1.0 else -rho_m_
         lo, hi = (-rho_m_, -rho_p) if -rho_m_ < -rho_p else (-rho_p, -rho_m_)
-        h_prime = _bisect_zero(f, x, lo, hi)
+        h_prime = _bisect_zero(f, x, rx, m, lo, hi)
 
     d_big = f.difference_float(x, x + h)
     d_tame = f.difference_float(x, x + h_prime)

@@ -536,3 +536,12 @@ class TestPairVectorizedDifferences:
     def test_sampler_needs_pairs(self, pairs):
         with pytest.raises(d.DomainError):
             d.SeminormSampler(pairs=pairs)
+
+    def test_sampler_scales_stay_in_unit_interval(self, weier_half):
+        # scales above 1 would put base points x = u (1 - h) below 0
+        with pytest.raises(d.DomainError):
+            d.SeminormSampler(pairs=100, scale_max=2.0, seed=0)
+        with pytest.raises(d.DomainError):
+            d.SeminormSampler(pairs=100, scale_min=0.0)
+        sampler = d.SeminormSampler(pairs=100, scale_min=0.25, scale_max=1.0, seed=0)
+        assert 0.0 < d.holder_seminorm_estimate(weier_half, sampler)

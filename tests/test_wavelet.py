@@ -407,3 +407,155 @@ class TestExactKernelOracle:
                 h.update(repr(d.witness_scales(f, x, m)).encode())
         assert h.hexdigest() == (
             "18a980a148e035e89251477cc599485554b8ce269bd4e9243ddd8dd8b723dd0d")
+
+
+# The witness search the one-pass bisection replaced, kept as the
+# reference: the plateau nesting and all four annulus offsets built
+# eagerly, and a bisection that re-evaluates x and builds a Fraction
+# midpoint at every step.
+def _ref_plateau_point(f, lo, hi, m, sign):
+    band = f.wavelet.PLUS_PLATEAU if sign > 0 else f.wavelet.MINUS_PLATEAU
+    cur_lo, cur_hi = Fraction(lo), Fraction(hi)
+    for n in range(m, f.schedule.stages + 1):
+        scale = Fraction(1, 1 << f.schedule.ks[n - 1])
+        j = math.ceil(cur_lo / scale - band[0])
+        cur_lo, cur_hi = (j + band[0]) * scale, (j + band[1]) * scale
+    return (cur_lo + cur_hi) / 2
+
+
+def _ref_extreme_offsets(f, x, m):
+    period = Fraction(1, 1 << f.schedule.ks[m - 1])
+    out = {}
+    for name, sign, left in (("r_plus", +1, False), ("r_minus", -1, False),
+                             ("rho_plus", +1, True), ("rho_minus", -1, True)):
+        lo, hi = (x - 3 * period, x - period) if left else (x + period, x + 3 * period)
+        t_star = _ref_plateau_point(f, lo, hi, m, sign)
+        off = x - t_star if left else t_star - x
+        while off > 2 * period:
+            off -= period
+        while off < period:
+            off += period
+        out[name] = off
+    return out
+
+
+def _ref_bisect_zero(f, x, t_lo, t_hi, tol_rel=1e-4, max_steps=200):
+    g_lo = f.difference_float(x, x + t_lo)
+    g_hi = f.difference_float(x, x + t_hi)
+    if g_lo == 0.0:
+        return t_lo
+    if g_hi == 0.0:
+        return t_hi
+    assert math.copysign(1.0, g_lo) != math.copysign(1.0, g_hi)
+    for _ in range(max_steps):
+        mid = (t_lo + t_hi) / 2
+        g_mid = f.difference_float(x, x + mid)
+        if abs(g_mid) <= tol_rel * abs(float(mid)):
+            return mid
+        if math.copysign(1.0, g_mid) == math.copysign(1.0, g_lo):
+            t_lo, g_lo = mid, g_mid
+        else:
+            t_hi, g_hi = mid, g_mid
+    raise AssertionError("reference bisection did not converge")
+
+
+def _ref_witness_scales(f, x, m):
+    k = f.schedule.ks[m - 1]
+    offs = _ref_extreme_offsets(f, x, m)
+    r_p, r_m_ = offs["r_plus"], offs["r_minus"]
+
+    def quot(offset):
+        return f.difference_float(x, x + offset) / float(offset)
+
+    q_p, q_m = quot(r_p), quot(r_m_)
+    rho_p = rho_m_ = None
+    if abs(q_p) <= 1.0 or abs(q_m) <= 1.0:
+        case = "i"
+        h_prime, h = (r_p, r_m_) if abs(q_p) <= 1.0 else (r_m_, r_p)
+    elif (q_p > 1.0 and q_m < -1.0) or (q_p < -1.0 and q_m > 1.0):
+        case = "ii"
+        h_prime = _ref_bisect_zero(f, x, min(r_p, r_m_), max(r_p, r_m_))
+        t_tilde = f.tail_part(m, x + h_prime)
+        move_p = abs(t_tilde - f.tail_part(m, x + r_p))
+        move_m = abs(t_tilde - f.tail_part(m, x + r_m_))
+        h = r_p if move_p >= move_m else r_m_
+    else:
+        case = "iii"
+        rho_p, rho_m_ = offs["rho_plus"], offs["rho_minus"]
+        h = -rho_p if q_p > 1.0 else -rho_m_
+        h_prime = _ref_bisect_zero(f, x, min(-rho_p, -rho_m_), max(-rho_p, -rho_m_))
+    d_big = f.difference_float(x, x + h)
+    d_tame = f.difference_float(x, x + h_prime)
+    return d.WitnessScales(
+        x=x, stage=m, level=k, alpha=f.alpha, case=case,
+        r_plus=r_p, r_minus=r_m_, rho_plus=rho_p, rho_minus=rho_m_,
+        h=h, h_prime=h_prime,
+        quotient_big=abs(d_big) / abs(float(h)),
+        quotient_tame=abs(d_tame) / abs(float(h_prime)),
+        divdiff_big=abs(d_big) / abs(float(h)) ** f.alpha,
+        tail_sum=f.schedule.tail_sum(m),
+        h_side="right" if h > 0 else "left",
+        h_prime_side="right" if h_prime > 0 else "left")
+
+
+class TestWitnessBisectionOracle:
+    @staticmethod
+    def _points():
+        rng = random.Random(61)
+        xs = [Fraction(rng.getrandbits(200), 1 << 200) for _ in range(30)]
+        return xs + NON_DYADIC + [Fraction(2, 3) + Fraction(1, 997)]
+
+    def test_witness_scales_match_reference(self, oscillator_half):
+        f = oscillator_half
+        cases = set()
+        for x in self._points():
+            for m in (1, 2, 3):
+                got = d.witness_scales(f, x, m)
+                want = _ref_witness_scales(f, x, m)
+                assert got == want, (x, m)
+                assert repr(got) == repr(want), (x, m)
+                cases.add(got.case)
+        assert cases == {"i", "ii", "iii"}
+
+    def test_tail_extreme_offsets_match_reference(self, oscillator_half):
+        f = oscillator_half
+        for x in self._points()[::3] + NON_DYADIC:
+            for m in (1, 2, 3, 4):
+                assert d.tail_extreme_offsets(f, x, m) == _ref_extreme_offsets(f, x, m)
+
+    def test_case_ii_reads_x_once_and_skips_left_annulus(self, oscillator_half,
+                                                         monkeypatch):
+        f = oscillator_half
+        x = Fraction(3, 11)
+        assert _ref_witness_scales(f, x, 2).case == "ii"
+        reads, plateaus = [], []
+        kernel = d.WaveletOscillator._ratios
+        nested = d.wavelet._nested_plateau_point
+
+        def counting_kernel(self, n, q, *args):
+            reads.append(Fraction(n, q))
+            return kernel(self, n, q, *args)
+
+        def counting_nested(f_, x_, lo, hi, m, sign):
+            plateaus.append((lo, hi))
+            return nested(f_, x_, lo, hi, m, sign)
+
+        monkeypatch.setattr(d.WaveletOscillator, "_ratios", counting_kernel)
+        monkeypatch.setattr(d.wavelet, "_nested_plateau_point", counting_nested)
+        ws = d.witness_scales(f, x, 2)
+        assert ws.case == "ii"
+        # once for the case quotients and the bisection, and once in each
+        # of the two certificates, each recomputed on its own
+        assert reads.count(x) == 3
+        assert len(plateaus) == 2 and all(lo > x for lo, _ in plateaus)
+
+    def test_last_stage_cancellation_names_instance(self, oscillator_half):
+        # stage-3 and stage-4 terms of +-1.958e-29 cancel to about 1.9e-40;
+        # the float sum cannot resolve the 2.0e-46 tolerance there
+        rng = random.Random(5)
+        xs = [Fraction(rng.getrandbits(200), 1 << 200) for _ in range(150)]
+        x = xs[137]
+        with pytest.raises(d.CertificationError, match="m=4") as err:
+            d.witness_scales(oscillator_half, x, 4)
+        assert f"x = {x.numerator}/{x.denominator}" in str(err.value)
+        assert "bracket [" in str(err.value)
