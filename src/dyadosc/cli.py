@@ -416,6 +416,8 @@ def cmd_gap(args) -> int:
 
 
 def _seeded_points(count: int, seed: int) -> list[float]:
+    if count < 1:
+        raise DomainError("--points must be at least 1")
     rng = np.random.default_rng(seed)
     return [float(v) for v in rng.uniform(0.02, 0.98, size=count)]
 

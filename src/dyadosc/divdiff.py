@@ -38,6 +38,12 @@ class QuadratureConfig:
     panels_per_octave: int = 32
     tol: float = 1e-12          # tolerance passed to function evaluations
 
+    def __post_init__(self):
+        if self.panels_per_octave < 1:
+            raise DomainError("panels_per_octave must be at least 1")
+        if not self.tol > 0.0:
+            raise DomainError("tol must be positive")
+
 
 @dataclass
 class ThetaResult:
@@ -51,10 +57,11 @@ class ThetaResult:
 
 def _octave_simpson(g, uppers: Sequence[float], m: int) -> list[tuple[float, float]]:
     """int_0^U g(u) du at each U of the increasing `uppers`, by composite
-    Simpson with m panels per octave [j, min(j+1, U)] on np.linspace(lo, hi,
-    2m+1).  Full octaves are shared by every U; a non-integer U adds its own
-    partial octave.  Each U also gets the rule on every other node (m/2
-    panels of twice the step: the panel-halving reference, for even m)."""
+    Simpson with m panels per octave [j, hi], hi = min(j+1, U): g(j, hi)
+    gives the integrand on the nodes np.linspace(j, hi, 2m+1).  Full octaves
+    are shared by every U; a non-integer U adds its own partial octave.
+    Each U also gets the rule on every other node (m/2 panels of twice the
+    step: the panel-halving reference, for even m)."""
     def simpson(v, step):
         return step / 6.0 * (v[0] + v[-1] + 4.0 * v[1::2].sum() + 2.0 * v[2:-1:2].sum())
 
@@ -62,7 +69,7 @@ def _octave_simpson(g, uppers: Sequence[float], m: int) -> list[tuple[float, flo
     for U in uppers:
         while j < U:
             hi = min(j + 1.0, U)
-            vals, step = g(np.linspace(float(j), hi, 2 * m + 1)), (hi - j) / m
+            vals, step = g(j, hi), (hi - j) / m
             s, c = simpson(vals, step), simpson(vals[::2], 2.0 * step)
             if hi < j + 1:  # a partial octave serves this U only
                 out.append((total + s, coarse + c))
@@ -78,10 +85,13 @@ def _thetas(f: HolderFunction, alpha: float, x: float, eps_values: Sequence[floa
     """Theta and its coarse twin at each eps of the decreasing `eps_values`."""
     if not all(0.0 < eps < 1.0 for eps in eps_values):
         raise DomainError("eps must lie in (0, 1)")
-    fx = f(x, quad.tol)
-    return _octave_simpson(
-        lambda u: (f.batch(x + np.exp2(-u), quad.tol) - fx) * np.exp2(alpha * u) * LN2,
-        [math.log2(1.0 / eps) for eps in eps_values], 2 * quad.panels_per_octave)
+    fx, m = f(x, quad.tol), 2 * quad.panels_per_octave
+
+    def integrand(j, hi):
+        u = np.linspace(float(j), hi, 2 * m + 1)
+        return (f.batch(x + np.exp2(-u), quad.tol) - fx) * np.exp2(alpha * u) * LN2
+
+    return _octave_simpson(integrand, [math.log2(1.0 / eps) for eps in eps_values], m)
 
 
 def theta(f: HolderFunction, alpha: float, x: float, eps: float,
@@ -165,6 +175,63 @@ class GapProfile:
     eps_per_level: int
 
 
+class _Tracking:
+    """Tracking values of one function's dyadic intervals, memoised across
+    the intervals asked for.
+
+    Each endpoint e's scalar F(e) and its row F(e + 2^-u) - F(e) on the
+    nodes u of each octave, each octave's scales 2^-u and weights
+    2^(alpha u), and each interval's value are computed once.  Nested
+    intervals share an endpoint with their parent, and every interval
+    shares the octaves.  A row is still one antiderivative_batch call on
+    the same 2m+1 inputs in the same order, so a value does not depend on
+    which other intervals were asked for first.  One instance serves one
+    gap call, and its memo goes with it.
+    """
+
+    def __init__(self, f: HolderFunction, alpha: float, cutoff_extra: int,
+                 quad: QuadratureConfig):
+        if cutoff_extra < 1:
+            raise DomainError("cutoff_extra must be at least 1")
+        self.f, self.alpha, self.cutoff_extra, self.quad = f, alpha, cutoff_extra, quad
+        self._octaves: list[tuple[np.ndarray, np.ndarray]] = []
+        self._rows: dict[float, tuple[float, list[np.ndarray]]] = {}
+        self._values: dict[tuple[int, int], float] = {}
+
+    def _row(self, e: float, j: int) -> np.ndarray:
+        """F(e + 2^-u) - F(e) on the nodes of octave j."""
+        if e not in self._rows:
+            fe = float(self.f.antiderivative_batch(np.array([e]), self.quad.tol)[0])
+            self._rows[e] = (fe, [])
+        fe, rows = self._rows[e]
+        while len(rows) <= j:
+            rows.append(self.f.antiderivative_batch(e + self._octave(len(rows))[0],
+                                                    self.quad.tol) - fe)
+        return rows[j]
+
+    def _octave(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """The scales 2^-u and weights 2^(alpha u) on the nodes of octave j."""
+        while len(self._octaves) <= j:
+            k = float(len(self._octaves))
+            u = np.linspace(k, k + 1.0, 2 * self.quad.panels_per_octave + 1)
+            self._octaves.append((np.exp2(-u), np.exp2(self.alpha * u)))
+        return self._octaves[j]
+
+    def value(self, I: DyadicInterval) -> float:
+        key = (I.level, I.index)
+        if key not in self._values:
+            a, b = float(I.left), float(I.right)
+            scale = math.ldexp(1.0, I.level)
+
+            def integrand(j, hi):
+                return scale * (self._row(b, j) - self._row(a, j)) * self._octave(j)[1] * LN2
+
+            self._values[key] = _octave_simpson(
+                integrand, [float(I.level + self.cutoff_extra)],
+                self.quad.panels_per_octave)[0][0]
+        return self._values[key]
+
+
 def tracking_martingale_value(f: HolderFunction, alpha: float,
                               I: DyadicInterval, cutoff_extra: int = 24,
                               panels_per_octave: int = 32,
@@ -179,20 +246,10 @@ def tracking_martingale_value(f: HolderFunction, alpha: float,
     averages of f-increments at scales far below |I| are O(h/|I|^(1-alpha))
     small, which is what keeps the increments and the gap to Theta
     bounded; the cutoff tail decays like 2^(-K(1-alpha)) and is absorbed
-    in the working tolerance.
+    in the working tolerance.  K = cutoff_extra must be at least 1.
     """
-    m = I.level
-    a, b = float(I.left), float(I.right)
-    fa, fb = (float(f.antiderivative_batch(np.array([y]), tol)[0]) for y in (a, b))
-    scale = math.ldexp(1.0, m)
-
-    def integrand(u):
-        hs = np.exp2(-u)
-        inner = (f.antiderivative_batch(b + hs, tol) - fb
-                 - (f.antiderivative_batch(a + hs, tol) - fa))
-        return scale * inner * np.exp2(alpha * u) * LN2
-
-    return _octave_simpson(integrand, [float(m + cutoff_extra)], panels_per_octave)[0][0]
+    return _Tracking(f, alpha, cutoff_extra,
+                     QuadratureConfig(panels_per_octave, tol)).value(I)
 
 
 def theta_martingale_gap(f: HolderFunction, alpha: float, depth: int,
@@ -208,24 +265,29 @@ def theta_martingale_gap(f: HolderFunction, alpha: float, depth: int,
     2^(n(1-alpha)), while the interval average stays within a constant.
     For each level n the eps grid spans [2^-(n+1), 2^-n]; the profile
     across levels is the empirical constant of that bounded gap, with no
-    trend once transients pass.
+    trend once transients pass.  The sample points lie in [0, 1), and
+    there is at least one of them, one eps per level and one level.
     """
     quad = quad or QuadratureConfig()
+    if len(sample_points) < 1:
+        raise DomainError("need at least one sample point")
+    if not all(0.0 <= x < 1.0 for x in sample_points):
+        raise DomainError("sample points must lie in [0, 1)")
+    if eps_grid < 1:
+        raise DomainError("eps_grid must be at least 1")
+    if first_level > depth:
+        raise DomainError("first_level must not exceed depth")
+    tracking = _Tracking(f, alpha, cutoff_extra, quad)
     levels = list(range(first_level, depth + 1))
     level_eps = [[float(eps) for eps in np.exp2(-np.linspace(n, n + 1, eps_grid))]
                  for n in levels]
     eps_values = sorted({eps for es in level_eps for eps in es}, reverse=True)
     gaps = [0.0] * len(levels)
-    cache: dict[tuple[int, int], float] = {}
     for x in sample_points:
         # one quadrature per point serves every eps of every level
         thetas = dict(zip(eps_values, _thetas(f, alpha, float(x), eps_values, quad)))
         for idx, n in enumerate(levels):
-            I = locate(x, n)
-            if (n, I.index) not in cache:
-                cache[n, I.index] = tracking_martingale_value(
-                    f, alpha, I, cutoff_extra, quad.panels_per_octave, quad.tol)
-            s_val = cache[n, I.index]
+            s_val = tracking.value(locate(x, n))
             for eps in level_eps[idx]:
                 gaps[idx] = max(gaps[idx], abs(thetas[eps][0] - s_val))
     return GapProfile(levels, gaps, len(sample_points), eps_grid)

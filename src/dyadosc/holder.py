@@ -148,15 +148,29 @@ class WeierstrassFunction(HolderFunction):
         # |f(x)-f(y)| <= C |x-y|^alpha with the standard two-regime split
         q = math.pow(b, 1.0 - alpha)
         self.seminorm_bound = q / (q - 1.0) + 2.0 / (1.0 - math.pow(b, -alpha))
+        self._series_cache: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
+
+    def _series(self, power: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
+        """Frequencies b^n and amplitudes b^(-n power), n = 0..N, for the
+        least N with b^-((N+1) power) / (1 - b^-power) <= tol.
+
+        Built once per (power, tol) and kept on the instance: power alpha
+        is the series of f, power 1 + alpha that of its antiderivative.
+        """
+        key = (power, tol)
+        if key not in self._series_cache:
+            if not tol > 0.0:
+                raise DomainError("tolerance must be positive")
+            geo = 1.0 - math.pow(self.b, -power)
+            n = 0
+            while math.pow(self.b, -(n + 1) * power) / geo > tol:
+                n += 1
+            ns = np.arange(n + 1)
+            self._series_cache[key] = (np.power(self.b, ns), np.power(self.b, -power * ns))
+        return self._series_cache[key]
 
     def terms_for(self, tol: float) -> int:
-        if tol <= 0.0:
-            raise DomainError("tolerance must be positive")
-        geo = 1.0 - math.pow(self.b, -self.alpha)
-        n = 0
-        while math.pow(self.b, -(n + 1) * self.alpha) / geo > tol:
-            n += 1
-        return n + 1
+        return len(self._series(self.alpha, tol)[0])
 
     def tail_bound(self, terms: int) -> float:
         geo = 1.0 - math.pow(self.b, -self.alpha)
@@ -175,22 +189,13 @@ class WeierstrassFunction(HolderFunction):
         return total
 
     def batch(self, xs, tol=None):
-        tol = tol if tol is not None else 1e-12
-        n = self.terms_for(tol)
-        xs = np.atleast_1d(xs).astype(float)
-        freqs = np.power(self.b, np.arange(n))
-        amps = np.power(self.b, -self.alpha * np.arange(n))
-        return np.cos(np.outer(xs, freqs)) @ amps
+        freqs, amps = self._series(self.alpha, tol if tol is not None else 1e-12)
+        return np.cos(np.outer(np.atleast_1d(xs).astype(float), freqs)) @ amps
 
     def antiderivative_batch(self, ys, tol=1e-13):
-        """F(y) = sum_n b^(-n(1+alpha)) sin(b^n y), termwise exact."""
-        geo = 1.0 - math.pow(self.b, -(1.0 + self.alpha))
-        n = 0
-        while math.pow(self.b, -(n + 1) * (1.0 + self.alpha)) / geo > tol:
-            n += 1
-        ns = np.arange(n + 1)
-        freqs = np.power(self.b, ns)
-        amps = np.power(self.b, -(1.0 + self.alpha) * ns)
+        """F(y) = sum_n b^(-n(1+alpha)) sin(b^n y), termwise exact, with
+        the truncation rule of f at exponent 1 + alpha."""
+        freqs, amps = self._series(1.0 + self.alpha, tol)
         return np.sin(np.outer(np.atleast_1d(ys).astype(float), freqs)) @ amps
 
 

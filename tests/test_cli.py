@@ -45,6 +45,20 @@ class TestExitCodes:
                     "--depth", "160", "--pairs", "20", "--points", "5",
                     flag, count, "--seed", "6", "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["gap", "--panels", "0"], ["gap", "--panels", "-2"],
+        ["gap", "--points", "0"], ["gap", "--points", "-1"],
+        ["theta", "--panels", "0"], ["theta", "--panels", "-2"],
+    ])
+    def test_quadrature_counts(self, tmp_path, argv):
+        # no gap profile from zero points, and no traceback from zero panels
+        small = {"gap": ["--depth", "6", "--first-level", "5", "--points", "2",
+                         "--panels", "4", "--seed", "1"],
+                 "theta": ["--eps", "0.01", "--points", "2", "--panels", "4"]}
+        assert run(argv[:1] + ["--alpha", "0.5"] + small[argv[0]] + argv[1:]
+                   + ["--out", str(tmp_path)]) == 3
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_success(self, tmp_path, capsys):
         assert run(["phi", "--eta", "0.5", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out

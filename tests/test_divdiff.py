@@ -114,6 +114,12 @@ KERNEL_FLEET = {
 }
 
 
+# points whose intervals share endpoints: two in one level-10 interval, the
+# dyadic point 0.5, and one below 2^-14, whose left endpoint is 0.0 (the
+# same float key as octave 0) at every level up to 14
+SHARED_POINTS = [0.3, 0.3005, 0.5, 3e-5]
+
+
 class TestDividedDifference:
     def test_constant(self):
         f = d.ConstantFunction(4.0)
@@ -359,3 +365,67 @@ class TestSharedOctaveKernel:
         d.theta_martingale_gap(W, 0.5, 14, xs, first_level=6, eps_grid=2,
                                quad=d.QuadratureConfig(16))
         assert len(calls) <= 15 * len(xs)
+
+
+class TestSharedEndpointTracking:
+    @pytest.mark.parametrize("name", ["W2", "W3", "linear"])
+    def test_gap_matches_reference(self, name):
+        f, quad = KERNEL_FLEET[name], d.QuadratureConfig(16)
+        prof = d.theta_martingale_gap(f, 0.5, 14, SHARED_POINTS, first_level=6,
+                                      eps_grid=2, quad=quad)
+        assert (prof.levels, prof.gaps) == gap_reference(f, 0.5, 14, SHARED_POINTS, 6, 2,
+                                                         quad)
+
+    @pytest.mark.parametrize("name", ["W2", "W3", "linear"])
+    def test_memoised_values_match_reference(self, name):
+        from dyadosc.divdiff import _Tracking
+
+        f, quad = KERNEL_FLEET[name], d.QuadratureConfig(16)
+        tracking = _Tracking(f, 0.5, 24, quad)
+        # deepest first: shallower intervals read rows their children filled
+        for n in range(14, 5, -1):
+            for x in SHARED_POINTS:
+                I = d.locate(x, n)
+                assert tracking.value(I) == tracking_reference(f, 0.5, I, 24, 16, quad.tol)
+
+    def test_gap_evaluates_each_endpoint_row_once(self):
+        # one tracking evaluation per (level, interval) made 1,260 calls here
+        W = d.WeierstrassFunction(2.0, 0.5)
+        anti, calls = W.antiderivative_batch, []
+        W.antiderivative_batch = lambda ys, tol=1e-13: calls.append(1) or anti(ys, tol)
+        d.theta_martingale_gap(W, 0.5, 14, [0.3, 0.71], first_level=6, eps_grid=2,
+                               quad=d.QuadratureConfig(16))
+        assert len(calls) <= 720
+
+    @pytest.mark.parametrize("kwargs", [
+        {"sample_points": []},
+        {"eps_grid": 0},
+        {"eps_grid": -1},
+        {"first_level": 7},
+        {"sample_points": [0.3, 1.5]},
+        {"sample_points": [1.0]},
+        {"sample_points": [-0.25]},
+        {"sample_points": [math.nan]},
+        {"cutoff_extra": 0},
+        {"cutoff_extra": -3},
+    ])
+    def test_gap_refuses_empty_certificates(self, kwargs):
+        args = {"sample_points": [0.3], "first_level": 4, "eps_grid": 2,
+                "quad": d.QuadratureConfig(4), "cutoff_extra": 4, **kwargs}
+        with pytest.raises(d.DomainError):
+            d.theta_martingale_gap(KERNEL_FLEET["W2"], 0.5, 6, **args)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"cutoff_extra": 0}, {"panels_per_octave": 0}, {"tol": 0.0}])
+    def test_tracking_domain(self, kwargs):
+        from dyadosc.divdiff import tracking_martingale_value
+
+        with pytest.raises(d.DomainError):
+            tracking_martingale_value(KERNEL_FLEET["W2"], 0.5, d.locate(0.3, 4), **kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"panels_per_octave": 0}, {"panels_per_octave": -2},
+        {"tol": 0.0}, {"tol": -1e-12}, {"tol": math.nan}])
+    def test_quadrature_config_domain(self, kwargs):
+        with pytest.raises(d.DomainError):
+            d.QuadratureConfig(**kwargs)

@@ -1,8 +1,12 @@
 import hashlib
 import math
+import os
 import random
 import struct
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -71,6 +75,60 @@ class TestWeierstrass:
             d.WeierstrassFunction(0.5, 0.5)
         with pytest.raises(d.DomainError):
             d.WeierstrassFunction(2.0, 0.5)(0.1, tol=-1.0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_series_refuse_nonpositive_tolerance(self, tol):
+        f = d.WeierstrassFunction(2.0, 0.5)
+        for call in (lambda: f.terms_for(tol), lambda: f(0.1, tol),
+                     lambda: f.batch(np.array([0.1, 0.2]), tol)):
+            with pytest.raises(d.DomainError):
+                call()
+
+    @pytest.mark.parametrize("tol", [0.0, math.nan])
+    def test_antiderivative_refuses_zero_and_nan_tolerance(self, tol):
+        # tol = 0 used to sum until b^-n underflowed, NaN to take one term
+        with pytest.raises(d.DomainError):
+            d.WeierstrassFunction(2.0, 0.5).antiderivative_batch(np.array([0.1]), tol)
+
+    def test_antiderivative_refuses_negative_tolerance(self):
+        # a subprocess with a timeout: the term loop used to run forever
+        code = ("import numpy as np, dyadosc as d\n"
+                "try:\n"
+                "    d.WeierstrassFunction(2.0, 0.5).antiderivative_batch(np.array([0.1]), -1.0)\n"
+                "except d.DomainError:\n"
+                "    print('refused')\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(d.__file__).parents[1]), env.get("PYTHONPATH", "")])
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60).stdout
+        assert out.strip() == "refused"
+
+    @pytest.mark.parametrize("b,alpha", [(2.0, 0.5), (3.0, 0.5), (2.0, 0.3)])
+    def test_cached_series_match_term_loops(self, b, alpha, monkeypatch):
+        # the replaced per-call term loops, as the bit-for-bit reference
+        def loop_series(power, tol):
+            geo = 1.0 - math.pow(b, -power)
+            n = 0
+            while math.pow(b, -(n + 1) * power) / geo > tol:
+                n += 1
+            ns = np.arange(n + 1)
+            return np.power(b, ns), np.power(b, -power * ns)
+
+        f, xs = d.WeierstrassFunction(b, alpha), np.linspace(0.0, 1.0, 17)
+        for tol in (1e-8, 1e-12, 1e-13):
+            freqs, amps = loop_series(alpha, tol)
+            assert f.terms_for(tol) == len(freqs)
+            assert np.array_equal(f.batch(xs, tol), np.cos(np.outer(xs, freqs)) @ amps)
+            freqs, amps = loop_series(1.0 + alpha, tol)
+            assert np.array_equal(f.antiderivative_batch(xs, tol),
+                                  np.sin(np.outer(xs, freqs)) @ amps)
+        # each series was built once: repeated calls run no term loop
+        pows = []
+        monkeypatch.setattr(math, "pow", lambda *a: pows.append(a) or (a[0] ** a[1]))
+        for tol in (1e-8, 1e-12, 1e-13):
+            f.terms_for(tol), f.batch(xs, tol), f.antiderivative_batch(xs, tol)
+        assert pows == []
 
 
 class TestMartingaleInduced:
