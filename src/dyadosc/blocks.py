@@ -512,20 +512,35 @@ class BlockMartingale(Martingale):
         return acc + run(s, lvl, end)
 
     def level_values_range(self, n: int, lo: int, hi: int) -> np.ndarray:
-        """Vectorized values of S_n on indices [lo, hi); needs n <= 62."""
+        """Vectorized values of S_n on indices [lo, hi); needs n <= 62.
+
+        S stops between placements, so S_n at j is S_e at j >> (n - e),
+        with e the deepest live level: n inside a window, else the end of
+        the last window that starts below n (0 before the first).  The
+        closed form runs on the level-e indices that cover [lo, hi), and
+        each value is repeated over the level-n indices it covers.
+        """
         if n > 62:
             raise DepthCapError("vectorized sweep limited to level 62")
-        idx = np.arange(lo, hi, dtype=np.uint64)
+        live = bisect_right(self._starts, n - 1)   # placements starting below n
+        e = min(n, self._ends[live - 1]) if live else 0
+        shift = n - e
+        clo = lo >> shift
+        idx = np.arange(clo, ((hi - 1) >> shift) + 1, dtype=np.uint64)
         total = np.zeros(idx.shape, dtype=float)
-        for p in self.schedule.placements:
-            if p.level >= n:
-                break
-            t = min(n, p.end) - p.level
-            bits = (idx >> np.uint64(n - p.level - t)) & np.uint64((1 << t) - 1)
+        for p in self.schedule.placements[:live]:
+            t = min(e, p.end) - p.level
+            bits = (idx >> np.uint64(e - p.level - t)) & np.uint64((1 << t) - 1)
             total += np.where(bits == 0,
                               p.amplitude * (math.ldexp(1.0, t) - 1.0),
                               -p.amplitude)
-        return total
+        if shift == 0 or hi <= lo:
+            return total[:max(hi - lo, 0)]
+        # level-n cells per level-e value; the first and last are clipped
+        counts = np.full(total.shape, 1 << shift, dtype=np.int64)
+        counts[0] -= lo - (clo << shift)
+        counts[-1] -= ((idx.size + clo) << shift) - hi
+        return np.repeat(total, counts)
 
     def level_increments(self, n: int) -> np.ndarray:
         if n < 1:

@@ -157,12 +157,11 @@ def _pick_martingale(kind: str, seed, depth):
 def cmd_mass_measure(args) -> int:
     S = _pick_martingale(args.martingale, args.seed, args.depth)
     rep = entropy.sweep_mass_distribution(S, args.eta, args.depth)
-    mm = entropy.mass_measure(S, args.eta)
-    rows = []
+    # the log2 masses of the sweep's kernel, equal to `mass_log2` per cell
     dump_depth = min(args.depth, 10)
-    for n in range(dump_depth + 1):
-        for j in range(1 << n):
-            rows.append([n, j, mm.mass_log2(DyadicInterval(n, j))])
+    rows = [[0, 0, 0.0]] if dump_depth >= 0 else []
+    for n, *_, log2_mass in entropy._mass_levels(S, args.eta, dump_depth):
+        rows.extend([n, j, v] for j, v in enumerate(log2_mass.tolist()))
     w = _writer(args)
     w.write_csv("mass_measure.csv", ["level", "index", "mass_log2"], rows)
     w.write_json("mass_report.json", {
@@ -213,7 +212,7 @@ def cmd_dim_estimate(args) -> int:
 
 def cmd_weierstrass(args) -> int:
     f = holder.WeierstrassFunction(args.b, args.alpha)
-    xs = np.linspace(args.x_min, args.x_max, args.points)
+    xs = _grid_points(args.x_min, args.x_max, args.points)
     vals = f.batch(xs, args.tol)
     w = _writer(args)
     w.write_csv("weierstrass.csv", ["x", "f", "tol"],
@@ -363,7 +362,7 @@ def cmd_theta(args) -> int:
     f = holder.WeierstrassFunction(args.b, args.alpha)
     quad = divdiff.QuadratureConfig(args.panels)
     rows = []
-    for x in np.linspace(args.x_min, args.x_max, args.points):
+    for x in _grid_points(args.x_min, args.x_max, args.points):
         th = divdiff.theta(f, args.alpha, float(x), args.eps, quad)
         rows.append([float(x), args.eps, th.value, th.error_estimate])
     w = _writer(args)
@@ -415,11 +414,19 @@ def cmd_gap(args) -> int:
     return 0
 
 
-def _seeded_points(count: int, seed: int) -> list[float]:
+def _point_count(count: int) -> int:
     if count < 1:
         raise DomainError("--points must be at least 1")
+    return count
+
+
+def _seeded_points(count: int, seed: int) -> list[float]:
     rng = np.random.default_rng(seed)
-    return [float(v) for v in rng.uniform(0.02, 0.98, size=count)]
+    return [float(v) for v in rng.uniform(0.02, 0.98, size=_point_count(count))]
+
+
+def _grid_points(lo: float, hi: float, count: int) -> np.ndarray:
+    return np.linspace(lo, hi, _point_count(count))
 
 
 def cmd_verify_all(args) -> int:

@@ -145,6 +145,8 @@ def sigma_stats(f: HolderFunction, alpha: float, x: float, eps: float,
     """
     if not 0.0 < eps < 1.0:
         raise DomainError("eps must lie in (0, 1)")
+    if samples < 1:
+        raise DomainError("need at least one sample")
     U = math.log(1.0 / eps)
     rng = np.random.default_rng(seed)
     u = rng.uniform(0.0, 1.0, size=samples)

@@ -159,7 +159,7 @@ class MassMeasure:
 
     def ratio(self, child: DyadicInterval) -> float:
         r = (1.0 + self.eta * self.S.increment(child)) / 2.0
-        if r < -1e-12 or r > 1.0 + 1e-12:
+        if not -1e-12 <= r <= 1.0 + 1e-12:
             raise DomainError(
                 f"jump at {child} violates the declared increment bound")
         return r
@@ -206,6 +206,46 @@ class MassSweepReport:
                 and self.worst_log2_margin >= -margin_tol)
 
 
+# widest distinct-jump set per level that the int64 numerator path takes;
+# up to it a level's jump codes come from comparisons, not a binary search
+_LUT64_WIDTH = 8
+
+
+def _jump_codes(incs: np.ndarray, uniq: np.ndarray) -> np.ndarray:
+    """Position of each jump in the sorted distinct jumps `uniq`."""
+    if len(uniq) > _LUT64_WIDTH:
+        return np.searchsorted(uniq, incs)
+    codes = np.zeros(incs.shape, dtype=np.intp)
+    for u in uniq[1:].tolist():
+        codes += incs >= u
+    return codes
+
+
+def _mass_levels(S: Martingale, eta: float, depth: int):
+    """The mass sweep's per-level kernel: for n = 1..depth, yields
+    (n, incs, s_vals, uniq, codes, log2_mass).
+
+    A level holds a handful of distinct jumps, so what depends on the jump
+    alone is computed once per distinct jump `uniq`: the ratio
+    (1 + eta*u)/2, its bound check and its log2, by the `math.log2` of
+    ``MassMeasure.mass_log2``.  The cells then read their ratio's log2
+    through `codes`, their positions in `uniq`, and add it to their
+    parent's log2 mass, in the order of the scalar oracle.
+    """
+    MassMeasure(S, eta)     # its domain checks, before any level is built
+    eta_f = float(eta)
+    log2_mass = np.zeros(1)
+    for n, incs, s_vals in S.levels(depth):
+        uniq = np.unique(incs)
+        ratios = [(1.0 + eta_f * u) / 2.0 for u in uniq.tolist()]
+        if not all(-1e-12 <= r <= 1.0 + 1e-12 for r in ratios):
+            raise DomainError("increment bound violated during evaluation")
+        lg = np.array([math.log2(r) if r > 0.0 else -math.inf for r in ratios])
+        codes = _jump_codes(incs, uniq)
+        log2_mass = np.repeat(log2_mass, 2) + lg[codes]
+        yield n, incs, s_vals, uniq, codes, log2_mass
+
+
 def sweep_mass_distribution(S: Martingale, eta: float, depth: int) -> MassSweepReport:
     """Check mu(I) >= |I|^Phi(eta) on {S(I) >= eta log2(1/|I|)} to `depth`.
 
@@ -213,13 +253,13 @@ def sweep_mass_distribution(S: Martingale, eta: float, depth: int) -> MassSweepR
     checks, so S_0 = 0 and the root is a member with margin 0.  Masses
     are audited two ways: float log2 masses for the lower-bound margin,
     and exact rational numerators (jumps read as the exact rationals their
-    floats are) for the sums-to-one test.  A vectorized int64 numerator
-    path covers unit-jump martingales; anything larger uses big ints.
+    floats are) for the sums-to-one test.  Both work per distinct jump of
+    a level and gather to the cells.  A vectorized int64 numerator path
+    covers levels of at most 8 distinct jumps while the numerators stay
+    below 2^62; anything else uses big ints.
     """
-    MassMeasure(S, eta)     # its domain checks, before any level is built
     phi = entropy_phi(eta)
     eta_frac = Fraction(eta)
-    log2_mass = np.zeros(1)
     worst_margin = 0.0
     worst_member = unit_interval()
     members = 1
@@ -231,15 +271,10 @@ def sweep_mass_distribution(S: Martingale, eta: float, depth: int) -> MassSweepR
     nums_big: Optional[np.ndarray] = None
     den = 1
     bound64 = 1  # running bound on the largest numerator in the int64 path
+    luts: dict[bytes, tuple[int, list[int]]] = {}   # distinct jumps -> numerators
 
-    for n, incs, s_vals in S.levels(depth):
+    for n, incs, s_vals, uniq, codes, log2_mass in _mass_levels(S, eta, depth):
         paired = paired and bool(np.all(incs[0::2] == -incs[1::2]))
-        ratios = (1.0 + eta * incs) / 2.0
-        if np.any(ratios < -1e-12) or np.any(ratios > 1.0 + 1e-12):
-            raise DomainError("increment bound violated during evaluation")
-        with np.errstate(divide="ignore"):
-            log2_mass = np.repeat(log2_mass, 2) + np.log2(np.maximum(ratios, 0.0))
-
         mask = s_vals >= eta * n - 1e-12
         count = int(np.count_nonzero(mask))
         if count:
@@ -251,16 +286,17 @@ def sweep_mass_distribution(S: Martingale, eta: float, depth: int) -> MassSweepR
                 worst_member = DyadicInterval(n, int(np.nonzero(mask)[0][j]))
 
         # lift this level's ratios to a common denominator
-        uniq = np.unique(incs)
-        fracs = [(1 + eta_frac * Fraction(float(v))) / 2 for v in uniq]
-        lev_den = math.lcm(*(f.denominator for f in fracs))
-        lut = [f.numerator * (lev_den // f.denominator) for f in fracs]
+        key = uniq.tobytes()
+        if key not in luts:
+            fracs = [(1 + eta_frac * Fraction(v)) / 2 for v in uniq.tolist()]
+            lev_den = math.lcm(*(f.denominator for f in fracs))
+            luts[key] = lev_den, [f.numerator * (lev_den // f.denominator) for f in fracs]
+        lev_den, lut = luts[key]
         den *= lev_den
 
-        codes = np.searchsorted(uniq, incs)
         if nums64 is not None:
             max_r = max(*lut, 1)
-            if bound64 * max_r < (1 << 62) and len(lut) <= 8:
+            if bound64 * max_r < (1 << 62) and len(lut) <= _LUT64_WIDTH:
                 nums64 = np.repeat(nums64, 2) * np.array(lut, dtype=np.int64)[codes]
                 bound64 *= max_r
                 # entries stay below 2^62 and the budget allows 2^24 of
@@ -328,14 +364,21 @@ def besicovitch_count(N: int, eta) -> int:
     """Exact number of level-N intervals with S(I) >= eta N (binary digits).
 
     Equals sum_{k >= ceil(N(1+eta)/2)} C(N, k); exact big-integer
-    arithmetic, so N in the thousands is fine.
+    arithmetic, so N in the thousands is fine.  The binomials are carried
+    down from C(N, N) = 1 by C(N, k-1) = C(N, k) k / (N - k + 1), an exact
+    division, rather than each computed afresh.
     """
     if N < 0:
         raise DomainError("N must be nonnegative")
     if N > 10_000:
         raise DomainError("N capped at 10^4")
     kmin = besicovitch_threshold(N, eta)
-    return sum(math.comb(N, k) for k in range(kmin, N + 1))
+    total = 0
+    c = 1
+    for k in range(N, kmin - 1, -1):
+        total += c
+        c = c * k // (N - k + 1)
+    return total
 
 
 def besicovitch_count_bruteforce(N: int, eta) -> int:

@@ -237,6 +237,66 @@ class TestAssembledMartingale:
             assert S.value(I) == pytest.approx(walked, rel=1e-11, abs=1e-300)
 
 
+def _level_values_reference(S, n, lo, hi):
+    """The placement loop that `level_values_range` replaced: the closed
+    form on every level-n index, with no reuse across levels."""
+    idx = np.arange(lo, hi, dtype=np.uint64)
+    total = np.zeros(idx.shape, dtype=float)
+    for p in S.schedule.placements:
+        if p.level >= n:
+            break
+        t = min(n, p.end) - p.level
+        bits = (idx >> np.uint64(n - p.level - t)) & np.uint64((1 << t) - 1)
+        total += np.where(bits == 0, p.amplitude * (math.ldexp(1.0, t) - 1.0),
+                          -p.amplitude)
+    return total
+
+
+class TestLevelValuesAtDeepestLiveLevel:
+    """Values past a window read at the window's end, against the loop."""
+
+    def _check(self, S, n, lo, hi):
+        vals = S.level_values_range(n, lo, hi)
+        ref = _level_values_reference(S, n, lo, hi)
+        assert vals.tobytes() == ref.tobytes()
+        assert vals.tolist() == [S.value(DI(n, j)) for j in range(lo, hi)]
+
+    def test_inside_and_past_windows(self, block_martingale_half):
+        S = block_martingale_half
+        p0, p1 = S.schedule.placements[:2]
+        for n in range(0, p1.end + 3):
+            self._check(S, n, 0, 1 << min(n, 12))
+            self._check(S, n, (1 << n) - min(1 << n, 300), 1 << n)
+
+    def test_unaligned_ranges(self, block_martingale_half):
+        S = block_martingale_half
+        for p in S.schedule.placements[:3]:
+            e = p.end
+            self._check(S, e + 3, 3, 13)
+            self._check(S, e + 3, 5, 6)
+            self._check(S, e + 2, 1, 4)
+            self._check(S, e + 5, 31, 97)
+
+    def test_range_inside_one_coarse_cell(self, block_martingale_half):
+        S = block_martingale_half
+        # level 7 reads level 3 (windows (0, 3] and (8, 11]): cell 1 is 16..31
+        self._check(S, 7, 17, 30)
+        self._check(S, 7, 16, 32)
+        self._check(S, 7, 20, 20)
+        # level 62 reads level 59 (window (56, 59]): cell k is 8k..8k+7
+        k = (5 << 56) + 3
+        self._check(S, 62, 8 * k + 1, 8 * k + 6)
+
+    def test_random_ranges(self, block_martingale_half):
+        S = block_martingale_half
+        rng = random.Random(7)
+        for _ in range(300):
+            n = rng.randint(0, 62)
+            lo = rng.randrange(1 << n)
+            hi = min(1 << n, lo + rng.randint(0, 200))
+            self._check(S, n, lo, hi)
+
+
 class TestSpecialRegistry:
     def test_member_bound(self, block_schedule_half, block_martingale_half):
         reg = d.special_registry(block_schedule_half, 0, block_martingale_half)

@@ -59,6 +59,20 @@ class TestExitCodes:
                    + ["--out", str(tmp_path)]) == 3
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("argv", [
+        ["theta", "--eps", "0.01", "--points", "0"],
+        ["theta", "--eps", "0.01", "--points", "-1"],
+        ["weierstrass", "--points", "0"], ["weierstrass", "--points", "-1"],
+        ["sigma-stats", "--samples", "0", "--seed", "1"],
+        ["sigma-stats", "--samples", "-1", "--seed", "1"],
+    ])
+    def test_empty_sample_counts(self, tmp_path, capsys, argv):
+        # no header-only table and no traceback from zero points or samples
+        assert run(argv[:1] + ["--alpha", "0.5"] + argv[1:]
+                   + ["--out", str(tmp_path)]) == 3
+        assert not list(tmp_path.glob("*.csv"))
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_success(self, tmp_path, capsys):
         assert run(["phi", "--eta", "0.5", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
@@ -149,6 +163,35 @@ class TestSubcommands:
                     "--eta", "0.25", "--depth", "10", "--out", str(tmp_path)]) == 0
         rep = json.loads((tmp_path / "mass_report.json").read_text())
         assert rep["level_sums_exact"] is True
+
+    @pytest.mark.parametrize("kind", ["binary", "zero", "random", "block-discounted"])
+    def test_mass_dump_equals_scalar_oracle(self, tmp_path, capsys, monkeypatch, kind):
+        S = cli._pick_martingale(kind, 5, 12)
+        mm = d.mass_measure(S, 0.7)
+        expect = [f"{n},{j},{mm.mass_log2(d.DyadicInterval(n, j))!r}"
+                  for n in range(11) for j in range(1 << n)]
+        # the dump reads the kernel's level arrays: no scalar mass walk, and
+        # no increment call beyond what the sweep itself makes
+        calls = {"increment": 0}
+        real = d.Martingale.increment
+
+        def counting(self, child):
+            calls["increment"] += 1
+            return real(self, child)
+
+        monkeypatch.setattr(d.Martingale, "increment", counting)
+        d.sweep_mass_distribution(cli._pick_martingale(kind, 5, 12), 0.7, 12)
+        sweep_calls = calls["increment"]
+        monkeypatch.setattr(d.MassMeasure, "mass_log2",
+                            lambda self, I: pytest.fail("scalar mass walk in the dump"))
+        argv = ["mass-measure", "--martingale", kind, "--eta", "0.7", "--depth", "12",
+                "--seed", "5", "--out", str(tmp_path)]
+        assert run(argv) == 0
+        rows = (tmp_path / "mass_measure.csv").read_text().splitlines()
+        assert rows[0] == "level,index,mass_log2" and rows[1:] == expect
+        dump_calls = calls["increment"] - 2 * sweep_calls
+        # the zero kind's level arrays are the base class's scalar loop
+        assert dump_calls == (2 ** 11 - 2 if kind == "zero" else 0)
 
     def test_dim_estimate(self, tmp_path, capsys):
         assert run(["dim-estimate", "--counts", "20:21700,12:4096",

@@ -228,6 +228,12 @@ class TestSigmaStats:
         assert st.upper[0.05][0] > 0.0
         assert st.lower[0.05][0] > 0.0
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_no_samples_refused(self, weier_half, samples):
+        with pytest.raises(d.DomainError):
+            d.sigma_stats(weier_half, 0.5, 0.4, 2.0 ** -9, [0.1], [0.1],
+                          samples=samples, seed=1)
+
     def test_deterministic_under_seed(self, weier_half):
         a = d.sigma_stats(weier_half, 0.5, 0.4, 2.0 ** -9, [0.1], [0.1],
                           samples=3000, seed=11)

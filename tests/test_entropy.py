@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dyadosc as d
-from dyadosc import martingale
+from dyadosc import entropy, martingale
 from dyadosc.dyadic import DyadicInterval as DI
 
 mp.mp.dps = 40
@@ -19,6 +19,90 @@ def phi_highprec(eta) -> float:
     e = mp.mpf(eta)
     v = (1 + e) / 2 * mp.log(2 / (1 + e), 2) + (1 - e) / 2 * mp.log(2 / (1 - e), 2)
     return float(v)
+
+
+def _sweep_reference(S, eta, depth):
+    """The per-cell mass sweep that the distinct-jump kernel replaced: every
+    ratio, bound check, log2 and jump code computed once per cell (it reads
+    np.log2 where the kernel reads math.log2, which agree on these jumps)."""
+    d.MassMeasure(S, eta)
+    phi = d.entropy_phi(eta)
+    eta_frac = Fraction(eta)
+    log2_mass = np.zeros(1)
+    worst_margin, worst_member, members = 0.0, d.unit_interval(), 1
+    paired = sums_exact = True
+    nums64, nums_big, den, bound64 = np.ones(1, dtype=np.int64), None, 1, 1
+    for n, incs, s_vals in S.levels(depth):
+        paired = paired and bool(np.all(incs[0::2] == -incs[1::2]))
+        ratios = (1.0 + eta * incs) / 2.0
+        if np.any(ratios < -1e-12) or np.any(ratios > 1.0 + 1e-12):
+            raise d.DomainError("increment bound violated during evaluation")
+        with np.errstate(divide="ignore"):
+            log2_mass = np.repeat(log2_mass, 2) + np.log2(np.maximum(ratios, 0.0))
+        mask = s_vals >= eta * n - 1e-12
+        count = int(np.count_nonzero(mask))
+        if count:
+            members += count
+            margins = log2_mass[mask] + phi * n
+            j = int(np.argmin(margins))
+            if margins[j] < worst_margin:
+                worst_margin = float(margins[j])
+                worst_member = DI(n, int(np.nonzero(mask)[0][j]))
+        uniq = np.unique(incs)
+        fracs = [(1 + eta_frac * Fraction(float(v))) / 2 for v in uniq]
+        lev_den = math.lcm(*(f.denominator for f in fracs))
+        lut = [f.numerator * (lev_den // f.denominator) for f in fracs]
+        den *= lev_den
+        codes = np.searchsorted(uniq, incs)
+        if nums64 is not None:
+            max_r = max(*lut, 1)
+            if bound64 * max_r < (1 << 62) and len(lut) <= 8:
+                nums64 = np.repeat(nums64, 2) * np.array(lut, dtype=np.int64)[codes]
+                bound64 *= max_r
+                total = ((int((nums64 >> 31).sum()) << 31)
+                         + int((nums64 & ((1 << 31) - 1)).sum()))
+                sums_exact = sums_exact and total == den
+                continue
+            nums_big = nums64.astype(object)
+            nums64 = None
+        nums_big = np.repeat(nums_big, 2) * np.array(lut, dtype=object)[codes]
+        sums_exact = sums_exact and int(nums_big.sum()) == den
+    return d.MassSweepReport(depth, eta, members, worst_margin, worst_member,
+                             paired, sums_exact, phi)
+
+
+def _report_key(rep):
+    return (rep.depth, rep.eta, rep.members, rep.worst_log2_margin.hex(),
+            rep.worst_member, rep.increments_paired, rep.level_sums_exact,
+            rep.phi.hex())
+
+
+class _Unpaired(d.Martingale):
+    def level_increments(self, n):
+        # siblings share a sign: +1 on indices 0, 1 mod 4
+        return np.where((np.arange(1 << n) >> 1) & 1, -1.0, 1.0)
+
+
+def _alternating():
+    # jumps +1/-1 with the favored side alternating by level
+    def inc(child):
+        fav = 0 if child.level % 2 == 1 else 1
+        return 1.0 if (child.index & 1) == fav else -1.0
+    return d.Martingale(inc, star_bound=1.0, name="alternating")
+
+
+def _block_discounted(schedule):
+    B = d.BlockMartingale(schedule)
+    return d.ScaledMartingale(B, -0.5, star_bound=0.5, name="block-discounted")
+
+
+def _graded():
+    """Paired jumps +-k/16 with k = 1 + (parent index mod 12): 24 distinct
+    jumps from level 5 on, past the int64 path's 8."""
+    def inc(child):
+        left = (1 + (child.index >> 1) % 12) / 16.0
+        return left if (child.index & 1) == 0 else -left
+    return d.Martingale(inc, star_bound=1.0, name="graded")
 
 
 class TestEntropyPhi:
@@ -195,12 +279,7 @@ class TestMassSweep:
     def test_int64_level_sums_at_depth_20(self):
         # unit jumps with eta = 1/2 keep every numerator at most 3^20 < 2^62,
         # so all 20 levels take the int64 path
-        class Unpaired(d.Martingale):
-            def level_increments(self, n):
-                # siblings share a sign: +1 on indices 0, 1 mod 4
-                return np.where((np.arange(1 << n) >> 1) & 1, -1.0, 1.0)
-
-        rep = d.sweep_mass_distribution(Unpaired(None, star_bound=1.0), 0.5, 20)
+        rep = d.sweep_mass_distribution(_Unpaired(None, star_bound=1.0), 0.5, 20)
         assert not rep.increments_paired and not rep.level_sums_exact
         rep = d.sweep_mass_distribution(d.binary_digit_martingale(), 0.5, 20)
         assert rep.increments_paired and rep.level_sums_exact and rep.ok()
@@ -213,6 +292,70 @@ class TestMassSweep:
         with pytest.raises(d.DepthCapError):
             d.sweep_mass_distribution(S, 0.5, 7)
 
+    def test_nan_jump_is_a_domain_error(self):
+        # NaN passed both one-sided bound checks and reached Fraction
+        S = d.Martingale(lambda ch: math.nan, star_bound=1.0)
+        with pytest.raises(d.DomainError):
+            d.mass_measure(S, 0.5).mass_log2(DI(1, 0))
+        with pytest.raises(d.DomainError):
+            d.sweep_mass_distribution(S, 0.5, 4)
+
+
+class TestMassSweepOracle:
+    """The distinct-jump kernel against the per-cell sweep it replaced."""
+
+    @pytest.mark.parametrize("seed", range(21))
+    def test_random_sign(self, seed):
+        S = d.RandomSignMartingale(seed)
+        assert (_report_key(d.sweep_mass_distribution(S, 0.5, 12))
+                == _report_key(_sweep_reference(S, 0.5, 12)))
+
+    @pytest.mark.parametrize("name, eta, depth", [
+        ("binary", 0.5, 14), ("zero", 0.5, 8), ("alternating", 0.5, 8),
+        ("block-discounted", 0.25, 14), ("block-discounted", 0.7, 14),
+        ("unpaired", 0.5, 20), ("graded", 0.6, 12),
+    ])
+    def test_named_martingales(self, block_schedule_half, name, eta, depth):
+        S = {"binary": d.binary_digit_martingale(), "zero": d.zero_martingale(),
+             "alternating": _alternating(),
+             "block-discounted": _block_discounted(block_schedule_half),
+             "unpaired": _Unpaired(None, star_bound=1.0),
+             "graded": _graded()}[name]
+        assert (_report_key(d.sweep_mass_distribution(S, eta, depth))
+                == _report_key(_sweep_reference(S, eta, depth)))
+
+    def test_graded_takes_the_big_integer_path(self):
+        S = _graded()
+        widths = [len(np.unique(incs)) for _, incs, _ in S.levels(8)]
+        assert max(widths) == 24
+        rep = d.sweep_mass_distribution(S, 0.6, 8)
+        assert rep.increments_paired and rep.level_sums_exact
+
+    # jumps +-61/4096 at eta 0.7: np.log2 and math.log2 differ on the ratio
+    @pytest.mark.parametrize("S", [d.binary_digit_martingale(), _alternating(),
+                                   _graded(), d.RandomSignMartingale(1, scale=61 / 4096)])
+    def test_kernel_log2_masses_equal_the_scalar_oracle(self, S):
+        mm = d.mass_measure(S, 0.7)
+        for n, *_, log2_mass in entropy._mass_levels(S, 0.7, 8):
+            assert log2_mass.tolist() == [mm.mass_log2(DI(n, j)) for j in range(1 << n)]
+
+    def test_fraction_lut_built_once_per_jump_set(self, monkeypatch):
+        calls = []
+        real = entropy.Fraction
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(entropy, "Fraction", counting)
+        d.sweep_mass_distribution(d.RandomSignMartingale(4), 0.5, 12)
+        # past eta, only the two jumps of the one set {-1, +1}
+        assert [a for a in calls if a != (0.5,)] == [(-1.0,), (1.0,)]
+        calls.clear()
+        S = d.ScaledMartingale(d.RandomSignMartingale(4), -1.0, star_bound=1.0)
+        d.sweep_mass_distribution(S, 0.3, 12)
+        # a new two-jump set {-2^-n, 2^-n} at every level n
+        assert len([a for a in calls if a != (0.3,)]) == 2 * 12
 
 class TestCoveringContent:
     def test_full_partition_content_one(self):
@@ -248,11 +391,20 @@ class TestBesicovitch:
             eta = Fraction(N - 1, N)  # forces k >= N
             assert d.besicovitch_count(N, eta) == 1
 
-    @pytest.mark.parametrize("eta", [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
+    @pytest.mark.parametrize("eta", [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
+                                     Fraction(3, 4), Fraction(7, 8)])
     def test_brute_force_agreement(self, eta):
-        for N in (10, 17, 20):
+        for N in range(21):
             assert (d.besicovitch_count(N, eta)
                     == d.besicovitch_count_bruteforce(N, eta))
+
+    @pytest.mark.parametrize("eta", [Fraction(1, 1000), Fraction(1, 4), Fraction(1, 3),
+                                     Fraction(1, 2), Fraction(3, 4), Fraction(999, 1000)])
+    def test_recurrence_equals_binomial_sums(self, eta):
+        for N in list(range(201)) + [2000]:
+            kmin = d.besicovitch_threshold(N, eta)
+            assert (d.besicovitch_count(N, eta)
+                    == sum(math.comb(N, k) for k in range(kmin, N + 1)))
 
     def test_caps(self):
         with pytest.raises(d.DomainError):
