@@ -29,7 +29,6 @@ from .martingale import (
     Martingale,
     address_bits,
     bit_lengths,
-    check_sweep_budget,
 )
 
 
@@ -542,10 +541,7 @@ class BlockMartingale(Martingale):
         counts[-1] -= ((idx.size + clo) << shift) - hi
         return np.repeat(total, counts)
 
-    def level_increments(self, n: int) -> np.ndarray:
-        if n < 1:
-            raise DomainError("increments start at level 1")
-        check_sweep_budget(n)
+    def _level_increments(self, n: int) -> np.ndarray:
         p = self._active_placement(n)
         out = np.zeros(1 << n)
         if p is None:

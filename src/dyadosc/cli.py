@@ -1,8 +1,9 @@
 """Experiment runner: every construction and check behind a subcommand.
 
-Outputs are CSV for tables and JSON for schedules; each run also writes a
-manifest (full parameter set, seed, depth caps, version, sha256 of every
-artifact) so identical manifests imply bit-identical outputs.  Randomized
+Outputs are CSV for tables and JSON for schedules; each run that writes
+one also writes a manifest (full parameter set, seed, depth caps, version,
+sha256 of every artifact) so identical manifests imply bit-identical
+outputs.  Randomized
 subcommands require an explicit --seed.
 
 Exit codes: 0 success, 2 usage, 3 domain error, 4 depth cap,
@@ -38,14 +39,19 @@ from . import blocks, divdiff, entropy, holder, martingale, wavelet
 # output plumbing
 
 class RunWriter:
+    """Artifacts of one run; the output directory is made on first write."""
+
     def __init__(self, out_dir: str, command: str, params: dict,
                  table_format: str = "csv"):
         self.dir = Path(out_dir)
-        self.dir.mkdir(parents=True, exist_ok=True)
         self.command = command
         self.params = params
         self.table_format = table_format
         self.files: dict[str, str] = {}
+
+    def _path(self, name: str) -> Path:
+        self.dir.mkdir(parents=True, exist_ok=True)
+        return self.dir / name
 
     def _digest(self, path: Path) -> str:
         return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -58,7 +64,7 @@ class RunWriter:
                 "header": header,
                 "rows": [[_fmt(v) for v in row] for row in rows],
             })
-        path = self.dir / name
+        path = self._path(name)
         with path.open("w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(header)
@@ -68,7 +74,7 @@ class RunWriter:
         return path
 
     def write_json(self, name: str, payload) -> Path:
-        path = self.dir / name
+        path = self._path(name)
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         self.files[name] = self._digest(path)
         return path
@@ -81,7 +87,7 @@ class RunWriter:
             "max_depth": default_max_depth(),
             "outputs": self.files,
         }
-        path = self.dir / f"{self.command}_manifest.json"
+        path = self._path(f"{self.command}_manifest.json")
         path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         return path
 
@@ -96,28 +102,17 @@ def _fmt(v):
     return v
 
 
-def _writer(args) -> RunWriter:
-    """Writer whose manifest records every argument of the subcommand run,
-    except the output plumbing and the unset ones."""
-    params = {k: v for k, v in vars(args).items()
-              if k not in ("out", "format", "command", "func") and v is not None}
-    return RunWriter(args.out, args.command, params, table_format=args.format)
-
-
 # ---------------------------------------------------------------------
 # subcommands
 
-def cmd_phi(args) -> int:
+def cmd_phi(args, w: RunWriter) -> int:
     val = entropy.entropy_phi(args.eta)
     print(f"{val:.12g}")
-    if args.out:
-        w = _writer(args)
-        w.write_csv("phi.csv", ["eta", "phi"], [[args.eta, val]])
-        w.finish()
+    w.write_csv("phi.csv", ["eta", "phi"], [[args.eta, val]])
     return 0
 
 
-def cmd_lemma32(args) -> int:
+def cmd_lemma32(args, w: RunWriter) -> int:
     rng = np.random.default_rng(args.seed)
     n = args.n
     eta = args.eta
@@ -132,9 +127,7 @@ def cmd_lemma32(args) -> int:
         worst = min(worst, res.log2_margin)
         rows.append([i, res.sum_x, res.product, res.bound, res.log2_margin])
     print(f"instances={args.count} n={n} eta={eta} worst_log2_margin={worst:.3e}")
-    w = _writer(args)
     w.write_csv("lemma32.csv", ["instance", "sum_x", "product", "bound", "log2_margin"], rows)
-    w.finish()
     return 0 if worst >= -1e-10 else 5
 
 
@@ -154,7 +147,7 @@ def _pick_martingale(kind: str, seed, depth):
     raise DomainError(f"unknown martingale kind {kind!r}")
 
 
-def cmd_mass_measure(args) -> int:
+def cmd_mass_measure(args, w: RunWriter) -> int:
     S = _pick_martingale(args.martingale, args.seed, args.depth)
     rep = entropy.sweep_mass_distribution(S, args.eta, args.depth)
     # the log2 masses of the sweep's kernel, equal to `mass_log2` per cell
@@ -162,7 +155,6 @@ def cmd_mass_measure(args) -> int:
     rows = [[0, 0, 0.0]] if dump_depth >= 0 else []
     for n, *_, log2_mass in entropy._mass_levels(S, args.eta, dump_depth):
         rows.extend([n, j, v] for j, v in enumerate(log2_mass.tolist()))
-    w = _writer(args)
     w.write_csv("mass_measure.csv", ["level", "index", "mass_log2"], rows)
     w.write_json("mass_report.json", {
         "members": rep.members,
@@ -171,14 +163,13 @@ def cmd_mass_measure(args) -> int:
         "level_sums_exact": rep.level_sums_exact,
         "phi": rep.phi,
     })
-    w.finish()
     ok = rep.ok()
     print(f"members={rep.members} worst_margin={rep.worst_log2_margin:.3e} "
           f"sums_exact={rep.level_sums_exact} -> {'ok' if ok else 'FAIL'}")
     return 0 if ok else 5
 
 
-def cmd_besicovitch(args) -> int:
+def cmd_besicovitch(args, w: RunWriter) -> int:
     levels = [int(t) for t in args.levels.split(",")]
     eta = Fraction(args.eta).limit_denominator(1 << 30)
     phi = entropy.entropy_phi(float(eta))
@@ -187,54 +178,46 @@ def cmd_besicovitch(args) -> int:
         c = entropy.besicovitch_count(N, eta)
         est = entropy.dim_estimate([(N, c)])[0]
         rows.append([N, float(eta), c, est, phi, phi - est])
-    w = _writer(args)
     w.write_csv("besicovitch.csv", ["N", "eta", "count", "estimate", "phi", "gap"], rows)
-    w.finish()
     for row in rows:
         print(f"N={row[0]} count={row[2]} estimate={row[3]:.6f} gap={row[5]:.6f}")
     return 0
 
 
-def cmd_dim_estimate(args) -> int:
+def cmd_dim_estimate(args, w: RunWriter) -> int:
     pairs = []
     for item in args.counts.split(","):
         n_str, c_str = item.split(":")
         pairs.append((int(n_str), int(c_str)))
     ests = entropy.dim_estimate(pairs)
-    w = _writer(args)
     w.write_csv("dim_estimate.csv", ["N", "count", "estimate"],
                 [[n, c, e] for (n, c), e in zip(pairs, ests)])
-    w.finish()
     for (n, c), e in zip(pairs, ests):
         print(f"N={n} estimate={e:.6f}")
     return 0
 
 
-def cmd_weierstrass(args) -> int:
+def cmd_weierstrass(args, w: RunWriter) -> int:
     f = holder.WeierstrassFunction(args.b, args.alpha)
     xs = _grid_points(args.x_min, args.x_max, args.points)
     vals = f.batch(xs, args.tol)
-    w = _writer(args)
     w.write_csv("weierstrass.csv", ["x", "f", "tol"],
                 [[float(x), float(v), args.tol] for x, v in zip(xs, vals)])
-    w.finish()
     print(f"wrote {args.points} samples; seminorm bound {f.seminorm_bound:.6g}")
     return 0
 
 
-def cmd_martingale_extract(args) -> int:
+def cmd_martingale_extract(args, w: RunWriter) -> int:
     f = holder.WeierstrassFunction(args.b, args.alpha)
     S = martingale.from_function(f, args.depth, tol=args.tol)
-    w = _writer(args)
     w.write_csv("martingale.csv", ["level", "index", "value"],
                 martingale.dump_rows(S, args.depth))
-    w.finish()
     rep = martingale.check_cancellation(S, min(args.depth, 10))
     print(f"extracted to depth {args.depth}; cancellation {rep.max_violation:.3e}")
     return 0
 
 
-def cmd_block(args) -> int:
+def cmd_block(args, w: RunWriter) -> int:
     J = DyadicInterval(args.level, args.index)
     blk = blocks.building_block(Fraction(args.delta).limit_denominator(1 << 30),
                                 J, args.beta)
@@ -244,7 +227,6 @@ def cmd_block(args) -> int:
     for t in range(M + 1):
         rows.append([t, blk.partial_sup_scaled(t) if t else 0.0,
                      blk.partial_inf_scaled(t) if t else 0.0])
-    w = _writer(args)
     w.write_csv("block_partials.csv", ["terms", "scaled_sup", "scaled_inf"], rows)
     w.write_json("block.json", {
         "level": K, "index": J.index, "M": M,
@@ -253,22 +235,19 @@ def cmd_block(args) -> int:
         "integral_unit": str(blk.integral_unit()),
         "checks": checks,
     })
-    w.finish()
     print(f"M={M} peak={blk.peak:.6g} trough={blk.trough:.6g}")
     return 0
 
 
-def cmd_schedule(args) -> int:
+def cmd_schedule(args, w: RunWriter) -> int:
     sched = blocks.build_schedule(args.beta, args.stages, depth_cap=args.depth)
-    w = _writer(args)
     w.write_json("schedule.json", sched.to_dict())
-    w.finish()
     print(f"stages={len(sched.stages)} end_level={sched.end_level} "
           f"truncated={sched.truncated}")
     return 0
 
 
-def cmd_counterexample(args) -> int:
+def cmd_counterexample(args, w: RunWriter) -> int:
     alpha = args.alpha
     beta = 1.0 - alpha
     sched = blocks.build_schedule(beta, args.stages, depth_cap=args.depth)
@@ -294,7 +273,6 @@ def cmd_counterexample(args) -> int:
                                   seed=args.seed, dyadic_depth=44))
     holder_ok = est <= f.seminorm_bound
     hits, total = blocks.witness_survey(sched, S, f, alpha, args.points, args.seed)
-    w = _writer(args)
     w.write_csv("floors.csv", ["stage", "from_level", "min_scaled", "floor"], floor_rows)
     registry_rows = []
     for j, rec in enumerate(sched.stages):
@@ -324,17 +302,15 @@ def cmd_counterexample(args) -> int:
         "witness_hits": hits,
         "witness_points": total,
     })
-    w.finish()
     ok = growth_ok and floors_ok and holder_ok and hits >= math.ceil(0.99 * total)
     print(f"growth_ok={growth_ok} floors_ok={floors_ok} holder_ok={holder_ok} "
           f"witnesses={hits}/{total}")
     return 0 if ok else 5
 
 
-def cmd_wavelet(args) -> int:
+def cmd_wavelet(args, w: RunWriter) -> int:
     sched = wavelet.wavelet_schedule(args.alpha, args.eps, args.stages)
     f = wavelet.wavelet_oscillator(sched)
-    w = _writer(args)
     w.write_json("wavelet_schedule.json", sched.to_dict())
     rows = []
     if args.points:
@@ -353,31 +329,27 @@ def cmd_wavelet(args) -> int:
                     ["point", "stage", "case", "h", "h_prime",
                      "quotient_big", "quotient_tame", "h_side", "h_prime_side"],
                     rows)
-    w.finish()
     print(f"k = {sched.ks}")
     return 0
 
 
-def cmd_theta(args) -> int:
+def cmd_theta(args, w: RunWriter) -> int:
     f = holder.WeierstrassFunction(args.b, args.alpha)
     quad = divdiff.QuadratureConfig(args.panels)
     rows = []
     for x in _grid_points(args.x_min, args.x_max, args.points):
         th = divdiff.theta(f, args.alpha, float(x), args.eps, quad)
         rows.append([float(x), args.eps, th.value, th.error_estimate])
-    w = _writer(args)
     w.write_csv("theta.csv", ["x", "eps", "theta", "err"], rows)
-    w.finish()
     print(f"wrote {len(rows)} theta values")
     return 0
 
 
-def cmd_sigma_stats(args) -> int:
+def cmd_sigma_stats(args, w: RunWriter) -> int:
     f = holder.WeierstrassFunction(args.b, args.alpha)
     st = divdiff.sigma_stats(f, args.alpha, args.x, args.eps,
                              [args.delta], [args.c],
                              samples=args.samples, seed=args.seed)
-    w = _writer(args)
     rows = [[args.x, args.eps, f">{args.delta}", st.upper[args.delta][0],
              st.upper[args.delta][1], args.seed],
             [args.x, args.eps, f"<-{args.c}", st.lower[args.c][0],
@@ -385,7 +357,6 @@ def cmd_sigma_stats(args) -> int:
     w.write_csv("sigma_stats.csv",
                 ["x", "eps", "threshold", "sigma_measure", "stderr", "seed"],
                 rows)
-    w.finish()
     msg = (f"upper={st.upper[args.delta][0]:.4f} lower={st.lower[args.c][0]:.4f} "
            f"total={st.total_mass:.4f}")
     if args.gamma is not None:
@@ -396,20 +367,18 @@ def cmd_sigma_stats(args) -> int:
     return 0
 
 
-def cmd_gap(args) -> int:
+def cmd_gap(args, w: RunWriter) -> int:
     f = holder.WeierstrassFunction(args.b, args.alpha)
     xs = _seeded_points(args.points, args.seed)
     profile = divdiff.theta_martingale_gap(
         f, args.alpha, args.depth, xs, first_level=args.first_level,
         eps_grid=2, quad=divdiff.QuadratureConfig(args.panels))
     pval = divdiff.trend_pvalue(profile.gaps)
-    w = _writer(args)
     w.write_csv("gap.csv", ["level", "sup_gap", "seed"],
                 [(lvl, g, args.seed)
                  for lvl, g in zip(profile.levels, profile.gaps)])
     w.write_json("gap.json", {"levels": profile.levels, "gaps": profile.gaps,
                               "trend_pvalue": pval})
-    w.finish()
     print(f"gaps={['%.3f' % g for g in profile.gaps]} trend_p={pval:.3f}")
     return 0
 
@@ -429,7 +398,7 @@ def _grid_points(lo: float, hi: float, count: int) -> np.ndarray:
     return np.linspace(lo, hi, _point_count(count))
 
 
-def cmd_verify_all(args) -> int:
+def cmd_verify_all(args, w: RunWriter) -> int:
     failures = []
 
     def check(name: str, ok: bool, detail: str = ""):
@@ -682,14 +651,21 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # the manifest records every argument but the output plumbing and unset ones
+    params = {k: v for k, v in vars(args).items()
+              if k not in ("out", "format", "command", "func") and v is not None}
+    w = RunWriter(args.out, args.command, params, table_format=args.format)
     try:
-        return args.func(args)
+        code = args.func(args, w)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
     except DepthCapError as exc:
         print(f"depth cap: {exc}", file=sys.stderr)
         return 4
+    if w.files:
+        w.finish()
+    return code
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ Monte Carlo (indicator discontinuities defeat smooth quadrature).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -177,9 +178,10 @@ class GapProfile:
     eps_per_level: int
 
 
-class _Tracking:
-    """Tracking values of one function's dyadic intervals, memoised across
-    the intervals asked for.
+def _tracking(f: HolderFunction, alpha: float, cutoff_extra: int,
+              quad: QuadratureConfig):
+    """The tracking value of f on a dyadic interval, as a function of the
+    interval memoised across the intervals asked for.
 
     Each endpoint e's scalar F(e) and its row F(e + 2^-u) - F(e) on the
     nodes u of each octave, each octave's scales 2^-u and weights
@@ -187,51 +189,39 @@ class _Tracking:
     intervals share an endpoint with their parent, and every interval
     shares the octaves.  A row is still one antiderivative_batch call on
     the same 2m+1 inputs in the same order, so a value does not depend on
-    which other intervals were asked for first.  One instance serves one
-    gap call, and its memo goes with it.
+    which other intervals were asked for first.  One closure serves one
+    gap call, and its caches go with it.
     """
+    if cutoff_extra < 1:
+        raise DomainError("cutoff_extra must be at least 1")
+    m = quad.panels_per_octave
 
-    def __init__(self, f: HolderFunction, alpha: float, cutoff_extra: int,
-                 quad: QuadratureConfig):
-        if cutoff_extra < 1:
-            raise DomainError("cutoff_extra must be at least 1")
-        self.f, self.alpha, self.cutoff_extra, self.quad = f, alpha, cutoff_extra, quad
-        self._octaves: list[tuple[np.ndarray, np.ndarray]] = []
-        self._rows: dict[float, tuple[float, list[np.ndarray]]] = {}
-        self._values: dict[tuple[int, int], float] = {}
-
-    def _row(self, e: float, j: int) -> np.ndarray:
-        """F(e + 2^-u) - F(e) on the nodes of octave j."""
-        if e not in self._rows:
-            fe = float(self.f.antiderivative_batch(np.array([e]), self.quad.tol)[0])
-            self._rows[e] = (fe, [])
-        fe, rows = self._rows[e]
-        while len(rows) <= j:
-            rows.append(self.f.antiderivative_batch(e + self._octave(len(rows))[0],
-                                                    self.quad.tol) - fe)
-        return rows[j]
-
-    def _octave(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+    @functools.cache
+    def octave(j: int) -> tuple[np.ndarray, np.ndarray]:
         """The scales 2^-u and weights 2^(alpha u) on the nodes of octave j."""
-        while len(self._octaves) <= j:
-            k = float(len(self._octaves))
-            u = np.linspace(k, k + 1.0, 2 * self.quad.panels_per_octave + 1)
-            self._octaves.append((np.exp2(-u), np.exp2(self.alpha * u)))
-        return self._octaves[j]
+        u = np.linspace(float(j), j + 1.0, 2 * m + 1)
+        return np.exp2(-u), np.exp2(alpha * u)
 
-    def value(self, I: DyadicInterval) -> float:
-        key = (I.level, I.index)
-        if key not in self._values:
-            a, b = float(I.left), float(I.right)
-            scale = math.ldexp(1.0, I.level)
+    @functools.cache
+    def anti(e: float) -> float:
+        return float(f.antiderivative_batch(np.array([e]), quad.tol)[0])
 
-            def integrand(j, hi):
-                return scale * (self._row(b, j) - self._row(a, j)) * self._octave(j)[1] * LN2
+    @functools.cache
+    def row(e: float, j: int) -> np.ndarray:
+        """F(e + 2^-u) - F(e) on the nodes of octave j."""
+        return f.antiderivative_batch(e + octave(j)[0], quad.tol) - anti(e)
 
-            self._values[key] = _octave_simpson(
-                integrand, [float(I.level + self.cutoff_extra)],
-                self.quad.panels_per_octave)[0][0]
-        return self._values[key]
+    @functools.cache
+    def value(I: DyadicInterval) -> float:
+        a, b = float(I.left), float(I.right)
+        scale = math.ldexp(1.0, I.level)
+
+        def integrand(j, hi):
+            return scale * (row(b, j) - row(a, j)) * octave(j)[1] * LN2
+
+        return _octave_simpson(integrand, [float(I.level + cutoff_extra)], m)[0][0]
+
+    return value
 
 
 def tracking_martingale_value(f: HolderFunction, alpha: float,
@@ -250,8 +240,7 @@ def tracking_martingale_value(f: HolderFunction, alpha: float,
     bounded; the cutoff tail decays like 2^(-K(1-alpha)) and is absorbed
     in the working tolerance.  K = cutoff_extra must be at least 1.
     """
-    return _Tracking(f, alpha, cutoff_extra,
-                     QuadratureConfig(panels_per_octave, tol)).value(I)
+    return _tracking(f, alpha, cutoff_extra, QuadratureConfig(panels_per_octave, tol))(I)
 
 
 def theta_martingale_gap(f: HolderFunction, alpha: float, depth: int,
@@ -279,7 +268,7 @@ def theta_martingale_gap(f: HolderFunction, alpha: float, depth: int,
         raise DomainError("eps_grid must be at least 1")
     if first_level > depth:
         raise DomainError("first_level must not exceed depth")
-    tracking = _Tracking(f, alpha, cutoff_extra, quad)
+    tracking = _tracking(f, alpha, cutoff_extra, quad)
     levels = list(range(first_level, depth + 1))
     level_eps = [[float(eps) for eps in np.exp2(-np.linspace(n, n + 1, eps_grid))]
                  for n in levels]
@@ -289,7 +278,7 @@ def theta_martingale_gap(f: HolderFunction, alpha: float, depth: int,
         # one quadrature per point serves every eps of every level
         thetas = dict(zip(eps_values, _thetas(f, alpha, float(x), eps_values, quad)))
         for idx, n in enumerate(levels):
-            s_val = tracking.value(locate(x, n))
+            s_val = tracking(locate(x, n))
             for eps in level_eps[idx]:
                 gaps[idx] = max(gaps[idx], abs(thetas[eps][0] - s_val))
     return GapProfile(levels, gaps, len(sample_points), eps_grid)

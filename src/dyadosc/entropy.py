@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .dyadic import DomainError, DyadicInterval, unit_interval
-from .martingale import Martingale
+from .martingale import Martingale, check_sweep_budget
 
 
 def _xlog2x(t: float) -> float:
@@ -158,11 +158,7 @@ class MassMeasure:
         self.eta_exact = Fraction(eta)
 
     def ratio(self, child: DyadicInterval) -> float:
-        r = (1.0 + self.eta * self.S.increment(child)) / 2.0
-        if not -1e-12 <= r <= 1.0 + 1e-12:
-            raise DomainError(
-                f"jump at {child} violates the declared increment bound")
-        return r
+        return _mass_ratio(self.eta, self.S.increment(child))
 
     def ratio_exact(self, child: DyadicInterval) -> Fraction:
         jump = Fraction(self.S.increment(child))
@@ -182,6 +178,15 @@ class MassMeasure:
                 return -math.inf
             acc += math.log2(r)
         return acc
+
+
+def _mass_ratio(eta: float, u: float) -> float:
+    """The mass ratio (1 + eta*u)/2 of a jump u; a ratio below 0 or past
+    1 + 1e-12 (or NaN) breaks the declared increment bound."""
+    r = (1.0 + eta * u) / 2.0
+    if not 0.0 <= r <= 1.0 + 1e-12:
+        raise DomainError(f"jump {u!r} violates the declared increment bound")
+    return r
 
 
 def mass_measure(S: Martingale, eta: float) -> MassMeasure:
@@ -237,9 +242,7 @@ def _mass_levels(S: Martingale, eta: float, depth: int):
     log2_mass = np.zeros(1)
     for n, incs, s_vals in S.levels(depth):
         uniq = np.unique(incs)
-        ratios = [(1.0 + eta_f * u) / 2.0 for u in uniq.tolist()]
-        if not all(-1e-12 <= r <= 1.0 + 1e-12 for r in ratios):
-            raise DomainError("increment bound violated during evaluation")
+        ratios = [_mass_ratio(eta_f, u) for u in uniq.tolist()]
         lg = np.array([math.log2(r) if r > 0.0 else -math.inf for r in ratios])
         codes = _jump_codes(incs, uniq)
         log2_mass = np.repeat(log2_mass, 2) + lg[codes]
@@ -382,13 +385,13 @@ def besicovitch_count(N: int, eta) -> int:
 
 
 def besicovitch_count_bruteforce(N: int, eta) -> int:
-    """Independent oracle: enumerate all 2^N addresses and count directly."""
-    if N > 26:
-        raise DomainError("brute force capped at N = 26")
-    idx = np.arange(1 << N, dtype=np.uint64)
-    ones = np.bitwise_count(idx).astype(np.int64)
-    kmin = besicovitch_threshold(N, eta)
-    return int(np.count_nonzero(ones >= kmin))
+    """Independent oracle: enumerate all 2^N addresses and count directly,
+    inside the sweep budget."""
+    if N < 0:
+        raise DomainError("N must be nonnegative")
+    check_sweep_budget(N)
+    ones = np.bitwise_count(np.arange(1 << N, dtype=np.uint64))    # uint8
+    return int(np.count_nonzero(ones >= besicovitch_threshold(N, eta)))
 
 
 def dim_estimate(counts: Sequence[tuple[int, int]]) -> list[float]:

@@ -11,6 +11,7 @@ one-sided sums from the common dyadic ancestor.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional
 
@@ -148,26 +149,24 @@ class WeierstrassFunction(HolderFunction):
         # |f(x)-f(y)| <= C |x-y|^alpha with the standard two-regime split
         q = math.pow(b, 1.0 - alpha)
         self.seminorm_bound = q / (q - 1.0) + 2.0 / (1.0 - math.pow(b, -alpha))
-        self._series_cache: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
+        self._series = functools.cache(self._build_series)
 
-    def _series(self, power: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    def _build_series(self, power: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
         """Frequencies b^n and amplitudes b^(-n power), n = 0..N, for the
         least N with b^-((N+1) power) / (1 - b^-power) <= tol.
 
-        Built once per (power, tol) and kept on the instance: power alpha
-        is the series of f, power 1 + alpha that of its antiderivative.
+        `_series` is this, built once per (power, tol) and kept on the
+        instance: power alpha is the series of f, power 1 + alpha that of
+        its antiderivative.
         """
-        key = (power, tol)
-        if key not in self._series_cache:
-            if not tol > 0.0:
-                raise DomainError("tolerance must be positive")
-            geo = 1.0 - math.pow(self.b, -power)
-            n = 0
-            while math.pow(self.b, -(n + 1) * power) / geo > tol:
-                n += 1
-            ns = np.arange(n + 1)
-            self._series_cache[key] = (np.power(self.b, ns), np.power(self.b, -power * ns))
-        return self._series_cache[key]
+        if not tol > 0.0:
+            raise DomainError("tolerance must be positive")
+        geo = 1.0 - math.pow(self.b, -power)
+        n = 0
+        while math.pow(self.b, -(n + 1) * power) / geo > tol:
+            n += 1
+        ns = np.arange(n + 1)
+        return np.power(self.b, ns), np.power(self.b, -power * ns)
 
     def terms_for(self, tol: float) -> int:
         return len(self._series(self.alpha, tol)[0])

@@ -22,7 +22,7 @@ the sharpness construction invert each other exactly.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -94,7 +94,8 @@ class Martingale:
     ``star_bound``, when given, declares sup_n ||S_{n+1}-S_n||.
 
     Subclasses keep the scalar ``increment`` and may override the level
-    arrays with vectorized sweeps that return the same floats,
+    arrays with vectorized sweeps that return the same floats (the
+    increments through the ``_level_increments`` hook, behind the gate),
     ``primitive`` with a closed form that agrees with the bit walk to
     rounding, and ``pair_primitives`` with array passes that return the
     floats of their own ``value`` and ``primitive``.
@@ -178,10 +179,16 @@ class Martingale:
         return out[0], out[1], out[2]
 
     def level_increments(self, n: int) -> np.ndarray:
-        """Increments into level n for all level-n intervals (n >= 1)."""
+        """Increments into level n for all level-n intervals (n >= 1),
+        inside the sweep budget: the one gate before `_level_increments`."""
         if n < 1:
             raise DomainError("increments start at level 1")
         check_sweep_budget(n)
+        return self._level_increments(n)
+
+    def _level_increments(self, n: int) -> np.ndarray:
+        """The level-n increments, once gated; this loop over the scalar
+        oracle is the reference that array overrides reproduce."""
         return np.array([self.increment(DyadicInterval(n, j)) for j in range(1 << n)],
                         dtype=float)
 
@@ -254,10 +261,7 @@ class BinaryDigitMartingale(Martingale):
     def level_values_range(self, n: int, lo: int, hi: int) -> np.ndarray:
         return 2.0 * np.bitwise_count(np.arange(lo, hi, dtype=np.uint64)) - n
 
-    def level_increments(self, n: int) -> np.ndarray:
-        if n < 1:
-            raise DomainError("increments start at level 1")
-        check_sweep_budget(n)
+    def _level_increments(self, n: int) -> np.ndarray:
         out = np.empty(1 << n)
         out[0::2] = -1.0
         out[1::2] = 1.0
@@ -268,8 +272,13 @@ def binary_digit_martingale(max_depth: Optional[int] = None) -> BinaryDigitMarti
     return BinaryDigitMartingale(max_depth=max_depth)
 
 
+class _ZeroMartingale(Martingale):
+    def _level_increments(self, n: int) -> np.ndarray:
+        return np.zeros(1 << n)
+
+
 def zero_martingale() -> Martingale:
-    return Martingale(lambda child: 0.0, s0=0.0, star_bound=0.0, name="zero")
+    return _ZeroMartingale(lambda child: 0.0, s0=0.0, star_bound=0.0, name="zero")
 
 
 class RandomSignMartingale(Martingale):
@@ -298,10 +307,7 @@ class RandomSignMartingale(Martingale):
         left = self._draw(_stream(self.seed, child.level - 1, child.index >> 1))
         return left if (child.index & 1) == 0 else -left
 
-    def level_increments(self, n: int) -> np.ndarray:
-        if n < 1:
-            raise DomainError("increments start at level 1")
-        check_sweep_budget(n)
+    def _level_increments(self, n: int) -> np.ndarray:
         parents = np.arange(1 << (n - 1), dtype=np.uint64)
         left = self._draw(_stream(self.seed, n - 1, parents))
         out = np.empty(1 << n)
@@ -359,7 +365,7 @@ class ScaledMartingale(Martingale):
     def _scaled_inc(self, child: DyadicInterval) -> float:
         return math.pow(2.0, child.level * self.gamma) * self.base.increment(child)
 
-    def level_increments(self, n: int) -> np.ndarray:
+    def _level_increments(self, n: int) -> np.ndarray:
         return math.pow(2.0, n * self.gamma) * self.base.level_increments(n)
 
 
@@ -424,21 +430,14 @@ class GrowthMartingale(ScaledMartingale):
 
     The discounted martingale S has the scaled increments
     ``2^-(n*beta) (T_n - T_{n-1})``, whose sup norm is the beta-star norm
-    of T.  `discounted` is S itself, which must start at S_0 = 0, or a
-    per-child oracle for its increments (then capped at `max_depth` and
-    declared bounded by `beta_star_bound`); T_0 is `t0`.
+    of T.  `discounted` is S itself, which must start at S_0 = 0; T_0 is
+    `t0`.
     """
 
-    def __init__(self, beta: float,
-                 discounted: Union[Martingale, Callable[[DyadicInterval], float]],
-                 t0: float = 0.0, max_depth: Optional[int] = None,
-                 beta_star_bound: Optional[float] = None, name: str = "growth"):
+    def __init__(self, beta: float, discounted: Martingale, t0: float = 0.0,
+                 name: str = "growth"):
         if not 0.0 < beta < 1.0:
             raise DomainError("beta must lie in (0,1)")
-        if not isinstance(discounted, Martingale):
-            discounted = Martingale(discounted, s0=0.0, max_depth=max_depth,
-                                    star_bound=beta_star_bound,
-                                    name=f"discount({name})")
         if discounted.s0 != 0:
             raise DomainError("the discounted martingale must start at S_0 = 0")
         super().__init__(discounted, beta, s0=t0, name=name)

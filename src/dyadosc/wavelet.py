@@ -17,6 +17,7 @@ search is used only as a spot check in the tests).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -203,14 +204,9 @@ class BaseWavelet:
     MINUS_PLATEAU = (Fraction(3, 8), Fraction(7, 16))
 
 
-_BASE: Optional[BaseWavelet] = None
-
-
+@functools.cache
 def base_wavelet() -> BaseWavelet:
-    global _BASE
-    if _BASE is None:
-        _BASE = BaseWavelet()
-    return _BASE
+    return BaseWavelet()
 
 
 def next_frequency_level(prev_k: int, alpha: float, eps: float,

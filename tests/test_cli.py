@@ -190,8 +190,8 @@ class TestSubcommands:
         rows = (tmp_path / "mass_measure.csv").read_text().splitlines()
         assert rows[0] == "level,index,mass_log2" and rows[1:] == expect
         dump_calls = calls["increment"] - 2 * sweep_calls
-        # the zero kind's level arrays are the base class's scalar loop
-        assert dump_calls == (2 ** 11 - 2 if kind == "zero" else 0)
+        # every kind's level arrays are array-first, the zero kind's too
+        assert sweep_calls == dump_calls == 0
 
     def test_dim_estimate(self, tmp_path, capsys):
         assert run(["dim-estimate", "--counts", "20:21700,12:4096",

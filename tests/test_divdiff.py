@@ -384,15 +384,15 @@ class TestSharedEndpointTracking:
 
     @pytest.mark.parametrize("name", ["W2", "W3", "linear"])
     def test_memoised_values_match_reference(self, name):
-        from dyadosc.divdiff import _Tracking
+        from dyadosc.divdiff import _tracking
 
         f, quad = KERNEL_FLEET[name], d.QuadratureConfig(16)
-        tracking = _Tracking(f, 0.5, 24, quad)
+        tracking = _tracking(f, 0.5, 24, quad)
         # deepest first: shallower intervals read rows their children filled
         for n in range(14, 5, -1):
             for x in SHARED_POINTS:
                 I = d.locate(x, n)
-                assert tracking.value(I) == tracking_reference(f, 0.5, I, 24, 16, quad.tol)
+                assert tracking(I) == tracking_reference(f, 0.5, I, 24, 16, quad.tol)
 
     def test_gap_evaluates_each_endpoint_row_once(self):
         # one tracking evaluation per (level, interval) made 1,260 calls here

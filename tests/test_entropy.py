@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -300,6 +301,21 @@ class TestMassSweep:
         with pytest.raises(d.DomainError):
             d.sweep_mass_distribution(S, 0.5, 4)
 
+    def test_negative_ratio_is_a_domain_error(self):
+        # a ratio in [-1e-12, 0) passed the bound check: the scalar log2
+        # raised a bare ValueError, and the sweep took it as mass 0 with a
+        # negative exact numerator and level sums still exact
+        u, eta = -1.0 - 2e-12, 1.0 - 1e-12
+        S = d.Martingale(lambda ch: u if ch.index & 1 == 0 else -u, star_bound=1.0)
+        mm = d.mass_measure(S, eta)
+        assert 1.0 < mm.ratio(DI(1, 1)) <= 1.0 + 1e-12    # the upper slack stays
+        with pytest.raises(d.DomainError):
+            mm.ratio(DI(1, 0))
+        with pytest.raises(d.DomainError):
+            mm.mass_log2(DI(1, 0))
+        with pytest.raises(d.DomainError):
+            d.sweep_mass_distribution(S, eta, 4)
+
 
 class TestMassSweepOracle:
     """The distinct-jump kernel against the per-cell sweep it replaced."""
@@ -409,6 +425,24 @@ class TestBesicovitch:
     def test_caps(self):
         with pytest.raises(d.DomainError):
             d.besicovitch_count(20_000, Fraction(1, 2))
+
+    def test_bruteforce_behind_the_sweep_budget(self):
+        # 2^25 addresses exceed the cell budget: refused before any array
+        tracemalloc.start()
+        try:
+            with pytest.raises(d.DepthCapError):
+                d.besicovitch_count_bruteforce(25, Fraction(1, 2))
+            _, refused = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            assert d.besicovitch_count_bruteforce(16, Fraction(1, 2)) == 2517
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert refused < 1 << 20
+        # the addresses and their uint8 digit counts, no wider copy
+        assert peak < 12 << 16
+        with pytest.raises(d.DomainError):
+            d.besicovitch_count_bruteforce(-1, Fraction(1, 2))
 
 
 class TestDimEstimate:

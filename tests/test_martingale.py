@@ -81,7 +81,7 @@ class TestFromFunction:
 
 class TestDiscountAndSharpness:
     def test_zero_growth_means_zero(self):
-        T = d.GrowthMartingale(0.5, lambda child: 0.0)
+        T = d.GrowthMartingale(0.5, d.Martingale(lambda child: 0.0))
         S = d.discount_transform(T)
         assert S.value(DI(6, 33)) == 0.0
 
@@ -94,7 +94,7 @@ class TestDiscountAndSharpness:
                 return 1.0 if child.index == 0 else -1.0
             return 0.0
 
-        S = d.discount_transform(d.GrowthMartingale(beta, scaled))
+        S = d.discount_transform(d.GrowthMartingale(beta, d.Martingale(scaled)))
         assert S.value(DI(1, 0)) == 1.0
         assert S.value(DI(1, 1)) == -1.0
 
@@ -132,7 +132,7 @@ class TestDiscountAndSharpness:
 
 class TestSummationByParts:
     def test_zero(self):
-        T = d.GrowthMartingale(0.4, lambda child: 0.0)
+        T = d.GrowthMartingale(0.4, d.Martingale(lambda child: 0.0))
         assert d.summation_by_parts_check(T, 6) == 0.0
 
     def test_matches_scalar_reference(self):
@@ -368,7 +368,8 @@ class TestLevelArrayOracle:
     def test_level_arrays_match_scalar_loops(self, name):
         S = _vectorized_members()[name]
         for n in range(1, 11):
-            assert np.array_equal(S.level_increments(n), d.Martingale.level_increments(S, n))
+            assert np.array_equal(S.level_increments(n),
+                                  d.Martingale._level_increments(S, n))
         rng = random.Random(name)
         for _ in range(20):
             n = rng.randint(0, 16)

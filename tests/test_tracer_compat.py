@@ -1,0 +1,44 @@
+"""The per-layer tracer of perfbench/tracer.py still fits the program.
+
+The tracer patches public methods by name and reads what they return
+(``RunWriter.finish`` must return the manifest path), so a change that
+keeps every test green can still break a traced benchmark run.  This
+runs two CLI commands under the installed tracer in a fresh interpreter.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = r"""
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+t = tracer.Tracer()
+tracer.install(t)
+from dyadosc import cli
+codes = [cli.main(["verify-all", "--depth", "8", "--seed", "1"]),
+         cli.main(["mass-measure", "--martingale", "zero", "--eta", "0.5",
+                   "--depth", "6", "--out", sys.argv[2]])]
+print(json.dumps({"codes": codes, "metrics": tracer.metrics(t)}))
+"""
+
+
+def test_cli_runs_under_the_tracer(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench" / "tracer.py"),
+         str(tmp_path / "mm")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["codes"] == [0, 0]
+    metrics = out["metrics"]
+    assert metrics and metrics["cli.main.calls"] == 2
+    assert metrics["cli.write.bytes"] > 0
+    assert (tmp_path / "mm" / "mass-measure_manifest.json").is_file()
