@@ -384,8 +384,7 @@ class BlockMartingale(Martingale):
         return v if (child.index & 1) == 0 else -v
 
     def value(self, I: DyadicInterval) -> float:
-        if not 0 <= I.index < (1 << I.level):
-            raise DomainError(f"{I} lies outside the unit interval")
+        self._check(I)
         total = 0.0
         for p in self.schedule.placements:
             if p.level >= I.level:
@@ -405,11 +404,16 @@ class BlockMartingale(Martingale):
         rides the block's spine until its first 1-bit, at level i, which
         adds 2^-i (s_k + amp (2^(i-k) - 1)); from there S is s_k - amp up
         to the next window, and with no 1-bit S leaves the window at
-        s_k + amp (2^M - 1).  O(placements) work per point, no `increment`.
+        s_k + amp (2^M - 1).  Below the address's last 1-bit every run adds
+        nothing, so the walk ends there: O(placements above it) work per
+        point, no `increment`.
         """
         end = start.level + depth
         if end > self.max_depth:
             raise DepthCapError(f"level {end} beyond max depth {self.max_depth}")
+        if not bits:
+            return 0.0
+        last = end - (bits & -bits).bit_length() + 1   # level of the last 1-bit
 
         def run(s: float, u: int, v: int) -> float:
             """s times the integral of the 1-bits at levels (u, v]."""
@@ -426,17 +430,26 @@ class BlockMartingale(Martingale):
         lvl = start.level           # S = s on the path from level lvl on
         first = bisect_right(self._ends, lvl)
         for k, k_end, amp, M in self._windows[first:]:
+            if lvl >= last:
+                # no 1-bit below: the remaining runs add 0.0, and s only
+                # moves along the spine
+                return acc
             if k >= end:
                 break
-            # a start inside the window is on the spine iff its address
-            # bits below level k are zero; off it, S stays s
-            off = lvl - k if lvl > k else 0
-            if start.index & ((1 << off) - 1):
-                continue
-            acc += run(s, lvl, k + off)
+            if k > lvl:
+                acc += run(s, lvl, k)
+                lvl = k
+            spine = amp
+            if lvl > k:
+                # only the first window can hold the start, which is on
+                # the spine iff its address bits below level k are zero;
+                # off it, S stays s
+                off = lvl - k
+                if start.index & ((1 << off) - 1):
+                    continue
+                spine = math.ldexp(amp, off)    # s = s_k + amp (2^off - 1)
             hi = k_end if k_end < end else end
-            window = (bits >> (end - hi)) & ((1 << (hi - k - off)) - 1)
-            spine = math.ldexp(amp, off)        # s = s_k + amp (2^off - 1)
+            window = (bits >> (end - hi)) & ((1 << (hi - lvl)) - 1)
             if window == 0:
                 s += math.ldexp(amp, M) - spine
                 lvl = hi

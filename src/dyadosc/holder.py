@@ -240,39 +240,40 @@ class MartingaleInducedFunction(HolderFunction):
 
         A single dyadic interval [a, b) contributes the one term
         2^-n S(I); general pairs descend from the common ancestor so
-        that no large-value cancellation ever happens.
+        that no large-value cancellation ever happens.  Every route is
+        chosen on the numerators ia, ib of a and b over 2^depth, with
+        depth the deeper of their lowest-terms exponents.
         """
         a = DyadicRational.from_value(a)
         b = DyadicRational.from_value(b)
-        if b < a:
-            return -self.difference(b, a)
-        if not (DyadicRational(0, 0) <= a and b <= DyadicRational(1, 0)):
-            raise DomainError("difference expects 0 <= a <= b <= 1")
-        if a == b:
-            return 0.0
-        # single-interval fast path: exact one-term telescoping
-        span = b - a
-        if span.numerator == 1 and a.exponent <= span.exponent:
-            n = span.exponent
-            return math.ldexp(self.S.value(DyadicInterval(n, a.floor_scaled(n))), -n)
-        if b == 1:
-            # f(1) = 0, so the difference is -(f(a) - f(0))
-            return -self.eval_dyadic(a)
-        return self._diff_common(a, b)
-
-    def _diff_common(self, a: DyadicRational, b: DyadicRational) -> float:
         depth = max(a.exponent, b.exponent)
-        if depth > self.max_depth:
-            raise DepthCapError(f"difference needs depth {depth} beyond cap")
         ia = a.numerator << (depth - a.exponent)
         ib = b.numerator << (depth - b.exponent)
+        if ib < ia:
+            return -self.difference(b, a)
+        if ia < 0 or ib > 1 << depth:
+            raise DomainError("difference expects 0 <= a <= b <= 1")
+        if ia == ib:
+            return 0.0
+        if depth > self.max_depth:
+            raise DepthCapError(f"difference needs depth {depth} beyond cap")
+        width = ib - ia
+        if not (width & (width - 1) or ia & (width - 1)):
+            # [a, b) is one dyadic interval, at level depth - log2(width):
+            # exact one-term telescoping
+            bits = width.bit_length() - 1
+            return math.ldexp(self.S.value(DyadicInterval(depth - bits, ia >> bits)),
+                              bits - depth)
+        if ib == 1 << depth:
+            # f(1) = 0, so the difference is -(f(a) - f(0))
+            return -self.S.primitive(unit_interval(), 0.0, ia, depth)
         # deepest common ancestor: shared bit prefix of ia and ib
         diff_bits = (ia ^ ib).bit_length()
-        anc_level = depth - diff_bits
-        anc = DyadicInterval(anc_level, ia >> diff_bits)
+        anc = DyadicInterval(depth - diff_bits, ia >> diff_bits)
         s_anc = self.S.value(anc)
-        ga = self.S.primitive(anc, s_anc, ia & ((1 << diff_bits) - 1), diff_bits)
-        gb = self.S.primitive(anc, s_anc, ib & ((1 << diff_bits) - 1), diff_bits)
+        mask = (1 << diff_bits) - 1
+        ga = self.S.primitive(anc, s_anc, ia & mask, diff_bits)
+        gb = self.S.primitive(anc, s_anc, ib & mask, diff_bits)
         return gb - ga
 
     def dyadic_differences(self, lo, hi, depth: int) -> np.ndarray:

@@ -425,20 +425,27 @@ def _nested_plateau_point(f: WaveletOscillator, x: Fraction, lo: Fraction,
     """
     w = f.wavelet
     band = w.PLUS_PLATEAU if sign > 0 else w.MINUS_PLATEAU
-    cur_lo, cur_hi = Fraction(lo), Fraction(hi)
-    for n in range(m, f.schedule.stages + 1):
-        k = f.schedule.ks[n - 1]
-        scale = Fraction(1, 1 << k)
+    b_lo, b_hi = (int(16 * t) for t in band)     # the bands are in 1/16ths
+    ks = f.schedule.ks[m - 1:]
+    lo_f, hi_f = Fraction(lo), Fraction(hi)
+    # numerators over one denominator D: stage k's plateau edges are
+    # multiples of 2^-(k+4)
+    D = math.lcm(lo_f.denominator, hi_f.denominator, 1 << (max(ks) + 4))
+    cur_lo = lo_f.numerator * (D // lo_f.denominator)
+    cur_hi = hi_f.numerator * (D // hi_f.denominator)
+    for n, k in enumerate(ks, start=m):
+        q = D >> (k + 4)
         # least j with j + band contained in [cur_lo, cur_hi] at scale k
-        j = math.ceil(cur_lo / scale - band[0])
-        plo = (j + band[0]) * scale
-        phi_ = (j + band[1]) * scale
+        j = -((b_lo * q - cur_lo) // (16 * q))
+        plo = (16 * j + b_lo) * q
+        phi_ = (16 * j + b_hi) * q
         if phi_ > cur_hi:
             raise CertificationError(
-                f"no full stage-{n} plateau inside [{cur_lo}, {cur_hi}] "
+                f"no full stage-{n} plateau inside "
+                f"[{Fraction(cur_lo, D)}, {Fraction(cur_hi, D)}] "
                 f"({_at(x)}, m={m}, bracket [{lo}, {hi}])")
         cur_lo, cur_hi = plo, phi_
-    return (cur_lo + cur_hi) / 2
+    return Fraction(cur_lo + cur_hi, 2 * D)
 
 
 def _annulus_offset(f: WaveletOscillator, x: Fraction, m: int, sign: int,

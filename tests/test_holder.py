@@ -5,6 +5,7 @@ import random
 import struct
 import subprocess
 import sys
+from bisect import bisect_right
 from fractions import Fraction
 from pathlib import Path
 
@@ -421,6 +422,189 @@ class TestRunLengthPrimitive:
         assert calls == []
         d.Martingale.primitive(S, d.unit_interval(), 0.0, 1, 3)
         assert len(calls) == 4           # the wrapper does see the walk
+
+
+# The scalar induced difference and the block walk as they were before
+# `difference` routed on aligned integer numerators and the walk ended at
+# the address's last 1-bit, kept verbatim as the oracle: equal floats,
+# zero signs included, on every route.
+def _walk_to_full_depth(S, start, s_start, bits, depth):
+    end = start.level + depth
+    if end > S.max_depth:
+        raise d.DepthCapError(f"level {end} beyond max depth {S.max_depth}")
+
+    def run(s, u, v):
+        window = (bits >> (end - v)) & ((1 << (v - u)) - 1)
+        if window == 0 or s == 0.0:
+            return 0.0
+        width = window.bit_length()
+        top = window >> max(0, width - 60)
+        return math.ldexp(s * math.ldexp(float(top), -top.bit_length()), width - v)
+
+    acc = 0.0
+    s = s_start
+    lvl = start.level
+    first = bisect_right(S._ends, lvl)
+    for k, k_end, amp, M in S._windows[first:]:
+        if k >= end:
+            break
+        off = lvl - k if lvl > k else 0
+        if start.index & ((1 << off) - 1):
+            continue
+        acc += run(s, lvl, k + off)
+        hi = k_end if k_end < end else end
+        window = (bits >> (end - hi)) & ((1 << (hi - k - off)) - 1)
+        spine = math.ldexp(amp, off)
+        if window == 0:
+            s += math.ldexp(amp, M) - spine
+            lvl = hi
+        else:
+            lvl = hi - window.bit_length() + 1
+            acc += math.ldexp(s + (math.ldexp(amp, lvl - k) - spine), -lvl)
+            s -= spine
+    return acc + run(s, lvl, end)
+
+
+def _difference_by_comparisons(f, a, b):
+    a = DR.from_value(a)
+    b = DR.from_value(b)
+    if b < a:
+        return -_difference_by_comparisons(f, b, a)
+    if not (DR(0, 0) <= a and b <= DR(1, 0)):
+        raise d.DomainError("difference expects 0 <= a <= b <= 1")
+    if a == b:
+        return 0.0
+    span = b - a
+    if span.numerator == 1 and a.exponent <= span.exponent:
+        n = span.exponent
+        return math.ldexp(f.S.value(DI(n, a.floor_scaled(n))), -n)
+    if b == 1:
+        # -eval_dyadic(a), where a is neither 0 nor 1
+        if a.exponent > f.max_depth:
+            raise d.DepthCapError(f"dyadic point at depth {a.exponent} beyond cap")
+        return -_walk_to_full_depth(f.S, d.unit_interval(), 0.0, a.numerator, a.exponent)
+    depth = max(a.exponent, b.exponent)
+    if depth > f.max_depth:
+        raise d.DepthCapError(f"difference needs depth {depth} beyond cap")
+    ia = a.numerator << (depth - a.exponent)
+    ib = b.numerator << (depth - b.exponent)
+    diff_bits = (ia ^ ib).bit_length()
+    anc = DI(depth - diff_bits, ia >> diff_bits)
+    s_anc = f.S.value(anc)
+    ga = _walk_to_full_depth(f.S, anc, s_anc, ia & ((1 << diff_bits) - 1), diff_bits)
+    gb = _walk_to_full_depth(f.S, anc, s_anc, ib & ((1 << diff_bits) - 1), diff_bits)
+    return gb - ga
+
+
+def _outcome(fn, *args):
+    """A float with its sign bit, or the class of the error raised."""
+    try:
+        v = fn(*args)
+    except (d.DomainError, d.DepthCapError) as err:
+        return type(err)
+    return v, math.copysign(1.0, v)
+
+
+def _address_bits(rng, depth):
+    """Zero, all ones, a random address with a run of trailing zeros, and
+    a random one."""
+    if depth == 0:
+        return (0,)
+    tz = rng.randint(0, depth - 1)
+    return (0, (1 << depth) - 1, (rng.getrandbits(depth - tz) | 1) << tz,
+            rng.getrandbits(depth))
+
+
+class TestIntegerRoutedDifference:
+    """`BlockMartingale.primitive` and `MartingaleInducedFunction.difference`
+    against the verbatim copies above, on four schedules."""
+
+    SCHEDULES = ((0.5, 1), (0.5, 2), (0.3, 2), (0.7, 3))
+
+    @pytest.fixture(scope="class")
+    def martingales(self):
+        # beta = 0.7's third stage overflows the float amplitudes before
+        # the default cap, so that schedule stops at level 1024
+        return [d.assemble_martingale(d.build_schedule(beta, stages, depth_cap=1024))
+                for beta, stages in self.SCHEDULES]
+
+    def test_primitive_matches_full_depth_walk(self, martingales):
+        rng = random.Random(121)
+        cases = 0
+        for S in martingales:
+            sched = S.schedule
+            end = sched.end_level
+            starts = _window_starts(sched, rng) + [d.unit_interval()]
+            starts += [DI(p.level, rng.getrandbits(p.level)) for p in sched.placements[:6]]
+            starts += [DI(p.end, rng.getrandbits(p.end)) for p in sched.placements[-3:]]
+            starts += [DI(L, rng.getrandbits(L)) for L in rng.sample(range(1, end), 6)]
+            for start in starts:
+                s_start = S.value(start)
+                for _ in range(21):
+                    depth = min(rng.randint(0, end + 40), S.max_depth - start.level)
+                    for bits in _address_bits(rng, depth):
+                        got = _outcome(S.primitive, start, s_start, bits, depth)
+                        want = _outcome(_walk_to_full_depth, S, start, s_start, bits, depth)
+                        assert got == want, (start, bits, depth)
+                        cases += 1
+        assert cases >= 15_000
+
+    def test_difference_matches_comparison_routing(self, martingales):
+        rng = random.Random(122)
+        routes = {}
+        for S in martingales:
+            end = S.schedule.end_level
+            f = d.martingale_function(S, 0.5)
+            capped = d.martingale_function(S, 0.5, max_depth=end)
+            for _ in range(300):
+                depth = rng.randint(1, end + 40)
+                top = 1 << depth
+                lo, hi = rng.getrandbits(depth), rng.getrandbits(depth)
+                n = rng.randint(0, depth)
+                cell = rng.getrandbits(n) << (depth - n)
+                level = rng.randint(1, depth)
+                # x to the right endpoint e of its level-`level` ancestor:
+                # e's address is zero below that level
+                e = ((lo >> (depth - level)) + 1) << (depth - level)
+                pairs = {"random": (lo, hi), "swapped": (max(lo, hi), min(lo, hi)),
+                         "single": (cell, cell + (1 << (depth - n))),
+                         "to-one": (lo, top), "equal": (lo, lo), "to-endpoint": (lo, e),
+                         "outside": rng.choice(((-1 - lo, hi), (lo, top + 1 + hi)))}
+                for route, (ia, ib) in pairs.items():
+                    a, b = DR(ia, depth), DR(ib, depth)
+                    got = _outcome(f.difference, a, b)
+                    assert got == _outcome(_difference_by_comparisons, f, a, b), (route, a, b)
+                    routes[route] = routes.get(route, 0) + 1
+                    if max(a.exponent, b.exponent) > end and ia != ib and route != "outside":
+                        assert _outcome(capped.difference, a, b) is d.DepthCapError
+                        routes["capped"] = routes.get("capped", 0) + 1
+        for a, b in ((0.25, 1), (1, Fraction(3, 8)), (0, 0.5), (0.5, 0.5)):
+            f = d.martingale_function(martingales[0], 0.5)
+            assert _outcome(f.difference, a, b) == _outcome(_difference_by_comparisons, f, a, b)
+        assert sum(routes.values()) >= 8_000 and min(routes.values()) >= 100, routes
+
+    def test_single_interval_route_keeps_the_depth_cap(self):
+        f = d.martingale_function(d.binary_digit_martingale(), 0.5, max_depth=10)
+        with pytest.raises(d.DepthCapError):
+            f.difference(DR(1, 20), DR(2, 20))
+        with pytest.raises(d.DepthCapError):
+            f.difference(DR(2, 20), DR(1, 20))
+        with pytest.raises(d.DepthCapError):
+            f.difference(DR(1, 20), DR(4, 20))
+        with pytest.raises(d.DepthCapError):
+            f.eval_dyadic(DR(1, 20))
+        with pytest.raises(d.DepthCapError):
+            f.dyadic_differences([1], [2], 20)
+        assert f.difference(DR(1, 20), DR(1, 20)) == 0.0
+        assert f.difference(DR(1, 10), DR(2, 10)) == math.ldexp(f.S.value(DI(10, 1)), -10)
+
+    def test_block_value_keeps_the_depth_cap(self, block_martingale_half):
+        B = block_martingale_half
+        with pytest.raises(d.DepthCapError):
+            B.value(DI(B.max_depth + 5, 3))
+        with pytest.raises(d.DomainError):
+            B.value(DI(3, 8))
+        B.value(DI(B.max_depth, 0))
 
 
 def _scalar_seminorm(f, sampler):

@@ -413,13 +413,20 @@ class TestExactKernelOracle:
 # reference: the plateau nesting and all four annulus offsets built
 # eagerly, and a bisection that re-evaluates x and builds a Fraction
 # midpoint at every step.
-def _ref_plateau_point(f, lo, hi, m, sign):
+def _ref_plateau_point(f, x, lo, hi, m, sign):
     band = f.wavelet.PLUS_PLATEAU if sign > 0 else f.wavelet.MINUS_PLATEAU
     cur_lo, cur_hi = Fraction(lo), Fraction(hi)
     for n in range(m, f.schedule.stages + 1):
-        scale = Fraction(1, 1 << f.schedule.ks[n - 1])
+        k = f.schedule.ks[n - 1]
+        scale = Fraction(1, 1 << k)
         j = math.ceil(cur_lo / scale - band[0])
-        cur_lo, cur_hi = (j + band[0]) * scale, (j + band[1]) * scale
+        plo = (j + band[0]) * scale
+        phi_ = (j + band[1]) * scale
+        if phi_ > cur_hi:
+            raise d.CertificationError(
+                f"no full stage-{n} plateau inside [{cur_lo}, {cur_hi}] "
+                f"(x = {x.numerator}/{x.denominator}, m={m}, bracket [{lo}, {hi}])")
+        cur_lo, cur_hi = plo, phi_
     return (cur_lo + cur_hi) / 2
 
 
@@ -429,7 +436,7 @@ def _ref_extreme_offsets(f, x, m):
     for name, sign, left in (("r_plus", +1, False), ("r_minus", -1, False),
                              ("rho_plus", +1, True), ("rho_minus", -1, True)):
         lo, hi = (x - 3 * period, x - period) if left else (x + period, x + 3 * period)
-        t_star = _ref_plateau_point(f, lo, hi, m, sign)
+        t_star = _ref_plateau_point(f, x, lo, hi, m, sign)
         off = x - t_star if left else t_star - x
         while off > 2 * period:
             off -= period
@@ -522,6 +529,35 @@ class TestWitnessBisectionOracle:
         for x in self._points()[::3] + NON_DYADIC:
             for m in (1, 2, 3, 4):
                 assert d.tail_extreme_offsets(f, x, m) == _ref_extreme_offsets(f, x, m)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+    def test_nested_plateau_point_matches_fractions(self, alpha):
+        # integer numerators against the Fraction nesting, failures and
+        # their messages included
+        f = d.wavelet_oscillator(d.wavelet_schedule(alpha, 1.0 / 200.0, 4))
+        rng = random.Random(62)
+        xs = [Fraction(rng.getrandbits(200), 1 << 200) for _ in range(20)] + NON_DYADIC
+
+        def attempt(fn, *args):
+            try:
+                return fn(*args)
+            except d.CertificationError as err:
+                return str(err)
+
+        found = {Fraction: 0, str: 0}
+        for x in xs:
+            for m in (1, 2, 3, 4):
+                period = Fraction(1, 1 << f.schedule.ks[m - 1])
+                # the two annuli, a bracket that may hold a stage-m plateau
+                # and one shorter than any plateau
+                for lo, hi in ((x + period, x + 3 * period), (x - 3 * period, x - period),
+                               (x, x + period / 4), (x, x + period / 32)):
+                    for sign in (1, -1):
+                        args = (f, x, lo, hi, m, sign)
+                        got = attempt(d.wavelet._nested_plateau_point, *args)
+                        assert got == attempt(_ref_plateau_point, *args), args
+                        found[type(got)] += 1
+        assert found[Fraction] > 300 and found[str] > 200, found
 
     def test_case_ii_reads_x_once_and_skips_left_annulus(self, oscillator_half,
                                                          monkeypatch):
