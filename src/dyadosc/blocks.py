@@ -26,7 +26,7 @@ import numpy as np
 from .dyadic import DepthCapError, DomainError, DyadicInterval, DyadicRational
 from .martingale import (
     FLOAT_EXACT_DEPTH,
-    Martingale,
+    PairedMartingale,
     address_bits,
     bit_lengths,
 )
@@ -283,8 +283,10 @@ def build_schedule(beta, stages: int, depth_cap: int = 4096) -> BlockSchedule:
 
     Each new round starts at the least level k that is past the previous
     round and discounts the standing norm: 2^(-k beta) ||S_prev|| <=
-    delta_j / 2.  Construction aborts cleanly at `depth_cap` with the
-    completed prefix (raises if not even stage 0 completes).
+    delta_j / 2.  Construction aborts cleanly with the completed prefix
+    before a round that would end past `depth_cap`, or whose norm ratio
+    2 ||S_prev|| / delta_j or new peak would overflow float (raises if
+    not even stage 0 completes).
     """
     beta_f = float(beta)
     if not 0.0 < beta_f < 1.0:
@@ -308,15 +310,17 @@ def build_schedule(beta, stages: int, depth_cap: int = 4096) -> BlockSchedule:
             norm = max(cur_sup, -cur_inf)
             if norm == 0.0:
                 k = prev_end
+            elif not math.isfinite(2.0 * norm / d):
+                k = math.inf            # no float level discounts the norm
             else:
                 k = max(prev_end,
                         math.ceil(math.log2(2.0 * norm / d) / beta_f))
                 while math.pow(2.0, -k * beta_f) * norm > d / 2.0:
                     k += 1
-            if k + M > depth_cap:
+            amp = d * math.pow(2.0, k * beta_f) if k * beta_f < 1024.0 else math.inf
+            if k + M > depth_cap or not math.isfinite(cur_sup + amp * math.ldexp(1.0, M)):
                 truncated = True
                 break
-            amp = d * math.pow(2.0, k * beta_f)
             # stopped levels up to k, then the M in-block levels
             while len(sup_levels) <= k:
                 sup_levels.append(cur_sup)
@@ -345,7 +349,7 @@ def build_schedule(beta, stages: int, depth_cap: int = 4096) -> BlockSchedule:
                          end_level, depth_cap, truncated)
 
 
-class BlockMartingale(Martingale):
+class BlockMartingale(PairedMartingale):
     """Accumulated block sums, interval-keyed; stops between placements.
 
     Values follow the placement closed form: a placement at level k
@@ -354,7 +358,7 @@ class BlockMartingale(Martingale):
     """
 
     def __init__(self, schedule: BlockSchedule):
-        super().__init__(self._inc, s0=0.0,
+        super().__init__(s0=0.0,
                          max_depth=max(schedule.depth_cap, schedule.end_level) + 64,
                          name=f"blocks(beta={schedule.beta})")
         self.schedule = schedule
@@ -362,26 +366,16 @@ class BlockMartingale(Martingale):
         self._ends = [p.end for p in schedule.placements]
         self._windows = [(p.level, p.end, p.amplitude, p.M) for p in schedule.placements]
 
-    def _active_placement(self, i: int) -> Optional[Placement]:
-        """Placement with k < i <= k + M, if any."""
-        pos = bisect_right(self._starts, i - 1) - 1
-        if pos < 0:
-            return None
-        p = self.schedule.placements[pos]
-        return p if i <= p.end else None
-
-    def _inc(self, child: DyadicInterval) -> float:
-        i = child.level
-        p = self._active_placement(i)
-        if p is None:
+    def _left(self, level: int, parents):
+        """Haar term t = level - k - 1 of the window (k, k + M] live at
+        `level`: amp 2^t on parents whose low t bits are zero (the spine),
+        0.0 off it and outside every window."""
+        pos = bisect_right(self._starts, level - 1) - 1
+        if pos < 0 or level > self._ends[pos]:
             return 0.0
-        t = i - p.level - 1          # 0-based Haar term index
-        if t > 0:
-            between = (child.index >> 1) & ((1 << t) - 1)
-            if between:
-                return 0.0
-        v = p.amplitude * math.ldexp(1.0, t)
-        return v if (child.index & 1) == 0 else -v
+        k, _, amp, _ = self._windows[pos]
+        t = level - k - 1
+        return math.ldexp(amp, t) * ((parents & ((1 << t) - 1)) == 0)
 
     def value(self, I: DyadicInterval) -> float:
         self._check(I)
@@ -553,23 +547,6 @@ class BlockMartingale(Martingale):
         counts[0] -= lo - (clo << shift)
         counts[-1] -= ((idx.size + clo) << shift) - hi
         return np.repeat(total, counts)
-
-    def _level_increments(self, n: int) -> np.ndarray:
-        p = self._active_placement(n)
-        out = np.zeros(1 << n)
-        if p is None:
-            return out
-        t = n - p.level - 1
-        idx = np.arange(1 << n, dtype=np.uint64)
-        if t > 0:
-            between = (idx >> np.uint64(1)) & np.uint64((1 << t) - 1)
-            live = between == 0
-        else:
-            live = np.ones(idx.shape, dtype=bool)
-        v = p.amplitude * math.ldexp(1.0, t)
-        out[live & ((idx & np.uint64(1)) == 0)] = v
-        out[live & ((idx & np.uint64(1)) == 1)] = -v
-        return out
 
 
 def assemble_martingale(schedule: BlockSchedule) -> BlockMartingale:

@@ -87,7 +87,8 @@ class DyadicRational:
         return Fraction(self.numerator, 1 << self.exponent)
 
     def __float__(self) -> float:
-        return self.numerator * 2.0 ** (-self.exponent)
+        # int / int is correctly rounded, at any exponent
+        return self.numerator / (1 << self.exponent)
 
     def floor_scaled(self, n: int) -> int:
         """floor(self * 2^n), exactly."""

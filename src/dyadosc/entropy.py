@@ -211,14 +211,14 @@ class MassSweepReport:
                 and self.worst_log2_margin >= -margin_tol)
 
 
-# widest distinct-jump set per level that the int64 numerator path takes;
-# up to it a level's jump codes come from comparisons, not a binary search
-_LUT64_WIDTH = 8
+# widest distinct-jump set per level whose jump codes come from
+# comparisons; a wider set takes a binary search
+_COMPARE_WIDTH = 8
 
 
 def _jump_codes(incs: np.ndarray, uniq: np.ndarray) -> np.ndarray:
     """Position of each jump in the sorted distinct jumps `uniq`."""
-    if len(uniq) > _LUT64_WIDTH:
+    if len(uniq) > _COMPARE_WIDTH:
         return np.searchsorted(uniq, incs)
     codes = np.zeros(incs.shape, dtype=np.intp)
     for u in uniq[1:].tolist():
@@ -249,34 +249,42 @@ def _mass_levels(S: Martingale, eta: float, depth: int):
         yield n, incs, s_vals, uniq, codes, log2_mass
 
 
+def _level_sums_exact(S: Martingale, eta: float, depth: int) -> bool:
+    """Whether every level's masses to `depth` sum to exactly 1, on exact
+    big-integer numerators over a per-level common denominator (jumps read
+    as the exact rationals their floats are); stops at the first level
+    whose sum misses 1."""
+    eta_frac = Fraction(eta)
+    nums = np.ones(1, dtype=object)
+    den = 1
+    for _, _, _, uniq, codes, _ in _mass_levels(S, eta, depth):
+        fracs = [(1 + eta_frac * Fraction(u)) / 2 for u in uniq.tolist()]
+        lev_den = math.lcm(*(f.denominator for f in fracs))
+        lut = [f.numerator * (lev_den // f.denominator) for f in fracs]
+        den *= lev_den
+        nums = np.repeat(nums, 2) * np.array(lut, dtype=object)[codes]
+        if int(nums.sum()) != den:
+            return False
+    return True
+
+
 def sweep_mass_distribution(S: Martingale, eta: float, depth: int) -> MassSweepReport:
     """Check mu(I) >= |I|^Phi(eta) on {S(I) >= eta log2(1/|I|)} to `depth`.
 
     Works levelwise through ``S.levels`` under the mass measure's domain
-    checks, so S_0 = 0 and the root is a member with margin 0.  Masses
-    are audited two ways: float log2 masses for the lower-bound margin,
-    and exact rational numerators (jumps read as the exact rationals their
-    floats are) for the sums-to-one test.  Both work per distinct jump of
-    a level and gather to the cells.  A vectorized int64 numerator path
-    covers levels of at most 8 distinct jumps while the numerators stay
-    below 2^62; anything else uses big ints.
+    checks, so S_0 = 0 and the root is a member with margin 0; float log2
+    masses give the margins.  The sums-to-one audit reads the pairing:
+    sibling jumps u and -u (float negation is exact) have rational ratios
+    (1 +- eta u)/2 summing to exactly 1, so a paired level keeps its
+    parent level's exact mass sum, 1 by induction from the root.  Only an
+    unpaired sweep takes the exact walk ``_level_sums_exact``.
     """
     phi = entropy_phi(eta)
-    eta_frac = Fraction(eta)
     worst_margin = 0.0
     worst_member = unit_interval()
     members = 1
     paired = True
-    sums_exact = True
-
-    # exact masses: num / den with a per-level common denominator
-    nums64: Optional[np.ndarray] = np.ones(1, dtype=np.int64)
-    nums_big: Optional[np.ndarray] = None
-    den = 1
-    bound64 = 1  # running bound on the largest numerator in the int64 path
-    luts: dict[bytes, tuple[int, list[int]]] = {}   # distinct jumps -> numerators
-
-    for n, incs, s_vals, uniq, codes, log2_mass in _mass_levels(S, eta, depth):
+    for n, incs, s_vals, _, _, log2_mass in _mass_levels(S, eta, depth):
         paired = paired and bool(np.all(incs[0::2] == -incs[1::2]))
         mask = s_vals >= eta * n - 1e-12
         count = int(np.count_nonzero(mask))
@@ -287,34 +295,7 @@ def sweep_mass_distribution(S: Martingale, eta: float, depth: int) -> MassSweepR
             if margins[j] < worst_margin:
                 worst_margin = float(margins[j])
                 worst_member = DyadicInterval(n, int(np.nonzero(mask)[0][j]))
-
-        # lift this level's ratios to a common denominator
-        key = uniq.tobytes()
-        if key not in luts:
-            fracs = [(1 + eta_frac * Fraction(v)) / 2 for v in uniq.tolist()]
-            lev_den = math.lcm(*(f.denominator for f in fracs))
-            luts[key] = lev_den, [f.numerator * (lev_den // f.denominator) for f in fracs]
-        lev_den, lut = luts[key]
-        den *= lev_den
-
-        if nums64 is not None:
-            max_r = max(*lut, 1)
-            if bound64 * max_r < (1 << 62) and len(lut) <= _LUT64_WIDTH:
-                nums64 = np.repeat(nums64, 2) * np.array(lut, dtype=np.int64)[codes]
-                bound64 *= max_r
-                # entries stay below 2^62 and the budget allows 2^24 of
-                # them, so each sum of 31-bit halves stays below 2^55
-                total = ((int((nums64 >> 31).sum()) << 31)
-                         + int((nums64 & ((1 << 31) - 1)).sum()))
-                sums_exact = sums_exact and total == den
-                continue
-            nums_big = nums64.astype(object)
-            nums64 = None
-
-        # big-integer numerators, multiplied as Python ints in object arrays
-        nums_big = np.repeat(nums_big, 2) * np.array(lut, dtype=object)[codes]
-        sums_exact = sums_exact and int(nums_big.sum()) == den
-
+    sums_exact = paired or _level_sums_exact(S, eta, depth)
     return MassSweepReport(depth, eta, members, worst_margin, worst_member,
                            paired, sums_exact, phi)
 

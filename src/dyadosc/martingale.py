@@ -10,9 +10,9 @@ whole-tree certificates walk the levels once, through ``levels``, behind
 the sweep budget.  The base class derives the arrays
 and the integral from the scalar oracle by plain loops, the reference
 that vectorized and closed-form overrides reproduce.  Jumps come from increment oracles,
-which hand each pair of children exactly opposite jumps, or from value
-oracles such as divided differences of a function, whose cancellation is
-checked.
+which hand each pair of children exactly opposite jumps (a paired kind
+writes only its left child's jump), or from value oracles such as
+divided differences of a function, whose cancellation is checked.
 
 A growth martingale with exponent ``beta`` is the level-scaled view
 ``2^(n beta)`` of its discounted martingale, so the discount transform and
@@ -95,10 +95,11 @@ class Martingale:
 
     Subclasses keep the scalar ``increment`` and may override the level
     arrays with vectorized sweeps that return the same floats (the
-    increments through the ``_level_increments`` hook, behind the gate),
-    ``primitive`` with a closed form that agrees with the bit walk to
-    rounding, and ``pair_primitives`` with array passes that return the
-    floats of their own ``value`` and ``primitive``.
+    increments through the ``_level_increments`` hook, behind the gate;
+    ``PairedMartingale`` derives the oracle and the hook from one
+    left-child kernel), ``primitive`` with a closed form that agrees with
+    the bit walk to rounding, and ``pair_primitives`` with array passes
+    that return the floats of their own ``value`` and ``primitive``.
     """
 
     def __init__(self, increment_fn: Callable[[DyadicInterval], float],
@@ -243,16 +244,41 @@ class ValueMartingale(Martingale):
                         dtype=float)
 
 
-class BinaryDigitMartingale(Martingale):
+class PairedMartingale(Martingale):
+    """Martingale paired by construction: one left-child jump kernel.
+
+    A subclass defines ``_left(level, parents)``, the jump into `level` of
+    each parent's left child, where `parents` is a Python int or a uint64
+    array and the same arithmetic serves both.  The scalar oracle and the
+    level arrays both read it, and the right child takes ``0 - left``:
+    exactly opposite, an int for int jumps, and +0.0 for a zero jump.
+    """
+
+    def __init__(self, **kw):
+        super().__init__(self._inc, **kw)
+
+    def _inc(self, child: DyadicInterval):
+        # Python ints, not a numpy uint64 scalar, which warns when it wraps
+        left = self._left(child.level, child.index >> 1)
+        return left if (child.index & 1) == 0 else 0 - left
+
+    def _level_increments(self, n: int) -> np.ndarray:
+        left = self._left(n, np.arange(1 << (n - 1), dtype=np.uint64))
+        out = np.empty(1 << n)
+        out[0::2] = left
+        out[1::2] = 0 - left
+        return out
+
+
+class BinaryDigitMartingale(PairedMartingale):
     """S_n = 2*(number of 1-digits) - n; increments are exactly +-1."""
 
     def __init__(self, max_depth: Optional[int] = None):
-        super().__init__(self._inc, s0=0, max_depth=max_depth,
-                         star_bound=1.0, name="binary")
+        super().__init__(s0=0, max_depth=max_depth, star_bound=1.0, name="binary")
 
     @staticmethod
-    def _inc(child: DyadicInterval) -> int:
-        return 1 if (child.index & 1) else -1
+    def _left(level, parents) -> int:
+        return -1
 
     def value(self, I: DyadicInterval) -> int:
         self._check(I)
@@ -261,27 +287,22 @@ class BinaryDigitMartingale(Martingale):
     def level_values_range(self, n: int, lo: int, hi: int) -> np.ndarray:
         return 2.0 * np.bitwise_count(np.arange(lo, hi, dtype=np.uint64)) - n
 
-    def _level_increments(self, n: int) -> np.ndarray:
-        out = np.empty(1 << n)
-        out[0::2] = -1.0
-        out[1::2] = 1.0
-        return out
-
 
 def binary_digit_martingale(max_depth: Optional[int] = None) -> BinaryDigitMartingale:
     return BinaryDigitMartingale(max_depth=max_depth)
 
 
-class _ZeroMartingale(Martingale):
-    def _level_increments(self, n: int) -> np.ndarray:
-        return np.zeros(1 << n)
+class _ZeroMartingale(PairedMartingale):
+    @staticmethod
+    def _left(level, parents) -> float:
+        return 0.0
 
 
 def zero_martingale() -> Martingale:
-    return _ZeroMartingale(lambda child: 0.0, s0=0.0, star_bound=0.0, name="zero")
+    return _ZeroMartingale(star_bound=0.0, name="zero")
 
 
-class RandomSignMartingale(Martingale):
+class RandomSignMartingale(PairedMartingale):
     """Increments +-scale with a random sign per parent.
 
     The sign of parent (level, index) is the top bit of a counter-based
@@ -292,28 +313,17 @@ class RandomSignMartingale(Martingale):
     _kind = "random-sign"
 
     def __init__(self, seed: int, scale: float = 1.0, max_depth: Optional[int] = None):
-        super().__init__(self._inc, s0=0.0, max_depth=max_depth,
-                         star_bound=scale, name=f"{self._kind}-{seed}")
+        super().__init__(s0=0.0, max_depth=max_depth, star_bound=scale,
+                         name=f"{self._kind}-{seed}")
         self.seed = seed
         self.scale = scale
 
+    def _left(self, level, parents):
+        return self._draw(_stream(self.seed, level - 1, parents))
+
     def _draw(self, bits):
-        """Left-child increments from the parents' stream bits (a Python
-        int or a uint64 array; the same arithmetic serves both)."""
+        """Left-child increments from the parents' stream bits."""
         return self.scale * (1.0 - 2.0 * (bits >> 63))
-
-    def _inc(self, child: DyadicInterval) -> float:
-        # Python ints, not a numpy uint64 scalar, which warns when it wraps
-        left = self._draw(_stream(self.seed, child.level - 1, child.index >> 1))
-        return left if (child.index & 1) == 0 else -left
-
-    def _level_increments(self, n: int) -> np.ndarray:
-        parents = np.arange(1 << (n - 1), dtype=np.uint64)
-        left = self._draw(_stream(self.seed, n - 1, parents))
-        out = np.empty(1 << n)
-        out[0::2] = left
-        out[1::2] = -left
-        return out
 
 
 class _RandomUniformMartingale(RandomSignMartingale):
@@ -366,7 +376,7 @@ class ScaledMartingale(Martingale):
         return math.pow(2.0, child.level * self.gamma) * self.base.increment(child)
 
     def _level_increments(self, n: int) -> np.ndarray:
-        return math.pow(2.0, n * self.gamma) * self.base.level_increments(n)
+        return math.pow(2.0, n * self.gamma) * self.base._level_increments(n)
 
 
 class CancellationReport:

@@ -183,6 +183,89 @@ class TestBuildSchedule:
         assert not sched.stages[1].complete
 
 
+def _build_schedule_reference(beta, stages, depth_cap):
+    """The schedule loop before it truncated on float overflow, verbatim:
+    the oracle wherever that loop finished."""
+    from dyadosc.blocks import (BlockSchedule, Placement, StageRecord, delta_j,
+                                m_of_delta, n_of_j)
+    beta_f = float(beta)
+    placements = []
+    stage_records = []
+    sup_levels = [0.0]
+    inf_levels = [0.0]
+    cur_sup, cur_inf = 0.0, 0.0
+    prev_end = 0
+    truncated = False
+    for j in range(stages):
+        d_ = float(delta_j(j))
+        M = m_of_delta(delta_j(j), beta_f)
+        n_j = n_of_j(j, beta_f)
+        placed = 0
+        for n in range(n_j + 1):
+            norm = max(cur_sup, -cur_inf)
+            if norm == 0.0:
+                k = prev_end
+            else:
+                k = max(prev_end,
+                        math.ceil(math.log2(2.0 * norm / d_) / beta_f))
+                while math.pow(2.0, -k * beta_f) * norm > d_ / 2.0:
+                    k += 1
+            if k + M > depth_cap:
+                truncated = True
+                break
+            amp = d_ * math.pow(2.0, k * beta_f)
+            while len(sup_levels) <= k:
+                sup_levels.append(cur_sup)
+                inf_levels.append(cur_inf)
+            for t in range(1, M + 1):
+                sup_levels.append(cur_sup + amp * (math.ldexp(1.0, t) - 1.0))
+                inf_levels.append(cur_inf - amp)
+            norm_before = norm
+            cur_sup = cur_sup + amp * (math.ldexp(1.0, M) - 1.0)
+            cur_inf = cur_inf - amp
+            placements.append(Placement(j, n, k, M, d_, amp, norm_before,
+                                        max(cur_sup, -cur_inf)))
+            prev_end = k + M
+            placed += 1
+        complete = placed == n_j + 1
+        stage_records.append(StageRecord(j, d_, M, n_j, complete))
+        if truncated:
+            if j == 0 and not complete:
+                raise d.DepthCapError(
+                    f"depth cap {depth_cap} too small to finish stage 0")
+            break
+    end_level = len(sup_levels) - 1
+    return BlockSchedule(beta_f, placements, stage_records,
+                         np.array(sup_levels), np.array(inf_levels),
+                         end_level, depth_cap, truncated)
+
+
+class TestScheduleFloatRange:
+    @pytest.mark.parametrize("cap", [4096, 2048])
+    def test_overflow_truncates_cleanly(self, cap):
+        # amplitudes delta 2^(k beta) leave the float range near level 1460,
+        # before these caps: the next round's log2 was an OverflowError
+        sched = d.build_schedule(0.7, 3, depth_cap=cap)
+        assert sched.truncated and sched.end_level == 1464
+        assert sched.stages[0].complete and not sched.stages[1].complete
+        assert np.all(np.isfinite(sched.growth_norm_profile()))
+
+    @pytest.mark.parametrize("cap", [160, 1024, 1400])
+    @pytest.mark.parametrize("stages", [1, 2, 3])
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.7])
+    def test_schedules_inside_the_range_unchanged(self, beta, stages, cap):
+        try:
+            ref = _build_schedule_reference(beta, stages, cap)
+        except d.DepthCapError:
+            with pytest.raises(d.DepthCapError):
+                d.build_schedule(beta, stages, depth_cap=cap)
+            return
+        sched = d.build_schedule(beta, stages, depth_cap=cap)
+        assert sched.to_dict() == ref.to_dict()
+        assert sched.sup_at.tobytes() == ref.sup_at.tobytes()
+        assert sched.inf_at.tobytes() == ref.inf_at.tobytes()
+
+
 class TestAssembledMartingale:
     def test_early_levels_match_block_partials(self, block_schedule_half,
                                                block_martingale_half):
@@ -364,6 +447,15 @@ class TestInducedFunctionCertificates:
                                   growth_bound=B)
         hits, total = d.blocks.witness_survey(sched, S, f, 0.5, 100, seed=123)
         assert hits >= 99
+
+    def test_witness_survey_past_1024_bits(self):
+        # survey points 1068 bits deep: float(e - x) was an OverflowError
+        sched = d.build_schedule(0.7, 3, depth_cap=1024)
+        S = d.assemble_martingale(sched)
+        B = float(sched.growth_norm_profile().max())
+        f = d.martingale_function(S, 0.3, max_depth=sched.end_level + 64,
+                                  growth_bound=B)
+        assert d.blocks.witness_survey(sched, S, f, 0.3, 20, seed=0) == (18, 20)
 
     @pytest.mark.parametrize("points", [0, -1])
     def test_witness_survey_needs_points(self, block_schedule_half,

@@ -75,6 +75,15 @@ class TestDyadicRational:
         with pytest.raises(TypeError):
             DR(1.5, 2)
 
+    def test_float_past_1024_bits(self):
+        # the numerator went to float first and overflowed past 2^1024
+        assert float(DR((1 << 1050) + 1, 1100)) == 2.0 ** -50
+        rng = random.Random(0)
+        for _ in range(500):
+            e = rng.randrange(1300)
+            x = DR(rng.getrandbits(rng.randrange(1, e + 64)), e)
+            assert float(x) == float(x.as_fraction())
+
     def test_from_float_exact(self):
         assert DR.from_value(0.375) == DR(3, 3)
         with pytest.raises(d.DomainError):

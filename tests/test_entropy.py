@@ -99,11 +99,19 @@ def _block_discounted(schedule):
 
 def _graded():
     """Paired jumps +-k/16 with k = 1 + (parent index mod 12): 24 distinct
-    jumps from level 5 on, past the int64 path's 8."""
+    jumps from level 5 on, past the 8 whose codes come from comparisons."""
     def inc(child):
         left = (1 + (child.index >> 1) % 12) / 16.0
         return left if (child.index & 1) == 0 else -left
     return d.Martingale(inc, star_bound=1.0, name="graded")
+
+
+def _balanced_unpaired():
+    """Level-2 jumps [0.25, 0.0, -0.25, 0.0], every other jump 0: siblings
+    do not cancel, yet every level's masses sum to exactly 1."""
+    def inc(child):
+        return (0.25, 0.0, -0.25, 0.0)[child.index] if child.level == 2 else 0.0
+    return d.Martingale(inc, star_bound=1.0, name="balanced-unpaired")
 
 
 class TestEntropyPhi:
@@ -278,8 +286,8 @@ class TestMassSweep:
             d.sweep_mass_distribution(S, eta, 4)
 
     def test_int64_level_sums_at_depth_20(self):
-        # unit jumps with eta = 1/2 keep every numerator at most 3^20 < 2^62,
-        # so all 20 levels take the int64 path
+        # unpaired unit jumps miss exact sums at level 1; paired ones are
+        # exact at all 20 levels
         rep = d.sweep_mass_distribution(_Unpaired(None, star_bound=1.0), 0.5, 20)
         assert not rep.increments_paired and not rep.level_sums_exact
         rep = d.sweep_mass_distribution(d.binary_digit_martingale(), 0.5, 20)
@@ -329,16 +337,19 @@ class TestMassSweepOracle:
     @pytest.mark.parametrize("name, eta, depth", [
         ("binary", 0.5, 14), ("zero", 0.5, 8), ("alternating", 0.5, 8),
         ("block-discounted", 0.25, 14), ("block-discounted", 0.7, 14),
-        ("unpaired", 0.5, 20), ("graded", 0.6, 12),
+        ("unpaired", 0.5, 20), ("graded", 0.6, 12), ("balanced-unpaired", 0.5, 8),
     ])
     def test_named_martingales(self, block_schedule_half, name, eta, depth):
         S = {"binary": d.binary_digit_martingale(), "zero": d.zero_martingale(),
              "alternating": _alternating(),
              "block-discounted": _block_discounted(block_schedule_half),
              "unpaired": _Unpaired(None, star_bound=1.0),
-             "graded": _graded()}[name]
-        assert (_report_key(d.sweep_mass_distribution(S, eta, depth))
-                == _report_key(_sweep_reference(S, eta, depth)))
+             "graded": _graded(), "balanced-unpaired": _balanced_unpaired()}[name]
+        rep = d.sweep_mass_distribution(S, eta, depth)
+        assert _report_key(rep) == _report_key(_sweep_reference(S, eta, depth))
+        if name == "balanced-unpaired":
+            # the exact big-integer walk, not the pairing, finds the sums
+            assert not rep.increments_paired and rep.level_sums_exact
 
     def test_graded_takes_the_big_integer_path(self):
         S = _graded()
@@ -363,15 +374,21 @@ class TestMassSweepOracle:
             calls.append(args)
             return real(*args)
 
+        def exact_walk(*args):
+            pytest.fail("a paired sweep took the exact big-integer walk")
+
         monkeypatch.setattr(entropy, "Fraction", counting)
-        d.sweep_mass_distribution(d.RandomSignMartingale(4), 0.5, 12)
-        # past eta, only the two jumps of the one set {-1, +1}
-        assert [a for a in calls if a != (0.5,)] == [(-1.0,), (1.0,)]
+        monkeypatch.setattr(entropy, "_level_sums_exact", exact_walk)
+        rep = d.sweep_mass_distribution(d.RandomSignMartingale(4), 0.5, 12)
+        # paired levels sum to exactly 1 by construction: past eta, no
+        # Fraction at all
+        assert rep.increments_paired and rep.level_sums_exact
+        assert [a for a in calls if a != (0.5,)] == []
         calls.clear()
         S = d.ScaledMartingale(d.RandomSignMartingale(4), -1.0, star_bound=1.0)
-        d.sweep_mass_distribution(S, 0.3, 12)
-        # a new two-jump set {-2^-n, 2^-n} at every level n
-        assert len([a for a in calls if a != (0.3,)]) == 2 * 12
+        rep = d.sweep_mass_distribution(S, 0.3, 12)
+        assert rep.increments_paired and rep.level_sums_exact
+        assert [a for a in calls if a != (0.3,)] == []
 
 class TestCoveringContent:
     def test_full_partition_content_one(self):

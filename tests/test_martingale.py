@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_right
 import tracemalloc
 from fractions import Fraction
 
@@ -399,6 +400,146 @@ class TestLevelArrayOracle:
         view = d.ScaledMartingale(B, -0.5, star_bound=0.5, name="block-discounted")
         assert (d.sweep_mass_distribution(view, 0.25, 16)
                 == d.sweep_mass_distribution(lam, 0.25, 16))
+
+
+# The jump formulas of the paired kinds before their one left-child
+# kernel, kept verbatim (`self` passed as `S`) as oracles for it: each
+# kind's scalar `_inc` and array `_level_increments`.
+
+def _binary_inc(S, child):
+    return 1 if (child.index & 1) else -1
+
+
+def _binary_level_increments(S, n):
+    out = np.empty(1 << n)
+    out[0::2] = -1.0
+    out[1::2] = 1.0
+    return out
+
+
+def _zero_inc(S, child):
+    return 0.0
+
+
+def _zero_level_increments(S, n):
+    return np.zeros(1 << n)
+
+
+def _sign_draw(S, bits):
+    return S.scale * (1.0 - 2.0 * (bits >> 63))
+
+
+def _uniform_draw(S, bits):
+    return (bits >> 11) * 2.0 ** -52 - 1.0
+
+
+def _random_inc(draw):
+    def _inc(S, child):
+        left = draw(S, martingale._stream(S.seed, child.level - 1, child.index >> 1))
+        return left if (child.index & 1) == 0 else -left
+    return _inc
+
+
+def _random_level_increments(draw):
+    def _level_increments(S, n):
+        parents = np.arange(1 << (n - 1), dtype=np.uint64)
+        left = draw(S, martingale._stream(S.seed, n - 1, parents))
+        out = np.empty(1 << n)
+        out[0::2] = left
+        out[1::2] = -left
+        return out
+    return _level_increments
+
+
+def _active_placement(S, i):
+    """Placement with k < i <= k + M, if any."""
+    pos = bisect_right(S._starts, i - 1) - 1
+    if pos < 0:
+        return None
+    p = S.schedule.placements[pos]
+    return p if i <= p.end else None
+
+
+def _block_inc(S, child):
+    i = child.level
+    p = _active_placement(S, i)
+    if p is None:
+        return 0.0
+    t = i - p.level - 1          # 0-based Haar term index
+    if t > 0:
+        between = (child.index >> 1) & ((1 << t) - 1)
+        if between:
+            return 0.0
+    v = p.amplitude * math.ldexp(1.0, t)
+    return v if (child.index & 1) == 0 else -v
+
+
+def _block_level_increments(S, n):
+    p = _active_placement(S, n)
+    out = np.zeros(1 << n)
+    if p is None:
+        return out
+    t = n - p.level - 1
+    idx = np.arange(1 << n, dtype=np.uint64)
+    if t > 0:
+        between = (idx >> np.uint64(1)) & np.uint64((1 << t) - 1)
+        live = between == 0
+    else:
+        live = np.ones(idx.shape, dtype=bool)
+    v = p.amplitude * math.ldexp(1.0, t)
+    out[live & ((idx & np.uint64(1)) == 0)] = v
+    out[live & ((idx & np.uint64(1)) == 1)] = -v
+    return out
+
+
+def _paired_kinds(block_martingale):
+    """name -> (martingale, its former scalar oracle, its former level
+    array), each readable to level 900."""
+    zero = d.zero_martingale()
+    zero.max_depth = 1024
+    return {
+        "binary": (d.binary_digit_martingale(max_depth=1024), _binary_inc,
+                   _binary_level_increments),
+        "zero": (zero, _zero_inc, _zero_level_increments),
+        "random-sign": (d.RandomSignMartingale(7, scale=0.75, max_depth=1024),
+                        _random_inc(_sign_draw), _random_level_increments(_sign_draw)),
+        "random-uniform": (martingale._RandomUniformMartingale(5, max_depth=1024),
+                           _random_inc(_uniform_draw),
+                           _random_level_increments(_uniform_draw)),
+        "block": (block_martingale, _block_inc, _block_level_increments),
+    }
+
+
+_PAIRED_KINDS = ["binary", "zero", "random-sign", "random-uniform", "block"]
+
+
+class TestPairedKernelOracle:
+    """The one left-child kernel per paired kind against the scalar and
+    array formulas it replaced: the same bytes, types and signs."""
+
+    @pytest.mark.parametrize("name", _PAIRED_KINDS)
+    def test_level_arrays_byte_equal(self, block_martingale_half, name):
+        S, _, level_increments = _paired_kinds(block_martingale_half)[name]
+        for n in range(1, 17):
+            assert S.level_increments(n).tobytes() == level_increments(S, n).tobytes()
+
+    @pytest.mark.parametrize("name", _PAIRED_KINDS)
+    def test_scalar_jumps_equal(self, block_martingale_half, name):
+        # block_martingale_half ends at level 895; its spine cells (low
+        # parent bits zero) are the live ones, so shifted draws find them
+        S, inc, _ = _paired_kinds(block_martingale_half)[name]
+        rng = random.Random(name)
+        for n in range(1, 901):
+            top = (1 << n) - 1
+            idx = {0, 1, top - 1, top}
+            for _ in range(8):
+                shift = rng.randrange(n + 1)
+                idx.add((rng.getrandbits(n) >> shift) << shift)
+                idx.add(((rng.getrandbits(n) >> shift) << shift) | 1)
+            for j in sorted(i for i in idx if 0 <= i <= top):
+                got, want = S.increment(DI(n, j)), inc(S, DI(n, j))
+                assert type(got) is type(want) and got == want
+                assert math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
 def _guard_levels(S, attr="level_increments"):
