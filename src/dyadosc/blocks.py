@@ -85,15 +85,18 @@ def n_of_j(j: int, beta) -> int:
 
     Computed as floor(log delta_j / log(1 - 2^-M_j)) + 1; the defining
     inequality is re-verified and the count nudged up across any float
-    boundary.  Degenerate (nonpositive) values raise.
+    boundary.  Degenerate (nonpositive) values raise, and so does a count
+    of about 2^M ln(1/delta_j) past the float range (M_j >= 1024 or so).
     """
     d = delta_j(j)
     M = m_of_delta(d, beta)
-    log_ratio = math.log(float(d)) / math.log1p(-math.ldexp(1.0, -M))
+    step = math.log1p(-math.ldexp(1.0, -M))     # 0.0 once 2^-M underflows
+    if not step or math.isinf(log_ratio := math.log(float(d)) / step):
+        raise DepthCapError(f"stage {j}: the round count at M = {M} leaves the float range")
     n = int(math.floor(log_ratio)) + 1
     if n <= 0:
         raise DomainError(f"round count degenerated at stage {j}")
-    while n * math.log1p(-math.ldexp(1.0, -M)) > math.log(float(d)):
+    while n * step > math.log(float(d)):
         n += 1
     return n
 
@@ -181,7 +184,9 @@ class BuildingBlock:
 
 
 def building_block(delta, J: DyadicInterval, beta) -> BuildingBlock:
-    """Construct and verify W(delta, J)."""
+    """Construct and verify W(delta, J), for J inside [0, 1)."""
+    if J.index < 0 or J.index >> J.level:
+        raise DomainError(f"{J} lies outside the unit interval: need index < 2^level")
     M = m_of_delta(delta, beta)
     block = BuildingBlock(float(delta), J, float(beta), M)
     block.verify()
@@ -526,6 +531,7 @@ class BlockMartingale(PairedMartingale):
         closed form runs on the level-e indices that cover [lo, hi), and
         each value is repeated over the level-n indices it covers.
         """
+        self._check_range(n, lo, hi)
         if n > 62:
             raise DepthCapError("vectorized sweep limited to level 62")
         live = bisect_right(self._starts, n - 1)   # placements starting below n
@@ -540,8 +546,8 @@ class BlockMartingale(PairedMartingale):
             total += np.where(bits == 0,
                               p.amplitude * (math.ldexp(1.0, t) - 1.0),
                               -p.amplitude)
-        if shift == 0 or hi <= lo:
-            return total[:max(hi - lo, 0)]
+        if shift == 0 or hi == lo:
+            return total[:hi - lo]
         # level-n cells per level-e value; the first and last are clipped
         counts = np.full(total.shape, 1 << shift, dtype=np.int64)
         counts[0] -= lo - (clo << shift)
@@ -659,17 +665,18 @@ class SpecialIntervalRegistry:
             worst = min(worst, math.pow(2.0, -p.end * beta) * (peak - p.norm_before))
         return worst
 
-    def check_members(self, max_level: int = 16) -> tuple[int, float]:
-        """|I'|^beta S(I') >= 1/5 on every enumerable member.
+    def check_members(self) -> tuple[int, float]:
+        """|I'|^beta S(I') >= 1/5 on every member of a placement at level
+        16 or less.
 
-        Returns (number checked, worst value).  Deep placements are
+        Returns (number checked, worst value).  Deeper placements are
         covered by the closed-form bound instead.
         """
         beta = self.schedule.beta
         worst = math.inf
         checked = 0
         for p in self.placements:
-            if p.level > max_level:
+            if p.level > 16:
                 continue
             vals = self.S.level_values(p.end)
             members = np.arange(1 << p.level, dtype=np.int64) << p.M
@@ -719,15 +726,14 @@ def special_registry(schedule: BlockSchedule, stage: int,
 
 
 def witness_survey(schedule: BlockSchedule, S: BlockMartingale, f, alpha: float,
-                   points: int, seed: int, tol: float = 1e-3,
-                   stages: int = 2) -> tuple[int, int]:
+                   points: int, seed: int) -> tuple[int, int]:
     """Count sampled points with a special-interval witness for f.
 
     At each uniformly sampled dyadic point x, every special or
-    left-special membership in the first `stages` stages offers the
+    left-special membership in the first two stages offers the
     candidate step h = (right endpoint of the special interval) - x; the
     point scores once some candidate's divided difference clears
-    1/20 - tol.  Returns (hits, points).
+    1/20 - 1e-3.  Returns (hits, points).
     """
     import random as _random
 
@@ -735,7 +741,7 @@ def witness_survey(schedule: BlockSchedule, S: BlockMartingale, f, alpha: float,
         raise DomainError("need at least one sampled point")
     rng = _random.Random(seed)
     regs = [special_registry(schedule, j, S)
-            for j in range(min(stages, len(schedule.stages)))
+            for j in range(min(2, len(schedule.stages)))
             if schedule.stages[j].complete]
     depth = schedule.end_level + 48
     hits = 0
@@ -747,7 +753,7 @@ def witness_survey(schedule: BlockSchedule, S: BlockMartingale, f, alpha: float,
             for hit in reg.hits(bits, depth):
                 e = hit.target
                 dd = f.difference(x, e) / float(e - x) ** alpha
-                if dd >= 0.05 - tol:
+                if dd >= 0.05 - 1e-3:
                     found = True
                     break
             if found:

@@ -1,4 +1,4 @@
-"""Experiment runner: every construction and check behind a subcommand.
+"""Experiment runner: the constructions and their checks as subcommands.
 
 Outputs are CSV for tables and JSON for schedules; each run that writes
 one also writes a manifest (full parameter set, seed, depth caps, version,
@@ -93,13 +93,7 @@ class RunWriter:
 
 
 def _fmt(v):
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, np.integer):
-        return int(v)
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    return v
+    return repr(float(v)) if isinstance(v, float) else v
 
 
 # ---------------------------------------------------------------------
@@ -114,11 +108,11 @@ def cmd_phi(args, w: RunWriter) -> int:
 
 def cmd_lemma32(args, w: RunWriter) -> int:
     rng = np.random.default_rng(args.seed)
-    n = args.n
+    n = _count(args.n, "--n")
     eta = args.eta
     rows = []
     worst = math.inf
-    for i in range(args.count):
+    for i in range(_count(args.count, "--count")):
         u = rng.uniform(-1.0, 1.0, size=n)
         s_target = rng.uniform(max(float(np.sum(u)), eta * n + 1e-9), n)
         lam = (n - s_target) / (n - float(np.sum(u))) if s_target > float(np.sum(u)) else 1.0
@@ -140,11 +134,10 @@ def _pick_martingale(kind: str, seed, depth):
         if seed is None:
             raise DomainError("--seed is required for the random martingale")
         return martingale.RandomSignMartingale(seed)
-    if kind == "block-discounted":
-        sched = blocks.build_schedule(0.5, 1, depth_cap=max(160, depth + 8))
-        return martingale.ScaledMartingale(blocks.BlockMartingale(sched), -0.5,
-                                           star_bound=0.5, name="block-discounted")
-    raise DomainError(f"unknown martingale kind {kind!r}")
+    # argparse's choices leave "block-discounted"
+    sched = blocks.build_schedule(0.5, 1, depth_cap=max(160, depth + 8))
+    return martingale.ScaledMartingale(blocks.BlockMartingale(sched), -0.5,
+                                       star_bound=0.5, name="block-discounted")
 
 
 def cmd_mass_measure(args, w: RunWriter) -> int:
@@ -152,7 +145,7 @@ def cmd_mass_measure(args, w: RunWriter) -> int:
     rep = entropy.sweep_mass_distribution(S, args.eta, args.depth)
     # the log2 masses of the sweep's kernel, equal to `mass_log2` per cell
     dump_depth = min(args.depth, 10)
-    rows = [[0, 0, 0.0]] if dump_depth >= 0 else []
+    rows = [[0, 0, 0.0]]
     for n, *_, log2_mass in entropy._mass_levels(S, args.eta, dump_depth):
         rows.extend([n, j, v] for j, v in enumerate(log2_mass.tolist()))
     w.write_csv("mass_measure.csv", ["level", "index", "mass_log2"], rows)
@@ -170,7 +163,7 @@ def cmd_mass_measure(args, w: RunWriter) -> int:
 
 
 def cmd_besicovitch(args, w: RunWriter) -> int:
-    levels = [int(t) for t in args.levels.split(",")]
+    levels = _items(args.levels, "--levels", int)
     eta = Fraction(args.eta).limit_denominator(1 << 30)
     phi = entropy.entropy_phi(float(eta))
     rows = []
@@ -185,10 +178,11 @@ def cmd_besicovitch(args, w: RunWriter) -> int:
 
 
 def cmd_dim_estimate(args, w: RunWriter) -> int:
-    pairs = []
-    for item in args.counts.split(","):
+    def pair(item: str) -> tuple[int, int]:
         n_str, c_str = item.split(":")
-        pairs.append((int(n_str), int(c_str)))
+        return int(n_str), int(c_str)
+
+    pairs = _items(args.counts, "--counts", pair)
     ests = entropy.dim_estimate(pairs)
     w.write_csv("dim_estimate.csv", ["N", "count", "estimate"],
                 [[n, c, e] for (n, c), e in zip(pairs, ests)])
@@ -383,19 +377,27 @@ def cmd_gap(args, w: RunWriter) -> int:
     return 0
 
 
-def _point_count(count: int) -> int:
+def _count(count: int, flag: str) -> int:
     if count < 1:
-        raise DomainError("--points must be at least 1")
+        raise DomainError(f"{flag} must be at least 1")
     return count
+
+
+def _items(text: str, flag: str, parse) -> list:
+    """`parse` of each comma-separated item; a bad one is a domain error."""
+    try:
+        return [parse(item) for item in text.split(",")]
+    except ValueError:
+        raise DomainError(f"{flag} cannot be read from {text!r}") from None
 
 
 def _seeded_points(count: int, seed: int) -> list[float]:
     rng = np.random.default_rng(seed)
-    return [float(v) for v in rng.uniform(0.02, 0.98, size=_point_count(count))]
+    return [float(v) for v in rng.uniform(0.02, 0.98, size=_count(count, "--points"))]
 
 
 def _grid_points(lo: float, hi: float, count: int) -> np.ndarray:
-    return np.linspace(lo, hi, _point_count(count))
+    return np.linspace(lo, hi, _count(count, "--points"))
 
 
 def cmd_verify_all(args, w: RunWriter) -> int:
@@ -602,47 +604,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, required=True)
 
     return p
-
-
-# operation -> subcommand coverage, audited in the tests
-OP_COVERAGE = {
-    "locate": "verify-all",
-    "children": "verify-all",
-    "left_neighbor": "counterexample",
-    "whitney": "verify-all",
-    "from_function": "martingale-extract",
-    "check_cancellation": "verify-all",
-    "star_norm": "verify-all",
-    "beta_star_norm": "verify-all",
-    "binary_digit_martingale": "mass-measure",
-    "discount_transform": "verify-all",
-    "summation_by_parts_check": "verify-all",
-    "sharpness_martingale": "verify-all",
-    "entropy_phi": "phi",
-    "product_lower_bound": "lemma32",
-    "mass_measure": "mass-measure",
-    "covering_content": "verify-all",
-    "besicovitch_count": "besicovitch",
-    "dim_estimate": "dim-estimate",
-    "martingale_function": "counterexample",
-    "holder_seminorm_estimate": "counterexample",
-    "base_wavelet": "wavelet",
-    "wavelet_schedule": "wavelet",
-    "wavelet_oscillator": "wavelet",
-    "witness_scales": "wavelet",
-    "m_of_delta": "block",
-    "haar": "block",
-    "building_block": "block",
-    "n_of_j": "schedule",
-    "build_schedule": "schedule",
-    "assemble_martingale": "counterexample",
-    "special_registry": "counterexample",
-    "divided_difference": "sigma-stats",
-    "theta": "theta",
-    "sigma_stats": "sigma-stats",
-    "theta_martingale_gap": "gap",
-    "subsample": "verify-all",
-}
 
 
 def main(argv=None) -> int:

@@ -52,9 +52,6 @@ class ThetaResult:
     error_estimate: float       # from one panel-halving refinement
     panels: int
 
-    def __float__(self):
-        return self.value
-
 
 def _octave_simpson(g, uppers: Sequence[float], m: int) -> list[tuple[float, float]]:
     """int_0^U g(u) du at each U of the increasing `uppers`, by composite
@@ -175,7 +172,6 @@ class GapProfile:
     levels: list[int]
     gaps: list[float]
     points: int
-    eps_per_level: int
 
 
 def _tracking(f: HolderFunction, alpha: float, cutoff_extra: int,
@@ -281,7 +277,7 @@ def theta_martingale_gap(f: HolderFunction, alpha: float, depth: int,
             s_val = tracking(locate(x, n))
             for eps in level_eps[idx]:
                 gaps[idx] = max(gaps[idx], abs(thetas[eps][0] - s_val))
-    return GapProfile(levels, gaps, len(sample_points), eps_grid)
+    return GapProfile(levels, gaps, len(sample_points))
 
 
 def trend_pvalue(values: Sequence[float]) -> float:

@@ -279,6 +279,8 @@ def sweep_mass_distribution(S: Martingale, eta: float, depth: int) -> MassSweepR
     parent level's exact mass sum, 1 by induction from the root.  Only an
     unpaired sweep takes the exact walk ``_level_sums_exact``.
     """
+    if depth < 1:
+        raise DomainError("the mass sweep needs depth >= 1")
     phi = entropy_phi(eta)
     worst_margin = 0.0
     worst_member = unit_interval()

@@ -21,7 +21,9 @@ the sharpness construction invert each other exactly.
 
 from __future__ import annotations
 
+import functools
 import math
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -117,6 +119,15 @@ class Martingale:
         if I.level > self.max_depth:
             raise DepthCapError(f"level {I.level} beyond max depth {self.max_depth}")
 
+    def _check_range(self, n: int, lo: int, hi: int) -> None:
+        """Every `level_values_range` checks first that [lo, hi) is a range
+        of level-n indices (hi <= 2^n, without building 2^n) in the budget."""
+        if n < 0 or not 0 <= lo <= hi or (hi > 0 and (hi - 1) >> n):
+            raise DomainError(f"[{lo}, {hi}) is not a range of level-{n} indices")
+        if hi - lo > SWEEP_CELL_BUDGET:
+            raise DepthCapError(f"a read of {hi - lo} cells is beyond the budget "
+                                f"of {SWEEP_CELL_BUDGET}")
+
     def increment(self, child: DyadicInterval):
         """Jump S(child) - S(parent)."""
         if child.level == 0:
@@ -205,6 +216,7 @@ class Martingale:
 
     def level_values_range(self, n: int, lo: int, hi: int) -> np.ndarray:
         """Values of S_n on level-n indices [lo, hi), left to right."""
+        self._check_range(n, lo, hi)
         vals = np.full(1, float(self.s0))
         for _, _, vals in self.levels(n):
             pass
@@ -222,8 +234,7 @@ class ValueMartingale(Martingale):
     results are memoized, since each may be an expensive evaluation."""
 
     def __init__(self, value_fn: Callable[[DyadicInterval], float], **kw):
-        self._value_fn = value_fn
-        self._values: dict[tuple[int, int], float] = {}
+        self._value_fn = functools.cache(value_fn)
         super().__init__(increment_fn=self._increment_from_values, **kw)
         self.s0 = self.value(unit_interval())
 
@@ -232,16 +243,20 @@ class ValueMartingale(Martingale):
 
     def value(self, I: DyadicInterval):
         self._check(I)
-        key = (I.level, I.index)
-        cached = self._values.get(key)
-        if cached is None:
-            cached = self._value_fn(I)
-            self._values[key] = cached
-        return cached
+        return self._value_fn(I)
 
     def level_values_range(self, n: int, lo: int, hi: int) -> np.ndarray:
+        self._check_range(n, lo, hi)
         return np.array([self.value(DyadicInterval(n, j)) for j in range(lo, hi)],
                         dtype=float)
+
+
+def from_function(f, depth: int, tol: Optional[float] = None) -> ValueMartingale:
+    """Divided-difference martingale of f, evaluable to the given depth:
+    S(I) = 2^n (f(b) - f(a)) for I = [a, b) at level n."""
+    return ValueMartingale(
+        lambda I: math.ldexp(f.difference(I.left, I.right, tol=tol), I.level),
+        max_depth=depth, name="from-function")
 
 
 class PairedMartingale(Martingale):
@@ -285,6 +300,7 @@ class BinaryDigitMartingale(PairedMartingale):
         return 2 * int(I.index).bit_count() - I.level
 
     def level_values_range(self, n: int, lo: int, hi: int) -> np.ndarray:
+        self._check_range(n, lo, hi)
         return 2.0 * np.bitwise_count(np.arange(lo, hi, dtype=np.uint64)) - n
 
 
@@ -336,27 +352,6 @@ class _RandomUniformMartingale(RandomSignMartingale):
         return (bits >> 11) * 2.0 ** -52 - 1.0
 
 
-class FunctionMartingale(ValueMartingale):
-    """S(I) = 2^n (f(b) - f(a)) for I = [a, b) at level n."""
-
-    def __init__(self, f, depth: int, tol: Optional[float] = None):
-        self.f = f
-        self.depth = depth
-        self.tol = tol
-        super().__init__(self._value, max_depth=depth, name="from-function")
-
-    def _value(self, I: DyadicInterval):
-        diff = self.f.difference(I.left, I.right, tol=self.tol)
-        if isinstance(diff, float):
-            return math.ldexp(diff, I.level)
-        return diff * (1 << I.level)
-
-
-def from_function(f, depth: int, tol: Optional[float] = None) -> FunctionMartingale:
-    """Divided-difference martingale of f, evaluable to the given depth."""
-    return FunctionMartingale(f, depth, tol=tol)
-
-
 class ScaledMartingale(Martingale):
     """Level-scaled view of `base`: increments 2^(n gamma) (S_n - S_{n-1}).
 
@@ -379,19 +374,14 @@ class ScaledMartingale(Martingale):
         return math.pow(2.0, n * self.gamma) * self.base._level_increments(n)
 
 
+@dataclass
 class CancellationReport:
-    def __init__(self, max_violation: float, worst_interval: Optional[DyadicInterval],
-                 checked: int):
-        self.max_violation = max_violation
-        self.worst_interval = worst_interval
-        self.checked = checked
+    max_violation: float
+    worst_interval: Optional[DyadicInterval]
+    checked: int
 
     def ok(self, tol: float = 1e-12) -> bool:
         return self.max_violation <= tol
-
-    def __repr__(self):
-        return (f"CancellationReport(max_violation={self.max_violation:.3e}, "
-                f"worst={self.worst_interval}, checked={self.checked})")
 
 
 # parents per level-array read in check_cancellation, bounding its memory

@@ -340,17 +340,17 @@ class WaveletOscillator(HolderFunction):
         """psi_m(t) = phi(2^(k_m) t - j) for the unique live translate."""
         return Fraction(*self._point_ratios(t, m, m)[0])
 
-    def value_float(self, t: Fraction, lo_stage: int = 1,
-                    hi_stage: Optional[int] = None) -> float:
+    def value_float(self, t: Fraction, lo_stage: int = 1) -> float:
+        """f(t) in floats, summed from stage `lo_stage` to the last built one."""
         total = 0.0
         for c, (num, den) in zip(self._coefficients[lo_stage - 1:],
-                                 self._point_ratios(t, lo_stage, hi_stage)):
+                                 self._point_ratios(t, lo_stage)):
             total += c * (num / den)
         return total
 
     def tail_part(self, m: int, t: Fraction) -> float:
         """R_m(t): stages m and beyond (within the built schedule)."""
-        return self.value_float(t, m, self.schedule.stages)
+        return self.value_float(t, m)
 
     def main_derivative(self, m: int, t: float) -> float:
         total = 0.0
@@ -510,9 +510,9 @@ class WitnessScales:
 
 
 def _bisect_zero(f: WaveletOscillator, x: Fraction, rx: list, m: int,
-                 t_lo: Fraction, t_hi: Fraction, tol_rel: float = 1e-4,
-                 max_steps: int = 200) -> Fraction:
-    """Offset t between t_lo, t_hi with |f(x+t)-f(x)| <= tol_rel * |t|.
+                 t_lo: Fraction, t_hi: Fraction) -> Fraction:
+    """Offset t between t_lo, t_hi with |f(x+t)-f(x)| <= 1e-4 |t|, within
+    200 bisection steps.
 
     rx holds x's stage ratios.  The bracket is carried as integer
     numerators: offsets over one denominator and points x + t over
@@ -540,11 +540,11 @@ def _bisect_zero(f: WaveletOscillator, x: Fraction, rx: list, m: int,
     where = f"{_at(x)}, m={m}, bracket [{t_lo}, {t_hi}]"
     if math.copysign(1.0, g_lo) == math.copysign(1.0, g_hi):
         raise CertificationError(f"no sign change for the zero crossing ({where})")
-    for _ in range(max_steps):
+    for _ in range(200):
         c, pc = a + b, pa + pb
         den, q = 2 * den, 2 * q
         g_mid = g(pc, q)
-        if abs(g_mid) <= tol_rel * abs(c / den):
+        if abs(g_mid) <= 1e-4 * abs(c / den):
             return Fraction(c, den)
         if math.copysign(1.0, g_mid) == math.copysign(1.0, g_lo):
             a, pa, g_lo = c, pc, g_mid
@@ -553,7 +553,7 @@ def _bisect_zero(f: WaveletOscillator, x: Fraction, rx: list, m: int,
             a, pa = 2 * a, 2 * pa
             b, pb = c, pc
     raise CertificationError(
-        f"zero crossing did not converge in {max_steps} steps ({where})")
+        f"zero crossing did not converge in 200 steps ({where})")
 
 
 def witness_scales(f: WaveletOscillator, x, m: int) -> WitnessScales:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import dyadosc as d
+from dyadosc import cli
 from dyadosc.dyadic import DyadicInterval as DI
 from dyadosc.dyadic import DyadicRational as DR
 
@@ -35,6 +36,12 @@ class TestMOfDelta:
         with pytest.raises(d.DomainError):
             d.m_of_delta(Fraction(3, 4), 0.5)
 
+    def test_float_path(self):
+        # delta = 0.1 is no power of two, so the depth comes from floats:
+        # log(1/0.2) / (0.5 log 2) = 4.64
+        assert d.m_of_delta(0.1, 0.5) == 5
+        assert 0.5 <= 2.0 ** (5 * 0.5) * 0.1 <= 2.0 ** -0.5
+
 
 class TestHaar:
     def test_values(self):
@@ -53,6 +60,11 @@ class TestHaar:
 
 
 class TestBuildingBlock:
+    @pytest.mark.parametrize("J", [DI(2, 9), DI(2, 4), DI(0, 1), DI(2, -1)])
+    def test_block_inside_the_unit_interval(self, J):
+        with pytest.raises(d.DomainError, match="outside the unit interval"):
+            d.building_block(Fraction(1, 8), J, 0.5)
+
     def test_closed_form_values(self):
         blk = d.building_block(Fraction(1, 8), d.unit_interval(), 0.5)
         assert blk.M == 5
@@ -139,6 +151,48 @@ class TestNOfJ:
     def test_positive(self):
         for j in range(13):
             assert d.n_of_j(j, 0.5) >= 1
+
+    def test_past_the_float_range(self, tmp_path):
+        # the count 2^M ln(1/delta_j) leaves the float range once M reaches
+        # about 1024, and 2^-M underflows to 0 past M = 1074
+        for j, beta in ((0, 0.99905), (0, 0.9995), (1, 0.999)):
+            with pytest.raises(d.DepthCapError, match=f"stage {j}"):
+                d.n_of_j(j, beta)
+        for beta in (0.99905, 0.9995):
+            with pytest.raises(d.DepthCapError):
+                d.build_schedule(beta, 1)
+        assert cli.main(["schedule", "--beta", "0.9995", "--stages", "1",
+                         "--out", str(tmp_path)]) == 4
+
+    def test_unchanged_inside_the_float_range(self):
+        betas = [*np.linspace(0.05, 0.999, 40),
+                 *(1 - 1 / x for x in (1000.5, 1021.5, 1022.5))]
+        depths = set()
+        for beta in betas:
+            for j in range(4):
+                M = d.m_of_delta(d.delta_j(j), beta)
+                if M >= 1024:
+                    continue
+                depths.add(M)
+                try:
+                    want = _n_of_j_reference(j, beta)
+                except OverflowError:       # a count past the float range
+                    with pytest.raises(d.DepthCapError):
+                        d.n_of_j(j, beta)
+                    continue
+                assert d.n_of_j(j, beta) == want, (j, beta)
+        assert {1001, 1022, 1023} <= depths
+
+
+def _n_of_j_reference(j, beta):
+    """n_of_j before it checked the float range, verbatim."""
+    dj = d.delta_j(j)
+    M = d.m_of_delta(dj, beta)
+    log_ratio = math.log(float(dj)) / math.log1p(-math.ldexp(1.0, -M))
+    n = int(math.floor(log_ratio)) + 1
+    while n * math.log1p(-math.ldexp(1.0, -M)) > math.log(float(dj)):
+        n += 1
+    return n
 
 
 class TestBuildSchedule:
@@ -370,6 +424,10 @@ class TestLevelValuesAtDeepestLiveLevel:
         k = (5 << 56) + 3
         self._check(S, 62, 8 * k + 1, 8 * k + 6)
 
+    def test_level_63_refused(self, block_martingale_half):
+        with pytest.raises(d.DepthCapError, match="level 62"):
+            block_martingale_half.level_values_range(63, 0, 4)
+
     def test_random_ranges(self, block_martingale_half):
         S = block_martingale_half
         rng = random.Random(7)
@@ -383,7 +441,7 @@ class TestLevelValuesAtDeepestLiveLevel:
 class TestSpecialRegistry:
     def test_member_bound(self, block_schedule_half, block_martingale_half):
         reg = d.special_registry(block_schedule_half, 0, block_martingale_half)
-        checked, worst = reg.check_members(max_level=16)
+        checked, worst = reg.check_members()
         assert checked > 0
         assert worst >= 0.2
 

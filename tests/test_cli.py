@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -72,6 +73,30 @@ class TestExitCodes:
                    + ["--out", str(tmp_path)]) == 3
         assert not list(tmp_path.glob("*.csv"))
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["lemma32", "--eta", "0.5", "--count", "0", "--seed", "1"], "--count"),
+        (["lemma32", "--eta", "0.5", "--n", "0", "--seed", "1"], "--n"),
+        (["lemma32", "--eta", "0.5", "--n", "-2", "--seed", "1"], "--n"),
+        (["besicovitch", "--eta", "1/2", "--levels", "20,x"], "--levels"),
+        (["dim-estimate", "--counts", "5"], "--counts"),
+        (["mass-measure", "--eta", "0.5", "--depth", "-1"], "depth"),
+        (["block", "--delta", "0.125", "--beta", "0.5", "--level", "2",
+          "--index", "9"], "index"),
+        (["mass-measure", "--martingale", "random", "--eta", "0.5"], "--seed"),
+    ])
+    def test_bad_input_names_its_flag(self, tmp_path, capsys, argv, flag):
+        # all but the last ended in a traceback or a vacuous exit 0
+        assert run(argv + ["--out", str(tmp_path)]) == 3
+        assert flag in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_verify_all_failure(self, monkeypatch, capsys):
+        monkeypatch.setattr(d.divdiff, "theta_linear_closed_form", lambda *a: math.inf)
+        assert run(["verify-all", "--depth", "8", "--seed", "7"]) == 5
+        out = capsys.readouterr().out
+        assert "[FAIL] theta closed form" in out
+        assert out.splitlines()[-1] == "1 failed: ['theta closed form']"
 
     def test_success(self, tmp_path, capsys):
         assert run(["phi", "--eta", "0.5", "--out", str(tmp_path)]) == 0
@@ -240,19 +265,3 @@ class TestSubcommands:
         assert payload["rows"][0][2] == 21700
         man = json.loads((tmp_path / "besicovitch_manifest.json").read_text())
         assert "besicovitch.json" in man["outputs"]
-
-
-class TestCoverageAudit:
-    def test_every_listed_operation_reachable(self):
-        commands = set()
-        parser = cli.build_parser()
-        for action in parser._subparsers._actions:
-            if hasattr(action, "choices") and action.choices:
-                commands |= set(action.choices)
-        missing = {op: cmd for op, cmd in cli.OP_COVERAGE.items()
-                   if cmd not in commands}
-        assert missing == {}
-
-    def test_coverage_map_names_real_operations(self):
-        for op in cli.OP_COVERAGE:
-            assert hasattr(d, op) or op in ("children", "left_neighbor"), op

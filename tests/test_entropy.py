@@ -301,6 +301,12 @@ class TestMassSweep:
         with pytest.raises(d.DepthCapError):
             d.sweep_mass_distribution(S, 0.5, 7)
 
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_sweep_needs_a_level(self, depth):
+        # depth -1 gave a root-only report that passed
+        with pytest.raises(d.DomainError, match="depth"):
+            d.sweep_mass_distribution(d.binary_digit_martingale(), 0.5, depth)
+
     def test_nan_jump_is_a_domain_error(self):
         # NaN passed both one-sided bound checks and reached Fraction
         S = d.Martingale(lambda ch: math.nan, star_bound=1.0)

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dyadosc as d
+from dyadosc import holder
 from dyadosc.dyadic import DyadicInterval as DI
 from dyadosc.dyadic import DyadicRational as DR
 
@@ -759,6 +760,15 @@ class TestPairVectorizedDifferences:
             sampler = d.SeminormSampler(pairs=300, scale_min=2.0 ** -30, seed=4,
                                         dyadic_depth=40)
             assert d.holder_seminorm_estimate(f, sampler) == _scalar_seminorm(f, sampler)
+
+    def test_seminorm_past_int64_matches_loop(self, block_f):
+        # numerators of depth 64 leave int64: the object-int side of
+        # _exact_ints, and the scalar loop of dyadic_differences
+        assert holder._exact_ints(np.array([1.0]), 64).dtype == object
+        sampler = d.SeminormSampler(pairs=200, scale_min=2.0 ** -40, seed=3,
+                                    dyadic_depth=64)
+        est = d.holder_seminorm_estimate(block_f, sampler)
+        assert 0.0 < est == _scalar_seminorm(block_f, sampler)
 
     def test_seminorm_makes_no_scalar_descent(self, monkeypatch, block_f):
         # a count, not a time: the parent made about 2,000 of these calls

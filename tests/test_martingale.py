@@ -629,3 +629,44 @@ class TestWholeTreeSweepBudget:
         assert S.level_increments(6).size == 64
         with pytest.raises(d.DepthCapError):
             S.level_increments(7)
+
+
+class TestLevelValuesRangeCheck:
+    """Each level_values_range implementation checks its range first: the
+    base loop, the value oracle, the binary count and the block form."""
+
+    @pytest.fixture
+    def kinds(self, block_martingale_half):
+        return {"base": d.RandomSignMartingale(3),
+                "value": d.from_function(d.LinearFunction(1.0, 0.5), 30),
+                "binary": d.binary_digit_martingale(),
+                "block": block_martingale_half}
+
+    @pytest.mark.parametrize("lo, hi", [(-2, 8), (0, 9), (6, 10), (-1, 2), (5, 4)])
+    def test_outside_the_level(self, kinds, lo, hi):
+        # the base loop sliced (-2, 8) to the last two values and cut
+        # (0, 9) short; the binary and block kinds read past 2^n and
+        # raised OverflowError on a negative lo
+        for S in kinds.values():
+            with pytest.raises(d.DomainError, match="level-3 indices"):
+                S.level_values_range(3, lo, hi)
+
+    def test_inside_the_level(self, kinds):
+        for S in kinds.values():
+            full = S.level_values(3)
+            for lo in range(9):
+                for hi in range(lo, 9):
+                    assert S.level_values_range(3, lo, hi).tolist() == full[lo:hi].tolist()
+
+    def test_width_budget_before_allocation(self, kinds):
+        # one cell past the budget: the parent built the 2^24 + 1 cells
+        width = martingale.SWEEP_CELL_BUDGET + 1
+        for name, S in kinds.items():
+            tracemalloc.start()
+            try:
+                with pytest.raises(d.DepthCapError):
+                    S.level_values_range(25, 0, width)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, name

@@ -58,3 +58,12 @@ def test_scaled_view_level_read_counted_once(tmp_path):
     assert out["codes"] == [0]
     assert out["metrics"]["martingale.level_sweep.cells"] == 252
     assert out["metrics"]["martingale.level_sweep.calls"] == 12
+
+
+def test_extracted_martingale_is_traced(tmp_path):
+    # the divided-difference martingale reads its memoised oracle through
+    # ValueMartingale.value, a boundary the tracer patches by name
+    out = _traced(["martingale-extract", "--alpha", "0.5", "--depth", "4",
+                   "--out", str(tmp_path / "mx")])
+    assert out["codes"] == [0]
+    assert out["metrics"]["martingale.value.calls"] > 0
