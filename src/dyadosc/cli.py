@@ -107,9 +107,10 @@ def cmd_phi(args, w: RunWriter) -> int:
 
 
 def cmd_lemma32(args, w: RunWriter) -> int:
+    _eta(args.eta)
+    eta = args.eta
     rng = np.random.default_rng(args.seed)
     n = _count(args.n, "--n")
-    eta = args.eta
     rows = []
     worst = math.inf
     for i in range(_count(args.count, "--count")):
@@ -164,7 +165,7 @@ def cmd_mass_measure(args, w: RunWriter) -> int:
 
 def cmd_besicovitch(args, w: RunWriter) -> int:
     levels = _items(args.levels, "--levels", int)
-    eta = Fraction(args.eta).limit_denominator(1 << 30)
+    eta = _eta(args.eta).limit_denominator(1 << 30)
     phi = entropy.entropy_phi(float(eta))
     rows = []
     for N in levels:
@@ -303,16 +304,18 @@ def cmd_counterexample(args, w: RunWriter) -> int:
 
 
 def cmd_wavelet(args, w: RunWriter) -> int:
+    # --points 0 (the default) writes the schedule only
+    points = _count(args.points, "--points") if args.points else 0
     sched = wavelet.wavelet_schedule(args.alpha, args.eps, args.stages)
     f = wavelet.wavelet_oscillator(sched)
     w.write_json("wavelet_schedule.json", sched.to_dict())
     rows = []
-    if args.points:
+    if points:
         import random as _random
 
         rng = _random.Random(args.seed)
         depth = sched.ks[-1] + 40
-        for i in range(args.points):
+        for i in range(points):
             x = Fraction(rng.getrandbits(depth), 1 << depth)
             for m in range(2, min(3, sched.stages) + 1):
                 ws = wavelet.witness_scales(f, x, m)
@@ -381,6 +384,17 @@ def _count(count: int, flag: str) -> int:
     if count < 1:
         raise DomainError(f"{flag} must be at least 1")
     return count
+
+
+def _eta(value) -> Fraction:
+    """--eta as an exact Fraction in (0, 1); anything else is a domain error."""
+    try:
+        eta = Fraction(value)
+    except (ValueError, OverflowError, ZeroDivisionError):
+        raise DomainError(f"--eta cannot be read from {value!r}") from None
+    if not 0 < eta < 1:
+        raise DomainError(f"--eta must lie in (0, 1), not {value}")
+    return eta
 
 
 def _items(text: str, flag: str, parse) -> list:

@@ -110,6 +110,8 @@ class Martingale:
         self._increment_fn = increment_fn
         self.s0 = s0
         self.max_depth = default_max_depth() if max_depth is None else max_depth
+        if self.max_depth < 0:
+            raise DomainError(f"max depth must be nonnegative, not {self.max_depth}")
         self.star_bound = star_bound
         self.name = name
 

@@ -111,10 +111,17 @@ def _solve_levels() -> tuple[Fraction, Fraction]:
     return q, p
 
 
-def _float_ratio(x: float) -> tuple[int, int]:
-    """|x| as an exact integer ratio; infinities read as 1/2, outside the
-    support."""
-    return min(abs(float(x)), 0.5).as_integer_ratio()
+def _split(d: int) -> tuple[int, int]:
+    """(o, e) with d = o 2^e and o odd, for an integer d > 0."""
+    e = (d & -d).bit_length() - 1
+    return d >> e, e
+
+
+def _float_ratio(x: float) -> tuple[int, int, int]:
+    """|x| as an exact ratio r / (o 2^e) in the form (r, o, e); infinities
+    read as 1/2, outside the support."""
+    r, d = min(abs(float(x)), 0.5).as_integer_ratio()
+    return (r, *_split(d))
 
 
 class BaseWavelet:
@@ -146,33 +153,42 @@ class BaseWavelet:
             self._cells += [(pc, int(64 * pc.lo), w64, int(pc.a * den),
                              int((pc.b - pc.a) * den), den)] * w64
 
-    def _cell(self, r: int, d: int):
-        """Cell entry of the piece holding r/d (r >= 0, d > 0), or None
-        outside the support."""
-        return self._cells[(r << 6) // d] if 2 * r < d else None
+    def _cell(self, r: int, o: int, e: int):
+        """Cell entry of the piece holding r / (o 2^e) (r >= 0, o > 0), or
+        None outside the support: floor(64 u) < 32 exactly when u < 1/2."""
+        i = ((r << 6) >> e) // o
+        return self._cells[i] if i < 32 else None
 
-    def _ratio(self, r: int, d: int) -> tuple[int, int]:
-        """phi(r/d) as an unreduced ratio (num, den > 0) for integers d > 0."""
+    def _ratio(self, r: int, o: int, e: int) -> tuple[int, int, int]:
+        """phi(r / (o 2^e)) as an unreduced triple (num, K, E), meaning
+        num / (K 2^E), for integers o > 0 and e >= 0.
+
+        The binary scale stays in E = 5e, so K = den (w64 o)^5 is small for
+        a dyadic point (o = 1) however many bits it has."""
         r = abs(r)
-        cell = self._cell(r, d)
+        cell = self._cell(r, o, e)
         if cell is None:
-            return 0, 1
+            return 0, 1, 0
         _, lo64, w64, num_a, num_g, den = cell
         if not num_g:
-            return num_a, den
-        # u = (r/d - lo) / width = n/m; S5(u) m^5 = n^3 (10 m^2 - 15 m n + 6 n^2)
-        n, m = (r << 6) - lo64 * d, w64 * d
-        m5 = m ** 5
-        return (num_a * m5 + num_g * n ** 3 * (10 * m * m - 15 * m * n + 6 * n * n),
-                den * m5)
+            return num_a, den, 0
+        # u = (r / (o 2^e) - lo) / width = n / (M 2^e) with M = w64 o, and
+        # S5(u) (M 2^e)^5 = n^3 (10 M^2 4^e - 15 M 2^e n + 6 n^2)
+        big_m = w64 * o
+        n = (r << 6) - (lo64 * o << e)
+        n2 = n * n
+        m5 = big_m ** 5
+        poly = ((((10 * big_m << e) - 15 * n) * big_m) << e) + 6 * n2
+        return (num_a * m5 << 5 * e) + num_g * n2 * n * poly, den * m5, 5 * e
 
     def value_exact(self, x: Fraction) -> Fraction:
         x = Fraction(x)
-        return Fraction(*self._ratio(x.numerator, x.denominator))
+        num, k, e = self._ratio(x.numerator, *_split(x.denominator))
+        return Fraction(num, k << e)
 
     def __call__(self, x: float) -> float:
-        num, den = self._ratio(*_float_ratio(x))
-        return num / den
+        num, k, e = self._ratio(*_float_ratio(x))
+        return num / (k << e)
 
     def derivative(self, x: float) -> float:
         cell = self._cell(*_float_ratio(x))
@@ -311,42 +327,58 @@ class WaveletOscillator(HolderFunction):
                               for m in range(1, schedule.stages + 1)]
 
     def _ratios(self, n: int, d: int, lo: int = 1,
-                hi: Optional[int] = None) -> list[tuple[int, int]]:
-        """psi_m(n/d) for stages lo..hi as unreduced integer ratios, for
-        integers d > 0: the point is read once and its numerator shifted
-        by each k_m.  int / int rounds correctly, so num / den is the
-        float of the exact value."""
+                hi: Optional[int] = None) -> list[tuple[int, int, int]]:
+        """psi_m(n/d) for stages lo..hi as `BaseWavelet._ratio` triples, for
+        integers d > 0.  Common factors of two are stripped and d = o 2^e
+        is split once; stage k reads the point as n / (o 2^(e-k)), or
+        (n 2^(k-e)) / o once k passes e, so its binary scale shrinks
+        instead of its numerator growing."""
         ratio = self.wavelet._ratio
+        low = (n | d) & -(n | d)
+        s = low.bit_length() - 1
+        n, (o, e) = n >> s, _split(d >> s)
         out = []
         for k in self.schedule.ks[lo - 1:hi]:
-            nk = n << k
-            out.append(ratio(nk - (2 * nk + d) // (2 * d) * d, d))
+            nk, ek = (n, e - k) if k <= e else (n << k - e, 0)
+            # the nearest translate j = floor(nk / (o 2^ek) + 1/2)
+            j = ((2 * nk >> ek) + o) // (2 * o)
+            out.append(ratio(nk - (j * o << ek), o, ek))
         return out
 
     def _point_ratios(self, t, lo: int = 1,
-                      hi: Optional[int] = None) -> list[tuple[int, int]]:
+                      hi: Optional[int] = None) -> list[tuple[int, int, int]]:
         t = t if isinstance(t, Fraction) else Fraction(t)
         return self._ratios(t.numerator, t.denominator, lo, hi)
 
     def _difference(self, ra: list, rb: list) -> float:
-        """sum_m c_m (psi_m(b) - psi_m(a)) from both points' stage ratios,
-        each stage difference rounded once, summed in stage order."""
+        """sum_m c_m (psi_m(b) - psi_m(a)) from both points' stage triples,
+        summed in stage order.  Each stage lines the two binary exponents
+        up by a shift, multiplies only by the small K's and takes one
+        int / int, which CPython rounds correctly: the float of the exact
+        stage difference."""
         total = 0.0
-        for c, (na, da), (nb, db) in zip(self._coefficients, ra, rb):
-            total += c * ((nb * da - na * db) / (db * da))
+        for c, (na, ka, ea), (nb, kb, eb) in zip(self._coefficients, ra, rb):
+            if ea >= eb:
+                total += c * (((nb * ka << ea - eb) - na * kb) / (ka * kb << ea))
+            else:
+                total += c * ((nb * ka - (na * kb << eb - ea)) / (ka * kb << eb))
+        return total
+
+    def _value(self, rs: list, lo_stage: int = 1) -> float:
+        """sum_m c_m psi_m from stage `lo_stage` on, each stage one int / int."""
+        total = 0.0
+        for c, (num, k, e) in zip(self._coefficients[lo_stage - 1:], rs):
+            total += c * (num / (k << e))
         return total
 
     def stage_value_exact(self, m: int, t: Fraction) -> Fraction:
         """psi_m(t) = phi(2^(k_m) t - j) for the unique live translate."""
-        return Fraction(*self._point_ratios(t, m, m)[0])
+        num, k, e = self._point_ratios(t, m, m)[0]
+        return Fraction(num, k << e)
 
     def value_float(self, t: Fraction, lo_stage: int = 1) -> float:
         """f(t) in floats, summed from stage `lo_stage` to the last built one."""
-        total = 0.0
-        for c, (num, den) in zip(self._coefficients[lo_stage - 1:],
-                                 self._point_ratios(t, lo_stage)):
-            total += c * (num / den)
-        return total
+        return self._value(self._point_ratios(t, lo_stage), lo_stage)
 
     def tail_part(self, m: int, t: Fraction) -> float:
         """R_m(t): stages m and beyond (within the built schedule)."""
@@ -362,7 +394,8 @@ class WaveletOscillator(HolderFunction):
         return total
 
     def difference_float(self, a: Fraction, b: Fraction) -> float:
-        """f(b) - f(a): per-stage exact differences, each rounded once and
+        """f(b) - f(a): per-stage exact differences of the two points'
+        (num, K, E) triples, each rounded once by one int / int and
         alpha-weighted in floats.  The stage terms can cancel each other,
         so the error is relative to the largest term, not to the result:
         near a stage-4 zero crossing of the alpha = 1/2 schedule, stage-3
@@ -414,10 +447,20 @@ def _at(x: Fraction) -> str:
     return f"x = {x.numerator}/{x.denominator}"
 
 
-def _nested_plateau_point(f: WaveletOscillator, x: Fraction, lo: Fraction,
-                          hi: Fraction, m: int, sign: int) -> Fraction:
-    """A point of [lo, hi] where every stage n >= m sits on its sign-
-    plateau, so the tail R_m attains exactly +-(sum of amplitudes).
+def _frame(f: WaveletOscillator, x: Fraction) -> tuple[int, int]:
+    """(X, D) with x = X / D, where D is a multiple of 2^(k+5) for the last
+    built level k: every plateau edge and midpoint, and so every offset
+    the witness search builds, is an integer numerator over D."""
+    D = math.lcm(x.denominator, 1 << (f.schedule.ks[-1] + 5))
+    return x.numerator * (D // x.denominator), D
+
+
+def _nested_plateau_point(f: WaveletOscillator, x: Fraction, lo: int, hi: int,
+                          den: int, m: int, sign: int) -> int:
+    """Numerator over den of a point of [lo/den, hi/den] where every stage
+    n >= m sits on its sign-plateau, so the tail R_m attains exactly
+    +-(sum of amplitudes); den is a multiple of 2^(k+5) for the last
+    built level k, as `_frame` makes it.
 
     Requires hi - lo >= 2 * 2^(-k_m) (two periods); each scale's plateau
     is then guaranteed to contain a full period of the next (k gaps are
@@ -425,16 +468,11 @@ def _nested_plateau_point(f: WaveletOscillator, x: Fraction, lo: Fraction,
     """
     w = f.wavelet
     band = w.PLUS_PLATEAU if sign > 0 else w.MINUS_PLATEAU
-    b_lo, b_hi = (int(16 * t) for t in band)     # the bands are in 1/16ths
-    ks = f.schedule.ks[m - 1:]
-    lo_f, hi_f = Fraction(lo), Fraction(hi)
-    # numerators over one denominator D: stage k's plateau edges are
-    # multiples of 2^-(k+4)
-    D = math.lcm(lo_f.denominator, hi_f.denominator, 1 << (max(ks) + 4))
-    cur_lo = lo_f.numerator * (D // lo_f.denominator)
-    cur_hi = hi_f.numerator * (D // hi_f.denominator)
-    for n, k in enumerate(ks, start=m):
-        q = D >> (k + 4)
+    b_lo, b_hi = (16 * t.numerator // t.denominator for t in band)  # in 1/16ths
+    cur_lo, cur_hi = lo, hi
+    for n, k in enumerate(f.schedule.ks[m - 1:], start=m):
+        # stage k's plateau edges are multiples of 2^-(k+4)
+        q = den >> (k + 4)
         # least j with j + band contained in [cur_lo, cur_hi] at scale k
         j = -((b_lo * q - cur_lo) // (16 * q))
         plo = (16 * j + b_lo) * q
@@ -442,24 +480,25 @@ def _nested_plateau_point(f: WaveletOscillator, x: Fraction, lo: Fraction,
         if phi_ > cur_hi:
             raise CertificationError(
                 f"no full stage-{n} plateau inside "
-                f"[{Fraction(cur_lo, D)}, {Fraction(cur_hi, D)}] "
-                f"({_at(x)}, m={m}, bracket [{lo}, {hi}])")
+                f"[{Fraction(cur_lo, den)}, {Fraction(cur_hi, den)}] "
+                f"({_at(x)}, m={m}, bracket [{Fraction(lo, den)}, {Fraction(hi, den)}])")
         cur_lo, cur_hi = plo, phi_
-    return Fraction(cur_lo + cur_hi, 2 * D)
+    return (cur_lo + cur_hi) >> 1
 
 
-def _annulus_offset(f: WaveletOscillator, x: Fraction, m: int, sign: int,
-                    left: bool) -> Fraction:
-    """The offset t in [2^-k_m, 2^(-k_m+1)] where R_m(x + t) (right) or
-    R_m(x - t) (left) is +-(sum of amplitudes), by sign."""
-    period = Fraction(1, 1 << f.schedule.ks[m - 1])
+def _annulus_offset(f: WaveletOscillator, x: Fraction, X: int, D: int, m: int,
+                    sign: int, left: bool) -> int:
+    """Numerator over D of the offset t in [2^-k_m, 2^(-k_m+1)] where
+    R_m(x + t) (right) or R_m(x - t) (left) is +-(sum of amplitudes), by
+    sign; x = X / D as `_frame` gives it."""
+    period = D >> f.schedule.ks[m - 1]
     if left:
-        lo, hi = x - 3 * period, x - period
+        lo, hi = X - 3 * period, X - period
     else:
-        lo, hi = x + period, x + 3 * period
-    t_star = _nested_plateau_point(f, x, lo, hi, m, sign)
+        lo, hi = X + period, X + 3 * period
+    t_star = _nested_plateau_point(f, x, lo, hi, D, m, sign)
     # shift by whole periods into the annulus [period, 2 period]
-    off = x - t_star if left else t_star - x
+    off = X - t_star if left else t_star - X
     while off > 2 * period:
         off -= period
     while off < period:
@@ -477,7 +516,8 @@ def tail_extreme_offsets(f: WaveletOscillator, x: Fraction, m: int
     the annulus, so the extreme values are exact stacked amplitudes.
     """
     x = _to_fraction(x)
-    return {name: _annulus_offset(f, x, m, sign, left)
+    X, D = _frame(f, x)
+    return {name: Fraction(_annulus_offset(f, x, X, D, m, sign, left), D)
             for name, sign, left in (("r_plus", +1, False), ("r_minus", -1, False),
                                      ("rho_plus", +1, True), ("rho_minus", -1, True))}
 
@@ -509,43 +549,37 @@ class WitnessScales:
         return math.pow(2.0, self.level * (1.0 - self.alpha))
 
 
-def _bisect_zero(f: WaveletOscillator, x: Fraction, rx: list, m: int,
-                 t_lo: Fraction, t_hi: Fraction) -> Fraction:
-    """Offset t between t_lo, t_hi with |f(x+t)-f(x)| <= 1e-4 |t|, within
-    200 bisection steps.
+def _bisect_zero(f: WaveletOscillator, x: Fraction, X: int, D: int, rx: list,
+                 m: int, t_lo: int, t_hi: int) -> tuple[int, int]:
+    """Offset t = c / den between t_lo / D and t_hi / D with
+    |f(x+t)-f(x)| <= 1e-4 |t|, within 200 bisection steps.
 
-    rx holds x's stage ratios.  The bracket is carried as integer
-    numerators: offsets over one denominator and points x + t over
-    another, both doubling at each step, so a step costs additions and
-    one kernel call; only the returned midpoint becomes a Fraction.
+    x = X / D, and rx holds x's stage triples.  Offsets and points x + t
+    are integer numerators over one denominator that doubles at each
+    step, so a step costs additions and one kernel call.
     """
     def g(p: int, q: int) -> float:
-        # strip the common factors of two so the kernel sees smaller ints
-        low = (p | q) & -(p | q)
-        s = low.bit_length() - 1
-        return f._difference(rx, f._ratios(p >> s, q >> s))
+        return f._difference(rx, f._ratios(p, q))
 
-    def over(u: Fraction, v: Fraction) -> tuple[int, int, int]:
-        n = math.lcm(u.denominator, v.denominator)
-        return (u.numerator * (n // u.denominator),
-                v.numerator * (n // v.denominator), n)
-
-    a, b, den = over(t_lo, t_hi)
-    pa, pb, q = over(x + t_lo, x + t_hi)
-    g_lo, g_hi = g(pa, q), g(pb, q)
+    a, b, den = t_lo, t_hi, D
+    pa, pb = X + a, X + b
+    g_lo, g_hi = g(pa, den), g(pb, den)
     if g_lo == 0.0:
-        return t_lo
+        return t_lo, D
     if g_hi == 0.0:
-        return t_hi
-    where = f"{_at(x)}, m={m}, bracket [{t_lo}, {t_hi}]"
+        return t_hi, D
+
+    def where() -> str:
+        return f"{_at(x)}, m={m}, bracket [{Fraction(t_lo, D)}, {Fraction(t_hi, D)}]"
+
     if math.copysign(1.0, g_lo) == math.copysign(1.0, g_hi):
-        raise CertificationError(f"no sign change for the zero crossing ({where})")
+        raise CertificationError(f"no sign change for the zero crossing ({where()})")
     for _ in range(200):
         c, pc = a + b, pa + pb
-        den, q = 2 * den, 2 * q
-        g_mid = g(pc, q)
+        den *= 2
+        g_mid = g(pc, den)
         if abs(g_mid) <= 1e-4 * abs(c / den):
-            return Fraction(c, den)
+            return c, den
         if math.copysign(1.0, g_mid) == math.copysign(1.0, g_lo):
             a, pa, g_lo = c, pc, g_mid
             b, pb = 2 * b, 2 * pb
@@ -553,7 +587,7 @@ def _bisect_zero(f: WaveletOscillator, x: Fraction, rx: list, m: int,
             a, pa = 2 * a, 2 * pa
             b, pb = c, pc
     raise CertificationError(
-        f"zero crossing did not converge in 200 steps ({where})")
+        f"zero crossing did not converge in 200 steps ({where()})")
 
 
 def witness_scales(f: WaveletOscillator, x, m: int) -> WitnessScales:
@@ -561,21 +595,26 @@ def witness_scales(f: WaveletOscillator, x, m: int) -> WitnessScales:
 
     Follows the right-annulus extremes of the tail and the three-way
     case split on their first-order quotients; case (iii) moves to the
-    left annulus.  x's stage ratios are read once for the quotients and
-    the bisection.  All offsets are exact dyadic rationals and the
-    returned quotients are recomputed from scratch as certificates.
+    left annulus.  x's stage triples are read once for the quotients and
+    the bisection, and the search runs on integer numerators over x's
+    frame.  All offsets are exact dyadic rationals and the returned
+    quotients are recomputed from scratch as certificates.
     """
     if not 1 <= m <= f.schedule.stages:
         raise DomainError("stage beyond the built schedule")
     x = _to_fraction(x)
     k = f.schedule.ks[m - 1]
-    r_p = _annulus_offset(f, x, m, +1, False)
-    r_m_ = _annulus_offset(f, x, m, -1, False)
+    X, D = _frame(f, x)
+    r_p = _annulus_offset(f, x, X, D, m, +1, False)
+    r_m_ = _annulus_offset(f, x, X, D, m, -1, False)
     tail = f.schedule.tail_sum(m)
     rx = f._ratios(x.numerator, x.denominator)
 
-    def quot(offset: Fraction) -> float:
-        return f._difference(rx, f._point_ratios(x + offset)) / float(offset)
+    def quot(offset: int) -> float:
+        return f._difference(rx, f._ratios(X + offset, D)) / (offset / D)
+
+    def tail_at(offset: int, den: int) -> float:
+        return f._value(f._ratios(X * (den // D) + offset, den, m), m)
 
     q_p, q_m = quot(r_p), quot(r_m_)
     rho_p = rho_m_ = None
@@ -583,23 +622,25 @@ def witness_scales(f: WaveletOscillator, x, m: int) -> WitnessScales:
     if abs(q_p) <= 1.0 or abs(q_m) <= 1.0:
         case = "i"
         h_prime, h = (r_p, r_m_) if abs(q_p) <= 1.0 else (r_m_, r_p)
+        h_den = D
     elif (q_p > 1.0 and q_m < -1.0) or (q_p < -1.0 and q_m > 1.0):
         case = "ii"
-        lo, hi = (r_m_, r_p) if r_m_ < r_p else (r_p, r_m_)
-        h_prime = _bisect_zero(f, x, rx, m, lo, hi)
+        h_prime, h_den = _bisect_zero(f, x, X, D, rx, m, min(r_p, r_m_), max(r_p, r_m_))
         # the side whose tail moved further from the crossing
-        t_tilde = f.tail_part(m, x + h_prime)
-        move_p = abs(t_tilde - f.tail_part(m, x + r_p))
-        move_m = abs(t_tilde - f.tail_part(m, x + r_m_))
+        t_tilde = tail_at(h_prime, h_den)
+        move_p = abs(t_tilde - tail_at(r_p, D))
+        move_m = abs(t_tilde - tail_at(r_m_, D))
         h = r_p if move_p >= move_m else r_m_
     else:
         case = "iii"
-        rho_p = _annulus_offset(f, x, m, +1, True)
-        rho_m_ = _annulus_offset(f, x, m, -1, True)
+        rho_p = _annulus_offset(f, x, X, D, m, +1, True)
+        rho_m_ = _annulus_offset(f, x, X, D, m, -1, True)
         h = -rho_p if q_p > 1.0 else -rho_m_
-        lo, hi = (-rho_m_, -rho_p) if -rho_m_ < -rho_p else (-rho_p, -rho_m_)
-        h_prime = _bisect_zero(f, x, rx, m, lo, hi)
+        h_prime, h_den = _bisect_zero(f, x, X, D, rx, m, min(-rho_p, -rho_m_),
+                                      max(-rho_p, -rho_m_))
+        rho_p, rho_m_ = Fraction(rho_p, D), Fraction(rho_m_, D)
 
+    h, h_prime = Fraction(h, D), Fraction(h_prime, h_den)
     d_big = f.difference_float(x, x + h)
     d_tame = f.difference_float(x, x + h_prime)
     quotient_big = abs(d_big) / abs(float(h))
@@ -607,7 +648,7 @@ def witness_scales(f: WaveletOscillator, x, m: int) -> WitnessScales:
     divdiff_big = abs(d_big) / abs(float(h)) ** f.alpha
     return WitnessScales(
         x=x, stage=m, level=k, alpha=f.alpha, case=case,
-        r_plus=r_p, r_minus=r_m_,
+        r_plus=Fraction(r_p, D), r_minus=Fraction(r_m_, D),
         rho_plus=rho_p, rho_minus=rho_m_, h=h, h_prime=h_prime,
         quotient_big=quotient_big, quotient_tame=quotient_tame,
         divdiff_big=divdiff_big, tail_sum=tail,

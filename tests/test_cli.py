@@ -84,9 +84,14 @@ class TestExitCodes:
         (["block", "--delta", "0.125", "--beta", "0.5", "--level", "2",
           "--index", "9"], "index"),
         (["mass-measure", "--martingale", "random", "--eta", "0.5"], "--seed"),
+        (["wavelet", "--alpha", "0.5", "--points", "-1", "--seed", "1"], "--points"),
+        (["besicovitch", "--eta", "x"], "--eta"),
+        (["lemma32", "--eta", "1.5", "--seed", "1"], "--eta"),
+        (["martingale-extract", "--alpha", "0.5", "--depth", "-1"], "depth"),
     ])
     def test_bad_input_names_its_flag(self, tmp_path, capsys, argv, flag):
-        # all but the last ended in a traceback or a vacuous exit 0
+        # all but the --seed case ended in a traceback, a vacuous exit 0 or
+        # the depth-cap exit 4
         assert run(argv + ["--out", str(tmp_path)]) == 3
         assert flag in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []

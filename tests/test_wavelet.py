@@ -552,9 +552,16 @@ class TestWitnessBisectionOracle:
                 # and one shorter than any plateau
                 for lo, hi in ((x + period, x + 3 * period), (x - 3 * period, x - period),
                                (x, x + period / 4), (x, x + period / 32)):
+                    den = math.lcm(lo.denominator, hi.denominator,
+                                   1 << (f.schedule.ks[-1] + 5))
+                    nums = (lo.numerator * (den // lo.denominator),
+                            hi.numerator * (den // hi.denominator))
                     for sign in (1, -1):
+                        got = attempt(d.wavelet._nested_plateau_point,
+                                      f, x, *nums, den, m, sign)
+                        if isinstance(got, int):
+                            got = Fraction(got, den)
                         args = (f, x, lo, hi, m, sign)
-                        got = attempt(d.wavelet._nested_plateau_point, *args)
                         assert got == attempt(_ref_plateau_point, *args), args
                         found[type(got)] += 1
         assert found[Fraction] > 300 and found[str] > 200, found
@@ -572,9 +579,9 @@ class TestWitnessBisectionOracle:
             reads.append(Fraction(n, q))
             return kernel(self, n, q, *args)
 
-        def counting_nested(f_, x_, lo, hi, m, sign):
-            plateaus.append((lo, hi))
-            return nested(f_, x_, lo, hi, m, sign)
+        def counting_nested(f_, x_, lo, hi, den, m, sign):
+            plateaus.append((Fraction(lo, den), Fraction(hi, den)))
+            return nested(f_, x_, lo, hi, den, m, sign)
 
         monkeypatch.setattr(d.WaveletOscillator, "_ratios", counting_kernel)
         monkeypatch.setattr(d.wavelet, "_nested_plateau_point", counting_nested)
@@ -595,3 +602,119 @@ class TestWitnessBisectionOracle:
             d.witness_scales(oscillator_half, x, 4)
         assert f"x = {x.numerator}/{x.denominator}" in str(err.value)
         assert "bracket [" in str(err.value)
+        # the message of the (num, den) kernel, to the last digit
+        lo, hi = Fraction(1380835495473518317, 1 << 199), Fraction(2065382638833833709, 1 << 199)
+        assert str(err.value) == (
+            "zero crossing did not converge in 200 steps "
+            f"(x = {x.numerator}/{x.denominator}, m=4, bracket [{lo}, {hi}])")
+
+
+# The (num, den) kernel the binary-scaled triples replaced, kept as the
+# reference: den = den0 (w64 d)^5 carries the point's whole denominator,
+# and a stage difference is one cross-multiplied int / int.
+def _ref_ratio(w, r, d):
+    r = abs(r)
+    if 2 * r >= d:
+        return 0, 1
+    _, lo64, w64, num_a, num_g, den = w._cells[(r << 6) // d]
+    if not num_g:
+        return num_a, den
+    n, m = (r << 6) - lo64 * d, w64 * d
+    m5 = m ** 5
+    return (num_a * m5 + num_g * n ** 3 * (10 * m * m - 15 * m * n + 6 * n * n),
+            den * m5)
+
+
+def _ref_ratios(f, t):
+    t = Fraction(t)
+    n, d = t.numerator, t.denominator
+    out = []
+    for k in f.schedule.ks:
+        nk = n << k
+        out.append(_ref_ratio(f.wavelet, nk - (2 * nk + d) // (2 * d) * d, d))
+    return out
+
+
+def _ref_difference(f, ra, rb):
+    total = 0.0
+    for c, (na, da), (nb, db) in zip(f._coefficients, ra, rb):
+        total += c * ((nb * da - na * db) / (db * da))
+    return total
+
+
+def _same_float(a, b):
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+class TestBinaryScaledKernelOracle:
+    @staticmethod
+    def _points(f, seed):
+        rng = random.Random(seed)
+        xs = [Fraction(rng.getrandbits(200), 1 << 200) for _ in range(60)]
+        xs += [Fraction(rng.getrandbits(64), 1 << 64) for _ in range(20)]
+        xs += NON_DYADIC + [x / 3 + Fraction(1, 1 << 90) for x in NON_DYADIC]
+        # negative arguments and points outside [0, 1)
+        xs += [-x for x in xs[:10]] + [x + 3 for x in xs[10:15]] + [-x - 2 for x in NON_DYADIC]
+        for k in f.schedule.ks:
+            # reduced arguments on both plateaus, on a knot and just off one
+            for u in (Fraction(0), Fraction(1, 32), Fraction(13, 32), Fraction(-13, 32),
+                      Fraction(7, 32), Fraction(7, 32) + Fraction(1, 1 << 70),
+                      Fraction(1, 2), Fraction(-1, 2) + Fraction(1, 1 << 70)):
+                xs.append((5 + u) / (1 << k))
+        return xs + [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(-3, 7)]
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+    def test_stage_values_match_num_den_oracle(self, alpha):
+        f = d.wavelet_oscillator(d.wavelet_schedule(alpha, 1.0 / 200.0, 4))
+        for t in self._points(f, 71):
+            want = _ref_ratios(f, t)
+            got = f._point_ratios(t)
+            for m, ((num, k, e), (rn, rd)) in enumerate(zip(got, want), start=1):
+                assert Fraction(num, k << e) == Fraction(rn, rd), (t, m)
+                assert f.stage_value_exact(m, t) == Fraction(rn, rd), (t, m)
+            ref_value = 0.0
+            for c, (rn, rd) in zip(f._coefficients, want):
+                ref_value += c * (rn / rd)
+            assert _same_float(f.value_float(t), ref_value), t
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+    def test_stage_differences_match_num_den_oracle(self, alpha):
+        f = d.wavelet_oscillator(d.wavelet_schedule(alpha, 1.0 / 200.0, 4))
+        ts = self._points(f, 73)
+        rng = random.Random(74)
+        k_last = f.schedule.ks[-1]
+        # far pairs, and near pairs as the bisection makes them
+        pairs = list(zip(ts, ts[1:] + ts[:1]))
+        pairs += [(x, x + Fraction(rng.getrandbits(40) + 1, 1 << (k_last + 60)))
+                  for x in ts[:60]]
+        for a, b in pairs:
+            want = _ref_difference(f, _ref_ratios(f, a), _ref_ratios(f, b))
+            assert _same_float(f.difference_float(a, b), want), (a, b)
+            # unreduced numerators, as the witness search passes them
+            ua = f._ratios(a.numerator << 7, a.denominator << 7)
+            ub = f._ratios(3 * b.numerator, 3 * b.denominator)
+            assert _same_float(f._difference(ua, ub), want), (a, b)
+
+    def test_base_ratio_matches_num_den_oracle(self):
+        w = d.base_wavelet()
+        rng = random.Random(75)
+        for _ in range(3000):
+            o = rng.choice([1, 1, 3, 7, 11, 999])
+            e = rng.randrange(0, 220)
+            # inside and outside the support, both signs
+            r = rng.randrange(-(o << e), (o << e) + 1)
+            num, k, big_e = w._ratio(r, o, e)
+            assert Fraction(num, k << big_e) == Fraction(*_ref_ratio(w, r, o << e)), (r, o, e)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+    def test_dyadic_scale_lives_in_the_exponent(self, alpha):
+        # for a dyadic point K = den0 w64^5 whatever its bit count: the
+        # 2^-e of the point sits in E, not in a 1,250-bit power
+        f = d.wavelet_oscillator(d.wavelet_schedule(alpha, 1.0 / 200.0, 4))
+        rng = random.Random(76)
+        for bits in (8, 64, 200, 1000):
+            for _ in range(50):
+                for triple in f._point_ratios(Fraction(rng.getrandbits(bits), 1 << bits)):
+                    num, k, e = triple
+                    assert 0 < k < 1 << 64, (bits, k)
+                    assert e >= 0
