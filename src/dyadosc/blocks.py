@@ -525,34 +525,46 @@ class BlockMartingale(PairedMartingale):
     def level_values_range(self, n: int, lo: int, hi: int) -> np.ndarray:
         """Vectorized values of S_n on indices [lo, hi); needs n <= 62.
 
-        S stops between placements, so S_n at j is S_e at j >> (n - e),
-        with e the deepest live level: n inside a window, else the end of
-        the last window that starts below n (0 before the first).  The
-        closed form runs on the level-e indices that cover [lo, hi), and
-        each value is repeated over the level-n indices it covers.
+        A placement at level k adds its term by the address bits of levels
+        (k, L] alone, with L = min(n, its end) its deepest live level, so
+        the terms are summed nested, in placement order: each is added on
+        the level-L cells that cover [lo, hi), and the running sum is then
+        repeated over the cells of the next placement's L, and finally of
+        level n.  Every cell adds the terms of ``value`` in its order.
         """
         self._check_range(n, lo, hi)
         if n > 62:
             raise DepthCapError("vectorized sweep limited to level 62")
+        if hi == lo:
+            return np.zeros(0)
         live = bisect_right(self._starts, n - 1)   # placements starting below n
-        e = min(n, self._ends[live - 1]) if live else 0
-        shift = n - e
-        clo = lo >> shift
-        idx = np.arange(clo, ((hi - 1) >> shift) + 1, dtype=np.uint64)
-        total = np.zeros(idx.shape, dtype=float)
-        for p in self.schedule.placements[:live]:
-            t = min(e, p.end) - p.level
-            bits = (idx >> np.uint64(e - p.level - t)) & np.uint64((1 << t) - 1)
-            total += np.where(bits == 0,
-                              p.amplitude * (math.ldexp(1.0, t) - 1.0),
-                              -p.amplitude)
-        if shift == 0 or hi == lo:
-            return total[:hi - lo]
-        # level-n cells per level-e value; the first and last are clipped
-        counts = np.full(total.shape, 1 << shift, dtype=np.int64)
-        counts[0] -= lo - (clo << shift)
-        counts[-1] -= ((idx.size + clo) << shift) - hi
-        return np.repeat(total, counts)
+        total = np.zeros(1)         # S_0 on the one level-0 cell
+        shift = n                   # `total` lives at level n - shift
+        for k, k_end, amp, _ in self._windows[:live]:
+            L = min(n, k_end)
+            total = _cover_repeat(total, shift, n - L, lo, hi)
+            shift = n - L
+            # spine cells (low L - k index bits zero) add amp (2^(L-k) - 1),
+            # the others -amp: x - amp is x + (-amp), bit for bit
+            step = 1 << (L - k)
+            spine = slice(-(lo >> shift) % step, None, step)
+            on_spine = total[spine] + amp * (math.ldexp(1.0, L - k) - 1.0)
+            total -= amp
+            total[spine] = on_spine
+        return _cover_repeat(total, shift, 0, lo, hi)
+
+
+def _cover_repeat(vals: np.ndarray, shift: int, to: int, lo: int, hi: int) -> np.ndarray:
+    """`vals` on the cells `shift` levels above n that cover the level-n
+    range [lo, hi), repeated over the covering cells `to` <= `shift` levels
+    above n; the first and last are clipped to the range."""
+    if to == shift:
+        return vals
+    s = shift - to
+    counts = np.full(vals.shape, 1 << s, dtype=np.int64)
+    counts[0] -= (lo >> to) - ((lo >> shift) << s)
+    counts[-1] -= (((lo >> shift) + vals.size) << s) - (((hi - 1) >> to) + 1)
+    return np.repeat(vals, counts)
 
 
 def assemble_martingale(schedule: BlockSchedule) -> BlockMartingale:

@@ -109,7 +109,7 @@ def cmd_phi(args, w: RunWriter) -> int:
 def cmd_lemma32(args, w: RunWriter) -> int:
     _eta(args.eta)
     eta = args.eta
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_seed(args.seed))
     n = _count(args.n, "--n")
     rows = []
     worst = math.inf
@@ -214,8 +214,9 @@ def cmd_martingale_extract(args, w: RunWriter) -> int:
 
 def cmd_block(args, w: RunWriter) -> int:
     J = DyadicInterval(args.level, args.index)
-    blk = blocks.building_block(Fraction(args.delta).limit_denominator(1 << 30),
-                                J, args.beta)
+    delta = _fraction(args.delta, "--delta").limit_denominator(1 << 30)
+    _fraction(args.beta, "--beta")      # refuse what m_of_delta cannot read
+    blk = blocks.building_block(delta, J, args.beta)
     checks = blk.verify()
     rows = []
     K, M = J.level, blk.M
@@ -245,6 +246,7 @@ def cmd_schedule(args, w: RunWriter) -> int:
 def cmd_counterexample(args, w: RunWriter) -> int:
     alpha = args.alpha
     beta = 1.0 - alpha
+    _seed(args.seed)        # before the schedule, the costly part
     sched = blocks.build_schedule(beta, args.stages, depth_cap=args.depth)
     S = blocks.assemble_martingale(sched)
     profile = sched.growth_norm_profile()
@@ -346,7 +348,7 @@ def cmd_sigma_stats(args, w: RunWriter) -> int:
     f = holder.WeierstrassFunction(args.b, args.alpha)
     st = divdiff.sigma_stats(f, args.alpha, args.x, args.eps,
                              [args.delta], [args.c],
-                             samples=args.samples, seed=args.seed)
+                             samples=args.samples, seed=_seed(args.seed))
     rows = [[args.x, args.eps, f">{args.delta}", st.upper[args.delta][0],
              st.upper[args.delta][1], args.seed],
             [args.x, args.eps, f"<-{args.c}", st.lower[args.c][0],
@@ -386,12 +388,25 @@ def _count(count: int, flag: str) -> int:
     return count
 
 
+def _seed(seed: int) -> int:
+    """A --seed for numpy's generators, which refuse a negative one."""
+    if seed < 0:
+        raise DomainError(f"--seed must be nonnegative, not {seed}")
+    return seed
+
+
+def _fraction(value, flag: str) -> Fraction:
+    """A flag's value as an exact Fraction; one that Fraction cannot read
+    (nan, inf, 1/0, a non-number) is a domain error."""
+    try:
+        return Fraction(value)
+    except (ValueError, OverflowError, ZeroDivisionError):
+        raise DomainError(f"{flag} cannot be read from {value!r}") from None
+
+
 def _eta(value) -> Fraction:
     """--eta as an exact Fraction in (0, 1); anything else is a domain error."""
-    try:
-        eta = Fraction(value)
-    except (ValueError, OverflowError, ZeroDivisionError):
-        raise DomainError(f"--eta cannot be read from {value!r}") from None
+    eta = _fraction(value, "--eta")
     if not 0 < eta < 1:
         raise DomainError(f"--eta must lie in (0, 1), not {value}")
     return eta
@@ -406,7 +421,7 @@ def _items(text: str, flag: str, parse) -> list:
 
 
 def _seeded_points(count: int, seed: int) -> list[float]:
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     return [float(v) for v in rng.uniform(0.02, 0.98, size=_count(count, "--points"))]
 
 
@@ -423,7 +438,7 @@ def cmd_verify_all(args, w: RunWriter) -> int:
             failures.append(name)
 
     depth = args.depth
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_seed(args.seed))
 
     # dyadic substrate
     ok = True

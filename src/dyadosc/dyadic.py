@@ -242,6 +242,9 @@ def locate(x: Real, n: int) -> DyadicInterval:
         return DyadicInterval(n, x.floor_scaled(n))
     if isinstance(x, int):
         return DyadicInterval(n, x << n)
+    if isinstance(x, float):
+        num, den = x.as_integer_ratio()     # exact, as Fraction(x) reads it
+        return DyadicInterval(n, (num << n) // den)
     frac = Fraction(x)  # exact, so boundary points resolve exactly
     # a numpy integer keeps its type as the numerator, and its shifts wrap
     return DyadicInterval(n, (operator.index(frac.numerator) << n) // frac.denominator)

@@ -216,11 +216,25 @@ class MassSweepReport:
 _COMPARE_WIDTH = 8
 
 
+def _distinct_jumps(incs: np.ndarray) -> np.ndarray:
+    """The sorted distinct jumps of a level, as ``np.unique`` returns them
+    (the first of each run of equal values, one NaN), from one sort and an
+    adjacent-difference mask; ``np.unique`` would import ``numpy.ma``."""
+    srt = np.sort(incs)
+    keep = np.empty(srt.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(srt[1:], srt[:-1], out=keep[1:])
+    uniq = srt[keep]
+    if uniq.size > 1 and np.isnan(uniq[-2]):    # NaN != NaN kept every NaN
+        uniq = uniq[:int(np.argmax(np.isnan(uniq))) + 1]
+    return uniq
+
+
 def _jump_codes(incs: np.ndarray, uniq: np.ndarray) -> np.ndarray:
     """Position of each jump in the sorted distinct jumps `uniq`."""
     if len(uniq) > _COMPARE_WIDTH:
         return np.searchsorted(uniq, incs)
-    codes = np.zeros(incs.shape, dtype=np.intp)
+    codes = np.zeros(incs.shape, dtype=np.uint8)
     for u in uniq[1:].tolist():
         codes += incs >= u
     return codes
@@ -234,18 +248,22 @@ def _mass_levels(S: Martingale, eta: float, depth: int):
     alone is computed once per distinct jump `uniq`: the ratio
     (1 + eta*u)/2, its bound check and its log2, by the `math.log2` of
     ``MassMeasure.mass_log2``.  The cells then read their ratio's log2
-    through `codes`, their positions in `uniq`, and add it to their
-    parent's log2 mass, in the order of the scalar oracle.
+    through `codes`, their positions in `uniq`, and add their parent's
+    log2 mass to it (the sum of the scalar oracle, whose two terms
+    commute).
     """
     MassMeasure(S, eta)     # its domain checks, before any level is built
     eta_f = float(eta)
     log2_mass = np.zeros(1)
     for n, incs, s_vals in S.levels(depth):
-        uniq = np.unique(incs)
+        uniq = _distinct_jumps(incs)
         ratios = [_mass_ratio(eta_f, u) for u in uniq.tolist()]
         lg = np.array([math.log2(r) if r > 0.0 else -math.inf for r in ratios])
         codes = _jump_codes(incs, uniq)
-        log2_mass = np.repeat(log2_mass, 2) + lg[codes]
+        kids = lg.take(codes)
+        kids[0::2] += log2_mass
+        kids[1::2] += log2_mass
+        log2_mass = kids
         yield n, incs, s_vals, uniq, codes, log2_mass
 
 

@@ -73,12 +73,19 @@ def _splitmix64(z):
     """SplitMix64 output for state z (Steele, Lea & Flood, OOPSLA 2014).
 
     Works on Python ints and on uint64 arrays alike: arrays wrap modulo
-    2^64 on their own, the masks do it for ints.
+    2^64 on their own, the masks do it for ints.  The first step builds a
+    new state, so the later in-place steps never touch the caller's array.
     """
-    z = (z + 0x9E3779B97F4A7C15) & _M64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-    return z ^ (z >> 31)
+    z = z + 0x9E3779B97F4A7C15
+    z &= _M64
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z &= _M64
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z &= _M64
+    z ^= z >> 31
+    return z
 
 
 def _stream(seed: int, level: int, index):
@@ -208,12 +215,16 @@ class Martingale:
 
     def levels(self, depth: int):
         """Yield (n, increments, values) for n = 1..depth, inside the sweep
-        budget, with values summed from S_0 in the order ``value`` adds."""
+        budget, with values summed from S_0 in the order ``value`` adds:
+        each child is its parent's value plus its own jump."""
         check_sweep_budget(depth)
         vals = np.full(1, float(self.s0))
         for n in range(1, depth + 1):
             incs = self.level_increments(n)
-            vals = np.repeat(vals, 2) + incs
+            kids = np.empty(incs.shape)
+            np.add(vals, incs[0::2], out=kids[0::2])
+            np.add(vals, incs[1::2], out=kids[1::2])
+            vals = kids
             yield n, incs, vals
 
     def level_values_range(self, n: int, lo: int, hi: int) -> np.ndarray:
@@ -283,7 +294,7 @@ class PairedMartingale(Martingale):
         left = self._left(n, np.arange(1 << (n - 1), dtype=np.uint64))
         out = np.empty(1 << n)
         out[0::2] = left
-        out[1::2] = 0 - left
+        np.subtract(0.0, left, out=out[1::2])
         return out
 
 
@@ -394,16 +405,20 @@ def check_cancellation(S: Martingale, depth: int) -> CancellationReport:
     """Exhaustively verify value(I) = mean of children values to `depth`.
 
     Reports the largest deviation and the interval attaining it.  Levels
-    are read in chunks of parents to bound memory.
+    are read in chunks of parents to bound memory; a level whose parents
+    fit in one chunk reads its children whole, and they serve as the next
+    level's parents, which are then not read again.
     """
     worst = 0.0
     worst_iv: Optional[DyadicInterval] = None
     checked = 0
+    whole = None        # all of level n, when level n - 1 was one chunk
     for n in range(depth):
         size = 1 << n
         step = min(size, _CANCELLATION_CHUNK)
         for lo in range(0, size, step):
-            parents = S.level_values_range(n, lo, lo + step)
+            parents = (S.level_values_range(n, lo, lo + step) if whole is None
+                       else whole[lo:lo + step])
             kids = S.level_values_range(n + 1, 2 * lo, 2 * (lo + step))
             viol = np.abs(parents - 0.5 * (kids[0::2] + kids[1::2]))
             j = int(np.argmax(viol))
@@ -411,6 +426,7 @@ def check_cancellation(S: Martingale, depth: int) -> CancellationReport:
                 worst = float(viol[j])
                 worst_iv = DyadicInterval(n, lo + j)
             checked += step
+        whole = kids if step == size else None
     return CancellationReport(worst, worst_iv, checked)
 
 

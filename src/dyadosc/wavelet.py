@@ -293,8 +293,8 @@ def wavelet_schedule(alpha: float, eps: float = 1.0 / 200.0,
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError("alpha must lie in (0, 1)")
-    if eps > 1.0 / 200.0 + 1e-15:
-        raise DomainError("eps must be at most 1/200")
+    if not 0.0 < eps <= 1.0 / 200.0 + 1e-15:     # NaN fails too
+        raise DomainError(f"eps must lie in (0, 1/200], not {eps}")
     if not 1 <= stages <= 6:
         raise DomainError("stages must lie in 1..6")
     w = base_wavelet()

@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import mpmath as mp
@@ -436,6 +437,77 @@ class TestLevelValuesAtDeepestLiveLevel:
             lo = rng.randrange(1 << n)
             hi = min(1 << n, lo + rng.randint(0, 200))
             self._check(S, n, lo, hi)
+
+
+def _level_values_per_placement(S, n, lo, hi):
+    """`level_values_range` before the nested sums: every live placement's
+    term added by `np.where` on each cell of the deepest live level, then
+    repeated over the level-n range with clipped ends."""
+    live = bisect_right(S._starts, n - 1)
+    e = min(n, S._ends[live - 1]) if live else 0
+    shift = n - e
+    clo = lo >> shift
+    idx = np.arange(clo, ((hi - 1) >> shift) + 1, dtype=np.uint64)
+    total = np.zeros(idx.shape, dtype=float)
+    for p in S.schedule.placements[:live]:
+        t = min(e, p.end) - p.level
+        bits = (idx >> np.uint64(e - p.level - t)) & np.uint64((1 << t) - 1)
+        total += np.where(bits == 0, p.amplitude * (math.ldexp(1.0, t) - 1.0),
+                          -p.amplitude)
+    if shift == 0 or hi == lo:
+        return total[:hi - lo]
+    counts = np.full(total.shape, 1 << shift, dtype=np.int64)
+    counts[0] -= lo - (clo << shift)
+    counts[-1] -= ((idx.size + clo) << shift) - hi
+    return np.repeat(total, counts)
+
+
+class TestNestedBlockSums:
+    """The nested placement sums against the per-placement loop, byte for
+    byte, on the ranges check_cancellation and the sweeps read."""
+
+    @pytest.fixture(params=[(0.5, 2), (0.3, 1), (0.8, 1)], ids=["b0.5", "b0.3", "b0.8"])
+    def S(self, request, block_martingale_half):
+        beta, stages = request.param
+        if request.param == (0.5, 2):
+            return block_martingale_half
+        return d.assemble_martingale(d.build_schedule(beta, stages, depth_cap=1024))
+
+    def _check(self, S, n, lo, hi):
+        got = S.level_values_range(n, lo, hi)
+        want = _level_values_per_placement(S, n, lo, hi)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_chunk_edges(self, S):
+        # check_cancellation's chunks at levels 17 to 22, and chunks cut
+        # one cell in from either edge
+        chunk = 1 << 17
+        for n in range(17, 23):
+            for lo in {0, min(chunk, (1 << n) - chunk), (1 << n) - chunk}:
+                self._check(S, n, lo, lo + chunk)
+                self._check(S, n, lo + 1, lo + chunk - 1)
+
+    def test_empty_ranges(self, S):
+        for n in (0, 1, 3, 11, 40, 62):
+            for lo in {0, 1 << (n - 1) if n else 0, 1 << n}:
+                assert S.level_values_range(n, lo, lo).shape == (0,)
+                self._check(S, n, lo, lo)
+
+    def test_inside_and_between_windows(self, S):
+        rng = random.Random(16)
+        for p in S.schedule.placements[:6]:
+            if p.end > 60:
+                break
+            # inside the window, at its end, and between it and the next
+            for n in range(p.level + 1, p.end + 3):
+                self._check(S, n, 0, 1 << min(n, 14))
+                for _ in range(6):
+                    lo = rng.randrange(1 << n)
+                    self._check(S, n, lo, min(1 << n, lo + rng.randint(1, 5000)))
+
+    def test_whole_levels(self, S):
+        for n in range(0, 19):
+            self._check(S, n, 0, 1 << n)
 
 
 class TestSpecialRegistry:

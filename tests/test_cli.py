@@ -88,6 +88,16 @@ class TestExitCodes:
         (["besicovitch", "--eta", "x"], "--eta"),
         (["lemma32", "--eta", "1.5", "--seed", "1"], "--eta"),
         (["martingale-extract", "--alpha", "0.5", "--depth", "-1"], "depth"),
+        (["wavelet", "--alpha", "0.5", "--eps", "-1", "--seed", "1"], "eps"),
+        (["wavelet", "--alpha", "0.5", "--eps", "0", "--seed", "1"], "eps"),
+        (["wavelet", "--alpha", "0.5", "--eps", "nan", "--seed", "1"], "eps"),
+        (["block", "--delta", "nan", "--beta", "0.5"], "--delta"),
+        (["block", "--delta", "0.125", "--beta", "nan"], "--beta"),
+        (["verify-all", "--depth", "8", "--seed", "-1"], "--seed"),
+        (["counterexample", "--alpha", "0.5", "--seed", "-1"], "--seed"),
+        (["gap", "--alpha", "0.5", "--seed", "-1"], "--seed"),
+        (["lemma32", "--eta", "0.5", "--seed", "-1"], "--seed"),
+        (["sigma-stats", "--alpha", "0.5", "--seed", "-1"], "--seed"),
     ])
     def test_bad_input_names_its_flag(self, tmp_path, capsys, argv, flag):
         # all but the --seed case ended in a traceback, a vacuous exit 0 or

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -109,6 +110,41 @@ class TestLocate:
             I = d.locate(x, n)
             assert I.contains(x)
             assert d.locate(x, n + 1).parent() == I
+
+
+def _locate_by_fraction(x, n):
+    frac = Fraction(x)
+    return d.DyadicInterval(n, (frac.numerator << n) // frac.denominator)
+
+
+class TestLocateFloat:
+    """Floats are located from their integer ratio, not through Fraction."""
+
+    def test_matches_fraction_form(self):
+        rng = random.Random(16)
+        xs = [rng.random() for _ in range(3000)]
+        xs += [rng.uniform(-4.0, 4.0) for _ in range(500)]
+        xs += [math.ldexp(rng.random(), -rng.randrange(1100)) for _ in range(500)]
+        # dyadic boundary points and their float neighbours
+        for m in range(0, 60):
+            for k in (1, 3, (1 << m) - 1):
+                b = math.ldexp(k, -m)
+                xs += [b, math.nextafter(b, -math.inf), math.nextafter(b, math.inf)]
+        xs += [0.0, -0.0, 1.0, 5e-324, 1.7976931348623157e308]
+        for x in xs:
+            for n in (0, 1, 7, 20, 53, 60, 200):
+                got = d.locate(x, n)
+                assert got == _locate_by_fraction(x, n)
+                assert type(got.index) is int
+                assert d.locate(np.float64(x), n) == got
+
+    @pytest.mark.parametrize("x, exc", [(math.nan, ValueError), (math.inf, OverflowError),
+                                        (-math.inf, OverflowError)])
+    def test_non_finite_raises_as_fraction_does(self, x, exc):
+        with pytest.raises(exc):
+            Fraction(x)
+        with pytest.raises(exc):
+            d.locate(x, 3)
 
 
 class TestChildren:

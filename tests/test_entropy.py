@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -395,6 +398,99 @@ class TestMassSweepOracle:
         rep = d.sweep_mass_distribution(S, 0.3, 12)
         assert rep.increments_paired and rep.level_sums_exact
         assert [a for a in calls if a != (0.3,)] == []
+
+
+def _mass_levels_unique(S, eta, depth):
+    """`_mass_levels` before the sort-based jump set: np.unique, intp
+    codes, and the parents' log2 masses repeated and added first."""
+    d.MassMeasure(S, eta)
+    log2_mass = np.zeros(1)
+    for n, incs, s_vals in S.levels(depth):
+        uniq = np.unique(incs)
+        ratios = [entropy._mass_ratio(float(eta), u) for u in uniq.tolist()]
+        lg = np.array([math.log2(r) if r > 0.0 else -math.inf for r in ratios])
+        if len(uniq) > entropy._COMPARE_WIDTH:
+            codes = np.searchsorted(uniq, incs)
+        else:
+            codes = np.zeros(incs.shape, dtype=np.intp)
+            for u in uniq[1:].tolist():
+                codes += incs >= u
+        log2_mass = np.repeat(log2_mass, 2) + lg[codes]
+        yield n, incs, s_vals, uniq, codes, log2_mass
+
+
+def _signed_zeros():
+    """Paired jumps 0.0, -0.0 and +-0.5 by parent index mod 3: both zeros
+    on every level from 2 on."""
+    def inc(child):
+        left = (0.0, -0.0, 0.5)[(child.index >> 1) % 3]
+        return left if (child.index & 1) == 0 else -left
+    return d.Martingale(inc, star_bound=1.0, name="signed-zeros")
+
+
+class TestLeanMassKernel:
+    """The sort-based jump set and in-place log2 masses against the
+    np.unique kernel they replaced, byte for byte."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_distinct_jumps_equal_np_unique(self, seed):
+        rng = np.random.default_rng(seed)
+        pool = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, np.inf, -np.inf,
+                         np.nan, -np.nan, 2.0 ** -1074, 1e300])
+        for size in (0, 1, 2, 3, 8, 64, 1000):
+            for width in (1, 2, 4, len(pool)):
+                incs = rng.choice(pool[rng.permutation(len(pool))[:width]], size=size)
+                got, want = entropy._distinct_jumps(incs), np.unique(incs)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name, eta, depth", [
+        ("binary", 0.5, 14), ("zero", 0.5, 8), ("random-sign", 0.5, 14),
+        ("alternating", 0.5, 8), ("block-discounted", 0.25, 14),
+        ("graded", 0.6, 10), ("balanced-unpaired", 0.5, 8), ("signed-zeros", 0.5, 10),
+    ])
+    def test_kernel_equals_np_unique_kernel(self, block_schedule_half, name, eta, depth):
+        S = {"binary": d.binary_digit_martingale(), "zero": d.zero_martingale(),
+             "random-sign": d.RandomSignMartingale(8), "alternating": _alternating(),
+             "block-discounted": _block_discounted(block_schedule_half),
+             "graded": _graded(), "balanced-unpaired": _balanced_unpaired(),
+             "signed-zeros": _signed_zeros()}[name]
+        lean = list(entropy._mass_levels(S, eta, depth))
+        ref = list(_mass_levels_unique(S, eta, depth))
+        assert len(lean) == len(ref) == depth
+        for (n, incs, vals, uniq, codes, lg), (n0, incs0, vals0, uniq0, codes0, lg0) \
+                in zip(lean, ref):
+            assert n == n0 and incs.tobytes() == incs0.tobytes()
+            assert vals.tobytes() == vals0.tobytes()
+            assert uniq.tobytes() == uniq0.tobytes()
+            assert np.array_equal(codes, codes0)
+            assert lg.tobytes() == lg0.tobytes()
+
+    def test_nan_jump_raises_as_before(self):
+        S = d.Martingale(lambda ch: math.nan if ch.index == 3 else 0.0, star_bound=1.0)
+        with pytest.raises(d.DomainError) as lean:
+            list(entropy._mass_levels(S, 0.5, 3))
+        with pytest.raises(d.DomainError) as ref:
+            list(_mass_levels_unique(S, 0.5, 3))
+        assert str(lean.value) == str(ref.value)
+
+    def test_sweep_leaves_numpy_ma_unimported(self):
+        # np.unique imports numpy.ma on its first call, in every fresh process
+        code = ("import sys\n"
+                "import dyadosc as d\n"
+                "for S in (d.binary_digit_martingale(), d.RandomSignMartingale(1),\n"
+                "          d.ScaledMartingale(d.assemble_martingale(\n"
+                "              d.build_schedule(0.5, 1, depth_cap=160)), -0.5,\n"
+                "              star_bound=0.5)):\n"
+                "    assert d.sweep_mass_distribution(S, 0.5, 10).ok()\n"
+                "print('numpy.ma' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(d.__file__))
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env=env, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
+
 
 class TestCoveringContent:
     def test_full_partition_content_one(self):

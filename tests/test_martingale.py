@@ -542,6 +542,100 @@ class TestPairedKernelOracle:
                 assert math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
+# The whole-level walks before they were made allocation-lean, kept as
+# byte-identical oracles.
+
+def _repeat_levels(S, depth):
+    """`levels` as np.repeat(parents, 2) + increments, level by level."""
+    vals = np.full(1, float(S.s0))
+    for n in range(1, depth + 1):
+        incs = S.level_increments(n)
+        vals = np.repeat(vals, 2) + incs
+        yield n, incs, vals
+
+
+def _splitmix64_out_of_place(z):
+    z = (z + 0x9E3779B97F4A7C15) & martingale._M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & martingale._M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & martingale._M64
+    return z ^ (z >> 31)
+
+
+def _check_cancellation_every_chunk_read(S, depth):
+    """`check_cancellation` reading every chunk's parents afresh."""
+    worst, worst_iv, checked = 0.0, None, 0
+    for n in range(depth):
+        size = 1 << n
+        step = min(size, martingale._CANCELLATION_CHUNK)
+        for lo in range(0, size, step):
+            parents = S.level_values_range(n, lo, lo + step)
+            kids = S.level_values_range(n + 1, 2 * lo, 2 * (lo + step))
+            viol = np.abs(parents - 0.5 * (kids[0::2] + kids[1::2]))
+            j = int(np.argmax(viol))
+            if viol[j] > worst:
+                worst, worst_iv = float(viol[j]), DI(n, lo + j)
+            checked += step
+    return martingale.CancellationReport(worst, worst_iv, checked)
+
+
+class TestLeanLevelWalkOracle:
+    """The in-place level kernels against the forms they replaced."""
+
+    @pytest.mark.parametrize("name", sorted(_vectorized_members()) + ["zero", "value"])
+    def test_levels_byte_equal_to_repeat_walk(self, name):
+        S = {"zero": d.zero_martingale(),
+             "value": d.from_function(d.WeierstrassFunction(3.0, 0.5), 8),
+             **_vectorized_members()}[name]
+        depth = 8 if name == "value" else 14
+        lean, ref = list(S.levels(depth)), list(_repeat_levels(S, depth))
+        assert [n for n, _, _ in lean] == [n for n, _, _ in ref] == list(range(1, depth + 1))
+        for (_, incs, vals), (_, incs_ref, vals_ref) in zip(lean, ref):
+            assert incs.tobytes() == incs_ref.tobytes()
+            assert vals.dtype == vals_ref.dtype and vals.tobytes() == vals_ref.tobytes()
+
+    def test_splitmix64_on_ints_and_arrays(self):
+        rng = random.Random(16)
+        zs = [0, 1, martingale._M64, 1 << 63, 0x9E3779B97F4A7C15,
+              (1 << 64) - 0x9E3779B97F4A7C15] + [rng.getrandbits(64) for _ in range(2000)]
+        for z in zs:
+            got = martingale._splitmix64(z)
+            assert type(got) is int and got == _splitmix64_out_of_place(z)
+        arr = np.array(zs, dtype=np.uint64)
+        before = arr.copy()
+        got = martingale._splitmix64(arr)
+        assert got.dtype == np.uint64
+        assert got.tobytes() == _splitmix64_out_of_place(arr).tobytes()
+        assert got.tolist() == [_splitmix64_out_of_place(z) for z in zs]
+        # the caller's array is never mutated
+        assert arr.tobytes() == before.tobytes()
+
+    def test_stream_leaves_its_indices_alone(self):
+        idx = np.arange(1 << 10, dtype=np.uint64)
+        bits = martingale._stream(5, 9, idx)
+        assert np.array_equal(idx, np.arange(1 << 10, dtype=np.uint64))
+        assert bits.tolist() == [martingale._stream(5, 9, j) for j in range(1 << 10)]
+
+    @pytest.mark.parametrize("name, depth, chunk", [
+        ("block", 19, None), ("block", 12, 8), ("random-sign", 12, 16),
+        ("weierstrass", 10, None), ("weierstrass", 10, 4), ("weierstrass", 10, 1),
+    ])
+    def test_check_cancellation_reports_equal(self, block_martingale_half, monkeypatch,
+                                              name, depth, chunk):
+        # depth 19 reads levels 17 and 18 in chunks, their parents sliced
+        # from the whole level 16 and 17 reads; the value oracle has
+        # nonzero violations, so worst_interval is a real interval
+        S = {"block": block_martingale_half,
+             "random-sign": d.RandomSignMartingale(3),
+             "weierstrass": d.from_function(d.WeierstrassFunction(3.0, 0.5), 10)}[name]
+        if chunk is not None:
+            monkeypatch.setattr(martingale, "_CANCELLATION_CHUNK", chunk)
+        rep = d.check_cancellation(S, depth)
+        ref = _check_cancellation_every_chunk_read(S, depth)
+        assert rep == ref
+        assert rep.max_violation.hex() == ref.max_violation.hex()
+        assert (rep.worst_interval is None) == (name != "weierstrass")
+
+
 def _guard_levels(S, attr="level_increments"):
     """Make the instance's level read fail the test past level 6."""
     read = getattr(S, attr)

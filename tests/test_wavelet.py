@@ -160,6 +160,12 @@ class TestSchedule:
         sch = d.wavelet_schedule(0.5, 1.0 / 400.0, 2)
         assert sch.ks[1] >= d.wavelet_schedule(0.5, 1.0 / 200.0, 2).ks[1]
 
+    @pytest.mark.parametrize("eps", [0.0, -0.0, -1.0, -math.inf, math.nan])
+    def test_eps_must_be_positive(self, eps):
+        # a negative eps failed in math.log2, 0 divided by zero, NaN in int()
+        with pytest.raises(d.DomainError, match="eps"):
+            d.wavelet_schedule(0.5, eps, 2)
+
     def test_stage_cap(self):
         with pytest.raises(d.DomainError):
             d.wavelet_schedule(0.5, 1.0 / 200.0, 7)
