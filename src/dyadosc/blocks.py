@@ -298,6 +298,8 @@ def build_schedule(beta, stages: int, depth_cap: int = 4096) -> BlockSchedule:
         raise DomainError("beta must lie in (0, 1)")
     if stages < 1:
         raise DomainError("need at least one stage")
+    if depth_cap < 0:
+        raise DomainError(f"depth_cap must be nonnegative, not {depth_cap}")
     placements: list[Placement] = []
     stage_records: list[StageRecord] = []
     sup_levels = [0.0]

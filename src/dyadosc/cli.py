@@ -107,13 +107,11 @@ def cmd_phi(args, w: RunWriter) -> int:
 
 
 def cmd_lemma32(args, w: RunWriter) -> int:
-    _eta(args.eta)
-    eta = args.eta
-    rng = np.random.default_rng(_seed(args.seed))
-    n = _count(args.n, "--n")
+    eta, n = args.eta, args.n
+    rng = np.random.default_rng(args.seed)
     rows = []
     worst = math.inf
-    for i in range(_count(args.count, "--count")):
+    for i in range(args.count):
         u = rng.uniform(-1.0, 1.0, size=n)
         s_target = rng.uniform(max(float(np.sum(u)), eta * n + 1e-9), n)
         lam = (n - s_target) / (n - float(np.sum(u))) if s_target > float(np.sum(u)) else 1.0
@@ -165,7 +163,7 @@ def cmd_mass_measure(args, w: RunWriter) -> int:
 
 def cmd_besicovitch(args, w: RunWriter) -> int:
     levels = _items(args.levels, "--levels", int)
-    eta = _eta(args.eta).limit_denominator(1 << 30)
+    eta = Fraction(args.eta).limit_denominator(1 << 30)
     phi = entropy.entropy_phi(float(eta))
     rows = []
     for N in levels:
@@ -194,7 +192,7 @@ def cmd_dim_estimate(args, w: RunWriter) -> int:
 
 def cmd_weierstrass(args, w: RunWriter) -> int:
     f = holder.WeierstrassFunction(args.b, args.alpha)
-    xs = _grid_points(args.x_min, args.x_max, args.points)
+    xs = np.linspace(args.x_min, args.x_max, args.points)
     vals = f.batch(xs, args.tol)
     w.write_csv("weierstrass.csv", ["x", "f", "tol"],
                 [[float(x), float(v), args.tol] for x, v in zip(xs, vals)])
@@ -214,8 +212,7 @@ def cmd_martingale_extract(args, w: RunWriter) -> int:
 
 def cmd_block(args, w: RunWriter) -> int:
     J = DyadicInterval(args.level, args.index)
-    delta = _fraction(args.delta, "--delta").limit_denominator(1 << 30)
-    _fraction(args.beta, "--beta")      # refuse what m_of_delta cannot read
+    delta = Fraction(args.delta).limit_denominator(1 << 30)
     blk = blocks.building_block(delta, J, args.beta)
     checks = blk.verify()
     rows = []
@@ -246,7 +243,6 @@ def cmd_schedule(args, w: RunWriter) -> int:
 def cmd_counterexample(args, w: RunWriter) -> int:
     alpha = args.alpha
     beta = 1.0 - alpha
-    _seed(args.seed)        # before the schedule, the costly part
     sched = blocks.build_schedule(beta, args.stages, depth_cap=args.depth)
     S = blocks.assemble_martingale(sched)
     profile = sched.growth_norm_profile()
@@ -306,18 +302,16 @@ def cmd_counterexample(args, w: RunWriter) -> int:
 
 
 def cmd_wavelet(args, w: RunWriter) -> int:
-    # --points 0 (the default) writes the schedule only
-    points = _count(args.points, "--points") if args.points else 0
     sched = wavelet.wavelet_schedule(args.alpha, args.eps, args.stages)
     f = wavelet.wavelet_oscillator(sched)
     w.write_json("wavelet_schedule.json", sched.to_dict())
     rows = []
-    if points:
+    if args.points:     # --points 0 (the default) writes the schedule only
         import random as _random
 
         rng = _random.Random(args.seed)
         depth = sched.ks[-1] + 40
-        for i in range(points):
+        for i in range(args.points):
             x = Fraction(rng.getrandbits(depth), 1 << depth)
             for m in range(2, min(3, sched.stages) + 1):
                 ws = wavelet.witness_scales(f, x, m)
@@ -336,7 +330,7 @@ def cmd_theta(args, w: RunWriter) -> int:
     f = holder.WeierstrassFunction(args.b, args.alpha)
     quad = divdiff.QuadratureConfig(args.panels)
     rows = []
-    for x in _grid_points(args.x_min, args.x_max, args.points):
+    for x in np.linspace(args.x_min, args.x_max, args.points):
         th = divdiff.theta(f, args.alpha, float(x), args.eps, quad)
         rows.append([float(x), args.eps, th.value, th.error_estimate])
     w.write_csv("theta.csv", ["x", "eps", "theta", "err"], rows)
@@ -348,7 +342,7 @@ def cmd_sigma_stats(args, w: RunWriter) -> int:
     f = holder.WeierstrassFunction(args.b, args.alpha)
     st = divdiff.sigma_stats(f, args.alpha, args.x, args.eps,
                              [args.delta], [args.c],
-                             samples=args.samples, seed=_seed(args.seed))
+                             samples=args.samples, seed=args.seed)
     rows = [[args.x, args.eps, f">{args.delta}", st.upper[args.delta][0],
              st.upper[args.delta][1], args.seed],
             [args.x, args.eps, f"<-{args.c}", st.lower[args.c][0],
@@ -368,7 +362,8 @@ def cmd_sigma_stats(args, w: RunWriter) -> int:
 
 def cmd_gap(args, w: RunWriter) -> int:
     f = holder.WeierstrassFunction(args.b, args.alpha)
-    xs = _seeded_points(args.points, args.seed)
+    rng = np.random.default_rng(args.seed)
+    xs = [float(v) for v in rng.uniform(0.02, 0.98, size=args.points)]
     profile = divdiff.theta_martingale_gap(
         f, args.alpha, args.depth, xs, first_level=args.first_level,
         eps_grid=2, quad=divdiff.QuadratureConfig(args.panels))
@@ -382,51 +377,12 @@ def cmd_gap(args, w: RunWriter) -> int:
     return 0
 
 
-def _count(count: int, flag: str) -> int:
-    if count < 1:
-        raise DomainError(f"{flag} must be at least 1")
-    return count
-
-
-def _seed(seed: int) -> int:
-    """A --seed for numpy's generators, which refuse a negative one."""
-    if seed < 0:
-        raise DomainError(f"--seed must be nonnegative, not {seed}")
-    return seed
-
-
-def _fraction(value, flag: str) -> Fraction:
-    """A flag's value as an exact Fraction; one that Fraction cannot read
-    (nan, inf, 1/0, a non-number) is a domain error."""
-    try:
-        return Fraction(value)
-    except (ValueError, OverflowError, ZeroDivisionError):
-        raise DomainError(f"{flag} cannot be read from {value!r}") from None
-
-
-def _eta(value) -> Fraction:
-    """--eta as an exact Fraction in (0, 1); anything else is a domain error."""
-    eta = _fraction(value, "--eta")
-    if not 0 < eta < 1:
-        raise DomainError(f"--eta must lie in (0, 1), not {value}")
-    return eta
-
-
 def _items(text: str, flag: str, parse) -> list:
     """`parse` of each comma-separated item; a bad one is a domain error."""
     try:
         return [parse(item) for item in text.split(",")]
     except ValueError:
         raise DomainError(f"{flag} cannot be read from {text!r}") from None
-
-
-def _seeded_points(count: int, seed: int) -> list[float]:
-    rng = np.random.default_rng(_seed(seed))
-    return [float(v) for v in rng.uniform(0.02, 0.98, size=_count(count, "--points"))]
-
-
-def _grid_points(lo: float, hi: float, count: int) -> np.ndarray:
-    return np.linspace(lo, hi, _count(count, "--points"))
 
 
 def cmd_verify_all(args, w: RunWriter) -> int:
@@ -438,7 +394,7 @@ def cmd_verify_all(args, w: RunWriter) -> int:
             failures.append(name)
 
     depth = args.depth
-    rng = np.random.default_rng(_seed(args.seed))
+    rng = np.random.default_rng(args.seed)
 
     # dyadic substrate
     ok = True
@@ -522,9 +478,46 @@ def cmd_verify_all(args, w: RunWriter) -> int:
 
 # ---------------------------------------------------------------------
 
+# the domains a numeric flag may declare: its --help text and its test
+DOMAINS = {
+    "at least 1": lambda v: v >= 1,
+    "nonnegative": lambda v: v >= 0,
+    "in (0, 1)": lambda v: 0 < v < 1,
+    "in [0, 1]": lambda v: 0 <= v <= 1,
+    "positive and finite": lambda v: 0 < v < math.inf,
+    "finite": math.isfinite,
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose arguments may declare a `domain`, one of DOMAINS."""
+
+    def add_argument(self, *args, domain=None, **kw):
+        action = super().add_argument(*args, **{"help": domain, **kw})
+        action.domain = domain
+        return action
+
+
+def _check_domains(parser: argparse.ArgumentParser, args) -> None:
+    """Refuse the first flag of the chosen subcommand whose value lies
+    outside its declared domain; a string value is read as a Fraction."""
+    command = parser._subparsers._group_actions[0].choices[args.command]
+    for action in command._actions:
+        value = getattr(args, action.dest, None)     # -h leaves none
+        if action.domain is None or value is None:
+            continue
+        try:
+            ok = DOMAINS[action.domain](Fraction(value) if isinstance(value, str)
+                                        else value)
+        except (ValueError, ZeroDivisionError):     # no Fraction reads it
+            ok = False
+        if not ok:
+            raise DomainError(f"{action.option_strings[0]} must be {action.domain}, "
+                              f"not {value}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="dyadosc",
-                                description=__doc__.splitlines()[0])
+    p = _Parser(prog="dyadosc", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kw):
@@ -535,102 +528,102 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     sp = add("phi", cmd_phi, help="entropy function value")
-    sp.add_argument("--eta", type=float, required=True)
+    sp.add_argument("--eta", type=float, required=True, domain="in [0, 1]")
 
     sp = add("lemma32", cmd_lemma32, help="product lower bound sweep")
-    sp.add_argument("--eta", type=float, required=True)
-    sp.add_argument("--n", type=int, default=20)
-    sp.add_argument("--count", type=int, default=1000)
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--eta", type=float, required=True, domain="in (0, 1)")
+    sp.add_argument("--n", type=int, default=20, domain="at least 1")
+    sp.add_argument("--count", type=int, default=1000, domain="at least 1")
+    sp.add_argument("--seed", type=int, required=True, domain="nonnegative")
 
     sp = add("mass-measure", cmd_mass_measure, help="mass-distribution audit")
     sp.add_argument("--martingale", default="binary",
                     choices=["binary", "zero", "random", "block-discounted"])
-    sp.add_argument("--eta", type=float, required=True)
-    sp.add_argument("--depth", type=int, default=12)
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--eta", type=float, required=True, domain="in (0, 1)")
+    sp.add_argument("--depth", type=int, default=12, domain="at least 1")
+    sp.add_argument("--seed", type=int, domain="nonnegative")
 
     sp = add("besicovitch", cmd_besicovitch, help="exact digit-frequency counts")
-    sp.add_argument("--eta", type=str, required=True)
+    sp.add_argument("--eta", type=str, required=True, domain="in (0, 1)")
     sp.add_argument("--levels", type=str, default="20,100,500,2000")
 
     sp = add("dim-estimate", cmd_dim_estimate, help="counting exponents from N:count pairs")
     sp.add_argument("--counts", type=str, required=True)
 
     sp = add("weierstrass", cmd_weierstrass, help="sample the lacunary cosine series")
-    sp.add_argument("--b", type=float, default=2.0)
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--x-min", type=float, default=0.0)
-    sp.add_argument("--x-max", type=float, default=1.0)
-    sp.add_argument("--points", type=int, default=256)
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--b", type=float, default=2.0, domain="positive and finite")
+    sp.add_argument("--alpha", type=float, required=True, domain="in (0, 1)")
+    sp.add_argument("--x-min", type=float, default=0.0, domain="finite")
+    sp.add_argument("--x-max", type=float, default=1.0, domain="finite")
+    sp.add_argument("--points", type=int, default=256, domain="at least 1")
+    sp.add_argument("--tol", type=float, default=1e-10, domain="positive and finite")
 
     sp = add("martingale-extract", cmd_martingale_extract,
              help="divided-difference martingale dump")
-    sp.add_argument("--b", type=float, default=2.0)
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--depth", type=int, default=10)
-    sp.add_argument("--tol", type=float, default=1e-13)
+    sp.add_argument("--b", type=float, default=2.0, domain="positive and finite")
+    sp.add_argument("--alpha", type=float, required=True, domain="in (0, 1)")
+    sp.add_argument("--depth", type=int, default=10, domain="nonnegative")
+    sp.add_argument("--tol", type=float, default=1e-13, domain="positive and finite")
 
     sp = add("block", cmd_block, help="one building block with its checks")
-    sp.add_argument("--delta", type=float, required=True)
-    sp.add_argument("--beta", type=float, required=True)
-    sp.add_argument("--level", type=int, default=0)
-    sp.add_argument("--index", type=int, default=0)
+    sp.add_argument("--delta", type=float, required=True, domain="in (0, 1)")
+    sp.add_argument("--beta", type=float, required=True, domain="in (0, 1)")
+    sp.add_argument("--level", type=int, default=0, domain="nonnegative")
+    sp.add_argument("--index", type=int, default=0, domain="nonnegative")
 
     sp = add("schedule", cmd_schedule, help="double-induction placement schedule")
-    sp.add_argument("--beta", type=float, required=True)
-    sp.add_argument("--stages", type=int, default=2)
-    sp.add_argument("--depth", type=int, default=1024)
+    sp.add_argument("--beta", type=float, required=True, domain="in (0, 1)")
+    sp.add_argument("--stages", type=int, default=2, domain="at least 1")
+    sp.add_argument("--depth", type=int, default=1024, domain="nonnegative")
 
     sp = add("counterexample", cmd_counterexample,
              help="finite-stage certificates for the induced function")
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--stages", type=int, default=2)
-    sp.add_argument("--depth", type=int, default=1024)
-    sp.add_argument("--pairs", type=int, default=10000)
-    sp.add_argument("--points", type=int, default=200)
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--alpha", type=float, required=True, domain="in (0, 1)")
+    sp.add_argument("--stages", type=int, default=2, domain="at least 1")
+    sp.add_argument("--depth", type=int, default=1024, domain="nonnegative")
+    sp.add_argument("--pairs", type=int, default=10000, domain="at least 1")
+    sp.add_argument("--points", type=int, default=200, domain="at least 1")
+    sp.add_argument("--seed", type=int, required=True, domain="nonnegative")
 
     sp = add("wavelet", cmd_wavelet, help="superlacunary schedule and witnesses")
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--eps", type=float, default=1.0 / 200.0)
-    sp.add_argument("--stages", type=int, default=4)
-    sp.add_argument("--points", type=int, default=0)
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--alpha", type=float, required=True, domain="in (0, 1)")
+    sp.add_argument("--eps", type=float, default=1.0 / 200.0, domain="in (0, 1)")
+    sp.add_argument("--stages", type=int, default=4, domain="at least 1")
+    sp.add_argument("--points", type=int, default=0, domain="nonnegative")
+    sp.add_argument("--seed", type=int, required=True, domain="nonnegative")
 
     sp = add("theta", cmd_theta, help="accumulated divided differences")
-    sp.add_argument("--b", type=float, default=2.0)
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--eps", type=float, required=True)
-    sp.add_argument("--x-min", type=float, default=0.0)
-    sp.add_argument("--x-max", type=float, default=1.0)
-    sp.add_argument("--points", type=int, default=16)
-    sp.add_argument("--panels", type=int, default=32)
+    sp.add_argument("--b", type=float, default=2.0, domain="positive and finite")
+    sp.add_argument("--alpha", type=float, required=True, domain="in (0, 1)")
+    sp.add_argument("--eps", type=float, required=True, domain="in (0, 1)")
+    sp.add_argument("--x-min", type=float, default=0.0, domain="finite")
+    sp.add_argument("--x-max", type=float, default=1.0, domain="finite")
+    sp.add_argument("--points", type=int, default=16, domain="at least 1")
+    sp.add_argument("--panels", type=int, default=32, domain="at least 1")
 
     sp = add("sigma-stats", cmd_sigma_stats, help="scale statistics of threshold events")
-    sp.add_argument("--b", type=float, default=2.0)
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--x", type=float, default=0.123)
-    sp.add_argument("--eps", type=float, default=2.0 ** -12)
-    sp.add_argument("--delta", type=float, default=0.1)
-    sp.add_argument("--c", type=float, default=0.1)
-    sp.add_argument("--gamma", type=float)
-    sp.add_argument("--samples", type=int, default=20000)
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--b", type=float, default=2.0, domain="positive and finite")
+    sp.add_argument("--alpha", type=float, required=True, domain="in (0, 1)")
+    sp.add_argument("--x", type=float, default=0.123, domain="finite")
+    sp.add_argument("--eps", type=float, default=2.0 ** -12, domain="in (0, 1)")
+    sp.add_argument("--delta", type=float, default=0.1, domain="positive and finite")
+    sp.add_argument("--c", type=float, default=0.1, domain="positive and finite")
+    sp.add_argument("--gamma", type=float, domain="in (0, 1)")
+    sp.add_argument("--samples", type=int, default=20000, domain="at least 1")
+    sp.add_argument("--seed", type=int, required=True, domain="nonnegative")
 
     sp = add("gap", cmd_gap, help="theta vs discounted martingale gap profile")
-    sp.add_argument("--b", type=float, default=2.0)
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--depth", type=int, default=12)
-    sp.add_argument("--first-level", type=int, default=6)
-    sp.add_argument("--points", type=int, default=16)
-    sp.add_argument("--panels", type=int, default=16)
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--b", type=float, default=2.0, domain="positive and finite")
+    sp.add_argument("--alpha", type=float, required=True, domain="in (0, 1)")
+    sp.add_argument("--depth", type=int, default=12, domain="at least 1")
+    sp.add_argument("--first-level", type=int, default=6, domain="at least 1")
+    sp.add_argument("--points", type=int, default=16, domain="at least 1")
+    sp.add_argument("--panels", type=int, default=16, domain="at least 1")
+    sp.add_argument("--seed", type=int, required=True, domain="nonnegative")
 
     sp = add("verify-all", cmd_verify_all, help="fast invariant suite")
-    sp.add_argument("--depth", type=int, default=12)
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--depth", type=int, default=12, domain="at least 1")
+    sp.add_argument("--seed", type=int, required=True, domain="nonnegative")
 
     return p
 
@@ -646,6 +639,7 @@ def main(argv=None) -> int:
               if k not in ("out", "format", "command", "func") and v is not None}
     w = RunWriter(args.out, args.command, params, table_format=args.format)
     try:
+        _check_domains(parser, args)
         code = args.func(args, w)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)

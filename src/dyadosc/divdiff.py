@@ -145,11 +145,14 @@ def sigma_stats(f: HolderFunction, alpha: float, x: float, eps: float,
         raise DomainError("eps must lie in (0, 1)")
     if samples < 1:
         raise DomainError("need at least one sample")
+    if not all(0.0 < t < math.inf for t in (*upper_thresholds, *lower_thresholds)):
+        raise DomainError("thresholds must be positive and finite")
     U = math.log(1.0 / eps)
     rng = np.random.default_rng(seed)
     u = rng.uniform(0.0, 1.0, size=samples)
     ts = np.exp(-u * U)
-    quots = (f.batch(x + ts, tol) - f(x, tol)) / np.power(ts, alpha)
+    fx = f(x, tol)      # the scalar first: it refuses an x out of its domain
+    quots = (f.batch(x + ts, tol) - fx) / np.power(ts, alpha)
 
     def measure(mask: np.ndarray) -> tuple[float, float]:
         p = float(np.mean(mask))
@@ -262,6 +265,8 @@ def theta_martingale_gap(f: HolderFunction, alpha: float, depth: int,
         raise DomainError("sample points must lie in [0, 1)")
     if eps_grid < 1:
         raise DomainError("eps_grid must be at least 1")
+    if first_level < 1:
+        raise DomainError(f"first_level must be at least 1, not {first_level}")
     if first_level > depth:
         raise DomainError("first_level must not exceed depth")
     tracking = _tracking(f, alpha, cutoff_extra, quad)

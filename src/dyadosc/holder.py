@@ -142,8 +142,8 @@ class WeierstrassFunction(HolderFunction):
     """
 
     def __init__(self, b: float, alpha: float):
-        if not b > 1.0:
-            raise DomainError("b must exceed 1")
+        if not 1.0 < b < math.inf:
+            raise DomainError(f"b must be finite and exceed 1, not {b}")
         super().__init__(alpha, f"weierstrass(b={b}, alpha={alpha})")
         self.b = b
         # |f(x)-f(y)| <= C |x-y|^alpha with the standard two-regime split
@@ -159,8 +159,8 @@ class WeierstrassFunction(HolderFunction):
         instance: power alpha is the series of f, power 1 + alpha that of
         its antiderivative.
         """
-        if not tol > 0.0:
-            raise DomainError("tolerance must be positive")
+        if not 0.0 < tol < math.inf:
+            raise DomainError(f"tolerance must be positive and finite, not {tol}")
         geo = 1.0 - math.pow(self.b, -power)
         n = 0
         while math.pow(self.b, -(n + 1) * power) / geo > tol:
@@ -177,6 +177,8 @@ class WeierstrassFunction(HolderFunction):
 
     def _eval(self, x, tol):
         n = self.terms_for(tol)
+        if not math.isfinite(float(self._series(self.alpha, tol)[0][-1]) * x):
+            raise DomainError(f"x = {x} puts the top phase b^(N-1) x past the float range")
         total = 0.0
         freq = 1.0
         amp = 1.0

@@ -231,6 +231,13 @@ class TestBuildSchedule:
         with pytest.raises(d.DepthCapError):
             d.build_schedule(0.5, 1, depth_cap=32)
 
+    def test_negative_depth_cap_is_a_domain_error(self):
+        # a cap of 0 is too small, a cap of -1 is no cap at all
+        with pytest.raises(d.DomainError, match="depth_cap"):
+            d.build_schedule(0.5, 1, depth_cap=-1)
+        with pytest.raises(d.DepthCapError):
+            d.build_schedule(0.5, 1, depth_cap=0)
+
     def test_truncation_keeps_prefix(self):
         sched = d.build_schedule(0.5, 2, depth_cap=200)
         assert sched.truncated

@@ -190,6 +190,47 @@ class TestManifests:
         assert run(["verify-all"]) == 2
 
 
+class TestDeclaredDomains:
+    # the probe's values per flag type, and the ones each domain holds
+    PROBE = {float: ["nan", "inf", "-1", "0", "1e308"], int: ["-1", "0"]}
+    INSIDE = {"at least 1": set(), "nonnegative": {"0"}, "in (0, 1)": set(),
+              "in [0, 1]": {"0"}, "positive and finite": {"1e308"},
+              "finite": {"-1", "0", "1e308"}}
+    ARGV = {**TestManifests.FULL_ARGV, "verify-all": ["--depth", "8", "--seed", "1"]}
+
+    def test_every_numeric_flag_keeps_its_domain(self, tmp_path, capsys):
+        # each probe value goes to one flag, the others at their small valid
+        # values: a value outside the flag's domain exits 3 naming the flag
+        # and writing nothing, so an exit 0 comes from inside the domain; a
+        # value inside may still meet a narrower library check, but no
+        # exception leaves main
+        subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+        probed = 0
+        for cmd, sp in subparsers.items():
+            for action in sp._actions:
+                numeric = (action.type in (int, float)
+                           or (cmd, action.dest) == ("besicovitch", "eta"))
+                assert (action.domain is not None) == numeric, (cmd, action.dest)
+                if not numeric:
+                    continue
+                flag = action.option_strings[0]
+                assert action.domain in self.INSIDE and action.help == action.domain
+                argv = list(self.ARGV[cmd])
+                del argv[argv.index(flag):argv.index(flag) + 2]
+                for value in self.PROBE[action.type if action.type is int else float]:
+                    out = tmp_path / f"{cmd}{flag}={value}"
+                    try:
+                        code = run([cmd, *argv, flag, value, "--out", str(out)])
+                    except Exception as exc:
+                        pytest.fail(f"{cmd} {flag} {value}: {exc!r}")
+                    err = capsys.readouterr().err
+                    if value not in self.INSIDE[action.domain]:
+                        assert code == 3 and f"{flag} must be" in err, (cmd, flag, value)
+                        assert not out.exists(), (cmd, flag, value)
+                    probed += 1
+        assert probed == 220
+
+
 class TestSubcommands:
     def test_besicovitch_values(self, tmp_path, capsys):
         assert run(["besicovitch", "--eta", "1/2", "--levels", "20",

@@ -228,6 +228,15 @@ class TestSigmaStats:
         assert st.upper[0.05][0] > 0.0
         assert st.lower[0.05][0] > 0.0
 
+    @pytest.mark.parametrize("upper, lower", [
+        ([math.nan], [0.1]), ([0.1], [math.nan]), ([math.inf], [0.1]),
+        ([0.0], [0.1]), ([0.1], [-0.1])])
+    def test_thresholds_positive_and_finite(self, weier_half, upper, lower):
+        # a NaN threshold used to measure (0.0, 0.0) for its event
+        with pytest.raises(d.DomainError, match="thresholds"):
+            d.sigma_stats(weier_half, 0.5, 0.4, 2.0 ** -9, upper, lower,
+                          samples=100, seed=1)
+
     @pytest.mark.parametrize("samples", [0, -1])
     def test_no_samples_refused(self, weier_half, samples):
         with pytest.raises(d.DomainError):
@@ -420,6 +429,14 @@ class TestSharedEndpointTracking:
                 "quad": d.QuadratureConfig(4), "cutoff_extra": 4, **kwargs}
         with pytest.raises(d.DomainError):
             d.theta_martingale_gap(KERNEL_FLEET["W2"], 0.5, 6, **args)
+
+    @pytest.mark.parametrize("first_level", [0, -2])
+    def test_gap_names_a_first_level_below_one(self, first_level):
+        # level 0 used to fail on its eps grid, as "eps must lie in (0, 1)"
+        with pytest.raises(d.DomainError, match="first_level"):
+            d.theta_martingale_gap(KERNEL_FLEET["W2"], 0.5, 6, [0.3],
+                                   first_level=first_level, eps_grid=2,
+                                   quad=d.QuadratureConfig(4), cutoff_extra=4)
 
     @pytest.mark.parametrize("kwargs", [
         {"cutoff_extra": 0}, {"panels_per_octave": 0}, {"tol": 0.0}])

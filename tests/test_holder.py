@@ -78,6 +78,25 @@ class TestWeierstrass:
         with pytest.raises(d.DomainError):
             d.WeierstrassFunction(2.0, 0.5)(0.1, tol=-1.0)
 
+    @pytest.mark.parametrize("b", [math.inf, math.nan])
+    def test_refuses_base_that_is_not_finite(self, b):
+        # b = inf used to give a NaN seminorm bound
+        with pytest.raises(d.DomainError, match="b must be finite"):
+            d.WeierstrassFunction(b, 0.5)
+
+    def test_refuses_infinite_tolerance(self):
+        # tol = inf used to take one term
+        f = d.WeierstrassFunction(2.0, 0.5)
+        for call in (lambda: f.terms_for(math.inf), lambda: f(0.1, math.inf)):
+            with pytest.raises(d.DomainError, match="finite"):
+                call()
+
+    @pytest.mark.parametrize("x", [1e300, -1e300, 1e308])
+    def test_scalar_refuses_phase_past_the_float_range(self, x):
+        # b^(N-1) x overflowed and math.cos raised a bare ValueError
+        with pytest.raises(d.DomainError, match="x = "):
+            d.WeierstrassFunction(2.0, 0.5)(x)
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
     def test_series_refuse_nonpositive_tolerance(self, tol):
         f = d.WeierstrassFunction(2.0, 0.5)
