@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -136,10 +136,7 @@ class BuildingBlock:
         """Closed form: peak on J_M, trough on J minus J_M, 0 outside."""
         if not self.J.contains(x):
             return 0.0
-        deep = self.J
-        for _ in range(self.M):
-            deep = deep.left_half()
-        return self.peak if deep.contains(x) else self.trough
+        return self.peak if self.spine()[-1].contains(x) else self.trough
 
     def partial_sup_scaled(self, t: int) -> float:
         """2^-((K+t) beta) * sup of the first t terms (t = 1..M)."""
@@ -253,34 +250,9 @@ class BlockSchedule:
         return rounds[0].end if rounds else None
 
     def to_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "end_level": self.end_level,
-            "depth_cap": self.depth_cap,
-            "truncated": self.truncated,
-            "stages": [
-                {
-                    "stage": s.stage,
-                    "delta": s.delta,
-                    "M": s.M,
-                    "rounds": s.rounds,
-                    "complete": s.complete,
-                }
-                for s in self.stages
-            ],
-            "placements": [
-                {
-                    "stage": p.stage,
-                    "round": p.round,
-                    "level": p.level,
-                    "M": p.M,
-                    "delta": p.delta,
-                    "norm_before": p.norm_before,
-                    "norm_after": p.norm_after,
-                }
-                for p in self.placements
-            ],
-        }
+        """The JSON record: all fields but the envelopes and amplitudes."""
+        return asdict(self, dict_factory=lambda items: {
+            k: v for k, v in items if k not in ("sup_at", "inf_at", "amplitude")})
 
 
 def build_schedule(beta, stages: int, depth_cap: int = 4096) -> BlockSchedule:
@@ -387,12 +359,12 @@ class BlockMartingale(PairedMartingale):
     def value(self, I: DyadicInterval) -> float:
         self._check(I)
         total = 0.0
-        for p in self.schedule.placements:
-            if p.level >= I.level:
+        for k, end, amp, _ in self._windows:
+            if k >= I.level:
                 break
-            t = min(I.level, p.end) - p.level
-            bits = (I.index >> (I.level - p.level - t)) & ((1 << t) - 1)
-            total += p.amplitude * ((math.ldexp(1.0, t) - 1.0) if bits == 0 else -1.0)
+            t = min(I.level, end) - k
+            bits = (I.index >> (I.level - k - t)) & ((1 << t) - 1)
+            total += amp * ((math.ldexp(1.0, t) - 1.0) if bits == 0 else -1.0)
         return total
 
     def primitive(self, start: DyadicInterval, s_start: float,
@@ -482,15 +454,14 @@ class BlockMartingale(PairedMartingale):
     def _values(self, level: np.ndarray, index: np.ndarray) -> np.ndarray:
         """`value` of the intervals (level, index), per entry."""
         total = np.zeros(level.shape)
-        for p in self.schedule.placements:
-            on = p.level < level
+        for k, end, amp, _ in self._windows:
+            on = k < level
             if not on.any():
                 break
             lv = level[on]
-            t = np.minimum(lv, p.end) - p.level
-            bits = address_bits(index[on], lv - p.level - t, t)
-            total[on] += np.where(bits == 0, p.amplitude * (np.ldexp(1.0, t) - 1.0),
-                                  -p.amplitude)
+            t = np.minimum(lv, end) - k
+            bits = address_bits(index[on], lv - k - t, t)
+            total[on] += np.where(bits == 0, amp * (np.ldexp(1.0, t) - 1.0), -amp)
         return total
 
     def _primitives(self, level: np.ndarray, index: np.ndarray, s: np.ndarray,
@@ -679,6 +650,12 @@ class SpecialIntervalRegistry:
             worst = min(worst, math.pow(2.0, -p.end * beta) * (peak - p.norm_before))
         return worst
 
+    def special_values(self, p: Placement) -> np.ndarray:
+        """|I'|^beta S(I') = 2^(-end beta) S(I') on the 2^level special
+        intervals I' of placement p, the level-end cells q 2^M, in order."""
+        vals = self.S.level_values(p.end)
+        return math.pow(2.0, -p.end * self.schedule.beta) * vals[::1 << p.M]
+
     def check_members(self) -> tuple[int, float]:
         """|I'|^beta S(I') >= 1/5 on every member of a placement at level
         16 or less.
@@ -686,17 +663,14 @@ class SpecialIntervalRegistry:
         Returns (number checked, worst value).  Deeper placements are
         covered by the closed-form bound instead.
         """
-        beta = self.schedule.beta
         worst = math.inf
         checked = 0
         for p in self.placements:
             if p.level > 16:
                 continue
-            vals = self.S.level_values(p.end)
-            members = np.arange(1 << p.level, dtype=np.int64) << p.M
-            scaled = math.pow(2.0, -p.end * beta) * vals[members]
+            scaled = self.special_values(p)
             worst = min(worst, float(scaled.min()))
-            checked += members.size
+            checked += scaled.size
             if scaled.min() < 0.2 - 1e-12:
                 raise DomainError(
                     f"special-interval bound 1/5 fails at placement {p}")
@@ -734,11 +708,6 @@ class SpecialIntervalRegistry:
         return {"new_outside": new_outside, "union_two": union_two}
 
 
-def special_registry(schedule: BlockSchedule, stage: int,
-                     martingale: Optional[BlockMartingale] = None) -> SpecialIntervalRegistry:
-    return SpecialIntervalRegistry(schedule, stage, martingale)
-
-
 def witness_survey(schedule: BlockSchedule, S: BlockMartingale, f, alpha: float,
                    points: int, seed: int) -> tuple[int, int]:
     """Count sampled points with a special-interval witness for f.
@@ -754,7 +723,7 @@ def witness_survey(schedule: BlockSchedule, S: BlockMartingale, f, alpha: float,
     if points < 1:
         raise DomainError("need at least one sampled point")
     rng = _random.Random(seed)
-    regs = [special_registry(schedule, j, S)
+    regs = [SpecialIntervalRegistry(schedule, j, S)
             for j in range(min(2, len(schedule.stages)))
             if schedule.stages[j].complete]
     depth = schedule.end_level + 48

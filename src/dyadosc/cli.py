@@ -271,18 +271,15 @@ def cmd_counterexample(args, w: RunWriter) -> int:
     for j, rec in enumerate(sched.stages):
         if not rec.complete:
             continue
-        reg = blocks.special_registry(sched, j, S)
+        reg = blocks.SpecialIntervalRegistry(sched, j, S)
         for p in reg.placements:
             if p.level > 12:
                 continue
-            vals = S.level_values(p.end)
-            for q in range(1 << p.level):
-                iv = DyadicInterval(p.end, q << p.M)
-                scaled = math.pow(2.0, -p.end * beta) * vals[iv.index]
-                registry_rows.append([j, iv.level, iv.index, "special", scaled])
-                left = iv.left_neighbor()
-                if left is not None:
-                    registry_rows.append([j, left.level, left.index, "left", scaled])
+            # the left-special interval is the left neighbor, none at index 0
+            for q, scaled in enumerate(reg.special_values(p).tolist()):
+                registry_rows.append([j, p.end, q << p.M, "special", scaled])
+                if q:
+                    registry_rows.append([j, p.end, (q << p.M) - 1, "left", scaled])
     w.write_csv("registry.csv",
                 ["stage", "level", "index", "flag", "scaled_value"], registry_rows)
     w.write_json("counterexample.json", {
@@ -420,7 +417,7 @@ def cmd_verify_all(args, w: RunWriter) -> int:
     check("summation by parts",
           martingale.summation_by_parts_check(Tr, min(depth, 8)) <= 1e-10)
     check("beta-star norm of sharpness", martingale.beta_star_norm(T, 8) == 1.0)
-    sub = martingale.subsample(S, 3, 1, 0.0)
+    sub = martingale.SubsampledMartingale(S, 3, 1, 0.0)
     check("subsample cancellation & bound",
           sub.check_cancellation(2) <= 1e-12 and sub.star_norm(2) <= 1.0 + 1e-12)
 
@@ -446,7 +443,7 @@ def cmd_verify_all(args, w: RunWriter) -> int:
     SB = blocks.assemble_martingale(sched)
     check("block cancellation",
           martingale.check_cancellation(SB, min(depth, 12)).ok(0.0))
-    reg = blocks.special_registry(sched, 0, SB)
+    reg = blocks.SpecialIntervalRegistry(sched, 0, SB)
     check("special intervals", reg.left_measure_bound_ok()
           and reg.special_value_lower_closed_form() >= 0.2)
 

@@ -189,10 +189,6 @@ def _mass_ratio(eta: float, u: float) -> float:
     return r
 
 
-def mass_measure(S: Martingale, eta: float) -> MassMeasure:
-    return MassMeasure(S, eta)
-
-
 @dataclass
 class MassSweepReport:
     """Levelwise audit of a mass measure against its martingale."""

@@ -176,14 +176,13 @@ class WeierstrassFunction(HolderFunction):
         return math.pow(self.b, -terms * self.alpha) / geo
 
     def _eval(self, x, tol):
-        n = self.terms_for(tol)
-        if not math.isfinite(float(self._series(self.alpha, tol)[0][-1]) * x):
-            raise DomainError(f"x = {x} puts the top phase b^(N-1) x past the float range")
+        freqs = self._series(self.alpha, tol)[0]
+        _check_phases(x, float(freqs[-1]))
         total = 0.0
         freq = 1.0
         amp = 1.0
         damp = math.pow(self.b, -self.alpha)
-        for _ in range(n):
+        for _ in range(len(freqs)):
             total += amp * math.cos(freq * x)
             freq *= self.b
             amp *= damp
@@ -191,13 +190,26 @@ class WeierstrassFunction(HolderFunction):
 
     def batch(self, xs, tol=None):
         freqs, amps = self._series(self.alpha, tol if tol is not None else 1e-12)
-        return np.cos(np.outer(np.atleast_1d(xs).astype(float), freqs)) @ amps
+        xs = np.atleast_1d(xs).astype(float)
+        _check_phases(xs, float(freqs[-1]))
+        return np.cos(np.outer(xs, freqs)) @ amps
 
     def antiderivative_batch(self, ys, tol=1e-13):
         """F(y) = sum_n b^(-n(1+alpha)) sin(b^n y), termwise exact, with
         the truncation rule of f at exponent 1 + alpha."""
         freqs, amps = self._series(1.0 + self.alpha, tol)
-        return np.sin(np.outer(np.atleast_1d(ys).astype(float), freqs)) @ amps
+        ys = np.atleast_1d(ys).astype(float)
+        _check_phases(ys, float(freqs[-1]))
+        return np.sin(np.outer(ys, freqs)) @ amps
+
+
+def _check_phases(xs, top: float) -> None:
+    """The domain rule of every Weierstrass evaluator: each x has a finite
+    top phase b^(N-1) x, or its sum is NaN.  The product rounds monotonically
+    in |x|, so the largest |x| decides, in a Python float (no numpy warning)."""
+    if not math.isfinite(float(np.abs(xs).max(initial=0.0)) * top):
+        x = next(x for x in np.ravel(xs).tolist() if not math.isfinite(x * top))
+        raise DomainError(f"x = {x} puts the top phase b^(N-1) x past the float range")
 
 
 class MartingaleInducedFunction(HolderFunction):

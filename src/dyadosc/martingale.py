@@ -601,11 +601,6 @@ class SubsampledMartingale:
         return worst
 
 
-def subsample(S: Martingale, N: int, k: int, C: float) -> SubsampledMartingale:
-    """Decimation combinator behind the additive-gap dimension bound."""
-    return SubsampledMartingale(S, N, k, C)
-
-
 def dump_rows(S: Martingale, depth: int):
     """(level, index, value) rows for the materialized prefix to `depth`;
     the sweep budget is checked before any level is built."""

@@ -190,23 +190,27 @@ class BaseWavelet:
         num, k, e = self._ratio(*_float_ratio(x))
         return num / (k << e)
 
-    def derivative(self, x: float) -> float:
+    def _local(self, x: float):
+        """(piece, width, local t) of the piece holding |x|, or None where
+        phi is flat: outside the support and on the plateaus."""
         cell = self._cell(*_float_ratio(x))
         if cell is None or not cell[4]:
-            return 0.0
+            return None
         pc = cell[0]
         w = float(pc.width)
-        t = (abs(float(x)) - float(pc.lo)) / w
+        return pc, w, (abs(float(x)) - float(pc.lo)) / w
+
+    def derivative(self, x: float) -> float:
+        if (at := self._local(x)) is None:
+            return 0.0
+        pc, w, t = at
         d = float(pc.b - pc.a) / w * _s5_d1(t)
         return d if x >= 0 else -d
 
     def second_derivative(self, x: float) -> float:
-        cell = self._cell(*_float_ratio(x))
-        if cell is None or not cell[4]:
+        if (at := self._local(x)) is None:
             return 0.0
-        pc = cell[0]
-        w = float(pc.width)
-        t = (abs(float(x)) - float(pc.lo)) / w
+        pc, w, t = at
         return float(pc.b - pc.a) / (w * w) * _s5_d2(t)
 
     def moments_exact(self) -> tuple[Fraction, Fraction, Fraction]:
@@ -379,10 +383,6 @@ class WaveletOscillator(HolderFunction):
     def value_float(self, t: Fraction, lo_stage: int = 1) -> float:
         """f(t) in floats, summed from stage `lo_stage` to the last built one."""
         return self._value(self._point_ratios(t, lo_stage), lo_stage)
-
-    def tail_part(self, m: int, t: Fraction) -> float:
-        """R_m(t): stages m and beyond (within the built schedule)."""
-        return self.value_float(t, m)
 
     def main_derivative(self, m: int, t: float) -> float:
         total = 0.0

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from bisect import bisect_right
@@ -11,6 +12,7 @@ import dyadosc as d
 from dyadosc import cli
 from dyadosc.dyadic import DyadicInterval as DI
 from dyadosc.dyadic import DyadicRational as DR
+from dyadosc.martingale import address_bits
 
 mp.mp.dps = 50
 
@@ -328,6 +330,97 @@ class TestScheduleFloatRange:
         assert sched.inf_at.tobytes() == ref.inf_at.tobytes()
 
 
+def _to_dict_reference(sched):
+    """`BlockSchedule.to_dict` as it listed the fields by hand."""
+    return {
+        "beta": sched.beta,
+        "end_level": sched.end_level,
+        "depth_cap": sched.depth_cap,
+        "truncated": sched.truncated,
+        "stages": [{"stage": s.stage, "delta": s.delta, "M": s.M, "rounds": s.rounds,
+                    "complete": s.complete} for s in sched.stages],
+        "placements": [{"stage": p.stage, "round": p.round, "level": p.level, "M": p.M,
+                        "delta": p.delta, "norm_before": p.norm_before,
+                        "norm_after": p.norm_after} for p in sched.placements],
+    }
+
+
+def test_schedule_record_matches_hand_listed_fields():
+    seen = set()
+    for beta in (0.3, 0.5, 0.7):
+        for stages in (1, 3):
+            sched = d.build_schedule(beta, stages, depth_cap=1024)
+            seen.add(sched.truncated)
+            got, want = sched.to_dict(), _to_dict_reference(sched)
+            assert got == want
+            assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    assert seen == {False, True}
+
+
+def _value_reference(S, I):
+    """`BlockMartingale.value` as it read the placement objects."""
+    total = 0.0
+    for p in S.schedule.placements:
+        if p.level >= I.level:
+            break
+        t = min(I.level, p.end) - p.level
+        bits = (I.index >> (I.level - p.level - t)) & ((1 << t) - 1)
+        total += p.amplitude * ((math.ldexp(1.0, t) - 1.0) if bits == 0 else -1.0)
+    return total
+
+
+def _values_reference(S, level, index):
+    """`BlockMartingale._values` as it read the placement objects."""
+    total = np.zeros(level.shape)
+    for p in S.schedule.placements:
+        on = p.level < level
+        if not on.any():
+            break
+        lv = level[on]
+        t = np.minimum(lv, p.end) - p.level
+        bits = address_bits(index[on], lv - p.level - t, t)
+        total[on] += np.where(bits == 0, p.amplitude * (np.ldexp(1.0, t) - 1.0),
+                              -p.amplitude)
+    return total
+
+
+def _window_intervals(S, rng, max_level):
+    """Random intervals to `max_level`, plus, for every placement, cells on
+    and just off the spine at each level of its window and one past it."""
+    out = [(0, 0)]
+    for _ in range(3000):
+        lvl = rng.randint(1, max_level)
+        out.append((lvl, rng.getrandbits(lvl)))
+    for p in S.schedule.placements:
+        for lvl in range(p.level + 1, min(p.end + 1, max_level) + 1):
+            q = rng.getrandbits(p.level) << (lvl - p.level)
+            out += [(lvl, q), (lvl, q + 1), (lvl, q | 1 << (lvl - p.level - 1))]
+    return out
+
+
+class TestPlacementTableOracle:
+    """`value` and `_values` read the (k, end, amp, M) window table, with
+    the arithmetic of the placement-object loops they replaced."""
+
+    def test_value_bit_identical(self, block_martingale_half):
+        S = block_martingale_half
+        cells = _window_intervals(S, random.Random(8), 935)
+        got = [S.value(DI(lvl, idx)) for lvl, idx in cells]
+        want = [_value_reference(S, DI(lvl, idx)) for lvl, idx in cells]
+        assert len(cells) > 3000
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_values_bit_identical(self, block_martingale_half):
+        S = block_martingale_half
+        cells = _window_intervals(S, random.Random(9), 53)
+        level = np.array([lvl for lvl, _ in cells])
+        index = np.array([idx for _, idx in cells], dtype=np.uint64)
+        got = S._values(level, index)
+        assert len(cells) > 3000
+        assert got.tobytes() == _values_reference(S, level, index).tobytes()
+        assert got.tobytes() == np.array([S.value(DI(lvl, idx)) for lvl, idx in cells]).tobytes()
+
+
 class TestAssembledMartingale:
     def test_early_levels_match_block_partials(self, block_schedule_half,
                                                block_martingale_half):
@@ -519,32 +612,32 @@ class TestNestedBlockSums:
 
 class TestSpecialRegistry:
     def test_member_bound(self, block_schedule_half, block_martingale_half):
-        reg = d.special_registry(block_schedule_half, 0, block_martingale_half)
+        reg = d.SpecialIntervalRegistry(block_schedule_half, 0, block_martingale_half)
         checked, worst = reg.check_members()
         assert checked > 0
         assert worst >= 0.2
 
     def test_left_measure_bound(self, block_schedule_half):
-        reg = d.special_registry(block_schedule_half, 0)
+        reg = d.SpecialIntervalRegistry(block_schedule_half, 0)
         assert reg.left_measure_bound_ok()
-        reg1 = d.special_registry(block_schedule_half, 1)
+        reg1 = d.SpecialIntervalRegistry(block_schedule_half, 1)
         assert reg1.left_measure_bound_ok()
 
     def test_covered_measure_closed_form(self, block_schedule_half):
-        reg = d.special_registry(block_schedule_half, 0)
+        reg = d.SpecialIntervalRegistry(block_schedule_half, 0)
         rounds = len(reg.placements)
         M = reg.record.M
         assert reg.covered_measure_special() == 1 - (1 - Fraction(1, 1 << M)) ** rounds
 
     def test_coverage_identities(self, block_schedule_half):
-        reg = d.special_registry(block_schedule_half, 0)
+        reg = d.SpecialIntervalRegistry(block_schedule_half, 0)
         out = reg.coverage_identities(0)
         M = reg.record.M
         assert out["new_outside"] == Fraction(1, 1 << M) * (1 - Fraction(1, 1 << M))
         assert out["union_two"] == (2 - Fraction(1, 1 << M)) * Fraction(1, 1 << M)
 
     def test_leftmost_interval_discarded(self, block_schedule_half):
-        reg = d.special_registry(block_schedule_half, 0)
+        reg = d.SpecialIntervalRegistry(block_schedule_half, 0)
         p = reg.placements[1]          # level 8 round
         depth = p.end + 4
         # x with all-ones prefix through p.end: in the last level-k interval
@@ -558,7 +651,7 @@ class TestSpecialRegistry:
         assert hits2[0].interval == DI(p.end, 1 << p.M)
 
     def test_special_hit_geometry(self, block_schedule_half):
-        reg = d.special_registry(block_schedule_half, 0)
+        reg = d.SpecialIntervalRegistry(block_schedule_half, 0)
         p = reg.placements[1]
         depth = p.end + 6
         bits = 0b101 << (depth - 3)    # x in [5/8, 6/8): window bits zero
@@ -567,10 +660,29 @@ class TestSpecialRegistry:
         target = hits[0].target
         assert DR(bits, depth) < target
 
+    def test_special_values_match_member_loops(self, block_schedule_half,
+                                               block_martingale_half):
+        # the per-member reads that `special_values` replaced: the index
+        # array of `check_members` and the counterexample's interval loop
+        S, beta = block_martingale_half, block_schedule_half.beta
+        for j in (0, 1):
+            reg = d.SpecialIntervalRegistry(block_schedule_half, j, S)
+            for p in reg.placements:
+                if p.level > 12:
+                    continue
+                vals = S.level_values(p.end)
+                members = np.arange(1 << p.level, dtype=np.int64) << p.M
+                want = math.pow(2.0, -p.end * beta) * vals[members]
+                got = reg.special_values(p)
+                assert got.tobytes() == want.tobytes()
+                for q in range(1 << p.level):
+                    iv = DI(p.end, q << p.M)
+                    assert got[q] == math.pow(2.0, -p.end * beta) * vals[iv.index]
+
     def test_incomplete_stage_raises(self):
         sched = d.build_schedule(0.5, 2, depth_cap=200)
         with pytest.raises(d.DomainError):
-            d.special_registry(sched, 1)
+            d.SpecialIntervalRegistry(sched, 1)
 
 
 class TestInducedFunctionCertificates:

@@ -22,6 +22,15 @@ class TestExitCodes:
     def test_domain_error(self, tmp_path):
         assert run(["phi", "--eta", "1.5", "--out", str(tmp_path)]) == 3
 
+    def test_weierstrass_phase_past_the_float_range(self, tmp_path, capsys):
+        # in-domain --x-max whose top phase b^(N-1) x overflows: the batch
+        # used to write 5e+307,nan and 1e+308,nan rows and exit 0
+        out = tmp_path / "w"
+        assert run(["weierstrass", "--alpha", "0.5", "--points", "3",
+                    "--x-max", "1e308", "--out", str(out)]) == 3
+        assert "x = 5e+307" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_depth_cap(self, tmp_path):
         assert run(["schedule", "--beta", "0.5", "--stages", "1",
                     "--depth", "16", "--out", str(tmp_path)]) == 4
@@ -248,7 +257,7 @@ class TestSubcommands:
     @pytest.mark.parametrize("kind", ["binary", "zero", "random", "block-discounted"])
     def test_mass_dump_equals_scalar_oracle(self, tmp_path, capsys, monkeypatch, kind):
         S = cli._pick_martingale(kind, 5, 12)
-        mm = d.mass_measure(S, 0.7)
+        mm = d.MassMeasure(S, 0.7)
         expect = [f"{n},{j},{mm.mass_log2(d.DyadicInterval(n, j))!r}"
                   for n in range(11) for j in range(1 << n)]
         # the dump reads the kernel's level arrays: no scalar mass walk, and
@@ -307,6 +316,34 @@ class TestSubcommands:
         assert rows[0] == "stage,level,index,flag,scaled_value"
         assert any(",special," in r for r in rows[1:])
         assert any(",left," in r for r in rows[1:])
+
+    @pytest.mark.parametrize("alpha", ["0.3", "0.5", "0.7"])
+    def test_counterexample_registry_matches_member_loop(self, tmp_path, alpha):
+        # the rows as the command built them before `special_values`: one
+        # DyadicInterval and one left_neighbor per special interval
+        assert run(["counterexample", "--alpha", alpha, "--stages", "2",
+                    "--pairs", "50", "--points", "5", "--seed", "6",
+                    "--out", str(tmp_path)]) in (0, 5)
+        beta = 1.0 - float(alpha)
+        sched = d.build_schedule(beta, 2, depth_cap=1024)
+        S = d.assemble_martingale(sched)
+        want = ["stage,level,index,flag,scaled_value"]
+        for j, rec in enumerate(sched.stages):
+            if not rec.complete:
+                continue
+            for p in d.SpecialIntervalRegistry(sched, j, S).placements:
+                if p.level > 12:
+                    continue
+                vals = S.level_values(p.end)
+                for q in range(1 << p.level):
+                    iv = d.DyadicInterval(p.end, q << p.M)
+                    scaled = math.pow(2.0, -p.end * beta) * vals[iv.index]
+                    rows = [[j, iv.level, iv.index, "special", scaled]]
+                    left = iv.left_neighbor()
+                    if left is not None:
+                        rows.append([j, left.level, left.index, "left", scaled])
+                    want += [",".join(str(cli._fmt(v)) for v in row) for row in rows]
+        assert (tmp_path / "registry.csv").read_text().splitlines() == want
 
     def test_sigma_gamma_flag(self, tmp_path, capsys):
         assert run(["sigma-stats", "--alpha", "0.5", "--x", "0.123",

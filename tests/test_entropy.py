@@ -200,14 +200,14 @@ class TestProductLowerBound:
 
 class TestMassMeasure:
     def test_uniform_for_zero_martingale(self):
-        mm = d.mass_measure(d.zero_martingale(), 0.7)
+        mm = d.MassMeasure(d.zero_martingale(), 0.7)
         for n in range(6):
             for j in range(1 << n):
                 assert mm.mass_exact(DI(n, j)) == Fraction(1, 1 << n)
 
     def test_binary_closed_form(self):
         eta = Fraction(1, 2)
-        mm = d.mass_measure(d.binary_digit_martingale(), float(eta))
+        mm = d.MassMeasure(d.binary_digit_martingale(), float(eta))
         for n in range(9):
             for j in range(1 << n):
                 k = bin(j).count("1")
@@ -215,7 +215,7 @@ class TestMassMeasure:
                 assert mm.mass_exact(DI(n, j)) == expect
 
     def test_additivity_and_total_mass(self):
-        mm = d.mass_measure(d.RandomSignMartingale(3), 0.5)
+        mm = d.MassMeasure(d.RandomSignMartingale(3), 0.5)
         for n in range(7):
             total = sum(mm.mass_exact(DI(n, j)) for j in range(1 << n))
             assert total == 1
@@ -228,7 +228,7 @@ class TestMassMeasure:
         big = d.Martingale(lambda child: 2.0 if child.index % 2 == 0 else -2.0,
                            star_bound=2.0)
         with pytest.raises(d.DomainError):
-            d.mass_measure(big, 0.5)
+            d.MassMeasure(big, 0.5)
 
 
 class TestMassSweep:
@@ -236,6 +236,23 @@ class TestMassSweep:
         rep = d.sweep_mass_distribution(d.binary_digit_martingale(), 0.5, 16)
         assert rep.ok(1e-9)
         assert rep.members > 0
+
+    @pytest.mark.parametrize("eta, members", [(0.25, 6668), (0.5, 58)])
+    def test_uniform_jumps_depth16(self, eta, members):
+        # jumps uniform on [-1, 1): not a relabelled binary martingale, so
+        # the threshold family is not the binary one
+        S = d.discount_transform(d.random_growth_martingale(0.5, 0))
+        rep = d.sweep_mass_distribution(S, eta, 16)
+        assert rep.members == members
+        assert rep.ok(1e-9) and rep.increments_paired and rep.level_sums_exact
+
+    def test_random_signs_relabel_the_binary_martingale(self):
+        # each node's children get +1 and -1 in some order: every level has
+        # the binary martingale's multiset of (S, mu)
+        reps = [d.sweep_mass_distribution(S, 0.5, 16)
+                for S in (d.RandomSignMartingale(3), d.binary_digit_martingale())]
+        assert reps[0].members == reps[1].members == 4476
+        assert reps[0].worst_log2_margin == reps[1].worst_log2_margin
 
     def test_zero_martingale_root_only(self):
         rep = d.sweep_mass_distribution(d.zero_martingale(), 0.5, 8)
@@ -314,7 +331,7 @@ class TestMassSweep:
         # NaN passed both one-sided bound checks and reached Fraction
         S = d.Martingale(lambda ch: math.nan, star_bound=1.0)
         with pytest.raises(d.DomainError):
-            d.mass_measure(S, 0.5).mass_log2(DI(1, 0))
+            d.MassMeasure(S, 0.5).mass_log2(DI(1, 0))
         with pytest.raises(d.DomainError):
             d.sweep_mass_distribution(S, 0.5, 4)
 
@@ -324,7 +341,7 @@ class TestMassSweep:
         # negative exact numerator and level sums still exact
         u, eta = -1.0 - 2e-12, 1.0 - 1e-12
         S = d.Martingale(lambda ch: u if ch.index & 1 == 0 else -u, star_bound=1.0)
-        mm = d.mass_measure(S, eta)
+        mm = d.MassMeasure(S, eta)
         assert 1.0 < mm.ratio(DI(1, 1)) <= 1.0 + 1e-12    # the upper slack stays
         with pytest.raises(d.DomainError):
             mm.ratio(DI(1, 0))
@@ -371,7 +388,7 @@ class TestMassSweepOracle:
     @pytest.mark.parametrize("S", [d.binary_digit_martingale(), _alternating(),
                                    _graded(), d.RandomSignMartingale(1, scale=61 / 4096)])
     def test_kernel_log2_masses_equal_the_scalar_oracle(self, S):
-        mm = d.mass_measure(S, 0.7)
+        mm = d.MassMeasure(S, 0.7)
         for n, *_, log2_mass in entropy._mass_levels(S, 0.7, 8):
             assert log2_mass.tolist() == [mm.mass_log2(DI(n, j)) for j in range(1 << n)]
 

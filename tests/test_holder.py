@@ -2,9 +2,11 @@ import hashlib
 import math
 import os
 import random
+import re
 import struct
 import subprocess
 import sys
+import warnings
 from bisect import bisect_right
 from fractions import Fraction
 from pathlib import Path
@@ -96,6 +98,30 @@ class TestWeierstrass:
         # b^(N-1) x overflowed and math.cos raised a bare ValueError
         with pytest.raises(d.DomainError, match="x = "):
             d.WeierstrassFunction(2.0, 0.5)(x)
+
+    @pytest.mark.parametrize("x", [1e300, -1e300, math.inf, math.nan])
+    def test_batches_refuse_phase_past_the_float_range(self, x):
+        # the batches wrote NaN for such an x, with two numpy warnings
+        f = d.WeierstrassFunction(2.0, 0.5)
+        xs = np.array([0.25, x, 0.5])
+        for call in (f.batch, f.antiderivative_batch):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(d.DomainError, match=re.escape(f"x = {x} ")):
+                    call(xs)
+
+    @pytest.mark.parametrize("b", [2.0, 3.0])
+    def test_batches_unchanged_on_finite_phases(self, b):
+        # the unchecked phase products, up to the largest x the rule admits
+        f = d.WeierstrassFunction(b, 0.5)
+        rng = np.random.default_rng(3)
+        for tol, power, call, trig in ((1e-12, 0.5, f.batch, np.cos),
+                                       (1e-13, 1.5, f.antiderivative_batch, np.sin)):
+            freqs, amps = f._series(power, tol)
+            edge = np.nextafter(np.finfo(float).max / freqs[-1], 0.0)
+            xs = np.concatenate([rng.uniform(-4.0, 4.0, 64), [0.0, -0.0, edge, -edge]])
+            assert call(xs, tol).tobytes() == (trig(np.outer(xs, freqs)) @ amps).tobytes()
+            assert call(np.zeros(0), tol).size == 0
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
     def test_series_refuse_nonpositive_tolerance(self, tol):

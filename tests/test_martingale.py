@@ -186,12 +186,12 @@ class TestSubsample:
     def test_decimated_bound_and_cancellation(self):
         S = d.binary_digit_martingale()
         # |S_n - S_m| <= |n - m| pointwise, so C = 0 works
-        sub = d.subsample(S, 4, 2, 0.0)
+        sub = d.SubsampledMartingale(S, 4, 2, 0.0)
         assert sub.star_norm(2) <= 1.0 + 1e-15
         assert sub.check_cancellation(2) <= 1e-12
 
     def test_level_sweeps_match_scalar_reference(self):
-        sub = d.subsample(d.RandomSignMartingale(2, scale=0.3), 3, 1, 0.5)
+        sub = d.SubsampledMartingale(d.RandomSignMartingale(2, scale=0.3), 3, 1, 0.5)
         star = cancel = 0.0
         for n in range(3):
             lvl, nxt = sub.dyadic_level(n), sub.dyadic_level(n + 1)
@@ -213,7 +213,7 @@ class TestSubsample:
             return read(self, n)
 
         monkeypatch.setattr(d.Martingale, "level_values", counting)
-        sub = d.subsample(d.RandomSignMartingale(1), 3, 1, 0.0)
+        sub = d.SubsampledMartingale(d.RandomSignMartingale(1), 3, 1, 0.0)
         sub.star_norm(4)
         assert reads == [1, 4, 7, 10, 13]
         reads.clear()
@@ -224,16 +224,16 @@ class TestSubsample:
 
     def test_values_scale(self):
         S = d.binary_digit_martingale()
-        sub = d.subsample(S, 3, 0, 1.0)
+        sub = d.SubsampledMartingale(S, 3, 0, 1.0)
         I = DI(6, 0b110110)
         assert sub.value(2, I) == S.value(I) / 4.0
 
     def test_domain_checks(self):
         S = d.binary_digit_martingale()
         with pytest.raises(d.DomainError):
-            d.subsample(S, 0, 0, 1.0)
+            d.SubsampledMartingale(S, 0, 0, 1.0)
         with pytest.raises(d.DomainError):
-            d.subsample(S, 3, 3, 1.0)
+            d.SubsampledMartingale(S, 3, 3, 1.0)
 
 
 class TestDumpFormat:
@@ -700,7 +700,7 @@ class TestWholeTreeSweepBudget:
 
     def test_subsampled_star_norm(self):
         # decimated levels 0, 1, 2 sit at dyadic levels 1, 4, 7
-        sub = d.subsample(_guard_levels(d.RandomSignMartingale(1)), 3, 1, 0.0)
+        sub = d.SubsampledMartingale(_guard_levels(d.RandomSignMartingale(1)), 3, 1, 0.0)
         sub.star_norm(1)
         with pytest.raises(d.DepthCapError):
             sub.star_norm(2)

@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 import dyadosc as d
+from dyadosc import wavelet
 
 
 class TestBaseWavelet:
@@ -59,6 +60,23 @@ class TestBaseWavelet:
                               (w.second_derivative, 1e6)):
                 if 0.0 < k < 0.5:
                     assert abs(fn(k - eps) - fn(k + eps)) <= 1e-5 * scale
+
+    def test_derivatives_match_per_method_lookups(self):
+        # each derivative used to find its piece and local t on its own
+        w = d.base_wavelet()
+        for x in np.linspace(-0.75, 0.75, 1201).tolist() + [0.0, -0.0, 0.5, -0.5]:
+            cell = w._cell(*wavelet._float_ratio(x))
+            if cell is None or not cell[4]:
+                want1 = want2 = 0.0
+            else:
+                pc = cell[0]
+                wd = float(pc.width)
+                t = (abs(float(x)) - float(pc.lo)) / wd
+                want1 = float(pc.b - pc.a) / wd * wavelet._s5_d1(t)
+                want1 = want1 if x >= 0 else -want1
+                want2 = float(pc.b - pc.a) / (wd * wd) * wavelet._s5_d2(t)
+            assert _same_float(w.derivative(x), want1), x
+            assert _same_float(w.second_derivative(x), want2), x
 
     def test_derivative_bounds_hold_on_grid(self):
         w = d.base_wavelet()
@@ -197,6 +215,17 @@ class TestOscillator:
             assert diff == pytest.approx(f.value_float(b) - f.value_float(a),
                                          abs=1e-12)
 
+    def test_difference_reads_every_number_type(self, oscillator_half):
+        # the HolderFunction entry point: DyadicRational, float and Fraction
+        # arguments reach difference_float as the same Fractions
+        f = oscillator_half
+        rng = random.Random(4)
+        for _ in range(40):
+            a, b = (d.DyadicRational(rng.getrandbits(50), 50) for _ in range(2))
+            want = f.difference_float(a.as_fraction(), b.as_fraction())
+            for x, y in ((a, b), (float(a), float(b)), (a.as_fraction(), b.as_fraction())):
+                assert _same_float(f.difference(x, y), want), (a, b)
+
     def test_tail_bound_reported(self, oscillator_half):
         assert oscillator_half.truncation_tail_bound() > 0.0
 
@@ -225,13 +254,13 @@ class TestWitnessScales:
         x = Fraction(3, 11)
         for m in (2, 3):
             offs = d.tail_extreme_offsets(f, x, m)
-            assert f.tail_part(m, x + offs["r_plus"]) == pytest.approx(
+            assert f.value_float(x + offs["r_plus"], m) == pytest.approx(
                 sch.tail_sum(m), rel=1e-12)
-            assert f.tail_part(m, x + offs["r_minus"]) == pytest.approx(
+            assert f.value_float(x + offs["r_minus"], m) == pytest.approx(
                 -sch.tail_sum(m), rel=1e-12)
-            assert f.tail_part(m, x - offs["rho_plus"]) == pytest.approx(
+            assert f.value_float(x - offs["rho_plus"], m) == pytest.approx(
                 sch.tail_sum(m), rel=1e-12)
-            assert f.tail_part(m, x - offs["rho_minus"]) == pytest.approx(
+            assert f.value_float(x - offs["rho_minus"], m) == pytest.approx(
                 -sch.tail_sum(m), rel=1e-12)
 
     def test_certificates_at_sampled_points(self, oscillator_half):
@@ -488,9 +517,9 @@ def _ref_witness_scales(f, x, m):
     elif (q_p > 1.0 and q_m < -1.0) or (q_p < -1.0 and q_m > 1.0):
         case = "ii"
         h_prime = _ref_bisect_zero(f, x, min(r_p, r_m_), max(r_p, r_m_))
-        t_tilde = f.tail_part(m, x + h_prime)
-        move_p = abs(t_tilde - f.tail_part(m, x + r_p))
-        move_m = abs(t_tilde - f.tail_part(m, x + r_m_))
+        t_tilde = f.value_float(x + h_prime, m)
+        move_p = abs(t_tilde - f.value_float(x + r_p, m))
+        move_m = abs(t_tilde - f.value_float(x + r_m_, m))
         h = r_p if move_p >= move_m else r_m_
     else:
         case = "iii"
@@ -563,7 +592,7 @@ class TestWitnessBisectionOracle:
                     nums = (lo.numerator * (den // lo.denominator),
                             hi.numerator * (den // hi.denominator))
                     for sign in (1, -1):
-                        got = attempt(d.wavelet._nested_plateau_point,
+                        got = attempt(wavelet._nested_plateau_point,
                                       f, x, *nums, den, m, sign)
                         if isinstance(got, int):
                             got = Fraction(got, den)
@@ -579,7 +608,7 @@ class TestWitnessBisectionOracle:
         assert _ref_witness_scales(f, x, 2).case == "ii"
         reads, plateaus = [], []
         kernel = d.WaveletOscillator._ratios
-        nested = d.wavelet._nested_plateau_point
+        nested = wavelet._nested_plateau_point
 
         def counting_kernel(self, n, q, *args):
             reads.append(Fraction(n, q))
