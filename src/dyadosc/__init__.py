@@ -8,7 +8,6 @@ from .dyadic import (
     DyadicInterval,
     DyadicRational,
     WhitneyDecomposition,
-    default_max_depth,
     locate,
     unit_interval,
     whitney,

@@ -716,7 +716,9 @@ def witness_survey(schedule: BlockSchedule, S: BlockMartingale, f, alpha: float,
     left-special membership in the first two stages offers the
     candidate step h = (right endpoint of the special interval) - x; the
     point scores once some candidate's divided difference clears
-    1/20 - 1e-3.  Returns (hits, points).
+    1/20 - 1e-3.  Returns (hits, points).  Only complete stages offer
+    candidates, and the 99% certificate needs stage 1: at depth cap 1024
+    it completes for beta <= 0.6, not at beta 0.65 or 0.7.
     """
     import random as _random
 

@@ -25,10 +25,10 @@ import numpy as np
 
 from . import __version__
 from .dyadic import (
+    DEFAULT_MAX_DEPTH,
     DepthCapError,
     DomainError,
     DyadicInterval,
-    default_max_depth,
     locate,
     whitney,
 )
@@ -74,8 +74,9 @@ class RunWriter:
         return path
 
     def write_json(self, name: str, payload) -> Path:
+        """JSON artifact; a float that is not finite is written as null."""
         path = self._path(name)
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        path.write_text(json.dumps(_finite(payload), indent=2, sort_keys=True) + "\n")
         self.files[name] = self._digest(path)
         return path
 
@@ -84,7 +85,7 @@ class RunWriter:
             "command": self.command,
             "params": {k: _fmt(v) for k, v in sorted(self.params.items())},
             "version": __version__,
-            "max_depth": default_max_depth(),
+            "max_depth": DEFAULT_MAX_DEPTH,
             "outputs": self.files,
         }
         path = self._path(f"{self.command}_manifest.json")
@@ -94,6 +95,17 @@ class RunWriter:
 
 def _fmt(v):
     return repr(float(v)) if isinstance(v, float) else v
+
+
+def _finite(v):
+    """`v` with each float in it that strict JSON refuses replaced by None."""
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
+    if isinstance(v, dict):
+        return {k: _finite(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_finite(x) for x in v]
+    return v
 
 
 # ---------------------------------------------------------------------
@@ -150,7 +162,7 @@ def cmd_mass_measure(args, w: RunWriter) -> int:
     w.write_csv("mass_measure.csv", ["level", "index", "mass_log2"], rows)
     w.write_json("mass_report.json", {
         "members": rep.members,
-        "worst_log2_margin": rep.worst_log2_margin if math.isfinite(rep.worst_log2_margin) else None,
+        "worst_log2_margin": rep.worst_log2_margin,
         "increments_paired": rep.increments_paired,
         "level_sums_exact": rep.level_sums_exact,
         "phi": rep.phi,
@@ -191,9 +203,9 @@ def cmd_dim_estimate(args, w: RunWriter) -> int:
 
 
 def cmd_weierstrass(args, w: RunWriter) -> int:
-    f = holder.WeierstrassFunction(args.b, args.alpha)
+    f = holder.WeierstrassFunction(args.b, args.alpha, args.tol)
     xs = np.linspace(args.x_min, args.x_max, args.points)
-    vals = f.batch(xs, args.tol)
+    vals = f.batch(xs)
     w.write_csv("weierstrass.csv", ["x", "f", "tol"],
                 [[float(x), float(v), args.tol] for x, v in zip(xs, vals)])
     print(f"wrote {args.points} samples; seminorm bound {f.seminorm_bound:.6g}")
@@ -201,8 +213,8 @@ def cmd_weierstrass(args, w: RunWriter) -> int:
 
 
 def cmd_martingale_extract(args, w: RunWriter) -> int:
-    f = holder.WeierstrassFunction(args.b, args.alpha)
-    S = martingale.from_function(f, args.depth, tol=args.tol)
+    f = holder.WeierstrassFunction(args.b, args.alpha, args.tol)
+    S = martingale.from_function(f, args.depth)
     w.write_csv("martingale.csv", ["level", "index", "value"],
                 martingale.dump_rows(S, args.depth))
     rep = martingale.check_cancellation(S, min(args.depth, 10))

@@ -24,12 +24,11 @@ from .holder import HolderFunction
 LN2 = math.log(2.0)
 
 
-def divided_difference(f: HolderFunction, alpha: float, x: float, h: float,
-                       tol: Optional[float] = None) -> float:
+def divided_difference(f: HolderFunction, alpha: float, x: float, h: float) -> float:
     """(f(x+h) - f(x)) / |h|^alpha for signed nonzero h."""
     if h == 0.0:
         raise DomainError("h must be nonzero")
-    return f.difference(x, x + h, tol=tol) / abs(h) ** alpha
+    return f.difference(x, x + h) / abs(h) ** alpha
 
 
 @dataclass
@@ -37,13 +36,10 @@ class QuadratureConfig:
     """Composite panels per dyadic octave under the log substitution."""
 
     panels_per_octave: int = 32
-    tol: float = 1e-12          # tolerance passed to function evaluations
 
     def __post_init__(self):
         if self.panels_per_octave < 1:
             raise DomainError("panels_per_octave must be at least 1")
-        if not self.tol > 0.0:
-            raise DomainError("tol must be positive")
 
 
 @dataclass
@@ -83,11 +79,11 @@ def _thetas(f: HolderFunction, alpha: float, x: float, eps_values: Sequence[floa
     """Theta and its coarse twin at each eps of the decreasing `eps_values`."""
     if not all(0.0 < eps < 1.0 for eps in eps_values):
         raise DomainError("eps must lie in (0, 1)")
-    fx, m = f(x, quad.tol), 2 * quad.panels_per_octave
+    fx, m = f(x), 2 * quad.panels_per_octave
 
     def integrand(j, hi):
         u = np.linspace(float(j), hi, 2 * m + 1)
-        return (f.batch(x + np.exp2(-u), quad.tol) - fx) * np.exp2(alpha * u) * LN2
+        return (f.batch(x + np.exp2(-u)) - fx) * np.exp2(alpha * u) * LN2
 
     return _octave_simpson(integrand, [math.log2(1.0 / eps) for eps in eps_values], m)
 
@@ -132,8 +128,7 @@ class ScaleStatistics:
 def sigma_stats(f: HolderFunction, alpha: float, x: float, eps: float,
                 upper_thresholds: Sequence[float],
                 lower_thresholds: Sequence[float],
-                samples: int = 20_000, seed: int = 0,
-                tol: float = 1e-12) -> ScaleStatistics:
+                samples: int = 20_000, seed: int = 0) -> ScaleStatistics:
     """Estimate sigma{t in [eps,1]: Delta_alpha(f)(x,t) > delta} and the
     mirrored {< -c} events, by log-uniform sampling t = 2^-(u U).
 
@@ -151,8 +146,8 @@ def sigma_stats(f: HolderFunction, alpha: float, x: float, eps: float,
     rng = np.random.default_rng(seed)
     u = rng.uniform(0.0, 1.0, size=samples)
     ts = np.exp(-u * U)
-    fx = f(x, tol)      # the scalar first: it refuses an x out of its domain
-    quots = (f.batch(x + ts, tol) - fx) / np.power(ts, alpha)
+    fx = f(x)  # the scalar first: it refuses an x out of its domain
+    quots = (f.batch(x + ts) - fx) / np.power(ts, alpha)
 
     def measure(mask: np.ndarray) -> tuple[float, float]:
         p = float(np.mean(mask))
@@ -203,12 +198,12 @@ def _tracking(f: HolderFunction, alpha: float, cutoff_extra: int,
 
     @functools.cache
     def anti(e: float) -> float:
-        return float(f.antiderivative_batch(np.array([e]), quad.tol)[0])
+        return float(f.antiderivative_batch(np.array([e]))[0])
 
     @functools.cache
     def row(e: float, j: int) -> np.ndarray:
         """F(e + 2^-u) - F(e) on the nodes of octave j."""
-        return f.antiderivative_batch(e + octave(j)[0], quad.tol) - anti(e)
+        return f.antiderivative_batch(e + octave(j)[0]) - anti(e)
 
     @functools.cache
     def value(I: DyadicInterval) -> float:
@@ -225,8 +220,7 @@ def _tracking(f: HolderFunction, alpha: float, cutoff_extra: int,
 
 def tracking_martingale_value(f: HolderFunction, alpha: float,
                               I: DyadicInterval, cutoff_extra: int = 24,
-                              panels_per_octave: int = 32,
-                              tol: float = 1e-12) -> float:
+                              panels_per_octave: int = 32) -> float:
     """Value at I of the bounded-increment martingale that shadows Theta.
 
     The martingale is the interval average of the accumulated difference
@@ -239,7 +233,7 @@ def tracking_martingale_value(f: HolderFunction, alpha: float,
     bounded; the cutoff tail decays like 2^(-K(1-alpha)) and is absorbed
     in the working tolerance.  K = cutoff_extra must be at least 1.
     """
-    return _tracking(f, alpha, cutoff_extra, QuadratureConfig(panels_per_octave, tol))(I)
+    return _tracking(f, alpha, cutoff_extra, QuadratureConfig(panels_per_octave))(I)
 
 
 def theta_martingale_gap(f: HolderFunction, alpha: float, depth: int,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numbers
 import operator
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -26,20 +25,6 @@ class DomainError(ValueError):
 
 class DepthCapError(RuntimeError):
     """An operation would need dyadic resolution beyond the configured cap."""
-
-
-def default_max_depth() -> int:
-    """Global depth cap; the OSC_MAX_DEPTH environment variable overrides."""
-    env = os.environ.get("OSC_MAX_DEPTH")
-    if env is None:
-        return DEFAULT_MAX_DEPTH
-    try:
-        value = int(env)
-    except ValueError as exc:
-        raise DomainError(f"OSC_MAX_DEPTH must be an integer, got {env!r}") from exc
-    if value < 0:
-        raise DomainError("OSC_MAX_DEPTH must be nonnegative")
-    return value
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,7 +146,6 @@ class DyadicRational:
 
 
 ZERO = DyadicRational(0, 0)
-ONE = DyadicRational(1, 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,12 +178,11 @@ class DyadicInterval:
     def contains(self, x: Real) -> bool:
         return locate(x, self.level) == self
 
-    def children(self, max_depth: Optional[int] = None) -> tuple["DyadicInterval", "DyadicInterval"]:
+    def children(self, max_depth: int = DEFAULT_MAX_DEPTH) -> tuple["DyadicInterval", "DyadicInterval"]:
         """Left and right halves; they partition self."""
-        cap = default_max_depth() if max_depth is None else max_depth
-        if self.level + 1 > cap:
+        if self.level + 1 > max_depth:
             raise DepthCapError(
-                f"children at level {self.level + 1} exceed max depth {cap}")
+                f"children at level {self.level + 1} exceed max depth {max_depth}")
         return (DyadicInterval(self.level + 1, 2 * self.index),
                 DyadicInterval(self.level + 1, 2 * self.index + 1))
 
@@ -275,7 +258,7 @@ class WhitneyDecomposition:
         return total
 
 
-def whitney(x: Real, h: Real, max_depth: Optional[int] = None) -> WhitneyDecomposition:
+def whitney(x: Real, h: Real, max_depth: int = DEFAULT_MAX_DEPTH) -> WhitneyDecomposition:
     """Greedy tiling of [x, x+h) by maximal dyadic intervals.
 
     Walks from the left endpoint, emitting at each step the largest dyadic
@@ -283,7 +266,6 @@ def whitney(x: Real, h: Real, max_depth: Optional[int] = None) -> WhitneyDecompo
     tiling is finite and exact; if it would need levels beyond the cap a
     DepthCapError is raised (truncation is never silent).
     """
-    cap = default_max_depth() if max_depth is None else max_depth
     a = DyadicRational.from_value(x)
     h = DyadicRational.from_value(h)
     if not (ZERO < h):
@@ -297,9 +279,9 @@ def whitney(x: Real, h: Real, max_depth: Optional[int] = None) -> WhitneyDecompo
         # piece must also fit: 2^-n <= rem
         while DyadicRational(1, n) > rem:
             n += 1
-        if n > cap:
+        if n > max_depth:
             raise DepthCapError(
-                f"whitney tiling of [{x}, {x}+{h}) needs level {n} > max depth {cap}")
+                f"whitney tiling of [{x}, {x}+{h}) needs level {n} > max depth {max_depth}")
         piece = DyadicInterval(n, a.floor_scaled(n))
         pieces.append(piece)
         a = piece.right

@@ -45,20 +45,18 @@ class HolderFunction:
         self.provenance = provenance
         self.seminorm_bound = seminorm_bound
 
-    def __call__(self, x, tol: Optional[float] = None) -> float:
-        return self._eval(float(x), tol if tol is not None else 1e-12)
+    def __call__(self, x) -> float:
+        return self._eval(float(x))
 
-    def _eval(self, x: float, tol: float) -> float:
+    def _eval(self, x: float) -> float:
         raise NotImplementedError
 
-    def batch(self, xs: np.ndarray, tol: Optional[float] = None) -> np.ndarray:
-        tol = tol if tol is not None else 1e-12
-        return np.array([self._eval(float(x), tol) for x in np.atleast_1d(xs)])
+    def batch(self, xs: np.ndarray) -> np.ndarray:
+        return np.array([self._eval(float(x)) for x in np.atleast_1d(xs)])
 
-    def difference(self, a, b, tol: Optional[float] = None):
+    def difference(self, a, b):
         """f(b) - f(a); overridden where cancellation-free forms exist."""
-        t = (tol / 2.0) if tol is not None else None
-        return self(b, t) - self(a, t)
+        return self(b) - self(a)
 
     def dyadic_differences(self, lo, hi, depth: int) -> np.ndarray:
         """f(hi 2^-depth) - f(lo 2^-depth) per pair of integer numerator
@@ -71,7 +69,7 @@ class HolderFunction:
         return np.array([self.difference(DyadicRational(a, depth), DyadicRational(b, depth))
                          for a, b in zip(lo.tolist(), hi.tolist())], dtype=float)
 
-    def antiderivative_batch(self, ys: np.ndarray, tol: float = 1e-13) -> np.ndarray:
+    def antiderivative_batch(self, ys: np.ndarray) -> np.ndarray:
         """F(y) = int_0^y f, where a closed form exists (else DomainError)."""
         raise DomainError(f"{self.provenance} has no antiderivative")
 
@@ -91,13 +89,13 @@ class ConstantFunction(HolderFunction):
         super().__init__(alpha, "user", seminorm_bound=0.0)
         self.c = c
 
-    def _eval(self, x, tol):
+    def _eval(self, x):
         return self.c
 
-    def batch(self, xs, tol=None):
+    def batch(self, xs):
         return np.full(np.atleast_1d(xs).shape, self.c, dtype=float)
 
-    def antiderivative_batch(self, ys, tol=1e-13):
+    def antiderivative_batch(self, ys):
         return self.c * np.atleast_1d(ys).astype(float)
 
 
@@ -109,13 +107,13 @@ class LinearFunction(HolderFunction):
         super().__init__(alpha, "user", seminorm_bound=abs(slope))
         self.slope = slope
 
-    def _eval(self, x, tol):
+    def _eval(self, x):
         return self.slope * x
 
-    def batch(self, xs, tol=None):
+    def batch(self, xs):
         return self.slope * np.atleast_1d(xs).astype(float)
 
-    def antiderivative_batch(self, ys, tol=1e-13):
+    def antiderivative_batch(self, ys):
         ys = np.atleast_1d(ys).astype(float)
         return self.slope * ys * ys / 2.0
 
@@ -127,21 +125,22 @@ class CallableFunction(HolderFunction):
         super().__init__(alpha, "user", seminorm_bound=seminorm_bound)
         self.fn = fn
 
-    def _eval(self, x, tol):
+    def _eval(self, x):
         return float(self.fn(x))
 
 
 class WeierstrassFunction(HolderFunction):
     """f(x) = sum_n b^(-n alpha) cos(b^n x), truncated to a tail bound.
 
-    The truncation index is the least N with b^-((N+1) alpha) / (1 -
-    b^-alpha) <= tol, so tol bounds the truncation error, deterministically.
-    It does not bound the float error of the phases b^n x: for b not a power
-    of two that error dominates (mpmath measures 4.0e-9 to 9.3e-9 at b = 3,
-    tol = 1e-12, x in {0.1, 0.37, 0.55, 0.93}).
+    One tolerance tol, set at construction, bounds the truncation error of
+    every value: f(x), `batch` and `antiderivative_batch` sum to tol, and
+    `difference` sums each side to tol / 2.  A series sums to t through the
+    least N with b^-((N+1) power) / (1 - b^-power) <= t.  tol does not bound
+    the float error of the phases b^n x: for b not a power of two it
+    dominates (mpmath: 4.0e-9 to 9.3e-9 at b = 3, tol = 1e-12).
     """
 
-    def __init__(self, b: float, alpha: float):
+    def __init__(self, b: float, alpha: float, tol: float = 1e-12):
         if not 1.0 < b < math.inf:
             raise DomainError(f"b must be finite and exceed 1, not {b}")
         super().__init__(alpha, f"weierstrass(b={b}, alpha={alpha})")
@@ -150,6 +149,8 @@ class WeierstrassFunction(HolderFunction):
         q = math.pow(b, 1.0 - alpha)
         self.seminorm_bound = q / (q - 1.0) + 2.0 / (1.0 - math.pow(b, -alpha))
         self._series = functools.cache(self._build_series)
+        self._series(alpha, tol)        # refuses a tol that is not positive and finite
+        self.tol = tol
 
     def _build_series(self, power: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
         """Frequencies b^n and amplitudes b^(-n power), n = 0..N, for the
@@ -175,7 +176,16 @@ class WeierstrassFunction(HolderFunction):
         geo = 1.0 - math.pow(self.b, -self.alpha)
         return math.pow(self.b, -terms * self.alpha) / geo
 
-    def _eval(self, x, tol):
+    def _eval(self, x):
+        return self._term_loop(x, self.tol)
+
+    def difference(self, a, b):
+        """f(b) - f(a), each side summed to tol / 2."""
+        half = self.tol / 2.0
+        return self._term_loop(float(b), half) - self._term_loop(float(a), half)
+
+    def _term_loop(self, x: float, tol: float) -> float:
+        """f(x) summed to `tol` by running products b^n and b^(-n alpha)."""
         freqs = self._series(self.alpha, tol)[0]
         _check_phases(x, float(freqs[-1]))
         total = 0.0
@@ -188,16 +198,16 @@ class WeierstrassFunction(HolderFunction):
             amp *= damp
         return total
 
-    def batch(self, xs, tol=None):
-        freqs, amps = self._series(self.alpha, tol if tol is not None else 1e-12)
+    def batch(self, xs):
+        freqs, amps = self._series(self.alpha, self.tol)
         xs = np.atleast_1d(xs).astype(float)
         _check_phases(xs, float(freqs[-1]))
         return np.cos(np.outer(xs, freqs)) @ amps
 
-    def antiderivative_batch(self, ys, tol=1e-13):
+    def antiderivative_batch(self, ys):
         """F(y) = sum_n b^(-n(1+alpha)) sin(b^n y), termwise exact, with
         the truncation rule of f at exponent 1 + alpha."""
-        freqs, amps = self._series(1.0 + self.alpha, tol)
+        freqs, amps = self._series(1.0 + self.alpha, self.tol)
         ys = np.atleast_1d(ys).astype(float)
         _check_phases(ys, float(freqs[-1]))
         return np.sin(np.outer(ys, freqs)) @ amps
@@ -249,7 +259,7 @@ class MartingaleInducedFunction(HolderFunction):
             return 0.0
         return self.S.primitive(unit_interval(), 0.0, x.numerator, x.exponent)
 
-    def difference(self, a, b, tol: Optional[float] = None) -> float:
+    def difference(self, a, b) -> float:
         """f(b) - f(a) for dyadic a <= b in [0,1], telescoped exactly.
 
         A single dyadic interval [a, b) contributes the one term
@@ -325,7 +335,7 @@ class MartingaleInducedFunction(HolderFunction):
             raise DomainError("no growth bound declared")
         return self.seminorm_bound * math.pow(2.0, -self.max_depth * self.alpha)
 
-    def _eval(self, x, tol):
+    def _eval(self, x):
         # reduce 1-periodically onto [0,1)
         frac = x - math.floor(x)
         grid = locate(frac, self.max_depth)

@@ -29,10 +29,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dyadic import (
+    DEFAULT_MAX_DEPTH,
     DepthCapError,
     DomainError,
     DyadicInterval,
-    default_max_depth,
     unit_interval,
 )
 
@@ -112,11 +112,11 @@ class Martingale:
     """
 
     def __init__(self, increment_fn: Callable[[DyadicInterval], float],
-                 s0=0.0, max_depth: Optional[int] = None,
+                 s0=0.0, max_depth: int = DEFAULT_MAX_DEPTH,
                  star_bound: Optional[float] = None, name: str = "martingale"):
         self._increment_fn = increment_fn
         self.s0 = s0
-        self.max_depth = default_max_depth() if max_depth is None else max_depth
+        self.max_depth = max_depth
         if self.max_depth < 0:
             raise DomainError(f"max depth must be nonnegative, not {self.max_depth}")
         self.star_bound = star_bound
@@ -215,8 +215,9 @@ class Martingale:
 
     def levels(self, depth: int):
         """Yield (n, increments, values) for n = 1..depth, inside the sweep
-        budget, with values summed from S_0 in the order ``value`` adds:
-        each child is its parent's value plus its own jump."""
+        budget, with values summed from S_0: each child is its parent's
+        value plus its own jump.  A kind that overrides ``value`` or
+        ``level_values_range`` can differ from these by a few ulps."""
         check_sweep_budget(depth)
         vals = np.full(1, float(self.s0))
         for n in range(1, depth + 1):
@@ -264,11 +265,11 @@ class ValueMartingale(Martingale):
                         dtype=float)
 
 
-def from_function(f, depth: int, tol: Optional[float] = None) -> ValueMartingale:
+def from_function(f, depth: int) -> ValueMartingale:
     """Divided-difference martingale of f, evaluable to the given depth:
     S(I) = 2^n (f(b) - f(a)) for I = [a, b) at level n."""
     return ValueMartingale(
-        lambda I: math.ldexp(f.difference(I.left, I.right, tol=tol), I.level),
+        lambda I: math.ldexp(f.difference(I.left, I.right), I.level),
         max_depth=depth, name="from-function")
 
 
@@ -301,7 +302,7 @@ class PairedMartingale(Martingale):
 class BinaryDigitMartingale(PairedMartingale):
     """S_n = 2*(number of 1-digits) - n; increments are exactly +-1."""
 
-    def __init__(self, max_depth: Optional[int] = None):
+    def __init__(self, max_depth: int = DEFAULT_MAX_DEPTH):
         super().__init__(s0=0, max_depth=max_depth, star_bound=1.0, name="binary")
 
     @staticmethod
@@ -317,7 +318,7 @@ class BinaryDigitMartingale(PairedMartingale):
         return 2.0 * np.bitwise_count(np.arange(lo, hi, dtype=np.uint64)) - n
 
 
-def binary_digit_martingale(max_depth: Optional[int] = None) -> BinaryDigitMartingale:
+def binary_digit_martingale(max_depth: int = DEFAULT_MAX_DEPTH) -> BinaryDigitMartingale:
     return BinaryDigitMartingale(max_depth=max_depth)
 
 
@@ -341,7 +342,7 @@ class RandomSignMartingale(PairedMartingale):
 
     _kind = "random-sign"
 
-    def __init__(self, seed: int, scale: float = 1.0, max_depth: Optional[int] = None):
+    def __init__(self, seed: int, scale: float = 1.0, max_depth: int = DEFAULT_MAX_DEPTH):
         super().__init__(s0=0.0, max_depth=max_depth, star_bound=scale,
                          name=f"{self._kind}-{seed}")
         self.seed = seed
@@ -502,7 +503,7 @@ def discount_transform(T: GrowthMartingale) -> Martingale:
 
 
 def sharpness_martingale(beta: float, base: Optional[Martingale] = None,
-                         max_depth: Optional[int] = None) -> GrowthMartingale:
+                         max_depth: int = DEFAULT_MAX_DEPTH) -> GrowthMartingale:
     """Growth martingale T_n = sum_k 2^(k beta)(S_k - S_{k-1}) over `base`.
 
     `base` is T's discounted martingale, so the discount transform returns
@@ -514,7 +515,7 @@ def sharpness_martingale(beta: float, base: Optional[Martingale] = None,
 
 
 def random_growth_martingale(beta: float, seed: int,
-                             max_depth: Optional[int] = None) -> GrowthMartingale:
+                             max_depth: int = DEFAULT_MAX_DEPTH) -> GrowthMartingale:
     """Growth martingale with random scaled increments, |.| <= 1, paired."""
     return GrowthMartingale(beta, _RandomUniformMartingale(seed, max_depth=max_depth),
                             name=f"random-growth-{seed}")

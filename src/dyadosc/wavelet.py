@@ -403,10 +403,10 @@ class WaveletOscillator(HolderFunction):
         float sum cannot resolve below their last bit, 2.8e-45."""
         return self._difference(self._point_ratios(a), self._point_ratios(b))
 
-    def difference(self, a, b, tol: Optional[float] = None) -> float:
+    def difference(self, a, b) -> float:
         return self.difference_float(_to_fraction(a), _to_fraction(b))
 
-    def _eval(self, x, tol):
+    def _eval(self, x):
         return self.value_float(Fraction(x))
 
     def truncation_tail_bound(self) -> float:

@@ -723,3 +723,14 @@ class TestInducedFunctionCertificates:
             f, d.SeminormSampler(pairs=3000, scale_min=2.0 ** -40, seed=1,
                                  dyadic_depth=44))
         assert est <= f.seminorm_bound
+
+
+class TestTwoStageLimit:
+    @pytest.mark.parametrize("beta, complete", [(0.6, True), (0.65, False)])
+    def test_stage_one_completes_up_to_beta_0_6(self, beta, complete):
+        # at the CLI's default --depth 1024 stage 1 stops at level 1020 for
+        # beta 0.65 and 0.7, so the witness survey sees stage 0 only
+        sched = d.build_schedule(beta, 2, depth_cap=1024)
+        assert sched.stages[0].complete
+        assert sched.stages[1].complete is complete
+        assert sched.truncated is not complete

@@ -1,5 +1,8 @@
+import hashlib
 import json
 import math
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -345,6 +348,25 @@ class TestSubcommands:
                     want += [",".join(str(cli._fmt(v)) for v in row) for row in rows]
         assert (tmp_path / "registry.csv").read_text().splitlines() == want
 
+    def test_gap_json_is_strict_json(self, tmp_path, capsys):
+        # one level has no Kendall p-value: json.dumps used to write a bare NaN
+        assert run(["gap", "--alpha", "0.5", "--depth", "6", "--first-level", "6",
+                    "--points", "2", "--panels", "2", "--seed", "1",
+                    "--out", str(tmp_path)]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        payload = json.loads((tmp_path / "gap.json").read_text(), parse_constant=refuse)
+        assert payload["trend_pvalue"] is None and len(payload["gaps"]) == 1
+
+    def test_json_artifacts_write_non_finite_floats_as_null(self, tmp_path):
+        w = cli.RunWriter(str(tmp_path), "t", {})
+        path = w.write_json("t.json", {"a": [1.5, math.nan, (math.inf, -math.inf)],
+                                       "b": {"c": 2, "d": -0.0, "e": None}})
+        assert json.loads(path.read_text()) == {"a": [1.5, None, [None, None]],
+                                                "b": {"c": 2, "d": -0.0, "e": None}}
+
     def test_sigma_gamma_flag(self, tmp_path, capsys):
         assert run(["sigma-stats", "--alpha", "0.5", "--x", "0.123",
                     "--gamma", "0.05", "--seed", "5", "--out", str(tmp_path)]) == 0
@@ -358,3 +380,29 @@ class TestSubcommands:
         assert payload["rows"][0][2] == 21700
         man = json.loads((tmp_path / "besicovitch_manifest.json").read_text())
         assert "besicovitch.json" in man["outputs"]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_commands():
+    """Each line of the README's block of CLI examples, as an argv."""
+    block = re.search(r"```\n(dyadosc .*?)```", README.read_text(), re.S).group(1)
+    return [shlex.split(line)[1:] for line in block.splitlines()]
+
+
+class TestReadmeExamples:
+    @pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+    def test_command_runs_and_its_manifest_holds(self, tmp_path, monkeypatch, capsys, argv):
+        # relative --out paths land under tmp_path; every line but
+        # verify-all (which writes nothing) names its own --out
+        monkeypatch.chdir(tmp_path)
+        assert ("--out" in argv) == (argv[0] != "verify-all")
+        assert run(argv) == 0
+        manifests = list(tmp_path.rglob("*_manifest.json"))
+        assert len(manifests) == (argv[0] != "verify-all")
+        for man in manifests:
+            outputs = json.loads(man.read_text())["outputs"]
+            assert outputs
+            for name, digest in outputs.items():
+                assert hashlib.sha256((man.parent / name).read_bytes()).hexdigest() == digest

@@ -42,9 +42,9 @@ def theta_oracle(x, eps, alpha, nmax=200):
 # The replaced per-eps quadratures, kept as oracles for the shared kernel:
 # two Simpson passes per theta, and one theta per (level, eps) in the gap.
 
-def _theta_fixed_reference(f, alpha, x, eps, panels_per_octave, tol):
+def _theta_fixed_reference(f, alpha, x, eps, panels_per_octave):
     U = math.log2(1.0 / eps)
-    fx = f(x, tol)
+    fx = f(x)
     total = 0.0
     panels = 0
     for j in range(int(math.ceil(U))):
@@ -54,7 +54,7 @@ def _theta_fixed_reference(f, alpha, x, eps, panels_per_octave, tol):
         m = panels_per_octave
         nodes = np.linspace(lo, hi, 2 * m + 1)
         hs = np.exp2(-nodes)
-        vals = (f.batch(x + hs, tol) - fx) * np.exp2(alpha * nodes) * math.log(2.0)
+        vals = (f.batch(x + hs) - fx) * np.exp2(alpha * nodes) * math.log(2.0)
         step = (hi - lo) / m
         total += step / 6.0 * (vals[0] + vals[-1] + 4.0 * vals[1::2].sum()
                                + 2.0 * vals[2:-1:2].sum())
@@ -63,18 +63,17 @@ def _theta_fixed_reference(f, alpha, x, eps, panels_per_octave, tol):
 
 
 def theta_reference(f, alpha, x, eps, quad):
-    coarse, _ = _theta_fixed_reference(f, alpha, x, eps, quad.panels_per_octave, quad.tol)
-    fine, panels = _theta_fixed_reference(f, alpha, x, eps, 2 * quad.panels_per_octave,
-                                          quad.tol)
+    coarse, _ = _theta_fixed_reference(f, alpha, x, eps, quad.panels_per_octave)
+    fine, panels = _theta_fixed_reference(f, alpha, x, eps, 2 * quad.panels_per_octave)
     return fine, abs(fine - coarse), panels
 
 
-def tracking_reference(f, alpha, I, cutoff_extra, panels_per_octave, tol):
+def tracking_reference(f, alpha, I, cutoff_extra, panels_per_octave):
     m = I.level
     a, b = float(I.left), float(I.right)
     u_top = float(m + cutoff_extra)
-    fa = float(f.antiderivative_batch(np.array([a]), tol)[0])
-    fb = float(f.antiderivative_batch(np.array([b]), tol)[0])
+    fa = float(f.antiderivative_batch(np.array([a]))[0])
+    fb = float(f.antiderivative_batch(np.array([b]))[0])
     total = 0.0
     scale = math.ldexp(1.0, m)
     for j in range(int(math.ceil(u_top))):
@@ -83,8 +82,8 @@ def tracking_reference(f, alpha, I, cutoff_extra, panels_per_octave, tol):
             break
         nodes = np.linspace(lo, hi, 2 * panels_per_octave + 1)
         hs = np.exp2(-nodes)
-        inner = (f.antiderivative_batch(b + hs, tol) - fb
-                 - (f.antiderivative_batch(a + hs, tol) - fa))
+        inner = (f.antiderivative_batch(b + hs) - fb
+                 - (f.antiderivative_batch(a + hs) - fa))
         vals = scale * inner * np.exp2(alpha * nodes) * math.log(2.0)
         step = (hi - lo) / panels_per_octave
         total += step / 6.0 * (vals[0] + vals[-1] + 4.0 * vals[1::2].sum()
@@ -98,7 +97,7 @@ def gap_reference(f, alpha, depth, xs, first_level, eps_grid, quad, cutoff_extra
     for x in xs:
         for n in levels:
             s_val = tracking_reference(f, alpha, d.locate(x, n), cutoff_extra,
-                                       quad.panels_per_octave, quad.tol)
+                                       quad.panels_per_octave)
             for eps in np.exp2(-np.linspace(n, n + 1, eps_grid)):
                 th, _, _ = theta_reference(f, alpha, float(x), float(eps), quad)
                 idx = n - first_level
@@ -148,8 +147,9 @@ class TestDividedDifference:
             minus = d.divided_difference(f, 0.5, 0.0, -h) * abs(h) ** 0.5
             assert plus == pytest.approx(-minus, rel=1e-12)
 
-    def test_weierstrass_two_evaluators(self, weier_half):
-        got = d.divided_difference(weier_half, 0.5, 0.0, 2.0 ** -10, tol=1e-13)
+    def test_weierstrass_two_evaluators(self):
+        got = d.divided_difference(d.WeierstrassFunction(2.0, 0.5, 1e-13), 0.5, 0.0,
+                                   2.0 ** -10)
         hp = sum(mp.power(2, -n * mp.mpf("0.5"))
                  * (mp.cos(mp.power(2, n) * mp.mpf(2) ** -10) - 1)
                  for n in range(140)) / mp.sqrt(mp.mpf(2) ** -10)
@@ -369,13 +369,13 @@ class TestSharedOctaveKernel:
             for level, cutoff in ((0, 24), (3, 7), (9, 24)):
                 I = d.locate(0.37, level)
                 assert (tracking_martingale_value(f, 0.5, I, cutoff, panels)
-                        == tracking_reference(f, 0.5, I, cutoff, panels, 1e-12))
+                        == tracking_reference(f, 0.5, I, cutoff, panels))
 
     def test_gap_integrates_each_point_once(self):
         # the per-eps path made 378 batch calls per point at these parameters
         W = d.WeierstrassFunction(2.0, 0.5)
         batch, calls = W.batch, []
-        W.batch = lambda xs, tol=None: calls.append(1) or batch(xs, tol)
+        W.batch = lambda xs: calls.append(1) or batch(xs)
         xs = [0.3, 0.71]
         d.theta_martingale_gap(W, 0.5, 14, xs, first_level=6, eps_grid=2,
                                quad=d.QuadratureConfig(16))
@@ -401,13 +401,13 @@ class TestSharedEndpointTracking:
         for n in range(14, 5, -1):
             for x in SHARED_POINTS:
                 I = d.locate(x, n)
-                assert tracking(I) == tracking_reference(f, 0.5, I, 24, 16, quad.tol)
+                assert tracking(I) == tracking_reference(f, 0.5, I, 24, 16)
 
     def test_gap_evaluates_each_endpoint_row_once(self):
         # one tracking evaluation per (level, interval) made 1,260 calls here
         W = d.WeierstrassFunction(2.0, 0.5)
         anti, calls = W.antiderivative_batch, []
-        W.antiderivative_batch = lambda ys, tol=1e-13: calls.append(1) or anti(ys, tol)
+        W.antiderivative_batch = lambda ys: calls.append(1) or anti(ys)
         d.theta_martingale_gap(W, 0.5, 14, [0.3, 0.71], first_level=6, eps_grid=2,
                                quad=d.QuadratureConfig(16))
         assert len(calls) <= 720
@@ -439,7 +439,7 @@ class TestSharedEndpointTracking:
                                    quad=d.QuadratureConfig(4), cutoff_extra=4)
 
     @pytest.mark.parametrize("kwargs", [
-        {"cutoff_extra": 0}, {"panels_per_octave": 0}, {"tol": 0.0}])
+        {"cutoff_extra": 0}, {"panels_per_octave": 0}])
     def test_tracking_domain(self, kwargs):
         from dyadosc.divdiff import tracking_martingale_value
 
@@ -447,8 +447,7 @@ class TestSharedEndpointTracking:
             tracking_martingale_value(KERNEL_FLEET["W2"], 0.5, d.locate(0.3, 4), **kwargs)
 
     @pytest.mark.parametrize("kwargs", [
-        {"panels_per_octave": 0}, {"panels_per_octave": -2},
-        {"tol": 0.0}, {"tol": -1e-12}, {"tol": math.nan}])
+        {"panels_per_octave": 0}, {"panels_per_octave": -2}])
     def test_quadrature_config_domain(self, kwargs):
         with pytest.raises(d.DomainError):
             d.QuadratureConfig(**kwargs)

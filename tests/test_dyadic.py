@@ -238,14 +238,12 @@ class TestWhitney:
 
 class TestDepthConfig:
     def test_default(self, monkeypatch):
-        monkeypatch.delenv("OSC_MAX_DEPTH", raising=False)
-        assert d.default_max_depth() == d.DEFAULT_MAX_DEPTH == 48
-
-    def test_env_override(self, monkeypatch):
+        # one declared cap, read from no environment variable
         monkeypatch.setenv("OSC_MAX_DEPTH", "96")
-        assert d.default_max_depth() == 96
-
-    def test_env_validation(self, monkeypatch):
-        monkeypatch.setenv("OSC_MAX_DEPTH", "frog")
-        with pytest.raises(d.DomainError):
-            d.default_max_depth()
+        assert d.DEFAULT_MAX_DEPTH == 48
+        assert d.binary_digit_martingale().max_depth == 48
+        assert d.RandomSignMartingale(1).max_depth == 48
+        with pytest.raises(d.DepthCapError, match="max depth 48"):
+            d.DyadicInterval(48, 0).children()
+        with pytest.raises(d.DepthCapError, match="max depth 48"):
+            d.whitney(DR(1, 49), DR(1, 1))

@@ -25,25 +25,48 @@ from dyadosc.dyadic import DyadicRational as DR
 mp.mp.dps = 40
 
 
+def _loop_series(b, power, tol):
+    """Frequencies and amplitudes of the series summed to tol, by the
+    per-call term loop the cached series replaced."""
+    geo = 1.0 - math.pow(b, -power)
+    n = 0
+    while math.pow(b, -(n + 1) * power) / geo > tol:
+        n += 1
+    ns = np.arange(n + 1)
+    return np.power(b, ns), np.power(b, -power * ns)
+
+
+def _term_loop(b, alpha, x, tol):
+    """f(x) summed to tol by running products, as the per-call `_eval`
+    that took a tolerance on every call did it."""
+    terms = len(_loop_series(b, alpha, tol)[0])
+    total, freq, amp, damp = 0.0, 1.0, 1.0, math.pow(b, -alpha)
+    for _ in range(terms):
+        total += amp * math.cos(freq * x)
+        freq *= b
+        amp *= damp
+    return total
+
+
 class TestWeierstrass:
     def test_value_at_zero(self):
-        f = d.WeierstrassFunction(2.0, 0.5)
+        f = d.WeierstrassFunction(2.0, 0.5, 1e-10)
         closed = 1.0 / (1.0 - 2.0 ** -0.5)
-        assert f(0.0, 1e-10) == pytest.approx(closed, abs=1e-9)
+        assert f(0.0) == pytest.approx(closed, abs=1e-9)
 
     @pytest.mark.parametrize("b,alpha", [(2.0, 0.3), (3.0, 0.5), (2.0, 0.8)])
     def test_geometric_value_at_zero(self, b, alpha):
-        f = d.WeierstrassFunction(b, alpha)
-        assert f(0.0, 1e-11) == pytest.approx(1.0 / (1.0 - b ** -alpha), abs=1e-10)
+        f = d.WeierstrassFunction(b, alpha, 1e-11)
+        assert f(0.0) == pytest.approx(1.0 / (1.0 - b ** -alpha), abs=1e-10)
 
     def test_periodicity_integer_base(self):
-        f = d.WeierstrassFunction(2.0, 0.5)
         tol = 1e-10
+        f = d.WeierstrassFunction(2.0, 0.5, tol)
         x = 0.37
         # the float argument x + 2pi carries its own rounding; allow the
         # Holder-of-argument slack on top of the two evaluation tolerances
         slack = 2 * tol + f.seminorm_bound * (4 * abs(x + 2 * math.pi) * 2.0 ** -53) ** 0.5
-        assert abs(f(x, tol) - f(x + 2 * math.pi, tol)) <= slack
+        assert abs(f(x) - f(x + 2 * math.pi)) <= slack
 
     def test_tail_bound_controls_truncation(self):
         f = d.WeierstrassFunction(2.0, 0.5)
@@ -59,26 +82,26 @@ class TestWeierstrass:
 
     def test_two_evaluator_agreement(self):
         # independent high-precision series vs the production evaluator
-        f = d.WeierstrassFunction(2.0, 0.5)
+        f = d.WeierstrassFunction(2.0, 0.5, 1e-13)
         x, h = 0.0, 2.0 ** -10
-        prod = (f(x + h, 1e-13) - f(x, 1e-13)) / h ** 0.5
+        prod = (f(x + h) - f(x)) / h ** 0.5
         hp = sum(mp.power(2, -n * mp.mpf("0.5"))
                  * (mp.cos(mp.power(2, n) * (x + h)) - mp.cos(mp.power(2, n) * x))
                  for n in range(120)) / mp.sqrt(mp.mpf(2) ** -10)
         assert prod == pytest.approx(float(hp), abs=1e-9)
 
     def test_batch_matches_scalar(self):
-        f = d.WeierstrassFunction(2.0, 0.5)
+        f = d.WeierstrassFunction(2.0, 0.5, 1e-12)
         xs = np.linspace(0, 1, 17)
-        vals = f.batch(xs, 1e-12)
+        vals = f.batch(xs)
         for x, v in zip(xs, vals):
-            assert v == pytest.approx(f(float(x), 1e-12), abs=1e-12)
+            assert v == pytest.approx(f(float(x)), abs=1e-12)
 
     def test_domain(self):
         with pytest.raises(d.DomainError):
             d.WeierstrassFunction(0.5, 0.5)
         with pytest.raises(d.DomainError):
-            d.WeierstrassFunction(2.0, 0.5)(0.1, tol=-1.0)
+            d.WeierstrassFunction(2.0, 0.5, tol=-1.0)
 
     @pytest.mark.parametrize("b", [math.inf, math.nan])
     def test_refuses_base_that_is_not_finite(self, b):
@@ -89,7 +112,8 @@ class TestWeierstrass:
     def test_refuses_infinite_tolerance(self):
         # tol = inf used to take one term
         f = d.WeierstrassFunction(2.0, 0.5)
-        for call in (lambda: f.terms_for(math.inf), lambda: f(0.1, math.inf)):
+        for call in (lambda: f.terms_for(math.inf),
+                     lambda: d.WeierstrassFunction(2.0, 0.5, math.inf)):
             with pytest.raises(d.DomainError, match="finite"):
                 call()
 
@@ -102,7 +126,7 @@ class TestWeierstrass:
     @pytest.mark.parametrize("x", [1e300, -1e300, math.inf, math.nan])
     def test_batches_refuse_phase_past_the_float_range(self, x):
         # the batches wrote NaN for such an x, with two numpy warnings
-        f = d.WeierstrassFunction(2.0, 0.5)
+        f = d.WeierstrassFunction(2.0, 0.5, 1e-13)
         xs = np.array([0.25, x, 0.5])
         for call in (f.batch, f.antiderivative_batch):
             with warnings.catch_warnings():
@@ -113,35 +137,40 @@ class TestWeierstrass:
     @pytest.mark.parametrize("b", [2.0, 3.0])
     def test_batches_unchanged_on_finite_phases(self, b):
         # the unchecked phase products, up to the largest x the rule admits
-        f = d.WeierstrassFunction(b, 0.5)
         rng = np.random.default_rng(3)
-        for tol, power, call, trig in ((1e-12, 0.5, f.batch, np.cos),
-                                       (1e-13, 1.5, f.antiderivative_batch, np.sin)):
+        for tol, power, name, trig in ((1e-12, 0.5, "batch", np.cos),
+                                       (1e-13, 1.5, "antiderivative_batch", np.sin)):
+            f = d.WeierstrassFunction(b, 0.5, tol)
+            call = getattr(f, name)
             freqs, amps = f._series(power, tol)
             edge = np.nextafter(np.finfo(float).max / freqs[-1], 0.0)
             xs = np.concatenate([rng.uniform(-4.0, 4.0, 64), [0.0, -0.0, edge, -edge]])
-            assert call(xs, tol).tobytes() == (trig(np.outer(xs, freqs)) @ amps).tobytes()
-            assert call(np.zeros(0), tol).size == 0
+            assert call(xs).tobytes() == (trig(np.outer(xs, freqs)) @ amps).tobytes()
+            assert call(np.zeros(0)).size == 0
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
     def test_series_refuse_nonpositive_tolerance(self, tol):
         f = d.WeierstrassFunction(2.0, 0.5)
-        for call in (lambda: f.terms_for(tol), lambda: f(0.1, tol),
-                     lambda: f.batch(np.array([0.1, 0.2]), tol)):
+        for call in (lambda: f.terms_for(tol), lambda: d.WeierstrassFunction(2.0, 0.5, tol)):
             with pytest.raises(d.DomainError):
                 call()
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, math.inf])
+    def test_constructor_refuses_tolerance(self, tol):
+        with pytest.raises(d.DomainError, match="tolerance must be positive and finite"):
+            d.WeierstrassFunction(2.0, 0.5, tol=tol)
 
     @pytest.mark.parametrize("tol", [0.0, math.nan])
     def test_antiderivative_refuses_zero_and_nan_tolerance(self, tol):
         # tol = 0 used to sum until b^-n underflowed, NaN to take one term
         with pytest.raises(d.DomainError):
-            d.WeierstrassFunction(2.0, 0.5).antiderivative_batch(np.array([0.1]), tol)
+            d.WeierstrassFunction(2.0, 0.5, tol).antiderivative_batch(np.array([0.1]))
 
     def test_antiderivative_refuses_negative_tolerance(self):
         # a subprocess with a timeout: the term loop used to run forever
         code = ("import numpy as np, dyadosc as d\n"
                 "try:\n"
-                "    d.WeierstrassFunction(2.0, 0.5).antiderivative_batch(np.array([0.1]), -1.0)\n"
+                "    d.WeierstrassFunction(2.0, 0.5, -1.0).antiderivative_batch(np.array([0.1]))\n"
                 "except d.DomainError:\n"
                 "    print('refused')\n")
         env = dict(os.environ)
@@ -154,28 +183,64 @@ class TestWeierstrass:
     @pytest.mark.parametrize("b,alpha", [(2.0, 0.5), (3.0, 0.5), (2.0, 0.3)])
     def test_cached_series_match_term_loops(self, b, alpha, monkeypatch):
         # the replaced per-call term loops, as the bit-for-bit reference
-        def loop_series(power, tol):
-            geo = 1.0 - math.pow(b, -power)
-            n = 0
-            while math.pow(b, -(n + 1) * power) / geo > tol:
-                n += 1
-            ns = np.arange(n + 1)
-            return np.power(b, ns), np.power(b, -power * ns)
-
-        f, xs = d.WeierstrassFunction(b, alpha), np.linspace(0.0, 1.0, 17)
-        for tol in (1e-8, 1e-12, 1e-13):
-            freqs, amps = loop_series(alpha, tol)
+        xs = np.linspace(0.0, 1.0, 17)
+        fs = {tol: d.WeierstrassFunction(b, alpha, tol) for tol in (1e-8, 1e-12, 1e-13)}
+        for tol, f in fs.items():
+            freqs, amps = _loop_series(b, alpha, tol)
             assert f.terms_for(tol) == len(freqs)
-            assert np.array_equal(f.batch(xs, tol), np.cos(np.outer(xs, freqs)) @ amps)
-            freqs, amps = loop_series(1.0 + alpha, tol)
-            assert np.array_equal(f.antiderivative_batch(xs, tol),
+            assert np.array_equal(f.batch(xs), np.cos(np.outer(xs, freqs)) @ amps)
+            freqs, amps = _loop_series(b, 1.0 + alpha, tol)
+            assert np.array_equal(f.antiderivative_batch(xs),
                                   np.sin(np.outer(xs, freqs)) @ amps)
         # each series was built once: repeated calls run no term loop
         pows = []
         monkeypatch.setattr(math, "pow", lambda *a: pows.append(a) or (a[0] ** a[1]))
-        for tol in (1e-8, 1e-12, 1e-13):
-            f.terms_for(tol), f.batch(xs, tol), f.antiderivative_batch(xs, tol)
+        for tol, f in fs.items():
+            f.terms_for(tol), f.batch(xs), f.antiderivative_batch(xs)
         assert pows == []
+
+    @pytest.mark.parametrize("tol", [None, 1e-13, 1e-11])
+    @pytest.mark.parametrize("b,alpha", [(2.0, 0.5), (3.0, 0.5), (2.0, 0.3)])
+    def test_one_tolerance_rule(self, b, alpha, tol):
+        # the per-call term loop as the oracle: f(x), batch and the
+        # antiderivative sum to the constructor's tol, difference each side
+        # to tol / 2, the split that difference(tol=t) used to make
+        f = d.WeierstrassFunction(b, alpha, **({} if tol is None else {"tol": tol}))
+        tol = 1e-12 if tol is None else tol
+        assert f.tol == tol
+        xs = np.linspace(0.013, 0.97, 9)
+        for x in xs.tolist():
+            assert f(x) == _term_loop(b, alpha, x, tol)
+        for lo, hi in [(0.0, 2.0 ** -10), (0.3, 0.71), (0.9, 0.25)]:
+            want = _term_loop(b, alpha, hi, tol / 2) - _term_loop(b, alpha, lo, tol / 2)
+            assert f.difference(lo, hi) == want
+            assert d.divided_difference(f, alpha, lo, hi - lo) == want / abs(hi - lo) ** alpha
+        S = d.from_function(f, 2)
+        assert S.value(DI(2, 1)) == math.ldexp(
+            _term_loop(b, alpha, 0.5, tol / 2) - _term_loop(b, alpha, 0.25, tol / 2), 2)
+        for power, call, trig in ((alpha, f.batch, np.cos),
+                                  (1.0 + alpha, f.antiderivative_batch, np.sin)):
+            freqs, amps = _loop_series(b, power, tol)
+            assert call(xs).tobytes() == (trig(np.outer(xs, freqs)) @ amps).tobytes()
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+    def test_tolerance_bounds_every_truncation(self, tol):
+        # at b = 2 the phases b^n x are exact, so only truncation and
+        # rounding separate the values from a 40-digit sum of 160 terms
+        f = d.WeierstrassFunction(2.0, 0.5, tol)
+        half = mp.mpf("0.5")
+
+        def exact(x, power, trig):
+            return sum(mp.power(2, -n * power) * trig(mp.power(2, n) * mp.mpf(x))
+                       for n in range(160))
+
+        for x, y in [(0.1, 0.37), (0.55, 0.93)]:
+            assert abs(f(x) - exact(x, half, mp.cos)) <= tol + 1e-14
+            assert abs(f.batch(np.array([x]))[0] - exact(x, half, mp.cos)) <= tol + 1e-14
+            assert abs(f.antiderivative_batch(np.array([x]))[0]
+                       - exact(x, 1 + half, mp.sin)) <= tol + 1e-14
+            want = exact(y, half, mp.cos) - exact(x, half, mp.cos)
+            assert abs(f.difference(x, y) - want) <= tol + 1e-14
 
 
 class TestMartingaleInduced:

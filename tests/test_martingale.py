@@ -56,13 +56,13 @@ class TestFromFunction:
         S = d.from_function(d.ConstantFunction(3.7), 8)
         assert S.value(DI(6, 17)) == 0.0
 
-    def test_weierstrass_root_value(self, weier_half):
-        S = d.from_function(weier_half, 8, tol=1e-13)
+    def test_weierstrass_root_value(self):
+        S = d.from_function(d.WeierstrassFunction(2.0, 0.5, 1e-13), 8)
         assert S.value(d.unit_interval()) == pytest.approx(WEIER_ROOT_VALUE,
                                                            abs=1e-10)
 
-    def test_weierstrass_cancellation(self, weier_half):
-        S = d.from_function(weier_half, 8, tol=1e-15)
+    def test_weierstrass_cancellation(self):
+        S = d.from_function(d.WeierstrassFunction(2.0, 0.5, 1e-15), 8)
         rep = d.check_cancellation(S, 8)
         assert rep.max_violation <= 1e-12
 
@@ -764,3 +764,41 @@ class TestLevelValuesRangeCheck:
             finally:
                 tracemalloc.stop()
             assert peak < 1 << 20, name
+
+
+def _walk_against_level_values(S, depth):
+    """Pairs (walk values, `level_values`) at each level 1..depth."""
+    return [(vals, S.level_values(n)) for n, _, vals in S.levels(depth)]
+
+
+class TestLevelsAgainstOwnValues:
+    """`levels` sums its own values from the increments; a kind that
+    overrides `value` or `level_values_range` computes its values another
+    way, so the two agree byte for byte only for some kinds."""
+
+    @pytest.mark.parametrize("name", ["binary", "random-sign", "zero", "random-growth",
+                                      "block-0.3", "block-0.5"])
+    def test_byte_equal(self, name):
+        S = {"binary": d.binary_digit_martingale(),
+             "random-sign": d.RandomSignMartingale(3),
+             "zero": d.zero_martingale(),
+             "random-growth": d.random_growth_martingale(0.6, 2),
+             "block-0.3": d.assemble_martingale(d.build_schedule(0.3, 2, depth_cap=1024)),
+             "block-0.5": d.assemble_martingale(d.build_schedule(0.5, 2, depth_cap=1024)),
+             }[name]
+        for walk, own in _walk_against_level_values(S, 18 if name.startswith("block") else 14):
+            assert walk.tobytes() == own.tobytes()
+
+    @pytest.mark.parametrize("name, depth, cells", [
+        ("block-0.7", 18, 52_480), ("W2, tol 1e-13", 10, 41), ("W3, tol 1e-13", 10, 47)])
+    def test_within_relative_1e13(self, name, depth, cells):
+        # the block kind's nested sums and the value oracle round apart
+        # from the walk by a few ulps (3 and 32 and 16 at most, measured)
+        S = {"block-0.7": d.assemble_martingale(d.build_schedule(0.7, 2, depth_cap=1024)),
+             "W2, tol 1e-13": d.from_function(d.WeierstrassFunction(2.0, 0.5, 1e-13), 10),
+             "W3, tol 1e-13": d.from_function(d.WeierstrassFunction(3.0, 0.5, 1e-13), 10),
+             }[name]
+        pairs = _walk_against_level_values(S, depth)
+        for walk, own in pairs:
+            np.testing.assert_allclose(walk, own, rtol=1e-13, atol=0.0)
+        assert sum(int(np.count_nonzero(walk != own)) for walk, own in pairs) == cells
