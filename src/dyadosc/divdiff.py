@@ -10,7 +10,6 @@ Monte Carlo (indicator discontinuities defeat smooth quadrature).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -49,28 +48,60 @@ class ThetaResult:
     panels: int
 
 
+# evaluation points per kernel call when octave rows are stacked: a
+# Weierstrass phase table holds this many points times its term count
+_STACK_CELLS = 1 << 11
+
+
+def _stacked(g, rows: np.ndarray) -> np.ndarray:
+    """g on the C-contiguous (S, n) array `rows`, in groups of whole rows of
+    at most _STACK_CELLS points per call (at least one row).  A row-wise
+    kernel gives each row the bits of a one-row call, in any group."""
+    step = max(1, _STACK_CELLS // rows.shape[1])
+    return np.concatenate([g(rows[i:i + step]) for i in range(0, len(rows), step)])
+
+
+def _octave_nodes(lo, hi, m: int) -> np.ndarray:
+    """np.linspace(lo[i], hi[i], 2m+1) in row i, bit for bit, C-contiguous:
+    a sum along the transposed view that linspace returns can round
+    differently from the one along a row."""
+    return np.ascontiguousarray(np.linspace(lo, hi, 2 * m + 1, axis=-1))
+
+
+def _simpson(v: np.ndarray, step) -> np.ndarray:
+    """Composite Simpson along the last axis of v, nodes `step` apart."""
+    return step / 6.0 * (v[..., 0] + v[..., -1] + 4.0 * v[..., 1::2].sum(axis=-1)
+                         + 2.0 * v[..., 2:-1:2].sum(axis=-1))
+
+
 def _octave_simpson(g, uppers: Sequence[float], m: int) -> list[tuple[float, float]]:
     """int_0^U g(u) du at each U of the increasing `uppers`, by composite
-    Simpson with m panels per octave [j, hi], hi = min(j+1, U): g(j, hi)
-    gives the integrand on the nodes np.linspace(j, hi, 2m+1).  Full octaves
-    are shared by every U; a non-integer U adds its own partial octave.
-    Each U also gets the rule on every other node (m/2 panels of twice the
-    step: the panel-halving reference, for even m)."""
-    def simpson(v, step):
-        return step / 6.0 * (v[0] + v[-1] + 4.0 * v[1::2].sum() + 2.0 * v[2:-1:2].sum())
+    Simpson with m panels per octave [j, hi], hi = min(j+1, U).
 
-    out, total, coarse, j = [], 0.0, 0.0, 0
+    Every octave's nodes np.linspace(j, hi, 2m+1) are one row of a
+    C-contiguous (S, 2m+1) array, and g maps stacked rows to the integrand
+    on them row by row (see `_stacked`).  The full octaves, shared by every
+    U, come first; a non-integer U adds its own partial octave.  Simpson
+    runs along each row, and each U adds its octave totals in order from
+    j = 0.  Each U also gets the rule on every other node (m/2 panels of
+    twice the step: the panel-halving reference, for even m).
+    """
+    full = math.floor(uppers[-1])
+    partial = [U for U in uppers if U != math.floor(U)]
+    lo = np.array([*range(full), *(math.floor(U) for U in partial)], dtype=float)
+    hi = np.array([*range(1, full + 1), *partial], dtype=float)
+    vals, step = _stacked(g, _octave_nodes(lo, hi, m)), (hi - lo) / m
+    fine, coarse = _simpson(vals, step), _simpson(vals[:, ::2], 2.0 * step)
+    fines = list(itertools.accumulate(fine[:full], initial=0.0))
+    coarses = list(itertools.accumulate(coarse[:full], initial=0.0))
+    out, tail = [], full
     for U in uppers:
-        while j < U:
-            hi = min(j + 1.0, U)
-            vals, step = g(j, hi), (hi - j) / m
-            s, c = simpson(vals, step), simpson(vals[::2], 2.0 * step)
-            if hi < j + 1:  # a partial octave serves this U only
-                out.append((total + s, coarse + c))
-                break
-            total, coarse, j = total + s, coarse + c, j + 1
-        else:
-            out.append((total, coarse))
+        k = math.floor(U)
+        if U == k:
+            out.append((fines[k], coarses[k]))
+        else:  # a partial octave serves this U only
+            out.append((fines[k] + fine[tail], coarses[k] + coarse[tail]))
+            tail += 1
     return out
 
 
@@ -79,10 +110,12 @@ def _thetas(f: HolderFunction, alpha: float, x: float, eps_values: Sequence[floa
     """Theta and its coarse twin at each eps of the decreasing `eps_values`."""
     if not all(0.0 < eps < 1.0 for eps in eps_values):
         raise DomainError("eps must lie in (0, 1)")
+    for eps in eps_values:
+        if not math.isfinite(1.0 / eps):
+            raise DomainError(f"eps = {eps} is too small: 1/eps overflows the float range")
     fx, m = f(x), 2 * quad.panels_per_octave
 
-    def integrand(j, hi):
-        u = np.linspace(float(j), hi, 2 * m + 1)
+    def integrand(u):
         return (f.batch(x + np.exp2(-u)) - fx) * np.exp2(alpha * u) * LN2
 
     return _octave_simpson(integrand, [math.log2(1.0 / eps) for eps in eps_values], m)
@@ -172,50 +205,47 @@ class GapProfile:
     points: int
 
 
-def _tracking(f: HolderFunction, alpha: float, cutoff_extra: int,
-              quad: QuadratureConfig):
-    """The tracking value of f on a dyadic interval, as a function of the
-    interval memoised across the intervals asked for.
+def _tracking(f: HolderFunction, alpha: float, intervals: Sequence[DyadicInterval],
+              cutoff_extra: int, quad: QuadratureConfig) -> dict[DyadicInterval, float]:
+    """The tracking value of f on each of `intervals`, in one stacked pass.
 
-    Each endpoint e's scalar F(e) and its row F(e + 2^-u) - F(e) on the
-    nodes u of each octave, each octave's scales 2^-u and weights
-    2^(alpha u), and each interval's value are computed once.  Nested
-    intervals share an endpoint with their parent, and every interval
-    shares the octaves.  A row is still one antiderivative_batch call on
-    the same 2m+1 inputs in the same order, so a value does not depend on
-    which other intervals were asked for first.  One closure serves one
-    gap call, and its caches go with it.
+    An interval I at level n integrates over the octaves j < n + K, and
+    its integrand on octave j is 2^n (R(b, j) - R(a, j)) 2^(alpha u) ln 2
+    with R(e, j) = F(e + 2^-u) - F(e) on the nodes u of the octave.  The
+    distinct endpoints e get F(e) from one (E, 1) antiderivative call;
+    octave j makes one (E_j, 2m+1) call for the E_j endpoints whose
+    intervals reach it (split as `_stacked` splits).  Each row is the row
+    a one-interval evaluation computes, and each interval adds its octave
+    totals in order from j = 0, so a value does not depend on which other
+    intervals were asked for.
     """
     if cutoff_extra < 1:
         raise DomainError("cutoff_extra must be at least 1")
     m = quad.panels_per_octave
-
-    @functools.cache
-    def octave(j: int) -> tuple[np.ndarray, np.ndarray]:
-        """The scales 2^-u and weights 2^(alpha u) on the nodes of octave j."""
-        u = np.linspace(float(j), j + 1.0, 2 * m + 1)
-        return np.exp2(-u), np.exp2(alpha * u)
-
-    @functools.cache
-    def anti(e: float) -> float:
-        return float(f.antiderivative_batch(np.array([e]))[0])
-
-    @functools.cache
-    def row(e: float, j: int) -> np.ndarray:
-        """F(e + 2^-u) - F(e) on the nodes of octave j."""
-        return f.antiderivative_batch(e + octave(j)[0]) - anti(e)
-
-    @functools.cache
-    def value(I: DyadicInterval) -> float:
-        a, b = float(I.left), float(I.right)
-        scale = math.ldexp(1.0, I.level)
-
-        def integrand(j, hi):
-            return scale * (row(b, j) - row(a, j)) * octave(j)[1] * LN2
-
-        return _octave_simpson(integrand, [float(I.level + cutoff_extra)], m)[0][0]
-
-    return value
+    # intervals by decreasing level, so those alive at octave j are a prefix;
+    # endpoints likewise, each first met at its deepest interval
+    intervals = sorted(dict.fromkeys(intervals), key=lambda I: -I.level)
+    uppers = np.array([I.level + cutoff_extra for I in intervals])
+    reach: dict[float, int] = {}    # endpoint -> octaves its rows span
+    for I, U in zip(intervals, uppers.tolist()):
+        reach.setdefault(float(I.left), U)
+        reach.setdefault(float(I.right), U)
+    position = {e: i for i, e in enumerate(reach)}
+    left = np.array([position[float(I.left)] for I in intervals])
+    right = np.array([position[float(I.right)] for I in intervals])
+    ends, spans = np.array(list(reach)), np.array(list(reach.values()))
+    anti = _stacked(f.antiderivative_batch, ends[:, None])
+    lo = np.arange(uppers[0], dtype=float)
+    u = _octave_nodes(lo, lo + 1.0, m)
+    hs, weights = np.exp2(-u), np.exp2(alpha * u)
+    scale = np.ldexp(1.0, [I.level for I in intervals])[:, None]
+    totals = np.zeros(len(intervals))
+    for j in range(len(lo)):
+        live, rows = np.count_nonzero(uppers > j), np.count_nonzero(spans > j)
+        R = _stacked(f.antiderivative_batch, ends[:rows, None] + hs[j]) - anti[:rows]
+        vals = scale[:live] * (R[right[:live]] - R[left[:live]]) * weights[j] * LN2
+        totals[:live] += _simpson(vals, 1.0 / m)
+    return dict(zip(intervals, totals))
 
 
 def tracking_martingale_value(f: HolderFunction, alpha: float,
@@ -233,7 +263,7 @@ def tracking_martingale_value(f: HolderFunction, alpha: float,
     bounded; the cutoff tail decays like 2^(-K(1-alpha)) and is absorbed
     in the working tolerance.  K = cutoff_extra must be at least 1.
     """
-    return _tracking(f, alpha, cutoff_extra, QuadratureConfig(panels_per_octave))(I)
+    return _tracking(f, alpha, [I], cutoff_extra, QuadratureConfig(panels_per_octave))[I]
 
 
 def theta_martingale_gap(f: HolderFunction, alpha: float, depth: int,
@@ -263,8 +293,9 @@ def theta_martingale_gap(f: HolderFunction, alpha: float, depth: int,
         raise DomainError(f"first_level must be at least 1, not {first_level}")
     if first_level > depth:
         raise DomainError("first_level must not exceed depth")
-    tracking = _tracking(f, alpha, cutoff_extra, quad)
     levels = list(range(first_level, depth + 1))
+    tracking = _tracking(f, alpha, [locate(x, n) for x in sample_points for n in levels],
+                         cutoff_extra, quad)
     level_eps = [[float(eps) for eps in np.exp2(-np.linspace(n, n + 1, eps_grid))]
                  for n in levels]
     eps_values = sorted({eps for es in level_eps for eps in es}, reverse=True)
@@ -273,7 +304,7 @@ def theta_martingale_gap(f: HolderFunction, alpha: float, depth: int,
         # one quadrature per point serves every eps of every level
         thetas = dict(zip(eps_values, _thetas(f, alpha, float(x), eps_values, quad)))
         for idx, n in enumerate(levels):
-            s_val = tracking(locate(x, n))
+            s_val = tracking[locate(x, n)]
             for eps in level_eps[idx]:
                 gaps[idx] = max(gaps[idx], abs(thetas[eps][0] - s_val))
     return GapProfile(levels, gaps, len(sample_points))

@@ -52,7 +52,10 @@ class HolderFunction:
         raise NotImplementedError
 
     def batch(self, xs: np.ndarray) -> np.ndarray:
-        return np.array([self._eval(float(x)) for x in np.atleast_1d(xs)])
+        """f at every entry of `xs`, in an array of its shape (at least 1-d)."""
+        xs = np.atleast_1d(xs)
+        vals = [self._eval(float(x)) for x in xs.flat]
+        return np.array(vals, dtype=float).reshape(xs.shape)
 
     def difference(self, a, b):
         """f(b) - f(a); overridden where cancellation-free forms exist."""
@@ -199,18 +202,28 @@ class WeierstrassFunction(HolderFunction):
         return total
 
     def batch(self, xs):
+        """f at every entry of `xs`, in an array of its shape (at least 1-d).
+
+        The phase table keeps the shape too, so `@ amps` makes one
+        matrix-vector product per row of the last axis: each row gets the
+        bits of a one-row call, where a flat product would reorder its sums.
+        The cosines overwrite the phases, so one table is held at a time.
+        """
         freqs, amps = self._series(self.alpha, self.tol)
-        xs = np.atleast_1d(xs).astype(float)
+        xs = np.ascontiguousarray(xs, dtype=float)
         _check_phases(xs, float(freqs[-1]))
-        return np.cos(np.outer(xs, freqs)) @ amps
+        phases = np.multiply.outer(xs, freqs)
+        return np.cos(phases, out=phases) @ amps
 
     def antiderivative_batch(self, ys):
         """F(y) = sum_n b^(-n(1+alpha)) sin(b^n y), termwise exact, with
-        the truncation rule of f at exponent 1 + alpha."""
+        the truncation rule of f at exponent 1 + alpha; keeps the shape of
+        `ys` as `batch` does."""
         freqs, amps = self._series(1.0 + self.alpha, self.tol)
-        ys = np.atleast_1d(ys).astype(float)
+        ys = np.ascontiguousarray(ys, dtype=float)
         _check_phases(ys, float(freqs[-1]))
-        return np.sin(np.outer(ys, freqs)) @ amps
+        phases = np.multiply.outer(ys, freqs)
+        return np.sin(phases, out=phases) @ amps
 
 
 def _check_phases(xs, top: float) -> None:

@@ -1,8 +1,11 @@
 import hashlib
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,6 +35,22 @@ class TestExitCodes:
         assert run(["weierstrass", "--alpha", "0.5", "--points", "3",
                     "--x-max", "1e308", "--out", str(out)]) == 3
         assert "x = 5e+307" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_theta_eps_with_an_infinite_reciprocal(self, tmp_path):
+        # 1/eps overflowed to inf and the octave loop never ended: in a
+        # subprocess, so that a hang fails the test instead of the suite
+        out = tmp_path / "t"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(d.__file__).parents[1]), env.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from dyadosc import cli; "
+             "sys.exit(cli.main(sys.argv[1:]))", "theta", "--alpha", "0.5",
+             "--eps", "5e-324", "--points", "2", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3
+        assert "eps = 5e-324" in proc.stderr
         assert not out.exists()
 
     def test_depth_cap(self, tmp_path):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -194,6 +195,12 @@ class TestTheta:
     def test_domain(self):
         with pytest.raises(d.DomainError):
             d.theta(d.ConstantFunction(0.0), 0.5, 0.0, 1.5)
+
+    @pytest.mark.parametrize("eps", [5e-324, 1e-310])
+    def test_eps_with_an_infinite_reciprocal_is_refused(self, weier_half, eps):
+        # 1/eps overflowed to inf, and the octave loop ran to U = inf
+        with pytest.raises(d.DomainError, match="eps"):
+            d.theta(weier_half, 0.5, 0.3, eps)
 
 
 class TestSigmaStats:
@@ -396,12 +403,11 @@ class TestSharedEndpointTracking:
         from dyadosc.divdiff import _tracking
 
         f, quad = KERNEL_FLEET[name], d.QuadratureConfig(16)
-        tracking = _tracking(f, 0.5, 24, quad)
-        # deepest first: shallower intervals read rows their children filled
-        for n in range(14, 5, -1):
-            for x in SHARED_POINTS:
-                I = d.locate(x, n)
-                assert tracking(I) == tracking_reference(f, 0.5, I, 24, 16)
+        # one stacked pass over intervals that share endpoints and octaves
+        intervals = [d.locate(x, n) for n in range(14, 5, -1) for x in SHARED_POINTS]
+        tracking = _tracking(f, 0.5, intervals, 24, quad)
+        for I in intervals:
+            assert tracking[I] == tracking_reference(f, 0.5, I, 24, 16)
 
     def test_gap_evaluates_each_endpoint_row_once(self):
         # one tracking evaluation per (level, interval) made 1,260 calls here
@@ -411,6 +417,45 @@ class TestSharedEndpointTracking:
         d.theta_martingale_gap(W, 0.5, 14, [0.3, 0.71], first_level=6, eps_grid=2,
                                quad=d.QuadratureConfig(16))
         assert len(calls) <= 720
+
+    def test_gap_stacks_octave_rows(self):
+        # a call per endpoint and octave made 708 antiderivative calls here,
+        # and a call per octave 30 batch calls: the same points, fewer calls
+        W = d.WeierstrassFunction(2.0, 0.5)
+        anti, batch, anti_sizes, batch_calls = W.antiderivative_batch, W.batch, [], []
+        W.antiderivative_batch = lambda ys: anti_sizes.append(np.size(ys)) or anti(ys)
+        W.batch = lambda xs: batch_calls.append(1) or batch(xs)
+        xs = [0.3, 0.71]
+        d.theta_martingale_gap(W, 0.5, 14, xs, first_level=6, eps_grid=2,
+                               quad=d.QuadratureConfig(16))
+        assert len(anti_sizes) <= 1 + 14 + 24
+        assert sum(anti_sizes) == 22_724
+        assert len(batch_calls) <= len(xs)
+
+    def test_stacked_calls_keep_the_cell_budget(self):
+        from dyadosc.divdiff import _STACK_CELLS, _tracking
+
+        W = d.WeierstrassFunction(2.0, 0.5)
+        anti, batch, sizes = W.antiderivative_batch, W.batch, []
+        W.antiderivative_batch = lambda ys: sizes.append(np.size(ys)) or anti(ys)
+        W.batch = lambda xs: sizes.append(np.size(xs)) or batch(xs)
+        tracemalloc.start()
+        try:
+            d.theta(W, 0.5, 0.3, 2.0 ** -1000, d.QuadratureConfig(64))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 1000 octaves of 257 nodes: every node once, in whole rows per call;
+        # one call for all of them held a 165 MiB phase table
+        assert max(sizes) <= _STACK_CELLS and sum(sizes) == 1000 * 257
+        assert peak < 16 * 2 ** 20
+        # endpoints past the budget split an octave's call on row boundaries
+        sizes.clear()
+        intervals = [d.locate(x, n) for x in np.linspace(0.01, 0.99, 40) for n in (5, 6, 7, 8)]
+        tracking = _tracking(W, 0.5, intervals, 4, d.QuadratureConfig(16))
+        assert max(sizes) <= _STACK_CELLS and len(sizes) > 1 + 8 + 4
+        for I in intervals:
+            assert tracking[I] == tracking_reference(W, 0.5, I, 4, 16)
 
     @pytest.mark.parametrize("kwargs", [
         {"sample_points": []},

@@ -907,3 +907,36 @@ class TestPairVectorizedDifferences:
             d.SeminormSampler(pairs=100, scale_min=0.0)
         sampler = d.SeminormSampler(pairs=100, scale_min=0.25, scale_max=1.0, seed=0)
         assert 0.0 < d.holder_seminorm_estimate(weier_half, sampler)
+
+
+def _shape_fleet(request):
+    """Each batch evaluator of the package, by name."""
+    W2, W3 = d.WeierstrassFunction(2.0, 0.5), d.WeierstrassFunction(3.0, 0.5)
+    return {
+        "constant": d.ConstantFunction(1.3).batch,
+        "linear": d.LinearFunction(-2.5, alpha=0.3).batch,
+        "callable": d.CallableFunction(lambda x: math.sin(3.0 * x), 0.5).batch,
+        "W2": W2.batch,
+        "W3": W3.batch,
+        "W2-antiderivative": W2.antiderivative_batch,
+        "W3-antiderivative": W3.antiderivative_batch,
+        "martingale-induced": d.martingale_function(d.binary_digit_martingale(), 0.5,
+                                                    max_depth=30).batch,
+        "wavelet": request.getfixturevalue("oscillator_half").batch,
+    }
+
+
+class TestBatchShape:
+    """A (k, n) input gives a (k, n) output whose rows are one-row calls."""
+
+    @pytest.mark.parametrize("n", [1, 3, 65, 129])
+    @pytest.mark.parametrize("name", ["constant", "linear", "callable", "W2", "W3",
+                                      "W2-antiderivative", "W3-antiderivative",
+                                      "martingale-induced", "wavelet"])
+    def test_rows_are_one_row_calls_bit_for_bit(self, request, name, n):
+        evaluate = _shape_fleet(request)[name]
+        xs = np.random.default_rng(n).uniform(0.0, 1.0, size=(3, n))
+        got = evaluate(xs)
+        want = np.stack([evaluate(row) for row in xs])
+        assert got.shape == xs.shape
+        assert got.tobytes() == want.tobytes()
