@@ -43,7 +43,6 @@ from .entropy import (
     entropy_phi,
     extremal_bound_exact,
     extremal_configuration,
-    level_set_family,
     product_lower_bound,
     product_lower_bound_exact,
     sweep_mass_distribution,
@@ -58,7 +57,6 @@ from .blocks import (
     build_schedule,
     building_block,
     delta_j,
-    haar,
     m_of_delta,
     n_of_j,
     witness_survey,
@@ -82,7 +80,6 @@ from .wavelet import (
     WitnessScales,
     base_wavelet,
     next_frequency_level,
-    tail_extreme_offsets,
     wavelet_oscillator,
     wavelet_schedule,
     witness_scales,

@@ -32,14 +32,6 @@ from .martingale import (
 )
 
 
-def haar(I: DyadicInterval, x) -> int:
-    """Renormalized Haar function of I: +1 on the left half, -1 on the
-    right half, 0 outside; integrates to zero against Lebesgue."""
-    if not I.contains(x):
-        return 0
-    return 1 if I.left_half().contains(x) else -1
-
-
 def m_of_delta(delta, beta) -> int:
     """Block depth M(delta) = floor(log(1/(2 delta)) / ((1-beta) log 2)) + 1.
 
@@ -124,19 +116,6 @@ class BuildingBlock:
     def trough(self) -> float:
         """Value on J minus J_M."""
         return -self.amplitude
-
-    def spine(self) -> list[DyadicInterval]:
-        """J_0 contains J_1 contains ... J_M, each the left half before it."""
-        out = [self.J]
-        for _ in range(self.M):
-            out.append(out[-1].left_half())
-        return out
-
-    def value(self, x) -> float:
-        """Closed form: peak on J_M, trough on J minus J_M, 0 outside."""
-        if not self.J.contains(x):
-            return 0.0
-        return self.peak if self.spine()[-1].contains(x) else self.trough
 
     def partial_sup_scaled(self, t: int) -> float:
         """2^-((K+t) beta) * sup of the first t terms (t = 1..M)."""
@@ -603,12 +582,6 @@ class SpecialIntervalRegistry:
 
     # -- exact measures -----------------------------------------------
 
-    def covered_measure_special(self) -> Fraction:
-        """|union of stage-j special intervals| = 1 - (1 - 2^-M)^rounds."""
-        M = self.record.M
-        miss = (1 - Fraction(1, 1 << M)) ** len(self.placements)
-        return 1 - miss
-
     def uncovered_measure_left(self) -> Fraction:
         """|[0,1) minus union of left-special intervals|, exactly.
 
@@ -655,57 +628,6 @@ class SpecialIntervalRegistry:
         intervals I' of placement p, the level-end cells q 2^M, in order."""
         vals = self.S.level_values(p.end)
         return math.pow(2.0, -p.end * self.schedule.beta) * vals[::1 << p.M]
-
-    def check_members(self) -> tuple[int, float]:
-        """|I'|^beta S(I') >= 1/5 on every member of a placement at level
-        16 or less.
-
-        Returns (number checked, worst value).  Deeper placements are
-        covered by the closed-form bound instead.
-        """
-        worst = math.inf
-        checked = 0
-        for p in self.placements:
-            if p.level > 16:
-                continue
-            scaled = self.special_values(p)
-            worst = min(worst, float(scaled.min()))
-            checked += scaled.size
-            if scaled.min() < 0.2 - 1e-12:
-                raise DomainError(
-                    f"special-interval bound 1/5 fails at placement {p}")
-        closed = self.special_value_lower_closed_form()
-        if closed < 0.2 - 1e-12:
-            raise DomainError("closed-form special bound below 1/5")
-        return checked, min(worst, closed)
-
-    # -- structural coverage identities --------------------------------
-
-    def coverage_identities(self, round_index: int) -> dict[str, Fraction]:
-        """Exact per-round coverage bookkeeping between consecutive rounds.
-
-        For J a round-`round_index` block interval and F(J) the next
-        round's deep pieces inside J:
-          * new mass outside J_M:  |union F(J) \\ J_M| = 2^-M (1 - 2^-M)|J|
-          * two-round coverage:    |J_M union F(J)| = (2 - 2^-M) 2^-M |J|
-        Counted directly from the index arithmetic, no floats.
-        """
-        if round_index + 1 >= len(self.placements):
-            raise DomainError("need a following round inside the stage")
-        p, p_next = self.placements[round_index], self.placements[round_index + 1]
-        M = self.record.M
-        k, k2 = p.level, p_next.level
-        J_len = Fraction(1, 1 << k)
-        n_inside = 1 << (k2 - k)                 # next-round intervals inside J
-        n_in_deep = 1 << (k2 - k - M)            # of which inside J_M
-        piece = Fraction(1, 1 << (k2 + M))
-        new_outside = (n_inside - n_in_deep) * piece
-        union_two = Fraction(1, 1 << (k + M)) + new_outside
-        expect_outside = Fraction(1, 1 << M) * (1 - Fraction(1, 1 << M)) * J_len
-        expect_union = (2 - Fraction(1, 1 << M)) * Fraction(1, 1 << M) * J_len
-        if new_outside != expect_outside or union_two != expect_union:
-            raise DomainError("coverage identity failed")
-        return {"new_outside": new_outside, "union_two": union_two}
 
 
 def witness_survey(schedule: BlockSchedule, S: BlockMartingale, f, alpha: float,

@@ -105,14 +105,20 @@ def _octave_simpson(g, uppers: Sequence[float], m: int) -> list[tuple[float, flo
     return out
 
 
+def _check_eps(eps: float) -> None:
+    """The domain of an eps, the smallest scale of theta and of
+    sigma_stats: in (0, 1), with 1/eps inside the float range."""
+    if not 0.0 < eps < 1.0:
+        raise DomainError("eps must lie in (0, 1)")
+    if not math.isfinite(1.0 / eps):
+        raise DomainError(f"eps = {eps} is too small: 1/eps overflows the float range")
+
+
 def _thetas(f: HolderFunction, alpha: float, x: float, eps_values: Sequence[float],
             quad: QuadratureConfig) -> list[tuple[float, float]]:
     """Theta and its coarse twin at each eps of the decreasing `eps_values`."""
-    if not all(0.0 < eps < 1.0 for eps in eps_values):
-        raise DomainError("eps must lie in (0, 1)")
     for eps in eps_values:
-        if not math.isfinite(1.0 / eps):
-            raise DomainError(f"eps = {eps} is too small: 1/eps overflows the float range")
+        _check_eps(eps)
     fx, m = f(x), 2 * quad.panels_per_octave
 
     def integrand(u):
@@ -169,8 +175,7 @@ def sigma_stats(f: HolderFunction, alpha: float, x: float, eps: float,
     threshold.  The three events {> delta}, [-c, delta], {< -c} of the
     leading threshold pair partition the sampled mass exactly.
     """
-    if not 0.0 < eps < 1.0:
-        raise DomainError("eps must lie in (0, 1)")
+    _check_eps(eps)
     if samples < 1:
         raise DomainError("need at least one sample")
     if not all(0.0 < t < math.inf for t in (*upper_thresholds, *lower_thresholds)):

@@ -12,7 +12,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 DEFAULT_MAX_DEPTH = 48
 
@@ -198,16 +198,6 @@ class DyadicInterval:
         if level > self.level:
             raise DomainError("ancestor level must not exceed own level")
         return DyadicInterval(level, self.index >> (self.level - level))
-
-    def left_neighbor(self) -> Optional["DyadicInterval"]:
-        """Same-length interval immediately to the left.
-
-        Returns None when the left endpoint is 0, i.e. the neighbor would
-        fall outside the unit-interval domain.
-        """
-        if self.index == 0:
-            return None
-        return DyadicInterval(self.level, self.index - 1)
 
     def __repr__(self):
         return f"[{self.index}/2^{self.level}, {self.index + 1}/2^{self.level})"

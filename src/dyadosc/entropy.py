@@ -54,14 +54,6 @@ class ProductBoundResult:
     n: int
 
     @property
-    def satisfied(self) -> Optional[bool]:
-        """Whether the inequality held; None when the hypothesis failed."""
-        if not self.hypothesis_holds:
-            return None
-        return self.product >= self.bound or math.isclose(
-            self.product, self.bound, rel_tol=1e-12)
-
-    @property
     def log2_margin(self) -> float:
         if self.product <= 0.0:
             return -math.inf
@@ -139,9 +131,8 @@ class MassMeasure:
     mu([0,1)) = 1 and each child receives the fraction (1 + eta*jump)/2 of
     its parent's mass; the two fractions sum to 1 exactly because sibling
     jumps cancel.  With ||S||_* <= 1 and 0 < eta < 1 all masses stay in
-    [0, 1].  Exact rational masses are available whenever the jumps are
-    exactly representable (every float is); log2 masses are always
-    available and never underflow.
+    [0, 1].  log2 masses never underflow; the sweep audits the exact
+    rational level sums (every float jump is an exact rational).
     """
 
     def __init__(self, S: Martingale, eta: float):
@@ -155,20 +146,9 @@ class MassMeasure:
             raise DomainError("mass measure expects S_0 = 0")
         self.S = S
         self.eta = eta_f
-        self.eta_exact = Fraction(eta)
 
     def ratio(self, child: DyadicInterval) -> float:
         return _mass_ratio(self.eta, self.S.increment(child))
-
-    def ratio_exact(self, child: DyadicInterval) -> Fraction:
-        jump = Fraction(self.S.increment(child))
-        return (1 + self.eta_exact * jump) / 2
-
-    def mass_exact(self, I: DyadicInterval) -> Fraction:
-        m = Fraction(1)
-        for lvl in range(1, I.level + 1):
-            m *= self.ratio_exact(I.ancestor(lvl))
-        return m
 
     def mass_log2(self, I: DyadicInterval) -> float:
         acc = 0.0
@@ -340,15 +320,6 @@ def covering_content(intervals: Iterable[DyadicInterval], s: float,
         kept.add((I.level, I.index))
         total += math.ldexp(1.0, -I.level) ** s
     return total
-
-
-def level_set_family(S: Martingale, eta: float, depth: int) -> list[DyadicInterval]:
-    """All intervals to `depth` with S(I) >= eta * level (vectorized sweep)."""
-    out: list[DyadicInterval] = []
-    for n, _, vals in S.levels(depth):
-        for j in np.nonzero(vals >= eta * n - 1e-12)[0]:
-            out.append(DyadicInterval(n, int(j)))
-    return out
 
 
 def besicovitch_threshold(N: int, eta) -> int:

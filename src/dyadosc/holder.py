@@ -175,10 +175,6 @@ class WeierstrassFunction(HolderFunction):
     def terms_for(self, tol: float) -> int:
         return len(self._series(self.alpha, tol)[0])
 
-    def tail_bound(self, terms: int) -> float:
-        geo = 1.0 - math.pow(self.b, -self.alpha)
-        return math.pow(self.b, -terms * self.alpha) / geo
-
     def _eval(self, x):
         return self._term_loop(x, self.tol)
 
@@ -341,12 +337,6 @@ class MartingaleInducedFunction(HolderFunction):
         level = depth + 1 - bit_lengths(width)
         out[live] = np.where(single, np.ldexp(s, -level), np.where(to_one, -ga, gb - ga))
         return out
-
-    def truncation_bound(self) -> float:
-        """Holder tail bound for evaluating non-dyadic points at the cap."""
-        if self.seminorm_bound is None:
-            raise DomainError("no growth bound declared")
-        return self.seminorm_bound * math.pow(2.0, -self.max_depth * self.alpha)
 
     def _eval(self, x):
         # reduce 1-periodically onto [0,1)

@@ -102,6 +102,14 @@ class Martingale:
     any interval; values are accumulated along the ancestor chain.
     ``star_bound``, when given, declares sup_n ||S_{n+1}-S_n||.
 
+    The walk ``levels(depth)``, which sums each level's values from S_0
+    and the increments, is the definition that every certificate reads:
+    the mass sweep, the norms, summation by parts.  A kind's own ``value``
+    and ``level_values_range`` agree with it within the few ulps that
+    tests/test_martingale.py ``TestLevelsAgainstOwnValues`` pins (blocks
+    at beta 0.7 and ``from_function`` differ; the paired kinds and blocks
+    at beta 0.3 and 0.5 agree byte for byte).
+
     Subclasses keep the scalar ``increment`` and may override the level
     arrays with vectorized sweeps that return the same floats (the
     increments through the ``_level_increments`` hook, behind the gate;
@@ -388,6 +396,12 @@ class ScaledMartingale(Martingale):
         return math.pow(2.0, n * self.gamma) * self.base._level_increments(n)
 
 
+def _sup(values, start: float = 0.0) -> float:
+    """The largest of `start` and `values`, NaN once one of them is NaN:
+    Python's max and a `>` test both drop a NaN."""
+    return float(np.max([start, *values]))
+
+
 @dataclass
 class CancellationReport:
     max_violation: float
@@ -422,8 +436,8 @@ def check_cancellation(S: Martingale, depth: int) -> CancellationReport:
                        else whole[lo:lo + step])
             kids = S.level_values_range(n + 1, 2 * lo, 2 * (lo + step))
             viol = np.abs(parents - 0.5 * (kids[0::2] + kids[1::2]))
-            j = int(np.argmax(viol))
-            if viol[j] > worst:
+            j = int(np.argmax(viol))      # the first NaN, if there is one
+            if worst == worst and not viol[j] <= worst:     # a NaN stays worst
                 worst = float(viol[j])
                 worst_iv = DyadicInterval(n, lo + j)
             checked += step
@@ -437,10 +451,7 @@ def star_norm(S: Martingale, depth: int) -> float:
     A to-depth lower bound of the supremum, monotone nondecreasing in
     depth.
     """
-    worst = 0.0
-    for _, incs, _ in S.levels(depth):
-        worst = max(worst, float(np.max(np.abs(incs))))
-    return worst
+    return _sup(float(np.max(np.abs(incs))) for _, incs, _ in S.levels(depth))
 
 
 class GrowthMartingale(ScaledMartingale):
@@ -487,10 +498,8 @@ def beta_star_norm(T: GrowthMartingale, depth: int) -> float:
 
 def beta_norm(T: GrowthMartingale, depth: int) -> float:
     """sup_{n <= depth} 2^-(n beta) ||T_n||_inf, exhaustively to depth."""
-    worst = abs(T.t0)
-    for n, _, vals in T.levels(depth):
-        worst = max(worst, math.pow(2.0, -n * T.beta) * float(np.max(np.abs(vals))))
-    return worst
+    return _sup((math.pow(2.0, -n * T.beta) * float(np.max(np.abs(vals)))
+                 for n, _, vals in T.levels(depth)), abs(T.t0))
 
 
 def discount_transform(T: GrowthMartingale) -> Martingale:
@@ -530,16 +539,16 @@ def summation_by_parts_check(T: GrowthMartingale, depth: int) -> float:
     """
     beta = T.beta
     acc = np.zeros(1)           # sum_{0<k<n} 2^-(k beta) T_k, left to right
-    worst = 0.0
+    residuals = []
     for (n, _, s_vals), (_, _, t_vals) in zip(discount_transform(T).levels(depth),
                                               T.levels(depth)):
         acc = np.repeat(acc, 2)
         rhs = ((1.0 - 2.0 ** -beta) * acc
                + math.pow(2.0, -n * beta) * t_vals
                - 2.0 ** -beta * T.t0)
-        worst = max(worst, float(np.max(np.abs(s_vals - rhs))))
+        residuals.append(float(np.max(np.abs(s_vals - rhs))))
         acc = acc + math.pow(2.0, -n * beta) * t_vals
-    return worst
+    return _sup(residuals)
 
 
 class SubsampledMartingale:
@@ -554,6 +563,8 @@ class SubsampledMartingale:
     def __init__(self, S: Martingale, N: int, k: int, C: float):
         if N < 1 or not 0 <= k < N:
             raise DomainError("need N >= 1 and 0 <= k < N")
+        if not 0.0 <= C < math.inf:     # NaN fails too
+            raise DomainError(f"C must be nonnegative and finite, not {C}")
         self.S = S
         self.N = N
         self.k = k
@@ -584,22 +595,19 @@ class SubsampledMartingale:
 
     def star_norm(self, depth: int) -> float:
         """sup over decimated steps to `depth` of |T_n - T_{n-1}|."""
-        worst = 0.0
-        for prev, cur in self._level_pairs(depth):
-            incs = cur - np.repeat(prev, 1 << self.N)
-            worst = max(worst, float(np.max(np.abs(incs))))
-        return worst
+        return _sup(float(np.max(np.abs(cur - np.repeat(prev, 1 << self.N))))
+                    for prev, cur in self._level_pairs(depth))
 
     def check_cancellation(self, depth: int) -> float:
         """Max deviation of a node value from the mean of its 2^N children."""
         fan = 1 << self.N
-        worst = 0.0
+        deviations = []
         for prev, cur in self._level_pairs(depth):
             kids = cur.reshape(-1, fan)
             # children summed left to right, like a running scalar sum
             mean = sum(kids[:, c] for c in range(fan)) / fan
-            worst = max(worst, float(np.max(np.abs(prev - mean))))
-        return worst
+            deviations.append(float(np.max(np.abs(prev - mean))))
+        return _sup(deviations)
 
 
 def dump_rows(S: Martingale, depth: int):

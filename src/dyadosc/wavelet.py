@@ -31,14 +31,6 @@ _S5_D1_MAX = Fraction(15, 8)
 _S5_D2_MAX = Fraction(57736, 10000)
 
 
-def _s5_d1(u: float) -> float:
-    return 30.0 * u * u * (1.0 - u) * (1.0 - u)
-
-
-def _s5_d2(u: float) -> float:
-    return 60.0 * u * (1.0 - u) * (1.0 - 2.0 * u)
-
-
 @dataclass(frozen=True)
 class _Piece:
     lo: Fraction
@@ -181,37 +173,9 @@ class BaseWavelet:
         poly = ((((10 * big_m << e) - 15 * n) * big_m) << e) + 6 * n2
         return (num_a * m5 << 5 * e) + num_g * n2 * n * poly, den * m5, 5 * e
 
-    def value_exact(self, x: Fraction) -> Fraction:
-        x = Fraction(x)
-        num, k, e = self._ratio(x.numerator, *_split(x.denominator))
-        return Fraction(num, k << e)
-
     def __call__(self, x: float) -> float:
         num, k, e = self._ratio(*_float_ratio(x))
         return num / (k << e)
-
-    def _local(self, x: float):
-        """(piece, width, local t) of the piece holding |x|, or None where
-        phi is flat: outside the support and on the plateaus."""
-        cell = self._cell(*_float_ratio(x))
-        if cell is None or not cell[4]:
-            return None
-        pc = cell[0]
-        w = float(pc.width)
-        return pc, w, (abs(float(x)) - float(pc.lo)) / w
-
-    def derivative(self, x: float) -> float:
-        if (at := self._local(x)) is None:
-            return 0.0
-        pc, w, t = at
-        d = float(pc.b - pc.a) / w * _s5_d1(t)
-        return d if x >= 0 else -d
-
-    def second_derivative(self, x: float) -> float:
-        if (at := self._local(x)) is None:
-            return 0.0
-        pc, w, t = at
-        return float(pc.b - pc.a) / (w * w) * _s5_d2(t)
 
     def moments_exact(self) -> tuple[Fraction, Fraction, Fraction]:
         """(m0, m1, m2) over the real line; all exactly zero."""
@@ -384,15 +348,6 @@ class WaveletOscillator(HolderFunction):
         """f(t) in floats, summed from stage `lo_stage` to the last built one."""
         return self._value(self._point_ratios(t, lo_stage), lo_stage)
 
-    def main_derivative(self, m: int, t: float) -> float:
-        total = 0.0
-        for n in range(1, m):
-            k = self.schedule.ks[n - 1]
-            r, d = _reduce(t, k)
-            total += (self.schedule.coefficient(n) * math.ldexp(1.0, k)
-                      * self.wavelet.derivative(r / d))
-        return total
-
     def difference_float(self, a: Fraction, b: Fraction) -> float:
         """f(b) - f(a): per-stage exact differences of the two points'
         (num, K, E) triples, each rounded once by one int / int and
@@ -408,24 +363,6 @@ class WaveletOscillator(HolderFunction):
 
     def _eval(self, x):
         return self.value_float(Fraction(x))
-
-    def truncation_tail_bound(self) -> float:
-        """Amplitude available to unbuilt stages: geometric continuation
-        of 2^(-k alpha) from the gap pattern (reported, not absorbed)."""
-        ks = self.schedule.ks
-        if len(ks) < 2:
-            return math.pow(2.0, -(ks[-1] + 4) * self.alpha) / (
-                1.0 - math.pow(2.0, -4 * self.alpha))
-        gap = ks[-1] - ks[-2]
-        first = math.pow(2.0, -(ks[-1] + gap) * self.alpha)
-        return first / (1.0 - math.pow(2.0, -gap * self.alpha))
-
-
-def _reduce(t, k: int) -> tuple[int, int]:
-    """(r, d) with r/d = 2^k t - j for the nearest integer j (ties up)."""
-    t = Fraction(t)
-    n, d = t.numerator << k, t.denominator
-    return n - (2 * n + d) // (2 * d) * d, d
 
 
 def _to_fraction(x) -> Fraction:
@@ -504,22 +441,6 @@ def _annulus_offset(f: WaveletOscillator, x: Fraction, X: int, D: int, m: int,
     while off < period:
         off += period
     return off
-
-
-def tail_extreme_offsets(f: WaveletOscillator, x: Fraction, m: int
-                         ) -> dict[str, Fraction]:
-    """Extremizing offsets of the tail R_m over both scale-m annuli.
-
-    r_plus/r_minus maximize/minimize R_m(x + t) over t in
-    [2^-k_m, 2^(-k_m+1)]; rho_plus/rho_minus do the same for R_m(x - t).
-    Constructed through nested plateaus and shifted by whole periods into
-    the annulus, so the extreme values are exact stacked amplitudes.
-    """
-    x = _to_fraction(x)
-    X, D = _frame(f, x)
-    return {name: Fraction(_annulus_offset(f, x, X, D, m, sign, left), D)
-            for name, sign, left in (("r_plus", +1, False), ("r_minus", -1, False),
-                                     ("rho_plus", +1, True), ("rho_minus", -1, True))}
 
 
 @dataclass

@@ -12,6 +12,7 @@ import pytest
 
 import dyadosc as d
 from dyadosc import cli, martingale
+from oracles import left_neighbor
 
 
 def run(args):
@@ -129,6 +130,8 @@ class TestExitCodes:
         (["gap", "--alpha", "0.5", "--seed", "-1"], "--seed"),
         (["lemma32", "--eta", "0.5", "--seed", "-1"], "--seed"),
         (["sigma-stats", "--alpha", "0.5", "--seed", "-1"], "--seed"),
+        (["sigma-stats", "--alpha", "0.5", "--eps", "5e-324", "--samples", "100",
+          "--seed", "1"], "eps"),
     ])
     def test_bad_input_names_its_flag(self, tmp_path, capsys, argv, flag):
         # all but the --seed case ended in a traceback, a vacuous exit 0 or
@@ -361,7 +364,7 @@ class TestSubcommands:
                     iv = d.DyadicInterval(p.end, q << p.M)
                     scaled = math.pow(2.0, -p.end * beta) * vals[iv.index]
                     rows = [[j, iv.level, iv.index, "special", scaled]]
-                    left = iv.left_neighbor()
+                    left = left_neighbor(iv)
                     if left is not None:
                         rows.append([j, left.level, left.index, "left", scaled])
                     want += [",".join(str(cli._fmt(v)) for v in row) for row in rows]

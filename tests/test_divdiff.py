@@ -204,6 +204,12 @@ class TestTheta:
 
 
 class TestSigmaStats:
+    @pytest.mark.parametrize("eps", [5e-324, 1e-310])
+    def test_eps_with_an_infinite_reciprocal_is_refused(self, weier_half, eps):
+        # U = log(1/eps) was inf: upper nan, lower and total inf
+        with pytest.raises(d.DomainError, match="1/eps overflows"):
+            d.sigma_stats(weier_half, 0.5, 0.37, eps, [0.5], [0.5], samples=100, seed=1)
+
     def test_full_event_for_steep_function(self):
         # f(x) = x: Delta_alpha = t^(1-alpha) <= 1; threshold below the
         # minimum over sampled scales makes the event everything

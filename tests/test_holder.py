@@ -21,6 +21,7 @@ import dyadosc as d
 from dyadosc import holder
 from dyadosc.dyadic import DyadicInterval as DI
 from dyadosc.dyadic import DyadicRational as DR
+from oracles import tail_bound
 
 mp.mp.dps = 40
 
@@ -71,14 +72,14 @@ class TestWeierstrass:
     def test_tail_bound_controls_truncation(self):
         f = d.WeierstrassFunction(2.0, 0.5)
         n = f.terms_for(1e-8)
-        assert f.tail_bound(n) <= 1e-8
+        assert tail_bound(f, n) <= 1e-8
         # doubling the depth moves values by less than the reported tail
         for x in (0.1, 0.57, 0.93):
             coarse = np.cos(x * np.power(2.0, np.arange(n))) @ \
                 np.power(2.0, -0.5 * np.arange(n))
             fine = np.cos(x * np.power(2.0, np.arange(2 * n))) @ \
                 np.power(2.0, -0.5 * np.arange(2 * n))
-            assert abs(fine - coarse) <= f.tail_bound(n)
+            assert abs(fine - coarse) <= tail_bound(f, n)
 
     def test_two_evaluator_agreement(self):
         # independent high-precision series vs the production evaluator
@@ -327,13 +328,6 @@ class TestMartingaleInduced:
         f = d.martingale_function(d.binary_digit_martingale(), 0.5, max_depth=16)
         with pytest.raises(d.DepthCapError):
             f.eval_dyadic(DR(1, 20))
-        assert f.truncation_bound() is not None if f.seminorm_bound else True
-
-    def test_truncation_bound_value(self):
-        f = d.martingale_function(d.binary_digit_martingale(), 0.5,
-                                  max_depth=20, growth_bound=1.0)
-        assert f.truncation_bound() == pytest.approx(
-            f.seminorm_bound * 2.0 ** -10, rel=1e-12)
 
     def test_periodic_eval(self):
         f = d.martingale_function(d.binary_digit_martingale(), 0.5, max_depth=30)

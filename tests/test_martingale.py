@@ -13,6 +13,7 @@ import dyadosc as d
 from dyadosc import martingale
 from dyadosc.dyadic import DyadicInterval as DI
 from dyadosc.dyadic import DyadicRational as DR
+from oracles import level_set_family
 
 # independently summed with mpmath (400 terms, 30 digits):
 WEIER_ROOT_VALUE = -3.6359615646280604
@@ -235,6 +236,12 @@ class TestSubsample:
         with pytest.raises(d.DomainError):
             d.SubsampledMartingale(S, 3, 3, 1.0)
 
+    @pytest.mark.parametrize("C", [-1.0, -0.25, math.inf, math.nan])
+    def test_c_nonnegative_and_finite(self, C):
+        # N + C = 1 + C was 0, negative or NaN, and divided every value
+        with pytest.raises(d.DomainError, match="C must be"):
+            d.SubsampledMartingale(d.binary_digit_martingale(), 1, 0, C)
+
 
 class TestDumpFormat:
     def test_rows(self):
@@ -318,6 +325,28 @@ class TestCancellationChunks:
             tracemalloc.stop()
         assert rep.checked == (1 << 20) - 1 and rep.ok()
         assert peak < 16 << 20
+
+
+class TestNaNJump:
+    def test_sup_certificates_report_nan(self):
+        # Python's max and the `>` test dropped the NaN: each of these read
+        # a finite value, and the cancellation check passed with a 0.0
+        # violation and no worst interval
+        def inc(child):
+            if child.level == 3 and child.index >> 1 == 2:
+                return math.nan
+            return 1.0 if child.index % 2 == 0 else -1.0
+
+        S = d.Martingale(inc, star_bound=1.0)
+        T = d.GrowthMartingale(0.5, S)
+        sub = d.SubsampledMartingale(S, 2, 0, 0.0)
+        for value in (d.star_norm(S, 5), d.beta_star_norm(T, 5), d.beta_norm(T, 5),
+                      d.summation_by_parts_check(T, 5), sub.star_norm(2),
+                      sub.check_cancellation(2)):
+            assert math.isnan(value)
+        rep = d.check_cancellation(S, 5)
+        assert math.isnan(rep.max_violation) and not rep.ok()
+        assert rep.worst_interval == DI(2, 2)     # the first NaN: its children
 
 
 class TestRandomSign:
@@ -684,9 +713,9 @@ class TestWholeTreeSweepBudget:
 
     def test_level_set_family(self):
         S = _guard_levels(d.RandomSignMartingale(1))
-        d.level_set_family(S, 0.5, 6)
+        level_set_family(S, 0.5, 6)
         with pytest.raises(d.DepthCapError):
-            d.level_set_family(S, 0.5, 7)
+            level_set_family(S, 0.5, 7)
 
     @pytest.mark.parametrize("S, attr", [
         (d.binary_digit_martingale(), "level_values_range"),
