@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .dyadic import DomainError, DyadicInterval, locate
+from .dyadic import DepthCapError, DomainError, DyadicInterval, locate
 from .holder import HolderFunction
+from .martingale import SWEEP_CELL_BUDGET
 
 LN2 = math.log(2.0)
 
@@ -37,8 +39,9 @@ class QuadratureConfig:
     panels_per_octave: int = 32
 
     def __post_init__(self):
-        if self.panels_per_octave < 1:
-            raise DomainError("panels_per_octave must be at least 1")
+        p = self.panels_per_octave
+        if not isinstance(p, numbers.Integral) or p < 1:
+            raise DomainError(f"panels_per_octave must be an integer of at least 1, not {p!r}")
 
 
 @dataclass
@@ -105,6 +108,17 @@ def _octave_simpson(g, uppers: Sequence[float], m: int) -> list[tuple[float, flo
     return out
 
 
+def _check_cells(f: HolderFunction, rows: int, width: int, what: str) -> None:
+    """Raise DepthCapError, before anything is built, when an array of
+    `rows` rows of `width` cells, or f's evaluation of one `width`-point
+    row (width times `f.cells_per_point()` cells), would pass the
+    SWEEP_CELL_BUDGET of a level sweep; `what` names the count that set width."""
+    cells = max(rows, f.cells_per_point()) * width
+    if cells > SWEEP_CELL_BUDGET:
+        raise DepthCapError(f"{what} needs an array of {cells} cells, beyond the "
+                            f"budget of {SWEEP_CELL_BUDGET}")
+
+
 def _check_eps(eps: float) -> None:
     """The domain of an eps, the smallest scale of theta and of
     sigma_stats: in (0, 1), with 1/eps inside the float range."""
@@ -119,12 +133,16 @@ def _thetas(f: HolderFunction, alpha: float, x: float, eps_values: Sequence[floa
     """Theta and its coarse twin at each eps of the decreasing `eps_values`."""
     for eps in eps_values:
         _check_eps(eps)
-    fx, m = f(x), 2 * quad.panels_per_octave
+    uppers, m = [math.log2(1.0 / eps) for eps in eps_values], 2 * quad.panels_per_octave
+    # one node row per octave, plus one per partial octave
+    _check_cells(f, math.ceil(uppers[-1]) + len(uppers), 2 * m + 1,
+                 f"panels_per_octave = {quad.panels_per_octave}")
+    fx = f(x)
 
     def integrand(u):
         return (f.batch(x + np.exp2(-u)) - fx) * np.exp2(alpha * u) * LN2
 
-    return _octave_simpson(integrand, [math.log2(1.0 / eps) for eps in eps_values], m)
+    return _octave_simpson(integrand, uppers, m)
 
 
 def theta(f: HolderFunction, alpha: float, x: float, eps: float,
@@ -180,6 +198,7 @@ def sigma_stats(f: HolderFunction, alpha: float, x: float, eps: float,
         raise DomainError("need at least one sample")
     if not all(0.0 < t < math.inf for t in (*upper_thresholds, *lower_thresholds)):
         raise DomainError("thresholds must be positive and finite")
+    _check_cells(f, 1, samples, f"samples = {samples}")    # one f.batch call on them all
     U = math.log(1.0 / eps)
     rng = np.random.default_rng(seed)
     u = rng.uniform(0.0, 1.0, size=samples)
@@ -238,6 +257,8 @@ def _tracking(f: HolderFunction, alpha: float, intervals: Sequence[DyadicInterva
     position = {e: i for i, e in enumerate(reach)}
     left = np.array([position[float(I.left)] for I in intervals])
     right = np.array([position[float(I.right)] for I in intervals])
+    # node rows per octave, and rows of endpoint values per octave
+    _check_cells(f, max(len(reach), int(uppers[0])), 2 * m + 1, f"panels_per_octave = {m}")
     ends, spans = np.array(list(reach)), np.array(list(reach.values()))
     anti = _stacked(f.antiderivative_batch, ends[:, None])
     lo = np.arange(uppers[0], dtype=float)

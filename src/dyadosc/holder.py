@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from typing import Optional
 
 import numpy as np
@@ -75,6 +76,11 @@ class HolderFunction:
     def antiderivative_batch(self, ys: np.ndarray) -> np.ndarray:
         """F(y) = int_0^y f, where a closed form exists (else DomainError)."""
         raise DomainError(f"{self.provenance} has no antiderivative")
+
+    def cells_per_point(self) -> int:
+        """Array cells a `batch` or `antiderivative_batch` call holds per
+        point at most: one, or a Weierstrass series' term count."""
+        return 1
 
 
 def _dyadic_pairs(lo, hi, depth: int):
@@ -175,6 +181,11 @@ class WeierstrassFunction(HolderFunction):
     def terms_for(self, tol: float) -> int:
         return len(self._series(self.alpha, tol)[0])
 
+    def cells_per_point(self) -> int:
+        """The phase table's term count: that of f, whose exponent alpha
+        keeps more terms than the antiderivative's 1 + alpha."""
+        return len(self._series(self.alpha, self.tol)[0])
+
     def _eval(self, x):
         return self._term_loop(x, self.tol)
 
@@ -203,23 +214,85 @@ class WeierstrassFunction(HolderFunction):
         The phase table keeps the shape too, so `@ amps` makes one
         matrix-vector product per row of the last axis: each row gets the
         bits of a one-row call, where a flat product would reorder its sums.
-        The cosines overwrite the phases, so one table is held at a time.
+        A large table is computed in blocks of whole rows of its leading
+        axis, on up to as many threads as the process may use CPUs
+        (`os.sched_getaffinity`; see `_series_rows`).  A 1-d input and the
+        last axis are never split, and no value depends on the thread count.
         """
         freqs, amps = self._series(self.alpha, self.tol)
         xs = np.ascontiguousarray(xs, dtype=float)
         _check_phases(xs, float(freqs[-1]))
-        phases = np.multiply.outer(xs, freqs)
-        return np.cos(phases, out=phases) @ amps
+        return _series_rows(np.cos, xs, freqs, amps)
 
     def antiderivative_batch(self, ys):
         """F(y) = sum_n b^(-n(1+alpha)) sin(b^n y), termwise exact, with
         the truncation rule of f at exponent 1 + alpha; keeps the shape of
-        `ys` as `batch` does."""
+        `ys` and splits its leading axis as `batch` does."""
         freqs, amps = self._series(1.0 + self.alpha, self.tol)
         ys = np.ascontiguousarray(ys, dtype=float)
         _check_phases(ys, float(freqs[-1]))
-        phases = np.multiply.outer(ys, freqs)
-        return np.sin(phases, out=phases) @ amps
+        return _series_rows(np.sin, ys, freqs, amps)
+
+
+# phase-table cells per block below which a kernel call is not split: a
+# smaller block costs less than handing it to another thread
+_BLOCK_CELLS = 1 << 13
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@functools.cache
+def _row_pool(pid: int, threads: int):
+    """The `threads` threads that take the blocks of split kernel calls in
+    process `pid`, started on its first split (concurrent.futures is
+    imported only then: `import dyadosc` does not load it).  Keyed by the
+    pid, so a forked child builds its own pool: its parent's threads do not
+    exist in it."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(threads, thread_name_prefix="dyadosc-rows")
+
+
+def _series_rows(trig, xs: np.ndarray, freqs: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """trig(xs b^n) @ amps for the C-contiguous `xs`, through one phase
+    table that the cosines or sines overwrite.
+
+    A table of at least two blocks of _BLOCK_CELLS cells, with ndim >= 2,
+    is split on its leading axis into contiguous blocks of whole rows, one
+    per CPU at most: the calling thread fills the first, the threads of
+    `_row_pool` the others, each its own slice of the table and of the
+    output, both allocated here (so a thread allocates nothing large).
+    numpy releases the GIL in the outer product, the ufunc and `@`.  Every
+    (n, N) slice of the table is still one matrix-vector product with the
+    same operands, so a value has the same bits on any number of threads;
+    a 1-d input is one product, and is never split.
+    """
+    table = np.empty((*xs.shape, len(freqs)))
+    out = np.empty(xs.shape)
+
+    def fill(lo: int, hi: int) -> None:
+        rows = table[lo:hi]
+        np.multiply.outer(xs[lo:hi], freqs, out=rows)
+        np.matmul(trig(rows, out=rows), amps, out=out[lo:hi])
+
+    cpus = _usable_cpus() if xs.ndim >= 2 else 1
+    workers = max(1, min(cpus, len(xs), table.size // _BLOCK_CELLS))
+    cuts = [len(xs) * k // workers for k in range(workers + 1)]
+    futures = []
+    if workers > 1:
+        pool = _row_pool(os.getpid(), cpus - 1)
+        futures = [pool.submit(fill, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
+    try:
+        fill(cuts[0], cuts[1])
+    finally:
+        for future in futures:
+            future.result()
+    return out
 
 
 def _check_phases(xs, top: float) -> None:

@@ -92,6 +92,21 @@ class TestExitCodes:
                    + ["--out", str(tmp_path)]) == 3
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["theta", "--alpha", "0.5", "--eps", "0.001", "--panels", "1000000000000",
+          "--points", "1"], "panels"),
+        (["gap", "--alpha", "0.5", "--seed", "1", "--panels", "1000000000000",
+          "--points", "1"], "panels"),
+        (["sigma-stats", "--alpha", "0.5", "--seed", "1", "--samples", "100000000000"],
+         "samples"),
+    ])
+    def test_count_budget(self, tmp_path, capsys, argv, flag):
+        # each asked numpy for terabytes and ended in a MemoryError traceback
+        assert run(argv + ["--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv", [
         ["theta", "--eps", "0.01", "--points", "0"],
         ["theta", "--eps", "0.01", "--points", "-1"],

@@ -502,3 +502,90 @@ class TestSharedEndpointTracking:
     def test_quadrature_config_domain(self, kwargs):
         with pytest.raises(d.DomainError):
             d.QuadratureConfig(**kwargs)
+
+
+class TestRowParallelValues:
+    """Theta, the gap and the tracking values keep every bit on 1, 2 and 3
+    kernel threads."""
+
+    @staticmethod
+    def _values(f):
+        from dyadosc.divdiff import _tracking
+
+        quad = d.QuadratureConfig(8)
+        thetas = [d.theta(f, 0.5, x, eps, quad).value
+                  for x in (0.1, 0.37, 0.93) for eps in (2.0 ** -4, 1e-5, 2.0 ** -40)]
+        gaps = d.theta_martingale_gap(f, 0.5, 9, [0.21, 0.64], first_level=5, eps_grid=2,
+                                      quad=quad, cutoff_extra=8).gaps
+        intervals = [d.locate(x, n) for x in SHARED_POINTS for n in (3, 7, 10)]
+        tracking = list(_tracking(f, 0.5, intervals, 8, quad).values())
+        return [float(v).hex() for v in (*thetas, *gaps, *tracking)]
+
+    @pytest.mark.parametrize("name", ["W2", "W3"])
+    def test_worker_count_keeps_the_bits(self, monkeypatch, name):
+        from dyadosc import holder
+
+        monkeypatch.setattr(holder, "_BLOCK_CELLS", 64)     # split every stacked call
+        got = {}
+        for count in (1, 2, 3):
+            monkeypatch.setattr(holder, "_usable_cpus", lambda: count)
+            got[count] = self._values(KERNEL_FLEET[name])
+        assert got[2] == got[1] and got[3] == got[1]
+
+    def test_three_workers_keep_the_cell_budget(self, monkeypatch):
+        from dyadosc import holder
+
+        monkeypatch.setattr(holder, "_usable_cpus", lambda: 3)
+        W = d.WeierstrassFunction(2.0, 0.5)
+        want = d.theta(W, 0.5, 0.3, 2.0 ** -1000, d.QuadratureConfig(64)).value
+        tracemalloc.start()
+        try:
+            got = d.theta(W, 0.5, 0.3, 2.0 ** -1000, d.QuadratureConfig(64)).value
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the blocks of a call partition its one phase table
+        assert peak < 16 * 2 ** 20
+        assert float(got).hex() == float(want).hex()
+
+
+class TestCountBudget:
+    """Panel and sample counts whose arrays pass the sweep budget are refused
+    before anything is allocated (these would ask for terabytes)."""
+
+    def test_theta_panels(self, weier_half):
+        with pytest.raises(d.DepthCapError, match="panels_per_octave"):
+            d.theta(weier_half, 0.5, 0.3, 1e-3, d.QuadratureConfig(10 ** 12))
+
+    def test_gap_panels(self, weier_half):
+        with pytest.raises(d.DepthCapError, match="panels_per_octave"):
+            d.theta_martingale_gap(weier_half, 0.5, 12, [0.3], first_level=6,
+                                   quad=d.QuadratureConfig(10 ** 12))
+
+    def test_tracking_panels(self, weier_half):
+        from dyadosc.divdiff import tracking_martingale_value
+
+        with pytest.raises(d.DepthCapError, match="panels_per_octave"):
+            tracking_martingale_value(weier_half, 0.5, d.locate(0.3, 4),
+                                      panels_per_octave=10 ** 12)
+
+    def test_sigma_stats_samples(self, weier_half):
+        with pytest.raises(d.DepthCapError, match="samples"):
+            d.sigma_stats(weier_half, 0.5, 0.123, 2.0 ** -12, [0.1], [0.1],
+                          samples=10 ** 11, seed=1)
+
+    def test_the_phase_table_counts(self, weier_half):
+        # 2^24 / 84 terms = 199,728 samples fit one W(2, 1/2) phase table;
+        # the samples array alone would fit 2^24
+        with pytest.raises(d.DepthCapError, match="samples"):
+            d.sigma_stats(weier_half, 0.5, 0.123, 2.0 ** -12, [0.1], [0.1],
+                          samples=199_729, seed=1)
+
+    @pytest.mark.parametrize("panels", [2.5, "16", None])
+    def test_panels_must_be_an_integer(self, panels):
+        # 2.5 raised TypeError from np.linspace at the first theta
+        with pytest.raises(d.DomainError, match="panels_per_octave"):
+            d.QuadratureConfig(panels)
+
+    def test_numpy_integer_panels(self):
+        assert d.QuadratureConfig(np.int64(16)).panels_per_octave == 16

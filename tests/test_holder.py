@@ -3,9 +3,12 @@ import math
 import os
 import random
 import re
+import signal
 import struct
 import subprocess
 import sys
+import threading
+import time
 import warnings
 from bisect import bisect_right
 from fractions import Fraction
@@ -934,3 +937,109 @@ class TestBatchShape:
         want = np.stack([evaluate(row) for row in xs])
         assert got.shape == xs.shape
         assert got.tobytes() == want.tobytes()
+
+
+def _split_fleet():
+    W2, W3 = d.WeierstrassFunction(2.0, 0.5), d.WeierstrassFunction(3.0, 0.5)
+    return {"W2": W2.batch, "W3": W3.batch, "W2-antiderivative": W2.antiderivative_batch,
+            "W3-antiderivative": W3.antiderivative_batch}
+
+
+class TestRowSplit:
+    """The Weierstrass kernels split a table's leading axis across threads;
+    no worker count changes a bit."""
+
+    @pytest.fixture
+    def workers(self, monkeypatch):
+        # every table of two or more rows is split, one block per worker
+        monkeypatch.setattr(holder, "_BLOCK_CELLS", 1)
+
+        def force(count):
+            monkeypatch.setattr(holder, "_usable_cpus", lambda: count)
+        return force
+
+    @pytest.mark.parametrize("name", sorted(_split_fleet()))
+    def test_worker_count_keeps_the_bytes(self, workers, name):
+        evaluate = _split_fleet()[name]
+        for S in (1, 2, 7, 64):
+            for n in (1, 3, 65, 129):
+                xs = np.random.default_rng(S * n).uniform(0.0, 1.0, size=(S, n))
+                got = {}
+                for count in (1, 2, 3):
+                    workers(count)
+                    got[count] = evaluate(xs).tobytes()
+                assert got[2] == got[1] and got[3] == got[1], (S, n)
+                workers(1)
+                assert got[1] == np.stack([evaluate(row) for row in xs]).tobytes()
+
+    def test_leading_axis_of_a_3d_input(self, workers):
+        W = d.WeierstrassFunction(2.0, 0.5)
+        xs = np.random.default_rng(5).uniform(0.0, 1.0, size=(5, 4, 33))
+        workers(1)
+        want = W.batch(xs).tobytes()
+        workers(3)
+        assert W.batch(xs).tobytes() == want
+
+    def test_1d_input_is_one_product(self, workers, monkeypatch):
+        def no_pool(*args):
+            raise AssertionError("a 1-d input was split")
+
+        monkeypatch.setattr(holder, "_row_pool", no_pool)
+        workers(3)
+        W = d.WeierstrassFunction(2.0, 0.5)
+        xs = np.random.default_rng(2).uniform(0.0, 1.0, size=4096)
+        freqs, amps = W._series(W.alpha, W.tol)
+        phases = np.multiply.outer(xs, freqs)
+        assert W.batch(xs).tobytes() == (np.cos(phases) @ amps).tobytes()
+
+    def test_one_cpu_starts_no_thread(self, workers, monkeypatch):
+        def no_pool(*args):
+            raise AssertionError("a pool was asked for on one CPU")
+
+        monkeypatch.setattr(holder, "_row_pool", no_pool)
+        workers(1)
+        before = threading.active_count()
+        for evaluate in _split_fleet().values():
+            evaluate(np.random.default_rng(3).uniform(0.0, 1.0, size=(64, 129)))
+        assert threading.active_count() == before
+
+    def test_small_tables_stay_on_the_calling_thread(self, monkeypatch):
+        def no_pool(*args):
+            raise AssertionError("a table below two blocks was split")
+
+        monkeypatch.setattr(holder, "_row_pool", no_pool)
+        monkeypatch.setattr(holder, "_usable_cpus", lambda: 3)
+        W = d.WeierstrassFunction(2.0, 0.5)
+        rows = 2 * holder._BLOCK_CELLS // W.cells_per_point() // 33
+        W.batch(np.zeros((rows, 33)))       # the most rows below two blocks
+
+    def test_forked_child_finishes_a_split_call(self, workers):
+        workers(2)
+        W = d.WeierstrassFunction(2.0, 0.5)
+        xs = np.random.default_rng(4).uniform(0.0, 1.0, size=(30, 65))
+        want = W.batch(xs).tobytes()      # the parent's pool exists from here on
+        read, write = os.pipe()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads
+            pid = os.fork()
+        if pid == 0:        # the child: one split call, its bytes to the pipe
+            code = 1
+            try:
+                with os.fdopen(write, "wb") as out:
+                    out.write(W.batch(xs).tobytes())
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write)
+        deadline, status = time.monotonic() + 30.0, None
+        while status is None and time.monotonic() < deadline:
+            done, code = os.waitpid(pid, os.WNOHANG)
+            status = code if done else time.sleep(0.05)
+        if status is None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        with os.fdopen(read, "rb") as inp:
+            got = inp.read()
+        assert status is not None, "the forked child's split call did not return"
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert got == want
