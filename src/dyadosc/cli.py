@@ -204,6 +204,7 @@ def cmd_dim_estimate(args, w: RunWriter) -> int:
 
 def cmd_weierstrass(args, w: RunWriter) -> int:
     f = holder.WeierstrassFunction(args.b, args.alpha, args.tol)
+    divdiff._check_cells(f, 1, args.points, f"--points = {args.points}")   # one batch row
     xs = np.linspace(args.x_min, args.x_max, args.points)
     vals = f.batch(xs)
     w.write_csv("weierstrass.csv", ["x", "f", "tol"],
@@ -338,6 +339,7 @@ def cmd_wavelet(args, w: RunWriter) -> int:
 def cmd_theta(args, w: RunWriter) -> int:
     f = holder.WeierstrassFunction(args.b, args.alpha)
     quad = divdiff.QuadratureConfig(args.panels)
+    divdiff._check_cells(f, args.points, 1, f"--points = {args.points}")   # the points array
     rows = []
     for x in np.linspace(args.x_min, args.x_max, args.points):
         th = divdiff.theta(f, args.alpha, float(x), args.eps, quad)
@@ -371,6 +373,11 @@ def cmd_sigma_stats(args, w: RunWriter) -> int:
 
 def cmd_gap(args, w: RunWriter) -> int:
     f = holder.WeierstrassFunction(args.b, args.alpha)
+    # two endpoint rows of tracking nodes per point and level
+    levels = args.depth - args.first_level + 1
+    divdiff._check_cells(f, 2 * args.points * levels, 2 * args.panels + 1,
+                         f"--points = {args.points} at --depth = {args.depth} "
+                         f"and --panels = {args.panels}")
     rng = np.random.default_rng(args.seed)
     xs = [float(v) for v in rng.uniform(0.02, 0.98, size=args.points)]
     profile = divdiff.theta_martingale_gap(

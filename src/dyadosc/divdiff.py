@@ -51,19 +51,6 @@ class ThetaResult:
     panels: int
 
 
-# evaluation points per kernel call when octave rows are stacked: a
-# Weierstrass phase table holds this many points times its term count
-_STACK_CELLS = 1 << 11
-
-
-def _stacked(g, rows: np.ndarray) -> np.ndarray:
-    """g on the C-contiguous (S, n) array `rows`, in groups of whole rows of
-    at most _STACK_CELLS points per call (at least one row).  A row-wise
-    kernel gives each row the bits of a one-row call, in any group."""
-    step = max(1, _STACK_CELLS // rows.shape[1])
-    return np.concatenate([g(rows[i:i + step]) for i in range(0, len(rows), step)])
-
-
 def _octave_nodes(lo, hi, m: int) -> np.ndarray:
     """np.linspace(lo[i], hi[i], 2m+1) in row i, bit for bit, C-contiguous:
     a sum along the transposed view that linspace returns can round
@@ -82,8 +69,8 @@ def _octave_simpson(g, uppers: Sequence[float], m: int) -> list[tuple[float, flo
     Simpson with m panels per octave [j, hi], hi = min(j+1, U).
 
     Every octave's nodes np.linspace(j, hi, 2m+1) are one row of a
-    C-contiguous (S, 2m+1) array, and g maps stacked rows to the integrand
-    on them row by row (see `_stacked`).  The full octaves, shared by every
+    C-contiguous (S, 2m+1) array, and g maps it to the integrand on its
+    nodes in one call, row by row.  The full octaves, shared by every
     U, come first; a non-integer U adds its own partial octave.  Simpson
     runs along each row, and each U adds its octave totals in order from
     j = 0.  Each U also gets the rule on every other node (m/2 panels of
@@ -93,7 +80,7 @@ def _octave_simpson(g, uppers: Sequence[float], m: int) -> list[tuple[float, flo
     partial = [U for U in uppers if U != math.floor(U)]
     lo = np.array([*range(full), *(math.floor(U) for U in partial)], dtype=float)
     hi = np.array([*range(1, full + 1), *partial], dtype=float)
-    vals, step = _stacked(g, _octave_nodes(lo, hi, m)), (hi - lo) / m
+    vals, step = g(_octave_nodes(lo, hi, m)), (hi - lo) / m
     fine, coarse = _simpson(vals, step), _simpson(vals[:, ::2], 2.0 * step)
     fines = list(itertools.accumulate(fine[:full], initial=0.0))
     coarses = list(itertools.accumulate(coarse[:full], initial=0.0))
@@ -238,10 +225,10 @@ def _tracking(f: HolderFunction, alpha: float, intervals: Sequence[DyadicInterva
     with R(e, j) = F(e + 2^-u) - F(e) on the nodes u of the octave.  The
     distinct endpoints e get F(e) from one (E, 1) antiderivative call;
     octave j makes one (E_j, 2m+1) call for the E_j endpoints whose
-    intervals reach it (split as `_stacked` splits).  Each row is the row
-    a one-interval evaluation computes, and each interval adds its octave
-    totals in order from j = 0, so a value does not depend on which other
-    intervals were asked for.
+    intervals reach it.  Each row is the row a one-interval evaluation
+    computes, and each interval adds its octave totals in order from
+    j = 0, so a value does not depend on which other intervals were asked
+    for.
     """
     if cutoff_extra < 1:
         raise DomainError("cutoff_extra must be at least 1")
@@ -260,7 +247,7 @@ def _tracking(f: HolderFunction, alpha: float, intervals: Sequence[DyadicInterva
     # node rows per octave, and rows of endpoint values per octave
     _check_cells(f, max(len(reach), int(uppers[0])), 2 * m + 1, f"panels_per_octave = {m}")
     ends, spans = np.array(list(reach)), np.array(list(reach.values()))
-    anti = _stacked(f.antiderivative_batch, ends[:, None])
+    anti = f.antiderivative_batch(ends[:, None])
     lo = np.arange(uppers[0], dtype=float)
     u = _octave_nodes(lo, lo + 1.0, m)
     hs, weights = np.exp2(-u), np.exp2(alpha * u)
@@ -268,7 +255,7 @@ def _tracking(f: HolderFunction, alpha: float, intervals: Sequence[DyadicInterva
     totals = np.zeros(len(intervals))
     for j in range(len(lo)):
         live, rows = np.count_nonzero(uppers > j), np.count_nonzero(spans > j)
-        R = _stacked(f.antiderivative_batch, ends[:rows, None] + hs[j]) - anti[:rows]
+        R = f.antiderivative_batch(ends[:rows, None] + hs[j]) - anti[:rows]
         vals = scale[:live] * (R[right[:live]] - R[left[:live]]) * weights[j] * LN2
         totals[:live] += _simpson(vals, 1.0 / m)
     return dict(zip(intervals, totals))

@@ -209,30 +209,21 @@ class WeierstrassFunction(HolderFunction):
         return total
 
     def batch(self, xs):
-        """f at every entry of `xs`, in an array of its shape (at least 1-d).
-
-        The phase table keeps the shape too, so `@ amps` makes one
-        matrix-vector product per row of the last axis: each row gets the
-        bits of a one-row call, where a flat product would reorder its sums.
-        A large table is computed in blocks of whole rows of its leading
-        axis, on up to as many threads as the process may use CPUs
-        (`os.sched_getaffinity`; see `_series_rows`).  A 1-d input and the
-        last axis are never split, and no value depends on the thread count.
-        """
-        freqs, amps = self._series(self.alpha, self.tol)
-        xs = np.ascontiguousarray(xs, dtype=float)
-        _check_phases(xs, float(freqs[-1]))
-        return _series_rows(np.cos, xs, freqs, amps)
+        """f at every entry of `xs`, in an array of its shape (at least 1-d),
+        each row of its leading axis with the bits of a one-row call (see
+        `_series_rows`)."""
+        return _series_rows(np.cos, xs, *self._series(self.alpha, self.tol))
 
     def antiderivative_batch(self, ys):
         """F(y) = sum_n b^(-n(1+alpha)) sin(b^n y), termwise exact, with
         the truncation rule of f at exponent 1 + alpha; keeps the shape of
-        `ys` and splits its leading axis as `batch` does."""
-        freqs, amps = self._series(1.0 + self.alpha, self.tol)
-        ys = np.ascontiguousarray(ys, dtype=float)
-        _check_phases(ys, float(freqs[-1]))
-        return _series_rows(np.sin, ys, freqs, amps)
+        `ys` and its rows' bits as `batch` does."""
+        return _series_rows(np.sin, ys, *self._series(1.0 + self.alpha, self.tol))
 
+
+# points (times the term count) of phase table a kernel call holds at
+# once, or one row of its input's leading axis where that is wider
+_TABLE_POINTS = 1 << 11
 
 # phase-table cells per block below which a kernel call is not split: a
 # smaller block costs less than handing it to another thread
@@ -258,41 +249,54 @@ def _row_pool(pid: int, threads: int):
     return ThreadPoolExecutor(threads, thread_name_prefix="dyadosc-rows")
 
 
-def _series_rows(trig, xs: np.ndarray, freqs: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """trig(xs b^n) @ amps for the C-contiguous `xs`, through one phase
-    table that the cosines or sines overwrite.
+def _series_rows(trig, xs, freqs: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """trig(x b^n) @ amps at every x of `xs` (after `_check_phases`), in an
+    array of its shape (at least 1-d).
 
-    A table of at least two blocks of _BLOCK_CELLS cells, with ndim >= 2,
-    is split on its leading axis into contiguous blocks of whole rows, one
-    per CPU at most: the calling thread fills the first, the threads of
-    `_row_pool` the others, each its own slice of the table and of the
-    output, both allocated here (so a thread allocates nothing large).
-    numpy releases the GIL in the outer product, the ufunc and `@`.  Every
-    (n, N) slice of the table is still one matrix-vector product with the
-    same operands, so a value has the same bits on any number of threads;
-    a 1-d input is one product, and is never split.
+    A 1-d input is one row of the leading axis.  Once the whole table holds
+    two blocks of _BLOCK_CELLS cells, that axis is cut into blocks of whole
+    rows, one per CPU at most: the calling thread fills the first, the
+    threads of `_row_pool` the others (numpy releases the GIL in the outer
+    product, the ufunc and `@`).  Each block is filled a few rows at a time
+    in its slice of one scratch table allocated here.  The table keeps the
+    input's shape, so `@ amps` makes one matrix-vector product per row of
+    the last axis, with the operands of a one-row call: a value has the
+    same bits on any number of threads, where a flat product would reorder
+    its sums.
     """
-    table = np.empty((*xs.shape, len(freqs)))
-    out = np.empty(xs.shape)
+    xs = np.ascontiguousarray(xs, dtype=float)
+    _check_phases(xs, float(freqs[-1]))
+    rows = np.atleast_2d(xs)
+    out = np.empty(rows.shape)
+    width = max(1, math.prod(rows.shape[1:]))      # points per row
+    cpus = _usable_cpus()
+    # workers times one row stays within the table's bound
+    workers = max(1, min(cpus, len(rows), rows.size * len(freqs) // _BLOCK_CELLS,
+                         _TABLE_POINTS // width))
+    cuts = [len(rows) * k // workers for k in range(workers + 1)]
+    step = max(1, _TABLE_POINTS // (workers * width))
+    # block k fills min(step, its rows) rows of the table from row
+    # min(cuts[k], k step): blocks differ by at most one row
+    table = np.empty((min(len(rows), workers * step), *rows.shape[1:], len(freqs)))
 
-    def fill(lo: int, hi: int) -> None:
-        rows = table[lo:hi]
-        np.multiply.outer(xs[lo:hi], freqs, out=rows)
-        np.matmul(trig(rows, out=rows), amps, out=out[lo:hi])
+    def fill(k: int) -> None:
+        scratch = table[min(cuts[k], k * step):]
+        for lo in range(cuts[k], cuts[k + 1], step):
+            hi = min(lo + step, cuts[k + 1])
+            phases = scratch[:hi - lo]
+            np.multiply.outer(rows[lo:hi], freqs, out=phases)
+            np.matmul(trig(phases, out=phases), amps, out=out[lo:hi])
 
-    cpus = _usable_cpus() if xs.ndim >= 2 else 1
-    workers = max(1, min(cpus, len(xs), table.size // _BLOCK_CELLS))
-    cuts = [len(xs) * k // workers for k in range(workers + 1)]
     futures = []
     if workers > 1:
         pool = _row_pool(os.getpid(), cpus - 1)
-        futures = [pool.submit(fill, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
+        futures = [pool.submit(fill, k) for k in range(1, workers)]
     try:
-        fill(cuts[0], cuts[1])
+        fill(0)
     finally:
         for future in futures:
             future.result()
-    return out
+    return out.reshape(xs.shape)
 
 
 def _check_phases(xs, top: float) -> None:

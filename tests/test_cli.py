@@ -99,6 +99,13 @@ class TestExitCodes:
           "--points", "1"], "panels"),
         (["sigma-stats", "--alpha", "0.5", "--seed", "1", "--samples", "100000000000"],
          "samples"),
+        (["weierstrass", "--alpha", "0.5", "--points", "1000000000000"], "--points"),
+        # one row of 239,675 points at 70 terms passes 2^24 cells by 34
+        (["weierstrass", "--alpha", "0.5", "--points", "239675"], "--points"),
+        (["theta", "--alpha", "0.5", "--eps", "0.001", "--points", "1000000000000"],
+         "--points"),
+        (["gap", "--alpha", "0.5", "--seed", "1", "--points", "1000000000000"], "--points"),
+        (["gap", "--alpha", "0.5", "--seed", "1", "--depth", "1000000000000"], "--depth"),
     ])
     def test_count_budget(self, tmp_path, capsys, argv, flag):
         # each asked numpy for terabytes and ended in a MemoryError traceback

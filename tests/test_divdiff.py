@@ -439,7 +439,7 @@ class TestSharedEndpointTracking:
         assert len(batch_calls) <= len(xs)
 
     def test_stacked_calls_keep_the_cell_budget(self):
-        from dyadosc.divdiff import _STACK_CELLS, _tracking
+        from dyadosc.divdiff import _tracking
 
         W = d.WeierstrassFunction(2.0, 0.5)
         anti, batch, sizes = W.antiderivative_batch, W.batch, []
@@ -451,15 +451,13 @@ class TestSharedEndpointTracking:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 1000 octaves of 257 nodes: every node once, in whole rows per call;
-        # one call for all of them held a 165 MiB phase table
-        assert max(sizes) <= _STACK_CELLS and sum(sizes) == 1000 * 257
+        # 1000 octaves of 257 nodes: every node once; one phase table for
+        # all of them held 165 MiB
+        assert sum(sizes) == 1000 * 257
         assert peak < 16 * 2 ** 20
-        # endpoints past the budget split an octave's call on row boundaries
-        sizes.clear()
+        # an octave's endpoint rows past one table are filled in several steps
         intervals = [d.locate(x, n) for x in np.linspace(0.01, 0.99, 40) for n in (5, 6, 7, 8)]
         tracking = _tracking(W, 0.5, intervals, 4, d.QuadratureConfig(16))
-        assert max(sizes) <= _STACK_CELLS and len(sizes) > 1 + 8 + 4
         for I in intervals:
             assert tracking[I] == tracking_reference(W, 0.5, I, 4, 16)
 
@@ -544,7 +542,7 @@ class TestRowParallelValues:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the blocks of a call partition its one phase table
+        # the blocks of a call share one scratch table of at most 2,048 points
         assert peak < 16 * 2 ** 20
         assert float(got).hex() == float(want).hex()
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from bisect import bisect_right
 from fractions import Fraction
@@ -1012,6 +1013,31 @@ class TestRowSplit:
         W = d.WeierstrassFunction(2.0, 0.5)
         rows = 2 * holder._BLOCK_CELLS // W.cells_per_point() // 33
         W.batch(np.zeros((rows, 33)))       # the most rows below two blocks
+
+    @pytest.mark.parametrize("name", sorted(_split_fleet()))
+    def test_scratch_table_holds_at_most_2048_points_or_one_row(self, workers, name):
+        evaluate = _split_fleet()[name]
+        terms = d.WeierstrassFunction(2.0, 0.5).cells_per_point()
+        for count in (1, 2, 3, 8):
+            workers(count)
+            for S, n in ((64, 129), (300, 33), (7, 3000), (2100, 1)):
+                xs = np.random.default_rng(S * n).uniform(0.0, 1.0, size=(S, n))
+                want = np.stack([evaluate(row) for row in xs]).tobytes()
+                evaluate(xs)        # the pool's first start is not the call's
+                tracemalloc.start()
+                try:
+                    got = evaluate(xs)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                # besides its output, a call holds |xs| (`_check_phases`), the
+                # scratch table and, per thread, numpy's buffers for two operands
+                table = peak - got.nbytes - xs.nbytes - count * 2 * 8 * np.getbufsize()
+                assert table <= 8 * max(2048, n) * terms, (count, S, n)
+                assert got.tobytes() == want, (count, S, n)
+            for n in (0, 1, 65):
+                assert evaluate(np.empty((0, n))).shape == (0, n)
+            assert evaluate(np.empty(0)).shape == (0,)
 
     def test_forked_child_finishes_a_split_call(self, workers):
         workers(2)
