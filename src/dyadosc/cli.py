@@ -120,6 +120,7 @@ def cmd_phi(args, w: RunWriter) -> int:
 
 def cmd_lemma32(args, w: RunWriter) -> int:
     eta, n = args.eta, args.n
+    martingale.check_cells(n, f"--n = {n}")     # one instance's arrays
     rng = np.random.default_rng(args.seed)
     rows = []
     worst = math.inf

@@ -18,9 +18,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dyadic import DepthCapError, DomainError, DyadicInterval, locate
+from .dyadic import DomainError, DyadicInterval, locate
 from .holder import HolderFunction
-from .martingale import SWEEP_CELL_BUDGET
+from .martingale import check_cells
 
 LN2 = math.log(2.0)
 
@@ -99,11 +99,8 @@ def _check_cells(f: HolderFunction, rows: int, width: int, what: str) -> None:
     """Raise DepthCapError, before anything is built, when an array of
     `rows` rows of `width` cells, or f's evaluation of one `width`-point
     row (width times `f.cells_per_point()` cells), would pass the
-    SWEEP_CELL_BUDGET of a level sweep; `what` names the count that set width."""
-    cells = max(rows, f.cells_per_point()) * width
-    if cells > SWEEP_CELL_BUDGET:
-        raise DepthCapError(f"{what} needs an array of {cells} cells, beyond the "
-                            f"budget of {SWEEP_CELL_BUDGET}")
+    budget of a level sweep; `what` names the count that set width."""
+    check_cells(max(rows, f.cells_per_point()) * width, what)
 
 
 def _check_eps(eps: float) -> None:

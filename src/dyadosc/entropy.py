@@ -100,13 +100,17 @@ def product_lower_bound_exact(xs: Sequence[Fraction], eta: Fraction):
     return product
 
 
-def extremal_configuration(n: int, eta: Fraction) -> list[Fraction]:
-    """x = (1,...,1,-1,...,-1) with N(1+eta)/2 ones; requires it integral."""
-    eta = Fraction(eta)
+def _extremal_ones(n: int, eta: Fraction) -> int:
+    """N0 = N(1+eta)/2, the extremal count of ones; requires it integral."""
     n0 = Fraction(n) * (1 + eta) / 2
     if n0.denominator != 1:
         raise DomainError("N(1+eta)/2 must be an integer")
-    n0 = int(n0)
+    return int(n0)
+
+
+def extremal_configuration(n: int, eta: Fraction) -> list[Fraction]:
+    """x = (1,...,1,-1,...,-1) with N(1+eta)/2 ones; requires it integral."""
+    n0 = _extremal_ones(n, Fraction(eta))
     return [Fraction(1)] * n0 + [Fraction(-1)] * (n - n0)
 
 
@@ -118,10 +122,7 @@ def extremal_bound_exact(n: int, eta: Fraction) -> Fraction:
     (1+eta)^N0 (1-eta)^(N-N0) / 2^N, which is rational.
     """
     eta = Fraction(eta)
-    n0f = Fraction(n) * (1 + eta) / 2
-    if n0f.denominator != 1:
-        raise DomainError("N(1+eta)/2 must be an integer")
-    n0 = int(n0f)
+    n0 = _extremal_ones(n, eta)
     return (1 + eta) ** n0 * (1 - eta) ** (n - n0) / Fraction(2) ** n
 
 

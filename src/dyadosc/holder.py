@@ -26,7 +26,7 @@ from .dyadic import (
     locate,
     unit_interval,
 )
-from .martingale import FLOAT_EXACT_DEPTH, Martingale, bit_lengths
+from .martingale import FLOAT_EXACT_DEPTH, Martingale, bit_lengths, check_cells
 
 
 class HolderFunction:
@@ -302,8 +302,10 @@ def _series_rows(trig, xs, freqs: np.ndarray, amps: np.ndarray) -> np.ndarray:
 def _check_phases(xs, top: float) -> None:
     """The domain rule of every Weierstrass evaluator: each x has a finite
     top phase b^(N-1) x, or its sum is NaN.  The product rounds monotonically
-    in |x|, so the largest |x| decides, in a Python float (no numpy warning)."""
-    if not math.isfinite(float(np.abs(xs).max(initial=0.0)) * top):
+    in |x|, so the largest |x| decides: max x or -min x, both read without
+    a copy (and both NaN if an x is), in Python floats (no numpy warning)."""
+    big = max(float(np.max(xs, initial=0.0)), -float(np.min(xs, initial=0.0)))
+    if not math.isfinite(big * top):
         x = next(x for x in np.ravel(xs).tolist() if not math.isfinite(x * top))
         raise DomainError(f"x = {x} puts the top phase b^(N-1) x past the float range")
 
@@ -469,6 +471,7 @@ def holder_seminorm_estimate(f: HolderFunction,
     with x + h kept inside [0, 1).  A lower bound for the seminorm,
     reproducible for a fixed seed.
     """
+    check_cells(2 * sampler.pairs, f"pairs = {sampler.pairs}")
     rng = np.random.default_rng(sampler.seed)
     # interleaved draws so a larger pair count extends the smaller sample
     draws = rng.uniform(0.0, 1.0, size=(sampler.pairs, 2))

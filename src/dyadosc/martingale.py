@@ -50,6 +50,14 @@ def check_sweep_budget(depth: int) -> None:
                             f"beyond the budget of {SWEEP_CELL_BUDGET}")
 
 
+def check_cells(cells: int, what: str) -> None:
+    """Raise DepthCapError, before anything is built, when `what` needs an
+    array of more than SWEEP_CELL_BUDGET cells; `what` names the count."""
+    if cells > SWEEP_CELL_BUDGET:
+        raise DepthCapError(f"{what} needs an array of {cells} cells, beyond the "
+                            f"budget of {SWEEP_CELL_BUDGET}")
+
+
 # deepest dyadic depth whose addresses, and their xors, convert to float64
 # exactly: array descents to it stay bit-identical to the scalar ones
 FLOAT_EXACT_DEPTH = 53

@@ -71,23 +71,24 @@ _KNOTS = [
 ]
 
 
+def _pieces(q: Fraction, p: Fraction) -> list[_Piece]:
+    """The pieces of `_KNOTS` on [0, 1/2] with free plateau levels q and p."""
+    levels = {"one": Fraction(1), "neg": Fraction(-1), "zero": Fraction(0),
+              "q": q, "p": p}
+    return [_Piece(lo, hi, levels[a], levels[b]) for lo, hi, a, b in _KNOTS]
+
+
+def _moments(pieces: list[_Piece]) -> tuple[Fraction, Fraction]:
+    """Moments 0 and 2 of the pieces over [0, 1/2]."""
+    return (sum((pc.moment0() for pc in pieces), Fraction(0)),
+            sum((pc.moment2() for pc in pieces), Fraction(0)))
+
+
 def _solve_levels() -> tuple[Fraction, Fraction]:
     """Solve the two free plateau levels for vanishing moments 0 and 2."""
-    levels = {"one": Fraction(1), "neg": Fraction(-1), "zero": Fraction(0)}
-
-    def moments(q: Fraction, p: Fraction) -> tuple[Fraction, Fraction]:
-        levels_qp = dict(levels, q=q, p=p)
-        m0 = Fraction(0)
-        m2 = Fraction(0)
-        for lo, hi, a, b in _KNOTS:
-            piece = _Piece(lo, hi, levels_qp[a], levels_qp[b])
-            m0 += piece.moment0()
-            m2 += piece.moment2()
-        return m0, m2
-
-    base0, base2 = moments(Fraction(0), Fraction(0))
-    q10, q12 = moments(Fraction(1), Fraction(0))
-    p10, p12 = moments(Fraction(0), Fraction(1))
+    base0, base2 = _moments(_pieces(Fraction(0), Fraction(0)))
+    q10, q12 = _moments(_pieces(Fraction(1), Fraction(0)))
+    p10, p12 = _moments(_pieces(Fraction(0), Fraction(1)))
     cq0, cq2 = q10 - base0, q12 - base2
     cp0, cp2 = p10 - base0, p12 - base2
     det = cq0 * cp2 - cp0 * cq2
@@ -97,8 +98,7 @@ def _solve_levels() -> tuple[Fraction, Fraction]:
     p = (-cq0 * base2 + base0 * cq2) / det
     if not (abs(q) < 1 and abs(p) < 1):
         raise DomainError("free plateau levels escaped (-1, 1)")
-    m0, m2 = moments(q, p)
-    if m0 != 0 or m2 != 0:
+    if _moments(_pieces(q, p)) != (0, 0):
         raise DomainError("moment solve failed")
     return q, p
 
@@ -127,11 +127,7 @@ class BaseWavelet:
     def __init__(self):
         q, p = _solve_levels()
         self.q, self.p = q, p
-        levels = {"one": Fraction(1), "neg": Fraction(-1), "zero": Fraction(0),
-                  "q": q, "p": p}
-        self.pieces = [
-            _Piece(lo, hi, levels[a], levels[b]) for lo, hi, a, b in _KNOTS
-        ]
+        self.pieces = _pieces(q, p)
         self.d1_sup = max(abs(pc.b - pc.a) * _S5_D1_MAX / pc.width
                           for pc in self.pieces if pc.a != pc.b)
         self.d2_sup = max(abs(pc.b - pc.a) * _S5_D2_MAX / (pc.width * pc.width)
@@ -179,9 +175,8 @@ class BaseWavelet:
 
     def moments_exact(self) -> tuple[Fraction, Fraction, Fraction]:
         """(m0, m1, m2) over the real line; all exactly zero."""
-        m0 = 2 * sum((pc.moment0() for pc in self.pieces), Fraction(0))
-        m2 = 2 * sum((pc.moment2() for pc in self.pieces), Fraction(0))
-        return m0, Fraction(0), m2
+        m0, m2 = _moments(self.pieces)
+        return 2 * m0, Fraction(0), 2 * m2
 
     # plateau geometry used by the oscillator's extreme-point search
     PLUS_PLATEAU = (Fraction(-1, 16), Fraction(1, 16))
@@ -283,8 +278,10 @@ class WaveletOscillator(HolderFunction):
 
     Per scale the translates have disjoint supports, so evaluation picks
     one j per stage.  Point values and differences route through exact
-    rational wavelet evaluations; only the final alpha-weighted sum is in
-    floats, which preserves relative accuracy at every scale.
+    rational wavelet evaluations and one stage sum, `_difference`: a value
+    is the difference from the point 0, whose stage triples are all
+    (0, 1, 0).  Only that final alpha-weighted sum is in floats, which
+    preserves relative accuracy at every scale.
     """
 
     def __init__(self, schedule: WaveletSchedule):
@@ -293,11 +290,13 @@ class WaveletOscillator(HolderFunction):
         self.wavelet = base_wavelet()
         self._coefficients = [schedule.coefficient(m)
                               for m in range(1, schedule.stages + 1)]
+        self._zeros = [(0, 1, 0)] * schedule.stages
 
     def _ratios(self, n: int, d: int, lo: int = 1,
                 hi: Optional[int] = None) -> list[tuple[int, int, int]]:
         """psi_m(n/d) for stages lo..hi as `BaseWavelet._ratio` triples, for
-        integers d > 0.  Common factors of two are stripped and d = o 2^e
+        integers d > 0, after the zero triple (0, 1, 0) for each stage below
+        lo.  Common factors of two are stripped and d = o 2^e
         is split once; stage k reads the point as n / (o 2^(e-k)), or
         (n 2^(k-e)) / o once k passes e, so its binary scale shrinks
         instead of its numerator growing."""
@@ -305,7 +304,7 @@ class WaveletOscillator(HolderFunction):
         low = (n | d) & -(n | d)
         s = low.bit_length() - 1
         n, (o, e) = n >> s, _split(d >> s)
-        out = []
+        out = self._zeros[:lo - 1]
         for k in self.schedule.ks[lo - 1:hi]:
             nk, ek = (n, e - k) if k <= e else (n << k - e, 0)
             # the nearest translate j = floor(nk / (o 2^ek) + 1/2)
@@ -332,21 +331,15 @@ class WaveletOscillator(HolderFunction):
                 total += c * ((nb * ka - (na * kb << eb - ea)) / (ka * kb << eb))
         return total
 
-    def _value(self, rs: list, lo_stage: int = 1) -> float:
-        """sum_m c_m psi_m from stage `lo_stage` on, each stage one int / int."""
-        total = 0.0
-        for c, (num, k, e) in zip(self._coefficients[lo_stage - 1:], rs):
-            total += c * (num / (k << e))
-        return total
-
     def stage_value_exact(self, m: int, t: Fraction) -> Fraction:
         """psi_m(t) = phi(2^(k_m) t - j) for the unique live translate."""
-        num, k, e = self._point_ratios(t, m, m)[0]
+        num, k, e = self._point_ratios(t, m, m)[-1]
         return Fraction(num, k << e)
 
     def value_float(self, t: Fraction, lo_stage: int = 1) -> float:
-        """f(t) in floats, summed from stage `lo_stage` to the last built one."""
-        return self._value(self._point_ratios(t, lo_stage), lo_stage)
+        """f(t) in floats, summed from stage `lo_stage` to the last built one:
+        the stage sum from the point 0, each stage one int / int."""
+        return self._difference(self._zeros, self._point_ratios(t, lo_stage))
 
     def difference_float(self, a: Fraction, b: Fraction) -> float:
         """f(b) - f(a): per-stage exact differences of the two points'
@@ -535,7 +528,7 @@ def witness_scales(f: WaveletOscillator, x, m: int) -> WitnessScales:
         return f._difference(rx, f._ratios(X + offset, D)) / (offset / D)
 
     def tail_at(offset: int, den: int) -> float:
-        return f._value(f._ratios(X * (den // D) + offset, den, m), m)
+        return f._difference(f._zeros, f._ratios(X * (den // D) + offset, den, m))
 
     q_p, q_m = quot(r_p), quot(r_m_)
     rho_p = rho_m_ = None

@@ -106,6 +106,10 @@ class TestExitCodes:
          "--points"),
         (["gap", "--alpha", "0.5", "--seed", "1", "--points", "1000000000000"], "--points"),
         (["gap", "--alpha", "0.5", "--seed", "1", "--depth", "1000000000000"], "--depth"),
+        (["lemma32", "--eta", "0.5", "--n", "1000000000000", "--count", "1", "--seed", "1"],
+         "--n"),
+        (["counterexample", "--alpha", "0.5", "--pairs", "1000000000000", "--points", "1",
+          "--seed", "1"], "pairs"),
     ])
     def test_count_budget(self, tmp_path, capsys, argv, flag):
         # each asked numpy for terabytes and ended in a MemoryError traceback

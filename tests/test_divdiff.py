@@ -579,6 +579,21 @@ class TestCountBudget:
             d.sigma_stats(weier_half, 0.5, 0.123, 2.0 ** -12, [0.1], [0.1],
                           samples=199_729, seed=1)
 
+    def test_the_budget_is_read_from_martingale(self, weier_half, monkeypatch):
+        # divdiff once held an import-time copy of the budget: patched to 64
+        # cells, the depth-7 mass sweep was refused and theta still ran
+        from dyadosc import martingale
+
+        monkeypatch.setattr(martingale, "SWEEP_CELL_BUDGET", 64)
+        with pytest.raises(d.DepthCapError, match="panels_per_octave"):
+            d.theta(weier_half, 0.5, 0.3, 2.0 ** -10, d.QuadratureConfig(16))
+        with pytest.raises(d.DepthCapError, match="panels_per_octave"):
+            d.theta_martingale_gap(weier_half, 0.5, 8, [0.3], first_level=6,
+                                   quad=d.QuadratureConfig(16))
+        with pytest.raises(d.DepthCapError, match="samples"):
+            d.sigma_stats(weier_half, 0.5, 0.123, 2.0 ** -12, [0.1], [0.1],
+                          samples=1000, seed=1)
+
     @pytest.mark.parametrize("panels", [2.5, "16", None])
     def test_panels_must_be_an_integer(self, panels):
         # 2.5 raised TypeError from np.linspace at the first theta
