@@ -16,6 +16,7 @@ Enumeration is restricted to shallow placements; deep-placement facts
 from __future__ import annotations
 
 import math
+import random
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -227,6 +228,23 @@ class BlockSchedule:
         """First level from which the stage-j floor -3 delta_j applies."""
         rounds = self.stage_placements(j)
         return rounds[0].end if rounds else None
+
+    def growth_ok(self) -> bool:
+        """The growth bound: 2^(-i beta) ||S_i|| <= 2^(1-beta) + 1e-12 at
+        every materialized level."""
+        bound = math.pow(2.0, 1.0 - self.beta) + 1e-12
+        return bool(np.all(self.growth_norm_profile() <= bound))
+
+    def floor_rows(self) -> list[tuple[int, int, float, float]]:
+        """(stage, first level, least scaled floor, -3 delta_j) for each
+        stage with a placed round: the least of `floor_profile` from the
+        end of the stage's first round up to the end of the next stage's
+        first round (or the last level, when no next round is placed)."""
+        fp = self.floor_profile()
+        starts = [self.stage_floor_start(rec.stage) for rec in self.stages]
+        return [(rec.stage, start, float(fp[start:stop].min()), -3.0 * rec.delta)
+                for rec, start, stop in zip(self.stages, starts, starts[1:] + [None])
+                if start is not None]
 
     def to_dict(self) -> dict:
         """The JSON record: all fields but the envelopes and amplitudes."""
@@ -555,12 +573,11 @@ class SpecialIntervalRegistry:
 
     def __init__(self, schedule: BlockSchedule, stage: int,
                  martingale: Optional[BlockMartingale] = None):
-        recs = [s for s in schedule.stages if s.stage == stage]
-        if not recs or not recs[0].complete:
+        if not 0 <= stage < len(schedule.stages) or not schedule.stages[stage].complete:
             raise DomainError(f"stage {stage} not completely built")
         self.schedule = schedule
         self.stage = stage
-        self.record = recs[0]
+        self.record = schedule.stages[stage]
         self.placements = schedule.stage_placements(stage)
         self.S = martingale or BlockMartingale(schedule)
 
@@ -642,11 +659,9 @@ def witness_survey(schedule: BlockSchedule, S: BlockMartingale, f, alpha: float,
     candidates, and the 99% certificate needs stage 1: at depth cap 1024
     it completes for beta <= 0.6, not at beta 0.65 or 0.7.
     """
-    import random as _random
-
     if points < 1:
         raise DomainError("need at least one sampled point")
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     regs = [SpecialIntervalRegistry(schedule, j, S)
             for j in range(min(2, len(schedule.stages)))
             if schedule.stages[j].complete]

@@ -17,6 +17,7 @@ import csv
 import hashlib
 import json
 import math
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -259,20 +260,10 @@ def cmd_counterexample(args, w: RunWriter) -> int:
     beta = 1.0 - alpha
     sched = blocks.build_schedule(beta, args.stages, depth_cap=args.depth)
     S = blocks.assemble_martingale(sched)
-    profile = sched.growth_norm_profile()
-    bound = math.pow(2.0, 1.0 - beta)
-    growth_ok = bool(np.all(profile <= bound + 1e-9))
-    floors_ok = True
-    floor_rows = []
-    fp = sched.floor_profile()
-    for rec in sched.stages:
-        start = sched.stage_floor_start(rec.stage)
-        if start is None:
-            continue
-        seg_min = float(fp[start:].min())
-        floor_rows.append([rec.stage, start, seg_min, -3.0 * rec.delta])
-        floors_ok = floors_ok and seg_min >= -3.0 * rec.delta - 1e-9
-    B = float(profile.max())
+    growth_ok = sched.growth_ok()
+    floor_rows = sched.floor_rows()
+    floors_ok = all(least >= floor - 1e-9 for *_, least, floor in floor_rows)
+    B = float(sched.growth_norm_profile().max())
     f = holder.martingale_function(S, alpha, max_depth=sched.end_level + 64,
                                    growth_bound=B)
     est = holder.holder_seminorm_estimate(
@@ -315,20 +306,19 @@ def cmd_counterexample(args, w: RunWriter) -> int:
 def cmd_wavelet(args, w: RunWriter) -> int:
     sched = wavelet.wavelet_schedule(args.alpha, args.eps, args.stages)
     f = wavelet.wavelet_oscillator(sched)
-    w.write_json("wavelet_schedule.json", sched.to_dict())
+    rng = random.Random(args.seed)
+    depth = sched.ks[-1] + 40
     rows = []
+    for i in range(args.points):
+        x = Fraction(rng.getrandbits(depth), 1 << depth)
+        for m in range(2, min(3, sched.stages) + 1):
+            ws = wavelet.witness_scales(f, x, m)
+            rows.append([i, m, ws.case, float(ws.h), float(ws.h_prime),
+                         ws.quotient_big, ws.quotient_tame,
+                         ws.h_side, ws.h_prime_side])
+    # written once every witness is found: a failed run leaves no files
+    w.write_json("wavelet_schedule.json", sched.to_dict())
     if args.points:     # --points 0 (the default) writes the schedule only
-        import random as _random
-
-        rng = _random.Random(args.seed)
-        depth = sched.ks[-1] + 40
-        for i in range(args.points):
-            x = Fraction(rng.getrandbits(depth), 1 << depth)
-            for m in range(2, min(3, sched.stages) + 1):
-                ws = wavelet.witness_scales(f, x, m)
-                rows.append([i, m, ws.case, float(ws.h), float(ws.h_prime),
-                             ws.quotient_big, ws.quotient_tame,
-                             ws.h_side, ws.h_prime_side])
         w.write_csv("witnesses.csv",
                     ["point", "stage", "case", "h", "h_prime",
                      "quotient_big", "quotient_tame", "h_side", "h_prime_side"],
@@ -458,8 +448,7 @@ def cmd_verify_all(args, w: RunWriter) -> int:
 
     # blocks
     sched = blocks.build_schedule(0.5, 1, depth_cap=256)
-    prof = sched.growth_norm_profile()
-    check("block growth bound", bool(np.all(prof <= 2.0 ** 0.5 + 1e-12)))
+    check("block growth bound", sched.growth_ok())
     SB = blocks.assemble_martingale(sched)
     check("block cancellation",
           martingale.check_cancellation(SB, min(depth, 12)).ok(0.0))
@@ -537,6 +526,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="dyadosc", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
+    # the flags several subcommands share, each declared once as a parent
+    alpha, seed, b = (_Parser(add_help=False) for _ in range(3))
+    alpha.add_argument("--alpha", type=float, required=True, domain="in (0, 1)")
+    seed.add_argument("--seed", type=int, required=True, domain="nonnegative")
+    b.add_argument("--b", type=float, default=2.0, domain="positive and finite")
+
     def add(name, fn, **kw):
         sp = sub.add_parser(name, **kw)
         sp.set_defaults(func=fn)
@@ -547,11 +542,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("phi", cmd_phi, help="entropy function value")
     sp.add_argument("--eta", type=float, required=True, domain="in [0, 1]")
 
-    sp = add("lemma32", cmd_lemma32, help="product lower bound sweep")
+    sp = add("lemma32", cmd_lemma32, help="product lower bound sweep", parents=[seed])
     sp.add_argument("--eta", type=float, required=True, domain="in (0, 1)")
     sp.add_argument("--n", type=int, default=20, domain="at least 1")
     sp.add_argument("--count", type=int, default=1000, domain="at least 1")
-    sp.add_argument("--seed", type=int, required=True, domain="nonnegative")
 
     sp = add("mass-measure", cmd_mass_measure, help="mass-distribution audit")
     sp.add_argument("--martingale", default="binary",
@@ -567,18 +561,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("dim-estimate", cmd_dim_estimate, help="counting exponents from N:count pairs")
     sp.add_argument("--counts", type=str, required=True)
 
-    sp = add("weierstrass", cmd_weierstrass, help="sample the lacunary cosine series")
-    sp.add_argument("--b", type=float, default=2.0, domain="positive and finite")
-    sp.add_argument("--alpha", type=float, required=True, domain="in (0, 1)")
+    sp = add("weierstrass", cmd_weierstrass, help="sample the lacunary cosine series",
+             parents=[b, alpha])
     sp.add_argument("--x-min", type=float, default=0.0, domain="finite")
     sp.add_argument("--x-max", type=float, default=1.0, domain="finite")
     sp.add_argument("--points", type=int, default=256, domain="at least 1")
     sp.add_argument("--tol", type=float, default=1e-10, domain="positive and finite")
 
     sp = add("martingale-extract", cmd_martingale_extract,
-             help="divided-difference martingale dump")
-    sp.add_argument("--b", type=float, default=2.0, domain="positive and finite")
-    sp.add_argument("--alpha", type=float, required=True, domain="in (0, 1)")
+             help="divided-difference martingale dump", parents=[b, alpha])
     sp.add_argument("--depth", type=int, default=10, domain="nonnegative")
     sp.add_argument("--tol", type=float, default=1e-13, domain="positive and finite")
 
@@ -594,53 +585,44 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--depth", type=int, default=1024, domain="nonnegative")
 
     sp = add("counterexample", cmd_counterexample,
-             help="finite-stage certificates for the induced function")
-    sp.add_argument("--alpha", type=float, required=True, domain="in (0, 1)")
+             help="finite-stage certificates for the induced function",
+             parents=[alpha, seed])
     sp.add_argument("--stages", type=int, default=2, domain="at least 1")
     sp.add_argument("--depth", type=int, default=1024, domain="nonnegative")
     sp.add_argument("--pairs", type=int, default=10000, domain="at least 1")
     sp.add_argument("--points", type=int, default=200, domain="at least 1")
-    sp.add_argument("--seed", type=int, required=True, domain="nonnegative")
 
-    sp = add("wavelet", cmd_wavelet, help="superlacunary schedule and witnesses")
-    sp.add_argument("--alpha", type=float, required=True, domain="in (0, 1)")
+    sp = add("wavelet", cmd_wavelet, help="superlacunary schedule and witnesses",
+             parents=[alpha, seed])
     sp.add_argument("--eps", type=float, default=1.0 / 200.0, domain="in (0, 1)")
     sp.add_argument("--stages", type=int, default=4, domain="at least 1")
     sp.add_argument("--points", type=int, default=0, domain="nonnegative")
-    sp.add_argument("--seed", type=int, required=True, domain="nonnegative")
 
-    sp = add("theta", cmd_theta, help="accumulated divided differences")
-    sp.add_argument("--b", type=float, default=2.0, domain="positive and finite")
-    sp.add_argument("--alpha", type=float, required=True, domain="in (0, 1)")
+    sp = add("theta", cmd_theta, help="accumulated divided differences", parents=[b, alpha])
     sp.add_argument("--eps", type=float, required=True, domain="in (0, 1)")
     sp.add_argument("--x-min", type=float, default=0.0, domain="finite")
     sp.add_argument("--x-max", type=float, default=1.0, domain="finite")
     sp.add_argument("--points", type=int, default=16, domain="at least 1")
     sp.add_argument("--panels", type=int, default=32, domain="at least 1")
 
-    sp = add("sigma-stats", cmd_sigma_stats, help="scale statistics of threshold events")
-    sp.add_argument("--b", type=float, default=2.0, domain="positive and finite")
-    sp.add_argument("--alpha", type=float, required=True, domain="in (0, 1)")
+    sp = add("sigma-stats", cmd_sigma_stats, help="scale statistics of threshold events",
+             parents=[b, alpha, seed])
     sp.add_argument("--x", type=float, default=0.123, domain="finite")
     sp.add_argument("--eps", type=float, default=2.0 ** -12, domain="in (0, 1)")
     sp.add_argument("--delta", type=float, default=0.1, domain="positive and finite")
     sp.add_argument("--c", type=float, default=0.1, domain="positive and finite")
     sp.add_argument("--gamma", type=float, domain="in (0, 1)")
     sp.add_argument("--samples", type=int, default=20000, domain="at least 1")
-    sp.add_argument("--seed", type=int, required=True, domain="nonnegative")
 
-    sp = add("gap", cmd_gap, help="theta vs discounted martingale gap profile")
-    sp.add_argument("--b", type=float, default=2.0, domain="positive and finite")
-    sp.add_argument("--alpha", type=float, required=True, domain="in (0, 1)")
+    sp = add("gap", cmd_gap, help="theta vs discounted martingale gap profile",
+             parents=[b, alpha, seed])
     sp.add_argument("--depth", type=int, default=12, domain="at least 1")
     sp.add_argument("--first-level", type=int, default=6, domain="at least 1")
     sp.add_argument("--points", type=int, default=16, domain="at least 1")
     sp.add_argument("--panels", type=int, default=16, domain="at least 1")
-    sp.add_argument("--seed", type=int, required=True, domain="nonnegative")
 
-    sp = add("verify-all", cmd_verify_all, help="fast invariant suite")
+    sp = add("verify-all", cmd_verify_all, help="fast invariant suite", parents=[seed])
     sp.add_argument("--depth", type=int, default=12, domain="at least 1")
-    sp.add_argument("--seed", type=int, required=True, domain="nonnegative")
 
     return p
 
@@ -664,6 +646,9 @@ def main(argv=None) -> int:
     except DepthCapError as exc:
         print(f"depth cap: {exc}", file=sys.stderr)
         return 4
+    except wavelet.CertificationError as exc:
+        print(f"certification failed: {exc}", file=sys.stderr)
+        return 5
     if w.files:
         w.finish()
     return code

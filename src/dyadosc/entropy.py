@@ -328,8 +328,7 @@ def besicovitch_threshold(N: int, eta) -> int:
     eta = Fraction(eta)
     if not 0 < eta < 1:
         raise DomainError("eta must lie in (0, 1)")
-    kmin = Fraction(N) * (1 + eta) / 2
-    return int(math.ceil(kmin)) if kmin.denominator != 1 else int(kmin)
+    return math.ceil(Fraction(N) * (1 + eta) / 2)
 
 
 def besicovitch_count(N: int, eta) -> int:

@@ -436,6 +436,52 @@ class TestAssembledMartingale:
             assert S.value(I) == pytest.approx(walked, rel=1e-11, abs=1e-300)
 
 
+def _floor_rows_reference(sched):
+    """Criterion 5's inline stagewise floors: per stage, the least scaled
+    floor from the end of its first round to the end of the next stage's."""
+    fp = sched.floor_profile()
+    rows = []
+    for rec in sched.stages:
+        start = sched.stage_floor_start(rec.stage)
+        nxt = (sched.stage_floor_start(rec.stage + 1)
+               if rec.stage + 1 < len(sched.stages) else None)
+        hi = len(fp) if nxt is None else nxt
+        rows.append((rec.stage, start, float(fp[start:hi].min()), -3.0 * rec.delta))
+    return rows
+
+
+class TestScheduleVerdicts:
+    """`growth_ok` and `floor_rows`, the one definition the CLI reads."""
+
+    @pytest.mark.parametrize("stages", [1, 2, 3])
+    @pytest.mark.parametrize("beta", [0.3, 0.4, 0.5, 0.6, 0.7])
+    def test_floor_rows_match_criterion_5(self, beta, stages):
+        sched = d.build_schedule(beta, stages, depth_cap=1024)
+        rows = sched.floor_rows()
+        assert rows == _floor_rows_reference(sched)
+        assert all(least >= floor - 1e-9 for *_, least, floor in rows)
+
+    @pytest.mark.parametrize("stages", [1, 2, 3])
+    @pytest.mark.parametrize("beta", [0.3, 0.4, 0.5, 0.6, 0.7])
+    def test_growth_ok_agrees_with_the_looser_slack(self, beta, stages):
+        # the counterexample used to allow 1e-9 over 2^(1-beta); every
+        # schedule here clears the bound by far more than either slack
+        sched = d.build_schedule(beta, stages, depth_cap=1024)
+        prof = sched.growth_norm_profile()
+        assert sched.growth_ok() is True
+        assert bool(np.all(prof <= 2.0 ** (1.0 - beta) + 1e-9)) is True
+        assert 2.0 ** (1.0 - beta) - prof.max() > 0.5
+
+    def test_growth_ok_slack_is_1e_12(self, monkeypatch):
+        sched = d.build_schedule(0.5, 1, depth_cap=256)
+        prof = sched.growth_norm_profile()
+        bound = math.pow(2.0, 0.5) + 1e-12
+        for last, ok in ((bound, True), (np.nextafter(bound, np.inf), False)):
+            monkeypatch.setattr(d.BlockSchedule, "growth_norm_profile",
+                                lambda self, last=last: np.append(prof, last))
+            assert sched.growth_ok() is ok
+
+
 def _level_values_reference(S, n, lo, hi):
     """The placement loop that `level_values_range` replaced: the closed
     form on every level-n index, with no reuse across levels."""
@@ -638,6 +684,16 @@ class TestSpecialRegistry:
         sched = d.build_schedule(0.5, 2, depth_cap=200)
         with pytest.raises(d.DomainError):
             d.SpecialIntervalRegistry(sched, 1)
+
+    @pytest.mark.parametrize("stage", [-1, 2, 5])
+    def test_stage_out_of_range_raises(self, block_schedule_half, stage):
+        with pytest.raises(d.DomainError, match=f"stage {stage} not completely built"):
+            d.SpecialIntervalRegistry(block_schedule_half, stage)
+
+    def test_record_is_the_stage_at_its_index(self, block_schedule_half):
+        for j, rec in enumerate(block_schedule_half.stages):
+            assert d.SpecialIntervalRegistry(block_schedule_half, j).record is rec
+            assert rec.stage == j
 
 
 class TestInducedFunctionCertificates:

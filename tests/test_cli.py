@@ -173,6 +173,50 @@ class TestExitCodes:
         assert "[FAIL] theta closed form" in out
         assert out.splitlines()[-1] == "1 failed: ['theta closed form']"
 
+    def test_wavelet_certification_failure(self, tmp_path, capsys, monkeypatch):
+        # a witness search that fails on the third call: exit 5 with the
+        # library's message, and no schedule without its witnesses
+        real, calls = d.wavelet.witness_scales, []
+
+        def failing(f, x, m):
+            calls.append(m)
+            if len(calls) == 3:
+                raise d.CertificationError(f"no witness (x = 1/3, m={m})")
+            return real(f, x, m)
+
+        monkeypatch.setattr(d.wavelet, "witness_scales", failing)
+        assert run(["wavelet", "--alpha", "0.5", "--stages", "3", "--points", "4",
+                    "--seed", "1", "--out", str(tmp_path)]) == 5
+        err = capsys.readouterr().err
+        assert "no witness (x = 1/3, m=2)" in err and "Traceback" not in err
+        assert len(calls) == 3
+        assert list(tmp_path.iterdir()) == []
+
+    COUNTEREXAMPLE = ["counterexample", "--alpha", "0.5", "--stages", "1", "--depth", "160",
+                      "--pairs", "20", "--points", "2", "--seed", "6"]
+
+    def test_block_growth_verdict_read_from_the_schedule(self, tmp_path, capsys,
+                                                         monkeypatch):
+        monkeypatch.setattr(d.BlockSchedule, "growth_ok", lambda self: False)
+        assert run(self.COUNTEREXAMPLE + ["--out", str(tmp_path)]) == 5
+        assert "growth_ok=False floors_ok=True" in capsys.readouterr().out
+        report = json.loads((tmp_path / "counterexample.json").read_text())
+        assert report["growth_bound_ok"] is False
+        assert run(["verify-all", "--depth", "8", "--seed", "7"]) == 5
+        out = capsys.readouterr().out
+        assert "[FAIL] block growth bound" in out
+        assert out.splitlines()[-1] == "1 failed: ['block growth bound']"
+
+    def test_block_floor_verdict_read_from_the_schedule(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # one stage whose least scaled floor sits just below -3 delta - 1e-9
+        monkeypatch.setattr(d.BlockSchedule, "floor_rows",
+                            lambda self: [(0, 7, -0.75 - 2e-9, -0.75)])
+        assert run(self.COUNTEREXAMPLE + ["--out", str(tmp_path)]) == 5
+        assert "growth_ok=True floors_ok=False" in capsys.readouterr().out
+        assert (tmp_path / "floors.csv").read_text().splitlines() == [
+            "stage,from_level,min_scaled,floor", f"0,7,{-0.75 - 2e-9!r},-0.75"]
+
     def test_success(self, tmp_path, capsys):
         assert run(["phi", "--eta", "0.5", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
@@ -243,6 +287,16 @@ class TestManifests:
                     "--x-max", "0.3", "--points", "2", "--out", str(tmp_path)]) == 0
         man = json.loads((tmp_path / "theta_manifest.json").read_text())
         assert man["params"]["x_min"] == "0.1" and man["params"]["x_max"] == "0.3"
+
+    def test_shared_flags_declared_once(self):
+        # --alpha, the required --seed and --b are one action each, shared
+        # by every subcommand that takes them
+        subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+        users = {"alpha": 7, "seed": 6, "b": 5}
+        for dest, count in users.items():
+            actions = [a for sp in subparsers.values() for a in sp._actions
+                       if a.dest == dest and (dest != "seed" or a.required)]
+            assert len(actions) == count and len({id(a) for a in actions}) == 1, dest
 
     def test_seed_required_for_randomized(self):
         assert run(["lemma32", "--eta", "0.5"]) == 2

@@ -558,6 +558,16 @@ class TestBesicovitch:
             assert (d.besicovitch_count(N, eta)
                     == sum(math.comb(N, k) for k in range(kmin, N + 1)))
 
+    @pytest.mark.parametrize("eta", [Fraction(1, 1000), Fraction(1, 3), Fraction(1, 2),
+                                     Fraction(3, 5), Fraction(999, 1000), 0.1])
+    def test_threshold_is_the_ceiling(self, eta):
+        # the two-branch form it replaced: the ceiling, or the exact integer
+        for N in range(300):
+            kmin = Fraction(N) * (1 + Fraction(eta)) / 2
+            want = int(math.ceil(kmin)) if kmin.denominator != 1 else int(kmin)
+            got = d.besicovitch_threshold(N, eta)
+            assert type(got) is int and got == want
+
     def test_caps(self):
         with pytest.raises(d.DomainError):
             d.besicovitch_count(20_000, Fraction(1, 2))
