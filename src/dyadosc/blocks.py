@@ -260,7 +260,8 @@ def build_schedule(beta, stages: int, depth_cap: int = 4096) -> BlockSchedule:
     delta_j / 2.  Construction aborts cleanly with the completed prefix
     before a round that would end past `depth_cap`, or whose norm ratio
     2 ||S_prev|| / delta_j or new peak would overflow float (raises if
-    not even stage 0 completes).
+    not even stage 0 completes).  Each stage's block depth is verified once,
+    on a block over [0, 1): no check of its ``verify`` depends on the level.
     """
     beta_f = float(beta)
     if not 0.0 < beta_f < 1.0:
@@ -281,6 +282,7 @@ def build_schedule(beta, stages: int, depth_cap: int = 4096) -> BlockSchedule:
         d = float(delta_j(j))
         M = m_of_delta(delta_j(j), beta_f)
         n_j = n_of_j(j, beta_f)
+        BuildingBlock(d, DyadicInterval(0, 0), beta_f, M).verify()
         placed = 0
         for n in range(n_j + 1):
             norm = max(cur_sup, -cur_inf)

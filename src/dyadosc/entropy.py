@@ -133,7 +133,7 @@ class MassMeasure:
     its parent's mass; the two fractions sum to 1 exactly because sibling
     jumps cancel.  With ||S||_* <= 1 and 0 < eta < 1 all masses stay in
     [0, 1].  log2 masses never underflow; the sweep audits the exact
-    rational level sums (every float jump is an exact rational).
+    split of every parent's mass (every float jump is an exact rational).
     """
 
     def __init__(self, S: Martingale, eta: float):
@@ -149,7 +149,7 @@ class MassMeasure:
         self.eta = eta_f
 
     def ratio(self, child: DyadicInterval) -> float:
-        return _mass_ratio(self.eta, self.S.increment(child))
+        return float(_mass_ratio(self.eta, self.S.increment(child)))
 
     def mass_log2(self, I: DyadicInterval) -> float:
         acc = 0.0
@@ -161,13 +161,16 @@ class MassMeasure:
         return acc
 
 
-def _mass_ratio(eta: float, u: float) -> float:
-    """The mass ratio (1 + eta*u)/2 of a jump u; a ratio below 0 or past
-    1 + 1e-12 (or NaN) breaks the declared increment bound."""
-    r = (1.0 + eta * u) / 2.0
-    if not 0.0 <= r <= 1.0 + 1e-12:
-        raise DomainError(f"jump {u!r} violates the declared increment bound")
-    return r
+def _mass_ratio(eta: float, u: float) -> Fraction:
+    """The mass ratio (1 + eta*u)/2 of a jump u, exactly, on the rationals
+    the floats eta and u are; a ratio below 0 or past 1 + 1e-12, or a NaN
+    or infinite jump, breaks the declared increment bound."""
+    u = float(u)
+    if math.isfinite(u):
+        r = (1 + Fraction(eta) * Fraction(u)) / 2
+        if 0 <= r <= 1.0 + 1e-12:
+            return r
+    raise DomainError(f"jump {u!r} violates the declared increment bound")
 
 
 @dataclass
@@ -180,7 +183,7 @@ class MassSweepReport:
     worst_log2_margin: float          # min over members of log2 mu + level*Phi
     worst_member: Optional[DyadicInterval]
     increments_paired: bool           # sibling jumps exactly opposite
-    level_sums_exact: bool            # every level's masses sum to exactly 1
+    level_sums_exact: bool            # every parent's mass splits exactly
     phi: float
 
     def ok(self, margin_tol: float = 1e-9) -> bool:
@@ -217,25 +220,32 @@ def _jump_codes(incs: np.ndarray, uniq: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _mass_levels(S: Martingale, eta: float, depth: int):
+def _mass_levels(S: Martingale, eta: float, depth: int,
+                 ratios: Optional[dict] = None):
     """The mass sweep's per-level kernel: for n = 1..depth, yields
     (n, incs, s_vals, uniq, codes, log2_mass).
 
-    A level holds a handful of distinct jumps, so what depends on the jump
-    alone is computed once per distinct jump `uniq`: the ratio
-    (1 + eta*u)/2, its bound check and its log2, by the `math.log2` of
-    ``MassMeasure.mass_log2``.  The cells then read their ratio's log2
-    through `codes`, their positions in `uniq`, and add their parent's
-    log2 mass to it (the sum of the scalar oracle, whose two terms
-    commute).
+    A sweep holds a handful of distinct jumps, so what depends on the jump
+    alone is computed once per distinct jump of the sweep: the exact ratio
+    (1 + eta*u)/2 and its bound check, kept in `ratios`, and the
+    `math.log2` of its float, as in ``MassMeasure.mass_log2``.  The cells
+    read their ratio's log2 through `codes`, their positions in `uniq`,
+    and add their parent's log2 mass to it (the sum of the scalar oracle,
+    whose two terms commute).
     """
     MassMeasure(S, eta)     # its domain checks, before any level is built
     eta_f = float(eta)
+    ratios = {} if ratios is None else ratios
+    log2s: dict[float, float] = {}
     log2_mass = np.zeros(1)
     for n, incs, s_vals in S.levels(depth):
         uniq = _distinct_jumps(incs)
-        ratios = [_mass_ratio(eta_f, u) for u in uniq.tolist()]
-        lg = np.array([math.log2(r) if r > 0.0 else -math.inf for r in ratios])
+        jumps = uniq.tolist()
+        for u in jumps:
+            if u not in log2s:
+                r = ratios[u] = _mass_ratio(eta_f, u)
+                log2s[u] = math.log2(f) if (f := float(r)) > 0.0 else -math.inf
+        lg = np.array([log2s[u] for u in jumps])
         codes = _jump_codes(incs, uniq)
         kids = lg.take(codes)
         kids[0::2] += log2_mass
@@ -244,35 +254,16 @@ def _mass_levels(S: Martingale, eta: float, depth: int):
         yield n, incs, s_vals, uniq, codes, log2_mass
 
 
-def _level_sums_exact(S: Martingale, eta: float, depth: int) -> bool:
-    """Whether every level's masses to `depth` sum to exactly 1, on exact
-    big-integer numerators over a per-level common denominator (jumps read
-    as the exact rationals their floats are); stops at the first level
-    whose sum misses 1."""
-    eta_frac = Fraction(eta)
-    nums = np.ones(1, dtype=object)
-    den = 1
-    for _, _, _, uniq, codes, _ in _mass_levels(S, eta, depth):
-        fracs = [(1 + eta_frac * Fraction(u)) / 2 for u in uniq.tolist()]
-        lev_den = math.lcm(*(f.denominator for f in fracs))
-        lut = [f.numerator * (lev_den // f.denominator) for f in fracs]
-        den *= lev_den
-        nums = np.repeat(nums, 2) * np.array(lut, dtype=object)[codes]
-        if int(nums.sum()) != den:
-            return False
-    return True
-
-
 def sweep_mass_distribution(S: Martingale, eta: float, depth: int) -> MassSweepReport:
     """Check mu(I) >= |I|^Phi(eta) on {S(I) >= eta log2(1/|I|)} to `depth`.
 
     Works levelwise through ``S.levels`` under the mass measure's domain
     checks, so S_0 = 0 and the root is a member with margin 0; float log2
-    masses give the margins.  The sums-to-one audit reads the pairing:
-    sibling jumps u and -u (float negation is exact) have rational ratios
-    (1 +- eta u)/2 summing to exactly 1, so a paired level keeps its
-    parent level's exact mass sum, 1 by induction from the root.  Only an
-    unpaired sweep takes the exact walk ``_level_sums_exact``.
+    masses give the margins.  The audit reads the exact ratios the kernel
+    used: every parent's mass splits exactly when every level is paired
+    (sibling jumps u and -u) and ratio(u) + ratio(-u) == 1 for each
+    distinct jump u of the sweep; then every level sums to 1, by
+    induction from the root.
     """
     if depth < 1:
         raise DomainError("the mass sweep needs depth >= 1")
@@ -281,7 +272,8 @@ def sweep_mass_distribution(S: Martingale, eta: float, depth: int) -> MassSweepR
     worst_member = unit_interval()
     members = 1
     paired = True
-    for n, incs, s_vals, _, _, log2_mass in _mass_levels(S, eta, depth):
+    ratios: dict[float, Fraction] = {}
+    for n, incs, s_vals, _, _, log2_mass in _mass_levels(S, eta, depth, ratios):
         paired = paired and bool(np.all(incs[0::2] == -incs[1::2]))
         mask = s_vals >= eta * n - 1e-12
         count = int(np.count_nonzero(mask))
@@ -292,7 +284,7 @@ def sweep_mass_distribution(S: Martingale, eta: float, depth: int) -> MassSweepR
             if margins[j] < worst_margin:
                 worst_margin = float(margins[j])
                 worst_member = DyadicInterval(n, int(np.nonzero(mask)[0][j]))
-    sums_exact = paired or _level_sums_exact(S, eta, depth)
+    sums_exact = paired and all(r + ratios[-u] == 1 for u, r in ratios.items())
     return MassSweepReport(depth, eta, members, worst_margin, worst_member,
                            paired, sums_exact, phi)
 
@@ -354,12 +346,17 @@ def besicovitch_count(N: int, eta) -> int:
 
 def besicovitch_count_bruteforce(N: int, eta) -> int:
     """Independent oracle: enumerate all 2^N addresses and count directly,
-    inside the sweep budget."""
+    inside the sweep budget, against its own least digit count k with
+    (2k - N) q >= p N for eta = p/q."""
     if N < 0:
         raise DomainError("N must be nonnegative")
+    eta = Fraction(eta)
+    if not 0 < eta < 1:
+        raise DomainError("eta must lie in (0, 1)")
     check_sweep_budget(N)
+    p, q = eta.numerator, eta.denominator
     ones = np.bitwise_count(np.arange(1 << N, dtype=np.uint64))    # uint8
-    return int(np.count_nonzero(ones >= besicovitch_threshold(N, eta)))
+    return int(np.count_nonzero(ones >= -(-N * (p + q) // (2 * q))))
 
 
 def dim_estimate(counts: Sequence[tuple[int, int]]) -> list[float]:

@@ -73,11 +73,16 @@ def _dropped_panel(original):
 
 
 README_COUNTEREXAMPLE = "counterexample --alpha 0.5 --stages 2 --points 1000 --seed 11"
+README_MASS_MEASURE = "mass-measure --martingale block-discounted --eta 0.25 --depth 16"
+VERIFY_ALL = "verify-all --depth 12 --seed 7"
 
 MUTANTS = [
     Mutant("mass-ratio-plus-0.05", "entropy._mass_ratio", _plus(0.05),
            ("criterion 3",),
            "each level's masses sum to 1.05^n, not 1"),
+    Mutant("mass-ratio-plus-1e-6", "entropy._mass_ratio", _plus(1e-6),
+           ("criterion 3", README_MASS_MEASURE),
+           "each parent's mass split into 1 + 2e-6 of it, not 1"),
     Mutant("phi-low-1e-6", "entropy.entropy_phi", _plus(-1e-6),
            ("criterion 1", "criterion 3"),
            "the entropy function Phi(eta) 1e-6 below its value"),
@@ -88,14 +93,15 @@ MUTANTS = [
            ("criterion 5", README_COUNTEREXAMPLE),
            "half the block rounds per stage, so the special intervals cover less"),
     Mutant("block-depth-one-short", "blocks.m_of_delta", _plus(-1),
-           ("criterion 5", README_COUNTEREXAMPLE, "verify-all --depth 12 --seed 7"),
+           ("criterion 5", README_COUNTEREXAMPLE, VERIFY_ALL,
+            "counterexample --alpha 0.4 --stages 2 --points 200 --seed 1"),
            "blocks one level shallower than M(delta), below the sandwich "
            "1/2 <= 2^(M(1 - beta)) delta"),
     Mutant("wavelet-plateau-shifted", "wavelet._solve_levels", _shifted_plateau,
-           ("criterion 6", "verify-all --depth 12 --seed 7"),
+           ("criterion 6", VERIFY_ALL),
            "the plateau level q off by 1/100, so moments 0 and 2 do not vanish"),
     Mutant("paired-jump-not-opposite", "martingale.PairedMartingale._level_increments",
-           _unpaired_right_jump, ("criterion 3", "verify-all --depth 12 --seed 7"),
+           _unpaired_right_jump, ("criterion 3", VERIFY_ALL),
            "each right jump 1 + 2^-30 times the negated left jump"),
     Mutant("theta-panel-dropped", "divdiff._simpson", _dropped_panel,
            ("criterion 8",),
@@ -104,17 +110,10 @@ MUTANTS = [
 
 # (mutant, check) pairs known to survive, each with its reason
 SURVIVORS = {
-    ("mass-ratio-plus-0.05", "criterion 3"):
-        "on a paired sweep `level_sums_exact` is inferred from the pairing, not "
-        "computed from the ratios in use (ROADMAP item 11, Step 1)",
-    ("besicovitch-threshold-plus-1", "criterion 4"):
-        "the brute-force count the criterion compares with reads the same "
-        "`besicovitch_threshold`, and the gap at N = 2000 stays below 0.02",
-    **{("block-depth-one-short", check):
-       "no check re-reads the sandwich or the deep-piece bound (1/2)(1 - 2^-M) on "
-       "the schedule; its witnesses need only 1/20 - 1e-3"
-       for check in ("criterion 5", README_COUNTEREXAMPLE,
-                     "verify-all --depth 12 --seed 7")},
+    ("block-depth-one-short", check):
+        "at alpha = 1/2, M - 1 meets the lower end of the sandwich with equality, "
+        "2^((M - 1)/2) delta_j = 1/2, so every block bound still holds"
+    for check in ("criterion 5", README_COUNTEREXAMPLE, VERIFY_ALL)
 }
 
 

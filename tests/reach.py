@@ -67,8 +67,6 @@ KEEP = {name: reason for reason, names in {
     FALLBACK + "the gap and tracking value of a constant or linear function": [
         "holder.ConstantFunction.antiderivative_batch",
         "holder.LinearFunction.antiderivative_batch"],
-    FALLBACK + "the exact level sums of a sweep whose sibling jumps are not paired": [
-        "entropy._level_sums_exact"],
     "failure path: the text of an error message": [
         "dyadic.DyadicInterval.__repr__", "dyadic.DyadicRational.__repr__", "wavelet._at",
         "wavelet._bisect_zero.<locals>.where"],

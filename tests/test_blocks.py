@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import dyadosc as d
-from dyadosc import cli
+from dyadosc import blocks, cli
 from dyadosc.dyadic import DyadicInterval as DI
 from dyadosc.dyadic import DyadicRational as DR
 from dyadosc.martingale import address_bits
@@ -200,6 +200,18 @@ class TestBuildSchedule:
             d.build_schedule(0.5, 1, depth_cap=-1)
         with pytest.raises(d.DepthCapError):
             d.build_schedule(0.5, 1, depth_cap=0)
+
+    @pytest.mark.parametrize("beta", [0.3, 0.4, 0.6, 0.7])
+    def test_block_depth_one_short_is_refused(self, monkeypatch, beta):
+        # M - 1 fails the deep-piece bound (1/2)(1 - 2^-M) at stage 0; at
+        # beta 1/2 it meets the sandwich's lower end with equality,
+        # 2^((M - 1)/2) delta_j = 1/2, and the bound with it
+        real = blocks.m_of_delta
+        monkeypatch.setattr(blocks, "m_of_delta", lambda delta, b: real(delta, b) - 1)
+        with pytest.raises(d.DomainError, match="deep-piece lower bound fails"):
+            d.build_schedule(beta, 2, depth_cap=1024)
+        sched = d.build_schedule(0.5, 2, depth_cap=1024)
+        assert [st.M for st in sched.stages] == [real(d.delta_j(j), 0.5) - 1 for j in (0, 1)]
 
     def test_truncation_keeps_prefix(self):
         sched = d.build_schedule(0.5, 2, depth_cap=200)

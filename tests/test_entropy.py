@@ -29,14 +29,15 @@ def phi_highprec(eta) -> float:
 def _sweep_reference(S, eta, depth):
     """The per-cell mass sweep that the distinct-jump kernel replaced: every
     ratio, bound check, log2 and jump code computed once per cell (it reads
-    np.log2 where the kernel reads math.log2, which agree on these jumps)."""
+    np.log2 where the kernel reads math.log2, which agree on these jumps).
+    The audit is its own: each distinct sibling pair's exact ratios, built
+    from Fractions here, must split the parent's mass exactly."""
     d.MassMeasure(S, eta)
     phi = d.entropy_phi(eta)
     eta_frac = Fraction(eta)
     log2_mass = np.zeros(1)
     worst_margin, worst_member, members = 0.0, d.unit_interval(), 1
     paired = sums_exact = True
-    nums64, nums_big, den, bound64 = np.ones(1, dtype=np.int64), None, 1, 1
     for n, incs, s_vals in S.levels(depth):
         paired = paired and bool(np.all(incs[0::2] == -incs[1::2]))
         ratios = (1.0 + eta * incs) / 2.0
@@ -53,25 +54,10 @@ def _sweep_reference(S, eta, depth):
             if margins[j] < worst_margin:
                 worst_margin = float(margins[j])
                 worst_member = DI(n, int(np.nonzero(mask)[0][j]))
-        uniq = np.unique(incs)
-        fracs = [(1 + eta_frac * Fraction(float(v))) / 2 for v in uniq]
-        lev_den = math.lcm(*(f.denominator for f in fracs))
-        lut = [f.numerator * (lev_den // f.denominator) for f in fracs]
-        den *= lev_den
-        codes = np.searchsorted(uniq, incs)
-        if nums64 is not None:
-            max_r = max(*lut, 1)
-            if bound64 * max_r < (1 << 62) and len(lut) <= 8:
-                nums64 = np.repeat(nums64, 2) * np.array(lut, dtype=np.int64)[codes]
-                bound64 *= max_r
-                total = ((int((nums64 >> 31).sum()) << 31)
-                         + int((nums64 & ((1 << 31) - 1)).sum()))
-                sums_exact = sums_exact and total == den
-                continue
-            nums_big = nums64.astype(object)
-            nums64 = None
-        nums_big = np.repeat(nums_big, 2) * np.array(lut, dtype=object)[codes]
-        sums_exact = sums_exact and int(nums_big.sum()) == den
+        siblings = np.unique(np.stack([incs[0::2], incs[1::2]], axis=1), axis=0)
+        sums_exact = sums_exact and all(
+            (1 + eta_frac * Fraction(a)) / 2 + (1 + eta_frac * Fraction(b)) / 2 == 1
+            for a, b in siblings.tolist())
     return d.MassSweepReport(depth, eta, members, worst_margin, worst_member,
                              paired, sums_exact, phi)
 
@@ -112,7 +98,9 @@ def _graded():
 
 def _balanced_unpaired():
     """Level-2 jumps [0.25, 0.0, -0.25, 0.0], every other jump 0: siblings
-    do not cancel, yet every level's masses sum to exactly 1."""
+    do not cancel, so at eta 1/2 the two level-1 parents hand their
+    children 1.0625 and 0.9375 of their mass.  Every level's masses still
+    sum to exactly 1, but this is not a measure."""
     def inc(child):
         return (0.25, 0.0, -0.25, 0.0)[child.index] if child.level == 2 else 0.0
     return d.Martingale(inc, star_bound=1.0, name="balanced-unpaired")
@@ -313,6 +301,15 @@ class TestMassSweep:
         rep = d.sweep_mass_distribution(d.binary_digit_martingale(), 0.5, 20)
         assert rep.increments_paired and rep.level_sums_exact and rep.ok()
 
+    def test_ratio_off_by_1e_6_fails_the_audit(self, monkeypatch):
+        # the sums are computed from the ratios in use: paired jumps alone
+        # used to report them exact
+        real = entropy._mass_ratio
+        monkeypatch.setattr(entropy, "_mass_ratio", lambda eta, u: real(eta, u) + 1e-6)
+        rep = d.sweep_mass_distribution(d.binary_digit_martingale(), 0.5, 8)
+        assert rep.increments_paired
+        assert not rep.level_sums_exact and not rep.ok()
+
     def test_sweep_budget_checked_before_any_level(self, monkeypatch):
         monkeypatch.setattr(martingale, "SWEEP_CELL_BUDGET", 1 << 6)
         S = d.binary_digit_martingale()
@@ -332,6 +329,15 @@ class TestMassSweep:
         S = d.Martingale(lambda ch: math.nan, star_bound=1.0)
         with pytest.raises(d.DomainError):
             d.MassMeasure(S, 0.5).mass_log2(DI(1, 0))
+        with pytest.raises(d.DomainError):
+            d.sweep_mass_distribution(S, 0.5, 4)
+
+    @pytest.mark.parametrize("u", [math.inf, -math.inf])
+    def test_infinite_jump_is_a_domain_error(self, u):
+        # refused before the exact ratio: Fraction(inf) raises OverflowError
+        S = d.Martingale(lambda ch: u if ch.index & 1 == 0 else -u, star_bound=1.0)
+        with pytest.raises(d.DomainError):
+            d.MassMeasure(S, 0.5).ratio(DI(1, 0))
         with pytest.raises(d.DomainError):
             d.sweep_mass_distribution(S, 0.5, 4)
 
@@ -374,8 +380,9 @@ class TestMassSweepOracle:
         rep = d.sweep_mass_distribution(S, eta, depth)
         assert _report_key(rep) == _report_key(_sweep_reference(S, eta, depth))
         if name == "balanced-unpaired":
-            # the exact big-integer walk, not the pairing, finds the sums
-            assert not rep.increments_paired and rep.level_sums_exact
+            # level totals of 1 do not make a measure: each parent's mass
+            # must split exactly, and here neither level-1 parent's does
+            assert not rep.increments_paired and not rep.level_sums_exact
 
     def test_graded_takes_the_big_integer_path(self):
         S = _graded()
@@ -393,6 +400,8 @@ class TestMassSweepOracle:
             assert log2_mass.tolist() == [mm.mass_log2(DI(n, j)) for j in range(1 << n)]
 
     def test_fraction_lut_built_once_per_jump_set(self, monkeypatch):
+        # one exact ratio per distinct jump of the sweep, not per level or
+        # per cell: one Fraction of the jump, one of eta
         calls = []
         real = entropy.Fraction
 
@@ -400,21 +409,17 @@ class TestMassSweepOracle:
             calls.append(args)
             return real(*args)
 
-        def exact_walk(*args):
-            pytest.fail("a paired sweep took the exact big-integer walk")
-
         monkeypatch.setattr(entropy, "Fraction", counting)
-        monkeypatch.setattr(entropy, "_level_sums_exact", exact_walk)
-        rep = d.sweep_mass_distribution(d.RandomSignMartingale(4), 0.5, 12)
-        # paired levels sum to exactly 1 by construction: past eta, no
-        # Fraction at all
-        assert rep.increments_paired and rep.level_sums_exact
-        assert [a for a in calls if a != (0.5,)] == []
-        calls.clear()
-        S = d.ScaledMartingale(d.RandomSignMartingale(4), -1.0, star_bound=1.0)
-        rep = d.sweep_mass_distribution(S, 0.3, 12)
-        assert rep.increments_paired and rep.level_sums_exact
-        assert [a for a in calls if a != (0.3,)] == []
+        for S, eta in ((d.RandomSignMartingale(4), 0.5),
+                       (d.ScaledMartingale(d.RandomSignMartingale(4), -1.0,
+                                           star_bound=1.0), 0.3),
+                       (_graded(), 0.6)):
+            calls.clear()
+            rep = d.sweep_mass_distribution(S, eta, 12)
+            assert rep.increments_paired and rep.level_sums_exact
+            jumps = {u for _, incs, _ in S.levels(12) for u in incs.tolist()}
+            assert len(calls) == 2 * len(jumps)
+            assert sorted(a for a in calls if a != (eta,)) == sorted((u,) for u in jumps)
 
 
 def _mass_levels_unique(S, eta, depth):
@@ -589,6 +594,17 @@ class TestBesicovitch:
         assert peak < 12 << 16
         with pytest.raises(d.DomainError):
             d.besicovitch_count_bruteforce(-1, Fraction(1, 2))
+
+
+    def test_bruteforce_keeps_its_own_threshold(self, monkeypatch):
+        # the oracle must not read the threshold of the count it checks
+        monkeypatch.setattr(entropy, "besicovitch_threshold",
+                            lambda N, eta: pytest.fail("read besicovitch_threshold"))
+        assert d.besicovitch_count_bruteforce(20, Fraction(1, 2)) == 21700
+        assert d.besicovitch_count_bruteforce(10, Fraction(9, 10)) == 1
+        for eta in (0, 1, Fraction(3, 2), -0.5):
+            with pytest.raises(d.DomainError):
+                d.besicovitch_count_bruteforce(4, eta)
 
 
 class TestDimEstimate:
