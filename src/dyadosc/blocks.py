@@ -438,8 +438,6 @@ class BlockMartingale(PairedMartingale):
         results are bit-identical."""
         if depth > FLOAT_EXACT_DEPTH:
             return super().pair_primitives(ia, ib, depth)
-        if depth > self.max_depth:
-            raise DepthCapError(f"level {depth} beyond max depth {self.max_depth}")
         ia = np.asarray(ia, dtype=np.uint64)
         ib = np.asarray(ib, dtype=np.uint64)
         bits = bit_lengths(ia ^ ib)

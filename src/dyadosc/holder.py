@@ -343,8 +343,6 @@ class MartingaleInducedFunction(HolderFunction):
         if x.exponent > self.max_depth:
             raise DepthCapError(
                 f"dyadic point at depth {x.exponent} beyond cap {self.max_depth}")
-        if x.numerator == 0 or (x.numerator == 1 and x.exponent == 0):
-            return 0.0
         return self.S.primitive(unit_interval(), 0.0, x.numerator, x.exponent)
 
     def difference(self, a, b) -> float:
@@ -377,15 +375,8 @@ class MartingaleInducedFunction(HolderFunction):
             return math.ldexp(self.S.value(DyadicInterval(depth - bits, ia >> bits)),
                               bits - depth)
         if ib == 1 << depth:
-            # f(1) = 0, so the difference is -(f(a) - f(0))
-            return -self.S.primitive(unit_interval(), 0.0, ia, depth)
-        # deepest common ancestor: shared bit prefix of ia and ib
-        diff_bits = (ia ^ ib).bit_length()
-        anc = DyadicInterval(depth - diff_bits, ia >> diff_bits)
-        s_anc = self.S.value(anc)
-        mask = (1 << diff_bits) - 1
-        ga = self.S.primitive(anc, s_anc, ia & mask, diff_bits)
-        gb = self.S.primitive(anc, s_anc, ib & mask, diff_bits)
+            return -self.eval_dyadic(a)     # f(1) = 0
+        _, ga, gb = self.S.pair_primitive(ia, ib, depth)
         return gb - ga
 
     def dyadic_differences(self, lo, hi, depth: int) -> np.ndarray:

@@ -195,24 +195,24 @@ class Martingale:
                 cur = right
         return acc
 
-    def pair_primitives(self, ia: np.ndarray, ib: np.ndarray, depth: int):
-        """The descent behind f(b) - f(a), for arrays of address pairs.
+    def pair_primitive(self, a: int, b: int, depth: int):
+        """The descent behind f(b) - f(a), for the numerators a, b of two
+        depth-`depth` dyadic points: (S(anc), ga, gb) at their deepest
+        common dyadic ancestor anc, with ga, gb the integrals of S from the
+        left endpoint of anc to each point, by ``value`` and ``primitive``."""
+        bits = (a ^ b).bit_length()
+        anc = DyadicInterval(depth - bits, a >> bits)
+        s = self.value(anc)
+        mask = (1 << bits) - 1
+        return (s, self.primitive(anc, s, a & mask, bits),
+                self.primitive(anc, s, b & mask, bits))
 
-        `ia` and `ib` hold the numerators of depth-`depth` dyadic points.
-        Per pair, returns S(anc) at their deepest common dyadic ancestor
-        anc, and the integrals ga, gb of S from the left endpoint of anc
-        to each point, as three float arrays.  This loop over the scalar
-        ``value`` and ``primitive`` is the reference that array overrides
-        reproduce bit for bit.
-        """
+    def pair_primitives(self, ia: np.ndarray, ib: np.ndarray, depth: int):
+        """``pair_primitive`` over arrays of address pairs, as three float
+        arrays: the reference that array overrides reproduce bit for bit."""
         out = np.empty((3, len(ia)))
         for j, (a, b) in enumerate(zip(ia.tolist(), ib.tolist())):
-            bits = (a ^ b).bit_length()
-            anc = DyadicInterval(depth - bits, a >> bits)
-            s = self.value(anc)
-            mask = (1 << bits) - 1
-            out[:, j] = (s, self.primitive(anc, s, a & mask, bits),
-                         self.primitive(anc, s, b & mask, bits))
+            out[:, j] = self.pair_primitive(a, b, depth)
         return out[0], out[1], out[2]
 
     def level_increments(self, n: int) -> np.ndarray:
@@ -379,7 +379,7 @@ class _RandomUniformMartingale(RandomSignMartingale):
     _kind = "random-uniform"
 
     def _draw(self, bits):
-        return (bits >> 11) * 2.0 ** -52 - 1.0
+        return self.scale * ((bits >> 11) * 2.0 ** -52 - 1.0)
 
 
 class ScaledMartingale(Martingale):

@@ -336,10 +336,10 @@ class WaveletOscillator(HolderFunction):
         num, k, e = self._point_ratios(t, m, m)[-1]
         return Fraction(num, k << e)
 
-    def value_float(self, t: Fraction, lo_stage: int = 1) -> float:
-        """f(t) in floats, summed from stage `lo_stage` to the last built one:
-        the stage sum from the point 0, each stage one int / int."""
-        return self._difference(self._zeros, self._point_ratios(t, lo_stage))
+    def value_float(self, t: Fraction) -> float:
+        """f(t) in floats, summed over the built stages: the stage sum from
+        the point 0, each stage one int / int."""
+        return self._difference(self._zeros, self._point_ratios(t))
 
     def difference_float(self, a: Fraction, b: Fraction) -> float:
         """f(b) - f(a): per-stage exact differences of the two points'
@@ -427,12 +427,11 @@ def _annulus_offset(f: WaveletOscillator, x: Fraction, X: int, D: int, m: int,
     else:
         lo, hi = X + period, X + 3 * period
     t_star = _nested_plateau_point(f, x, lo, hi, D, m, sign)
-    # shift by whole periods into the annulus [period, 2 period]
+    # t_star lies in [lo, hi], so off starts in [period, 3 period]: shift
+    # it by whole periods into the annulus [period, 2 period]
     off = X - t_star if left else t_star - X
     while off > 2 * period:
         off -= period
-    while off < period:
-        off += period
     return off
 
 

@@ -9,8 +9,9 @@ has run once unmutated and passed. A check catches its mutant when it
 does not pass: a criterion fails its assertion or raises, or a command
 exits with a code other than 0. One line per pair is printed, then the
 run time. The script exits 1 on a pair that survives and is not in
-`SURVIVORS`, on a `SURVIVORS` pair that is now caught, or on a check
-that fails unmutated. pytest does not collect this file.
+`SURVIVORS`, on a `SURVIVORS` pair that is now caught, on a caught
+pair whose failure text lacks its `FAIL_TEXT`, or on a check that fails
+unmutated. pytest does not collect this file.
 
 The method is mutation analysis (R. A. DeMillo, R. J. Lipton and
 F. G. Sayward, "Hints on Test Data Selection", IEEE Computer, 1978),
@@ -117,6 +118,16 @@ SURVIVORS = {
 }
 
 
+# (mutant, check) pairs whose failure text must name what failed and where
+FAIL_TEXT = {
+    ("mass-ratio-plus-0.05", "criterion 3"): "first failure binary: level_sums_exact is False",
+    ("mass-ratio-plus-1e-6", "criterion 3"): "first failure binary: level_sums_exact is False",
+    ("phi-low-1e-6", "criterion 3"): "first failure binary: margin -1.60e-05 on [4095/2^16",
+    ("paired-jump-not-opposite", "criterion 3"):
+        "first failure binary: increments_paired is False",
+}
+
+
 def apply(mutant: Mutant) -> None:
     """Replace the target in its module or class, and in every dyadosc
     module that holds the same function under a name of its own."""
@@ -190,7 +201,10 @@ def main() -> int:
         for check in m.checks:
             code, detail = spawn(m.name, check)
             known = (m.name, check) in SURVIVORS
-            if code == CAUGHT:
+            text = FAIL_TEXT.get((m.name, check), "")
+            if code == CAUGHT and text not in detail:
+                verdict = f"CAUGHT, BUT WITHOUT {text!r}"
+            elif code == CAUGHT:
                 verdict = "CAUGHT, BUT LISTED AS A SURVIVOR" if known else "caught"
             elif code == PASSED:
                 verdict = "survives (known)" if known else "SURVIVES"

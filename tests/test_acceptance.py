@@ -83,13 +83,24 @@ def test_criterion_2_product_bound_suite():
             f"extremal 27/256 exact")
 
 
+def _first_mass_failure(name: str, rep, tol: float = 1e-9):
+    """The first verdict of a mass sweep report that fails, named with
+    its martingale, or None when the report passes."""
+    if rep.ok(tol):
+        return None
+    for verdict in ("increments_paired", "level_sums_exact"):
+        if not getattr(rep, verdict):
+            return f"{name}: {verdict} is False"
+    return f"{name}: margin {rep.worst_log2_margin:.2e} on {rep.worst_member}"
+
+
 def test_criterion_3_mass_distribution():
     t0 = time.time()
-    ok = True
+    failures = []
     details = []
     # binary
     rep = d.sweep_mass_distribution(d.binary_digit_martingale(), 0.5, 16)
-    ok &= rep.ok(1e-9)
+    failures.append(_first_mass_failure("binary", rep))
     details.append(f"binary margin {rep.worst_log2_margin:.2e}")
     # block-assembled (discounted to unit increments)
     sched = d.build_schedule(0.5, 1, depth_cap=160)
@@ -97,16 +108,19 @@ def test_criterion_3_mass_distribution():
     disc = d.Martingale(lambda ch: math.pow(2.0, -ch.level * 0.5) * B.increment(ch),
                         star_bound=0.5, name="block-discounted")
     rep_b = d.sweep_mass_distribution(disc, 0.25, 16)
-    ok &= rep_b.ok(1e-9)
+    failures.append(_first_mass_failure("block", rep_b))
     details.append(f"block margin {rep_b.worst_log2_margin:.2e}")
     # 100 random unit-increment martingales
     worst = math.inf
     for seed in range(100):
         r = d.sweep_mass_distribution(d.RandomSignMartingale(seed), 0.5, 16)
-        ok &= r.ok(1e-9)
+        failures.append(_first_mass_failure(f"random seed {seed}", r))
         worst = min(worst, r.worst_log2_margin)
     details.append(f"100 random, worst margin {worst:.2e}")
-    _report(3, ok, time.time() - t0, 60.0, "; ".join(details))
+    first = next((f for f in failures if f), None)
+    if first:
+        details.insert(0, f"first failure {first}")
+    _report(3, first is None, time.time() - t0, 60.0, "; ".join(details))
 
 
 def test_criterion_4_besicovitch_trend():

@@ -47,6 +47,28 @@ class TestMOfDelta:
         assert 0.5 <= 2.0 ** (5 * 0.5) * 0.1 <= 2.0 ** -0.5
 
 
+class TestBlockRefusals:
+    @pytest.mark.parametrize("call", [
+        lambda: d.m_of_delta(Fraction(1, 8), 1.0),
+        lambda: d.delta_j(-1),
+        lambda: d.build_schedule(1.0, 1),
+        lambda: d.build_schedule(0.5, 0),
+    ], ids=["depth-beta-1", "negative-stage", "schedule-beta-1", "no-stage"])
+    def test_domain_error(self, call):
+        with pytest.raises(d.DomainError):
+            call()
+
+    @pytest.mark.parametrize("delta, M, message", [
+        (3.0, 3, "partial sup bound fails at t=1"),
+        (-0.25, 3, "partial floor fails at t=1"),
+        # no ladder below M < 1, so only the whole block's sup is checked
+        (-100.0, -1, "block sup bound fails"),
+    ])
+    def test_verify_names_the_failing_bound(self, delta, M, message):
+        with pytest.raises(d.DomainError, match=message):
+            d.BuildingBlock(delta, d.unit_interval(), 0.5, M).verify()
+
+
 class TestBuildingBlock:
     @pytest.mark.parametrize("J", [DI(2, 9), DI(2, 4), DI(0, 1), DI(2, -1)])
     def test_block_inside_the_unit_interval(self, J):

@@ -3,9 +3,11 @@ import json
 import math
 import os
 import re
+import runpy
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,16 @@ def run(args):
 class TestExitCodes:
     def test_usage_error(self, capsys):
         assert run(["phi"]) == 2  # missing --eta
+
+    def test_module_entry_point_exits_with_the_code_of_main(self, tmp_path, monkeypatch):
+        # python -m dyadosc.cli
+        monkeypatch.setattr(sys, "argv", ["dyadosc", "phi", "--eta", "1.5",
+                                          "--out", str(tmp_path)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)     # cli is imported already
+            with pytest.raises(SystemExit) as exc:
+                runpy.run_module("dyadosc.cli", run_name="__main__")
+        assert exc.value.code == 3
 
     def test_unknown_command(self):
         assert run(["no-such-thing"]) == 2

@@ -18,6 +18,26 @@ class TestDyadicRational:
         assert DR(6, 3) == DR(3, 2)
         assert DR(0, 7).exponent == 0
 
+    def test_negative_exponent_refused(self):
+        with pytest.raises(d.DomainError):
+            DR(1, -1)
+
+    def test_reflected_subtraction_and_negation_match_fractions(self):
+        rng = random.Random(3)
+        for _ in range(200):
+            x = DR(rng.randint(-2**20, 2**20), rng.randint(0, 20))
+            k = rng.randint(-50, 50)
+            assert (k - x).as_fraction() == k - x.as_fraction()
+            assert (0.75 - x).as_fraction() == Fraction(3, 4) - x.as_fraction()
+            assert (-x).as_fraction() == -x.as_fraction()
+
+    def test_floor_scaled_is_the_exact_floor(self):
+        rng = random.Random(4)
+        for _ in range(500):
+            x = DR(rng.randint(-2**30, 2**30), rng.randint(0, 30))
+            n = rng.randint(0, 40)
+            assert x.floor_scaled(n) == math.floor(x.as_fraction() * 2**n), (x, n)
+
     @given(st.integers(-2**40, 2**40), st.integers(0, 40),
            st.integers(-2**40, 2**40), st.integers(0, 40))
     @settings(max_examples=200, deadline=None)
@@ -113,6 +133,18 @@ class TestLocate:
             assert d.locate(x, n + 1).parent() == I
 
 
+    def test_dyadic_rationals_and_ints(self):
+        for x in (DR(0, 0), DR(3, 3), DR(5, 7), DR(1, 0), DR(-3, 2), 0, 1, 2, -1):
+            for n in (0, 2, 3, 9):
+                exact = x.as_fraction() if isinstance(x, DR) else Fraction(x)
+                assert d.locate(x, n) == _locate_by_fraction(exact, n), (x, n)
+
+    def test_negative_level_refused(self):
+        for x in (0.5, DR(1, 1), 1):
+            with pytest.raises(d.DomainError):
+                d.locate(x, -1)
+
+
 def _locate_by_fraction(x, n):
     frac = Fraction(x)
     return d.DyadicInterval(n, (frac.numerator << n) // frac.denominator)
@@ -157,6 +189,13 @@ class TestChildren:
     def test_second_level(self):
         left, right = d.DyadicInterval(1, 1).children()
         assert (left, right) == (d.DyadicInterval(2, 2), d.DyadicInterval(2, 3))
+
+    def test_no_parent_or_ancestor_above_the_interval(self):
+        with pytest.raises(d.DomainError):
+            d.unit_interval().parent()
+        with pytest.raises(d.DomainError):
+            d.DyadicInterval(3, 5).ancestor(4)
+        assert d.DyadicInterval(3, 5).ancestor(1) == d.DyadicInterval(1, 1)
 
     def test_depth_cap(self):
         I = d.DyadicInterval(62, 123)

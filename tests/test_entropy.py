@@ -186,6 +186,39 @@ class TestProductLowerBound:
             d.product_lower_bound([1.5], 0.5)
 
 
+class TestEntropyRefusals:
+    @pytest.mark.parametrize("call", [
+        lambda: d.product_lower_bound([], 0.5),
+        lambda: d.product_lower_bound([0.5], 1.0),
+        lambda: d.product_lower_bound_exact([Fraction(3, 2)], Fraction(1, 2)),
+        lambda: d.extremal_bound_exact(3, Fraction(1, 2)),
+        lambda: d.covering_content([DI(1, 0)], 1.5, 0.5),
+        lambda: d.besicovitch_threshold(10, 1),
+        lambda: d.besicovitch_count(-1, 0.5),
+        lambda: d.dim_estimate([(20, 5), (0, 1)]),
+        lambda: d.dim_estimate([(20, 0)]),
+    ], ids=["no-x", "eta-1", "exact-x-above-1", "n0-not-integral", "content-s-above-1",
+            "threshold-eta-1", "count-negative-n", "estimate-n-0", "estimate-count-0"])
+    def test_domain_error(self, call):
+        with pytest.raises(d.DomainError):
+            call()
+
+    def test_underflowing_product_has_margin_minus_infinity(self):
+        # 4^-600 = 2^-1200 underflows to 0.0
+        res = d.product_lower_bound([-1.0] * 600, 0.5)
+        assert res.product == 0.0 and res.log2_margin == -math.inf
+        assert not res.hypothesis_holds
+
+    def test_zero_ratio_has_log2_mass_minus_infinity(self):
+        # jumps +-2 with no declared star bound: at eta = 1/2 the right
+        # child's ratio (1 + eta * -2) / 2 is 0
+        S = d.Martingale(lambda child: 2.0 if child.index % 2 == 0 else -2.0)
+        mm = d.MassMeasure(S, 0.5)
+        assert mm.mass_log2(DI(1, 1)) == -math.inf
+        assert mm.mass_log2(DI(3, 6)) == -math.inf
+        assert mm.mass_log2(DI(2, 0)) == 0.0
+
+
 class TestMassMeasure:
     def test_uniform_for_zero_martingale(self):
         mm = d.MassMeasure(d.zero_martingale(), 0.7)

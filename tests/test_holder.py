@@ -338,6 +338,29 @@ class TestMartingaleInduced:
         assert f(1.25) == pytest.approx(f(0.25), abs=1e-8)
 
 
+class TestHolderRefusals:
+    def test_alpha_outside_the_unit_interval(self):
+        with pytest.raises(d.DomainError):
+            d.HolderFunction(1.0, "user")
+
+    def test_base_class_has_no_values_or_antiderivative(self):
+        f = d.HolderFunction(0.5, "user")
+        with pytest.raises(NotImplementedError):
+            f(0.25)
+        with pytest.raises(d.DomainError, match="user has no antiderivative"):
+            f.antiderivative_batch(np.array([0.5]))
+
+    @pytest.mark.parametrize("x", [DR(3, 1), DR(-1, 2)])
+    def test_eval_dyadic_outside_the_unit_interval(self, x):
+        f = d.martingale_function(d.binary_digit_martingale(), 0.5)
+        with pytest.raises(d.DomainError):
+            f.eval_dyadic(x)
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert holder._usable_cpus() == (os.cpu_count() or 1)
+
+
 class TestSeminormEstimate:
     def test_constant_zero(self):
         est = d.holder_seminorm_estimate(
@@ -714,6 +737,84 @@ class TestIntegerRoutedDifference:
         with pytest.raises(d.DomainError):
             B.value(DI(3, 8))
         B.value(DI(B.max_depth, 0))
+
+
+def _inline_split(S, ia, ib, depth):
+    """The common-ancestor split spelled out from `value` and `primitive`,
+    as the reference that `Martingale.pair_primitive` must reproduce."""
+    diff_bits = (ia ^ ib).bit_length()
+    anc = DI(depth - diff_bits, ia >> diff_bits)
+    s_anc = S.value(anc)
+    mask = (1 << diff_bits) - 1
+    return (s_anc, S.primitive(anc, s_anc, ia & mask, diff_bits),
+            S.primitive(anc, s_anc, ib & mask, diff_bits))
+
+
+def _split_outcome(fn, *args):
+    """The hex of each float returned, or the class of the error raised."""
+    try:
+        return [float.hex(float(v)) for v in fn(*args)]
+    except (d.DomainError, d.DepthCapError) as err:
+        return type(err)
+
+
+class TestPairPrimitive:
+    """`Martingale.pair_primitive`, the one common-ancestor descent behind
+    f(b) - f(a), on four kinds of martingale at depths 0 to 70."""
+
+    @pytest.fixture(scope="class")
+    def kinds(self, block_martingale_half):
+        return {"binary": d.binary_digit_martingale(max_depth=80),
+                "random-sign": d.RandomSignMartingale(31, max_depth=80),
+                "scaled": d.ScaledMartingale(d.RandomSignMartingale(32, max_depth=80), 0.3),
+                "block": block_martingale_half}
+
+    def test_matches_inline_split(self, kinds):
+        rng = random.Random(131)
+        for name, S in kinds.items():
+            for depth in range(71):
+                top = 1 << depth
+                pairs = [(a, a) for a in _address_bits(rng, depth)]
+                pairs += [(rng.getrandbits(depth), rng.getrandbits(depth)) for _ in range(3)]
+                pairs += [(rng.getrandbits(depth), top)]   # a point and 1: no ancestor
+                for a, b in pairs:
+                    got = _split_outcome(S.pair_primitive, a, b, depth)
+                    assert got == _split_outcome(_inline_split, S, a, b, depth), \
+                        (name, a, b, depth)
+
+    def test_base_loop_is_one_pair_primitive_per_pair(self, kinds):
+        rng = random.Random(132)
+        for name, S in kinds.items():
+            for depth in (0, 1, 17, 53, 54, 60, 63):
+                ia = np.array([rng.getrandbits(depth) for _ in range(40)], dtype=np.uint64)
+                ib = np.array([rng.getrandbits(depth) for _ in range(40)], dtype=np.uint64)
+                got = np.array(d.Martingale.pair_primitives(S, ia, ib, depth)).T.tolist()
+                want = [list(S.pair_primitive(a, b, depth))
+                        for a, b in zip(ia.tolist(), ib.tolist())]
+                assert got == want, (name, depth)
+
+    def test_block_pairs_past_53_take_the_base_loop(self, block_martingale_half):
+        B = block_martingale_half
+        rng = random.Random(133)
+        for depth in (54, 58, 63):
+            ia = np.array([rng.getrandbits(depth) for _ in range(60)], dtype=np.uint64)
+            ib = np.array([rng.getrandbits(depth) for _ in range(60)], dtype=np.uint64)
+            got = B.pair_primitives(ia, ib, depth)
+            want = d.Martingale.pair_primitives(B, ia, ib, depth)
+            for g, w in zip(got, want):
+                assert g.tolist() == w.tolist()
+
+    def test_endpoints_and_the_to_one_route(self, kinds):
+        rng = random.Random(134)
+        for name, S in kinds.items():
+            f = d.martingale_function(S, 0.5)
+            for x in (DR(0, 0), DR(1, 0)):
+                assert float.hex(f.eval_dyadic(x)) == float.hex(0.0), (name, x)
+            for depth in range(2, 71):
+                # [a, 1) is not one dyadic interval: a is not 1 - 2^-depth
+                a = DR(rng.randrange(0, (1 << depth) - 2, 2) | 1, depth)
+                want = -S.primitive(d.unit_interval(), 0.0, a.numerator, depth)
+                assert float.hex(f.difference(a, 1)) == float.hex(want), (name, a)
 
 
 def _scalar_seminorm(f, sampler):

@@ -349,6 +349,27 @@ class TestNaNJump:
         assert rep.worst_interval == DI(2, 2)     # the first NaN: its children
 
 
+class TestMartingaleRefusals:
+    @pytest.mark.parametrize("call", [
+        lambda: d.Martingale(lambda child: 0.0, max_depth=-1),
+        lambda: d.binary_digit_martingale().increment(d.unit_interval()),
+        lambda: d.binary_digit_martingale().level_increments(0),
+        lambda: d.GrowthMartingale(1.0, d.RandomSignMartingale(1)),
+        lambda: d.SubsampledMartingale(d.binary_digit_martingale(), 2, 1, 0.0).value(
+            1, DI(2, 0)),
+    ], ids=["negative-max-depth", "root-increment", "level-0-increments",
+            "growth-beta-1", "subsampled-off-level"])
+    def test_domain_error(self, call):
+        with pytest.raises(d.DomainError):
+            call()
+
+    def test_subsampled_value_on_its_level(self):
+        S = d.RandomSignMartingale(4)
+        T = d.SubsampledMartingale(S, 2, 1, 0.5)
+        for j in range(8):
+            assert T.value(1, DI(3, j)) == S.value(DI(3, j)) / 2.5
+
+
 class TestRandomSign:
     def test_deterministic_and_paired(self):
         A = d.RandomSignMartingale(11)
@@ -365,6 +386,14 @@ class TestRandomSign:
         vals = S.level_values(6)
         for j in range(1 << 6):
             assert vals[j] == S.value(DI(6, j))
+
+    def test_uniform_draws_keep_their_declared_scale(self):
+        S = martingale._RandomUniformMartingale(1, scale=0.5)
+        unit = martingale._RandomUniformMartingale(1)
+        assert S.star_bound == 0.5 and d.star_norm(S, 10) <= 0.5
+        for n in range(1, 11):
+            assert S.level_increments(n).tolist() == (0.5 * unit.level_increments(n)).tolist()
+            assert S.increment(DI(n, n)) == 0.5 * unit.increment(DI(n, n))
 
     def test_scalar_increment_allocates_no_level(self):
         # one deep scalar jump must not materialize the 2^23 parent signs

@@ -21,6 +21,12 @@ from oracles import (
 )
 
 
+def _tail(f, t, lo):
+    """f's stage sum at t from stage `lo` on, as the witness search reads
+    its tail: ``value_float`` without the stages below `lo`."""
+    return f._difference(f._zeros, f._point_ratios(t, lo))
+
+
 class TestBaseWavelet:
     def test_plateaus_exact(self):
         w = d.base_wavelet()
@@ -182,6 +188,24 @@ class TestSchedule:
         assert k == 11
         assert rec["clause1_margin"] >= 0.0
 
+    @pytest.mark.parametrize("alpha", [0.25, 0.3, 0.5, 0.7])
+    def test_least_certified_level_at_the_float_boundaries(self, alpha):
+        # bounds one ulp above eps 2^(n (1-alpha)) and eps 2^n / 10, where
+        # the float log2 lands on n; prev_k = -100 lets the clause decide k
+        eps = 1.0 / 200.0
+        for n in range(1, 60):
+            d1 = math.nextafter(math.pow(2.0, n * (1.0 - alpha)) * eps, math.inf)
+            k, rec = d.next_frequency_level(-100, alpha, eps, d1, 0.0)
+            assert rec["clause1_margin"] >= 0.0
+            assert math.pow(2.0, (k - 1) * (1.0 - alpha)) * eps < d1, (n, k)
+            d2 = math.nextafter(math.ldexp(eps, n) / 10.0, math.inf)
+            k, _ = d.next_frequency_level(-100, alpha, eps, 0.0, d2)
+            assert math.ldexp(10.0 * d2, -k) <= eps < math.ldexp(10.0 * d2, 1 - k), (n, k)
+
+    def test_alpha_outside_the_unit_interval(self):
+        with pytest.raises(d.DomainError, match="alpha"):
+            d.wavelet_schedule(1.0)
+
     def test_eps_only_tightens(self):
         with pytest.raises(d.DomainError):
             d.wavelet_schedule(0.5, 1.0 / 100.0, 2)
@@ -261,13 +285,13 @@ class TestWitnessScales:
         x = Fraction(3, 11)
         for m in (2, 3):
             offs = tail_extreme_offsets(f, x, m)
-            assert f.value_float(x + offs["r_plus"], m) == pytest.approx(
+            assert _tail(f, x + offs["r_plus"], m) == pytest.approx(
                 sch.tail_sum(m), rel=1e-12)
-            assert f.value_float(x + offs["r_minus"], m) == pytest.approx(
+            assert _tail(f, x + offs["r_minus"], m) == pytest.approx(
                 -sch.tail_sum(m), rel=1e-12)
-            assert f.value_float(x - offs["rho_plus"], m) == pytest.approx(
+            assert _tail(f, x - offs["rho_plus"], m) == pytest.approx(
                 sch.tail_sum(m), rel=1e-12)
-            assert f.value_float(x - offs["rho_minus"], m) == pytest.approx(
+            assert _tail(f, x - offs["rho_minus"], m) == pytest.approx(
                 -sch.tail_sum(m), rel=1e-12)
 
     def test_certificates_at_sampled_points(self, oscillator_half):
@@ -524,9 +548,9 @@ def _ref_witness_scales(f, x, m):
     elif (q_p > 1.0 and q_m < -1.0) or (q_p < -1.0 and q_m > 1.0):
         case = "ii"
         h_prime = _ref_bisect_zero(f, x, min(r_p, r_m_), max(r_p, r_m_))
-        t_tilde = f.value_float(x + h_prime, m)
-        move_p = abs(t_tilde - f.value_float(x + r_p, m))
-        move_m = abs(t_tilde - f.value_float(x + r_m_, m))
+        t_tilde = _tail(f, x + h_prime, m)
+        move_p = abs(t_tilde - _tail(f, x + r_p, m))
+        move_m = abs(t_tilde - _tail(f, x + r_m_, m))
         h = r_p if move_p >= move_m else r_m_
     else:
         case = "iii"
@@ -545,6 +569,33 @@ def _ref_witness_scales(f, x, m):
         tail_sum=f.schedule.tail_sum(m),
         h_side="right" if h > 0 else "left",
         h_prime_side="right" if h_prime > 0 else "left")
+
+
+class TestBisectZeroEnds:
+    """`_bisect_zero` on brackets whose ends decide it before any step."""
+
+    @pytest.fixture
+    def frame(self, oscillator_half):
+        f = oscillator_half
+        x = Fraction(3, 11)
+        X, D = wavelet._frame(f, x)
+        rx = f._ratios(X, D)
+        # an offset where f(x + t) - f(x) is not 0.0, off every plateau
+        period = D >> f.schedule.ks[1]
+        t = next(t for t in (period // 3, period // 5, period // 7)
+                 if f._difference(rx, f._ratios(X + t, D)) != 0.0)
+        return f, x, X, D, rx, t
+
+    def test_an_end_at_x_is_the_zero(self, frame):
+        f, x, X, D, rx, t = frame
+        assert wavelet._bisect_zero(f, x, X, D, rx, 2, 0, t) == (0, D)
+        assert wavelet._bisect_zero(f, x, X, D, rx, 2, t, 0) == (0, D)
+
+    def test_no_sign_change_is_named(self, frame):
+        f, x, X, D, rx, t = frame
+        with pytest.raises(wavelet.CertificationError,
+                           match=r"no sign change .*x = 3/11, m=2"):
+            wavelet._bisect_zero(f, x, X, D, rx, 2, t, t)
 
 
 class TestWitnessBisectionOracle:
@@ -719,7 +770,8 @@ class TestBinaryScaledKernelOracle:
                 ref_value = 0.0
                 for c, (rn, rd) in zip(f._coefficients[lo - 1:], want[lo - 1:]):
                     ref_value += c * (rn / rd)
-                assert _same_float(f.value_float(t, lo), ref_value), (t, lo)
+                got = f.value_float(t) if lo == 1 else _tail(f, t, lo)
+                assert _same_float(got, ref_value), (t, lo)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
     def test_stage_differences_match_num_den_oracle(self, alpha):
