@@ -37,7 +37,8 @@ def m_of_delta(delta, beta) -> int:
     """Block depth M(delta) = floor(log(1/(2 delta)) / ((1-beta) log 2)) + 1.
 
     Defined so that 1/2 <= 2^(M(1-beta)) * delta <= 2^-beta; the sandwich
-    is re-verified after rounding.
+    is re-verified after rounding, and a delta past the float range raises
+    DepthCapError.
     """
     delta_f = Fraction(delta)
     beta_f = Fraction(beta)
@@ -46,23 +47,25 @@ def m_of_delta(delta, beta) -> int:
     if not 0 < beta_f < 1:
         raise DomainError("beta must lie in (0, 1)")
     num = 1 / (2 * delta_f)
-    if num.denominator == 1 and (num.numerator & (num.numerator - 1)) == 0:
-        # delta a power of two: the quotient is exactly rational
-        e = num.numerator.bit_length() - 1
-        x = Fraction(e) / (1 - beta_f)
-        M = int(math.floor(x)) + 1
-    else:
-        x = math.log(1.0 / (2.0 * float(delta_f))) / ((1.0 - float(beta_f)) * math.log(2.0))
-        M = int(math.floor(x)) + 1
     # sandwich check, with a float-boundary nudge
     def sandwich(m: int) -> bool:
         v = math.pow(2.0, m * (1.0 - float(beta_f))) * float(delta_f)
         return 0.5 - 1e-12 <= v <= math.pow(2.0, -float(beta_f)) + 1e-12
-    if not sandwich(M):
-        for cand in (M - 1, M + 1):
-            if cand >= 1 and sandwich(cand):
-                return cand
-        raise DomainError(f"no block depth satisfies the sandwich at delta={delta}, beta={beta}")
+    try:
+        if num.denominator == 1 and (num.numerator & (num.numerator - 1)) == 0:
+            # delta a power of two: the quotient is exactly rational
+            x = Fraction(num.numerator.bit_length() - 1) / (1 - beta_f)
+        else:
+            x = (math.log(1.0 / (2.0 * float(delta_f)))
+                 / ((1.0 - float(beta_f)) * math.log(2.0)))
+        M = int(math.floor(x)) + 1
+        if not sandwich(M):
+            for cand in (M - 1, M + 1):
+                if cand >= 1 and sandwich(cand):
+                    return cand
+            raise DomainError(f"no block depth satisfies the sandwich at delta={delta}, beta={beta}")
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise DepthCapError(f"the block depth at delta={delta} leaves the float range") from exc
     return M
 
 

@@ -5,11 +5,11 @@ value at an interval is the mean of its children's values (cancellation).
 Every consumer reads it through ``increment(child)``, the scalar jump
 oracle, the level arrays ``level_increments(n)`` and
 ``level_values_range(n, lo, hi)``, or ``primitive``, the integral of S
-along one address (``pair_primitives`` for arrays of address pairs);
-whole-tree certificates walk the levels once, through ``levels``, behind
-the sweep budget.  The base class derives the arrays
-and the integral from the scalar oracle by plain loops, the reference
-that vectorized and closed-form overrides reproduce.  Jumps come from increment oracles,
+along one address (``pair_primitives`` for arrays of address pairs).
+Whole-tree certificates walk the levels once, through ``levels``, behind
+the sweep budget; a range read walks only the cells above its range.
+Base-class loops over the scalar oracle are the reference that vectorized
+and closed-form overrides reproduce.  Jumps come from increment oracles,
 which hand each pair of children exactly opposite jumps (a paired kind
 writes only its left child's jump), or from value oracles such as
 divided differences of a function, whose cancellation is checked.
@@ -111,20 +111,18 @@ class Martingale:
     ``star_bound``, when given, declares sup_n ||S_{n+1}-S_n||.
 
     The walk ``levels(depth)``, which sums each level's values from S_0
-    and the increments, is the definition that every certificate reads:
-    the mass sweep, the norms, summation by parts.  A kind's own ``value``
-    and ``level_values_range`` agree with it within the few ulps that
-    tests/test_martingale.py ``TestLevelsAgainstOwnValues`` pins (blocks
-    at beta 0.7 and ``from_function`` differ; the paired kinds and blocks
-    at beta 0.3 and 0.5 agree byte for byte).
+    and the increments, is the definition that every certificate reads,
+    and ``level_values_range`` walks it over one range.  A kind that
+    overrides ``value`` or ``level_values_range`` agrees with it within
+    the few ulps that tests/test_martingale.py ``TestLevelsAgainstOwnValues`` pins.
 
-    Subclasses keep the scalar ``increment`` and may override the level
-    arrays with vectorized sweeps that return the same floats (the
-    increments through the ``_level_increments`` hook, behind the gate;
-    ``PairedMartingale`` derives the oracle and the hook from one
-    left-child kernel), ``primitive`` with a closed form that agrees with
-    the bit walk to rounding, and ``pair_primitives`` with array passes
-    that return the floats of their own ``value`` and ``primitive``.
+    Subclasses keep the scalar ``increment`` and may override the hook
+    ``_level_increments(n, parents)``, which the gate and the range walk
+    call, with array code that returns the same floats (``PairedMartingale``
+    derives the oracle and the hook from one left-child kernel),
+    ``primitive`` with a closed form that agrees with the bit walk to
+    rounding, and ``pair_primitives`` with array passes that return the
+    floats of their own ``value`` and ``primitive``.
     """
 
     def __init__(self, increment_fn: Callable[[DyadicInterval], float],
@@ -221,19 +219,18 @@ class Martingale:
         if n < 1:
             raise DomainError("increments start at level 1")
         check_sweep_budget(n)
-        return self._level_increments(n)
+        return self._level_increments(n, np.arange(1 << (n - 1), dtype=np.uint64))
 
-    def _level_increments(self, n: int) -> np.ndarray:
-        """The level-n increments, once gated; this loop over the scalar
-        oracle is the reference that array overrides reproduce."""
-        return np.array([self.increment(DyadicInterval(n, j)) for j in range(1 << n)],
-                        dtype=float)
+    def _level_increments(self, n: int, parents: np.ndarray) -> np.ndarray:
+        """Jumps into level n of the children of `parents` (level n - 1
+        indices), left then right: the scalar loop that overrides reproduce."""
+        return np.array([self.increment(DyadicInterval(n, j)) for p in parents.tolist()
+                         for j in (2 * p, 2 * p + 1)], dtype=float)
 
     def levels(self, depth: int):
         """Yield (n, increments, values) for n = 1..depth, inside the sweep
         budget, with values summed from S_0: each child is its parent's
-        value plus its own jump.  A kind that overrides ``value`` or
-        ``level_values_range`` can differ from these by a few ulps."""
+        value plus its own jump, by two strided adds."""
         check_sweep_budget(depth)
         vals = np.full(1, float(self.s0))
         for n in range(1, depth + 1):
@@ -245,12 +242,23 @@ class Martingale:
             yield n, incs, vals
 
     def level_values_range(self, n: int, lo: int, hi: int) -> np.ndarray:
-        """Values of S_n on level-n indices [lo, hi), left to right."""
+        """Values of S_n on level-n indices [lo, hi): the walk of ``levels``
+        through only the cells above the range, O(hi - lo + n) of them."""
         self._check_range(n, lo, hi)
+        if n > min(self.max_depth, 64):     # parents are uint64 indices
+            raise DepthCapError(f"a range walk to level {n} is beyond its depth cap")
+        if hi == lo:
+            return np.zeros(0)
         vals = np.full(1, float(self.s0))
-        for _, _, vals in self.levels(n):
-            pass
-        return vals[lo:hi]
+        for m in range(1, n + 1):
+            first = lo >> (n - m + 1)       # `vals` starts at cell `first` of level m - 1
+            incs = self._level_increments(m, np.arange(first, first + vals.size,
+                                                       dtype=np.uint64))
+            kids = np.empty(incs.shape)
+            np.add(vals, incs[0::2], out=kids[0::2])
+            np.add(vals, incs[1::2], out=kids[1::2])
+            vals = kids[(lo >> (n - m)) - 2 * first:((hi - 1) >> (n - m)) + 1 - 2 * first]
+        return vals
 
     def level_values(self, n: int) -> np.ndarray:
         """Values of S_n on all 2^n level-n intervals, inside the budget."""
@@ -307,9 +315,9 @@ class PairedMartingale(Martingale):
         left = self._left(child.level, child.index >> 1)
         return left if (child.index & 1) == 0 else 0 - left
 
-    def _level_increments(self, n: int) -> np.ndarray:
-        left = self._left(n, np.arange(1 << (n - 1), dtype=np.uint64))
-        out = np.empty(1 << n)
+    def _level_increments(self, n: int, parents: np.ndarray) -> np.ndarray:
+        left = self._left(n, parents)
+        out = np.empty(2 * parents.size)
         out[0::2] = left
         np.subtract(0.0, left, out=out[1::2])
         return out
@@ -328,10 +336,6 @@ class BinaryDigitMartingale(PairedMartingale):
     def value(self, I: DyadicInterval) -> int:
         self._check(I)
         return 2 * int(I.index).bit_count() - I.level
-
-    def level_values_range(self, n: int, lo: int, hi: int) -> np.ndarray:
-        self._check_range(n, lo, hi)
-        return 2.0 * np.bitwise_count(np.arange(lo, hi, dtype=np.uint64)) - n
 
 
 def binary_digit_martingale(max_depth: int = DEFAULT_MAX_DEPTH) -> BinaryDigitMartingale:
@@ -400,8 +404,8 @@ class ScaledMartingale(Martingale):
     def _scaled_inc(self, child: DyadicInterval) -> float:
         return math.pow(2.0, child.level * self.gamma) * self.base.increment(child)
 
-    def _level_increments(self, n: int) -> np.ndarray:
-        return math.pow(2.0, n * self.gamma) * self.base._level_increments(n)
+    def _level_increments(self, n: int, parents: np.ndarray) -> np.ndarray:
+        return math.pow(2.0, n * self.gamma) * self.base._level_increments(n, parents)
 
 
 def _sup(values, start: float = 0.0) -> float:
@@ -427,21 +431,16 @@ _CANCELLATION_CHUNK = 1 << 16
 def check_cancellation(S: Martingale, depth: int) -> CancellationReport:
     """Exhaustively verify value(I) = mean of children values to `depth`.
 
-    Reports the largest deviation and the interval attaining it.  Levels
-    are read in chunks of parents to bound memory; a level whose parents
-    fit in one chunk reads its children whole, and they serve as the next
-    level's parents, which are then not read again.
+    Reports the largest deviation and the interval attaining it; each
+    level is read in chunks of parents, with their children.
     """
     worst = 0.0
     worst_iv: Optional[DyadicInterval] = None
     checked = 0
-    whole = None        # all of level n, when level n - 1 was one chunk
     for n in range(depth):
-        size = 1 << n
-        step = min(size, _CANCELLATION_CHUNK)
-        for lo in range(0, size, step):
-            parents = (S.level_values_range(n, lo, lo + step) if whole is None
-                       else whole[lo:lo + step])
+        step = min(1 << n, _CANCELLATION_CHUNK)
+        for lo in range(0, 1 << n, step):
+            parents = S.level_values_range(n, lo, lo + step)
             kids = S.level_values_range(n + 1, 2 * lo, 2 * (lo + step))
             viol = np.abs(parents - 0.5 * (kids[0::2] + kids[1::2]))
             j = int(np.argmax(viol))      # the first NaN, if there is one
@@ -449,7 +448,6 @@ def check_cancellation(S: Martingale, depth: int) -> CancellationReport:
                 worst = float(viol[j])
                 worst_iv = DyadicInterval(n, lo + j)
             checked += step
-        whole = kids if step == size else None
     return CancellationReport(worst, worst_iv, checked)
 
 

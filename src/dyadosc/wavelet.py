@@ -292,12 +292,11 @@ class WaveletOscillator(HolderFunction):
                               for m in range(1, schedule.stages + 1)]
         self._zeros = [(0, 1, 0)] * schedule.stages
 
-    def _ratios(self, n: int, d: int, lo: int = 1,
-                hi: Optional[int] = None) -> list[tuple[int, int, int]]:
-        """psi_m(n/d) for stages lo..hi as `BaseWavelet._ratio` triples, for
-        integers d > 0, after the zero triple (0, 1, 0) for each stage below
-        lo.  Common factors of two are stripped and d = o 2^e
-        is split once; stage k reads the point as n / (o 2^(e-k)), or
+    def _ratios(self, n: int, d: int, lo: int = 1) -> list[tuple[int, int, int]]:
+        """psi_m(n/d) for stage lo and every later stage as `BaseWavelet._ratio`
+        triples, for integers d > 0, after the zero triple (0, 1, 0) for each
+        stage below lo.  Common factors of two are stripped and d = o 2^e is
+        split once; stage k reads the point as n / (o 2^(e-k)), or
         (n 2^(k-e)) / o once k passes e, so its binary scale shrinks
         instead of its numerator growing."""
         ratio = self.wavelet._ratio
@@ -305,17 +304,12 @@ class WaveletOscillator(HolderFunction):
         s = low.bit_length() - 1
         n, (o, e) = n >> s, _split(d >> s)
         out = self._zeros[:lo - 1]
-        for k in self.schedule.ks[lo - 1:hi]:
+        for k in self.schedule.ks[lo - 1:]:
             nk, ek = (n, e - k) if k <= e else (n << k - e, 0)
             # the nearest translate j = floor(nk / (o 2^ek) + 1/2)
             j = ((2 * nk >> ek) + o) // (2 * o)
             out.append(ratio(nk - (j * o << ek), o, ek))
         return out
-
-    def _point_ratios(self, t, lo: int = 1,
-                      hi: Optional[int] = None) -> list[tuple[int, int, int]]:
-        t = t if isinstance(t, Fraction) else Fraction(t)
-        return self._ratios(t.numerator, t.denominator, lo, hi)
 
     def _difference(self, ra: list, rb: list) -> float:
         """sum_m c_m (psi_m(b) - psi_m(a)) from both points' stage triples,
@@ -333,13 +327,15 @@ class WaveletOscillator(HolderFunction):
 
     def stage_value_exact(self, m: int, t: Fraction) -> Fraction:
         """psi_m(t) = phi(2^(k_m) t - j) for the unique live translate."""
-        num, k, e = self._point_ratios(t, m, m)[-1]
+        t = _to_fraction(t)
+        num, k, e = self._ratios(t.numerator, t.denominator, m)[m - 1]
         return Fraction(num, k << e)
 
     def value_float(self, t: Fraction) -> float:
         """f(t) in floats, summed over the built stages: the stage sum from
         the point 0, each stage one int / int."""
-        return self._difference(self._zeros, self._point_ratios(t))
+        t = _to_fraction(t)
+        return self._difference(self._zeros, self._ratios(t.numerator, t.denominator))
 
     def difference_float(self, a: Fraction, b: Fraction) -> float:
         """f(b) - f(a): per-stage exact differences of the two points'
@@ -349,19 +345,21 @@ class WaveletOscillator(HolderFunction):
         near a stage-4 zero crossing of the alpha = 1/2 schedule, stage-3
         and stage-4 terms of +-1.958e-29 cancel to about 1.9e-40, and the
         float sum cannot resolve below their last bit, 2.8e-45."""
-        return self._difference(self._point_ratios(a), self._point_ratios(b))
+        a, b = _to_fraction(a), _to_fraction(b)
+        return self._difference(self._ratios(a.numerator, a.denominator),
+                                self._ratios(b.numerator, b.denominator))
 
     def difference(self, a, b) -> float:
-        return self.difference_float(_to_fraction(a), _to_fraction(b))
+        return self.difference_float(a, b)
 
     def _eval(self, x):
-        return self.value_float(Fraction(x))
+        return self.value_float(x)
 
 
 def _to_fraction(x) -> Fraction:
     if isinstance(x, DyadicRational):
         return x.as_fraction()
-    return Fraction(x)
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def wavelet_oscillator(schedule: WaveletSchedule) -> WaveletOscillator:

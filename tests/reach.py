@@ -50,8 +50,7 @@ KEEP = {name: reason for reason, names in {
     FALLBACK + "a martingale built from an increment oracle, and of "
     "pair_primitives past depth 53": [
         "martingale.Martingale.primitive", "martingale.Martingale.pair_primitives",
-        "martingale.Martingale.level_values_range", "dyadic.DyadicInterval.ancestor",
-        "dyadic.DyadicInterval.left_half"],
+        "dyadic.DyadicInterval.ancestor", "dyadic.DyadicInterval.left_half"],
     FALLBACK + "`increment` on scaled, growth and from-function martingales": [
         "martingale.ScaledMartingale._scaled_inc",
         "martingale.ValueMartingale._increment_from_values"],

@@ -125,17 +125,25 @@ def test_criterion_3_mass_distribution():
 
 def test_criterion_4_besicovitch_trend():
     t0 = time.time()
-    ok = True
+    failures = []
     details = []
     for eta in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
         phi = d.entropy_phi(float(eta))
         counts = [(N, d.besicovitch_count(N, eta)) for N in (20, 100, 500, 2000)]
         ests = d.dim_estimate(counts)
-        ok &= all(a < b for a, b in zip(ests, ests[1:]))
-        ok &= abs(phi - ests[-1]) < 0.02
-        ok &= counts[0][1] == d.besicovitch_count_bruteforce(20, eta)
-        details.append(f"eta={eta}: gap@2000={phi - ests[-1]:.4f}")
-    _report(4, ok, time.time() - t0, 60.0, "; ".join(details))
+        brute = d.besicovitch_count_bruteforce(20, eta)
+        gap = phi - ests[-1]
+        if not all(a < b for a, b in zip(ests, ests[1:])):
+            failures.append(f"eta={eta}: exponents {[round(e, 4) for e in ests]} "
+                            f"not increasing")
+        if not abs(gap) < 0.02:
+            failures.append(f"eta={eta}: gap@2000={gap:.4f} not below 0.02")
+        if counts[0][1] != brute:
+            failures.append(f"eta={eta}: count@20={counts[0][1]}, brute force {brute}")
+        details.append(f"eta={eta}: gap@2000={gap:.4f}")
+    if failures:
+        details.insert(0, f"first failure {failures[0]}")
+    _report(4, not failures, time.time() - t0, 60.0, "; ".join(details))
 
 
 def test_criterion_5_counterexample_certificates():

@@ -46,6 +46,23 @@ class TestMOfDelta:
         assert d.m_of_delta(0.1, 0.5) == 5
         assert 0.5 <= 2.0 ** (5 * 0.5) * 0.1 <= 2.0 ** -0.5
 
+    @pytest.mark.parametrize("delta", [1e-310, 5e-324, Fraction(3, 2 ** 1100), 3e-309],
+                             ids=["inf-quotient", "least-subnormal", "float-zero",
+                                  "sandwich-overflow"])
+    def test_past_the_float_range(self, delta):
+        # these raised OverflowError (an infinite 1/(2 delta), or the
+        # sandwich's power at 1/(2 delta) = 1.7e308) or ZeroDivisionError
+        with pytest.raises(d.DepthCapError, match="delta="):
+            d.m_of_delta(delta, 0.5)
+
+    def test_building_block_past_the_float_range(self):
+        with pytest.raises(d.DepthCapError, match="delta="):
+            d.building_block(1e-310, DI(0, 0), 0.5)
+
+    def test_float_range_edge_kept(self):
+        assert d.m_of_delta(1e-308, 0.5) == 2045
+        assert d.m_of_delta(1e-300, 0.5) == 1992
+
 
 class TestBlockRefusals:
     @pytest.mark.parametrize("call", [

@@ -326,6 +326,23 @@ class TestCancellationChunks:
         assert rep.checked == (1 << 20) - 1 and rep.ok()
         assert peak < 16 << 20
 
+    def test_hook_cells_bounded(self):
+        # each chunk read walks only the cells above its range: about
+        # 3 x 2^21 cells in all, where whole-level walks per chunk
+        # returned 33,030,054 (15.75 x 2^21)
+        S = d.RandomSignMartingale(3)
+        hook = S._level_increments
+        cells = []
+
+        def counted(n, parents):
+            out = hook(n, parents)
+            cells.append(out.size)
+            return out
+
+        S._level_increments = counted
+        assert d.check_cancellation(S, 20).ok(0.0)
+        assert sum(cells) <= 4 << 21
+
 
 class TestNaNJump:
     def test_sup_certificates_report_nan(self):
@@ -427,8 +444,8 @@ class TestLevelArrayOracle:
     def test_level_arrays_match_scalar_loops(self, name):
         S = _vectorized_members()[name]
         for n in range(1, 11):
-            assert np.array_equal(S.level_increments(n),
-                                  d.Martingale._level_increments(S, n))
+            assert np.array_equal(S.level_increments(n), d.Martingale._level_increments(
+                S, n, np.arange(1 << (n - 1), dtype=np.uint64)))
         rng = random.Random(name)
         for _ in range(20):
             n = rng.randint(0, 16)
@@ -636,6 +653,69 @@ def _check_cancellation_every_chunk_read(S, depth):
     return martingale.CancellationReport(worst, worst_iv, checked)
 
 
+def _walk_and_slice(S, n, lo, hi):
+    """The base `level_values_range` before range walks, verbatim: the
+    whole level walked by `levels`, then sliced."""
+    S._check_range(n, lo, hi)
+    vals = np.full(1, float(S.s0))
+    for _, _, vals in S.levels(n):
+        pass
+    return vals[lo:hi]
+
+
+def _range_walk_kinds():
+    B = d.assemble_martingale(d.build_schedule(0.5, 1, depth_cap=160))
+    return {
+        "random-sign": d.RandomSignMartingale(7, scale=0.75),
+        "random-uniform": martingale._RandomUniformMartingale(5),
+        "random-growth": d.random_growth_martingale(0.6, seed=5),
+        "scaled": d.ScaledMartingale(d.RandomSignMartingale(9), 0.3, s0=5.0),
+        "zero": d.zero_martingale(),
+        "binary": d.binary_digit_martingale(),
+        "block-discounted": d.ScaledMartingale(B, -0.5, star_bound=0.5),
+        "lambda": d.Martingale(lambda ch: math.pow(2.0, -ch.level * 0.5) * B.increment(ch),
+                               s0=1.25),
+    }
+
+
+class TestRangeWalkOracle:
+    """The range walk of the base `level_values_range` against the whole
+    level walked and sliced: the same bytes on every range."""
+
+    @pytest.mark.parametrize("name", sorted(_range_walk_kinds()))
+    def test_byte_equal_to_walk_and_slice(self, name):
+        S = _range_walk_kinds()[name]
+        rng = random.Random(name)
+        for n in range(15):
+            top = 1 << n
+            full = _walk_and_slice(S, n, 0, top)
+            ranges = [(0, top), (0, 0), (top, top), (0, 1), (top - 1, top)]
+            for _ in range(12):
+                lo = rng.randrange(top + 1)
+                ranges += [(lo, rng.randrange(lo, top + 1)), (lo, lo), (lo, min(lo + 1, top))]
+            for lo, hi in ranges:
+                got = S.level_values_range(n, lo, hi)
+                want = _walk_and_slice(S, n, lo, hi)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (n, lo, hi)
+                assert want.tobytes() == full[lo:hi].tobytes()
+
+    @pytest.mark.parametrize("S", [d.RandomSignMartingale(4), d.binary_digit_martingale()],
+                             ids=["random-sign", "binary"])
+    def test_deep_reads_match_scalar_values(self, S):
+        # a range read no longer walks its whole level: level 48 in 48
+        # steps; the binary kind's scalar value is its digit count
+        for j in (0, 12345, (1 << 48) - 3):
+            assert S.level_values_range(48, j, j + 3).tolist() == [
+                S.value(DI(48, i)) for i in range(j, j + 3)]
+
+    def test_beyond_the_depth_cap(self):
+        for S in (d.RandomSignMartingale(4), d.RandomSignMartingale(4, max_depth=100)):
+            cap = min(S.max_depth, 64)
+            assert S.level_values_range(cap, 0, 1).size == 1
+            with pytest.raises(d.DepthCapError):
+                S.level_values_range(cap + 1, 0, 1)
+
+
 class TestLeanLevelWalkOracle:
     """The in-place level kernels against the forms they replaced."""
 
@@ -679,8 +759,7 @@ class TestLeanLevelWalkOracle:
     ])
     def test_check_cancellation_reports_equal(self, block_martingale_half, monkeypatch,
                                               name, depth, chunk):
-        # depth 19 reads levels 17 and 18 in chunks, their parents sliced
-        # from the whole level 16 and 17 reads; the value oracle has
+        # depth 19 reads levels 17 and 18 in chunks; the value oracle has
         # nonzero violations, so worst_interval is a real interval
         S = {"block": block_martingale_half,
              "random-sign": d.RandomSignMartingale(3),
@@ -785,7 +864,7 @@ class TestWholeTreeSweepBudget:
 
 class TestLevelValuesRangeCheck:
     """Each level_values_range implementation checks its range first: the
-    base loop, the value oracle, the binary count and the block form."""
+    base walk (random-sign and binary), the value oracle and the block form."""
 
     @pytest.fixture
     def kinds(self, block_martingale_half):

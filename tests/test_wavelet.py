@@ -10,6 +10,7 @@ from scipy.integrate import quad
 
 import dyadosc as d
 from dyadosc import wavelet
+from dyadosc.dyadic import DyadicRational as DR
 from oracles import (
     _s5_d1,
     _s5_d2,
@@ -24,7 +25,7 @@ from oracles import (
 def _tail(f, t, lo):
     """f's stage sum at t from stage `lo` on, as the witness search reads
     its tail: ``value_float`` without the stages below `lo`."""
-    return f._difference(f._zeros, f._point_ratios(t, lo))
+    return f._difference(f._zeros, f._ratios(t.numerator, t.denominator, lo))
 
 
 class TestBaseWavelet:
@@ -461,6 +462,24 @@ class TestExactKernelOracle:
                 want += coef(m) * float(f.stage_value_exact(m, a))
             assert f.value_float(a) == want, a
 
+    def test_every_read_takes_a_dyadic_rational(self, oscillator_half):
+        # value_float and stage_value_exact raised TypeError on a
+        # DyadicRational, which difference and witness_scales accepted
+        f = oscillator_half
+        rng = random.Random(59)
+        pts = [DR(12345, 20), DR(0, 0), DR(1, 1)]
+        pts += [DR(rng.getrandbits(bits), bits) for bits in (3, 40, 90, 300) for _ in range(5)]
+        for p in pts:
+            t = p.as_fraction()
+            assert _same_float(f.value_float(p), f.value_float(t)), p
+            assert _same_float(f._eval(p), f.value_float(t)), p
+            for m in range(1, f.schedule.stages + 1):
+                assert f.stage_value_exact(m, p) == f.stage_value_exact(m, t), (p, m)
+            q = pts[0]
+            assert _same_float(f.difference_float(q, p),
+                               f.difference_float(q.as_fraction(), t)), p
+            assert _same_float(f.difference(q, p), f.difference_float(q.as_fraction(), t)), p
+
     def test_witness_scales_digest(self, oscillator_half):
         # sha256 of the witness records at 20 points and every stage, taken
         # from the Fraction-scan evaluator before the integer kernel
@@ -761,7 +780,7 @@ class TestBinaryScaledKernelOracle:
         f = d.wavelet_oscillator(d.wavelet_schedule(alpha, 1.0 / 200.0, 4))
         for t in self._points(f, 71):
             want = _ref_ratios(f, t)
-            got = f._point_ratios(t)
+            got = f._ratios(t.numerator, t.denominator)
             for m, ((num, k, e), (rn, rd)) in enumerate(zip(got, want), start=1):
                 assert Fraction(num, k << e) == Fraction(rn, rd), (t, m)
                 assert f.stage_value_exact(m, t) == Fraction(rn, rd), (t, m)
@@ -810,7 +829,8 @@ class TestBinaryScaledKernelOracle:
         rng = random.Random(76)
         for bits in (8, 64, 200, 1000):
             for _ in range(50):
-                for triple in f._point_ratios(Fraction(rng.getrandbits(bits), 1 << bits)):
+                t = Fraction(rng.getrandbits(bits), 1 << bits)
+                for triple in f._ratios(t.numerator, t.denominator):
                     num, k, e = triple
                     assert 0 < k < 1 << 64, (bits, k)
                     assert e >= 0
