@@ -159,8 +159,8 @@ def cmd_mass_measure(args, w: RunWriter) -> int:
     # the log2 masses of the sweep's kernel, equal to `mass_log2` per cell
     dump_depth = min(args.depth, 10)
     rows = [[0, 0, 0.0]]
-    for n, *_, log2_mass in entropy._mass_levels(S, args.eta, dump_depth):
-        rows.extend([n, j, v] for j, v in enumerate(log2_mass.tolist()))
+    for n, lo, *_, log2_mass in entropy._mass_blocks(S, args.eta, dump_depth):
+        rows.extend([n, lo + j, v] for j, v in enumerate(log2_mass.tolist()))
     w.write_csv("mass_measure.csv", ["level", "index", "mass_log2"], rows)
     w.write_json("mass_report.json", {
         "members": rep.members,

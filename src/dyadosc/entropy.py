@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .dyadic import DomainError, DyadicInterval, unit_interval
+from .dyadic import DomainError, DyadicInterval
 from .martingale import Martingale, check_sweep_budget
 
 
@@ -220,25 +220,26 @@ def _jump_codes(incs: np.ndarray, uniq: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _mass_levels(S: Martingale, eta: float, depth: int,
+def _mass_blocks(S: Martingale, eta: float, depth: int,
                  ratios: Optional[dict] = None):
-    """The mass sweep's per-level kernel: for n = 1..depth, yields
-    (n, incs, s_vals, uniq, codes, log2_mass).
+    """The mass sweep's kernel: for each block of ``S.level_blocks(depth)``
+    yields (n, lo, incs, s_vals, uniq, codes, log2_mass).
 
     A sweep holds a handful of distinct jumps, so what depends on the jump
     alone is computed once per distinct jump of the sweep: the exact ratio
     (1 + eta*u)/2 and its bound check, kept in `ratios`, and the
     `math.log2` of its float, as in ``MassMeasure.mass_log2``.  The cells
-    read their ratio's log2 through `codes`, their positions in `uniq`,
-    and add their parent's log2 mass to it (the sum of the scalar oracle,
-    whose two terms commute).
+    read their ratio's log2 through `codes`, their positions in the
+    block's distinct jumps `uniq`, and add their parent's log2 mass to it
+    (the sum of the scalar oracle, whose two terms commute), a slice of the
+    last block read a level up, which holds the block's parents.
     """
     MassMeasure(S, eta)     # its domain checks, before any level is built
     eta_f = float(eta)
     ratios = {} if ratios is None else ratios
     log2s: dict[float, float] = {}
-    log2_mass = np.zeros(1)
-    for n, incs, s_vals in S.levels(depth):
+    last = {0: (0, np.zeros(1))}    # level -> (lo, log2 masses) of its last block
+    for n, lo, incs, s_vals in S.level_blocks(depth):
         uniq = _distinct_jumps(incs)
         jumps = uniq.tolist()
         for u in jumps:
@@ -248,32 +249,34 @@ def _mass_levels(S: Martingale, eta: float, depth: int,
         lg = np.array([log2s[u] for u in jumps])
         codes = _jump_codes(incs, uniq)
         kids = lg.take(codes)
-        kids[0::2] += log2_mass
-        kids[1::2] += log2_mass
-        log2_mass = kids
-        yield n, incs, s_vals, uniq, codes, log2_mass
+        plo, masses = last[n - 1]
+        parents = masses[lo // 2 - plo:lo // 2 - plo + kids.size // 2]
+        kids[0::2] += parents
+        kids[1::2] += parents
+        last[n] = (lo, kids)
+        yield n, lo, incs, s_vals, uniq, codes, kids
 
 
 def sweep_mass_distribution(S: Martingale, eta: float, depth: int) -> MassSweepReport:
     """Check mu(I) >= |I|^Phi(eta) on {S(I) >= eta log2(1/|I|)} to `depth`.
 
-    Works levelwise through ``S.levels`` under the mass measure's domain
-    checks, so S_0 = 0 and the root is a member with margin 0; float log2
-    masses give the margins.  The audit reads the exact ratios the kernel
-    used: every parent's mass splits exactly when every level is paired
-    (sibling jumps u and -u) and ratio(u) + ratio(-u) == 1 for each
-    distinct jump u of the sweep; then every level sums to 1, by
-    induction from the root.
+    Works block by block through ``S.level_blocks``, depth first, under
+    the mass measure's domain checks, so S_0 = 0 and the root is a member
+    with margin 0; float log2 masses give the margins, and the worst member
+    is the first of least margin in level order.  The audit reads the
+    exact ratios the kernel used: every parent's mass splits exactly when
+    every block is paired (sibling jumps u and -u) and ratio(u) + ratio(-u)
+    == 1 for each distinct jump u of the sweep; then every level sums to 1,
+    by induction from the root.
     """
     if depth < 1:
         raise DomainError("the mass sweep needs depth >= 1")
     phi = entropy_phi(eta)
-    worst_margin = 0.0
-    worst_member = unit_interval()
+    worst = (0.0, 0, 0)     # (margin, level, index) of the worst member: the root
     members = 1
     paired = True
     ratios: dict[float, Fraction] = {}
-    for n, incs, s_vals, _, _, log2_mass in _mass_levels(S, eta, depth, ratios):
+    for n, lo, incs, s_vals, _, _, log2_mass in _mass_blocks(S, eta, depth, ratios):
         paired = paired and bool(np.all(incs[0::2] == -incs[1::2]))
         mask = s_vals >= eta * n - 1e-12
         count = int(np.count_nonzero(mask))
@@ -281,11 +284,11 @@ def sweep_mass_distribution(S: Martingale, eta: float, depth: int) -> MassSweepR
             members += count
             margins = log2_mass[mask] + phi * n
             j = int(np.argmin(margins))
-            if margins[j] < worst_margin:
-                worst_margin = float(margins[j])
-                worst_member = DyadicInterval(n, int(np.nonzero(mask)[0][j]))
+            # a level's later blocks hold later indices, so compare (margin, level)
+            if (m := float(margins[j]), n) < worst[:2]:
+                worst = (m, n, lo + int(np.flatnonzero(mask)[j]))
     sums_exact = paired and all(r + ratios[-u] == 1 for u, r in ratios.items())
-    return MassSweepReport(depth, eta, members, worst_margin, worst_member,
+    return MassSweepReport(depth, eta, members, worst[0], DyadicInterval(*worst[1:]),
                            paired, sums_exact, phi)
 
 

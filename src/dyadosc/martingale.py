@@ -6,8 +6,9 @@ Every consumer reads it through ``increment(child)``, the scalar jump
 oracle, the level arrays ``level_increments(n)`` and
 ``level_values_range(n, lo, hi)``, or ``primitive``, the integral of S
 along one address (``pair_primitives`` for arrays of address pairs).
-Whole-tree certificates walk the levels once, through ``levels``, behind
-the sweep budget; a range read walks only the cells above its range.
+Whole-tree certificates walk the tree once behind the sweep budget, depth
+first in blocks (``level_blocks``) or by whole levels (``levels``); a
+range read walks only the cells above its range.
 Base-class loops over the scalar oracle are the reference that vectorized
 and closed-form overrides reproduce.  Jumps come from increment oracles,
 which hand each pair of children exactly opposite jumps (a paired kind
@@ -56,6 +57,22 @@ def check_cells(cells: int, what: str) -> None:
     if cells > SWEEP_CELL_BUDGET:
         raise DepthCapError(f"{what} needs an array of {cells} cells, beyond the "
                             f"budget of {SWEEP_CELL_BUDGET}")
+
+
+# widest block of `Martingale.level_blocks`: 2^13 float64 cells are 64 KiB,
+# half glibc's 128 KiB mmap threshold, so a sweep reuses heap arrays where
+# whole 2^16-cell levels were trimmed and faulted in afresh each level; on
+# level-sweep 2^14 faulted 2.5 times as often, and 2^12 ran more Python
+BLOCK_CELLS = 1 << 13
+
+
+def _children(vals: np.ndarray, incs: np.ndarray) -> np.ndarray:
+    """Child values of the parent values `vals`: each parent plus its left
+    jump and plus its right jump (`incs` interleaved), by two strided adds."""
+    kids = np.empty(incs.shape)
+    np.add(vals, incs[0::2], out=kids[0::2])
+    np.add(vals, incs[1::2], out=kids[1::2])
+    return kids
 
 
 # deepest dyadic depth whose addresses, and their xors, convert to float64
@@ -110,11 +127,12 @@ class Martingale:
     any interval; values are accumulated along the ancestor chain.
     ``star_bound``, when given, declares sup_n ||S_{n+1}-S_n||.
 
-    The walk ``levels(depth)``, which sums each level's values from S_0
-    and the increments, is the definition that every certificate reads,
-    and ``level_values_range`` walks it over one range.  A kind that
-    overrides ``value`` or ``level_values_range`` agrees with it within
-    the few ulps that tests/test_martingale.py ``TestLevelsAgainstOwnValues`` pins.
+    The walk ``level_blocks(depth)`` (``levels`` by whole levels), which
+    sums each cell's value from S_0 and the increments, is the definition
+    that every certificate reads, and ``level_values_range`` walks it over
+    one range.  A kind that overrides ``value`` or ``level_values_range``
+    agrees with it within the few ulps that tests/test_martingale.py
+    ``TestLevelsAgainstOwnValues`` pins.
 
     Subclasses keep the scalar ``increment`` and may override the hook
     ``_level_increments(n, parents)``, which the gate and the range walk
@@ -213,13 +231,16 @@ class Martingale:
             out[:, j] = self.pair_primitive(a, b, depth)
         return out[0], out[1], out[2]
 
-    def level_increments(self, n: int) -> np.ndarray:
-        """Increments into level n for all level-n intervals (n >= 1),
-        inside the sweep budget: the one gate before `_level_increments`."""
+    def level_increments(self, n: int, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
+        """Increments into level n (n >= 1) of the children of the level
+        n - 1 parents [lo, hi), all of them by default, inside the sweep
+        budget: the one gate before `_level_increments`."""
         if n < 1:
             raise DomainError("increments start at level 1")
         check_sweep_budget(n)
-        return self._level_increments(n, np.arange(1 << (n - 1), dtype=np.uint64))
+        hi = 1 << (n - 1) if hi is None else hi
+        self._check_range(n - 1, lo, hi)
+        return self._level_increments(n, np.arange(lo, hi, dtype=np.uint64))
 
     def _level_increments(self, n: int, parents: np.ndarray) -> np.ndarray:
         """Jumps into level n of the children of `parents` (level n - 1
@@ -227,19 +248,33 @@ class Martingale:
         return np.array([self.increment(DyadicInterval(n, j)) for p in parents.tolist()
                          for j in (2 * p, 2 * p + 1)], dtype=float)
 
-    def levels(self, depth: int):
-        """Yield (n, increments, values) for n = 1..depth, inside the sweep
-        budget, with values summed from S_0: each child is its parent's
-        value plus its own jump, by two strided adds."""
+    def _walk(self, depth: int, cap: float):
+        """The walk of ``level_blocks``, inside the sweep budget: a block
+        whose children would pass `cap` cells is halved before stepping."""
         check_sweep_budget(depth)
-        vals = np.full(1, float(self.s0))
-        for n in range(1, depth + 1):
-            incs = self.level_increments(n)
-            kids = np.empty(incs.shape)
-            np.add(vals, incs[0::2], out=kids[0::2])
-            np.add(vals, incs[1::2], out=kids[1::2])
-            vals = kids
-            yield n, incs, vals
+        stack = [(0, 0, np.full(1, float(self.s0)))] if depth > 0 else []
+        while stack:
+            n, lo, vals = stack.pop()
+            if 2 * vals.size > cap:
+                half = vals.size // 2
+                stack += [(n, lo + half, vals[half:]), (n, lo, vals[:half])]
+                continue
+            incs = self.level_increments(n + 1, lo, lo + vals.size)
+            vals = _children(vals, incs)
+            yield n + 1, 2 * lo, incs, vals
+            if n + 1 < depth:
+                stack.append((n + 1, 2 * lo, vals))
+
+    def level_blocks(self, depth: int):
+        """Yield (n, lo, increments, values) for blocks of at most BLOCK_CELLS
+        level-n cells from lo on, n = 1..depth, walked depth first from S_0:
+        a level's blocks arrive in index order, each after its parents'."""
+        return self._walk(depth, BLOCK_CELLS)
+
+    def levels(self, depth: int):
+        """Yield (n, increments, values) for n = 1..depth: the walk of
+        ``level_blocks`` with one block per level."""
+        return ((n, incs, vals) for n, _, incs, vals in self._walk(depth, math.inf))
 
     def level_values_range(self, n: int, lo: int, hi: int) -> np.ndarray:
         """Values of S_n on level-n indices [lo, hi): the walk of ``levels``
@@ -252,11 +287,8 @@ class Martingale:
         vals = np.full(1, float(self.s0))
         for m in range(1, n + 1):
             first = lo >> (n - m + 1)       # `vals` starts at cell `first` of level m - 1
-            incs = self._level_increments(m, np.arange(first, first + vals.size,
-                                                       dtype=np.uint64))
-            kids = np.empty(incs.shape)
-            np.add(vals, incs[0::2], out=kids[0::2])
-            np.add(vals, incs[1::2], out=kids[1::2])
+            kids = _children(vals, self._level_increments(
+                m, np.arange(first, first + vals.size, dtype=np.uint64)))
             vals = kids[(lo >> (n - m)) - 2 * first:((hi - 1) >> (n - m)) + 1 - 2 * first]
         return vals
 
@@ -432,8 +464,10 @@ def check_cancellation(S: Martingale, depth: int) -> CancellationReport:
     """Exhaustively verify value(I) = mean of children values to `depth`.
 
     Reports the largest deviation and the interval attaining it; each
-    level is read in chunks of parents, with their children.
+    level is read in chunks of parents, with their children.  The sweep
+    budget bounds its work: depth 25 and beyond is refused before any read.
     """
+    check_sweep_budget(depth)
     worst = 0.0
     worst_iv: Optional[DyadicInterval] = None
     checked = 0
@@ -457,7 +491,7 @@ def star_norm(S: Martingale, depth: int) -> float:
     A to-depth lower bound of the supremum, monotone nondecreasing in
     depth.
     """
-    return _sup(float(np.max(np.abs(incs))) for _, incs, _ in S.levels(depth))
+    return _sup(float(np.max(np.abs(incs))) for _, _, incs, _ in S.level_blocks(depth))
 
 
 class GrowthMartingale(ScaledMartingale):
@@ -505,7 +539,7 @@ def beta_star_norm(T: GrowthMartingale, depth: int) -> float:
 def beta_norm(T: GrowthMartingale, depth: int) -> float:
     """sup_{n <= depth} 2^-(n beta) ||T_n||_inf, exhaustively to depth."""
     return _sup((math.pow(2.0, -n * T.beta) * float(np.max(np.abs(vals)))
-                 for n, _, vals in T.levels(depth)), abs(T.t0))
+                 for n, _, _, vals in T.level_blocks(depth)), abs(T.t0))
 
 
 def discount_transform(T: GrowthMartingale) -> Martingale:

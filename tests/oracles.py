@@ -2,8 +2,9 @@
 
 No library code calls these.  Each is what a test compares a library
 path against, or the entry through which a test reads a library kernel:
-the walk `levels`, the special-interval registry, the wavelet's cell
-table and ratio kernel, the witness search's annulus offsets.  The code
+the walk `levels`, the whole-level mass sweep, the special-interval
+registry, the wavelet's cell table and ratio kernel, the witness search's
+annulus offsets.  The code
 is the library's; a method became a function of its instance, and
 `ratio_exact` reads the measure's float eta, the one its masses use.
 """
@@ -16,7 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from dyadosc.dyadic import DomainError, DyadicInterval
+from dyadosc import entropy
+from dyadosc.dyadic import DomainError, DyadicInterval, unit_interval
 from dyadosc.wavelet import _annulus_offset, _float_ratio, _frame, _split, _to_fraction
 
 
@@ -54,6 +56,58 @@ def level_set_family(S, eta: float, depth: int) -> list[DyadicInterval]:
         for j in np.nonzero(vals >= eta * n - 1e-12)[0]:
             out.append(DyadicInterval(n, int(j)))
     return out
+
+
+def mass_levels(S, eta: float, depth: int, ratios: Optional[dict] = None):
+    """The mass kernel a whole level at a time, through `S.levels`: for
+    n = 1..depth, yields (n, incs, s_vals, uniq, codes, log2_mass), with the
+    exact ratios kept in `ratios` and one log2 per distinct jump."""
+    entropy.MassMeasure(S, eta)
+    eta_f = float(eta)
+    ratios = {} if ratios is None else ratios
+    log2s: dict[float, float] = {}
+    log2_mass = np.zeros(1)
+    for n, incs, s_vals in S.levels(depth):
+        uniq = entropy._distinct_jumps(incs)
+        jumps = uniq.tolist()
+        for u in jumps:
+            if u not in log2s:
+                r = ratios[u] = entropy._mass_ratio(eta_f, u)
+                log2s[u] = math.log2(f) if (f := float(r)) > 0.0 else -math.inf
+        lg = np.array([log2s[u] for u in jumps])
+        codes = entropy._jump_codes(incs, uniq)
+        kids = lg.take(codes)
+        kids[0::2] += log2_mass
+        kids[1::2] += log2_mass
+        log2_mass = kids
+        yield n, incs, s_vals, uniq, codes, log2_mass
+
+
+def sweep_mass_levels(S, eta: float, depth: int):
+    """`sweep_mass_distribution` a whole level at a time: each level's
+    first least margin, folded in level order against the running worst."""
+    if depth < 1:
+        raise DomainError("the mass sweep needs depth >= 1")
+    phi = entropy.entropy_phi(eta)
+    worst_margin = 0.0
+    worst_member = unit_interval()
+    members = 1
+    paired = True
+    ratios: dict[float, Fraction] = {}
+    for n, incs, s_vals, _, _, log2_mass in mass_levels(S, eta, depth, ratios):
+        paired = paired and bool(np.all(incs[0::2] == -incs[1::2]))
+        mask = s_vals >= eta * n - 1e-12
+        count = int(np.count_nonzero(mask))
+        if count:
+            members += count
+            margins = log2_mass[mask] + phi * n
+            j = int(np.argmin(margins))
+            if margins[j] < worst_margin:
+                worst_margin = float(margins[j])
+                worst_member = DyadicInterval(n, int(np.nonzero(mask)[0][j]))
+    sums_exact = paired and all(r + ratios[-u] == 1 for u, r in ratios.items())
+    return entropy.MassSweepReport(depth, eta, members, worst_margin, worst_member,
+                                   paired, sums_exact, phi)
 
 
 # -- blocks -----------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import random
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 import dyadosc as d
 from dyadosc import entropy, martingale
 from dyadosc.dyadic import DyadicInterval as DI
-from oracles import level_set_family, mass_exact
+from oracles import level_set_family, mass_exact, sweep_mass_levels
 
 mp.mp.dps = 40
 
@@ -69,9 +70,9 @@ def _report_key(rep):
 
 
 class _Unpaired(d.Martingale):
-    def level_increments(self, n):
+    def _level_increments(self, n, parents):
         # siblings share a sign: +1 on indices 0, 1 mod 4
-        return np.where((np.arange(1 << n) >> 1) & 1, -1.0, 1.0)
+        return np.repeat(np.where(parents & 1, -1.0, 1.0), 2)
 
 
 def _alternating():
@@ -347,7 +348,8 @@ class TestMassSweep:
         monkeypatch.setattr(martingale, "SWEEP_CELL_BUDGET", 1 << 6)
         S = d.binary_digit_martingale()
         assert d.sweep_mass_distribution(S, 0.5, 6).ok()
-        S.level_increments = lambda n: pytest.fail("level built past the budget")
+        S.level_increments = S._level_increments = \
+            lambda n, *parents: pytest.fail("level built past the budget")
         with pytest.raises(d.DepthCapError):
             d.sweep_mass_distribution(S, 0.5, 7)
 
@@ -429,7 +431,8 @@ class TestMassSweepOracle:
                                    _graded(), d.RandomSignMartingale(1, scale=61 / 4096)])
     def test_kernel_log2_masses_equal_the_scalar_oracle(self, S):
         mm = d.MassMeasure(S, 0.7)
-        for n, *_, log2_mass in entropy._mass_levels(S, 0.7, 8):
+        for n, lo, *_, log2_mass in entropy._mass_blocks(S, 0.7, 8):
+            assert lo == 0
             assert log2_mass.tolist() == [mm.mass_log2(DI(n, j)) for j in range(1 << n)]
 
     def test_fraction_lut_built_once_per_jump_set(self, monkeypatch):
@@ -455,23 +458,41 @@ class TestMassSweepOracle:
             assert sorted(a for a in calls if a != (eta,)) == sorted((u,) for u in jumps)
 
 
+def _unique_codes(incs):
+    """np.unique of the jumps and their intp positions in it."""
+    uniq = np.unique(incs)
+    if len(uniq) > entropy._COMPARE_WIDTH:
+        return uniq, np.searchsorted(uniq, incs)
+    codes = np.zeros(incs.shape, dtype=np.intp)
+    for u in uniq[1:].tolist():
+        codes += incs >= u
+    return uniq, codes
+
+
 def _mass_levels_unique(S, eta, depth):
-    """`_mass_levels` before the sort-based jump set: np.unique, intp
-    codes, and the parents' log2 masses repeated and added first."""
+    """The whole-level mass kernel before the sort-based jump set:
+    np.unique, intp codes, and the parents' log2 masses repeated and
+    added first."""
     d.MassMeasure(S, eta)
     log2_mass = np.zeros(1)
     for n, incs, s_vals in S.levels(depth):
-        uniq = np.unique(incs)
+        uniq, codes = _unique_codes(incs)
         ratios = [entropy._mass_ratio(float(eta), u) for u in uniq.tolist()]
         lg = np.array([math.log2(r) if r > 0.0 else -math.inf for r in ratios])
-        if len(uniq) > entropy._COMPARE_WIDTH:
-            codes = np.searchsorted(uniq, incs)
-        else:
-            codes = np.zeros(incs.shape, dtype=np.intp)
-            for u in uniq[1:].tolist():
-                codes += incs >= u
         log2_mass = np.repeat(log2_mass, 2) + lg[codes]
         yield n, incs, s_vals, uniq, codes, log2_mass
+
+
+def _levels_from_blocks(blocks):
+    """(n, incs, s_vals, log2_mass) per level, each array re-assembled from
+    the level's blocks, which must tile it in index order."""
+    parts = {}
+    for n, lo, incs, s_vals, _, _, log2_mass in blocks:
+        got = parts.setdefault(n, [])
+        assert lo == sum(p[0].size for p in got)
+        got.append((incs, s_vals, log2_mass))
+    for n in sorted(parts):
+        yield n, *(np.concatenate(cols) for cols in zip(*parts[n]))
 
 
 def _signed_zeros():
@@ -509,21 +530,27 @@ class TestLeanMassKernel:
              "block-discounted": _block_discounted(block_schedule_half),
              "graded": _graded(), "balanced-unpaired": _balanced_unpaired(),
              "signed-zeros": _signed_zeros()}[name]
-        lean = list(entropy._mass_levels(S, eta, depth))
-        ref = list(_mass_levels_unique(S, eta, depth))
-        assert len(lean) == len(ref) == depth
-        for (n, incs, vals, uniq, codes, lg), (n0, incs0, vals0, uniq0, codes0, lg0) \
-                in zip(lean, ref):
-            assert n == n0 and incs.tobytes() == incs0.tobytes()
-            assert vals.tobytes() == vals0.tobytes()
+        # depth 14 takes level 14 in two blocks: each block's jump set and
+        # codes are its own, and the levels re-assembled from the blocks
+        # are the whole-level kernel's, byte for byte
+        blocks = list(entropy._mass_blocks(S, eta, depth))
+        assert len(blocks) == depth + (depth == 14)
+        for _, _, incs, _, uniq, codes, _ in blocks:
+            uniq0, codes0 = _unique_codes(incs)
             assert uniq.tobytes() == uniq0.tobytes()
             assert np.array_equal(codes, codes0)
+        lean = list(_levels_from_blocks(blocks))
+        ref = list(_mass_levels_unique(S, eta, depth))
+        assert len(lean) == len(ref) == depth
+        for (n, incs, vals, lg), (n0, incs0, vals0, _, _, lg0) in zip(lean, ref):
+            assert n == n0 and incs.tobytes() == incs0.tobytes()
+            assert vals.tobytes() == vals0.tobytes()
             assert lg.tobytes() == lg0.tobytes()
 
     def test_nan_jump_raises_as_before(self):
         S = d.Martingale(lambda ch: math.nan if ch.index == 3 else 0.0, star_bound=1.0)
         with pytest.raises(d.DomainError) as lean:
-            list(entropy._mass_levels(S, 0.5, 3))
+            list(entropy._mass_blocks(S, 0.5, 3))
         with pytest.raises(d.DomainError) as ref:
             list(_mass_levels_unique(S, 0.5, 3))
         assert str(lean.value) == str(ref.value)
@@ -545,6 +572,91 @@ class TestLeanMassKernel:
                              text=True, env=env, timeout=120)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "False"
+
+
+class _Tabled(d.Martingale):
+    """A scalar fixture's jumps to level 18, read through its gate once
+    into level tables: its oracle takes about a second over 2^19 cells."""
+
+    def __init__(self, S):
+        super().__init__(S.increment, star_bound=S.star_bound, name=S.name)
+        self._tables = [None] + [S.level_increments(n) for n in range(1, 19)]
+
+    def _level_increments(self, n, parents):
+        return self._tables[n].reshape(-1, 2)[parents.astype(np.intp)].ravel()
+
+
+@functools.cache
+def _blocked_kind(name):
+    schedule = d.build_schedule(0.5, 1, depth_cap=160)
+    return {
+        "random-sign": lambda: d.RandomSignMartingale(6),
+        "binary": d.binary_digit_martingale,
+        "zero": d.zero_martingale,
+        "random-uniform": lambda: martingale._RandomUniformMartingale(2),
+        "scaled": lambda: d.ScaledMartingale(d.RandomSignMartingale(7), -0.125,
+                                             star_bound=1.0),
+        "block-discounted": lambda: _block_discounted(schedule),
+        "graded": lambda: _Tabled(_graded()),
+        "alternating": lambda: _Tabled(_alternating()),
+        "unpaired": lambda: _Unpaired(None, star_bound=1.0),
+        "signed-zeros": lambda: _Tabled(_signed_zeros()),
+    }[name]()
+
+
+class TestBlockedMassSweep:
+    """The depth-first sweep in blocks against the whole-level sweep of
+    tests/oracles.py: one block per level to depth 13, split from 14 on."""
+
+    # random-uniform takes depths 1, 12 and 14 alone: each of its 2^(depth - 1)
+    # distinct jumps takes an exact ratio, about 65 s for the six sweeps at 18
+    @pytest.mark.parametrize("name, depth", [
+        (name, depth) for name in ("random-sign", "binary", "zero", "random-uniform",
+                                   "scaled", "block-discounted", "graded",
+                                   "alternating", "unpaired", "signed-zeros")
+        for depth in (1, 12, 13, 14, 16, 18)
+        if name != "random-uniform" or depth in (1, 12, 14)])
+    def test_report_equals_the_whole_level_sweep(self, name, depth):
+        # binary margins tie, so this pins the first worst member too
+        S = _blocked_kind(name)
+        for eta in (0.25, 0.5, 0.7):
+            assert (_report_key(d.sweep_mass_distribution(S, eta, depth))
+                    == _report_key(sweep_mass_levels(S, eta, depth)))
+
+    def test_jump_past_the_bound_at_two_levels(self):
+        # 3.0 in level 14's second block, -2.5 under it at level 16: both
+        # sweeps name the level-14 jump
+        class Spiked(d.Martingale):
+            def _level_increments(self, n, parents):
+                out = np.zeros(2 * parents.size)
+                at = {14: ((1 << 13) + 7, 3.0), 16: ((1 << 15) + 1, -2.5)}.get(n)
+                if at is not None:
+                    out[2 * np.flatnonzero(parents == at[0] >> 1) + at[0] % 2] = at[1]
+                return out
+
+        S = Spiked(None, star_bound=1.0)
+        with pytest.raises(d.DomainError) as blocked:
+            d.sweep_mass_distribution(S, 0.5, 18)
+        with pytest.raises(d.DomainError) as whole:
+            sweep_mass_levels(S, 0.5, 18)
+        assert str(blocked.value) == str(whole.value) and "3.0" in str(whole.value)
+
+    def test_gate_reads_at_most_2_12_parents(self):
+        # whole levels read 2^17 parents at level 18; each cell is still
+        # read once, so a traced sweep counts 2^19 - 2 cells
+        S = d.RandomSignMartingale(2)
+        gate = S.level_increments
+        sizes = []
+
+        def counted(n, *parents):
+            out = gate(n, *parents)
+            sizes.append(out.size)
+            return out
+
+        S.level_increments = counted
+        assert d.sweep_mass_distribution(S, 0.5, 18).ok()
+        assert max(sizes) // 2 <= 1 << 12
+        assert sum(sizes) == (1 << 19) - 2
 
 
 class TestCoveringContent:

@@ -343,6 +343,16 @@ class TestCancellationChunks:
         assert d.check_cancellation(S, 20).ok(0.0)
         assert sum(cells) <= 4 << 21
 
+    @pytest.mark.parametrize("depth", [25, 40])
+    def test_refused_past_the_sweep_budget(self, depth):
+        # its time doubles per level: depth 40 was accepted on a kind whose
+        # max_depth is 48, where a whole-level sweep refuses past 24
+        S = d.RandomSignMartingale(3)
+        S._level_increments = S.level_values_range = \
+            lambda *args: pytest.fail("level read past the budget")
+        with pytest.raises(d.DepthCapError):
+            d.check_cancellation(S, depth)
+
 
 class TestNaNJump:
     def test_sup_certificates_report_nan(self):
@@ -730,6 +740,22 @@ class TestLeanLevelWalkOracle:
         for (_, incs, vals), (_, incs_ref, vals_ref) in zip(lean, ref):
             assert incs.tobytes() == incs_ref.tobytes()
             assert vals.dtype == vals_ref.dtype and vals.tobytes() == vals_ref.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(_vectorized_members()))
+    def test_blocks_tile_the_levels(self, name):
+        # levels 14 to 16 split into 2, 4 and 8 blocks of 2^13 cells, which
+        # arrive depth first and re-assemble the levels byte for byte
+        S = _vectorized_members()[name]
+        blocks = list(S.level_blocks(16))
+        assert [(n, lo) for n, lo, _, _ in blocks if n >= 13] == [
+            (13, 0), (14, 0), (15, 0), (16, 0), (16, 8192), (15, 8192),
+            (16, 16384), (16, 24576), (14, 8192), (15, 16384), (16, 32768),
+            (16, 40960), (15, 24576), (16, 49152), (16, 57344)]
+        for n, incs, vals in S.levels(16):
+            mine = [(i, v) for m, _, i, v in blocks if m == n]
+            assert all(v.size <= martingale.BLOCK_CELLS for _, v in mine)
+            assert np.concatenate([i for i, _ in mine]).tobytes() == incs.tobytes()
+            assert np.concatenate([v for _, v in mine]).tobytes() == vals.tobytes()
 
     def test_splitmix64_on_ints_and_arrays(self):
         rng = random.Random(16)
