@@ -164,11 +164,14 @@ class BuildingBlock:
 
 
 def building_block(delta, J: DyadicInterval, beta) -> BuildingBlock:
-    """Construct and verify W(delta, J), for J inside [0, 1)."""
+    """Construct and verify W(delta, J), for J inside [0, 1); an amplitude
+    or peak past the float range raises DepthCapError."""
     if J.index < 0 or J.index >> J.level:
         raise DomainError(f"{J} lies outside the unit interval: need index < 2^level")
     M = m_of_delta(delta, beta)
     block = BuildingBlock(float(delta), J, float(beta), M)
+    if J.level * block.beta >= 1024.0 or not math.isfinite(block.peak):
+        raise DepthCapError(f"the block amplitude or peak at level {J.level} leaves the float range")
     block.verify()
     return block
 

@@ -30,6 +30,7 @@ from .dyadic import (
     DepthCapError,
     DomainError,
     DyadicInterval,
+    DyadicRational,
     locate,
     whitney,
 )
@@ -127,7 +128,8 @@ def cmd_lemma32(args, w: RunWriter) -> int:
     worst = math.inf
     for i in range(args.count):
         u = rng.uniform(-1.0, 1.0, size=n)
-        s_target = rng.uniform(max(float(np.sum(u)), eta * n + 1e-9), n)
+        # the floor passes n once n (1 - eta) < 1e-9: the all-ones instance
+        s_target = rng.uniform(min(max(float(np.sum(u)), eta * n + 1e-9), n), n)
         lam = (n - s_target) / (n - float(np.sum(u))) if s_target > float(np.sum(u)) else 1.0
         xs = 1.0 - lam * (1.0 - u)
         res = entropy.product_lower_bound(xs, eta)
@@ -412,8 +414,12 @@ def cmd_verify_all(args, w: RunWriter) -> int:
         ok &= I.contains(x) and locate(x, n + 1).parent() == I
     check("locate/refine", ok)
     wd = whitney(Fraction(1, 8), Fraction(3, 4))
+    # the pieces run from 1/8 to 7/8, each starting where the last ended
+    ends = [DyadicRational(1, 3)] + [iv.right for iv in wd.intervals]
     check("whitney", float(wd.total_length()) == 0.75
-          and max(wd.per_rank_counts().values()) <= 4)
+          and max(wd.per_rank_counts().values()) <= 4
+          and [iv.left for iv in wd.intervals] == ends[:-1]
+          and ends[-1] == DyadicRational(7, 3))
 
     # martingales
     S = martingale.binary_digit_martingale()

@@ -8,7 +8,6 @@ float resolution.  All operations here are pure and all types immutable.
 
 from __future__ import annotations
 
-import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,7 +31,12 @@ class DyadicRational:
     """Exact dyadic rational ``numerator * 2^-exponent`` in lowest terms.
 
     Normalization: the numerator is odd or zero; zero is stored as (0, 0).
-    Addition, subtraction, multiplication and comparison are exact.
+    It is read from an int, float or Fraction (`from_value`), subtracts
+    exactly, and converts exactly to a Fraction, to floor(x * 2^n) and,
+    correctly rounded, to a float.  Equality and hashing are the
+    dataclass's own, by field: two values are equal exactly when they are
+    the same number, and a DyadicRational never equals an int, float or
+    Fraction.
     """
 
     numerator: int
@@ -81,71 +85,14 @@ class DyadicRational:
             return self.numerator << (n - self.exponent)
         return self.numerator >> (self.exponent - n)
 
-    def _common(self, other: "DyadicRational"):
-        e = max(self.exponent, other.exponent)
-        return (self.numerator << (e - self.exponent),
-                other.numerator << (e - other.exponent), e)
-
-    def __add__(self, other):
-        other = DyadicRational.from_value(other)
-        a, b, e = self._common(other)
-        return DyadicRational(a + b, e)
-
-    __radd__ = __add__
-
     def __sub__(self, other):
         other = DyadicRational.from_value(other)
-        a, b, e = self._common(other)
-        return DyadicRational(a - b, e)
-
-    def __rsub__(self, other):
-        return DyadicRational.from_value(other) - self
-
-    def __neg__(self):
-        return DyadicRational(-self.numerator, self.exponent)
-
-    def __mul__(self, other):
-        other = DyadicRational.from_value(other)
-        return DyadicRational(self.numerator * other.numerator,
-                              self.exponent + other.exponent)
-
-    __rmul__ = __mul__
-
-    def _cmp(self, other) -> int:
-        other = DyadicRational.from_value(other)
-        a, b, _ = self._common(other)
-        return (a > b) - (a < b)
-
-    def __eq__(self, other):
-        # the ABC last: its check is slow, and only numpy numbers reach it
-        if not isinstance(other, (DyadicRational, int, float, Fraction, numbers.Rational)):
-            return NotImplemented
-        try:
-            return self._cmp(other) == 0
-        except (ValueError, OverflowError):  # not dyadic, or not finite
-            return False
-
-    def __hash__(self):
-        # equal numbers hash alike, as int, float and Fraction do
-        return hash(self.as_fraction())
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
+        e = max(self.exponent, other.exponent)
+        return DyadicRational((self.numerator << (e - self.exponent))
+                              - (other.numerator << (e - other.exponent)), e)
 
     def __repr__(self):
         return f"{self.numerator}/2^{self.exponent}"
-
-
-ZERO = DyadicRational(0, 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,10 +117,6 @@ class DyadicInterval:
     @property
     def right(self) -> DyadicRational:
         return DyadicRational(self.index + 1, self.level)
-
-    @property
-    def length(self) -> DyadicRational:
-        return DyadicRational(1, self.level)
 
     def contains(self, x: Real) -> bool:
         return locate(x, self.level) == self
@@ -242,37 +185,34 @@ class WhitneyDecomposition:
         return counts
 
     def total_length(self) -> DyadicRational:
-        total = ZERO
-        for iv in self.intervals:
-            total = total + iv.length
-        return total
+        top = max((iv.level for iv in self.intervals), default=0)
+        return DyadicRational(sum(1 << (top - iv.level) for iv in self.intervals), top)
 
 
 def whitney(x: Real, h: Real, max_depth: int = DEFAULT_MAX_DEPTH) -> WhitneyDecomposition:
     """Greedy tiling of [x, x+h) by maximal dyadic intervals.
 
-    Walks from the left endpoint, emitting at each step the largest dyadic
-    interval that starts there and fits.  For dyadic-rational endpoints the
-    tiling is finite and exact; if it would need levels beyond the cap a
-    DepthCapError is raised (truncation is never silent).
+    Walks numerators lo < end over 2^e, e the deeper exponent, emitting
+    the largest piece of 2^k cells that starts at lo and fits: k at most
+    e, the trailing zeros of lo and log2(end - lo).  The tiling is finite
+    and exact; one that needs levels beyond the cap raises DepthCapError
+    (truncation is never silent).
     """
     a = DyadicRational.from_value(x)
     h = DyadicRational.from_value(h)
-    if not (ZERO < h):
+    if h.numerator <= 0:
         raise DomainError("h must be positive")
-    end = a + h
+    e = max(a.exponent, h.exponent)
+    lo = a.numerator << (e - a.exponent)
+    end = lo + (h.numerator << (e - h.exponent))
     pieces: list[DyadicInterval] = []
-    while a < end:
-        rem = end - a
-        # coarsest level at which a is aligned
-        n = a.exponent
-        # piece must also fit: 2^-n <= rem
-        while DyadicRational(1, n) > rem:
-            n += 1
-        if n > max_depth:
+    while lo < end:
+        k = min(e, (end - lo).bit_length() - 1)
+        if lo:
+            k = min(k, (lo & -lo).bit_length() - 1)
+        if e - k > max_depth:
             raise DepthCapError(
-                f"whitney tiling of [{x}, {x}+{h}) needs level {n} > max depth {max_depth}")
-        piece = DyadicInterval(n, a.floor_scaled(n))
-        pieces.append(piece)
-        a = piece.right
-    return WhitneyDecomposition(DyadicRational.from_value(x), h, tuple(pieces))
+                f"whitney tiling of [{x}, {x}+{h}) needs level {e - k} > max depth {max_depth}")
+        pieces.append(DyadicInterval(e - k, lo >> k))
+        lo += 1 << k
+    return WhitneyDecomposition(a, h, tuple(pieces))

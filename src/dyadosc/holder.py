@@ -338,7 +338,7 @@ class MartingaleInducedFunction(HolderFunction):
 
     def eval_dyadic(self, x: DyadicRational) -> float:
         """f(x) for dyadic x in [0, 1], by descent from the root."""
-        if x.numerator < 0 or x > 1:
+        if x.numerator < 0 or x.numerator > 1 << x.exponent:
             raise DomainError("eval_dyadic expects x in [0, 1]")
         if x.exponent > self.max_depth:
             raise DepthCapError(

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .dyadic import DomainError, DyadicRational
+from .dyadic import DepthCapError, DomainError, DyadicRational
 from .holder import HolderFunction
 
 # max |S5'| = 15/8 at u = 1/2 (exact); max |S5''| = 10/sqrt(3), padded up
@@ -252,7 +252,8 @@ def wavelet_schedule(alpha: float, eps: float = 1.0 / 200.0,
     """Build the superlacunary schedule k_1 = 1 < k_2 < ... < k_stages.
 
     eps may only be tightened below 1/200; stage counts are kept small
-    because levels grow geometrically (factor about 2 - alpha).
+    because levels grow geometrically (factor about 2 - alpha), and a
+    stage whose bounds leave the float range raises DepthCapError.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError("alpha must lie in (0, 1)")
@@ -264,10 +265,14 @@ def wavelet_schedule(alpha: float, eps: float = 1.0 / 200.0,
     d1, d2 = float(w.d1_sup), float(w.d2_sup)
     ks = [1]
     records = []
-    for _ in range(2, stages + 1):
-        b1 = sum(math.pow(2.0, k * (1.0 - alpha)) for k in ks) * d1
-        b2 = sum(math.pow(2.0, k * (2.0 - alpha)) for k in ks) * d2
-        k, rec = next_frequency_level(ks[-1], alpha, eps, b1, b2)
+    for m in range(2, stages + 1):
+        try:
+            b1 = sum(math.pow(2.0, k * (1.0 - alpha)) for k in ks) * d1
+            b2 = sum(math.pow(2.0, k * (2.0 - alpha)) for k in ks) * d2
+            k, rec = next_frequency_level(ks[-1], alpha, eps, b1, b2)
+        except OverflowError as exc:
+            raise DepthCapError(f"stage {m}: the flatness bounds past level "
+                                f"k = {ks[-1]} leave the float range") from exc
         ks.append(k)
         records.append(rec)
     return WaveletSchedule(alpha, eps, ks, records)

@@ -27,7 +27,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable
@@ -73,6 +73,16 @@ def _dropped_panel(original):
     return lambda v, step: original(v[..., :-2], step)
 
 
+def _misaligned_tiling(original):
+    # the pieces of [0, h) reported as the tiling of [x, x + h): for
+    # [1/8, 7/8), [0, 1/2) and [1/2, 3/4), of the right total and ranks
+    def whitney(x, h, max_depth=48):
+        from dyadosc.dyadic import DyadicRational
+
+        return replace(original(0, h, max_depth), x=DyadicRational.from_value(x))
+    return whitney
+
+
 README_COUNTEREXAMPLE = "counterexample --alpha 0.5 --stages 2 --points 1000 --seed 11"
 README_MASS_MEASURE = "mass-measure --martingale block-discounted --eta 0.25 --depth 16"
 VERIFY_ALL = "verify-all --depth 12 --seed 7"
@@ -104,6 +114,9 @@ MUTANTS = [
     Mutant("paired-jump-not-opposite", "martingale.PairedMartingale._level_increments",
            _unpaired_right_jump, ("criterion 3", VERIFY_ALL),
            "each right jump 1 + 2^-30 times the negated left jump"),
+    Mutant("whitney-misaligned", "dyadic.whitney", _misaligned_tiling,
+           (VERIFY_ALL,),
+           "the Whitney pieces start at 0, not at x, and end at h, not x + h"),
     Mutant("theta-panel-dropped", "divdiff._simpson", _dropped_panel,
            ("criterion 8",),
            "one quadrature panel per octave left out of theta"),

@@ -2,11 +2,12 @@
 
 No library code calls these.  Each is what a test compares a library
 path against, or the entry through which a test reads a library kernel:
-the walk `levels`, the whole-level mass sweep, the special-interval
-registry, the wavelet's cell table and ratio kernel, the witness search's
-annulus offsets.  The code
-is the library's; a method became a function of its instance, and
-`ratio_exact` reads the measure's float eta, the one its masses use.
+the greedy Whitney walk, the walk `levels`, the whole-level mass sweep,
+the special-interval registry, the wavelet's cell table and ratio
+kernel, the witness search's annulus offsets.  The code is the
+library's, except the Whitney walk, restated on Fractions; a method
+became a function of its instance, and `ratio_exact` reads the
+measure's float eta, the one its masses use.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from typing import Optional
 import numpy as np
 
 from dyadosc import entropy
-from dyadosc.dyadic import DomainError, DyadicInterval, unit_interval
+from dyadosc.dyadic import (DepthCapError, DomainError, DyadicInterval, DyadicRational,
+                            unit_interval)
 from dyadosc.wavelet import _annulus_offset, _float_ratio, _frame, _split, _to_fraction
 
 
@@ -33,6 +35,29 @@ def left_neighbor(I: DyadicInterval) -> Optional[DyadicInterval]:
     if I.index == 0:
         return None
     return DyadicInterval(I.level, I.index - 1)
+
+
+def whitney_greedy(x, h, max_depth: int):
+    """The greedy walk that `whitney` replaced, on Fractions: from the
+    left end a, the level-n interval with n the least level at or below
+    a's lowest-terms exponent whose length fits in what is left.  Returns
+    (x, h, pieces, total length)."""
+    x_dr, h_dr = DyadicRational.from_value(x), DyadicRational.from_value(h)
+    a, rest = x_dr.as_fraction(), h_dr.as_fraction()
+    if not rest > 0:
+        raise DomainError("h must be positive")
+    end = a + rest
+    pieces: list[DyadicInterval] = []
+    while a < end:
+        n = a.denominator.bit_length() - 1
+        while Fraction(1, 1 << n) > end - a:
+            n += 1
+        if n > max_depth:
+            raise DepthCapError(
+                f"whitney tiling of [{x}, {x}+{h_dr}) needs level {n} > max depth {max_depth}")
+        pieces.append(DyadicInterval(n, math.floor(a * (1 << n))))
+        a += Fraction(1, 1 << n)
+    return x_dr, h_dr, tuple(pieces), sum(Fraction(1, 1 << iv.level) for iv in pieces)
 
 
 # -- entropy ----------------------------------------------------------

@@ -51,6 +51,8 @@ KEEP = {name: reason for reason, names in {
     "pair_primitives past depth 53": [
         "martingale.Martingale.primitive", "martingale.Martingale.pair_primitives",
         "dyadic.DyadicInterval.ancestor", "dyadic.DyadicInterval.left_half"],
+    FALLBACK + "`locate` and `contains` on a DyadicRational point": [
+        "dyadic.DyadicRational.floor_scaled"],
     FALLBACK + "`increment` on scaled, growth and from-function martingales": [
         "martingale.ScaledMartingale._scaled_inc",
         "martingale.ValueMartingale._increment_from_values"],
@@ -69,11 +71,8 @@ KEEP = {name: reason for reason, names in {
     "failure path: the text of an error message": [
         "dyadic.DyadicInterval.__repr__", "dyadic.DyadicRational.__repr__", "wavelet._at",
         "wavelet._bisect_zero.<locals>.where"],
-    "public API: an operator or conversion of the exact dyadic number type": [
-        "dyadic.DyadicRational.__eq__", "dyadic.DyadicRational.__hash__",
-        "dyadic.DyadicRational.__le__", "dyadic.DyadicRational.__ge__",
-        "dyadic.DyadicRational.__mul__", "dyadic.DyadicRational.__neg__",
-        "dyadic.DyadicRational.__rsub__", "dyadic.DyadicRational.as_fraction"],
+    "public API: the exact Fraction of the dyadic number type": [
+        "dyadic.DyadicRational.as_fraction"],
     "public API: the two halves of an interval, under the depth cap": [
         "dyadic.DyadicInterval.children"],
     "public API: a function of the user's own callable": [

@@ -70,6 +70,42 @@ class TestExitCodes:
         assert run(["schedule", "--beta", "0.5", "--stages", "1",
                     "--depth", "16", "--out", str(tmp_path)]) == 4
 
+    @pytest.mark.parametrize("argv, text", [
+        (["wavelet", "--alpha", "0.99", "--stages", "4", "--seed", "1"],
+         "stage 3: the flatness bounds past level k = 1540 leave the float range"),
+        (["block", "--delta", "0.125", "--beta", "0.9", "--level", "1200"],
+         "at level 1200 leaves the float range"),
+        (["block", "--delta", "0.125", "--beta", "0.5", "--level", "2046"],
+         "at level 2046 leaves the float range"),
+    ])
+    def test_float_range_is_a_depth_cap(self, tmp_path, capsys, argv, text):
+        # each raised a bare OverflowError (exit 1), or at level 2046 failed
+        # the sup bound on an infinite peak (exit 3)
+        out = tmp_path / "o"
+        assert run(argv + ["--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert text in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_block_below_the_float_range_writes_as_before(self, tmp_path):
+        assert run(["block", "--delta", "0.125", "--beta", "0.5", "--level", "2040",
+                    "--out", str(tmp_path)]) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in tmp_path.iterdir() if p.name != "block_manifest.json"}
+        assert digests == {
+            "block.json": "55d592272da95740f212c36dfb2249a7b669ebeb9c6546c39a65182b04bed6a7",
+            "block_partials.csv":
+                "4807c6171de665dc48ea4570d574a234fd0d282fddc28364d2d626d57c89f5c9"}
+
+    def test_lemma32_eta_next_to_one(self, tmp_path, capsys):
+        # the target sum's floor eta n + 1e-9 passed n: numpy refused the
+        # draw (exit 1); clamped at n, the instance is all ones
+        assert run(["lemma32", "--eta", "0.9999999999", "--n", "1", "--count", "5",
+                    "--seed", "0", "--out", str(tmp_path)]) == 0
+        assert "worst_log2_margin=1.711e-09" in capsys.readouterr().out
+        rows = (tmp_path / "lemma32.csv").read_text().splitlines()[1:]
+        assert len(rows) == 5 and all(r.split(",")[1] == "1.0" for r in rows)
+
     @pytest.mark.parametrize("argv", [
         ["mass-measure", "--martingale", "binary", "--eta", "0.5", "--depth", "7"],
         ["mass-measure", "--martingale", "block-discounted", "--eta", "0.25",

@@ -558,8 +558,9 @@ class TestRunLengthPrimitive:
 
 # The scalar induced difference and the block walk as they were before
 # `difference` routed on aligned integer numerators and the walk ended at
-# the address's last 1-bit, kept verbatim as the oracle: equal floats,
-# zero signs included, on every route.
+# the address's last 1-bit, kept as the oracle (the endpoint comparisons
+# read through Fractions, since DyadicRational no longer orders): equal
+# floats, zero signs included, on every route.
 def _walk_to_full_depth(S, start, s_start, bits, depth):
     end = start.level + depth
     if end > S.max_depth:
@@ -600,9 +601,9 @@ def _walk_to_full_depth(S, start, s_start, bits, depth):
 def _difference_by_comparisons(f, a, b):
     a = DR.from_value(a)
     b = DR.from_value(b)
-    if b < a:
+    if b.as_fraction() < a.as_fraction():
         return -_difference_by_comparisons(f, b, a)
-    if not (DR(0, 0) <= a and b <= DR(1, 0)):
+    if not (0 <= a.as_fraction() and b.as_fraction() <= 1):
         raise d.DomainError("difference expects 0 <= a <= b <= 1")
     if a == b:
         return 0.0
@@ -610,7 +611,7 @@ def _difference_by_comparisons(f, a, b):
     if span.numerator == 1 and a.exponent <= span.exponent:
         n = span.exponent
         return math.ldexp(f.S.value(DI(n, a.floor_scaled(n))), -n)
-    if b == 1:
+    if b == DR(1, 0):
         # -eval_dyadic(a), where a is neither 0 nor 1
         if a.exponent > f.max_depth:
             raise d.DepthCapError(f"dyadic point at depth {a.exponent} beyond cap")
@@ -649,7 +650,7 @@ def _address_bits(rng, depth):
 
 class TestIntegerRoutedDifference:
     """`BlockMartingale.primitive` and `MartingaleInducedFunction.difference`
-    against the verbatim copies above, on four schedules."""
+    against the copies above, on four schedules."""
 
     SCHEDULES = ((0.5, 1), (0.5, 2), (0.3, 2), (0.7, 3))
 

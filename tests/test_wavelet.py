@@ -223,6 +223,25 @@ class TestSchedule:
         with pytest.raises(d.DomainError):
             d.wavelet_schedule(0.5, 1.0 / 200.0, 7)
 
+    def test_flatness_bounds_past_the_float_range(self):
+        # 2^(k (2 - alpha)) of a level k past about 1024 / (2 - alpha)
+        # raised a bare OverflowError; every schedule that builds keeps its
+        # levels and records (the digest is of the schedules before the guard)
+        with pytest.raises(d.DepthCapError, match=r"stage 3: .* level k = 1540 "):
+            d.wavelet_schedule(0.99, 1.0 / 200.0, 3)
+        h, capped = hashlib.sha256(), {}
+        for i in range(1, 100):
+            for stages in range(1, 7):
+                try:
+                    sch = d.wavelet_schedule(i / 100, 1.0 / 200.0, stages)
+                except d.DepthCapError:
+                    capped.setdefault(stages, i / 100)
+                    continue
+                h.update(repr((i / 100, stages, sch.ks, sch.records)).encode())
+        assert capped == {3: 0.99, 4: 0.97, 5: 0.96, 6: 0.94}
+        assert h.hexdigest() == \
+            "09ebbe0054ce6fa596f273693f22b1ce57e2889c1842667ef4e698a7e0ed7a8d"
+
 
 class TestOscillator:
     def test_plateau_stacking_value(self, oscillator_half):
