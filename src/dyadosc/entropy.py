@@ -70,7 +70,7 @@ def product_lower_bound(xs: Sequence[float], eta: float) -> ProductBoundResult:
     n = len(xs)
     if n == 0:
         raise DomainError("need at least one x_k")
-    if any(abs(x) > 1.0 + 1e-15 for x in xs):
+    if not all(abs(x) <= 1.0 + 1e-15 for x in xs):     # NaN fails too
         raise DomainError("all x_k must satisfy |x_k| <= 1")
     eta = float(eta)
     if not 0.0 < eta < 1.0:
@@ -92,6 +92,8 @@ def product_lower_bound_exact(xs: Sequence[Fraction], eta: Fraction):
     """
     xs = [Fraction(x) for x in xs]
     eta = Fraction(eta)
+    if not 0 < eta < 1:
+        raise DomainError("eta must lie in (0, 1)")
     product = Fraction(1)
     for x in xs:
         if abs(x) > 1:
@@ -102,6 +104,8 @@ def product_lower_bound_exact(xs: Sequence[Fraction], eta: Fraction):
 
 def _extremal_ones(n: int, eta: Fraction) -> int:
     """N0 = N(1+eta)/2, the extremal count of ones; requires it integral."""
+    if not 0 < eta < 1:
+        raise DomainError("eta must lie in (0, 1)")
     n0 = Fraction(n) * (1 + eta) / 2
     if n0.denominator != 1:
         raise DomainError("N(1+eta)/2 must be an integer")

@@ -154,27 +154,48 @@ class WeierstrassFunction(HolderFunction):
             raise DomainError(f"b must be finite and exceed 1, not {b}")
         super().__init__(alpha, f"weierstrass(b={b}, alpha={alpha})")
         self.b = b
+        self._series = functools.cache(self._build_series)
+        # refuses a tol that is not positive and finite, and a b so near 1
+        # that the series has too many terms, before its bound divides by
+        # 1 - b^-alpha
+        self._series(alpha, tol)
+        self.tol = tol
         # |f(x)-f(y)| <= C |x-y|^alpha with the standard two-regime split
         q = math.pow(b, 1.0 - alpha)
         self.seminorm_bound = q / (q - 1.0) + 2.0 / (1.0 - math.pow(b, -alpha))
-        self._series = functools.cache(self._build_series)
-        self._series(alpha, tol)        # refuses a tol that is not positive and finite
-        self.tol = tol
 
     def _build_series(self, power: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
         """Frequencies b^n and amplitudes b^(-n power), n = 0..N, for the
         least N with b^-((N+1) power) / (1 - b^-power) <= tol.
 
-        `_series` is this, built once per (power, tol) and kept on the
-        instance: power alpha is the series of f, power 1 + alpha that of
-        its antiderivative.
+        N is the closed form ceil(ln(1 / (tol (1 - b^-power))) / (power ln b))
+        - 1, moved by one where rounding put it next to the least N that
+        passes the inequality.  A series of more than SWEEP_CELL_BUDGET terms,
+        or whose frequency b^N leaves the float range, is refused before any
+        array is built.  `_series` is this, built once per (power, tol) and
+        kept on the instance: power alpha is the series of f, power 1 + alpha
+        that of its antiderivative.
         """
         if not 0.0 < tol < math.inf:
             raise DomainError(f"tolerance must be positive and finite, not {tol}")
+        what = f"a Weierstrass series with b = {self.b}, exponent {power} and tol = {tol}"
         geo = 1.0 - math.pow(self.b, -power)
-        n = 0
-        while math.pow(self.b, -(n + 1) * power) / geo > tol:
+        if geo == 0.0:      # b^-power rounds to 1: no N passes the inequality
+            raise DepthCapError(f"{what} has no last term: b^-{power} rounds to 1")
+
+        def fits(m: int) -> bool:
+            return math.pow(self.b, -(m + 1) * power) / geo <= tol
+
+        n = max(0, math.ceil(-(math.log(tol) + math.log(geo))
+                             / (power * math.log(self.b))) - 1)
+        if n > 0 and fits(n - 1):
+            n -= 1
+        elif not fits(n):
             n += 1
+        check_cells(n + 1, what)
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.power(self.b, n)):
+                raise DepthCapError(f"{what} needs the frequency b^{n}, past the float range")
         ns = np.arange(n + 1)
         return np.power(self.b, ns), np.power(self.b, -power * ns)
 
@@ -434,6 +455,8 @@ class SeminormSampler:
             raise DomainError("need 0 < scale_min <= scale_max <= 1")
         if pairs < 1:
             raise DomainError("need at least one sampled pair")
+        if dyadic_depth is not None and dyadic_depth < 0:
+            raise DomainError(f"dyadic depth must be nonnegative, not {dyadic_depth}")
         self.pairs = pairs
         self.scale_min = scale_min
         self.scale_max = scale_max

@@ -294,18 +294,22 @@ class Martingale:
 
     def level_values(self, n: int) -> np.ndarray:
         """Values of S_n on all 2^n level-n intervals, inside the budget."""
+        if n < 0:
+            raise DomainError(f"level {n} is negative")
         check_sweep_budget(n)
         return self.level_values_range(n, 0, 1 << n)
 
 
 class ValueMartingale(Martingale):
-    """Martingale given by a direct value oracle (cancellation inherited
-    from the oracle, so it is checked rather than guaranteed).  Oracle
-    results are memoized, since each may be an expensive evaluation."""
+    """Divided-difference martingale S(I) = 2^n (f(b) - f(a)), I = [a, b) at level
+    n <= depth, of a HolderFunction f, whose cancellation is f's: checked, not
+    assumed.  One ``f.dyadic_differences`` read per range, kept; reads get copies."""
 
-    def __init__(self, value_fn: Callable[[DyadicInterval], float], **kw):
-        self._value_fn = functools.cache(value_fn)
-        super().__init__(increment_fn=self._increment_from_values, **kw)
+    def __init__(self, f, depth: int):
+        super().__init__(self._increment_from_values, max_depth=depth, name="from-function")
+        ints = np.int64 if depth < 63 else object       # Python ints past 2^62 + 1
+        self._read = functools.cache(lambda n, lo, hi: np.ldexp(f.dyadic_differences(
+            np.arange(lo, hi, dtype=ints), np.arange(lo + 1, hi + 1, dtype=ints), n), n))
         self.s0 = self.value(unit_interval())
 
     def _increment_from_values(self, child: DyadicInterval):
@@ -313,20 +317,18 @@ class ValueMartingale(Martingale):
 
     def value(self, I: DyadicInterval):
         self._check(I)
-        return self._value_fn(I)
+        return float(self._read(I.level, I.index, I.index + 1)[0])
 
     def level_values_range(self, n: int, lo: int, hi: int) -> np.ndarray:
         self._check_range(n, lo, hi)
-        return np.array([self.value(DyadicInterval(n, j)) for j in range(lo, hi)],
-                        dtype=float)
+        if hi > lo and n > self.max_depth:
+            raise DepthCapError(f"level {n} beyond max depth {self.max_depth}")
+        return self._read(n, lo, hi).copy() if hi > lo else np.zeros(0)
 
 
 def from_function(f, depth: int) -> ValueMartingale:
-    """Divided-difference martingale of f, evaluable to the given depth:
-    S(I) = 2^n (f(b) - f(a)) for I = [a, b) at level n."""
-    return ValueMartingale(
-        lambda I: math.ldexp(f.difference(I.left, I.right), I.level),
-        max_depth=depth, name="from-function")
+    """The divided-difference martingale of f, evaluable to `depth`."""
+    return ValueMartingale(f, depth)
 
 
 class PairedMartingale(Martingale):

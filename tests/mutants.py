@@ -32,6 +32,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 CAUGHT, PASSED = 10, 0          # exit codes of one check in a child process
 
@@ -68,6 +70,13 @@ def _unpaired_right_jump(original):
     return level_increments
 
 
+def _shifted_range_read(original):
+    # each range read one cell to the left, wrapping at its end
+    def level_values_range(self, n, lo, hi):
+        return np.roll(original(self, n, lo, hi), -1)
+    return level_values_range
+
+
 def _dropped_panel(original):
     # the last Simpson panel of every row is left out of the sum
     return lambda v, step: original(v[..., :-2], step)
@@ -86,6 +95,7 @@ def _misaligned_tiling(original):
 README_COUNTEREXAMPLE = "counterexample --alpha 0.5 --stages 2 --points 1000 --seed 11"
 README_MASS_MEASURE = "mass-measure --martingale block-discounted --eta 0.25 --depth 16"
 VERIFY_ALL = "verify-all --depth 12 --seed 7"
+VERIFY_ALL_SEED_1 = "verify-all --seed 1 --depth 12"
 
 MUTANTS = [
     Mutant("mass-ratio-plus-0.05", "entropy._mass_ratio", _plus(0.05),
@@ -114,6 +124,9 @@ MUTANTS = [
     Mutant("paired-jump-not-opposite", "martingale.PairedMartingale._level_increments",
            _unpaired_right_jump, ("criterion 3", VERIFY_ALL),
            "each right jump 1 + 2^-30 times the negated left jump"),
+    Mutant("value-range-shifted", "martingale.ValueMartingale.level_values_range",
+           _shifted_range_read, ("criterion 7", VERIFY_ALL_SEED_1),
+           "each range of the divided-difference martingale read one cell off"),
     Mutant("whitney-misaligned", "dyadic.whitney", _misaligned_tiling,
            (VERIFY_ALL,),
            "the Whitney pieces start at 0, not at x, and end at h, not x + h"),
@@ -140,6 +153,7 @@ FAIL_TEXT = {
         "first failure eta=1/4: count@20=60460, brute force 137980",
     ("paired-jump-not-opposite", "criterion 3"):
         "first failure binary: increments_paired is False",
+    ("value-range-shifted", VERIFY_ALL_SEED_1): "[FAIL] function/martingale round trip",
 }
 
 

@@ -3,9 +3,9 @@
 No library code calls these.  Each is what a test compares a library
 path against, or the entry through which a test reads a library kernel:
 the greedy Whitney walk, the walk `levels`, the whole-level mass sweep,
-the special-interval registry, the wavelet's cell table and ratio
-kernel, the witness search's annulus offsets.  The code is the
-library's, except the Whitney walk, restated on Fractions; a method
+the special-interval registry, the Weierstrass term loop, the wavelet's
+cell table and ratio kernel, the witness search's annulus offsets.  The
+code is the library's, except the Whitney walk, restated on Fractions; a method
 became a function of its instance, and `ratio_exact` reads the
 measure's float eta, the one its masses use.
 """
@@ -189,6 +189,17 @@ def coverage_identities(reg, round_index: int) -> dict[str, Fraction]:
 
 
 # -- holder -----------------------------------------------------------
+
+def loop_series(b, power, tol):
+    """Frequencies and amplitudes of the series summed to tol, with the
+    term count found by the loop that the closed form replaced."""
+    geo = 1.0 - math.pow(b, -power)
+    n = 0
+    while math.pow(b, -(n + 1) * power) / geo > tol:
+        n += 1
+    ns = np.arange(n + 1)
+    return np.power(b, ns), np.power(b, -power * ns)
+
 
 def tail_bound(f, terms: int) -> float:
     """The truncation bound of a Weierstrass series cut after `terms` terms."""

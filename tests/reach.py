@@ -49,7 +49,6 @@ KEEP = {name: reason for reason, names in {
         "entropy.MassMeasure.ratio"],
     FALLBACK + "a martingale built from an increment oracle, and of "
     "pair_primitives past depth 53": [
-        "martingale.Martingale.primitive", "martingale.Martingale.pair_primitives",
         "dyadic.DyadicInterval.ancestor", "dyadic.DyadicInterval.left_half"],
     FALLBACK + "`locate` and `contains` on a DyadicRational point": [
         "dyadic.DyadicRational.floor_scaled"],
@@ -58,8 +57,7 @@ KEEP = {name: reason for reason, names in {
         "martingale.ValueMartingale._increment_from_values"],
     FALLBACK + "a HolderFunction subclass that does not override the method": [
         "holder.HolderFunction._eval", "holder.HolderFunction.batch",
-        "holder.HolderFunction.difference", "holder.HolderFunction.dyadic_differences",
-        "holder.HolderFunction.antiderivative_batch"],
+        "holder.HolderFunction.difference", "holder.HolderFunction.antiderivative_batch"],
     FALLBACK + "f(x), and of f(b) - f(a) in a dyadic seminorm estimate, on an induced "
     "function or a wavelet oscillator": [
         "holder.MartingaleInducedFunction._eval", "holder.MartingaleInducedFunction.eval_dyadic",

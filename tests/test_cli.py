@@ -110,12 +110,38 @@ class TestExitCodes:
         ["mass-measure", "--martingale", "binary", "--eta", "0.5", "--depth", "7"],
         ["mass-measure", "--martingale", "block-discounted", "--eta", "0.25",
          "--depth", "7"],
-        ["martingale-extract", "--b", "2", "--alpha", "0.5", "--depth", "7"],
+        # a tolerance whose 22 terms stay inside the lowered budget
+        ["martingale-extract", "--b", "2", "--alpha", "0.5", "--depth", "7", "--tol", "1e-3"],
     ])
     def test_sweep_budget(self, tmp_path, monkeypatch, argv):
         monkeypatch.setattr(martingale, "SWEEP_CELL_BUDGET", 1 << 6)
         assert run(argv + ["--out", str(tmp_path)]) == 4
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("argv, text", [
+        (["weierstrass", "--alpha", "0.5", "--b", "1.0000001"], "796741917 cells"),
+        (["martingale-extract", "--alpha", "0.5", "--b", "1.0000001", "--depth", "3"],
+         "934897029 cells"),
+        (["weierstrass", "--alpha", "0.5", "--tol", "1e-300"], "b^1996"),
+        (["weierstrass", "--alpha", "0.001"], "b^43714"),
+    ])
+    def test_weierstrass_term_count_is_a_depth_cap(self, tmp_path, argv, text):
+        # b = 1.0000001 was still counting terms after 30 s, before arrays of
+        # ~7 GB; past b^N = inf numpy warned and f(0.0) was refused (exit 3).
+        # In a subprocess, so that a hang fails the test instead of the suite
+        out = tmp_path / "w"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(d.__file__).parents[1]), env.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, time; from dyadosc import cli; "
+             "t = time.perf_counter(); code = cli.main(sys.argv[1:]); "
+             "print(time.perf_counter() - t); sys.exit(code)", *argv, "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 4
+        assert float(proc.stdout) < 1.0
+        assert text in proc.stderr and "Warning" not in proc.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, count", [
         ("--pairs", "0"), ("--pairs", "-1"), ("--points", "0"), ("--points", "-1"),
@@ -542,6 +568,18 @@ def _readme_commands():
 
 
 class TestReadmeExamples:
+    @pytest.mark.parametrize("argv, digest", [
+        (["--alpha", "0.5", "--depth", "10"],
+         "58f1ce0f511751a35f89dfcd31789cf70107474d17be322795ce7b320fd067cb"),
+        (["--b", "3", "--alpha", "0.5", "--depth", "7"],
+         "5c4407da264794bc9b21d02e853c81d8fe49c02c4fb565e474fd11bc7c519215"),
+    ])
+    def test_martingale_extract_bytes(self, tmp_path, argv, digest):
+        # the dump of the divided-difference martingale, pinned from its
+        # per-cell oracle: range reads keep every value's bits
+        assert run(["martingale-extract", *argv, "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / "martingale.csv").read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
     def test_command_runs_and_its_manifest_holds(self, tmp_path, monkeypatch, capsys, argv):
         # relative --out paths land under tmp_path; every line but

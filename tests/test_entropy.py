@@ -193,12 +193,20 @@ class TestEntropyRefusals:
         lambda: d.product_lower_bound([0.5], 1.0),
         lambda: d.product_lower_bound_exact([Fraction(3, 2)], Fraction(1, 2)),
         lambda: d.extremal_bound_exact(3, Fraction(1, 2)),
+        # a NaN x_k passed |x_k| <= 1 (product nan), and the exact forms took
+        # any eta: 3/2 from eta = 2, five ones for N = 4 at eta = 3/2
+        lambda: d.product_lower_bound([0.5, math.nan], 0.5),
+        lambda: d.product_lower_bound_exact([Fraction(1)], Fraction(2)),
+        lambda: d.product_lower_bound_exact([Fraction(1)], Fraction(0)),
+        lambda: d.extremal_configuration(4, Fraction(3, 2)),
+        lambda: d.extremal_bound_exact(4, Fraction(-1, 2)),
         lambda: d.covering_content([DI(1, 0)], 1.5, 0.5),
         lambda: d.besicovitch_threshold(10, 1),
         lambda: d.besicovitch_count(-1, 0.5),
         lambda: d.dim_estimate([(20, 5), (0, 1)]),
         lambda: d.dim_estimate([(20, 0)]),
-    ], ids=["no-x", "eta-1", "exact-x-above-1", "n0-not-integral", "content-s-above-1",
+    ], ids=["no-x", "eta-1", "exact-x-above-1", "n0-not-integral", "x-nan", "exact-eta-2",
+            "exact-eta-0", "extremal-eta-3/2", "extremal-eta-negative", "content-s-above-1",
             "threshold-eta-1", "count-negative-n", "estimate-n-0", "estimate-count-0"])
     def test_domain_error(self, call):
         with pytest.raises(d.DomainError):

@@ -25,26 +25,15 @@ import dyadosc as d
 from dyadosc import holder
 from dyadosc.dyadic import DyadicInterval as DI
 from dyadosc.dyadic import DyadicRational as DR
-from oracles import tail_bound
+from oracles import loop_series, tail_bound
 
 mp.mp.dps = 40
-
-
-def _loop_series(b, power, tol):
-    """Frequencies and amplitudes of the series summed to tol, by the
-    per-call term loop the cached series replaced."""
-    geo = 1.0 - math.pow(b, -power)
-    n = 0
-    while math.pow(b, -(n + 1) * power) / geo > tol:
-        n += 1
-    ns = np.arange(n + 1)
-    return np.power(b, ns), np.power(b, -power * ns)
 
 
 def _term_loop(b, alpha, x, tol):
     """f(x) summed to tol by running products, as the per-call `_eval`
     that took a tolerance on every call did it."""
-    terms = len(_loop_series(b, alpha, tol)[0])
+    terms = len(loop_series(b, alpha, tol)[0])
     total, freq, amp, damp = 0.0, 1.0, 1.0, math.pow(b, -alpha)
     for _ in range(terms):
         total += amp * math.cos(freq * x)
@@ -191,10 +180,10 @@ class TestWeierstrass:
         xs = np.linspace(0.0, 1.0, 17)
         fs = {tol: d.WeierstrassFunction(b, alpha, tol) for tol in (1e-8, 1e-12, 1e-13)}
         for tol, f in fs.items():
-            freqs, amps = _loop_series(b, alpha, tol)
+            freqs, amps = loop_series(b, alpha, tol)
             assert f.terms_for(tol) == len(freqs)
             assert np.array_equal(f.batch(xs), np.cos(np.outer(xs, freqs)) @ amps)
-            freqs, amps = _loop_series(b, 1.0 + alpha, tol)
+            freqs, amps = loop_series(b, 1.0 + alpha, tol)
             assert np.array_equal(f.antiderivative_batch(xs),
                                   np.sin(np.outer(xs, freqs)) @ amps)
         # each series was built once: repeated calls run no term loop
@@ -203,6 +192,44 @@ class TestWeierstrass:
         for tol, f in fs.items():
             f.terms_for(tol), f.batch(xs), f.antiderivative_batch(xs)
         assert pows == []
+
+    def test_term_counts_match_the_loop(self):
+        # the closed form, nudged, against the loop it replaced, for the
+        # series of f (power alpha) and of its antiderivative (1 + alpha)
+        for b in (1.5, 2.0, 3.0, 7.0):
+            for alpha in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
+                f = d.WeierstrassFunction(b, alpha)
+                for tol in [10.0 ** -k for k in range(6, 16)]:
+                    for power in (alpha, 1.0 + alpha):
+                        assert len(f._series(power, tol)[0]) == len(
+                            loop_series(b, power, tol)[0]), (b, alpha, tol, power)
+
+    @pytest.mark.parametrize("tol, terms", [(0.6035533905932738, 6),
+                                            (0.05334708691207962, 12)])
+    def test_closed_form_nudged_onto_the_loop(self, tol, terms):
+        # tolerances at a term's boundary, where the closed form rounds to
+        # one term fewer (first) and one more (second) than the loop
+        f = d.WeierstrassFunction(2.0, 0.5)
+        assert f.terms_for(tol) == len(loop_series(2.0, 0.5, tol)[0]) == terms
+
+    @pytest.mark.parametrize("b, alpha, tol, text", [
+        (1.0000001, 0.5, 1e-12, "needs an array of 888845325 cells"),
+        (2.0, 0.5, 1e-300, "needs the frequency b^1996, past the float range"),
+        (2.0, 0.001, 1e-12, "needs the frequency b^50358, past the float range"),
+        (1.0 + 2.0 ** -52, 0.001, 1e-12, "has no last term: b^-0.001 rounds to 1"),
+    ])
+    def test_term_count_refused_before_any_array(self, b, alpha, tol, text):
+        # the loop was still counting after 30 s at b = 1.0000001, before
+        # arrays of ~7 GB; past b^N = inf numpy warned and every x was
+        # refused; b^-alpha = 1 divided by zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t0 = time.perf_counter()
+            with pytest.raises(d.DepthCapError) as err:
+                d.WeierstrassFunction(b, alpha, tol)
+            assert time.perf_counter() - t0 < 1.0
+        assert str(err.value).startswith(
+            f"a Weierstrass series with b = {b}, exponent {alpha} and tol = {tol} {text}")
 
     @pytest.mark.parametrize("tol", [None, 1e-13, 1e-11])
     @pytest.mark.parametrize("b,alpha", [(2.0, 0.5), (3.0, 0.5), (2.0, 0.3)])
@@ -225,7 +252,7 @@ class TestWeierstrass:
             _term_loop(b, alpha, 0.5, tol / 2) - _term_loop(b, alpha, 0.25, tol / 2), 2)
         for power, call, trig in ((alpha, f.batch, np.cos),
                                   (1.0 + alpha, f.antiderivative_batch, np.sin)):
-            freqs, amps = _loop_series(b, power, tol)
+            freqs, amps = loop_series(b, power, tol)
             assert call(xs).tobytes() == (trig(np.outer(xs, freqs)) @ amps).tobytes()
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
@@ -355,6 +382,11 @@ class TestHolderRefusals:
         f = d.martingale_function(d.binary_digit_martingale(), 0.5)
         with pytest.raises(d.DomainError):
             f.eval_dyadic(x)
+
+    def test_sampler_refuses_a_negative_dyadic_depth(self):
+        # it failed only inside the estimate, with "negative shift count"
+        with pytest.raises(d.DomainError, match="dyadic depth must be nonnegative"):
+            d.SeminormSampler(dyadic_depth=-1)
 
     def test_cpu_count_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)

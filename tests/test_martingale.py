@@ -68,17 +68,67 @@ class TestFromFunction:
         assert rep.max_violation <= 1e-12
 
     def test_broken_evaluator_is_named(self):
-        def broken(I):
-            if (I.level, I.index) == (3, 5):
-                return 123.0
-            return 0.0
+        class Broken(d.HolderFunction):
+            # f(b) - f(a) vanishes on every interval but [5/8, 3/4) = I(3, 5)
+            def difference(self, a, b):
+                return 123.0 / 8 if (a, b) == (DR(5, 3), DR(6, 3)) else 0.0
 
-        S = d.martingale.ValueMartingale(broken)
+        S = d.from_function(Broken(0.5, "broken"), 4)
+        assert S.value(DI(3, 5)) == 123.0
         rep = d.check_cancellation(S, 4)
         assert rep.max_violation > 1.0
         assert rep.worst_interval is not None
         # the violation is detected at the parent of the corrupted node
         assert rep.worst_interval in (DI(3, 5), DI(2, 2))
+
+    @pytest.mark.parametrize("name", ["W(2, 1/2)", "W(3, 1/2)", "binary-induced",
+                                      "block-induced"])
+    def test_range_reads_are_the_scalar_reads(self, name, block_martingale_half):
+        # every cell to depth 10: the range read, the one-cell read of
+        # `value` and 2^n (f(b) - f(a)) by the scalar difference, bit for bit
+        f = {"W(2, 1/2)": lambda: d.WeierstrassFunction(2.0, 0.5),
+             "W(3, 1/2)": lambda: d.WeierstrassFunction(3.0, 0.5),
+             "binary-induced": lambda: d.martingale_function(d.binary_digit_martingale(), 0.5),
+             "block-induced": lambda: d.martingale_function(block_martingale_half, 0.5),
+             }[name]()
+        S = d.from_function(f, 10)
+        for n in range(11):
+            scalar = [S.value(DI(n, j)) for j in range(1 << n)]
+            direct = [math.ldexp(f.difference(DR(j, n), DR(j + 1, n)), n)
+                      for j in range(1 << n)]
+            assert np.array(scalar).tobytes() == np.array(direct).tobytes()
+            assert S.level_values_range(n, 0, 1 << n).tobytes() == np.array(scalar).tobytes()
+
+    def test_range_next_to_2_to_the_66(self):
+        # numerators past 2^63 stay Python ints
+        B = d.binary_digit_martingale(max_depth=80)
+        lo, hi = (1 << 66) - 5, 1 << 66
+        cells = [DI(66, j) for j in range(lo, hi)]
+        for f, want in ((d.martingale_function(B, 0.5), [B.value(I) for I in cells]),
+                        # the endpoints of each cell round to one float
+                        (d.WeierstrassFunction(2.0, 0.5), [0.0] * 5)):
+            S = d.from_function(f, 66)
+            got = S.level_values_range(66, lo, hi).tolist()
+            assert got == [S.value(I) for I in cells] == want
+
+    def test_writing_into_a_read_leaves_the_next_read(self):
+        S = d.from_function(d.WeierstrassFunction(2.0, 0.5), 6)
+        for read in (lambda: S.level_values_range(6, 3, 40), lambda: S.level_values(6)):
+            first = read()
+            want = first.tobytes()
+            first[:] = 7.0
+            assert read().tobytes() == want
+        assert S.value(DI(6, 3)) == S.level_values(6)[3]
+
+    def test_errors_of_scalar_and_range_reads(self):
+        S = d.from_function(d.LinearFunction(1.0, 0.5), 5)
+        with pytest.raises(d.DomainError, match="outside the unit interval"):
+            S.value(DI(3, 8))
+        for call in (lambda: S.value(DI(6, 0)), lambda: S.level_values_range(6, 0, 1)):
+            with pytest.raises(d.DepthCapError, match="level 6 beyond max depth 5"):
+                call()
+        empty = S.level_values_range(9, 3, 3)
+        assert empty.dtype == np.float64 and empty.size == 0
 
 
 class TestDiscountAndSharpness:
@@ -384,8 +434,9 @@ class TestMartingaleRefusals:
         lambda: d.GrowthMartingale(1.0, d.RandomSignMartingale(1)),
         lambda: d.SubsampledMartingale(d.binary_digit_martingale(), 2, 1, 0.0).value(
             1, DI(2, 0)),
+        lambda: d.binary_digit_martingale().level_values(-1),
     ], ids=["negative-max-depth", "root-increment", "level-0-increments",
-            "growth-beta-1", "subsampled-off-level"])
+            "growth-beta-1", "subsampled-off-level", "negative-level"])
     def test_domain_error(self, call):
         with pytest.raises(d.DomainError):
             call()

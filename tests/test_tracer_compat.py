@@ -61,8 +61,9 @@ def test_scaled_view_level_read_counted_once(tmp_path):
 
 
 def test_extracted_martingale_is_traced(tmp_path):
-    # the divided-difference martingale reads its memoised oracle through
-    # ValueMartingale.value, a boundary the tracer patches by name
+    # the divided-difference martingale reads its root value S_0 through
+    # ValueMartingale.value, a boundary the tracer patches by name; its
+    # levels are range reads, which the tracer counts as level sweeps
     out = _traced(["martingale-extract", "--alpha", "0.5", "--depth", "4",
                    "--out", str(tmp_path / "mx")])
     assert out["codes"] == [0]
