@@ -25,12 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .dyadic import DepthCapError, DomainError, DyadicInterval, DyadicRational
-from .martingale import (
-    FLOAT_EXACT_DEPTH,
-    PairedMartingale,
-    address_bits,
-    bit_lengths,
-)
+from .martingale import BLOCK_CELLS, PairedMartingale, bit_lengths
 
 
 def m_of_delta(delta, beta) -> int:
@@ -333,6 +328,13 @@ def build_schedule(beta, stages: int, depth_cap: int = 4096) -> BlockSchedule:
                          end_level, depth_cap, truncated)
 
 
+# widest block of `BlockMartingale.pair_primitives`, in cells per array: a
+# 50-point survey over the 79 windows of beta = 1/2 descends in one block,
+# whose widest arrays, 125 KiB of floats, stay below glibc's 128 KiB mmap
+# threshold
+_BLOCK = 2 * BLOCK_CELLS
+
+
 class BlockMartingale(PairedMartingale):
     """Accumulated block sums, interval-keyed; stops between placements.
 
@@ -346,9 +348,13 @@ class BlockMartingale(PairedMartingale):
                          max_depth=max(schedule.depth_cap, schedule.end_level) + 64,
                          name=f"blocks(beta={schedule.beta})")
         self.schedule = schedule
-        self._starts = [p.level for p in schedule.placements]
-        self._ends = [p.end for p in schedule.placements]
+        # rows k, end and M of the placement windows (k, end = k + M]
+        self._levels = np.array([(p.level, p.end, p.M) for p in schedule.placements],
+                                dtype=np.int32).T.reshape(3, -1)
+        self._starts, self._ends = self._levels[:2].tolist()
         self._windows = [(p.level, p.end, p.amplitude, p.M) for p in schedule.placements]
+        self._amps = np.array([(p.amplitude, math.ldexp(p.amplitude, p.M))
+                               for p in schedule.placements]).T.reshape(2, -1)
 
     def _left(self, level: int, parents):
         """Haar term t = level - k - 1 of the window (k, k + M] live at
@@ -438,65 +444,80 @@ class BlockMartingale(PairedMartingale):
         return acc + run(s, lvl, end)
 
     def pair_primitives(self, ia: np.ndarray, ib: np.ndarray, depth: int):
-        """The base descent in array form, to depth 53 (the loop goes
-        deeper): one pass per placement above `depth`, with the float
-        operations of `value` and `primitive` in their order, so the
-        results are bit-identical."""
-        if depth > FLOAT_EXACT_DEPTH:
-            return super().pair_primitives(ia, ib, depth)
-        ia = np.asarray(ia, dtype=np.uint64)
-        ib = np.asarray(ib, dtype=np.uint64)
-        bits = bit_lengths(ia ^ ib)
-        level = depth - bits
-        index = ia >> bits.astype(np.uint64)
-        s = self._values(level, index)
-        g = self._primitives(np.tile(level, 2), np.tile(index, 2), np.tile(s, 2),
-                             np.concatenate([ia, ib]), depth)
-        return s, g[:ia.size], g[ia.size:]
+        """``pair_primitive`` over arrays of address pairs at any depth, bit
+        for bit: `ia` and `ib` hold depth-bit numerators, uint64 or Python
+        ints.  Pairs are taken in order of their ancestor's level, in
+        blocks of at most _BLOCK cells per array, each by one `_descend`."""
+        if depth > self.max_depth:
+            raise DepthCapError(f"level {depth} beyond max depth {self.max_depth}")
+        n = len(ia)
+        lvl = (depth - bit_lengths(ia ^ ib)).astype(np.int32)
+        # windows starting above depth
+        P = int(np.searchsorted(self._levels[0], depth - 1, side="right"))
+        # cells per pair: two rows of 2 P + 2 terms, and of the address words
+        step = max(1, _BLOCK // max(4 * P + 4, 2 * (depth // 64 + 3)))
+        out = np.empty((3, n))
+        order = np.argsort(lvl, kind="stable")
+        for c in range(0, n, step):
+            pick = order[c:c + step]
+            out[:, pick] = self._descend(ia[pick], ib[pick], lvl[pick], depth, P)
+        return out[0], out[1], out[2]
 
-    def _values(self, level: np.ndarray, index: np.ndarray) -> np.ndarray:
-        """`value` of the intervals (level, index), per entry."""
-        total = np.zeros(level.shape)
-        for k, end, amp, _ in self._windows:
-            on = k < level
-            if not on.any():
-                break
-            lv = level[on]
-            t = np.minimum(lv, end) - k
-            bits = address_bits(index[on], lv - k - t, t)
-            total[on] += np.where(bits == 0, amp * (np.ldexp(1.0, t) - 1.0), -amp)
-        return total
+    def _descend(self, ia, ib, lvl, depth: int, P: int) -> np.ndarray:
+        """(S(anc), ga, gb) of the pairs, whose ancestors are at levels
+        `lvl`, as a (3, pairs) array: `value` and `primitive` laid out on
+        grids of rows by columns, the placement windows (k, k + M].
 
-    def _primitives(self, level: np.ndarray, index: np.ndarray, s: np.ndarray,
-                    address: np.ndarray, end: int) -> np.ndarray:
-        """`primitive` per entry, from the interval (level, index) with
-        value s down to the depth-`end` address, end <= 53; each branch
-        of the scalar loop is a `np.where` here."""
-
-        def run(s, u, v):
-            # window / 2^v is m 2^(e - v), exactly, with (m, e) its frexp
-            m, e = np.frexp(address_bits(address, end - v, v - u).astype(float))
-            return np.ldexp(s * m, e - v)
-
-        acc = np.zeros(s.shape)
-        lvl = level
-        for k, k_end, amp, M in self._windows:
-            if k >= end:
-                break
-            off = np.maximum(lvl - k, 0)
-            go = (k_end > level) & (address_bits(index, 0, off) == 0)
-            acc = np.where(go, acc + run(s, lvl, k + off), acc)
-            hi = k_end if k_end < end else end
-            window = address_bits(address, end - hi, np.maximum(hi - k - off, 0))
-            spine = np.ldexp(amp, off)
-            first = hi - bit_lengths(window) + 1
-            hit = go & (window != 0)
-            acc = np.where(hit, acc + np.ldexp(s + (np.ldexp(amp, first - k) - spine),
-                                               -first), acc)
-            s = np.where(hit, s - spine,
-                         np.where(go, s + (math.ldexp(amp, M) - spine), s))
-            lvl = np.where(hit, first, np.where(go, hi, lvl))
-        return acc + run(s, lvl, end)
+        `value` reads one row per pair, on the windows with k below some
+        ancestor; the descents read both addresses of each pair, on the
+        windows that end below some ancestor and start above depth.  Every
+        field of the scalar loops is read from the address bits: a window's
+        first 1-bit, and the run from each window's exit to the next window.
+        The scalar additions become running sums along the columns, in the
+        scalar order: S(anc) of `value`'s terms, s of S(anc) and the jumps
+        at the windows, and the integral of the terms run, hit, run, hit,
+        ..., final run.
+        """
+        n = len(ia)
+        bits = _AddressBits(np.concatenate([ia, ib]), depth)
+        lo = int(np.searchsorted(self._levels[1], lvl.min(), side="right"))
+        top = int(np.searchsorted(self._levels[0], lvl.max(), side="left"))
+        # value(anc) adds, per window with k < L, its spine value on the
+        # levels (k, min(L, end)] when they hold no 1-bit, else -amp
+        k, M, amp = self._levels[0, :top], self._levels[2, :top], self._amps[0, :top]
+        t = np.minimum(lvl[:, None] - k, M)
+        terms = np.zeros((n, top + 1))
+        terms[:, 1:] = np.where(bits.below(k, n) > k + t, amp * (np.ldexp(1.0, t) - 1.0),
+                                -amp) * (t > 0)
+        s_anc = np.add.accumulate(terms, axis=1, out=terms)[:, -1]
+        # the descents enter each window below L on its spine, and the
+        # window of L when L's own bits in it are zero
+        L = np.concatenate([lvl, lvl])[:, None]
+        k, end, M = self._levels[:, lo:P]
+        amp, peak = self._amps[:, lo:P]
+        hi = np.minimum(end, depth)
+        p = bits.below(k)
+        on = (end > L) & (p > L)
+        hit = on & (p <= hi)
+        spine = np.ldexp(amp, np.minimum(np.maximum(L - k, 0), M))
+        terms = np.empty((2 * n, P - lo + 1))
+        terms[:, 0] = np.concatenate([s_anc, s_anc])
+        terms[:, 1:] = (peak * ~hit - spine) * on
+        s = np.add.accumulate(terms, axis=1, out=terms)
+        # runs: from L, or from the level after each window, down to the
+        # next window's k, and the last down to depth
+        q = bits.below(np.concatenate([L, np.where(hit, p, np.where(on, hi, L))], axis=1))
+        width = np.append(k, np.int32(depth)) + 1 - q
+        size = np.minimum(np.maximum(width, 0), 60)
+        head = bits.word(q - 1) >> (np.uint64(64) - size.astype(np.uint64))
+        terms = np.zeros((2 * n, 2 * (P - lo) + 2))
+        # window / 2^v of the scalar `run`, from its top 60 bits
+        np.ldexp(s * np.ldexp(head.astype(float), -size), 1 - q, out=terms[:, 1::2])
+        first = np.minimum(p, hi)
+        np.multiply(np.ldexp(s[:, :-1] + (np.ldexp(amp, first - k) - spine), -first), hit,
+                    out=terms[:, 2::2])
+        g = np.add.accumulate(terms, axis=1, out=terms)[:, -1]
+        return np.stack([s_anc, g[:n], g[n:]])
 
     def level_values_range(self, n: int, lo: int, hi: int) -> np.ndarray:
         """Vectorized values of S_n on indices [lo, hi); needs n <= 62.
@@ -528,6 +549,56 @@ class BlockMartingale(PairedMartingale):
             total -= amp
             total[spine] = on_spine
         return _cover_repeat(total, shift, 0, lo, hi)
+
+
+class _AddressBits:
+    """Depth-bit numerators (uint64 or Python ints) as 64-bit words, word w
+    of every row in row w of `words`, the bit of level i at bit i - 1 of its
+    row's words; then two zero words, so no read runs off a row."""
+
+    def __init__(self, a: np.ndarray, depth: int):
+        self.depth = depth
+        self.rows = len(a)
+        nw = max(1, -(-depth // 64))
+        words = np.zeros((nw + 2, len(a)), np.uint64)
+        if a.dtype != object and depth <= 64:
+            if depth:
+                words[0] = a.astype(np.uint64) << np.uint64(64 - depth)
+        elif len(a):
+            buf = b"".join((int(v) << (64 * nw - depth)).to_bytes(8 * nw, "big")
+                           for v in a.tolist())
+            words[:nw] = np.frombuffer(buf, ">u8").reshape(len(a), nw).T
+        self.flat = words.ravel()
+        # after[w, r]: the level of the first 1-bit of row r in the words
+        # past word w, and a level past depth where there is none
+        after = np.empty((nw + 1, len(a)), np.int32)
+        after[nw - 1:] = 64 * (nw + 1) + 1
+        after[:nw - 1] = 64 * np.arange(1, nw, dtype=np.int32)[:, None] + _clz(words[1:nw]) + 1
+        self.after = np.minimum.accumulate(after[::-1], axis=0)[::-1].ravel()
+        self.at = np.arange(len(a))[:, None]
+
+    def below(self, u: np.ndarray, rows: Optional[int] = None) -> np.ndarray:
+        """The level of the first 1-bit below level u, per cell of the first
+        `rows` rows (all by default); past depth where there is none."""
+        w = (u >> 6) * self.rows + self.at[:rows]
+        cur = self.flat.take(w) << (u & 63).astype(np.uint64)
+        return np.minimum(u + 1 + _clz(cur), self.after.take(w))
+
+    def word(self, j: np.ndarray) -> np.ndarray:
+        """The 64 bits from bit index j (min(j, depth)) on, per cell."""
+        j = np.minimum(j, self.depth)
+        w = (j >> 6) * self.rows + self.at
+        o = (j & 63).astype(np.uint64)
+        return (self.flat.take(w) << o) | (self.flat.take(w + self.rows) >> (np.uint64(64) - o))
+
+
+def _clz(x: np.ndarray) -> np.ndarray:
+    """Leading zero bits of each uint64, and 2^30, past any depth, for 0.
+    The float of x with every bit below a 1-bit cleared is below 1.5 times
+    its top bit, so it rounds within that bit's binade, and its frexp
+    exponent is exact."""
+    top = np.frexp((x & ~(x >> np.uint64(1))).astype(float))[1]
+    return np.where(top, 64 - top, np.int32(1 << 30))
 
 
 def _cover_repeat(vals: np.ndarray, shift: int, to: int, lo: int, hi: int) -> np.ndarray:
@@ -586,20 +657,23 @@ class SpecialIntervalRegistry:
         self.record = schedule.stages[stage]
         self.placements = schedule.stage_placements(stage)
         self.S = martingale or BlockMartingale(schedule)
+        # (placement, level, end, all-ones window, count of level cells)
+        self._rounds = [(p, p.level, p.end, (1 << p.M) - 1, 1 << p.level)
+                        for p in self.placements]
 
     # -- membership ---------------------------------------------------
 
     def hits(self, x_bits: int, depth: int) -> list[SpecialHit]:
         """Special / left-special memberships of x = x_bits * 2^-depth."""
         out = []
-        for p in self.placements:
-            if p.end > depth:
+        for p, level, end, ones, cells in self._rounds:
+            if end > depth:
                 break
-            window = (x_bits >> (depth - p.end)) & ((1 << p.M) - 1)
-            q = x_bits >> (depth - p.level)
+            window = (x_bits >> (depth - end)) & ones
+            q = x_bits >> (depth - level)
             if window == 0:
                 out.append(SpecialHit(p, "special", q))
-            elif window == (1 << p.M) - 1 and q + 1 < (1 << p.level):
+            elif window == ones and q + 1 < cells:
                 out.append(SpecialHit(p, "left", q + 1))
         return out
 
@@ -664,6 +738,12 @@ def witness_survey(schedule: BlockSchedule, S: BlockMartingale, f, alpha: float,
     1/20 - 1e-3.  Returns (hits, points).  Only complete stages offer
     candidates, and the 99% certificate needs stage 1: at depth cap 1024
     it completes for beta <= 0.6, not at beta 0.65 or 0.7.
+
+    The points are drawn first; then, stage by stage, the memberships of
+    the points not yet scored are located, and their candidates are tried
+    by rank, one ``f.dyadic_differences`` call per rank over the points
+    still open: the candidates and their order per point are those of a
+    point-by-point search, so (hits, points) is the same.
     """
     if points < 1:
         raise DomainError("need at least one sampled point")
@@ -672,19 +752,19 @@ def witness_survey(schedule: BlockSchedule, S: BlockMartingale, f, alpha: float,
             for j in range(min(2, len(schedule.stages)))
             if schedule.stages[j].complete]
     depth = schedule.end_level + 48
-    hits = 0
-    for _ in range(points):
-        bits = rng.getrandbits(depth)
-        x = DyadicRational(bits, depth)
-        found = False
-        for reg in regs:
-            for hit in reg.hits(bits, depth):
-                e = hit.target
-                dd = f.difference(x, e) / float(e - x) ** alpha
-                if dd >= 0.05 - 1e-3:
-                    found = True
-                    break
-            if found:
-                break
-        hits += int(found)
-    return hits, points
+    xs = [rng.getrandbits(depth) for _ in range(points)]
+    unscored = list(range(points))
+    for reg in regs:
+        cands = {i: reg.hits(xs[i], depth) for i in unscored}
+        rank = 0
+        while live := [i for i in unscored if len(cands[i]) > rank]:
+            x = [xs[i] for i in live]
+            # the right endpoints of the special intervals, at `depth`
+            e = [(t := cands[i][rank].target).numerator << (depth - t.exponent) for i in live]
+            diffs = f.dyadic_differences(np.array(x, dtype=object), np.array(e, dtype=object),
+                                         depth)
+            scored = {i for i, a, b, diff in zip(live, x, e, diffs.tolist())
+                      if diff / float(DyadicRational(b - a, depth)) ** alpha >= 0.05 - 1e-3}
+            unscored = [i for i in unscored if i not in scored]
+            rank += 1
+    return points - len(unscored), points

@@ -26,7 +26,7 @@ from .dyadic import (
     locate,
     unit_interval,
 )
-from .martingale import FLOAT_EXACT_DEPTH, Martingale, bit_lengths, check_cells
+from .martingale import Martingale, bit_lengths, check_cells
 
 
 class HolderFunction:
@@ -88,6 +88,8 @@ def _dyadic_pairs(lo, hi, depth: int):
     lo, hi = np.asarray(lo), np.asarray(hi)
     if lo.ndim != 1 or lo.shape != hi.shape:
         raise DomainError("lo and hi must be 1-d arrays of one length")
+    if lo.dtype.kind not in "iuO" or hi.dtype.kind not in "iuO":
+        raise DomainError("dyadic differences expect integer numerator arrays")
     if depth < 0 or np.any(lo < 0) or np.any(hi < lo) or np.any(hi > (1 << depth)):
         raise DomainError("dyadic differences expect 0 <= lo <= hi <= 2^depth")
     return lo, hi
@@ -162,6 +164,9 @@ class WeierstrassFunction(HolderFunction):
         self.tol = tol
         # |f(x)-f(y)| <= C |x-y|^alpha with the standard two-regime split
         q = math.pow(b, 1.0 - alpha)
+        if q == 1.0:
+            raise DepthCapError(f"the seminorm bound at b = {b}, alpha = {alpha} leaves "
+                                f"the float range: b^(1 - alpha) rounds to 1")
         self.seminorm_bound = q / (q - 1.0) + 2.0 / (1.0 - math.pow(b, -alpha))
 
     def _build_series(self, power: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -401,8 +406,9 @@ class MartingaleInducedFunction(HolderFunction):
         return gb - ga
 
     def dyadic_differences(self, lo, hi, depth: int) -> np.ndarray:
-        """The three paths of ``difference`` over whole arrays, to depth 53
-        (the loop goes deeper), through one ``S.pair_primitives`` call.
+        """The three paths of ``difference`` over whole arrays, at any depth,
+        through one ``S.pair_primitives`` call: the routes are chosen on
+        uint64 numerators to depth 63 and on Python ints past it.
 
         Working at `depth` rather than at each point's lowest terms only
         appends zero address bits, which add nothing to either descent.
@@ -412,17 +418,19 @@ class MartingaleInducedFunction(HolderFunction):
         lo, hi = _dyadic_pairs(lo, hi, depth)
         if depth > self.max_depth:
             raise DepthCapError(f"difference needs depth {depth} beyond cap")
-        if depth > FLOAT_EXACT_DEPTH:
-            return super().dyadic_differences(lo, hi, depth)
         out = np.zeros(lo.shape)
         live = lo != hi
-        lo = lo[live].astype(np.uint64)
-        hi = hi[live].astype(np.uint64)
+        if depth < 64:
+            u = np.uint64
+            lo, hi = lo[live].astype(u), hi[live].astype(u)
+        else:
+            u = int
+            lo, hi = lo[live].astype(object), hi[live].astype(object)
         width = hi - lo
-        one = np.uint64(1)
+        one = u(1)
         single = ((width & (width - one)) == 0) & ((lo & (width - one)) == 0)
-        to_one = (hi == one << np.uint64(depth)) & ~single
-        mirror = lo ^ np.uint64((1 << depth) >> 1)
+        to_one = (hi == u(1 << depth)) & ~single
+        mirror = lo ^ u((1 << depth) >> 1)
         s, ga, gb = self.S.pair_primitives(
             lo, np.where(single, hi - one, np.where(to_one, mirror, hi)), depth)
         level = depth + 1 - bit_lengths(width)

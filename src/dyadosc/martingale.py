@@ -75,23 +75,13 @@ def _children(vals: np.ndarray, incs: np.ndarray) -> np.ndarray:
     return kids
 
 
-# deepest dyadic depth whose addresses, and their xors, convert to float64
-# exactly: array descents to it stay bit-identical to the scalar ones
-FLOAT_EXACT_DEPTH = 53
-
-
 def bit_lengths(x: np.ndarray) -> np.ndarray:
-    """``int.bit_length`` of each entry of a uint64 array below 2^53,
-    exactly (the exponent of frexp of its exact float)."""
-    return np.frexp(x.astype(float))[1].astype(np.int64)
-
-
-def address_bits(x: np.ndarray, shift, width) -> np.ndarray:
-    """(x >> shift) & (2^width - 1) for a uint64 array; `shift` and
-    `width` are nonnegative ints or int arrays, `width` below 64."""
-    u = np.uint64
-    mask = (u(1) << np.asarray(width, dtype=u)) - u(1)
-    return (x >> np.asarray(shift, dtype=u)) & mask
+    """``int.bit_length`` of each entry of a uint64 or Python-int array,
+    exactly: the exponent of frexp of its exact float below 2^53, and
+    ``int.bit_length`` itself past it."""
+    if x.dtype != object and (x.size == 0 or int(x.max()) < 1 << 53):
+        return np.frexp(x.astype(float))[1].astype(np.int64)
+    return np.array([int(v).bit_length() for v in x.tolist()], dtype=np.int64)
 
 
 def _splitmix64(z):

@@ -3,7 +3,8 @@
 No library code calls these.  Each is what a test compares a library
 path against, or the entry through which a test reads a library kernel:
 the greedy Whitney walk, the walk `levels`, the whole-level mass sweep,
-the special-interval registry, the Weierstrass term loop, the wavelet's
+the special-interval registry, the point-by-point witness survey, the
+Weierstrass term loop, the wavelet's
 cell table and ratio kernel, the witness search's annulus offsets.  The
 code is the library's, except the Whitney walk, restated on Fractions; a method
 became a function of its instance, and `ratio_exact` reads the
@@ -13,6 +14,7 @@ measure's float eta, the one its masses use.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from typing import Optional
 
@@ -186,6 +188,38 @@ def coverage_identities(reg, round_index: int) -> dict[str, Fraction]:
     if new_outside != expect_outside or union_two != expect_union:
         raise DomainError("coverage identity failed")
     return {"new_outside": new_outside, "union_two": union_two}
+
+
+def witness_survey_loop(schedule, S, f, alpha: float, points: int,
+                        seed: int) -> tuple[int, int]:
+    """The point-by-point survey that `blocks.witness_survey` batched: per
+    sampled point, each stage's memberships in order, one scalar
+    `f.difference` per candidate until one clears 1/20 - 1e-3."""
+    from dyadosc.blocks import SpecialIntervalRegistry
+
+    if points < 1:
+        raise DomainError("need at least one sampled point")
+    rng = random.Random(seed)
+    regs = [SpecialIntervalRegistry(schedule, j, S)
+            for j in range(min(2, len(schedule.stages)))
+            if schedule.stages[j].complete]
+    depth = schedule.end_level + 48
+    hits = 0
+    for _ in range(points):
+        bits = rng.getrandbits(depth)
+        x = DyadicRational(bits, depth)
+        found = False
+        for reg in regs:
+            for hit in reg.hits(bits, depth):
+                e = hit.target
+                dd = f.difference(x, e) / float(e - x) ** alpha
+                if dd >= 0.05 - 1e-3:
+                    found = True
+                    break
+            if found:
+                break
+        hits += int(found)
+    return hits, points
 
 
 # -- holder -----------------------------------------------------------

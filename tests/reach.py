@@ -47,8 +47,9 @@ KEEP = {name: reason for reason, names in {
         "divdiff.tracking_martingale_value"],
     "the scalar ratio that the traced MassMeasure.mass_log2 reads": [
         "entropy.MassMeasure.ratio"],
-    FALLBACK + "a martingale built from an increment oracle, and of "
-    "pair_primitives past depth 53": [
+    FALLBACK + "a martingale built from an increment oracle: its scalar value and "
+    "primitive, which the pair_primitives loop of every kind but the block martingale "
+    "reads": [
         "dyadic.DyadicInterval.ancestor", "dyadic.DyadicInterval.left_half"],
     FALLBACK + "`locate` and `contains` on a DyadicRational point": [
         "dyadic.DyadicRational.floor_scaled"],

@@ -12,8 +12,7 @@ import dyadosc as d
 from dyadosc import blocks, cli
 from dyadosc.dyadic import DyadicInterval as DI
 from dyadosc.dyadic import DyadicRational as DR
-from dyadosc.martingale import address_bits
-from oracles import check_members, coverage_identities
+from oracles import check_members, coverage_identities, witness_survey_loop
 
 mp.mp.dps = 50
 
@@ -389,15 +388,17 @@ def _value_reference(S, I):
 
 
 def _values_reference(S, level, index):
-    """`BlockMartingale._values` as it read the placement objects."""
+    """`value` per entry, vectorized over (level, index) as the placement
+    loop that read the placement objects."""
     total = np.zeros(level.shape)
+    u = np.uint64
     for p in S.schedule.placements:
         on = p.level < level
         if not on.any():
             break
         lv = level[on]
         t = np.minimum(lv, p.end) - p.level
-        bits = address_bits(index[on], lv - p.level - t, t)
+        bits = (index[on] >> (lv - p.level - t).astype(u)) & ((u(1) << t.astype(u)) - u(1))
         total[on] += np.where(bits == 0, p.amplitude * (np.ldexp(1.0, t) - 1.0),
                               -p.amplitude)
     return total
@@ -418,8 +419,8 @@ def _window_intervals(S, rng, max_level):
 
 
 class TestPlacementTableOracle:
-    """`value` and `_values` read the (k, end, amp, M) window table, with
-    the arithmetic of the placement-object loops they replaced."""
+    """`value` and the S(anc) of `pair_primitives` read the window table,
+    with the arithmetic of the placement-object loops they replaced."""
 
     def test_value_bit_identical(self, block_martingale_half):
         S = block_martingale_half
@@ -430,11 +431,15 @@ class TestPlacementTableOracle:
         assert np.array(got).tobytes() == np.array(want).tobytes()
 
     def test_values_bit_identical(self, block_martingale_half):
+        # S(anc) of `pair_primitives`, the array form of `value`: the pair
+        # (lvl, idx) 2^(53 - lvl) plus 0 and all ones below has that ancestor
         S = block_martingale_half
         cells = _window_intervals(S, random.Random(9), 53)
         level = np.array([lvl for lvl, _ in cells])
         index = np.array([idx for _, idx in cells], dtype=np.uint64)
-        got = S._values(level, index)
+        ia = index << (53 - level).astype(np.uint64)
+        ib = ia | ((np.uint64(1) << (53 - level).astype(np.uint64)) - np.uint64(1))
+        got = S.pair_primitives(ia, ib, 53)[0]
         assert len(cells) > 3000
         assert got.tobytes() == _values_reference(S, level, index).tobytes()
         assert got.tobytes() == np.array([S.value(DI(lvl, idx)) for lvl, idx in cells]).tobytes()
@@ -765,6 +770,34 @@ class TestInducedFunctionCertificates:
                                   growth_bound=B)
         hits, total = d.blocks.witness_survey(sched, S, f, 0.5, 100, seed=123)
         assert hits >= 99
+
+    @pytest.mark.parametrize("beta", [0.5, 0.7])
+    def test_witness_survey_matches_point_loop(self, beta):
+        # at beta = 0.7 stage 1 is incomplete and points have 1,068 bits
+        sched = d.build_schedule(beta, 2, depth_cap=1024)
+        S = d.assemble_martingale(sched)
+        f = d.martingale_function(S, 1.0 - beta, max_depth=sched.end_level + 64)
+        for seed in range(10):
+            got = d.blocks.witness_survey(sched, S, f, 1.0 - beta, 50, seed=seed)
+            assert got == witness_survey_loop(sched, S, f, 1.0 - beta, 50, seed), seed
+
+    def test_witness_survey_makes_no_scalar_difference(self, monkeypatch,
+                                                       block_schedule_half,
+                                                       block_martingale_half):
+        # the `hits` calls of the point loop, stage by stage instead of point
+        # by point, and no scalar difference
+        sched, S = block_schedule_half, block_martingale_half
+        f = d.martingale_function(S, 0.5, max_depth=sched.end_level + 64)
+        calls = []
+        hits = d.SpecialIntervalRegistry.hits
+        monkeypatch.setattr(d.SpecialIntervalRegistry, "hits",
+                            lambda self, *a: calls.append((self.stage, *a)) or hits(self, *a))
+        want = witness_survey_loop(sched, S, f, 0.5, 50, seed=3)
+        loop_calls, calls[:] = sorted(calls), []
+        monkeypatch.setattr(d.MartingaleInducedFunction, "difference",
+                            lambda *a: pytest.fail("scalar difference in the survey"))
+        assert d.blocks.witness_survey(sched, S, f, 0.5, 50, seed=3) == want
+        assert sorted(calls) == loop_calls
 
     def test_witness_survey_past_1024_bits(self):
         # survey points 1068 bits deep: float(e - x) was an OverflowError

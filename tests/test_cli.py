@@ -50,6 +50,14 @@ class TestExitCodes:
         assert "x = 5e+307" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_weierstrass_seminorm_bound_past_the_float_range(self, tmp_path, capsys):
+        # b^(1 - alpha) rounds to 1, so the bound q / (q - 1) would divide by 0
+        out = tmp_path / "w"
+        assert run(["weierstrass", "--alpha", "0.9999999999999999",
+                    "--out", str(out)]) == 4
+        assert "b^(1 - alpha) rounds to 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_theta_eps_with_an_infinite_reciprocal(self, tmp_path):
         # 1/eps overflowed to inf and the octave loop never ended: in a
         # subprocess, so that a hang fails the test instead of the suite

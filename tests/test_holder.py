@@ -231,6 +231,20 @@ class TestWeierstrass:
         assert str(err.value).startswith(
             f"a Weierstrass series with b = {b}, exponent {alpha} and tol = {tol} {text}")
 
+    @pytest.mark.parametrize("b", [2.0, 1.5])
+    def test_seminorm_bound_past_the_float_range(self, b):
+        # at alpha = 1 - 2^-53, b^(1 - alpha) rounds to 1 and the bound's
+        # q / (q - 1) divided by zero
+        alpha = 0.9999999999999999
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(d.DepthCapError) as err:
+                d.WeierstrassFunction(b, alpha)
+        assert str(err.value) == (f"the seminorm bound at b = {b}, alpha = {alpha} leaves "
+                                  f"the float range: b^(1 - alpha) rounds to 1")
+        # at b = 3, b^(1 - alpha) is 1 + 2^-52: a finite bound
+        assert math.isfinite(d.WeierstrassFunction(3.0, alpha).seminorm_bound)
+
     @pytest.mark.parametrize("tol", [None, 1e-13, 1e-11])
     @pytest.mark.parametrize("b,alpha", [(2.0, 0.5), (3.0, 0.5), (2.0, 0.3)])
     def test_one_tolerance_rule(self, b, alpha, tol):
@@ -826,7 +840,7 @@ class TestPairPrimitive:
                         for a, b in zip(ia.tolist(), ib.tolist())]
                 assert got == want, (name, depth)
 
-    def test_block_pairs_past_53_take_the_base_loop(self, block_martingale_half):
+    def test_block_pairs_past_53_match_the_base_loop(self, block_martingale_half):
         B = block_martingale_half
         rng = random.Random(133)
         for depth in (54, 58, 63):
@@ -893,6 +907,40 @@ def _pair_cases(draw, depths=(0, 1, 2, 17, 44, 53)):
     return depth, lo, draw(st.integers(lo, top))
 
 
+def _deep_pairs(sched, rng, depth):
+    """Address pairs at `depth` for the array descent: zero and all-ones
+    addresses; random ones with common prefixes of every length; for each
+    placement window with end <= depth, ancestors at each level inside it,
+    on its spine and off it; and addresses whose last window holds no 1-bit
+    and whose final run then has its first 1-bit 53, 54, 60, 61, 64, 65,
+    100 or 300 bits above depth (where that is below the last window),
+    followed by random bits or by ones."""
+    top = (1 << depth) - 1
+    pairs = [(0, 0), (0, top), (top, 0), (top, top), (0, rng.getrandbits(depth))]
+    for _ in range(80):
+        a, shared = rng.getrandbits(depth), rng.randint(0, depth)
+        below = (1 << (depth - shared)) - 1
+        pairs.append((a, (a & ~below) | (rng.getrandbits(depth) & below)))
+    for p in sched.placements:
+        if p.end > depth:
+            break
+        for L in range(p.level + 1, p.end):
+            on = rng.getrandbits(p.level) << (L - p.level)
+            for anc in (on, on | 1 << rng.randrange(L - p.level)):
+                a = (anc << (depth - L)) | rng.getrandbits(depth - L - 1)
+                pairs.append((a, a | 1 << (depth - L - 1)))
+    k = max(p.level for p in sched.placements if p.level < depth)
+    for width in (53, 54, 60, 61, 64, 65, 100, 300):
+        q = depth - width + 1           # the level of the run's first 1-bit
+        if q <= max(p.end for p in sched.placements if p.level < depth):
+            continue
+        head = rng.getrandbits(k) << (depth - k)
+        for tail in (rng.getrandbits(depth - q), (1 << (depth - q)) - 1):
+            a = head | 1 << (depth - q) | tail
+            pairs.append((a, a ^ 1 << (depth - 1)))
+    return pairs
+
+
 class TestPairVectorizedDifferences:
     """`dyadic_differences` and `pair_primitives` (array passes) against
     the kept scalar `difference`, `value` and `primitive`: exactly equal."""
@@ -914,7 +962,9 @@ class TestPairVectorizedDifferences:
 
     @staticmethod
     def _assert_matches_scalar(f, depth, lo, hi):
-        got = f.dyadic_differences(np.array(lo), np.array(hi), depth)
+        # numerators up to 2^depth: Python ints from depth 63 on
+        dtype = np.int64 if depth < 63 else object
+        got = f.dyadic_differences(np.array(lo, dtype=dtype), np.array(hi, dtype=dtype), depth)
         want = [f.difference(DR(a, depth), DR(b, depth)) for a, b in zip(lo, hi)]
         assert got.tolist() == want
 
@@ -962,29 +1012,91 @@ class TestPairVectorizedDifferences:
             for g, w in zip(got, want):
                 assert g.tolist() == w.tolist()
 
-    def test_deep_pairs_take_the_loop(self, monkeypatch, block_f):
+    def test_deep_pairs_take_the_loop(self, monkeypatch):
+        # a martingale without an array descent: one scalar `pair_primitive`
+        # per pair, past depth 53 as below it
         calls = []
-        walk = d.BlockMartingale.primitive
+        split = d.Martingale.pair_primitive
 
         def counting(self, *args):
             calls.append(args)
-            return walk(self, *args)
+            return split(self, *args)
 
-        monkeypatch.setattr(d.BlockMartingale, "primitive", counting)
+        monkeypatch.setattr(d.Martingale, "pair_primitive", counting)
+        f = d.martingale_function(d.RandomSignMartingale(24, max_depth=80), 0.5)
         rng = random.Random(24)
         lo = [rng.getrandbits(60) for _ in range(20)]
         hi = [a + rng.getrandbits(30) for a in lo]
-        self._assert_matches_scalar(block_f, 60, lo, hi)
-        assert calls
+        got = f.dyadic_differences(np.array(lo), np.array(hi), 60)
+        assert len(calls) == 20
+        assert got.tolist() == [f.difference(DR(a, 60), DR(b, 60)) for a, b in zip(lo, hi)]
+
+    def test_deep_block_pairs_make_no_scalar_descent(self, monkeypatch, block_f):
+        # uint64 numerators at depth 60, Python ints at depth 200
+        rng = random.Random(25)
+        cases = []
+        for depth, dtype in ((60, np.uint64), (200, object)):
+            lo = [rng.getrandbits(depth) for _ in range(20)]
+            hi = [min(a + rng.getrandbits(depth - 50), 1 << depth) for a in lo]
+            want = [block_f.difference(DR(a, depth), DR(b, depth)) for a, b in zip(lo, hi)]
+            cases.append((depth, np.array(lo, dtype=dtype), np.array(hi, dtype=dtype), want))
+        for name in ("primitive", "pair_primitive", "value"):
+            monkeypatch.setattr(d.BlockMartingale, name,
+                                lambda *a: pytest.fail("a scalar descent"))
+        for depth, lo, hi, want in cases:
+            assert block_f.dyadic_differences(lo, hi, depth).tolist() == want
+
+    @pytest.fixture(scope="class")
+    def deep_cases(self, blocks_f):
+        """(depth, pairs) for pair_primitives at depths 54 to the martingale's
+        cap; see `_deep_pairs`."""
+        S = blocks_f.S
+        rng = random.Random(26)
+        return [(depth, _deep_pairs(S.schedule, rng, depth))
+                for depth in (54, 63, 64, 65, 200, 943, blocks_f.max_depth, S.max_depth)
+                if depth <= S.max_depth]
+
+    def test_deep_pair_primitives_match_scalar(self, blocks_f, deep_cases):
+        S = blocks_f.S
+        for depth, pairs in deep_cases:
+            dtype = np.uint64 if depth <= 64 else object
+            ia = np.array([a for a, _ in pairs], dtype=dtype)
+            ib = np.array([b for _, b in pairs], dtype=dtype)
+            got = np.array(S.pair_primitives(ia, ib, depth))
+            want = np.array([S.pair_primitive(a, b, depth) for a, b in pairs]).T
+            assert got.tobytes() == want.tobytes(), depth
+
+    def test_deep_differences_match_scalar(self, blocks_f, deep_cases):
+        # the general, single-interval and to-one routes, past int64 too
+        rng = random.Random(27)
+        for depth, pairs in deep_cases:
+            if depth > blocks_f.max_depth:
+                continue
+            top = 1 << depth
+            lo = [min(a, b) for a, b in pairs]
+            hi = [max(a, b) for a, b in pairs]
+            for a in lo[:40]:
+                n = rng.randint(0, depth)
+                cell = a >> (depth - n) << (depth - n)
+                lo += [cell, a, a]
+                hi += [cell + (1 << (depth - n)), top, a]
+            self._assert_matches_scalar(blocks_f, depth, lo, hi)
 
     def test_checks_before_work(self, block_f):
+        # floats too: numpy makes 2^63 and 2^63 - 1 a float64 array, whose
+        # numerators the uint64 routes would read rounded
         for lo, hi, depth in (([-1], [1], 4), ([3], [2], 4), ([0], [17], 4),
-                              ([[0]], [[1]], 4)):
+                              ([[0]], [[1]], 4), ([0.0], [1.0], 4),
+                              ([0, 0], [2 ** 63 - 1, 2 ** 63], 63)):
             with pytest.raises(d.DomainError):
                 block_f.dyadic_differences(np.array(lo), np.array(hi), depth)
         with pytest.raises(d.DepthCapError):
             block_f.dyadic_differences(np.array([0]), np.array([1]),
                                        block_f.max_depth + 1)
+        S = block_f.S
+        with pytest.raises(d.DepthCapError):
+            S.pair_primitives(np.array([0], dtype=object), np.array([1], dtype=object),
+                              S.max_depth + 1)
 
     def test_seminorm_matches_per_pair_loop(self, block_f):
         # the block-witness seminorm seeds of its seed 0, with the values
@@ -1005,7 +1117,7 @@ class TestPairVectorizedDifferences:
 
     def test_seminorm_past_int64_matches_loop(self, block_f):
         # numerators of depth 64 leave int64: the object-int side of
-        # _exact_ints, and the scalar loop of dyadic_differences
+        # _exact_ints and of the routes of dyadic_differences
         assert holder._exact_ints(np.array([1.0]), 64).dtype == object
         sampler = d.SeminormSampler(pairs=200, scale_min=2.0 ** -40, seed=3,
                                     dyadic_depth=64)
