@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .dyadic import DomainError, DyadicInterval
-from .martingale import Martingale, check_sweep_budget
+from .martingale import BLOCK_CELLS, Martingale, check_sweep_budget
 
 
 def _xlog2x(t: float) -> float:
@@ -354,7 +354,8 @@ def besicovitch_count(N: int, eta) -> int:
 def besicovitch_count_bruteforce(N: int, eta) -> int:
     """Independent oracle: enumerate all 2^N addresses and count directly,
     inside the sweep budget, against its own least digit count k with
-    (2k - N) q >= p N for eta = p/q."""
+    (2k - N) q >= p N for eta = p/q.  The addresses are enumerated in
+    blocks of BLOCK_CELLS, so memory stays flat in N."""
     if N < 0:
         raise DomainError("N must be nonnegative")
     eta = Fraction(eta)
@@ -362,8 +363,13 @@ def besicovitch_count_bruteforce(N: int, eta) -> int:
         raise DomainError("eta must lie in (0, 1)")
     check_sweep_budget(N)
     p, q = eta.numerator, eta.denominator
-    ones = np.bitwise_count(np.arange(1 << N, dtype=np.uint64))    # uint8
-    return int(np.count_nonzero(ones >= -(-N * (p + q) // (2 * q))))
+    k = -(-N * (p + q) // (2 * q))
+    end = 1 << N
+    total = 0
+    for lo in range(0, end, BLOCK_CELLS):
+        ones = np.bitwise_count(np.arange(lo, min(lo + BLOCK_CELLS, end), dtype=np.uint64))
+        total += int(np.count_nonzero(ones >= k))
+    return total
 
 
 def dim_estimate(counts: Sequence[tuple[int, int]]) -> list[float]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -103,17 +104,18 @@ def _solve_levels() -> tuple[Fraction, Fraction]:
     return q, p
 
 
-def _split(d: int) -> tuple[int, int]:
-    """(o, e) with d = o 2^e and o odd, for an integer d > 0."""
-    e = (d & -d).bit_length() - 1
-    return d >> e, e
+def _float_ratio(x: float) -> tuple[int, int]:
+    """min(|x|, 1/2) as an exact ratio (p, q): phi is even and vanishes
+    from 1/2 on, so infinities read as 1/2; NaN is refused."""
+    x = float(x)
+    if math.isnan(x):
+        raise DomainError(f"the point {x} is not finite")
+    return min(abs(x), 0.5).as_integer_ratio()
 
 
-def _float_ratio(x: float) -> tuple[int, int, int]:
-    """|x| as an exact ratio r / (o 2^e) in the form (r, o, e); infinities
-    read as 1/2, outside the support."""
-    r, d = min(abs(float(x)), 0.5).as_integer_ratio()
-    return (r, *_split(d))
+# phi itself as a reference: one stage at level k = 0 with amplitude 1,
+# against the zero triple (see `BaseWavelet._stage_sum`)
+_UNIT_STAGE = ((0, 1.0, 0, 1, 0),)
 
 
 class BaseWavelet:
@@ -141,37 +143,67 @@ class BaseWavelet:
             self._cells += [(pc, int(64 * pc.lo), w64, int(pc.a * den),
                              int((pc.b - pc.a) * den), den)] * w64
 
-    def _cell(self, r: int, o: int, e: int):
-        """Cell entry of the piece holding r / (o 2^e) (r >= 0, o > 0), or
-        None outside the support: floor(64 u) < 32 exactly when u < 1/2."""
-        i = ((r << 6) >> e) // o
-        return self._cells[i] if i < 32 else None
+    def _stage_sum(self, ref, p: int, q: int, as_ref: bool = False):
+        """sum_m c_m (psi_m(p/q) - ref_m) over the stages of `ref`, for
+        integers q > 0, where psi_m(t) = phi(2^(k_m) t - j) for the nearest
+        translate j.  `ref` holds one (k_m, c_m, num, K, E) per stage, the
+        level, the amplitude and a reference point's stage value num / (K
+        2^E); with as_ref it returns p/q's own reference instead of a sum.
 
-    def _ratio(self, r: int, o: int, e: int) -> tuple[int, int, int]:
-        """phi(r / (o 2^e)) as an unreduced triple (num, K, E), meaning
-        num / (K 2^E), for integers o > 0 and e >= 0.
-
-        The binary scale stays in E = 5e, so K = den (w64 o)^5 is small for
-        a dyadic point (o = 1) however many bits it has."""
-        r = abs(r)
-        cell = self._cell(r, o, e)
-        if cell is None:
-            return 0, 1, 0
-        _, lo64, w64, num_a, num_g, den = cell
-        if not num_g:
-            return num_a, den, 0
-        # u = (r / (o 2^e) - lo) / width = n / (M 2^e) with M = w64 o, and
-        # S5(u) (M 2^e)^5 = n^3 (10 M^2 4^e - 15 M 2^e n + 6 n^2)
-        big_m = w64 * o
-        n = (r << 6) - (lo64 * o << e)
-        n2 = n * n
-        m5 = big_m ** 5
-        poly = ((((10 * big_m << e) - 15 * n) * big_m) << e) + 6 * n2
-        return (num_a * m5 << 5 * e) + num_g * n2 * n * poly, den * m5, 5 * e
+        Common factors of two are stripped and q = o 2^e is split once.
+        Stage k reads the point as n_k / (o 2^e') with n_k = n, e' = e - k,
+        or n_k = n 2^(k-e), e' = 0 once k passes e, so its binary scale
+        shrinks instead of its numerator growing, and reduces it to
+        r / (o 2^e') with r = |n_k - j o 2^e'|.  The cell
+        floor(64 r / (o 2^e')) names the piece (it is below 32 exactly
+        inside the support), and the smootherstep is evaluated on integers
+        in the loop body: with u = t / (M 2^e'), t = 64 r - lo64 o 2^e' and
+        M = w64 o, S5(u) (M 2^e')^5 = t^3 (10 M^2 4^e' - 15 M 2^e' t + 6 t^2).
+        The stage value is the unreduced triple num / (K 2^E) with E = 5 e',
+        so K = den (w64 o)^5 is small for a dyadic point however many bits
+        it has.  Each stage difference lines the two exponents up by a
+        shift, multiplies only by the small K's and takes one int / int,
+        which CPython rounds correctly: the float of the exact difference.
+        The c_m-weighted terms are summed in stage order.
+        """
+        low = (p | q) & -(p | q)
+        s = low.bit_length() - 1
+        n, q = p >> s, q >> s
+        e = (q & -q).bit_length() - 1
+        o = q >> e
+        cells = self._cells
+        out = [] if as_ref else None
+        total = 0.0
+        for k, c, na, ka, ea in ref:
+            nk, ek = (n, e - k) if k <= e else (n << k - e, 0)
+            # the nearest translate j = floor(nk / (o 2^ek) + 1/2)
+            j = ((2 * nk >> ek) + o) // (2 * o)
+            r = abs(nk - (j * o << ek))
+            i = ((r << 6) >> ek) // o
+            if i >= 32:
+                nb, kb, eb = 0, 1, 0
+            else:
+                _, lo64, w64, num_a, num_g, den = cells[i]
+                if not num_g:
+                    nb, kb, eb = num_a, den, 0
+                else:
+                    big_m = w64 * o
+                    t = (r << 6) - (lo64 * o << ek)
+                    t2 = t * t
+                    m5 = big_m ** 5
+                    poly = ((((10 * big_m << ek) - 15 * t) * big_m) << ek) + 6 * t2
+                    nb, kb, eb = ((num_a * m5 << 5 * ek) + num_g * t2 * t * poly,
+                                  den * m5, 5 * ek)
+            if as_ref:
+                out.append((k, c, nb, kb, eb))
+            elif ea >= eb:
+                total += c * (((nb * ka << ea - eb) - na * kb) / (ka * kb << ea))
+            else:
+                total += c * ((nb * ka - (na * kb << eb - ea)) / (ka * kb << eb))
+        return out if as_ref else total
 
     def __call__(self, x: float) -> float:
-        num, k, e = self._ratio(*_float_ratio(x))
-        return num / (k << e)
+        return self._stage_sum(_UNIT_STAGE, *_float_ratio(x))
 
     def moments_exact(self) -> tuple[Fraction, Fraction, Fraction]:
         """(m0, m1, m2) over the real line; all exactly zero."""
@@ -282,77 +314,58 @@ class WaveletOscillator(HolderFunction):
     """f = sum_m 2^(-k_m alpha) sum_j phi(2^(k_m) t - j).
 
     Per scale the translates have disjoint supports, so evaluation picks
-    one j per stage.  Point values and differences route through exact
-    rational wavelet evaluations and one stage sum, `_difference`: a value
-    is the difference from the point 0, whose stage triples are all
-    (0, 1, 0).  Only that final alpha-weighted sum is in floats, which
-    preserves relative accuracy at every scale.
+    one j per stage.  Point values and differences are one stage sum,
+    `BaseWavelet._stage_sum`, of exact rational stage differences: a
+    difference f(b) - f(a) reads b against a's stage values, and a value
+    f(t) reads t against the point 0, whose stage values are all 0.  Only
+    the final alpha-weighted sum is in floats, which preserves relative
+    accuracy at every scale.
     """
 
     def __init__(self, schedule: WaveletSchedule):
         super().__init__(schedule.alpha, f"wavelet(stages={schedule.stages})")
         self.schedule = schedule
         self.wavelet = base_wavelet()
-        self._coefficients = [schedule.coefficient(m)
-                              for m in range(1, schedule.stages + 1)]
-        self._zeros = [(0, 1, 0)] * schedule.stages
+        zero = tuple((k, schedule.coefficient(m), 0, 1, 0)
+                     for m, k in enumerate(schedule.ks, start=1))
+        # _tails[m - 1]: the point 0 as a reference from stage m on
+        self._tails = [zero[m:] for m in range(schedule.stages)]
 
-    def _ratios(self, n: int, d: int, lo: int = 1) -> list[tuple[int, int, int]]:
-        """psi_m(n/d) for stage lo and every later stage as `BaseWavelet._ratio`
-        triples, for integers d > 0, after the zero triple (0, 1, 0) for each
-        stage below lo.  Common factors of two are stripped and d = o 2^e is
-        split once; stage k reads the point as n / (o 2^(e-k)), or
-        (n 2^(k-e)) / o once k passes e, so its binary scale shrinks
-        instead of its numerator growing."""
-        ratio = self.wavelet._ratio
-        low = (n | d) & -(n | d)
-        s = low.bit_length() - 1
-        n, (o, e) = n >> s, _split(d >> s)
-        out = self._zeros[:lo - 1]
-        for k in self.schedule.ks[lo - 1:]:
-            nk, ek = (n, e - k) if k <= e else (n << k - e, 0)
-            # the nearest translate j = floor(nk / (o 2^ek) + 1/2)
-            j = ((2 * nk >> ek) + o) // (2 * o)
-            out.append(ratio(nk - (j * o << ek), o, ek))
-        return out
+    def _check_stage(self, m) -> None:
+        """Refuse a stage index that is not an integer in 1..stages."""
+        if not (isinstance(m, numbers.Integral) and 1 <= m <= self.schedule.stages):
+            raise DomainError(f"stage {m!r} is not an integer in "
+                              f"1..{self.schedule.stages}")
 
-    def _difference(self, ra: list, rb: list) -> float:
-        """sum_m c_m (psi_m(b) - psi_m(a)) from both points' stage triples,
-        summed in stage order.  Each stage lines the two binary exponents
-        up by a shift, multiplies only by the small K's and takes one
-        int / int, which CPython rounds correctly: the float of the exact
-        stage difference."""
-        total = 0.0
-        for c, (na, ka, ea), (nb, kb, eb) in zip(self._coefficients, ra, rb):
-            if ea >= eb:
-                total += c * (((nb * ka << ea - eb) - na * kb) / (ka * kb << ea))
-            else:
-                total += c * ((nb * ka - (na * kb << eb - ea)) / (ka * kb << eb))
-        return total
+    def _reference(self, t: Fraction) -> list:
+        """t's stage values at every built stage, as a `_stage_sum` reference."""
+        return self.wavelet._stage_sum(self._tails[0], t.numerator, t.denominator,
+                                       as_ref=True)
 
     def stage_value_exact(self, m: int, t: Fraction) -> Fraction:
         """psi_m(t) = phi(2^(k_m) t - j) for the unique live translate."""
+        self._check_stage(m)
         t = _to_fraction(t)
-        num, k, e = self._ratios(t.numerator, t.denominator, m)[m - 1]
+        (_, _, num, k, e), = self.wavelet._stage_sum(self._tails[m - 1][:1], t.numerator,
+                                                     t.denominator, as_ref=True)
         return Fraction(num, k << e)
 
     def value_float(self, t: Fraction) -> float:
-        """f(t) in floats, summed over the built stages: the stage sum from
-        the point 0, each stage one int / int."""
+        """f(t) in floats, summed over the built stages: the stage sum
+        against the point 0, each stage one int / int."""
         t = _to_fraction(t)
-        return self._difference(self._zeros, self._ratios(t.numerator, t.denominator))
+        return self.wavelet._stage_sum(self._tails[0], t.numerator, t.denominator)
 
     def difference_float(self, a: Fraction, b: Fraction) -> float:
-        """f(b) - f(a): per-stage exact differences of the two points'
-        (num, K, E) triples, each rounded once by one int / int and
+        """f(b) - f(a): b's stage sum against a's stage values, each stage
+        difference exact and rounded once by one int / int, then
         alpha-weighted in floats.  The stage terms can cancel each other,
         so the error is relative to the largest term, not to the result:
         near a stage-4 zero crossing of the alpha = 1/2 schedule, stage-3
         and stage-4 terms of +-1.958e-29 cancel to about 1.9e-40, and the
         float sum cannot resolve below their last bit, 2.8e-45."""
         a, b = _to_fraction(a), _to_fraction(b)
-        return self._difference(self._ratios(a.numerator, a.denominator),
-                                self._ratios(b.numerator, b.denominator))
+        return self.wavelet._stage_sum(self._reference(a), b.numerator, b.denominator)
 
     def difference(self, a, b) -> float:
         return self.difference_float(a, b)
@@ -362,9 +375,14 @@ class WaveletOscillator(HolderFunction):
 
 
 def _to_fraction(x) -> Fraction:
+    """x as an exact Fraction; a NaN or infinite float is refused."""
     if isinstance(x, DyadicRational):
         return x.as_fraction()
-    return x if isinstance(x, Fraction) else Fraction(x)
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, float) and not math.isfinite(x):
+        raise DomainError(f"the point {x} is not finite")
+    return Fraction(x)
 
 
 def wavelet_oscillator(schedule: WaveletSchedule) -> WaveletOscillator:
@@ -466,20 +484,18 @@ class WitnessScales:
 
 
 def _bisect_zero(f: WaveletOscillator, x: Fraction, X: int, D: int, rx: list,
-                 m: int, t_lo: int, t_hi: int) -> tuple[int, int]:
+                 m: int, lo: tuple[int, float], hi: tuple[int, float]) -> tuple[int, int]:
     """Offset t = c / den between t_lo / D and t_hi / D with
     |f(x+t)-f(x)| <= 1e-4 |t|, within 200 bisection steps.
 
-    x = X / D, and rx holds x's stage triples.  Offsets and points x + t
-    are integer numerators over one denominator that doubles at each
-    step, so a step costs additions and one kernel call.
+    x = X / D, rx is x's `_stage_sum` reference, and lo and hi are the
+    bracket's ends (t_lo, g_lo) and (t_hi, g_hi), with g = f(x+t) - f(x)
+    as the caller read it.  Offsets and points x + t are integer
+    numerators over one denominator that doubles at each step, so a step
+    costs additions and one stage sum.
     """
-    def g(p: int, q: int) -> float:
-        return f._difference(rx, f._ratios(p, q))
-
-    a, b, den = t_lo, t_hi, D
-    pa, pb = X + a, X + b
-    g_lo, g_hi = g(pa, den), g(pb, den)
+    kernel = f.wavelet._stage_sum
+    (t_lo, g_lo), (t_hi, g_hi) = lo, hi
     if g_lo == 0.0:
         return t_lo, D
     if g_hi == 0.0:
@@ -490,10 +506,12 @@ def _bisect_zero(f: WaveletOscillator, x: Fraction, X: int, D: int, rx: list,
 
     if math.copysign(1.0, g_lo) == math.copysign(1.0, g_hi):
         raise CertificationError(f"no sign change for the zero crossing ({where()})")
+    a, b, den = t_lo, t_hi, D
+    pa, pb = X + a, X + b
     for _ in range(200):
         c, pc = a + b, pa + pb
         den *= 2
-        g_mid = g(pc, den)
+        g_mid = kernel(rx, pc, den)
         if abs(g_mid) <= 1e-4 * abs(c / den):
             return c, den
         if math.copysign(1.0, g_mid) == math.copysign(1.0, g_lo):
@@ -511,28 +529,31 @@ def witness_scales(f: WaveletOscillator, x, m: int) -> WitnessScales:
 
     Follows the right-annulus extremes of the tail and the three-way
     case split on their first-order quotients; case (iii) moves to the
-    left annulus.  x's stage triples are read once for the quotients and
-    the bisection, and the search runs on integer numerators over x's
-    frame.  All offsets are exact dyadic rationals and the returned
-    quotients are recomputed from scratch as certificates.
+    left annulus.  x's stage values are read once, and every later read
+    is one stage sum against them: the case quotients, whose values are
+    the case-(ii) bisection's ends, the bisection and the two
+    certificates.  The search runs on integer numerators over x's frame.
+    All offsets are exact dyadic rationals, and the returned quotients
+    are certificates, evaluated afresh at the final offsets.
     """
-    if not 1 <= m <= f.schedule.stages:
-        raise DomainError("stage beyond the built schedule")
+    f._check_stage(m)
     x = _to_fraction(x)
     k = f.schedule.ks[m - 1]
     X, D = _frame(f, x)
     r_p = _annulus_offset(f, x, X, D, m, +1, False)
     r_m_ = _annulus_offset(f, x, X, D, m, -1, False)
     tail = f.schedule.tail_sum(m)
-    rx = f._ratios(x.numerator, x.denominator)
+    kernel = f.wavelet._stage_sum
+    rx = f._reference(x)
 
-    def quot(offset: int) -> float:
-        return f._difference(rx, f._ratios(X + offset, D)) / (offset / D)
+    def g(offset: int) -> float:
+        return kernel(rx, X + offset, D)
 
     def tail_at(offset: int, den: int) -> float:
-        return f._difference(f._zeros, f._ratios(X * (den // D) + offset, den, m))
+        return kernel(f._tails[m - 1], X * (den // D) + offset, den)
 
-    q_p, q_m = quot(r_p), quot(r_m_)
+    g_p, g_m = g(r_p), g(r_m_)
+    q_p, q_m = g_p / (r_p / D), g_m / (r_m_ / D)
     rho_p = rho_m_ = None
 
     if abs(q_p) <= 1.0 or abs(q_m) <= 1.0:
@@ -541,7 +562,7 @@ def witness_scales(f: WaveletOscillator, x, m: int) -> WitnessScales:
         h_den = D
     elif (q_p > 1.0 and q_m < -1.0) or (q_p < -1.0 and q_m > 1.0):
         case = "ii"
-        h_prime, h_den = _bisect_zero(f, x, X, D, rx, m, min(r_p, r_m_), max(r_p, r_m_))
+        h_prime, h_den = _bisect_zero(f, x, X, D, rx, m, *sorted([(r_p, g_p), (r_m_, g_m)]))
         # the side whose tail moved further from the crossing
         t_tilde = tail_at(h_prime, h_den)
         move_p = abs(t_tilde - tail_at(r_p, D))
@@ -552,13 +573,14 @@ def witness_scales(f: WaveletOscillator, x, m: int) -> WitnessScales:
         rho_p = _annulus_offset(f, x, X, D, m, +1, True)
         rho_m_ = _annulus_offset(f, x, X, D, m, -1, True)
         h = -rho_p if q_p > 1.0 else -rho_m_
-        h_prime, h_den = _bisect_zero(f, x, X, D, rx, m, min(-rho_p, -rho_m_),
-                                      max(-rho_p, -rho_m_))
+        h_prime, h_den = _bisect_zero(f, x, X, D, rx, m, *sorted(
+            [(-rho_p, g(-rho_p)), (-rho_m_, g(-rho_m_))]))
         rho_p, rho_m_ = Fraction(rho_p, D), Fraction(rho_m_, D)
 
+    # the certificates: fresh stage sums at x + h and x + h'
+    d_big = g(h)
+    d_tame = kernel(rx, X * (h_den // D) + h_prime, h_den)
     h, h_prime = Fraction(h, D), Fraction(h_prime, h_den)
-    d_big = f.difference_float(x, x + h)
-    d_tame = f.difference_float(x, x + h_prime)
     quotient_big = abs(d_big) / abs(float(h))
     quotient_tame = abs(d_tame) / abs(float(h_prime))
     divdiff_big = abs(d_big) / abs(float(h)) ** f.alpha

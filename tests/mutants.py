@@ -27,6 +27,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import types
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -92,10 +93,25 @@ def _misaligned_tiling(original):
     return whitney
 
 
+def _recoded(old, new):
+    # the same function with its one literal `old` read as `new`: a wrong
+    # coefficient inside a formula that is inlined in a loop body
+    def mutate(original):
+        code = original.__code__
+        consts = [c for c in code.co_consts if type(c) is type(old) and c == old]
+        assert len(consts) == 1, f"{original.__qualname__} holds {old!r} {len(consts)} times"
+        recoded = code.replace(co_consts=tuple(
+            new if type(c) is type(old) and c == old else c for c in code.co_consts))
+        return types.FunctionType(recoded, original.__globals__, original.__name__,
+                                  original.__defaults__, original.__closure__)
+    return mutate
+
+
 README_COUNTEREXAMPLE = "counterexample --alpha 0.5 --stages 2 --points 1000 --seed 11"
 README_MASS_MEASURE = "mass-measure --martingale block-discounted --eta 0.25 --depth 16"
 VERIFY_ALL = "verify-all --depth 12 --seed 7"
 VERIFY_ALL_SEED_1 = "verify-all --seed 1 --depth 12"
+README_WAVELET = "wavelet --alpha 0.5 --stages 4 --points 20 --seed 3"
 
 MUTANTS = [
     Mutant("mass-ratio-plus-0.05", "entropy._mass_ratio", _plus(0.05),
@@ -121,6 +137,10 @@ MUTANTS = [
     Mutant("wavelet-plateau-shifted", "wavelet._solve_levels", _shifted_plateau,
            ("criterion 6", VERIFY_ALL),
            "the plateau level q off by 1/100, so moments 0 and 2 do not vanish"),
+    Mutant("smootherstep-coefficient-16", "wavelet.BaseWavelet._stage_sum", _recoded(15, 16),
+           ("criterion 6", README_WAVELET),
+           "the ramp 10 u^3 - 16 u^4 + 6 u^5 in place of the smootherstep, so the "
+           "moments of phi do not vanish and every ramp value is off"),
     Mutant("paired-jump-not-opposite", "martingale.PairedMartingale._level_increments",
            _unpaired_right_jump, ("criterion 3", VERIFY_ALL),
            "each right jump 1 + 2^-30 times the negated left jump"),
@@ -154,6 +174,8 @@ FAIL_TEXT = {
     ("paired-jump-not-opposite", "criterion 3"):
         "first failure binary: increments_paired is False",
     ("value-range-shifted", VERIFY_ALL_SEED_1): "[FAIL] function/martingale round trip",
+    ("smootherstep-coefficient-16", README_WAVELET):
+        "exit 5: certification failed: zero crossing did not converge",
 }
 
 

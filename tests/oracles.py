@@ -4,9 +4,10 @@ No library code calls these.  Each is what a test compares a library
 path against, or the entry through which a test reads a library kernel:
 the greedy Whitney walk, the walk `levels`, the whole-level mass sweep,
 the special-interval registry, the point-by-point witness survey, the
-Weierstrass term loop, the wavelet's
-cell table and ratio kernel, the witness search's annulus offsets.  The
-code is the library's, except the Whitney walk, restated on Fractions; a method
+Weierstrass term loop, the wavelet's cell lookup and its per-stage
+ratio kernel with the stage sum over two lists of triples, the witness
+search built on them, and its annulus offsets.  The code is the
+library's, except the Whitney walk, restated on Fractions; a method
 became a function of its instance, and `ratio_exact` reads the
 measure's float eta, the one its masses use.
 """
@@ -23,7 +24,8 @@ import numpy as np
 from dyadosc import entropy
 from dyadosc.dyadic import (DepthCapError, DomainError, DyadicInterval, DyadicRational,
                             unit_interval)
-from dyadosc.wavelet import _annulus_offset, _float_ratio, _frame, _split, _to_fraction
+from dyadosc.wavelet import (CertificationError, WitnessScales, _annulus_offset, _at,
+                             _frame, _to_fraction)
 
 
 # -- dyadic -----------------------------------------------------------
@@ -251,19 +253,110 @@ def _s5_d2(u: float) -> float:
     return 60.0 * u * (1.0 - u) * (1.0 - 2.0 * u)
 
 
+def _split(d: int) -> tuple[int, int]:
+    """(o, e) with d = o 2^e and o odd, for an integer d > 0."""
+    e = (d & -d).bit_length() - 1
+    return d >> e, e
+
+
+def float_ratio(x: float) -> tuple[int, int, int]:
+    """|x| as an exact ratio r / (o 2^e) in the form (r, o, e); infinities
+    read as 1/2, outside the support."""
+    r, d = min(abs(float(x)), 0.5).as_integer_ratio()
+    return (r, *_split(d))
+
+
+def cell(w, r: int, o: int, e: int):
+    """Cell entry of the piece holding r / (o 2^e) (r >= 0, o > 0), or
+    None outside the support: floor(64 u) < 32 exactly when u < 1/2."""
+    i = ((r << 6) >> e) // o
+    return w._cells[i] if i < 32 else None
+
+
+def ratio(w, r: int, o: int, e: int) -> tuple[int, int, int]:
+    """phi(r / (o 2^e)) as an unreduced triple (num, K, E), meaning
+    num / (K 2^E), for integers o > 0 and e >= 0.
+
+    The binary scale stays in E = 5e, so K = den (w64 o)^5 is small for
+    a dyadic point (o = 1) however many bits it has."""
+    r = abs(r)
+    at = cell(w, r, o, e)
+    if at is None:
+        return 0, 1, 0
+    _, lo64, w64, num_a, num_g, den = at
+    if not num_g:
+        return num_a, den, 0
+    # u = (r / (o 2^e) - lo) / width = n / (M 2^e) with M = w64 o, and
+    # S5(u) (M 2^e)^5 = n^3 (10 M^2 4^e - 15 M 2^e n + 6 n^2)
+    big_m = w64 * o
+    n = (r << 6) - (lo64 * o << e)
+    n2 = n * n
+    m5 = big_m ** 5
+    poly = ((((10 * big_m << e) - 15 * n) * big_m) << e) + 6 * n2
+    return (num_a * m5 << 5 * e) + num_g * n2 * n * poly, den * m5, 5 * e
+
+
+def base_call(w, x: float) -> float:
+    """phi(x) for a float x: one ratio kernel call and one int / int."""
+    num, k, e = ratio(w, *float_ratio(x))
+    return num / (k << e)
+
+
+def ratios(f, n: int, d: int, lo: int = 1) -> list[tuple[int, int, int]]:
+    """psi_m(n/d) for stage lo and every later stage as `ratio` triples,
+    for integers d > 0, after the zero triple (0, 1, 0) for each stage
+    below lo.  Common factors of two are stripped and d = o 2^e is split
+    once; stage k reads the point as n / (o 2^(e-k)), or (n 2^(k-e)) / o
+    once k passes e, so its binary scale shrinks instead of its numerator
+    growing."""
+    low = (n | d) & -(n | d)
+    s = low.bit_length() - 1
+    n, (o, e) = n >> s, _split(d >> s)
+    out = [(0, 1, 0)] * (lo - 1)
+    for k in f.schedule.ks[lo - 1:]:
+        nk, ek = (n, e - k) if k <= e else (n << k - e, 0)
+        # the nearest translate j = floor(nk / (o 2^ek) + 1/2)
+        j = ((2 * nk >> ek) + o) // (2 * o)
+        out.append(ratio(f.wavelet, nk - (j * o << ek), o, ek))
+    return out
+
+
+def stage_difference(f, ra: list, rb: list) -> float:
+    """sum_m c_m (psi_m(b) - psi_m(a)) from both points' stage triples,
+    summed in stage order.  Each stage lines the two binary exponents up
+    by a shift, multiplies only by the small K's and takes one int / int,
+    which CPython rounds correctly: the float of the exact stage
+    difference."""
+    total = 0.0
+    coefficients = [f.schedule.coefficient(m) for m in range(1, f.schedule.stages + 1)]
+    for c, (na, ka, ea), (nb, kb, eb) in zip(coefficients, ra, rb):
+        if ea >= eb:
+            total += c * (((nb * ka << ea - eb) - na * kb) / (ka * kb << ea))
+        else:
+            total += c * ((nb * ka - (na * kb << eb - ea)) / (ka * kb << eb))
+    return total
+
+
+def tail(f, n: int, d: int, lo: int = 1) -> float:
+    """f's stage sum at n/d from stage `lo` on: the value f(n/d) without
+    the stages below `lo`, as the difference from the point 0."""
+    zeros = [(0, 1, 0)] * f.schedule.stages
+    return stage_difference(f, zeros, ratios(f, n, d, lo))
+
+
 def value_exact(w, x: Fraction) -> Fraction:
     x = Fraction(x)
-    num, k, e = w._ratio(x.numerator, *_split(x.denominator))
+    num, k, e = ratio(w, x.numerator, *_split(x.denominator))
     return Fraction(num, k << e)
 
 
 def _local(w, x: float):
     """(piece, width, local t) of the piece holding |x|, or None where
     phi is flat: outside the support and on the plateaus."""
-    cell = w._cell(*_float_ratio(x))
-    if cell is None or not cell[4]:
+    at = cell(w, *float_ratio(x))
+    if at is None or not at[4]:
         return None
-    pc = cell[0]
+    pc = at[0]
     wd = float(pc.width)
     return pc, wd, (abs(float(x)) - float(pc.lo)) / wd
 
@@ -313,3 +406,99 @@ def tail_extreme_offsets(f, x: Fraction, m: int) -> dict[str, Fraction]:
     return {name: Fraction(_annulus_offset(f, x, X, D, m, sign, left), D)
             for name, sign, left in (("r_plus", +1, False), ("r_minus", -1, False),
                                      ("rho_plus", +1, True), ("rho_minus", -1, True))}
+
+
+def bisect_zero(f, x: Fraction, X: int, D: int, rx: list, m: int, t_lo: int,
+                t_hi: int) -> tuple[int, int]:
+    """Offset t = c / den between t_lo / D and t_hi / D with
+    |f(x+t)-f(x)| <= 1e-4 |t|, within 200 bisection steps; x = X / D and
+    rx holds x's stage triples.  Both ends are evaluated here."""
+    def g(p: int, q: int) -> float:
+        return stage_difference(f, rx, ratios(f, p, q))
+
+    a, b, den = t_lo, t_hi, D
+    pa, pb = X + a, X + b
+    g_lo, g_hi = g(pa, den), g(pb, den)
+    if g_lo == 0.0:
+        return t_lo, D
+    if g_hi == 0.0:
+        return t_hi, D
+
+    def where() -> str:
+        return f"{_at(x)}, m={m}, bracket [{Fraction(t_lo, D)}, {Fraction(t_hi, D)}]"
+
+    if math.copysign(1.0, g_lo) == math.copysign(1.0, g_hi):
+        raise CertificationError(f"no sign change for the zero crossing ({where()})")
+    for _ in range(200):
+        c, pc = a + b, pa + pb
+        den *= 2
+        g_mid = g(pc, den)
+        if abs(g_mid) <= 1e-4 * abs(c / den):
+            return c, den
+        if math.copysign(1.0, g_mid) == math.copysign(1.0, g_lo):
+            a, pa, g_lo = c, pc, g_mid
+            b, pb = 2 * b, 2 * pb
+        else:
+            a, pa = 2 * a, 2 * pa
+            b, pb = c, pc
+    raise CertificationError(
+        f"zero crossing did not converge in 200 steps ({where()})")
+
+
+def witness_scales_lists(f, x, m: int) -> WitnessScales:
+    """The witness search on lists of stage triples: x's triples read once
+    for the case quotients and the bisection, each bisection end
+    evaluated again, and the certificates from `difference` at x + h and
+    x + h', each reading x's triples afresh."""
+    x = _to_fraction(x)
+    k = f.schedule.ks[m - 1]
+    X, D = _frame(f, x)
+    r_p = _annulus_offset(f, x, X, D, m, +1, False)
+    r_m_ = _annulus_offset(f, x, X, D, m, -1, False)
+    rx = ratios(f, x.numerator, x.denominator)
+
+    def quot(offset: int) -> float:
+        return stage_difference(f, rx, ratios(f, X + offset, D)) / (offset / D)
+
+    def tail_at(offset: int, den: int) -> float:
+        return tail(f, X * (den // D) + offset, den, m)
+
+    def difference(a: Fraction, b: Fraction) -> float:
+        return stage_difference(f, ratios(f, a.numerator, a.denominator),
+                                ratios(f, b.numerator, b.denominator))
+
+    q_p, q_m = quot(r_p), quot(r_m_)
+    rho_p = rho_m_ = None
+    if abs(q_p) <= 1.0 or abs(q_m) <= 1.0:
+        case = "i"
+        h_prime, h = (r_p, r_m_) if abs(q_p) <= 1.0 else (r_m_, r_p)
+        h_den = D
+    elif (q_p > 1.0 and q_m < -1.0) or (q_p < -1.0 and q_m > 1.0):
+        case = "ii"
+        h_prime, h_den = bisect_zero(f, x, X, D, rx, m, min(r_p, r_m_), max(r_p, r_m_))
+        t_tilde = tail_at(h_prime, h_den)
+        move_p = abs(t_tilde - tail_at(r_p, D))
+        move_m = abs(t_tilde - tail_at(r_m_, D))
+        h = r_p if move_p >= move_m else r_m_
+    else:
+        case = "iii"
+        rho_p = _annulus_offset(f, x, X, D, m, +1, True)
+        rho_m_ = _annulus_offset(f, x, X, D, m, -1, True)
+        h = -rho_p if q_p > 1.0 else -rho_m_
+        h_prime, h_den = bisect_zero(f, x, X, D, rx, m, min(-rho_p, -rho_m_),
+                                     max(-rho_p, -rho_m_))
+        rho_p, rho_m_ = Fraction(rho_p, D), Fraction(rho_m_, D)
+
+    h, h_prime = Fraction(h, D), Fraction(h_prime, h_den)
+    d_big = difference(x, x + h)
+    d_tame = difference(x, x + h_prime)
+    return WitnessScales(
+        x=x, stage=m, level=k, alpha=f.alpha, case=case,
+        r_plus=Fraction(r_p, D), r_minus=Fraction(r_m_, D),
+        rho_plus=rho_p, rho_minus=rho_m_, h=h, h_prime=h_prime,
+        quotient_big=abs(d_big) / abs(float(h)),
+        quotient_tame=abs(d_tame) / abs(float(h_prime)),
+        divdiff_big=abs(d_big) / abs(float(h)) ** f.alpha,
+        tail_sum=f.schedule.tail_sum(m),
+        h_side="right" if h > 0 else "left",
+        h_prime_side="right" if h_prime > 0 else "left")

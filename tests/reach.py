@@ -43,8 +43,7 @@ KEEP = {name: reason for reason, names in {
     "tracer boundary: perfbench/tracer.py patches it by name": [
         "martingale.Martingale.value", "martingale.GrowthMartingale.increment",
         "martingale.GrowthMartingale.value", "entropy.MassMeasure.mass_log2",
-        "holder.WeierstrassFunction.terms_for", "wavelet.WaveletOscillator.stage_value_exact",
-        "divdiff.tracking_martingale_value"],
+        "holder.WeierstrassFunction.terms_for", "divdiff.tracking_martingale_value"],
     "the scalar ratio that the traced MassMeasure.mass_log2 reads": [
         "entropy.MassMeasure.ratio"],
     FALLBACK + "a martingale built from an increment oracle: its scalar value and "
@@ -60,10 +59,16 @@ KEEP = {name: reason for reason, names in {
         "holder.HolderFunction._eval", "holder.HolderFunction.batch",
         "holder.HolderFunction.difference", "holder.HolderFunction.antiderivative_batch"],
     FALLBACK + "f(x), and of f(b) - f(a) in a dyadic seminorm estimate, on an induced "
-    "function or a wavelet oscillator": [
-        "holder.MartingaleInducedFunction._eval", "holder.MartingaleInducedFunction.eval_dyadic",
+    "function": [
+        "holder.MartingaleInducedFunction._eval", "holder.MartingaleInducedFunction.eval_dyadic"],
+    "public API of the wavelet oscillator around its one stage-sum kernel, which the "
+    "witness search reads directly: f(x) (`_eval`, `value_float`), f(b) - f(a) "
+    "(`difference`, `difference_float`, the pair read of a seminorm estimate) and one exact "
+    "stage value; perfbench/tracer.py patches `difference_float` and `stage_value_exact` "
+    "by name": [
         "wavelet.WaveletOscillator._eval", "wavelet.WaveletOscillator.value_float",
-        "wavelet.WaveletOscillator.difference"],
+        "wavelet.WaveletOscillator.difference", "wavelet.WaveletOscillator.difference_float",
+        "wavelet.WaveletOscillator.stage_value_exact"],
     FALLBACK + "the gap and tracking value of a constant or linear function": [
         "holder.ConstantFunction.antiderivative_batch",
         "holder.LinearFunction.antiderivative_batch"],

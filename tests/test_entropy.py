@@ -745,6 +745,15 @@ class TestBesicovitch:
         assert refused < 1 << 20
         # the addresses and their uint8 digit counts, no wider copy
         assert peak < 12 << 16
+        # one block of addresses at a time: 2^20 addresses (8 MiB of uint64)
+        # stay within a few blocks of BLOCK_CELLS
+        tracemalloc.start()
+        try:
+            assert d.besicovitch_count_bruteforce(20, Fraction(1, 2)) == 21700
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * d.martingale.BLOCK_CELLS
         with pytest.raises(d.DomainError):
             d.besicovitch_count_bruteforce(-1, Fraction(1, 2))
 

@@ -14,18 +14,36 @@ from dyadosc.dyadic import DyadicRational as DR
 from oracles import (
     _s5_d1,
     _s5_d2,
+    base_call,
+    cell,
     derivative,
+    float_ratio,
     main_derivative,
+    ratios,
     second_derivative,
+    stage_difference,
+    tail,
     tail_extreme_offsets,
     value_exact,
+    witness_scales_lists,
 )
 
 
 def _tail(f, t, lo):
     """f's stage sum at t from stage `lo` on, as the witness search reads
     its tail: ``value_float`` without the stages below `lo`."""
-    return f._difference(f._zeros, f._ratios(t.numerator, t.denominator, lo))
+    return tail(f, t.numerator, t.denominator, lo)
+
+
+def _kernel_tail(f, n, d, lo=1):
+    """The library's stage sum at n/d from stage `lo` on."""
+    return f.wavelet._stage_sum(f._tails[lo - 1], n, d)
+
+
+def _kernel_triples(f, n, d, lo=1):
+    """The library's (num, K, E) stage triples of n/d from stage `lo` on."""
+    return [(num, k, e) for _, _, num, k, e in
+            f.wavelet._stage_sum(f._tails[lo - 1], n, d, as_ref=True)]
 
 
 class TestBaseWavelet:
@@ -82,11 +100,11 @@ class TestBaseWavelet:
         # each derivative used to find its piece and local t on its own
         w = d.base_wavelet()
         for x in np.linspace(-0.75, 0.75, 1201).tolist() + [0.0, -0.0, 0.5, -0.5]:
-            cell = w._cell(*wavelet._float_ratio(x))
-            if cell is None or not cell[4]:
+            at = cell(w, *float_ratio(x))
+            if at is None or not at[4]:
                 want1 = want2 = 0.0
             else:
-                pc = cell[0]
+                pc = at[0]
                 wd = float(pc.width)
                 t = (abs(float(x)) - float(pc.lo)) / wd
                 want1 = float(pc.b - pc.a) / wd * _s5_d1(t)
@@ -280,6 +298,25 @@ class TestOscillator:
             for x, y in ((a, b), (float(a), float(b)), (a.as_fraction(), b.as_fraction())):
                 assert _same_float(f.difference(x, y), want), (a, b)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_points_refused(self, oscillator_half, bad):
+        # these raised ValueError or OverflowError from Fraction and
+        # as_integer_ratio
+        f = oscillator_half
+        name = str(bad)
+        for read in (lambda: d.witness_scales(f, bad, 2), lambda: f.difference(bad, 0.5),
+                     lambda: f.difference_float(0.5, bad), lambda: f(bad),
+                     lambda: f.value_float(bad), lambda: f.stage_value_exact(1, bad)):
+            with pytest.raises(d.DomainError, match=f"the point {name} is not finite"):
+                read()
+        w = d.base_wavelet()
+        if math.isnan(bad):
+            with pytest.raises(d.DomainError, match="the point nan is not finite"):
+                w(bad)
+        else:
+            # an infinite point lies outside the support
+            assert _same_float(w(bad), 0.0)
+
     def test_seminorm_estimate_stable(self, oscillator_half):
         vals = [d.holder_seminorm_estimate(
             oscillator_half,
@@ -343,6 +380,24 @@ class TestWitnessScales:
     def test_stage_beyond_schedule(self, oscillator_half):
         with pytest.raises(d.DomainError):
             d.witness_scales(oscillator_half, Fraction(1, 3), 9)
+
+    @pytest.mark.parametrize("m", [0, -1, 5, 2.0, 1.5, "2", None])
+    def test_stage_index_checked(self, oscillator_half, m):
+        # stage 0 and -1 read stages 4 and 3 through a list slice, 5 raised
+        # IndexError, and 2.0 passed the range check to fail with TypeError
+        f = oscillator_half
+        t = Fraction(3, 11)
+        assert len({f.stage_value_exact(n, t) for n in (1, 2, 3, 4)}) == 4
+        with pytest.raises(d.DomainError, match=r"stage .* is not an integer in 1\.\.4"):
+            f.stage_value_exact(m, t)
+        with pytest.raises(d.DomainError, match=r"stage .* is not an integer in 1\.\.4"):
+            d.witness_scales(f, t, m)
+
+    def test_stage_index_of_any_integer_type(self, oscillator_half):
+        f = oscillator_half
+        t = Fraction(5, 13)
+        assert f.stage_value_exact(np.int64(2), t) == f.stage_value_exact(2, t)
+        assert d.witness_scales(f, t, np.int64(2)) == d.witness_scales(f, t, 2)
 
 
 # The evaluator the integer kernel replaced, kept as the reference: a linear
@@ -617,23 +672,26 @@ class TestBisectZeroEnds:
         f = oscillator_half
         x = Fraction(3, 11)
         X, D = wavelet._frame(f, x)
-        rx = f._ratios(X, D)
+        rx = f._reference(x)
         # an offset where f(x + t) - f(x) is not 0.0, off every plateau
         period = D >> f.schedule.ks[1]
         t = next(t for t in (period // 3, period // 5, period // 7)
-                 if f._difference(rx, f._ratios(X + t, D)) != 0.0)
-        return f, x, X, D, rx, t
+                 if f.wavelet._stage_sum(rx, X + t, D) != 0.0)
+        # the end (t, g) as the caller reads it: g = f(x + t) - f(x)
+        ends = {u: (u, f.wavelet._stage_sum(rx, X + u, D)) for u in (0, t)}
+        assert ends[0][1] == 0.0
+        return f, x, X, D, rx, ends, t
 
     def test_an_end_at_x_is_the_zero(self, frame):
-        f, x, X, D, rx, t = frame
-        assert wavelet._bisect_zero(f, x, X, D, rx, 2, 0, t) == (0, D)
-        assert wavelet._bisect_zero(f, x, X, D, rx, 2, t, 0) == (0, D)
+        f, x, X, D, rx, ends, t = frame
+        assert wavelet._bisect_zero(f, x, X, D, rx, 2, ends[0], ends[t]) == (0, D)
+        assert wavelet._bisect_zero(f, x, X, D, rx, 2, ends[t], ends[0]) == (0, D)
 
     def test_no_sign_change_is_named(self, frame):
-        f, x, X, D, rx, t = frame
+        f, x, X, D, rx, ends, t = frame
         with pytest.raises(wavelet.CertificationError,
                            match=r"no sign change .*x = 3/11, m=2"):
-            wavelet._bisect_zero(f, x, X, D, rx, 2, t, t)
+            wavelet._bisect_zero(f, x, X, D, rx, 2, ends[t], ends[t])
 
 
 class TestWitnessBisectionOracle:
@@ -702,25 +760,37 @@ class TestWitnessBisectionOracle:
         f = oscillator_half
         x = Fraction(3, 11)
         assert _ref_witness_scales(f, x, 2).case == "ii"
-        reads, plateaus = [], []
-        kernel = d.WaveletOscillator._ratios
+        reads, sums, plateaus = [], [], []
+        kernel = d.BaseWavelet._stage_sum
         nested = wavelet._nested_plateau_point
 
-        def counting_kernel(self, n, q, *args):
-            reads.append(Fraction(n, q))
-            return kernel(self, n, q, *args)
+        def counting_kernel(self, ref, n, q, as_ref=False):
+            out = kernel(self, ref, n, q, as_ref)
+            # a read keeps the reference it returns, a sum the one it read
+            (reads if as_ref else sums).append((Fraction(n, q), out if as_ref else ref))
+            return out
 
         def counting_nested(f_, x_, lo, hi, den, m, sign):
             plateaus.append((Fraction(lo, den), Fraction(hi, den)))
             return nested(f_, x_, lo, hi, den, m, sign)
 
-        monkeypatch.setattr(d.WaveletOscillator, "_ratios", counting_kernel)
+        monkeypatch.setattr(d.BaseWavelet, "_stage_sum", counting_kernel)
         monkeypatch.setattr(d.wavelet, "_nested_plateau_point", counting_nested)
         ws = d.witness_scales(f, x, 2)
         assert ws.case == "ii"
-        # once for the case quotients and the bisection, and once in each
-        # of the two certificates, each recomputed on its own
-        assert reads.count(x) == 3
+        # x's stage values are read once, and every other read is a stage
+        # sum against them (or against 0, for the three tail reads)
+        assert [t for t, _ in reads] == [x]
+        rx = reads[0][1]
+        against_x = [t for t, ref in sums if ref is rx]
+        assert len(sums) - len(against_x) == 3
+        assert all(ref is f._tails[1] for _, ref in sums if ref is not rx)
+        # the two case quotients first, then the bisection, which reuses
+        # their values as its ends, and last the two certificates, each a
+        # fresh stage sum at x + h and x + h'
+        assert against_x[:2] == [x + ws.r_plus, x + ws.r_minus]
+        assert against_x[-2:] == [x + ws.h, x + ws.h_prime]
+        assert x + ws.h_prime in against_x[2:-2]
         assert len(plateaus) == 2 and all(lo > x for lo, _ in plateaus)
 
     def test_last_stage_cancellation_names_instance(self, oscillator_half):
@@ -766,9 +836,13 @@ def _ref_ratios(f, t):
     return out
 
 
+def _coefficients(f):
+    return [f.schedule.coefficient(m) for m in range(1, f.schedule.stages + 1)]
+
+
 def _ref_difference(f, ra, rb):
     total = 0.0
-    for c, (na, da), (nb, db) in zip(f._coefficients, ra, rb):
+    for c, (na, da), (nb, db) in zip(_coefficients(f), ra, rb):
         total += c * ((nb * da - na * db) / (db * da))
     return total
 
@@ -799,16 +873,17 @@ class TestBinaryScaledKernelOracle:
         f = d.wavelet_oscillator(d.wavelet_schedule(alpha, 1.0 / 200.0, 4))
         for t in self._points(f, 71):
             want = _ref_ratios(f, t)
-            got = f._ratios(t.numerator, t.denominator)
+            got = _kernel_triples(f, t.numerator, t.denominator)
             for m, ((num, k, e), (rn, rd)) in enumerate(zip(got, want), start=1):
                 assert Fraction(num, k << e) == Fraction(rn, rd), (t, m)
                 assert f.stage_value_exact(m, t) == Fraction(rn, rd), (t, m)
             # from every starting stage, as the witness search reads the tail
             for lo in range(1, f.schedule.stages + 1):
                 ref_value = 0.0
-                for c, (rn, rd) in zip(f._coefficients[lo - 1:], want[lo - 1:]):
+                for c, (rn, rd) in zip(_coefficients(f)[lo - 1:], want[lo - 1:]):
                     ref_value += c * (rn / rd)
-                got = f.value_float(t) if lo == 1 else _tail(f, t, lo)
+                got = (f.value_float(t) if lo == 1
+                       else _kernel_tail(f, t.numerator, t.denominator, lo))
                 assert _same_float(got, ref_value), (t, lo)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
@@ -825,11 +900,13 @@ class TestBinaryScaledKernelOracle:
             want = _ref_difference(f, _ref_ratios(f, a), _ref_ratios(f, b))
             assert _same_float(f.difference_float(a, b), want), (a, b)
             # unreduced numerators, as the witness search passes them
-            ua = f._ratios(a.numerator << 7, a.denominator << 7)
-            ub = f._ratios(3 * b.numerator, 3 * b.denominator)
-            assert _same_float(f._difference(ua, ub), want), (a, b)
+            ua = f.wavelet._stage_sum(f._tails[0], a.numerator << 7, a.denominator << 7,
+                                      as_ref=True)
+            got = f.wavelet._stage_sum(ua, 3 * b.numerator, 3 * b.denominator)
+            assert _same_float(got, want), (a, b)
 
     def test_base_ratio_matches_num_den_oracle(self):
+        # one stage at level 0 reads phi at x - j for the nearest integer j
         w = d.base_wavelet()
         rng = random.Random(75)
         for _ in range(3000):
@@ -837,8 +914,10 @@ class TestBinaryScaledKernelOracle:
             e = rng.randrange(0, 220)
             # inside and outside the support, both signs
             r = rng.randrange(-(o << e), (o << e) + 1)
-            num, k, big_e = w._ratio(r, o, e)
-            assert Fraction(num, k << big_e) == Fraction(*_ref_ratio(w, r, o << e)), (r, o, e)
+            (_, _, num, k, big_e), = w._stage_sum(wavelet._UNIT_STAGE, r, o << e, as_ref=True)
+            j = (2 * r + (o << e)) // (2 * o << e)
+            want = Fraction(*_ref_ratio(w, r - (j * o << e), o << e))
+            assert Fraction(num, k << big_e) == want, (r, o, e)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
     def test_dyadic_scale_lives_in_the_exponent(self, alpha):
@@ -849,7 +928,84 @@ class TestBinaryScaledKernelOracle:
         for bits in (8, 64, 200, 1000):
             for _ in range(50):
                 t = Fraction(rng.getrandbits(bits), 1 << bits)
-                for triple in f._ratios(t.numerator, t.denominator):
-                    num, k, e = triple
+                for num, k, e in _kernel_triples(f, t.numerator, t.denominator):
                     assert 0 < k < 1 << 64, (bits, k)
                     assert e >= 0
+
+
+class TestFusedStageKernel:
+    """`BaseWavelet._stage_sum` against the per-stage ratio kernel and the
+    stage sum over two lists of triples that it fused (tests/oracles.py)."""
+
+    @staticmethod
+    def _points(seed):
+        rng = random.Random(seed)
+        pts = [Fraction(rng.getrandbits(200), 1 << 200) for _ in range(40)]
+        pts += [Fraction(rng.randrange(1, 10 ** 6), rng.choice([3, 7, 11, 999]) * 10 ** 6 + 1)
+                for _ in range(20)]
+        pts += NON_DYADIC + [Fraction(0), Fraction(1, 2), Fraction(-3, 7), Fraction(5, 2)]
+        floats = [rng.uniform(-1.0, 2.0) for _ in range(20)] + [0.0, -0.0, 0.5, 1e-300]
+        dyadics = [DR(rng.getrandbits(bits), bits) for bits in (3, 40, 90, 300)
+                   for _ in range(5)]
+        return pts, floats, dyadics
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+    def test_stage_sums_and_triples_match_list_oracle(self, alpha):
+        f = d.wavelet_oscillator(d.wavelet_schedule(alpha, 1.0 / 200.0, 4))
+        pts, floats, dyadics = self._points(81)
+        ts = pts + [Fraction(x) for x in floats] + [p.as_fraction() for p in dyadics]
+        for t in ts:
+            n, q = t.numerator, t.denominator
+            for lo in range(1, f.schedule.stages + 1):
+                # the same unreduced triples, stage by stage
+                assert _kernel_triples(f, n, q, lo) == ratios(f, n, q, lo)[lo - 1:], (t, lo)
+                # unreduced numerators too, as the witness search passes them
+                assert _same_float(_kernel_tail(f, 6 * n, 6 * q, lo), tail(f, n, q, lo)), (t, lo)
+            for m in range(1, f.schedule.stages + 1):
+                num, k, e = ratios(f, n, q)[m - 1]
+                assert f.stage_value_exact(m, t) == Fraction(num, k << e), (t, m)
+        for a, b in zip(ts, ts[1:] + ts[:1]):
+            want = stage_difference(f, ratios(f, a.numerator, a.denominator),
+                                    ratios(f, b.numerator, b.denominator))
+            assert _same_float(f.difference_float(a, b), want), (a, b)
+            assert _same_float(f.value_float(b), tail(f, b.numerator, b.denominator)), b
+        # floats and DyadicRationals through every public read
+        for x in floats + dyadics:
+            t = x.as_fraction() if isinstance(x, DR) else Fraction(x)
+            assert _same_float(f.value_float(x), tail(f, t.numerator, t.denominator)), x
+            assert _same_float(f(x) if isinstance(x, float) else f.value_float(x),
+                               tail(f, t.numerator, t.denominator)), x
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+    def test_witness_scales_match_list_oracle(self, alpha):
+        # 85 points at 4 stages and 3 alphas: 1,020 (point, stage) pairs;
+        # xs 43, 46, 49, 55, 59, 73 and 149 (alpha 0.3) and 137 (alpha 1/2)
+        # fail to converge at stage 4, with the same text on both sides
+        f = d.wavelet_oscillator(d.wavelet_schedule(alpha, 1.0 / 200.0, 4))
+        rng = random.Random(5)
+        xs = [Fraction(rng.getrandbits(200), 1 << 200) for _ in range(150)]
+        xs = xs[:80] + [xs[137], xs[149]] + NON_DYADIC
+
+        def attempt(fn, x, m):
+            try:
+                return fn(f, x, m)
+            except d.CertificationError as err:
+                return f"CertificationError: {err}"
+
+        seen = set()
+        for x in xs:
+            for m in (1, 2, 3, 4):
+                got, want = attempt(d.witness_scales, x, m), attempt(witness_scales_lists, x, m)
+                assert got == want, (x, m)
+                assert repr(got) == repr(want), (x, m)
+                seen.add(got.case if isinstance(got, d.WitnessScales) else "error")
+        assert {"i", "ii", "iii"} <= seen
+        assert ("error" in seen) == (alpha != 0.7)
+
+    def test_base_call_matches_oracle_bit_for_bit(self):
+        w = d.base_wavelet()
+        grid = np.linspace(-0.75, 0.75, 6001).tolist()
+        grid += [float(x) for x in _knots_and_neighbours(w)]
+        grid += [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 5e-324, math.inf, -math.inf]
+        for x in grid:
+            assert _same_float(w(x), base_call(w, x)), x
