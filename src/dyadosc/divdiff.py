@@ -20,7 +20,7 @@ import numpy as np
 
 from .dyadic import DomainError, DyadicInterval, locate
 from .holder import HolderFunction
-from .martingale import check_cells
+from .martingale import BLOCK_CELLS, check_cells
 
 LN2 = math.log(2.0)
 
@@ -110,6 +110,15 @@ def _check_eps(eps: float) -> None:
         raise DomainError("eps must lie in (0, 1)")
     if not math.isfinite(1.0 / eps):
         raise DomainError(f"eps = {eps} is too small: 1/eps overflows the float range")
+
+
+def _check_spacing(top: int) -> None:
+    """Refuse tracking rows down to h = 2^-top past top = 52: below it
+    e + h != e for every endpoint e in [0, 1], whose float spacing is at
+    most 2^-52; past it a row could be silently zero."""
+    if top > 52:
+        raise DomainError(f"level + cutoff_extra = {top} passes 52: at h = 2^-{top} "
+                          f"an endpoint e + h can round to e")
 
 
 def _thetas(f: HolderFunction, alpha: float, x: float, eps_values: Sequence[float],
@@ -213,6 +222,34 @@ class GapProfile:
     points: int
 
 
+def _octave_groups(points: Sequence[int], bound: int):
+    """(start, stop) runs of consecutive octaves, in order, whose `points`
+    add up to at most `bound`; a run closes only when the next octave would
+    take it past, so an octave past `bound` alone is a run of its own."""
+    start, held = 0, 0
+    for j, p in enumerate(points):
+        if held and held + p > bound:
+            yield start, j
+            start, held = j, 0
+        held += p
+    yield start, len(points)
+
+
+def _endpoints(intervals: Sequence[DyadicInterval], uppers: np.ndarray):
+    """The distinct endpoints e of `intervals` (by decreasing level), each
+    first met at its deepest interval, with the octaves its rows span (that
+    interval's entry of `uppers`), and each interval's left and right
+    endpoint by position."""
+    reach: dict[float, int] = {}    # endpoint -> octaves its rows span
+    for I, U in zip(intervals, uppers.tolist()):
+        reach.setdefault(float(I.left), U)
+        reach.setdefault(float(I.right), U)
+    position = {e: i for i, e in enumerate(reach)}
+    left = np.array([position[float(I.left)] for I in intervals])
+    right = np.array([position[float(I.right)] for I in intervals])
+    return np.array(list(reach)), np.array(list(reach.values())), left, right
+
+
 def _tracking(f: HolderFunction, alpha: float, intervals: Sequence[DyadicInterval],
               cutoff_extra: int, quad: QuadratureConfig) -> dict[DyadicInterval, float]:
     """The tracking value of f on each of `intervals`, in one stacked pass.
@@ -221,40 +258,46 @@ def _tracking(f: HolderFunction, alpha: float, intervals: Sequence[DyadicInterva
     its integrand on octave j is 2^n (R(b, j) - R(a, j)) 2^(alpha u) ln 2
     with R(e, j) = F(e + 2^-u) - F(e) on the nodes u of the octave.  The
     distinct endpoints e get F(e) from one (E, 1) antiderivative call;
-    octave j makes one (E_j, 2m+1) call for the E_j endpoints whose
-    intervals reach it.  Each row is the row a one-interval evaluation
+    octave j needs the (E_j, 2m+1) rows of the E_j endpoints whose
+    intervals reach it.  Consecutive octaves share one antiderivative call
+    on their stacked rows while it holds at most BLOCK_CELLS points (an
+    octave with more is a call of its own), and each octave reads its
+    slice of the output.  Each row is the row a one-interval evaluation
     computes, and each interval adds its octave totals in order from
     j = 0, so a value does not depend on which other intervals were asked
-    for.
+    for.  Refused past level + K = 52, where e + 2^-u could round to e.
     """
     if cutoff_extra < 1:
         raise DomainError("cutoff_extra must be at least 1")
     m = quad.panels_per_octave
-    # intervals by decreasing level, so those alive at octave j are a prefix;
-    # endpoints likewise, each first met at its deepest interval
+    # intervals by decreasing level, so those alive at octave j are a prefix,
+    # and endpoints likewise
     intervals = sorted(dict.fromkeys(intervals), key=lambda I: -I.level)
     uppers = np.array([I.level + cutoff_extra for I in intervals])
-    reach: dict[float, int] = {}    # endpoint -> octaves its rows span
-    for I, U in zip(intervals, uppers.tolist()):
-        reach.setdefault(float(I.left), U)
-        reach.setdefault(float(I.right), U)
-    position = {e: i for i, e in enumerate(reach)}
-    left = np.array([position[float(I.left)] for I in intervals])
-    right = np.array([position[float(I.right)] for I in intervals])
+    _check_spacing(int(uppers[0]))
+    ends, spans, left, right = _endpoints(intervals, uppers)
     # node rows per octave, and rows of endpoint values per octave
-    _check_cells(f, max(len(reach), int(uppers[0])), 2 * m + 1, f"panels_per_octave = {m}")
-    ends, spans = np.array(list(reach)), np.array(list(reach.values()))
+    _check_cells(f, max(len(ends), int(uppers[0])), 2 * m + 1, f"panels_per_octave = {m}")
     anti = f.antiderivative_batch(ends[:, None])
     lo = np.arange(uppers[0], dtype=float)
     u = _octave_nodes(lo, lo + 1.0, m)
     hs, weights = np.exp2(-u), np.exp2(alpha * u)
     scale = np.ldexp(1.0, [I.level for I in intervals])[:, None]
     totals = np.zeros(len(intervals))
-    for j in range(len(lo)):
-        live, rows = np.count_nonzero(uppers > j), np.count_nonzero(spans > j)
-        R = f.antiderivative_batch(ends[:rows, None] + hs[j]) - anti[:rows]
-        vals = scale[:live] * (R[right[:live]] - R[left[:live]]) * weights[j] * LN2
-        totals[:live] += _simpson(vals, 1.0 / m)
+    rows = np.count_nonzero(spans > lo[:, None], axis=1)    # endpoint rows per octave
+    for start, stop in _octave_groups(rows * (2 * m + 1), BLOCK_CELLS):
+        # the group's octaves stacked: octave j's rows start at row `at` of ys
+        cuts = np.cumsum(rows[start:stop]) - rows[start:stop]
+        ys = np.empty((rows[start:stop].sum(), 2 * m + 1))
+        for j, at in zip(range(start, stop), cuts):
+            np.add(ends[:rows[j], None], hs[j], out=ys[at:at + rows[j]])
+        out = f.antiderivative_batch(ys)
+        for j, at in zip(range(start, stop), cuts):
+            live = np.count_nonzero(uppers > j)
+            R = out[at:at + rows[j]]
+            R -= anti[:rows[j]]                 # in place: out is read no further
+            vals = scale[:live] * (R[right[:live]] - R[left[:live]]) * weights[j] * LN2
+            totals[:live] += _simpson(vals, 1.0 / m)
     return dict(zip(intervals, totals))
 
 
@@ -303,6 +346,7 @@ def theta_martingale_gap(f: HolderFunction, alpha: float, depth: int,
         raise DomainError(f"first_level must be at least 1, not {first_level}")
     if first_level > depth:
         raise DomainError("first_level must not exceed depth")
+    _check_spacing(depth + cutoff_extra)
     levels = list(range(first_level, depth + 1))
     tracking = _tracking(f, alpha, [locate(x, n) for x in sample_points for n in levels],
                          cutoff_extra, quad)

@@ -6,7 +6,8 @@ the greedy Whitney walk, the walk `levels`, the whole-level mass sweep,
 the special-interval registry, the point-by-point witness survey, the
 Weierstrass term loop, the wavelet's cell lookup and its per-stage
 ratio kernel with the stage sum over two lists of triples, the witness
-search built on them, and its annulus offsets.  The code is the
+search built on them, its annulus offsets, and the tracking pass with
+one antiderivative call per octave.  The code is the
 library's, except the Whitney walk, restated on Fractions; a method
 became a function of its instance, and `ratio_exact` reads the
 measure's float eta, the one its masses use.
@@ -21,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from dyadosc import entropy
+from dyadosc import divdiff, entropy
 from dyadosc.dyadic import (DepthCapError, DomainError, DyadicInterval, DyadicRational,
                             unit_interval)
 from dyadosc.wavelet import (CertificationError, WitnessScales, _annulus_offset, _at,
@@ -502,3 +503,38 @@ def witness_scales_lists(f, x, m: int) -> WitnessScales:
         tail_sum=f.schedule.tail_sum(m),
         h_side="right" if h > 0 else "left",
         h_prime_side="right" if h_prime > 0 else "left")
+
+
+# -- divdiff ------------------------------------------------------------
+
+def tracking_per_octave(f, alpha: float, intervals, cutoff_extra: int, quad):
+    """`divdiff._tracking` with one antiderivative call per octave on the
+    rows of the endpoints that reach it, the loop the stacked octave
+    groups replaced."""
+    if cutoff_extra < 1:
+        raise DomainError("cutoff_extra must be at least 1")
+    m = quad.panels_per_octave
+    intervals = sorted(dict.fromkeys(intervals), key=lambda I: -I.level)
+    uppers = np.array([I.level + cutoff_extra for I in intervals])
+    reach: dict[float, int] = {}
+    for I, U in zip(intervals, uppers.tolist()):
+        reach.setdefault(float(I.left), U)
+        reach.setdefault(float(I.right), U)
+    position = {e: i for i, e in enumerate(reach)}
+    left = np.array([position[float(I.left)] for I in intervals])
+    right = np.array([position[float(I.right)] for I in intervals])
+    divdiff._check_cells(f, max(len(reach), int(uppers[0])), 2 * m + 1,
+                         f"panels_per_octave = {m}")
+    ends, spans = np.array(list(reach)), np.array(list(reach.values()))
+    anti = f.antiderivative_batch(ends[:, None])
+    lo = np.arange(uppers[0], dtype=float)
+    u = divdiff._octave_nodes(lo, lo + 1.0, m)
+    hs, weights = np.exp2(-u), np.exp2(alpha * u)
+    scale = np.ldexp(1.0, [I.level for I in intervals])[:, None]
+    totals = np.zeros(len(intervals))
+    for j in range(len(lo)):
+        live, rows = np.count_nonzero(uppers > j), np.count_nonzero(spans > j)
+        R = f.antiderivative_batch(ends[:rows, None] + hs[j]) - anti[:rows]
+        vals = scale[:live] * (R[right[:live]] - R[left[:live]]) * weights[j] * divdiff.LN2
+        totals[:live] += divdiff._simpson(vals, 1.0 / m)
+    return dict(zip(intervals, totals))

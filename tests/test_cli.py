@@ -74,6 +74,15 @@ class TestExitCodes:
         assert "eps = 5e-324" in proc.stderr
         assert not out.exists()
 
+    def test_gap_past_the_float_spacing(self, tmp_path, capsys):
+        # tracking rows down to h = 2^-64: the run exited 0 with a flat
+        # 14.863 at levels 55 to 60, where every tracking value was 0
+        out = tmp_path / "g"
+        assert run(["gap", "--alpha", "0.5", "--depth", "60", "--first-level", "50",
+                    "--points", "2", "--panels", "4", "--seed", "9", "--out", str(out)]) == 3
+        assert "level + cutoff_extra = 84 passes 52" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_depth_cap(self, tmp_path):
         assert run(["schedule", "--beta", "0.5", "--stages", "1",
                     "--depth", "16", "--out", str(tmp_path)]) == 4

@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dyadosc as d
+from dyadosc import martingale
+from oracles import tracking_per_octave
 
 mp.mp.dps = 30
 
@@ -416,13 +418,14 @@ class TestSharedEndpointTracking:
             assert tracking[I] == tracking_reference(f, 0.5, I, 24, 16)
 
     def test_gap_evaluates_each_endpoint_row_once(self):
-        # one tracking evaluation per (level, interval) made 1,260 calls here
+        # one tracking evaluation per (level, interval) made 1,260 calls here,
+        # and a call per octave 39: the endpoint values, then 3 octave groups
         W = d.WeierstrassFunction(2.0, 0.5)
         anti, calls = W.antiderivative_batch, []
         W.antiderivative_batch = lambda ys: calls.append(1) or anti(ys)
         d.theta_martingale_gap(W, 0.5, 14, [0.3, 0.71], first_level=6, eps_grid=2,
                                quad=d.QuadratureConfig(16))
-        assert len(calls) <= 720
+        assert len(calls) == 4
 
     def test_gap_stacks_octave_rows(self):
         # a call per endpoint and octave made 708 antiderivative calls here,
@@ -434,9 +437,13 @@ class TestSharedEndpointTracking:
         xs = [0.3, 0.71]
         d.theta_martingale_gap(W, 0.5, 14, xs, first_level=6, eps_grid=2,
                                quad=d.QuadratureConfig(16))
-        assert len(anti_sizes) <= 1 + 14 + 24
+        assert len(anti_sizes) == 4
         assert sum(anti_sizes) == 22_724
         assert len(batch_calls) <= len(xs)
+        # the first call holds one value per endpoint, so the largest octave
+        # holds that many rows of 33 nodes
+        largest = 33 * anti_sizes[0]
+        assert max(anti_sizes[1:]) <= max(martingale.BLOCK_CELLS, largest)
 
     def test_stacked_calls_keep_the_cell_budget(self):
         from dyadosc.divdiff import _tracking
@@ -500,6 +507,174 @@ class TestSharedEndpointTracking:
     def test_quadrature_config_domain(self, kwargs):
         with pytest.raises(d.DomainError):
             d.QuadratureConfig(**kwargs)
+
+
+def _hexes(values: dict) -> dict:
+    return {I: float(v).hex() for I, v in values.items()}
+
+
+def _counted(f, sizes: list):
+    """f with its antiderivative calls' point counts appended to `sizes`."""
+    anti = f.antiderivative_batch
+    f.antiderivative_batch = lambda ys: sizes.append(np.size(ys)) or anti(ys)
+    return f
+
+
+class TestStackedTrackingOctaves:
+    """The grouped octave calls of `_tracking` against the per-octave loop
+    they replaced, by float.hex."""
+
+    # ((points, levels) sets, cutoff_extra, panels): the two-point gap (three
+    # groups), shared endpoints with a partial reach, and 150 points at level
+    # 9 (300 endpoints: 13 octaves past BLOCK_CELLS points) with two at level
+    # 20 (11 octaves of 4 rows after them)
+    CASES = [
+        ([([0.3, 0.71], range(6, 15))], 24, 16),
+        ([(SHARED_POINTS, (3, 7, 10, 20))], 8, 8),
+        ([(((np.arange(150) + 0.5) / 150).tolist(), (9,)), ([0.3, 0.71], (20,))], 4, 16),
+    ]
+
+    @staticmethod
+    def _intervals(sets):
+        return [d.locate(x, n) for points, levels in sets for x in points for n in levels]
+
+    @pytest.mark.parametrize("name", ["W2", "W3", "linear"])
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_matches_per_octave_oracle(self, name, case):
+        from dyadosc.divdiff import _tracking
+
+        sets, extra, panels = self.CASES[case]
+        f, quad = KERNEL_FLEET[name], d.QuadratureConfig(panels)
+        intervals = self._intervals(sets)
+        assert (_hexes(_tracking(f, 0.5, intervals, extra, quad))
+                == _hexes(tracking_per_octave(f, 0.5, intervals, extra, quad)))
+
+    @pytest.mark.parametrize("name", ["W2", "W3"])
+    def test_worker_count_keeps_the_oracle_bits(self, monkeypatch, name):
+        from dyadosc import holder
+        from dyadosc.divdiff import _tracking
+
+        f, quad = KERNEL_FLEET[name], d.QuadratureConfig(16)
+        intervals = self._intervals([([0.3, 0.71, 0.5], range(6, 15))])
+        want = _hexes(tracking_per_octave(f, 0.5, intervals, 24, quad))
+        monkeypatch.setattr(holder, "_BLOCK_CELLS", 64)     # split every call
+        for count in (1, 2, 3):
+            monkeypatch.setattr(holder, "_usable_cpus", lambda: count)
+            assert _hexes(_tracking(f, 0.5, intervals, 24, quad)) == want, count
+
+    def test_three_groups_close_at_the_bound(self):
+        from dyadosc.divdiff import _tracking
+
+        sizes, quad = [], d.QuadratureConfig(16)
+        W = _counted(d.WeierstrassFunction(2.0, 0.5), sizes)
+        intervals = self._intervals(self.CASES[0][0])
+        got = _tracking(W, 0.5, intervals, 24, quad)
+        # the 20 endpoint values, then 38 octaves of 33-node rows: 20 rows
+        # each up to octave 29, fewer as the levels' reach ends
+        octaves = []
+        oracle = tracking_per_octave(_counted(d.WeierstrassFunction(2.0, 0.5), octaves),
+                                     0.5, intervals, 24, quad)
+        assert _hexes(got) == _hexes(oracle)
+        assert sizes[0] == octaves[0] == 20 and len(octaves) == 39
+        groups = sizes[1:]
+        assert len(groups) >= 3 and sum(groups) == sum(octaves[1:])
+        # each group is a run of whole octaves within BLOCK_CELLS points,
+        # closed only where the next octave would take it past
+        runs, rest = [], octaves[1:]
+        for size in groups:
+            k = next(k for k in range(1, len(rest) + 1) if sum(rest[:k]) == size)
+            runs.append(rest[:k])
+            rest = rest[k:]
+        assert not rest
+        for run, after in zip(runs, runs[1:]):
+            assert sum(run) <= martingale.BLOCK_CELLS < sum(run) + after[0]
+
+    def test_octave_past_the_bound_is_a_call_of_its_own(self):
+        from dyadosc.divdiff import _tracking
+
+        sizes, octaves, quad = [], [], d.QuadratureConfig(16)
+        sets, extra, _ = self.CASES[2]
+        intervals = self._intervals(sets)
+        got = _tracking(_counted(d.WeierstrassFunction(2.0, 0.5), sizes),
+                        0.5, intervals, extra, quad)
+        oracle = tracking_per_octave(_counted(d.WeierstrassFunction(2.0, 0.5), octaves),
+                                     0.5, intervals, extra, quad)
+        assert _hexes(got) == _hexes(oracle)
+        assert sizes[0] == octaves[0] == 304
+        assert octaves[1:] == [304 * 33] * 13 + [4 * 33] * 11
+        # each octave past the bound is a call alone; the small ones share one
+        assert sizes[1:] == [304 * 33] * 13 + [4 * 33 * 11]
+
+    @pytest.mark.parametrize("points, bound", [
+        ([5, 3, 9, 1], 10), ([1] * 50, 10), ([8192, 1, 8191, 1, 1], 8192),
+        ([9000, 100, 9000], 8192), ([4096] * 5, 8192)])
+    def test_octave_groups(self, points, bound):
+        from dyadosc.divdiff import _octave_groups
+
+        groups = list(_octave_groups(points, bound))
+        assert [j for a, b in groups for j in range(a, b)] == list(range(len(points)))
+        for (a, b), (c, _) in zip(groups, groups[1:]):
+            assert b == c and sum(points[a:b]) + points[c] > bound
+        for a, b in groups:
+            assert b - a >= 1 and (b - a == 1 or sum(points[a:b]) <= bound)
+
+    def test_criterion_8_pass_peaks_no_higher(self):
+        from dyadosc.divdiff import _tracking
+
+        # the 64 criterion 8 points at levels 6 to 14; each pass once warm
+        W, quad = d.WeierstrassFunction(2.0, 0.5), d.QuadratureConfig(16)
+        xs = [float(v) for v in np.random.default_rng(8).uniform(0.02, 0.98, size=64)]
+        intervals = self._intervals([(xs, range(6, 15))])
+        peaks = {}
+        for tracking in (tracking_per_octave, _tracking):
+            want = tracking(W, 0.5, intervals, 24, quad)
+            tracemalloc.start()
+            try:
+                got = tracking(W, 0.5, intervals, 24, quad)
+                peaks[tracking] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert _hexes(got) == _hexes(want)
+        assert peaks[_tracking] <= peaks[tracking_per_octave]
+
+
+class TestTrackingFloatSpacing:
+    """A tracking value is refused past level + cutoff_extra = 52, where an
+    endpoint e + 2^-u can round to e and a row is silently zero."""
+
+    def test_every_endpoint_moves_at_the_bound(self):
+        h = 2.0 ** -52
+        edges = [0.0, 5e-324, 0.3, 0.5, 0.75, np.nextafter(1.0, 0.0), 1.0]
+        points = np.concatenate([edges, np.random.default_rng(3).uniform(0, 1, 10_000)])
+        assert np.all(points + h != points)
+        assert 1.0 + 2.0 ** -53 == 1.0       # and past the bound they need not
+
+    def test_tracking_refused_past_52(self):
+        from dyadosc.divdiff import tracking_martingale_value
+
+        W = KERNEL_FLEET["W2"]
+        # unrefused, this read exactly 0.0: both endpoints' rows round together
+        with pytest.raises(d.DomainError, match="level \\+ cutoff_extra = 60 passes 52"):
+            tracking_martingale_value(W, 0.5, d.locate(0.3, 56), cutoff_extra=4,
+                                      panels_per_octave=4)
+        with pytest.raises(d.DomainError, match="= 53 passes 52"):
+            tracking_martingale_value(W, 0.5, d.locate(0.3, 29), panels_per_octave=4)
+        at_bound = tracking_martingale_value(W, 0.5, d.locate(0.3, 28), panels_per_octave=4)
+        assert math.isfinite(at_bound) and at_bound != 0.0
+
+    def test_gap_refused_before_its_intervals(self, monkeypatch):
+        from dyadosc import divdiff
+
+        def no_locate(*args):
+            raise AssertionError("the interval list was built")
+
+        monkeypatch.setattr(divdiff, "locate", no_locate)
+        with pytest.raises(d.DomainError, match="= 84 passes 52"):
+            d.theta_martingale_gap(KERNEL_FLEET["W2"], 0.5, 60, [0.3, 0.7], first_level=50,
+                                   eps_grid=2, quad=d.QuadratureConfig(4))
+        with pytest.raises(d.DomainError, match="= 53 passes 52"):
+            d.theta_martingale_gap(KERNEL_FLEET["W2"], 0.5, 49, [0.3], first_level=48,
+                                   eps_grid=2, quad=d.QuadratureConfig(4), cutoff_extra=4)
 
 
 class TestRowParallelValues:
