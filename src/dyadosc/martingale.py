@@ -2,18 +2,22 @@
 
 A martingale here is a map ``S(I)`` on dyadic subintervals of [0,1) whose
 value at an interval is the mean of its children's values (cancellation).
-Every consumer reads it through ``increment(child)``, the scalar jump
-oracle, the level arrays ``level_increments(n)`` and
-``level_values_range(n, lo, hi)``, or ``primitive``, the integral of S
-along one address (``pair_primitives`` for arrays of address pairs).
+A kind is one method, the level hook ``_level_increments(n, parents)``:
+the jumps into level n of the children of an array of level n - 1
+indices.  Every read derives from it: the level arrays
+``level_increments(n)`` and ``level_values_range(n, lo, hi)``, the scalar
+``increment(child)``, the hook read for the child's one parent, and
+``value(I)``, those jumps summed along the ancestor chain; ``primitive``
+is the integral of S along one address (``pair_primitives`` for arrays
+of address pairs).
 Whole-tree certificates walk the tree once behind the sweep budget, depth
 first in blocks (``level_blocks``) or by whole levels (``levels``); a
 range read walks only the cells above its range.
-Base-class loops over the scalar oracle are the reference that vectorized
-and closed-form overrides reproduce.  Jumps come from increment oracles,
-which hand each pair of children exactly opposite jumps (a paired kind
-writes only its left child's jump), or from value oracles such as
-divided differences of a function, whose cancellation is checked.
+Base-class reads are the reference that closed-form overrides reproduce.
+Jumps come from paired kernels, which hand each pair of children exactly
+opposite jumps (a paired kind writes only its left child's jump), or from
+value oracles such as divided differences of a function, whose
+cancellation is checked.
 
 A growth martingale with exponent ``beta`` is the level-scaled view
 ``2^(n beta)`` of its discounted martingale, so the discount transform and
@@ -25,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -111,32 +115,33 @@ def _stream(seed: int, level: int, index):
 
 
 class Martingale:
-    """Martingale on [0,1), built from a per-child increment oracle.
+    """Martingale on [0,1), defined by its level hook.
 
-    The oracle must return exactly opposite values on the two children of
-    any interval; values are accumulated along the ancestor chain.
-    ``star_bound``, when given, declares sup_n ||S_{n+1}-S_n||.
+    A kind defines ``_level_increments(n, parents)``: the jumps into level
+    n of the children of `parents`, level n - 1 indices in a uint64 array
+    to level 64 and a Python-int array past it, left then right.  The two
+    jumps of each pair must be exactly opposite, or be checked, as a
+    function's divided differences are.  ``star_bound``, when given,
+    declares sup_n ||S_{n+1}-S_n||.
 
     The walk ``level_blocks(depth)`` (``levels`` by whole levels), which
     sums each cell's value from S_0 and the increments, is the definition
-    that every certificate reads, and ``level_values_range`` walks it over
-    one range.  A kind that overrides ``value`` or ``level_values_range``
-    agrees with it within the few ulps that tests/test_martingale.py
-    ``TestLevelsAgainstOwnValues`` pins.
+    that every certificate reads; ``level_values_range`` walks it over one
+    range, to ``max_depth``.  ``increment`` reads the hook for the child's
+    one parent, and ``value`` sums ``increment`` along the ancestor chain
+    in the walk's order, so it returns the walk's bits.  A kind that overrides
+    ``value`` or ``level_values_range`` agrees with the walk within the few
+    ulps that tests/test_martingale.py ``TestLevelsAgainstOwnValues`` pins.
 
-    Subclasses keep the scalar ``increment`` and may override the hook
-    ``_level_increments(n, parents)``, which the gate and the range walk
-    call, with array code that returns the same floats (``PairedMartingale``
-    derives the oracle and the hook from one left-child kernel),
-    ``primitive`` with a closed form that agrees with the bit walk to
-    rounding, and ``pair_primitives`` with array passes that return the
-    floats of their own ``value`` and ``primitive``.
+    Subclasses may also override ``_inc``, the scalar jump behind
+    ``increment`` (``PairedMartingale`` reads its left-child kernel on a
+    Python int), ``primitive`` with a closed form that agrees with the bit
+    walk to rounding, and ``pair_primitives`` with array passes that return
+    the floats of their own ``value`` and ``primitive``.
     """
 
-    def __init__(self, increment_fn: Callable[[DyadicInterval], float],
-                 s0=0.0, max_depth: int = DEFAULT_MAX_DEPTH,
+    def __init__(self, s0=0.0, max_depth: int = DEFAULT_MAX_DEPTH,
                  star_bound: Optional[float] = None, name: str = "martingale"):
-        self._increment_fn = increment_fn
         self.s0 = s0
         self.max_depth = max_depth
         if self.max_depth < 0:
@@ -164,7 +169,13 @@ class Martingale:
         if child.level == 0:
             raise DomainError("the root interval has no increment")
         self._check(child)
-        return self._increment_fn(child)
+        return self._inc(child)
+
+    def _inc(self, child: DyadicInterval) -> float:
+        """The hook read for the child's one parent."""
+        p = child.index >> 1
+        parents = np.arange(p, p + 1, dtype=np.uint64 if child.level <= 64 else object)
+        return float(self._level_increments(child.level, parents)[child.index & 1])
 
     def value(self, I: DyadicInterval):
         """S(I): the constant value of S_level on I, summed from the root."""
@@ -234,9 +245,8 @@ class Martingale:
 
     def _level_increments(self, n: int, parents: np.ndarray) -> np.ndarray:
         """Jumps into level n of the children of `parents` (level n - 1
-        indices), left then right: the scalar loop that overrides reproduce."""
-        return np.array([self.increment(DyadicInterval(n, j)) for p in parents.tolist()
-                         for j in (2 * p, 2 * p + 1)], dtype=float)
+        indices), left then right: the one method a kind defines."""
+        raise NotImplementedError(f"{type(self).__name__} defines no _level_increments")
 
     def _walk(self, depth: int, cap: float):
         """The walk of ``level_blocks``, inside the sweep budget: a block
@@ -270,15 +280,15 @@ class Martingale:
         """Values of S_n on level-n indices [lo, hi): the walk of ``levels``
         through only the cells above the range, O(hi - lo + n) of them."""
         self._check_range(n, lo, hi)
-        if n > min(self.max_depth, 64):     # parents are uint64 indices
+        if n > self.max_depth:
             raise DepthCapError(f"a range walk to level {n} is beyond its depth cap")
         if hi == lo:
             return np.zeros(0)
         vals = np.full(1, float(self.s0))
         for m in range(1, n + 1):
             first = lo >> (n - m + 1)       # `vals` starts at cell `first` of level m - 1
-            kids = _children(vals, self._level_increments(
-                m, np.arange(first, first + vals.size, dtype=np.uint64)))
+            kids = _children(vals, self._level_increments(m, np.arange(
+                first, first + vals.size, dtype=np.uint64 if m <= 64 else object)))
             vals = kids[(lo >> (n - m)) - 2 * first:((hi - 1) >> (n - m)) + 1 - 2 * first]
         return vals
 
@@ -293,17 +303,21 @@ class Martingale:
 class ValueMartingale(Martingale):
     """Divided-difference martingale S(I) = 2^n (f(b) - f(a)), I = [a, b) at level
     n <= depth, of a HolderFunction f, whose cancellation is f's: checked, not
-    assumed.  One ``f.dyadic_differences`` read per range, kept; reads get copies."""
+    assumed.  One ``f.dyadic_differences`` read per range, kept; reads get copies.
+    The hook reads the children's cells and the parents' cells, one call each."""
 
     def __init__(self, f, depth: int):
-        super().__init__(self._increment_from_values, max_depth=depth, name="from-function")
-        ints = np.int64 if depth < 63 else object       # Python ints past 2^62 + 1
-        self._read = functools.cache(lambda n, lo, hi: np.ldexp(f.dyadic_differences(
-            np.arange(lo, hi, dtype=ints), np.arange(lo + 1, hi + 1, dtype=ints), n), n))
+        super().__init__(max_depth=depth, name="from-function")
+        self._ints = np.int64 if depth < 63 else object       # Python ints past 2^62 + 1
+        self._cells = lambda n, j: np.ldexp(f.dyadic_differences(j, j + 1, n), n)
+        self._read = functools.cache(
+            lambda n, lo, hi: self._cells(n, np.arange(lo, hi, dtype=self._ints)))
         self.s0 = self.value(unit_interval())
 
-    def _increment_from_values(self, child: DyadicInterval):
-        return self.value(child) - self.value(child.parent())
+    def _level_increments(self, n: int, parents: np.ndarray) -> np.ndarray:
+        p = parents.astype(self._ints)
+        kids = (2 * p[:, None] + [0, 1]).ravel()       # left then right
+        return self._cells(n, kids) - np.repeat(self._cells(n - 1, p), 2)
 
     def value(self, I: DyadicInterval):
         self._check(I)
@@ -325,14 +339,12 @@ class PairedMartingale(Martingale):
     """Martingale paired by construction: one left-child jump kernel.
 
     A subclass defines ``_left(level, parents)``, the jump into `level` of
-    each parent's left child, where `parents` is a Python int or a uint64
-    array and the same arithmetic serves both.  The scalar oracle and the
-    level arrays both read it, and the right child takes ``0 - left``:
-    exactly opposite, an int for int jumps, and +0.0 for a zero jump.
+    each parent's left child, where `parents` is a Python int or an array
+    of uint64s or Python ints and the same arithmetic serves all.  The hook
+    reads it on arrays and ``increment`` on the one Python-int parent, so
+    int jumps stay ints; the right child takes ``0 - left``: exactly
+    opposite, and +0.0 for a zero jump.
     """
-
-    def __init__(self, **kw):
-        super().__init__(self._inc, **kw)
 
     def _inc(self, child: DyadicInterval):
         # Python ints, not a numpy uint64 scalar, which warns when it wraps
@@ -340,10 +352,9 @@ class PairedMartingale(Martingale):
         return left if (child.index & 1) == 0 else 0 - left
 
     def _level_increments(self, n: int, parents: np.ndarray) -> np.ndarray:
-        left = self._left(n, parents)
         out = np.empty(2 * parents.size)
-        out[0::2] = left
-        np.subtract(0.0, left, out=out[1::2])
+        out[0::2] = self._left(n, parents)
+        np.subtract(0.0, out[0::2], out=out[1::2])
         return out
 
 
@@ -419,14 +430,10 @@ class ScaledMartingale(Martingale):
 
     def __init__(self, base: Martingale, gamma: float, s0=0.0,
                  star_bound: Optional[float] = None, name: Optional[str] = None):
-        super().__init__(self._scaled_inc, s0=s0, max_depth=base.max_depth,
-                         star_bound=star_bound,
+        super().__init__(s0=s0, max_depth=base.max_depth, star_bound=star_bound,
                          name=name or f"scaled({base.name}, {gamma})")
         self.base = base
         self.gamma = gamma
-
-    def _scaled_inc(self, child: DyadicInterval) -> float:
-        return math.pow(2.0, child.level * self.gamma) * self.base.increment(child)
 
     def _level_increments(self, n: int, parents: np.ndarray) -> np.ndarray:
         return math.pow(2.0, n * self.gamma) * self.base._level_increments(n, parents)

@@ -120,6 +120,10 @@ MUTANTS = [
     Mutant("mass-ratio-plus-1e-6", "entropy._mass_ratio", _plus(1e-6),
            ("criterion 3", README_MASS_MEASURE),
            "each parent's mass split into 1 + 2e-6 of it, not 1"),
+    Mutant("extremal-bound-plus-1/256", "entropy.extremal_bound_exact",
+           _plus(Fraction(1, 256)), ("criterion 2", VERIFY_ALL),
+           "the extremal bound 2^(-N Phi(eta)) at N = 4, eta = 1/2 read as 28/256, "
+           "not the product 27/256"),
     Mutant("phi-low-1e-6", "entropy.entropy_phi", _plus(-1e-6),
            ("criterion 1", "criterion 3"),
            "the entropy function Phi(eta) 1e-6 below its value"),
@@ -169,6 +173,9 @@ FAIL_TEXT = {
     ("mass-ratio-plus-0.05", "criterion 3"): "first failure binary: level_sums_exact is False",
     ("mass-ratio-plus-1e-6", "criterion 3"): "first failure binary: level_sums_exact is False",
     ("phi-low-1e-6", "criterion 3"): "first failure binary: margin -1.60e-05 on [4095/2^16",
+    ("extremal-bound-plus-1/256", "criterion 2"):
+        "extremal product 27/256 and bound 7/64, not both 27/256",
+    ("extremal-bound-plus-1/256", VERIFY_ALL): "[FAIL] product bound equality",
     ("besicovitch-threshold-plus-1", "criterion 4"):
         "first failure eta=1/4: count@20=60460, brute force 137980",
     ("paired-jump-not-opposite", "criterion 3"):

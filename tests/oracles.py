@@ -6,8 +6,10 @@ the greedy Whitney walk, the walk `levels`, the whole-level mass sweep,
 the special-interval registry, the point-by-point witness survey, the
 Weierstrass term loop, the wavelet's cell lookup and its per-stage
 ratio kernel with the stage sum over two lists of triples, the witness
-search built on them, its annulus offsets, and the tracking pass with
-one antiderivative call per octave.  The code is the
+search built on them, its annulus offsets, the tracking pass with
+one antiderivative call per octave, the martingale built from a
+per-child increment callable, and the divided-difference martingale on
+jumps read one cell at a time.  The code is the
 library's, except the Whitney walk, restated on Fractions; a method
 became a function of its instance, and `ratio_exact` reads the
 measure's float eta, the one its masses use.
@@ -15,6 +17,7 @@ measure's float eta, the one its masses use.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -22,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from dyadosc import divdiff, entropy
+from dyadosc import divdiff, entropy, martingale
 from dyadosc.dyadic import (DepthCapError, DomainError, DyadicInterval, DyadicRational,
                             unit_interval)
 from dyadosc.wavelet import (CertificationError, WitnessScales, _annulus_offset, _at,
@@ -63,6 +66,44 @@ def whitney_greedy(x, h, max_depth: int):
         pieces.append(DyadicInterval(n, math.floor(a * (1 << n))))
         a += Fraction(1, 1 << n)
     return x_dr, h_dr, tuple(pieces), sum(Fraction(1, 1 << iv.level) for iv in pieces)
+
+
+# -- martingale -------------------------------------------------------
+
+class IncrementOracleMartingale(martingale.Martingale):
+    """The base martingale as it was built from a per-child increment
+    callable, which must return exactly opposite values on the two
+    children of any interval: `value` sums the jumps along the ancestor
+    chain from S_0, and the hook is the scalar loop over `increment`."""
+
+    def __init__(self, increment_fn, **kw):
+        super().__init__(**kw)
+        self._increment_fn = increment_fn
+
+    def _inc(self, child: DyadicInterval):
+        return self._increment_fn(child)
+
+    def value(self, I: DyadicInterval):
+        self._check(I)
+        v = self.s0
+        for lvl in range(1, I.level + 1):
+            v = v + self.increment(I.ancestor(lvl))
+        return v
+
+    def _level_increments(self, n: int, parents: np.ndarray) -> np.ndarray:
+        return np.array([self.increment(DyadicInterval(n, j)) for p in parents.tolist()
+                         for j in (2 * p, 2 * p + 1)], dtype=float)
+
+
+def value_difference_martingale(S) -> IncrementOracleMartingale:
+    """The divided-difference martingale `S` (a `from_function` kind) on
+    the jump it had before its hook, S_n(child) - S_{n-1}(parent), one
+    cell at a time.  The values come from whole-level range reads, kept;
+    tests/test_martingale.py pins those to the one-cell `value` reads."""
+    level = functools.cache(S.level_values)
+    return IncrementOracleMartingale(
+        lambda ch: float(level(ch.level)[ch.index] - level(ch.level - 1)[ch.index >> 1]),
+        s0=S.s0, max_depth=S.max_depth, name=S.name)
 
 
 # -- entropy ----------------------------------------------------------

@@ -46,15 +46,20 @@ KEEP = {name: reason for reason, names in {
         "holder.WeierstrassFunction.terms_for", "divdiff.tracking_martingale_value"],
     "the scalar ratio that the traced MassMeasure.mass_log2 reads": [
         "entropy.MassMeasure.ratio"],
-    FALLBACK + "a martingale built from an increment oracle: its scalar value and "
-    "primitive, which the pair_primitives loop of every kind but the block martingale "
-    "reads": [
-        "dyadic.DyadicInterval.ancestor", "dyadic.DyadicInterval.left_half"],
+    FALLBACK + "the base scalar `value`, the ancestor-chain sum that the pair_primitives "
+    "loop of every kind but the block martingale reads; the traced "
+    "MassMeasure.mass_log2 reads it too": ["dyadic.DyadicInterval.ancestor"],
+    "the left child on the way down, which only the scalar `primitive` bit walk reads; "
+    "the pair_primitives loop of every kind but the block martingale reads that walk": [
+        "dyadic.DyadicInterval.left_half"],
     FALLBACK + "`locate` and `contains` on a DyadicRational point": [
         "dyadic.DyadicRational.floor_scaled"],
-    FALLBACK + "`increment` on scaled, growth and from-function martingales": [
-        "martingale.ScaledMartingale._scaled_inc",
-        "martingale.ValueMartingale._increment_from_values"],
+    FALLBACK + "`increment` on the scaled, growth and from-function martingales, the "
+    "hook read for one parent": ["martingale.Martingale._inc"],
+    "failure path: the base hook, which names the kind that defines none": [
+        "martingale.Martingale._level_increments"],
+    "the hook of the divided-difference martingale: no CLI command or criterion sweeps "
+    "one, they read its ranges": ["martingale.ValueMartingale._level_increments"],
     FALLBACK + "a HolderFunction subclass that does not override the method": [
         "holder.HolderFunction._eval", "holder.HolderFunction.batch",
         "holder.HolderFunction.difference", "holder.HolderFunction.antiderivative_batch"],

@@ -17,6 +17,7 @@ import dyadosc as d
 from dyadosc.blocks import witness_survey
 from dyadosc.dyadic import DyadicInterval as DI
 from dyadosc.dyadic import DyadicRational as DR
+from oracles import IncrementOracleMartingale
 
 mp.mp.dps = 30
 
@@ -57,7 +58,7 @@ def test_criterion_2_product_bound_suite():
     t0 = time.time()
     rng = np.random.default_rng(20240801)
     total = 100_000
-    worst_margin = math.inf
+    worst_margin, worst_at = math.inf, None
     done = 0
     while done < total:
         batch = min(10_000, total - done)
@@ -70,17 +71,22 @@ def test_criterion_2_product_bound_suite():
         lam = np.where(target > sums, (n - target) / (n - sums), 1.0)
         xs = 1.0 - lam[:, None] * (1.0 - u)
         prods = np.prod((1.0 + eta * xs) / 2.0, axis=1)
-        margin = np.log2(prods) + n * d.entropy_phi(eta)
-        worst_margin = min(worst_margin, float(margin.min()))
+        margin = float(np.min(np.log2(prods) + n * d.entropy_phi(eta)))
+        if margin < worst_margin:
+            worst_margin, worst_at = margin, (n, eta)
         done += batch
-    ok = worst_margin >= -1e-10
+    margin_ok = worst_margin >= -1e-10
     # exact equality at the extremal configuration
     xs_ext = d.extremal_configuration(4, Fraction(1, 2))
     exact = d.product_lower_bound_exact(xs_ext, Fraction(1, 2))
-    ok &= exact == Fraction(27, 256) == d.extremal_bound_exact(4, Fraction(1, 2))
-    _report(2, ok, time.time() - t0, 10.0,
-            f"{total} instances, worst log2 margin {worst_margin:.2e}, "
-            f"extremal 27/256 exact")
+    bound = d.extremal_bound_exact(4, Fraction(1, 2))
+    extremal_ok = exact == Fraction(27, 256) == bound
+    # a FAIL line names the clause that failed, with what it got
+    at = "" if margin_ok else f" at n={worst_at[0]}, eta={worst_at[1]:.6f}"
+    extremal = ("extremal 27/256 exact" if extremal_ok
+                else f"extremal product {exact} and bound {bound}, not both 27/256")
+    _report(2, margin_ok and extremal_ok, time.time() - t0, 10.0,
+            f"{total} instances, worst log2 margin {worst_margin:.2e}{at}, {extremal}")
 
 
 def _first_mass_failure(name: str, rep, tol: float = 1e-9):
@@ -105,8 +111,9 @@ def test_criterion_3_mass_distribution():
     # block-assembled (discounted to unit increments)
     sched = d.build_schedule(0.5, 1, depth_cap=160)
     B = d.assemble_martingale(sched)
-    disc = d.Martingale(lambda ch: math.pow(2.0, -ch.level * 0.5) * B.increment(ch),
-                        star_bound=0.5, name="block-discounted")
+    disc = IncrementOracleMartingale(
+        lambda ch: math.pow(2.0, -ch.level * 0.5) * B.increment(ch),
+        star_bound=0.5, name="block-discounted")
     rep_b = d.sweep_mass_distribution(disc, 0.25, 16)
     failures.append(_first_mass_failure("block", rep_b))
     details.append(f"block margin {rep_b.worst_log2_margin:.2e}")

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import dyadosc as d
 from dyadosc import entropy, martingale
 from dyadosc.dyadic import DyadicInterval as DI
-from oracles import level_set_family, mass_exact, sweep_mass_levels
+from oracles import IncrementOracleMartingale, level_set_family, mass_exact, sweep_mass_levels
 
 mp.mp.dps = 40
 
@@ -80,7 +80,7 @@ def _alternating():
     def inc(child):
         fav = 0 if child.level % 2 == 1 else 1
         return 1.0 if (child.index & 1) == fav else -1.0
-    return d.Martingale(inc, star_bound=1.0, name="alternating")
+    return IncrementOracleMartingale(inc, star_bound=1.0, name="alternating")
 
 
 def _block_discounted(schedule):
@@ -94,7 +94,7 @@ def _graded():
     def inc(child):
         left = (1 + (child.index >> 1) % 12) / 16.0
         return left if (child.index & 1) == 0 else -left
-    return d.Martingale(inc, star_bound=1.0, name="graded")
+    return IncrementOracleMartingale(inc, star_bound=1.0, name="graded")
 
 
 def _balanced_unpaired():
@@ -104,7 +104,7 @@ def _balanced_unpaired():
     sum to exactly 1, but this is not a measure."""
     def inc(child):
         return (0.25, 0.0, -0.25, 0.0)[child.index] if child.level == 2 else 0.0
-    return d.Martingale(inc, star_bound=1.0, name="balanced-unpaired")
+    return IncrementOracleMartingale(inc, star_bound=1.0, name="balanced-unpaired")
 
 
 class TestEntropyPhi:
@@ -221,7 +221,7 @@ class TestEntropyRefusals:
     def test_zero_ratio_has_log2_mass_minus_infinity(self):
         # jumps +-2 with no declared star bound: at eta = 1/2 the right
         # child's ratio (1 + eta * -2) / 2 is 0
-        S = d.Martingale(lambda child: 2.0 if child.index % 2 == 0 else -2.0)
+        S = IncrementOracleMartingale(lambda child: 2.0 if child.index % 2 == 0 else -2.0)
         mm = d.MassMeasure(S, 0.5)
         assert mm.mass_log2(DI(1, 1)) == -math.inf
         assert mm.mass_log2(DI(3, 6)) == -math.inf
@@ -255,8 +255,8 @@ class TestMassMeasure:
                 assert kids == mass_exact(mm, DI(n, j))
 
     def test_star_bound_precondition(self):
-        big = d.Martingale(lambda child: 2.0 if child.index % 2 == 0 else -2.0,
-                           star_bound=2.0)
+        big = IncrementOracleMartingale(lambda child: 2.0 if child.index % 2 == 0 else -2.0,
+                                        star_bound=2.0)
         with pytest.raises(d.DomainError):
             d.MassMeasure(big, 0.5)
 
@@ -296,7 +296,7 @@ class TestMassSweep:
             fav = 0 if child.level % 2 == 1 else 1
             return 1.0 if (child.index & 1) == fav else -1.0
 
-        S = d.Martingale(inc, star_bound=1.0, name="alternating")
+        S = IncrementOracleMartingale(inc, star_bound=1.0, name="alternating")
         eta = 0.5
         rep = d.sweep_mass_distribution(S, eta, 6)
         # independent brute enumeration of the threshold family
@@ -311,8 +311,9 @@ class TestMassSweep:
 
     def test_block_discounted(self, block_schedule_half):
         B = d.BlockMartingale(block_schedule_half)
-        S = d.Martingale(lambda ch: math.pow(2.0, -ch.level * 0.5) * B.increment(ch),
-                         star_bound=0.5, name="block-discounted")
+        S = IncrementOracleMartingale(
+            lambda ch: math.pow(2.0, -ch.level * 0.5) * B.increment(ch),
+            star_bound=0.5, name="block-discounted")
         rep = d.sweep_mass_distribution(S, 0.25, 14)
         assert rep.ok(1e-9)
         assert rep.increments_paired and rep.level_sums_exact
@@ -331,14 +332,15 @@ class TestMassSweep:
 
     @pytest.mark.parametrize("eta, star_bound", [(0.0, 1.0), (1.0, 1.0), (0.5, 2.0)])
     def test_mass_measure_domain(self, eta, star_bound):
-        S = d.Martingale(lambda ch: 1.0 if ch.index & 1 else -1.0, star_bound=star_bound)
+        S = IncrementOracleMartingale(lambda ch: 1.0 if ch.index & 1 else -1.0,
+                                      star_bound=star_bound)
         with pytest.raises(d.DomainError):
             d.sweep_mass_distribution(S, eta, 4)
 
     def test_int64_level_sums_at_depth_20(self):
         # unpaired unit jumps miss exact sums at level 1; paired ones are
         # exact at all 20 levels
-        rep = d.sweep_mass_distribution(_Unpaired(None, star_bound=1.0), 0.5, 20)
+        rep = d.sweep_mass_distribution(_Unpaired(star_bound=1.0), 0.5, 20)
         assert not rep.increments_paired and not rep.level_sums_exact
         rep = d.sweep_mass_distribution(d.binary_digit_martingale(), 0.5, 20)
         assert rep.increments_paired and rep.level_sums_exact and rep.ok()
@@ -369,7 +371,7 @@ class TestMassSweep:
 
     def test_nan_jump_is_a_domain_error(self):
         # NaN passed both one-sided bound checks and reached Fraction
-        S = d.Martingale(lambda ch: math.nan, star_bound=1.0)
+        S = IncrementOracleMartingale(lambda ch: math.nan, star_bound=1.0)
         with pytest.raises(d.DomainError):
             d.MassMeasure(S, 0.5).mass_log2(DI(1, 0))
         with pytest.raises(d.DomainError):
@@ -378,7 +380,7 @@ class TestMassSweep:
     @pytest.mark.parametrize("u", [math.inf, -math.inf])
     def test_infinite_jump_is_a_domain_error(self, u):
         # refused before the exact ratio: Fraction(inf) raises OverflowError
-        S = d.Martingale(lambda ch: u if ch.index & 1 == 0 else -u, star_bound=1.0)
+        S = IncrementOracleMartingale(lambda ch: u if ch.index & 1 == 0 else -u, star_bound=1.0)
         with pytest.raises(d.DomainError):
             d.MassMeasure(S, 0.5).ratio(DI(1, 0))
         with pytest.raises(d.DomainError):
@@ -389,7 +391,7 @@ class TestMassSweep:
         # raised a bare ValueError, and the sweep took it as mass 0 with a
         # negative exact numerator and level sums still exact
         u, eta = -1.0 - 2e-12, 1.0 - 1e-12
-        S = d.Martingale(lambda ch: u if ch.index & 1 == 0 else -u, star_bound=1.0)
+        S = IncrementOracleMartingale(lambda ch: u if ch.index & 1 == 0 else -u, star_bound=1.0)
         mm = d.MassMeasure(S, eta)
         assert 1.0 < mm.ratio(DI(1, 1)) <= 1.0 + 1e-12    # the upper slack stays
         with pytest.raises(d.DomainError):
@@ -418,7 +420,7 @@ class TestMassSweepOracle:
         S = {"binary": d.binary_digit_martingale(), "zero": d.zero_martingale(),
              "alternating": _alternating(),
              "block-discounted": _block_discounted(block_schedule_half),
-             "unpaired": _Unpaired(None, star_bound=1.0),
+             "unpaired": _Unpaired(star_bound=1.0),
              "graded": _graded(), "balanced-unpaired": _balanced_unpaired()}[name]
         rep = d.sweep_mass_distribution(S, eta, depth)
         assert _report_key(rep) == _report_key(_sweep_reference(S, eta, depth))
@@ -509,7 +511,7 @@ def _signed_zeros():
     def inc(child):
         left = (0.0, -0.0, 0.5)[(child.index >> 1) % 3]
         return left if (child.index & 1) == 0 else -left
-    return d.Martingale(inc, star_bound=1.0, name="signed-zeros")
+    return IncrementOracleMartingale(inc, star_bound=1.0, name="signed-zeros")
 
 
 class TestLeanMassKernel:
@@ -556,7 +558,8 @@ class TestLeanMassKernel:
             assert lg.tobytes() == lg0.tobytes()
 
     def test_nan_jump_raises_as_before(self):
-        S = d.Martingale(lambda ch: math.nan if ch.index == 3 else 0.0, star_bound=1.0)
+        S = IncrementOracleMartingale(lambda ch: math.nan if ch.index == 3 else 0.0,
+                                      star_bound=1.0)
         with pytest.raises(d.DomainError) as lean:
             list(entropy._mass_blocks(S, 0.5, 3))
         with pytest.raises(d.DomainError) as ref:
@@ -587,7 +590,7 @@ class _Tabled(d.Martingale):
     into level tables: its oracle takes about a second over 2^19 cells."""
 
     def __init__(self, S):
-        super().__init__(S.increment, star_bound=S.star_bound, name=S.name)
+        super().__init__(star_bound=S.star_bound, name=S.name)
         self._tables = [None] + [S.level_increments(n) for n in range(1, 19)]
 
     def _level_increments(self, n, parents):
@@ -607,7 +610,7 @@ def _blocked_kind(name):
         "block-discounted": lambda: _block_discounted(schedule),
         "graded": lambda: _Tabled(_graded()),
         "alternating": lambda: _Tabled(_alternating()),
-        "unpaired": lambda: _Unpaired(None, star_bound=1.0),
+        "unpaired": lambda: _Unpaired(star_bound=1.0),
         "signed-zeros": lambda: _Tabled(_signed_zeros()),
     }[name]()
 
@@ -642,7 +645,7 @@ class TestBlockedMassSweep:
                     out[2 * np.flatnonzero(parents == at[0] >> 1) + at[0] % 2] = at[1]
                 return out
 
-        S = Spiked(None, star_bound=1.0)
+        S = Spiked(star_bound=1.0)
         with pytest.raises(d.DomainError) as blocked:
             d.sweep_mass_distribution(S, 0.5, 18)
         with pytest.raises(d.DomainError) as whole:

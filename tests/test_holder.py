@@ -25,7 +25,7 @@ import dyadosc as d
 from dyadosc import holder
 from dyadosc.dyadic import DyadicInterval as DI
 from dyadosc.dyadic import DyadicRational as DR
-from oracles import loop_series, tail_bound
+from oracles import IncrementOracleMartingale, loop_series, tail_bound
 
 mp.mp.dps = 40
 
@@ -365,7 +365,7 @@ class TestMartingaleInduced:
         assert f.difference(a, b) == pytest.approx(total, abs=1e-14)
 
     def test_requires_centered_start(self):
-        shifted = d.Martingale(lambda child: 0.0, s0=1.0)
+        shifted = IncrementOracleMartingale(lambda child: 0.0, s0=1.0)
         with pytest.raises(d.DomainError):
             d.martingale_function(shifted, 0.5)
 

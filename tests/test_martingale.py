@@ -13,7 +13,11 @@ import dyadosc as d
 from dyadosc import martingale
 from dyadosc.dyadic import DyadicInterval as DI
 from dyadosc.dyadic import DyadicRational as DR
-from oracles import level_set_family
+from oracles import (IncrementOracleMartingale, level_set_family, sweep_mass_levels,
+                     value_difference_martingale)
+
+# the loop over `increment` that any kind's level arrays must reproduce
+scalar_loop = IncrementOracleMartingale._level_increments
 
 # independently summed with mpmath (400 terms, 30 digits):
 WEIER_ROOT_VALUE = -3.6359615646280604
@@ -131,9 +135,35 @@ class TestFromFunction:
         assert empty.dtype == np.float64 and empty.size == 0
 
 
+    @pytest.mark.parametrize("name", ["W(2, 1/2)", "W(3, 1/2)", "binary-induced"])
+    def test_hook_is_the_cell_differences(self, name):
+        # the hook's two dyadic_differences reads against S_n(child) -
+        # S_{n-1}(parent) per cell: the same walk, blocks and star norm
+        f = {"W(2, 1/2)": lambda: d.WeierstrassFunction(2.0, 0.5),
+             "W(3, 1/2)": lambda: d.WeierstrassFunction(3.0, 0.5),
+             "binary-induced": lambda: d.martingale_function(d.binary_digit_martingale(), 0.5),
+             }[name]()
+        # depth 10: each of the three walks evaluates f at every cell
+        S = d.from_function(f, 10)
+        O = value_difference_martingale(S)
+        for (n, incs, vals), (m, incs_o, vals_o) in zip(S.levels(10), O.levels(10), strict=True):
+            assert n == m and incs.tobytes() == incs_o.tobytes()
+            assert vals.tobytes() == vals_o.tobytes()
+        for got, want in zip(S.level_blocks(10), O.level_blocks(10), strict=True):
+            assert got[:2] == want[:2]
+            assert got[2].tobytes() == want[2].tobytes() and got[3].tobytes() == want[3].tobytes()
+        assert d.star_norm(S, 10).hex() == d.star_norm(O, 10).hex()
+        # and the one-cell reads: value(child) - value(parent)
+        rng = random.Random(name)
+        for n in (1, 5, 9, 10):
+            for j in {0, (1 << n) - 1, *(rng.randrange(1 << n) for _ in range(6))}:
+                I = DI(n, j)
+                want = S.value(I) - S.value(I.parent())
+                assert S.increment(I).hex() == want.hex() == O.increment(I).hex()
+
 class TestDiscountAndSharpness:
     def test_zero_growth_means_zero(self):
-        T = d.GrowthMartingale(0.5, d.Martingale(lambda child: 0.0))
+        T = d.GrowthMartingale(0.5, IncrementOracleMartingale(lambda child: 0.0))
         S = d.discount_transform(T)
         assert S.value(DI(6, 33)) == 0.0
 
@@ -146,7 +176,7 @@ class TestDiscountAndSharpness:
                 return 1.0 if child.index == 0 else -1.0
             return 0.0
 
-        S = d.discount_transform(d.GrowthMartingale(beta, d.Martingale(scaled)))
+        S = d.discount_transform(d.GrowthMartingale(beta, IncrementOracleMartingale(scaled)))
         assert S.value(DI(1, 0)) == 1.0
         assert S.value(DI(1, 1)) == -1.0
 
@@ -169,7 +199,7 @@ class TestDiscountAndSharpness:
         S = d.binary_digit_martingale()
         assert d.discount_transform(d.sharpness_martingale(0.5, S)) is S
         with pytest.raises(d.DomainError):
-            d.sharpness_martingale(0.5, d.Martingale(lambda child: 0.0, s0=1.0))
+            d.sharpness_martingale(0.5, IncrementOracleMartingale(lambda child: 0.0, s0=1.0))
 
     def test_beta_star_norm_is_one(self):
         T = d.sharpness_martingale(0.5)
@@ -184,7 +214,7 @@ class TestDiscountAndSharpness:
 
 class TestSummationByParts:
     def test_zero(self):
-        T = d.GrowthMartingale(0.4, d.Martingale(lambda child: 0.0))
+        T = d.GrowthMartingale(0.4, IncrementOracleMartingale(lambda child: 0.0))
         assert d.summation_by_parts_check(T, 6) == 0.0
 
     def test_matches_scalar_reference(self):
@@ -335,7 +365,7 @@ class TestCancellationProperty:
             mag = magnitudes[(parent[1] ^ salt) % len(magnitudes)]
             return mag if (child.index & 1) == 0 else -mag
 
-        S = d.Martingale(inc, name="hypothesis")
+        S = IncrementOracleMartingale(inc, name="hypothesis")
         rep = d.check_cancellation(S, 5)
         assert rep.max_violation <= 1e-13
 
@@ -348,7 +378,7 @@ class TestCancellationProperty:
             v = mag * sign
             return v if (child.index & 1) == 0 else -v
 
-        S = d.Martingale(inc, s0=0, name="hypothesis-int")
+        S = IncrementOracleMartingale(inc, s0=0, name="hypothesis-int")
         rep = d.check_cancellation(S, 5)
         assert rep.max_violation == 0.0
 
@@ -414,7 +444,7 @@ class TestNaNJump:
                 return math.nan
             return 1.0 if child.index % 2 == 0 else -1.0
 
-        S = d.Martingale(inc, star_bound=1.0)
+        S = IncrementOracleMartingale(inc, star_bound=1.0)
         T = d.GrowthMartingale(0.5, S)
         sub = d.SubsampledMartingale(S, 2, 0, 0.0)
         for value in (d.star_norm(S, 5), d.beta_star_norm(T, 5), d.beta_norm(T, 5),
@@ -428,7 +458,7 @@ class TestNaNJump:
 
 class TestMartingaleRefusals:
     @pytest.mark.parametrize("call", [
-        lambda: d.Martingale(lambda child: 0.0, max_depth=-1),
+        lambda: IncrementOracleMartingale(lambda child: 0.0, max_depth=-1),
         lambda: d.binary_digit_martingale().increment(d.unit_interval()),
         lambda: d.binary_digit_martingale().level_increments(0),
         lambda: d.GrowthMartingale(1.0, d.RandomSignMartingale(1)),
@@ -498,15 +528,28 @@ def _vectorized_members():
     }
 
 
+def _scalar_oracle(S):
+    """The increment oracle on S's scalar jumps, read apart from S's hook:
+    a paired kind's Python-int kernel, and 2^(n gamma) times the base's
+    jump for a scaled view, summed along the ancestor chain."""
+    if isinstance(S, d.ScaledMartingale):
+        base = _scalar_oracle(S.base)
+        jump = lambda ch: math.pow(2.0, ch.level * S.gamma) * base.increment(ch)
+    else:
+        jump = S.increment
+    return IncrementOracleMartingale(jump, s0=S.s0, max_depth=S.max_depth)
+
+
 class TestLevelArrayOracle:
-    """Vectorized level arrays against the base-class scalar loops."""
+    """Vectorized level arrays against the increment oracle's scalar loops."""
 
     @pytest.mark.parametrize("name", sorted(_vectorized_members()))
     def test_level_arrays_match_scalar_loops(self, name):
         S = _vectorized_members()[name]
+        O = _scalar_oracle(S)
         for n in range(1, 11):
-            assert np.array_equal(S.level_increments(n), d.Martingale._level_increments(
-                S, n, np.arange(1 << (n - 1), dtype=np.uint64)))
+            assert np.array_equal(S.level_increments(n), scalar_loop(
+                O, n, np.arange(1 << (n - 1), dtype=np.uint64)))
         rng = random.Random(name)
         for _ in range(20):
             n = rng.randint(0, 16)
@@ -514,28 +557,108 @@ class TestLevelArrayOracle:
             hi = min(1 << n, lo + rng.randint(1, 300))
             vals = S.level_values_range(n, lo, hi)
             assert np.array_equal(vals, [S.value(DI(n, j)) for j in range(lo, hi)])
+            assert np.array_equal(vals, [O.value(DI(n, j)) for j in range(lo, hi)])
             assert np.array_equal(vals, d.Martingale.level_values_range(S, n, lo, hi))
             if n:
                 incs = S.level_increments(n)[lo:hi]
                 assert np.array_equal(incs, [S.increment(DI(n, j)) for j in range(lo, hi)])
+                assert np.array_equal(incs, [O.increment(DI(n, j)) for j in range(lo, hi)])
 
     @pytest.mark.parametrize("name", sorted(_vectorized_members()))
     def test_levels_match_scalar_oracle(self, name):
         S = _vectorized_members()[name]
+        O = _scalar_oracle(S)
         seen = []
-        for n, incs, vals in S.levels(10):
+        for (n, incs, vals), (_, incs_o, vals_o) in zip(S.levels(10), O.levels(10)):
             seen.append(n)
             assert np.array_equal(incs, [S.increment(DI(n, j)) for j in range(1 << n)])
             assert np.array_equal(vals, [S.value(DI(n, j)) for j in range(1 << n)])
+            assert incs.tobytes() == incs_o.tobytes() and vals.tobytes() == vals_o.tobytes()
         assert seen == list(range(1, 11))
+
+    @pytest.mark.parametrize("name", sorted(_vectorized_members()))
+    def test_scalar_reads_match_increment_oracle(self, name):
+        # the kind's own scalar and range reads against the oracle's
+        # ancestor sums, by float.hex and by type, at levels 1-16 and 48
+        S = _vectorized_members()[name]
+        O = _scalar_oracle(S)
+        rng = random.Random(name)
+        for n in [*range(1, 17), 48]:
+            for j in sorted({0, (1 << n) - 1, *(rng.randrange(1 << n) for _ in range(3))}):
+                I = DI(n, j)
+                got, want = S.value(I), O.value(I)
+                assert type(got) is type(want) and float(got).hex() == float(want).hex()
+                got, want = S.increment(I), O.increment(I)
+                assert type(got) is type(want) and float(got).hex() == float(want).hex()
+            lo = rng.randrange((1 << n) - 1)
+            assert [v.hex() for v in S.level_values_range(n, lo, lo + 2).tolist()] == [
+                float(O.value(DI(n, j))).hex() for j in (lo, lo + 1)]
 
     def test_block_discounted_view_matches_scalar_lambda(self):
         B = d.assemble_martingale(d.build_schedule(0.5, 1, depth_cap=160))
-        lam = d.Martingale(lambda ch: math.pow(2.0, -ch.level * 0.5) * B.increment(ch),
-                           star_bound=0.5, name="block-discounted")
+        lam = IncrementOracleMartingale(
+            lambda ch: math.pow(2.0, -ch.level * 0.5) * B.increment(ch),
+            star_bound=0.5, name="block-discounted")
         view = d.ScaledMartingale(B, -0.5, star_bound=0.5, name="block-discounted")
         assert (d.sweep_mass_distribution(view, 0.25, 16)
                 == d.sweep_mass_distribution(lam, 0.25, 16))
+
+
+class _OneHook(d.Martingale):
+    """A kind that defines only its hook: paired jumps +-3/4 on parents
+    divisible by 3 and -+1/2 on the others, halved on odd levels."""
+
+    def _level_increments(self, n, parents):
+        left = np.where(parents % 3 == 0, 0.75, -0.5) * 0.5 ** (n % 2)
+        return np.repeat(left, 2) * np.tile([1.0, -1.0], parents.size)
+
+
+class TestOneHookKind:
+    """Every read of a kind that writes only `_level_increments`."""
+
+    def test_answers_every_read(self):
+        S = _OneHook(star_bound=0.75, max_depth=80)
+        for n in (1, 2, 7, 20, 64, 65, 80):
+            for j in sorted({0, 1, 5 % (1 << n), (1 << n) - 1}):
+                I = DI(n, j)
+                walk = S.level_values_range(n, j, j + 1)
+                assert S.value(I).hex() == float(walk[0]).hex()
+                assert S.value(I).hex() == (S.value(DI(n - 1, j >> 1)) + S.increment(I)).hex()
+        for n in range(1, 11):
+            assert S.level_increments(n).tolist() == [S.increment(DI(n, j))
+                                                      for j in range(1 << n)]
+        blocks = list(S.level_blocks(14))
+        for n in range(1, 15):
+            vals = np.concatenate([v for m, _, _, v in blocks if m == n])
+            assert vals.tobytes() == S.level_values(n).tobytes()
+        # the integral of S_12 from 0 to bits 2^-12 is 2^-12 times the sum
+        # of the level-12 values left of it
+        vals = S.level_values(12)
+        for bits in (1, 1234, 4095):
+            want = math.ldexp(float(np.sum(vals[:bits])), -12)
+            got = S.primitive(d.unit_interval(), 0.0, bits, 12)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+        rep = d.check_cancellation(S, 12)
+        assert rep.max_violation == 0.0 and rep.checked == (1 << 12) - 1
+        for eta in (0.25, 0.5):
+            mass = d.sweep_mass_distribution(S, eta, 12)
+            assert mass.increments_paired and mass.level_sums_exact
+            whole = sweep_mass_levels(S, eta, 12)
+            assert (mass.members, mass.worst_log2_margin.hex(), mass.worst_member) == \
+                (whole.members, whole.worst_log2_margin.hex(), whole.worst_member)
+
+    def test_bare_base_names_its_class(self):
+        # each scalar read goes through the hook, so a kind without one
+        # must raise at once, not recurse
+        S = d.Martingale()
+        assert S.value(d.unit_interval()) == 0.0        # the root needs no jump
+        for read in (lambda: S.increment(DI(3, 1)), lambda: S.value(DI(3, 1)),
+                     lambda: S.level_values(2), lambda: S.level_increments(1),
+                     lambda: next(S.level_blocks(2)), lambda: d.check_cancellation(S, 2)):
+            with pytest.raises(NotImplementedError, match="^Martingale defines no "):
+                read()
+        with pytest.raises(NotImplementedError, match="^Sub defines no "):
+            type("Sub", (d.Martingale,), {})().increment(DI(1, 0))
 
 
 # The jump formulas of the paired kinds before their one left-child
@@ -734,8 +857,8 @@ def _range_walk_kinds():
         "zero": d.zero_martingale(),
         "binary": d.binary_digit_martingale(),
         "block-discounted": d.ScaledMartingale(B, -0.5, star_bound=0.5),
-        "lambda": d.Martingale(lambda ch: math.pow(2.0, -ch.level * 0.5) * B.increment(ch),
-                               s0=1.25),
+        "lambda": IncrementOracleMartingale(
+            lambda ch: math.pow(2.0, -ch.level * 0.5) * B.increment(ch), s0=1.25),
     }
 
 
@@ -765,16 +888,66 @@ class TestRangeWalkOracle:
     def test_deep_reads_match_scalar_values(self, S):
         # a range read no longer walks its whole level: level 48 in 48
         # steps; the binary kind's scalar value is its digit count
+        O = _scalar_oracle(S)
         for j in (0, 12345, (1 << 48) - 3):
             assert S.level_values_range(48, j, j + 3).tolist() == [
-                S.value(DI(48, i)) for i in range(j, j + 3)]
+                S.value(DI(48, i)) for i in range(j, j + 3)] == [
+                O.value(DI(48, i)) for i in range(j, j + 3)]
 
     def test_beyond_the_depth_cap(self):
+        # parents past level 64 are Python ints, so a walk reads to max_depth
         for S in (d.RandomSignMartingale(4), d.RandomSignMartingale(4, max_depth=100)):
-            cap = min(S.max_depth, 64)
-            assert S.level_values_range(cap, 0, 1).size == 1
+            assert S.level_values_range(S.max_depth, 0, 1).size == 1
             with pytest.raises(d.DepthCapError):
-                S.level_values_range(cap + 1, 0, 1)
+                S.level_values_range(S.max_depth + 1, 0, 1)
+
+
+def _deep_kinds(block):
+    """name -> (kind, the increment oracle that sums its scalar jumps),
+    both readable past level 64."""
+    R = d.RandomSignMartingale(4, max_depth=100)
+    G = d.random_growth_martingale(0.6, 5, max_depth=100)
+    V = d.ScaledMartingale(block, -0.5, star_bound=0.5)
+    return {
+        "random-sign": (R, IncrementOracleMartingale(R.increment, max_depth=100)),
+        "random-growth": (G, IncrementOracleMartingale(
+            lambda ch: math.pow(2.0, ch.level * 0.6) * G.base.increment(ch), max_depth=100)),
+        "block-discounted": (V, IncrementOracleMartingale(
+            lambda ch: math.pow(2.0, -ch.level * 0.5) * block.increment(ch),
+            max_depth=V.max_depth)),
+    }
+
+
+class TestPastLevel64:
+    """Past level 64 the walk's parents are Python ints: range reads,
+    `value` and `increment` equal the increment oracle's scalar sums."""
+
+    @pytest.mark.parametrize("name", ["random-sign", "random-growth", "block-discounted"])
+    def test_levels_65_to_100(self, block_martingale_half, name):
+        S, oracle = _deep_kinds(block_martingale_half)[name]
+        rng = random.Random(name)
+        for n in range(65, 101):
+            # the block's live cells lie on its spines: low index bits zero
+            shift = rng.randrange(n - 8)
+            lo = (rng.getrandbits(n - shift) << shift) - rng.randrange(2)
+            lo = min(max(lo, 0), (1 << n) - 3)
+            got = S.level_values_range(n, lo, lo + 3)
+            want = [oracle.value(DI(n, j)) for j in range(lo, lo + 3)]
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+            for j in range(lo, lo + 3):
+                I = DI(n, j)
+                assert S.value(I).hex() == oracle.value(I).hex()
+                assert S.increment(I).hex() == oracle.increment(I).hex()
+
+    def test_paired_hook_on_python_int_parents(self):
+        # the right jumps were subtracted from the object-float left
+        # jumps, which numpy cannot cast into the float output
+        S = martingale._RandomUniformMartingale(5, max_depth=100)
+        parents = np.arange((1 << 70) - 4, 1 << 70, dtype=object)
+        out = S._level_increments(71, parents)
+        assert out.dtype == np.float64
+        assert out.tolist() == [S.increment(DI(71, j))
+                                for j in range((1 << 71) - 8, 1 << 71)]
 
 
 class TestLeanLevelWalkOracle:
