@@ -443,6 +443,16 @@ class BlockMartingale(PairedMartingale):
                 s -= spine
         return acc + run(s, lvl, end)
 
+    def pair_primitive(self, a: int, b: int, depth: int):
+        """The descent behind f(b) - f(a), for the numerators a, b of two
+        depth-`depth` dyadic points: (S(anc), ga, gb) at their deepest
+        common dyadic ancestor anc, with ga, gb the integrals of S from the
+        left endpoint of anc to each point, by ``value`` and ``primitive``."""
+        bits = (a ^ b).bit_length()
+        anc = DyadicInterval(depth - bits, a >> bits)
+        s = self.value(anc)
+        return (s, *(self.primitive(anc, s, x & ((1 << bits) - 1), bits) for x in (a, b)))
+
     def pair_primitives(self, ia: np.ndarray, ib: np.ndarray, depth: int):
         """``pair_primitive`` over arrays of address pairs at any depth, bit
         for bit: `ia` and `ib` hold depth-bit numerators, uint64 or Python
@@ -520,7 +530,7 @@ class BlockMartingale(PairedMartingale):
         return np.stack([s_anc, g[:n], g[n:]])
 
     def level_values_range(self, n: int, lo: int, hi: int) -> np.ndarray:
-        """Vectorized values of S_n on indices [lo, hi); needs n <= 62.
+        """Vectorized values of S_n on indices [lo, hi), to ``max_depth``.
 
         A placement at level k adds its term by the address bits of levels
         (k, L] alone, with L = min(n, its end) its deepest live level, so
@@ -530,8 +540,8 @@ class BlockMartingale(PairedMartingale):
         level n.  Every cell adds the terms of ``value`` in its order.
         """
         self._check_range(n, lo, hi)
-        if n > 62:
-            raise DepthCapError("vectorized sweep limited to level 62")
+        if n > self.max_depth:
+            raise DepthCapError(f"level {n} beyond max depth {self.max_depth}")
         if hi == lo:
             return np.zeros(0)
         live = bisect_right(self._starts, n - 1)   # placements starting below n
@@ -608,9 +618,12 @@ def _cover_repeat(vals: np.ndarray, shift: int, to: int, lo: int, hi: int) -> np
     if to == shift:
         return vals
     s = shift - to
-    counts = np.full(vals.shape, 1 << s, dtype=np.int64)
-    counts[0] -= (lo >> to) - ((lo >> shift) << s)
-    counts[-1] -= (((lo >> shift) + vals.size) << s) - (((hi - 1) >> to) + 1)
+    start, end = lo >> to, ((hi - 1) >> to) + 1      # the level-`to` cells of the range
+    # a middle cell lies wholly in the range, so 2^s fits when there is one;
+    # the clipped ends are counted in Python ints
+    counts = np.full(vals.shape, 1 << s if vals.size > 2 else 0, dtype=np.int64)
+    counts[0] = min(((lo >> shift) + 1) << s, end) - start
+    counts[-1] = end - max(((lo >> shift) + vals.size - 1) << s, start)
     return np.repeat(vals, counts)
 
 

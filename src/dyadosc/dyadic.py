@@ -129,9 +129,6 @@ class DyadicInterval:
         return (DyadicInterval(self.level + 1, 2 * self.index),
                 DyadicInterval(self.level + 1, 2 * self.index + 1))
 
-    def left_half(self) -> "DyadicInterval":
-        return DyadicInterval(self.level + 1, 2 * self.index)
-
     def parent(self) -> "DyadicInterval":
         if self.level == 0:
             raise DomainError("level-0 interval has no parent")

@@ -24,7 +24,6 @@ from .dyadic import (
     DyadicInterval,
     DyadicRational,
     locate,
-    unit_interval,
 )
 from .martingale import Martingale, bit_lengths, check_cells
 
@@ -340,11 +339,12 @@ class MartingaleInducedFunction(HolderFunction):
     """Function with dyadic increments f(b)-f(a) = 2^-n S([a,b)).
 
     At dyadic rationals f is the integral of S along the point's address,
-    ``S.primitive``: closed-form placement runs for block martingales, the
-    bit walk otherwise, either within rounding of the exact rational sum
-    of S's float values.  1-periodic with f(0) = f(1) = 0 (requires S_0 =
-    0).  Non-dyadic points are evaluated at the truncation depth, with the
-    Holder tail bound reported rather than silently absorbed.
+    read off ``S.pair_primitive``: closed-form placement runs for block
+    martingales, the hook descent otherwise, either within rounding of the
+    exact rational sum of S's float values.  1-periodic with f(0) = f(1) =
+    0 (requires S_0 = 0).  Non-dyadic points are evaluated at the
+    truncation depth, with the Holder tail bound reported rather than
+    silently absorbed.
     """
 
     def __init__(self, S: Martingale, alpha: float,
@@ -369,7 +369,10 @@ class MartingaleInducedFunction(HolderFunction):
         if x.exponent > self.max_depth:
             raise DepthCapError(
                 f"dyadic point at depth {x.exponent} beyond cap {self.max_depth}")
-        return self.S.primitive(unit_interval(), 0.0, x.numerator, x.exponent)
+        a = x.numerator & ((1 << x.exponent) - 1)      # f(1) = f(0) = 0
+        # the root is the common ancestor of x and of the left end of the
+        # other half, whose closed-form integral has one 1-bit to read
+        return self.S.pair_primitive(a, ~a & 1 << x.exponent >> 1, x.exponent)[1]
 
     def difference(self, a, b) -> float:
         """f(b) - f(a) for dyadic a <= b in [0,1], telescoped exactly.

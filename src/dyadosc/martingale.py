@@ -7,9 +7,9 @@ the jumps into level n of the children of an array of level n - 1
 indices.  Every read derives from it: the level arrays
 ``level_increments(n)`` and ``level_values_range(n, lo, hi)``, the scalar
 ``increment(child)``, the hook read for the child's one parent, and
-``value(I)``, those jumps summed along the ancestor chain; ``primitive``
-is the integral of S along one address (``pair_primitives`` for arrays
-of address pairs).
+``value(I)``, those jumps summed along the ancestor chain; and
+``pair_primitives``, the integrals of S along arrays of address pairs
+from their common ancestors, one hook read per level for all of them.
 Whole-tree certificates walk the tree once behind the sweep budget, depth
 first in blocks (``level_blocks``) or by whole levels (``levels``); a
 range read walks only the cells above its range.
@@ -133,11 +133,12 @@ class Martingale:
     ``value`` or ``level_values_range`` agrees with the walk within the few
     ulps that tests/test_martingale.py ``TestLevelsAgainstOwnValues`` pins.
 
+    ``pair_primitives`` descends the hook along arrays of address pairs
+    and adds the terms of ``value`` and of the bit walk in their order.
     Subclasses may also override ``_inc``, the scalar jump behind
     ``increment`` (``PairedMartingale`` reads its left-child kernel on a
-    Python int), ``primitive`` with a closed form that agrees with the bit
-    walk to rounding, and ``pair_primitives`` with array passes that return
-    the floats of their own ``value`` and ``primitive``.
+    Python int), and ``pair_primitives`` with closed forms that agree with
+    the descent to rounding (``BlockMartingale``).
     """
 
     def __init__(self, s0=0.0, max_depth: int = DEFAULT_MAX_DEPTH,
@@ -185,52 +186,48 @@ class Martingale:
             v = v + self.increment(I.ancestor(lvl))
         return v
 
-    def primitive(self, start: DyadicInterval, s_start: float,
-                  bits: int, depth: int) -> float:
-        """Integral of S from the left endpoint of `start` to the point
-        whose `depth` address bits below `start` are `bits`.
-
-        `s_start` is S(start).  Each 1-bit at level i adds 2^-i S(left
-        sibling) on the way down: this bit walk, one `increment` call per
-        address bit and a second per 1-bit, is the reference that
-        closed-form overrides reproduce.
-        """
-        acc = 0.0
-        cur = start
-        s_cur = s_start
-        for k in range(depth - 1, -1, -1):
-            bit = (bits >> k) & 1
-            left = cur.left_half()
-            inc_left = self.increment(left)
-            if bit == 0:
-                cur = left
-                s_cur = s_cur + inc_left
-            else:
-                acc += math.ldexp(s_cur + inc_left, -left.level)
-                right = DyadicInterval(left.level, left.index + 1)
-                s_cur = s_cur + self.increment(right)
-                cur = right
-        return acc
-
     def pair_primitive(self, a: int, b: int, depth: int):
-        """The descent behind f(b) - f(a), for the numerators a, b of two
-        depth-`depth` dyadic points: (S(anc), ga, gb) at their deepest
-        common dyadic ancestor anc, with ga, gb the integrals of S from the
-        left endpoint of anc to each point, by ``value`` and ``primitive``."""
-        bits = (a ^ b).bit_length()
-        anc = DyadicInterval(depth - bits, a >> bits)
-        s = self.value(anc)
-        mask = (1 << bits) - 1
-        return (s, self.primitive(anc, s, a & mask, bits),
-                self.primitive(anc, s, b & mask, bits))
+        """``pair_primitives`` on the one pair of numerators a, b, as floats."""
+        return tuple(self.pair_primitives(*np.array([[a], [b]], dtype=object), depth).T[0].tolist())
 
-    def pair_primitives(self, ia: np.ndarray, ib: np.ndarray, depth: int):
-        """``pair_primitive`` over arrays of address pairs, as three float
-        arrays: the reference that array overrides reproduce bit for bit."""
-        out = np.empty((3, len(ia)))
-        for j, (a, b) in enumerate(zip(ia.tolist(), ib.tolist())):
-            out[:, j] = self.pair_primitive(a, b, depth)
-        return out[0], out[1], out[2]
+    def pair_primitives(self, ia: np.ndarray, ib: np.ndarray, depth: int) -> np.ndarray:
+        """The descent behind f(b) - f(a), for arrays of numerators ia, ib of
+        depth-`depth` dyadic points (uint64 or Python ints): a (3, pairs)
+        float array of rows S(anc), ga and gb, anc the deepest common dyadic
+        ancestor of a pair and ga, gb the integrals of S from the left
+        endpoint of anc to each point.
+
+        One hook read per level m = 1..depth, for the parents of all 2n
+        addresses (uint64 to level 64, Python ints past it), gives a grid of
+        levels by addresses; S is summed down it from S_0, in level order,
+        and read at anc.  Below anc, each 1-bit at level m adds 2^-m (s +
+        left jump), s the value at its parent, summed in level order: the
+        terms of the ancestor-chain `value` and of the bit walk along each
+        address (tests/oracles.py `bit_walk_primitive`), added in their
+        order, so the floats are theirs.  Pairs are taken in blocks whose
+        grid holds at most BLOCK_CELLS cells, each block by its own reads.
+        """
+        x = np.concatenate([ia, ib])
+        if len(x) and (int(x.min()) < 0 or int(x.max()) >> depth):
+            raise DomainError(f"numerators outside [0, 2^{depth})")
+        if depth > self.max_depth:
+            raise DepthCapError(f"level {depth} beyond max depth {self.max_depth}")
+        step = max(1, BLOCK_CELLS // (2 * depth + 2))       # pairs per grid
+        if len(ia) > step:
+            return np.concatenate([self.pair_primitives(ia[c:c + step], ib[c:c + step], depth)
+                                   for c in range(0, len(ia), step)], axis=1)
+        m = np.arange(1, depth + 1)[:, None]                # one row per level
+        cells = x >> (depth - m).astype(x.dtype)
+        jumps = np.reshape([self._level_increments(k, (c >> 1).astype(
+            np.uint64 if k <= 64 else object, copy=False)) for k, c in enumerate(cells, 1)],
+            (depth, len(x), 2))
+        left, bit, n = jumps[..., 0], (cells & 1) == 1, len(ia)
+        s = np.add.accumulate(np.concatenate([np.full((1, len(x)), float(self.s0)),
+                                              np.where(bit, jumps[..., 1], left)]))
+        anc = (cells[:, :n] == cells[:, n:]).sum(0)     # each pair's ancestor level
+        terms = np.where(bit & (np.concatenate([anc, anc]) < m), np.ldexp(s[:-1] + left, -m), 0)
+        g = np.add.accumulate(np.concatenate([np.zeros((1, len(x))), terms]))[-1]
+        return np.concatenate([s[anc, np.arange(n)][None], g.reshape(2, n)])
 
     def level_increments(self, n: int, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
         """Increments into level n (n >= 1) of the children of the level

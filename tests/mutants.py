@@ -78,6 +78,14 @@ def _shifted_range_read(original):
     return level_values_range
 
 
+def _ancestor_off(original):
+    # S(anc) of every pair 1 + 2^-30 times its value; the integrals kept
+    def pair_primitives(self, ia, ib, depth):
+        s_anc, ga, gb = original(self, ia, ib, depth)
+        return s_anc * (1.0 + 2.0 ** -30), ga, gb
+    return pair_primitives
+
+
 def _dropped_panel(original):
     # the last Simpson panel of every row is left out of the sum
     return lambda v, step: original(v[..., :-2], step)
@@ -151,6 +159,10 @@ MUTANTS = [
     Mutant("value-range-shifted", "martingale.ValueMartingale.level_values_range",
            _shifted_range_read, ("criterion 7", VERIFY_ALL_SEED_1),
            "each range of the divided-difference martingale read one cell off"),
+    Mutant("pair-descent-ancestor-off", "martingale.Martingale.pair_primitives",
+           _ancestor_off, ("criterion 7", VERIFY_ALL_SEED_1),
+           "S(anc) of each pair's hook descent 1 + 2^-30 times its value, so a "
+           "one-interval difference on any kind but the block martingale is off"),
     Mutant("whitney-misaligned", "dyadic.whitney", _misaligned_tiling,
            (VERIFY_ALL,),
            "the Whitney pieces start at 0, not at x, and end at h, not x + h"),
@@ -180,7 +192,10 @@ FAIL_TEXT = {
         "first failure eta=1/4: count@20=60460, brute force 137980",
     ("paired-jump-not-opposite", "criterion 3"):
         "first failure binary: increments_paired is False",
+    ("value-range-shifted", "criterion 7"): "criterion 7 failed: grid identity NOT exact",
     ("value-range-shifted", VERIFY_ALL_SEED_1): "[FAIL] function/martingale round trip",
+    ("pair-descent-ancestor-off", "criterion 7"): "criterion 7 failed: grid identity NOT exact",
+    ("pair-descent-ancestor-off", VERIFY_ALL_SEED_1): "[FAIL] function/martingale round trip",
     ("smootherstep-coefficient-16", README_WAVELET):
         "exit 5: certification failed: zero crossing did not converge",
 }

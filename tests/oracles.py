@@ -8,8 +8,9 @@ Weierstrass term loop, the wavelet's cell lookup and its per-stage
 ratio kernel with the stage sum over two lists of triples, the witness
 search built on them, its annulus offsets, the tracking pass with
 one antiderivative call per octave, the martingale built from a
-per-child increment callable, and the divided-difference martingale on
-jumps read one cell at a time.  The code is the
+per-child increment callable, the bit walk of the integral of a
+martingale along one address and its per-pair loop, and the
+divided-difference martingale on jumps read one cell at a time.  The code is the
 library's, except the Whitney walk, restated on Fractions; a method
 became a function of its instance, and `ratio_exact` reads the
 measure's float eta, the one its masses use.
@@ -93,6 +94,51 @@ class IncrementOracleMartingale(martingale.Martingale):
     def _level_increments(self, n: int, parents: np.ndarray) -> np.ndarray:
         return np.array([self.increment(DyadicInterval(n, j)) for p in parents.tolist()
                          for j in (2 * p, 2 * p + 1)], dtype=float)
+
+
+def bit_walk_primitive(S, start: DyadicInterval, s_start: float, bits: int,
+                       depth: int) -> float:
+    """Integral of S from the left endpoint of `start` to the point whose
+    `depth` address bits below `start` are `bits`, as the base
+    `Martingale.primitive` walked it: `s_start` is S(start), and each 1-bit
+    at level i adds 2^-i S(left sibling) on the way down, one `increment`
+    call per address bit and a second per 1-bit."""
+    acc = 0.0
+    cur = start
+    s_cur = s_start
+    for k in range(depth - 1, -1, -1):
+        bit = (bits >> k) & 1
+        left = DyadicInterval(cur.level + 1, 2 * cur.index)
+        inc_left = S.increment(left)
+        if bit == 0:
+            cur = left
+            s_cur = s_cur + inc_left
+        else:
+            acc += math.ldexp(s_cur + inc_left, -left.level)
+            right = DyadicInterval(left.level, left.index + 1)
+            s_cur = s_cur + S.increment(right)
+            cur = right
+    return acc
+
+
+def pair_split(S, a: int, b: int, depth: int, primitive=bit_walk_primitive):
+    """The base `Martingale.pair_primitive` as it was composed: (S(anc), ga,
+    gb) at the deepest common dyadic ancestor anc of the numerators a, b,
+    by `value` and two calls `primitive(S, anc, S(anc), bits, depth)`."""
+    bits = (a ^ b).bit_length()
+    anc = DyadicInterval(depth - bits, a >> bits)
+    s = S.value(anc)
+    mask = (1 << bits) - 1
+    return (s, primitive(S, anc, s, a & mask, bits), primitive(S, anc, s, b & mask, bits))
+
+
+def pair_loop(S, ia: np.ndarray, ib: np.ndarray, depth: int, split=pair_split):
+    """The base `Martingale.pair_primitives` as it was: one `split(S, a, b,
+    depth)` per address pair, as three float arrays."""
+    out = np.empty((3, len(ia)))
+    for j, (a, b) in enumerate(zip(ia.tolist(), ib.tolist())):
+        out[:, j] = split(S, a, b, depth)
+    return out[0], out[1], out[2]
 
 
 def value_difference_martingale(S) -> IncrementOracleMartingale:

@@ -9,7 +9,9 @@ A function is reached when one of its calls starts.  Each function of
 ``src/dyadosc`` (nested ones and lambdas included) that no run reaches is
 printed with the reason it stays, from `KEEP`; one that `KEEP` does not
 name, and a `KEEP` name that a run reaches or that is gone, make the
-script exit 1.  pytest does not collect this file.
+script exit 1.  Last it prints the library's code lines: the lines of
+``src/dyadosc`` that are not blank, comment or docstring.  pytest does
+not collect this file.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import io
 import json
 import sys
 import tempfile
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,12 +49,10 @@ KEEP = {name: reason for reason, names in {
         "holder.WeierstrassFunction.terms_for", "divdiff.tracking_martingale_value"],
     "the scalar ratio that the traced MassMeasure.mass_log2 reads": [
         "entropy.MassMeasure.ratio"],
-    FALLBACK + "the base scalar `value`, the ancestor-chain sum that the pair_primitives "
-    "loop of every kind but the block martingale reads; the traced "
-    "MassMeasure.mass_log2 reads it too": ["dyadic.DyadicInterval.ancestor"],
-    "the left child on the way down, which only the scalar `primitive` bit walk reads; "
-    "the pair_primitives loop of every kind but the block martingale reads that walk": [
-        "dyadic.DyadicInterval.left_half"],
+    "the ancestor chain of the base scalar `value` sum and of the traced "
+    "MassMeasure.mass_log2": ["dyadic.DyadicInterval.ancestor"],
+    FALLBACK + "a scalar `difference` on a non-block kind": [
+        "martingale.Martingale.pair_primitive"],
     FALLBACK + "`locate` and `contains` on a DyadicRational point": [
         "dyadic.DyadicRational.floor_scaled"],
     FALLBACK + "`increment` on the scaled, growth and from-function martingales, the "
@@ -118,6 +119,31 @@ def defined() -> dict[tuple[str, int], str]:
     return out
 
 
+def code_lines() -> int:
+    """Lines of the library that hold a token of code: a docstring (the
+    first statement of a module, class or function, if a string) counts
+    as no code, and a multi-line token counts on each of its lines."""
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+            tokenize.DEDENT, tokenize.ENDMARKER}
+    total = 0
+    for path in sorted((ROOT / "src" / "dyadosc").glob("*.py")):
+        text = path.read_text()
+        docs = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)) and node.body:
+                first = node.body[0]
+                if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) \
+                        and isinstance(first.value.value, str):
+                    docs.update(range(first.lineno, first.end_lineno + 1))
+        lines = set()
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type not in skip:
+                lines.update(range(tok.start[0], tok.end[0] + 1))
+        total += len(lines - docs)
+    return total
+
+
 def run_everything(tmp: Path) -> None:
     from checks import Checker
     from dyadosc import cli
@@ -166,6 +192,7 @@ def main() -> int:
         print(f"  {name}: {KEEP.get(name, 'NOT ON THE KEEP LIST')}")
     for name in stale:
         print(f"  {name}: on the keep list, but reached or gone")
+    print(f"{code_lines()} code lines in src/dyadosc")
     return 1 if other or stale else 0
 
 

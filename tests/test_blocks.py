@@ -595,9 +595,23 @@ class TestLevelValuesAtDeepestLiveLevel:
         k = (5 << 56) + 3
         self._check(S, 62, 8 * k + 1, 8 * k + 6)
 
-    def test_level_63_refused(self, block_martingale_half):
-        with pytest.raises(d.DepthCapError, match="level 62"):
-            block_martingale_half.level_values_range(63, 0, 4)
+    def test_refused_past_max_depth(self, block_martingale_half):
+        S = block_martingale_half
+        with pytest.raises(d.DepthCapError, match=f"level {S.max_depth + 1} beyond"):
+            S.level_values_range(S.max_depth + 1, 0, 4)
+
+    def test_deep_levels_to_max_depth(self):
+        # the range reads answer wherever `value` does: levels past 62,
+        # where a clipped end count is 2^s with s past 63
+        S = d.assemble_martingale(d.build_schedule(0.5, 1, depth_cap=160))
+        assert S.max_depth == 224
+        rng = random.Random(8)
+        for n in (62, 63, 64, 65, 100, 200, S.max_depth):
+            for width in (1, 2, 3, 64, 100):
+                for lo in (0, rng.randrange(1 << n), (1 << n) - width):
+                    vals = S.level_values_range(n, lo, lo + width)
+                    want = [S.value(DI(n, j)).hex() for j in range(lo, lo + width)]
+                    assert [v.hex() for v in vals.tolist()] == want, (n, lo, width)
 
     def test_random_ranges(self, block_martingale_half):
         S = block_martingale_half

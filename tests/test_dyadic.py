@@ -231,7 +231,7 @@ class TestChildren:
     def test_numpy_index_does_not_wrap(self):
         I = d.DyadicInterval(np.int64(63), np.int64(2 ** 62))
         assert type(I.level) is int and type(I.index) is int
-        child = I.left_half()
+        child = I.children(max_depth=64)[0]
         assert child == d.DyadicInterval(64, 2 ** 63)
         assert d.binary_digit_martingale(max_depth=80).value(child) == 2 - 64
 

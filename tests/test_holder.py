@@ -25,7 +25,8 @@ import dyadosc as d
 from dyadosc import holder
 from dyadosc.dyadic import DyadicInterval as DI
 from dyadosc.dyadic import DyadicRational as DR
-from oracles import IncrementOracleMartingale, loop_series, tail_bound
+from oracles import (IncrementOracleMartingale, bit_walk_primitive, loop_series, pair_loop,
+                     pair_split, tail_bound)
 
 mp.mp.dps = 40
 
@@ -441,12 +442,12 @@ def _exact_value(S, I):
 
 
 def _exact_primitive(S, start, s_start, bits, depth):
-    """The bit walk of `Martingale.primitive` in exact rationals: the sum
+    """The bit walk of `bit_walk_primitive` in exact rationals: the sum
     and the sum of its terms' magnitudes."""
     acc = mag = Fraction(0)
     cur, s = start, s_start
     for k in range(depth - 1, -1, -1):
-        left = cur.left_half()
+        left = DI(cur.level + 1, 2 * cur.index)
         s_left = s + Fraction(S.increment(left))
         if (bits >> k) & 1:
             term = s_left / (1 << left.level)
@@ -489,8 +490,8 @@ def _window_starts(sched, rng):
 
 
 class TestRunLengthPrimitive:
-    """`BlockMartingale.primitive` (closed-form runs) against the kept
-    bit walk `Martingale.primitive` and against exact rationals."""
+    """`BlockMartingale.primitive` (closed-form runs) against the bit walk
+    `bit_walk_primitive` of tests/oracles.py and against exact rationals."""
 
     def test_matches_bit_walk(self, block_schedule_half, block_martingale_half):
         # Both float paths are within 1e-13 of the exact sum, measured
@@ -507,7 +508,7 @@ class TestRunLengthPrimitive:
             for depth in (0, 1, 44, rng.randint(190, 210), sched.end_level + 48):
                 depth = min(depth, S.max_depth - start.level)
                 for bits in (0, (1 << depth) - 1, rng.getrandbits(depth)):
-                    walk = d.Martingale.primitive(S, start, s_start, bits, depth)
+                    walk = bit_walk_primitive(S, start, s_start, bits, depth)
                     got = S.primitive(start, s_start, bits, depth)
                     exact, mag = _exact_primitive(S, start, Fraction(s_start), bits, depth)
                     assert abs(got - float(exact)) <= 1e-13 * float(mag)
@@ -571,8 +572,7 @@ class TestRunLengthPrimitive:
         rng = random.Random(13)
         for _ in range(3):
             x = DR(rng.getrandbits(2000) | 1, 2000)
-            walk = d.Martingale.primitive(S, d.unit_interval(), 0.0,
-                                          x.numerator, x.exponent)
+            walk = bit_walk_primitive(S, d.unit_interval(), 0.0, x.numerator, x.exponent)
             assert f.eval_dyadic(x) == pytest.approx(walk, rel=1e-13, abs=0)
 
     def test_depth_cap(self, block_martingale_half):
@@ -598,7 +598,7 @@ class TestRunLengthPrimitive:
         a, b = DR(lo, depth), DR(lo + rng.getrandbits(depth - 8), depth)
         f.difference(a, b)
         assert calls == []
-        d.Martingale.primitive(S, d.unit_interval(), 0.0, 1, 3)
+        bit_walk_primitive(S, d.unit_interval(), 0.0, 1, 3)
         assert len(calls) == 4           # the wrapper does see the walk
 
 
@@ -786,17 +786,6 @@ class TestIntegerRoutedDifference:
         B.value(DI(B.max_depth, 0))
 
 
-def _inline_split(S, ia, ib, depth):
-    """The common-ancestor split spelled out from `value` and `primitive`,
-    as the reference that `Martingale.pair_primitive` must reproduce."""
-    diff_bits = (ia ^ ib).bit_length()
-    anc = DI(depth - diff_bits, ia >> diff_bits)
-    s_anc = S.value(anc)
-    mask = (1 << diff_bits) - 1
-    return (s_anc, S.primitive(anc, s_anc, ia & mask, diff_bits),
-            S.primitive(anc, s_anc, ib & mask, diff_bits))
-
-
 def _split_outcome(fn, *args):
     """The hex of each float returned, or the class of the error raised."""
     try:
@@ -806,8 +795,9 @@ def _split_outcome(fn, *args):
 
 
 class TestPairPrimitive:
-    """`Martingale.pair_primitive`, the one common-ancestor descent behind
-    f(b) - f(a), on four kinds of martingale at depths 0 to 70."""
+    """`pair_primitive`, the common-ancestor descent behind f(b) - f(a): the
+    hook descent, and the closed forms of the block kind, on four kinds of
+    martingale at depths 0 to 70."""
 
     @pytest.fixture(scope="class")
     def kinds(self, block_martingale_half):
@@ -816,9 +806,15 @@ class TestPairPrimitive:
                 "scaled": d.ScaledMartingale(d.RandomSignMartingale(32, max_depth=80), 0.3),
                 "block": block_martingale_half}
 
+    @staticmethod
+    def _walk(name):
+        """The integral along one address that the kind's split reads."""
+        return d.BlockMartingale.primitive if name == "block" else bit_walk_primitive
+
     def test_matches_inline_split(self, kinds):
         rng = random.Random(131)
         for name, S in kinds.items():
+            walk = self._walk(name)
             for depth in range(71):
                 top = 1 << depth
                 pairs = [(a, a) for a in _address_bits(rng, depth)]
@@ -826,19 +822,22 @@ class TestPairPrimitive:
                 pairs += [(rng.getrandbits(depth), top)]   # a point and 1: no ancestor
                 for a, b in pairs:
                     got = _split_outcome(S.pair_primitive, a, b, depth)
-                    assert got == _split_outcome(_inline_split, S, a, b, depth), \
+                    assert got == _split_outcome(pair_split, S, a, b, depth, walk), \
                         (name, a, b, depth)
 
-    def test_base_loop_is_one_pair_primitive_per_pair(self, kinds):
+    def test_pair_primitives_are_the_pair_loop(self, kinds):
+        # byte for byte the loop over one scalar split per pair: the block's
+        # own `pair_primitive`, and for the others the split of `value` and
+        # the bit walk (TestHookDescent reads their one-pair descents)
         rng = random.Random(132)
         for name, S in kinds.items():
+            split = d.BlockMartingale.pair_primitive if name == "block" else pair_split
             for depth in (0, 1, 17, 53, 54, 60, 63):
                 ia = np.array([rng.getrandbits(depth) for _ in range(40)], dtype=np.uint64)
                 ib = np.array([rng.getrandbits(depth) for _ in range(40)], dtype=np.uint64)
-                got = np.array(d.Martingale.pair_primitives(S, ia, ib, depth)).T.tolist()
-                want = [list(S.pair_primitive(a, b, depth))
-                        for a, b in zip(ia.tolist(), ib.tolist())]
-                assert got == want, (name, depth)
+                got = np.array(S.pair_primitives(ia, ib, depth))
+                want = np.array(pair_loop(S, ia, ib, depth, split))
+                assert got.tobytes() == want.tobytes(), (name, depth)
 
     def test_block_pairs_past_53_match_the_base_loop(self, block_martingale_half):
         B = block_martingale_half
@@ -847,21 +846,129 @@ class TestPairPrimitive:
             ia = np.array([rng.getrandbits(depth) for _ in range(60)], dtype=np.uint64)
             ib = np.array([rng.getrandbits(depth) for _ in range(60)], dtype=np.uint64)
             got = B.pair_primitives(ia, ib, depth)
-            want = d.Martingale.pair_primitives(B, ia, ib, depth)
+            want = pair_loop(B, ia, ib, depth, d.BlockMartingale.pair_primitive)
             for g, w in zip(got, want):
                 assert g.tolist() == w.tolist()
 
     def test_endpoints_and_the_to_one_route(self, kinds):
         rng = random.Random(134)
         for name, S in kinds.items():
+            walk = self._walk(name)
             f = d.martingale_function(S, 0.5)
             for x in (DR(0, 0), DR(1, 0)):
                 assert float.hex(f.eval_dyadic(x)) == float.hex(0.0), (name, x)
             for depth in range(2, 71):
                 # [a, 1) is not one dyadic interval: a is not 1 - 2^-depth
                 a = DR(rng.randrange(0, (1 << depth) - 2, 2) | 1, depth)
-                want = -S.primitive(d.unit_interval(), 0.0, a.numerator, depth)
+                want = -walk(S, d.unit_interval(), 0.0, a.numerator, depth)
                 assert float.hex(f.difference(a, 1)) == float.hex(want), (name, a)
+
+
+def _hook_kinds():
+    """Six kinds whose `pair_primitives` is the hook descent, to level 80."""
+    return {"binary": d.binary_digit_martingale(max_depth=80),
+            "zero": d.martingale._ZeroMartingale(max_depth=80, name="zero"),
+            "random-sign": d.RandomSignMartingale(41, max_depth=80),
+            "random-uniform": d.martingale._RandomUniformMartingale(42, max_depth=80),
+            "scaled": d.ScaledMartingale(d.RandomSignMartingale(43, max_depth=80), 0.3),
+            "growth": d.random_growth_martingale(0.6, 44, max_depth=80)}
+
+
+class TestHookDescent:
+    """The base `pair_primitives`, one hook read per level for all pairs,
+    against `pair_loop`: the loop over the ancestor-chain `value` and the
+    bit walk that it replaced."""
+
+    DEPTHS = (0, 1, 2, 17, 48, 63, 64, 65, 80)
+
+    @staticmethod
+    def _pairs(rng, depth):
+        """Random pairs, equal pairs and mirror pairs (ancestor the root)."""
+        top = (1 << depth) - 1
+        pairs = [(rng.getrandbits(depth), rng.getrandbits(depth)) for _ in range(4)]
+        pairs += [(a, a) for a in (0, top, rng.getrandbits(depth))]
+        if depth:
+            pairs += [(a, a ^ 1 << (depth - 1)) for a in (0, top, rng.getrandbits(depth))]
+        dtype = np.uint64 if depth <= 64 else object
+        return (pairs, np.array([a for a, _ in pairs], dtype=dtype),
+                np.array([b for _, b in pairs], dtype=dtype))
+
+    def test_matches_pair_loop(self):
+        rng = random.Random(141)
+        for name, S in _hook_kinds().items():
+            for depth in self.DEPTHS:
+                pairs, ia, ib = self._pairs(rng, depth)
+                want = [[v.hex() for v in w.tolist()] for w in pair_loop(S, ia, ib, depth)]
+                got = [[v.hex() for v in g.tolist()] for g in S.pair_primitives(ia, ib, depth)]
+                assert got == want, (name, depth)
+                one = [[v.hex() for v in S.pair_primitive(a, b, depth)] for a, b in pairs]
+                assert one == [list(p) for p in zip(*want)], (name, depth)
+
+    def test_one_hook_read_per_level(self):
+        # a count: no scalar `increment` or `value`, on the kind or its base
+        def fail(*args):
+            pytest.fail("a scalar read")
+
+        rng = random.Random(142)
+        for name, S in _hook_kinds().items():
+            levels = []
+            hook = S._level_increments
+
+            def counting(n, parents, hook=hook, levels=levels):
+                levels.append(n)
+                return hook(n, parents)
+
+            S._level_increments = counting
+            for T in (S, getattr(S, "base", S)):
+                T.increment = T.value = T._inc = fail
+            for depth in (0, 17, 80):
+                pairs, ia, ib = self._pairs(rng, depth)
+                levels.clear()
+                S.pair_primitives(ia, ib, depth)
+                assert levels == list(range(1, depth + 1)), (name, depth)
+                levels.clear()
+                S.pair_primitive(*pairs[0], depth)
+                assert levels == list(range(1, depth + 1)), (name, depth)
+
+    def test_pairs_in_blocks_of_one_grid(self):
+        # more pairs than one grid of BLOCK_CELLS levels-by-addresses cells
+        # holds: each block of pairs makes its own hook read per level
+        S = d.binary_digit_martingale(max_depth=80)
+        rng = random.Random(144)
+        depth = 60
+        ia, ib = (np.array([rng.getrandbits(depth) for _ in range(300)], dtype=np.uint64)
+                  for _ in range(2))
+        sizes = []
+        hook = S._level_increments
+        S._level_increments = lambda n, parents: sizes.append(len(parents)) or hook(n, parents)
+        got = S.pair_primitives(ia, ib, depth)
+        del S._level_increments
+        assert len(sizes) == 5 * depth and max(sizes) * depth <= d.martingale.BLOCK_CELLS
+        assert got.tobytes() == np.array(pair_loop(S, ia, ib, depth)).tobytes()
+
+    def test_from_function_ancestor_value(self):
+        # this kind's `value` reads f, and the descent sums its hook jumps
+        # as the walk does: S(anc) is the walk's value, within
+        # TestLevelsAgainstOwnValues' relative 1e-13 of `value`
+        S = d.from_function(d.WeierstrassFunction(2.0, 0.5, 1e-13), 10)
+        rng = random.Random(143)
+        for depth in range(11):
+            pairs, ia, ib = self._pairs(rng, depth)
+            s = S.pair_primitives(ia, ib, depth)[0]
+            ancs = [DI(depth - (a ^ b).bit_length(), a >> (a ^ b).bit_length())
+                    for a, b in pairs]
+            walk = [d.Martingale.level_values_range(S, I.level, I.index, I.index + 1)[0]
+                    for I in ancs]
+            assert s.tobytes() == np.array(walk).tobytes(), depth
+            np.testing.assert_allclose(s, [S.value(I) for I in ancs], rtol=1e-13, atol=0.0)
+
+    def test_refusals(self):
+        S = d.RandomSignMartingale(45, max_depth=20)
+        with pytest.raises(d.DepthCapError):
+            S.pair_primitives(np.array([0], dtype=np.uint64), np.array([1], dtype=np.uint64), 21)
+        for a, b in ((0, 1 << 10), (-1, 0), (1 << 10, 1 << 10)):
+            with pytest.raises(d.DomainError):
+                S.pair_primitive(a, b, 10)
 
 
 def _scalar_seminorm(f, sampler):
@@ -1002,33 +1109,38 @@ class TestPairVectorizedDifferences:
             self._assert_matches_scalar(f, depth, lo, hi)
 
     def test_pair_primitives_match_base_loop(self, blocks_f):
+        # the hook descent follows the bit walk, which meets the block's
+        # closed forms only to rounding: the loop reads the block's own split
         S = blocks_f.S
         rng = random.Random(23)
         for depth in (1, 17, 44, 53):
             ia = np.array([rng.getrandbits(depth) for _ in range(300)], dtype=np.uint64)
             ib = np.array([rng.getrandbits(depth) for _ in range(300)], dtype=np.uint64)
             got = S.pair_primitives(ia, ib, depth)
-            want = d.Martingale.pair_primitives(S, ia, ib, depth)
+            want = pair_loop(S, ia, ib, depth, d.BlockMartingale.pair_primitive)
             for g, w in zip(got, want):
                 assert g.tolist() == w.tolist()
 
-    def test_deep_pairs_take_the_loop(self, monkeypatch):
-        # a martingale without an array descent: one scalar `pair_primitive`
-        # per pair, past depth 53 as below it
+    def test_deep_pairs_take_the_descent(self, monkeypatch):
+        # a martingale without closed forms: one hook descent for all pairs,
+        # past depth 53 as below it, and no scalar `pair_primitive`
         calls = []
-        split = d.Martingale.pair_primitive
+        descent = d.Martingale.pair_primitives
 
         def counting(self, *args):
             calls.append(args)
-            return split(self, *args)
+            return descent(self, *args)
 
-        monkeypatch.setattr(d.Martingale, "pair_primitive", counting)
+        monkeypatch.setattr(d.Martingale, "pair_primitives", counting)
+        monkeypatch.setattr(d.Martingale, "pair_primitive",
+                            lambda *a: pytest.fail("a scalar descent"))
         f = d.martingale_function(d.RandomSignMartingale(24, max_depth=80), 0.5)
         rng = random.Random(24)
         lo = [rng.getrandbits(60) for _ in range(20)]
         hi = [a + rng.getrandbits(30) for a in lo]
         got = f.dyadic_differences(np.array(lo), np.array(hi), 60)
-        assert len(calls) == 20
+        assert len(calls) == 1
+        monkeypatch.undo()
         assert got.tolist() == [f.difference(DR(a, 60), DR(b, 60)) for a, b in zip(lo, hi)]
 
     def test_deep_block_pairs_make_no_scalar_descent(self, monkeypatch, block_f):

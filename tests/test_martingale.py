@@ -13,8 +13,8 @@ import dyadosc as d
 from dyadosc import martingale
 from dyadosc.dyadic import DyadicInterval as DI
 from dyadosc.dyadic import DyadicRational as DR
-from oracles import (IncrementOracleMartingale, level_set_family, sweep_mass_levels,
-                     value_difference_martingale)
+from oracles import (IncrementOracleMartingale, bit_walk_primitive, level_set_family,
+                     sweep_mass_levels, value_difference_martingale)
 
 # the loop over `increment` that any kind's level arrays must reproduce
 scalar_loop = IncrementOracleMartingale._level_increments
@@ -636,8 +636,9 @@ class TestOneHookKind:
         vals = S.level_values(12)
         for bits in (1, 1234, 4095):
             want = math.ldexp(float(np.sum(vals[:bits])), -12)
-            got = S.primitive(d.unit_interval(), 0.0, bits, 12)
+            got = S.pair_primitive(bits, bits ^ 1 << 11, 12)[1]
             assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+            assert got.hex() == bit_walk_primitive(S, d.unit_interval(), 0.0, bits, 12).hex()
         rep = d.check_cancellation(S, 12)
         assert rep.max_violation == 0.0 and rep.checked == (1 << 12) - 1
         for eta in (0.25, 0.5):
