@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .dyadic import DepthCapError, DomainError, DyadicInterval, DyadicRational
-from .martingale import BLOCK_CELLS, PairedMartingale, bit_lengths
+from .martingale import BLOCK_CELLS, PairedMartingale, _clz, check_cells
 
 
 def m_of_delta(delta, beta) -> int:
@@ -328,13 +328,6 @@ def build_schedule(beta, stages: int, depth_cap: int = 4096) -> BlockSchedule:
                          end_level, depth_cap, truncated)
 
 
-# widest block of `BlockMartingale.pair_primitives`, in cells per array: a
-# 50-point survey over the 79 windows of beta = 1/2 descends in one block,
-# whose widest arrays, 125 KiB of floats, stay below glibc's 128 KiB mmap
-# threshold
-_BLOCK = 2 * BLOCK_CELLS
-
-
 class BlockMartingale(PairedMartingale):
     """Accumulated block sums, interval-keyed; stops between placements.
 
@@ -368,7 +361,7 @@ class BlockMartingale(PairedMartingale):
         return math.ldexp(amp, t) * ((parents & ((1 << t) - 1)) == 0)
 
     def value(self, I: DyadicInterval) -> float:
-        self._check(I)
+        self._check_range(I.level, I.index, I.index + 1)
         total = 0.0
         for k, end, amp, _ in self._windows:
             if k >= I.level:
@@ -393,8 +386,6 @@ class BlockMartingale(PairedMartingale):
         point, no `increment`.
         """
         end = start.level + depth
-        if end > self.max_depth:
-            raise DepthCapError(f"level {end} beyond max depth {self.max_depth}")
         if not bits:
             return 0.0
         last = end - (bits & -bits).bit_length() + 1   # level of the last 1-bit
@@ -447,33 +438,24 @@ class BlockMartingale(PairedMartingale):
         """The descent behind f(b) - f(a), for the numerators a, b of two
         depth-`depth` dyadic points: (S(anc), ga, gb) at their deepest
         common dyadic ancestor anc, with ga, gb the integrals of S from the
-        left endpoint of anc to each point, by ``value`` and ``primitive``."""
+        left endpoint of anc to each point, by ``value`` and ``primitive``,
+        behind the pair gate of ``pair_primitives``."""
+        self._check_pairs(a, b, depth)
         bits = (a ^ b).bit_length()
         anc = DyadicInterval(depth - bits, a >> bits)
         s = self.value(anc)
         return (s, *(self.primitive(anc, s, x & ((1 << bits) - 1), bits) for x in (a, b)))
 
-    def pair_primitives(self, ia: np.ndarray, ib: np.ndarray, depth: int):
-        """``pair_primitive`` over arrays of address pairs at any depth, bit
-        for bit: `ia` and `ib` hold depth-bit numerators, uint64 or Python
-        ints.  Pairs are taken in order of their ancestor's level, in
-        blocks of at most _BLOCK cells per array, each by one `_descend`."""
-        if depth > self.max_depth:
-            raise DepthCapError(f"level {depth} beyond max depth {self.max_depth}")
-        n = len(ia)
-        lvl = (depth - bit_lengths(ia ^ ib)).astype(np.int32)
-        # windows starting above depth
-        P = int(np.searchsorted(self._levels[0], depth - 1, side="right"))
-        # cells per pair: two rows of 2 P + 2 terms, and of the address words
-        step = max(1, _BLOCK // max(4 * P + 4, 2 * (depth // 64 + 3)))
-        out = np.empty((3, n))
-        order = np.argsort(lvl, kind="stable")
-        for c in range(0, n, step):
-            pick = order[c:c + step]
-            out[:, pick] = self._descend(ia[pick], ib[pick], lvl[pick], depth, P)
-        return out[0], out[1], out[2]
+    def _pairs_per_block(self, depth: int) -> int:
+        """Pairs per `_descend` call: at most 2 BLOCK_CELLS cells per array,
+        each pair taking two rows of 2 P + 2 terms and of the address words.
+        A 50-point survey over the 79 windows of beta = 1/2 then descends in
+        one block, whose widest arrays, 125 KiB of floats, stay below
+        glibc's 128 KiB mmap threshold."""
+        P = bisect_right(self._starts, depth - 1)      # windows starting above depth
+        return max(1, 2 * BLOCK_CELLS // max(4 * P + 4, 2 * (depth // 64 + 3)))
 
-    def _descend(self, ia, ib, lvl, depth: int, P: int) -> np.ndarray:
+    def _descend(self, ia, ib, lvl, depth: int) -> np.ndarray:
         """(S(anc), ga, gb) of the pairs, whose ancestors are at levels
         `lvl`, as a (3, pairs) array: `value` and `primitive` laid out on
         grids of rows by columns, the placement windows (k, k + M].
@@ -488,7 +470,7 @@ class BlockMartingale(PairedMartingale):
         at the windows, and the integral of the terms run, hit, run, hit,
         ..., final run.
         """
-        n = len(ia)
+        n, P = len(ia), bisect_right(self._starts, depth - 1)
         bits = _AddressBits(np.concatenate([ia, ib]), depth)
         lo = int(np.searchsorted(self._levels[1], lvl.min(), side="right"))
         top = int(np.searchsorted(self._levels[0], lvl.max(), side="left"))
@@ -540,8 +522,6 @@ class BlockMartingale(PairedMartingale):
         level n.  Every cell adds the terms of ``value`` in its order.
         """
         self._check_range(n, lo, hi)
-        if n > self.max_depth:
-            raise DepthCapError(f"level {n} beyond max depth {self.max_depth}")
         if hi == lo:
             return np.zeros(0)
         live = bisect_right(self._starts, n - 1)   # placements starting below n
@@ -600,15 +580,6 @@ class _AddressBits:
         w = (j >> 6) * self.rows + self.at
         o = (j & 63).astype(np.uint64)
         return (self.flat.take(w) << o) | (self.flat.take(w + self.rows) >> (np.uint64(64) - o))
-
-
-def _clz(x: np.ndarray) -> np.ndarray:
-    """Leading zero bits of each uint64, and 2^30, past any depth, for 0.
-    The float of x with every bit below a 1-bit cleared is below 1.5 times
-    its top bit, so it rounds within that bit's binade, and its frexp
-    exponent is exact."""
-    top = np.frexp((x & ~(x >> np.uint64(1))).astype(float))[1]
-    return np.where(top, 64 - top, np.int32(1 << 30))
 
 
 def _cover_repeat(vals: np.ndarray, shift: int, to: int, lo: int, hi: int) -> np.ndarray:
@@ -760,6 +731,7 @@ def witness_survey(schedule: BlockSchedule, S: BlockMartingale, f, alpha: float,
     """
     if points < 1:
         raise DomainError("need at least one sampled point")
+    check_cells(points, f"a survey of {points} points")
     rng = random.Random(seed)
     regs = [SpecialIntervalRegistry(schedule, j, S)
             for j in range(min(2, len(schedule.stages)))

@@ -123,6 +123,7 @@ def cmd_phi(args, w: RunWriter) -> int:
 def cmd_lemma32(args, w: RunWriter) -> int:
     eta, n = args.eta, args.n
     martingale.check_cells(n, f"--n = {n}")     # one instance's arrays
+    martingale.check_cells(args.count, f"--count = {args.count}")   # one row per instance
     rng = np.random.default_rng(args.seed)
     rows = []
     worst = math.inf

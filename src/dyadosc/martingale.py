@@ -81,11 +81,21 @@ def _children(vals: np.ndarray, incs: np.ndarray) -> np.ndarray:
 
 def bit_lengths(x: np.ndarray) -> np.ndarray:
     """``int.bit_length`` of each entry of a uint64 or Python-int array,
-    exactly: the exponent of frexp of its exact float below 2^53, and
-    ``int.bit_length`` itself past it."""
-    if x.dtype != object and (x.size == 0 or int(x.max()) < 1 << 53):
-        return np.frexp(x.astype(float))[1].astype(np.int64)
-    return np.array([int(v).bit_length() for v in x.tolist()], dtype=np.int64)
+    exactly, as int32: for a uint64, the frexp exponent of its float with
+    every bit below a 1-bit cleared, which is below 1.5 times its top bit,
+    so it rounds within that bit's binade; ``int.bit_length`` itself for a
+    Python int."""
+    if x.dtype == object:
+        return np.array([int(v).bit_length() for v in x.tolist()], dtype=np.int32)
+    x = x.astype(np.uint64, copy=False)
+    return np.frexp((x & ~(x >> np.uint64(1))).astype(float))[1]
+
+
+def _clz(x: np.ndarray) -> np.ndarray:
+    """Leading zero bits of each uint64, by `bit_lengths`, and 2^30, past
+    any depth, for 0."""
+    top = bit_lengths(x)
+    return np.where(top, 64 - top, np.int32(1 << 30))
 
 
 def _splitmix64(z):
@@ -127,18 +137,24 @@ class Martingale:
     The walk ``level_blocks(depth)`` (``levels`` by whole levels), which
     sums each cell's value from S_0 and the increments, is the definition
     that every certificate reads; ``level_values_range`` walks it over one
-    range, to ``max_depth``.  ``increment`` reads the hook for the child's
-    one parent, and ``value`` sums ``increment`` along the ancestor chain
-    in the walk's order, so it returns the walk's bits.  A kind that overrides
-    ``value`` or ``level_values_range`` agrees with the walk within the few
-    ulps that tests/test_martingale.py ``TestLevelsAgainstOwnValues`` pins.
+    range.  ``increment`` reads the hook for the child's one parent, and
+    ``value`` sums ``increment`` along the ancestor chain in the walk's
+    order, so it returns the walk's bits.  A kind that overrides ``value``
+    or ``level_values_range`` agrees with the walk within the few ulps
+    that tests/test_martingale.py ``TestLevelsAgainstOwnValues`` pins.
 
-    ``pair_primitives`` descends the hook along arrays of address pairs
-    and adds the terms of ``value`` and of the bit walk in their order.
-    Subclasses may also override ``_inc``, the scalar jump behind
-    ``increment`` (``PairedMartingale`` reads its left-child kernel on a
-    Python int), and ``pair_primitives`` with closed forms that agree with
-    the descent to rounding (``BlockMartingale``).
+    ``pair_primitives`` reads arrays of address pairs by a kind's
+    ``_descend`` kernel: the base one descends the hook and adds the
+    terms of ``value`` and of the bit walk in their order, and
+    ``BlockMartingale`` overrides it with closed forms that agree with
+    that descent to rounding.  Subclasses may also override ``_inc``, the
+    scalar jump behind ``increment`` (``PairedMartingale`` reads its
+    left-child kernel on a Python int).
+
+    Two gates refuse every read before it builds anything: ``_check_range``
+    each level read, by index range (DomainError), ``max_depth`` and the
+    sweep budget (DepthCapError); ``_check_pairs`` each pair read, by
+    numerators and ``max_depth``.
     """
 
     def __init__(self, s0=0.0, max_depth: int = DEFAULT_MAX_DEPTH,
@@ -150,26 +166,32 @@ class Martingale:
         self.star_bound = star_bound
         self.name = name
 
-    def _check(self, I: DyadicInterval):
-        if not 0 <= I.index < (1 << I.level):
-            raise DomainError(f"{I} lies outside the unit interval")
-        if I.level > self.max_depth:
-            raise DepthCapError(f"level {I.level} beyond max depth {self.max_depth}")
-
     def _check_range(self, n: int, lo: int, hi: int) -> None:
-        """Every `level_values_range` checks first that [lo, hi) is a range
-        of level-n indices (hi <= 2^n, without building 2^n) in the budget."""
+        """The one gate of every level read: [lo, hi) is a range of level-n
+        indices (hi <= 2^n, without building 2^n), level n is within
+        ``max_depth``, and the range within the budget."""
         if n < 0 or not 0 <= lo <= hi or (hi > 0 and (hi - 1) >> n):
             raise DomainError(f"[{lo}, {hi}) is not a range of level-{n} indices")
+        if n > self.max_depth:
+            raise DepthCapError(f"level {n} beyond max depth {self.max_depth}")
         if hi - lo > SWEEP_CELL_BUDGET:
             raise DepthCapError(f"a read of {hi - lo} cells is beyond the budget "
                                 f"of {SWEEP_CELL_BUDGET}")
+
+    def _check_pairs(self, a: int, b: int, depth: int) -> None:
+        """The one gate of every pair read: the numerators a, b of
+        depth-`depth` points (the least and greatest of an array) lie in
+        [0, 2^depth), and level `depth` is within ``max_depth``."""
+        if depth < 0 or a < 0 or b < 0 or (a | b) >> depth:
+            raise DomainError(f"numerators outside [0, 2^{depth})")
+        if depth > self.max_depth:
+            raise DepthCapError(f"level {depth} beyond max depth {self.max_depth}")
 
     def increment(self, child: DyadicInterval):
         """Jump S(child) - S(parent)."""
         if child.level == 0:
             raise DomainError("the root interval has no increment")
-        self._check(child)
+        self._check_range(child.level, child.index, child.index + 1)
         return self._inc(child)
 
     def _inc(self, child: DyadicInterval) -> float:
@@ -180,7 +202,7 @@ class Martingale:
 
     def value(self, I: DyadicInterval):
         """S(I): the constant value of S_level on I, summed from the root."""
-        self._check(I)
+        self._check_range(I.level, I.index, I.index + 1)
         v = self.s0
         for lvl in range(1, I.level + 1):
             v = v + self.increment(I.ancestor(lvl))
@@ -197,6 +219,30 @@ class Martingale:
         ancestor of a pair and ga, gb the integrals of S from the left
         endpoint of anc to each point.
 
+        After the gate, pairs are taken in order of their ancestor's level,
+        depth - bit_length(a ^ b), in blocks of ``_pairs_per_block(depth)``
+        pairs, each by one call of the kind's ``_descend`` kernel.
+        """
+        x = np.concatenate([ia, ib])
+        least, greatest = (int(x.min()), int(x.max())) if x.size else (0, 0)
+        self._check_pairs(least, greatest, depth)
+        anc = depth - bit_lengths(ia ^ ib)
+        step = self._pairs_per_block(depth)
+        out = np.empty((3, len(ia)))
+        order = np.argsort(anc, kind="stable")
+        for c in range(0, len(ia), step):
+            pick = order[c:c + step]
+            out[:, pick] = self._descend(ia[pick], ib[pick], anc[pick], depth)
+        return out
+
+    def _pairs_per_block(self, depth: int) -> int:
+        """Pairs per `_descend` call: a grid of at most BLOCK_CELLS cells."""
+        return max(1, BLOCK_CELLS // (2 * depth + 2))
+
+    def _descend(self, ia, ib, anc, depth: int) -> np.ndarray:
+        """(S(anc), ga, gb) of the pairs, whose ancestors are at levels
+        `anc`, as a (3, pairs) array: the hook descent.
+
         One hook read per level m = 1..depth, for the parents of all 2n
         addresses (uint64 to level 64, Python ints past it), gives a grid of
         levels by addresses; S is summed down it from S_0, in level order,
@@ -204,18 +250,9 @@ class Martingale:
         left jump), s the value at its parent, summed in level order: the
         terms of the ancestor-chain `value` and of the bit walk along each
         address (tests/oracles.py `bit_walk_primitive`), added in their
-        order, so the floats are theirs.  Pairs are taken in blocks whose
-        grid holds at most BLOCK_CELLS cells, each block by its own reads.
+        order, so the floats are theirs.
         """
         x = np.concatenate([ia, ib])
-        if len(x) and (int(x.min()) < 0 or int(x.max()) >> depth):
-            raise DomainError(f"numerators outside [0, 2^{depth})")
-        if depth > self.max_depth:
-            raise DepthCapError(f"level {depth} beyond max depth {self.max_depth}")
-        step = max(1, BLOCK_CELLS // (2 * depth + 2))       # pairs per grid
-        if len(ia) > step:
-            return np.concatenate([self.pair_primitives(ia[c:c + step], ib[c:c + step], depth)
-                                   for c in range(0, len(ia), step)], axis=1)
         m = np.arange(1, depth + 1)[:, None]                # one row per level
         cells = x >> (depth - m).astype(x.dtype)
         jumps = np.reshape([self._level_increments(k, (c >> 1).astype(
@@ -224,21 +261,21 @@ class Martingale:
         left, bit, n = jumps[..., 0], (cells & 1) == 1, len(ia)
         s = np.add.accumulate(np.concatenate([np.full((1, len(x)), float(self.s0)),
                                               np.where(bit, jumps[..., 1], left)]))
-        anc = (cells[:, :n] == cells[:, n:]).sum(0)     # each pair's ancestor level
         terms = np.where(bit & (np.concatenate([anc, anc]) < m), np.ldexp(s[:-1] + left, -m), 0)
         g = np.add.accumulate(np.concatenate([np.zeros((1, len(x))), terms]))[-1]
         return np.concatenate([s[anc, np.arange(n)][None], g.reshape(2, n)])
 
     def level_increments(self, n: int, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
         """Increments into level n (n >= 1) of the children of the level
-        n - 1 parents [lo, hi), all of them by default, inside the sweep
-        budget: the one gate before `_level_increments`."""
+        n - 1 parents [lo, hi), all of them by default: the one gate before
+        `_level_increments`, on the children's range."""
         if n < 1:
             raise DomainError("increments start at level 1")
-        check_sweep_budget(n)
-        hi = 1 << (n - 1) if hi is None else hi
-        self._check_range(n - 1, lo, hi)
-        return self._level_increments(n, np.arange(lo, hi, dtype=np.uint64))
+        if hi is None:      # the whole level, refused past max_depth before 2^(n-1) is built
+            self._check_range(n, 0, 0)
+            hi = 1 << (n - 1)
+        self._check_range(n, 2 * lo, 2 * hi)
+        return self._level_increments(n, np.arange(lo, hi, dtype=np.uint64 if n <= 64 else object))
 
     def _level_increments(self, n: int, parents: np.ndarray) -> np.ndarray:
         """Jumps into level n of the children of `parents` (level n - 1
@@ -246,8 +283,10 @@ class Martingale:
         raise NotImplementedError(f"{type(self).__name__} defines no _level_increments")
 
     def _walk(self, depth: int, cap: float):
-        """The walk of ``level_blocks``, inside the sweep budget: a block
-        whose children would pass `cap` cells is halved before stepping."""
+        """The walk of ``level_blocks``, refused past ``max_depth`` and the
+        sweep budget before any level: a block whose children would pass
+        `cap` cells is halved before stepping."""
+        self._check_range(depth, 0, 0)
         check_sweep_budget(depth)
         stack = [(0, 0, np.full(1, float(self.s0)))] if depth > 0 else []
         while stack:
@@ -277,8 +316,6 @@ class Martingale:
         """Values of S_n on level-n indices [lo, hi): the walk of ``levels``
         through only the cells above the range, O(hi - lo + n) of them."""
         self._check_range(n, lo, hi)
-        if n > self.max_depth:
-            raise DepthCapError(f"a range walk to level {n} is beyond its depth cap")
         if hi == lo:
             return np.zeros(0)
         vals = np.full(1, float(self.s0))
@@ -290,9 +327,9 @@ class Martingale:
         return vals
 
     def level_values(self, n: int) -> np.ndarray:
-        """Values of S_n on all 2^n level-n intervals, inside the budget."""
-        if n < 0:
-            raise DomainError(f"level {n} is negative")
+        """Values of S_n on all 2^n level-n intervals, refused past
+        ``max_depth`` and the sweep budget before the range read."""
+        self._check_range(n, 0, 0)
         check_sweep_budget(n)
         return self.level_values_range(n, 0, 1 << n)
 
@@ -317,13 +354,11 @@ class ValueMartingale(Martingale):
         return self._cells(n, kids) - np.repeat(self._cells(n - 1, p), 2)
 
     def value(self, I: DyadicInterval):
-        self._check(I)
+        self._check_range(I.level, I.index, I.index + 1)
         return float(self._read(I.level, I.index, I.index + 1)[0])
 
     def level_values_range(self, n: int, lo: int, hi: int) -> np.ndarray:
         self._check_range(n, lo, hi)
-        if hi > lo and n > self.max_depth:
-            raise DepthCapError(f"level {n} beyond max depth {self.max_depth}")
         return self._read(n, lo, hi).copy() if hi > lo else np.zeros(0)
 
 
@@ -366,7 +401,7 @@ class BinaryDigitMartingale(PairedMartingale):
         return -1
 
     def value(self, I: DyadicInterval) -> int:
-        self._check(I)
+        self._check_range(I.level, I.index, I.index + 1)
         return 2 * int(I.index).bit_count() - I.level
 
 

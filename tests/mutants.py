@@ -80,10 +80,20 @@ def _shifted_range_read(original):
 
 def _ancestor_off(original):
     # S(anc) of every pair 1 + 2^-30 times its value; the integrals kept
-    def pair_primitives(self, ia, ib, depth):
-        s_anc, ga, gb = original(self, ia, ib, depth)
-        return s_anc * (1.0 + 2.0 ** -30), ga, gb
-    return pair_primitives
+    def _descend(self, ia, ib, anc, depth):
+        s_anc, ga, gb = original(self, ia, ib, anc, depth)
+        return np.stack([s_anc * (1.0 + 2.0 ** -30), ga, gb])
+    return _descend
+
+
+def _integrals_off(original):
+    # the integrals ga, gb of every pair 1 + 2^-30 times their values, and
+    # 2^-40 more on gb; S(anc) kept
+    def _descend(self, ia, ib, anc, depth):
+        s_anc, ga, gb = original(self, ia, ib, anc, depth)
+        scale = 1.0 + 2.0 ** -30
+        return np.stack([s_anc, ga * scale, gb * scale + 2.0 ** -40])
+    return _descend
 
 
 def _dropped_panel(original):
@@ -159,10 +169,15 @@ MUTANTS = [
     Mutant("value-range-shifted", "martingale.ValueMartingale.level_values_range",
            _shifted_range_read, ("criterion 7", VERIFY_ALL_SEED_1),
            "each range of the divided-difference martingale read one cell off"),
-    Mutant("pair-descent-ancestor-off", "martingale.Martingale.pair_primitives",
+    Mutant("pair-descent-ancestor-off", "martingale.Martingale._descend",
            _ancestor_off, ("criterion 7", VERIFY_ALL_SEED_1),
            "S(anc) of each pair's hook descent 1 + 2^-30 times its value, so a "
            "one-interval difference on any kind but the block martingale is off"),
+    Mutant("pair-descent-integrals-off", "martingale.Martingale._descend",
+           _integrals_off, ("criterion 7",),
+           "the integrals ga, gb of each pair's hook descent 1 + 2^-30 times their "
+           "values and gb 2^-40 more, so a general difference on any kind but the "
+           "block martingale is off"),
     Mutant("whitney-misaligned", "dyadic.whitney", _misaligned_tiling,
            (VERIFY_ALL,),
            "the Whitney pieces start at 0, not at x, and end at h, not x + h"),
@@ -196,6 +211,7 @@ FAIL_TEXT = {
     ("value-range-shifted", VERIFY_ALL_SEED_1): "[FAIL] function/martingale round trip",
     ("pair-descent-ancestor-off", "criterion 7"): "criterion 7 failed: grid identity NOT exact",
     ("pair-descent-ancestor-off", VERIFY_ALL_SEED_1): "[FAIL] function/martingale round trip",
+    ("pair-descent-integrals-off", "criterion 7"): "pair integrals NOT exact",
     ("smootherstep-coefficient-16", README_WAVELET):
         "exit 5: certification failed: zero crossing did not converge",
 }

@@ -85,7 +85,7 @@ class IncrementOracleMartingale(martingale.Martingale):
         return self._increment_fn(child)
 
     def value(self, I: DyadicInterval):
-        self._check(I)
+        self._check_range(I.level, I.index, I.index + 1)
         v = self.s0
         for lvl in range(1, I.level + 1):
             v = v + self.increment(I.ancestor(lvl))

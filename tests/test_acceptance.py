@@ -250,6 +250,17 @@ def test_criterion_7_round_trips():
     S2 = d.from_function(f0, 12)
     grid = all(np.array_equal(S2.level_values(n), S.level_values(n)) for n in range(13))
     ok &= grid
+    # the descent's integrals ga, gb: f0(b) - f0(a) on general depth-12
+    # pairs (neither one dyadic interval nor ending at 1) against the exact
+    # sum of S over the level-12 cells of [a, b)
+    F = np.concatenate([[0], np.cumsum(S.level_values(12).astype(np.int64))]).tolist()
+    rng = random.Random(7)
+    pairs = [sorted(rng.sample(range(1 << 12), 2)) for _ in range(2000)]
+    pairs = [(a, b) for a, b in pairs if (b - a) & (b - a - 1) or a % (b - a)]
+    lo, hi = (np.array(c) for c in zip(*pairs))
+    exact = [float(Fraction(F[b] - F[a], 1 << 12)) for a, b in pairs]
+    integrals = f0.dyadic_differences(lo, hi, 12).tolist() == exact
+    ok &= integrals
     # summation by parts on 100 random growth martingales
     worst = 0.0
     for seed in range(100):
@@ -269,7 +280,8 @@ def test_criterion_7_round_trips():
     ok &= trip
     _report(7, ok, time.time() - t0, 30.0,
             f"grid identity {'exact' if grid else 'NOT exact'}; sbp worst {worst:.2e}; "
-            f"round trip {'exact' if trip else 'NOT exact'}")
+            f"round trip {'exact' if trip else 'NOT exact'}; "
+            f"pair integrals {'exact' if integrals else 'NOT exact'}")
 
 
 def test_criterion_8_theta_machinery():

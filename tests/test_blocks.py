@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import dyadosc as d
-from dyadosc import blocks, cli
+from dyadosc import blocks, cli, martingale
 from dyadosc.dyadic import DyadicInterval as DI
 from dyadosc.dyadic import DyadicRational as DR
 from oracles import check_members, coverage_identities, witness_survey_loop
@@ -784,6 +784,20 @@ class TestInducedFunctionCertificates:
                                   growth_bound=B)
         hits, total = d.blocks.witness_survey(sched, S, f, 0.5, 100, seed=123)
         assert hits >= 99
+
+    def test_witness_survey_count_budget(self, monkeypatch, block_schedule_half,
+                                         block_martingale_half):
+        # a count past the cell budget is refused before the points or any
+        # registry is built; one at the budget is surveyed as before
+        sched, S = block_schedule_half, block_martingale_half
+        f = d.martingale_function(S, 0.5, max_depth=sched.end_level + 64)
+        want = d.blocks.witness_survey(sched, S, f, 0.5, 64, seed=5)
+        monkeypatch.setattr(martingale, "SWEEP_CELL_BUDGET", 1 << 6)
+        assert d.blocks.witness_survey(sched, S, f, 0.5, 64, seed=5) == want
+        monkeypatch.setattr(d.blocks, "SpecialIntervalRegistry",
+                            lambda *a: pytest.fail("a registry built"))
+        with pytest.raises(d.DepthCapError, match="a survey of 65 points"):
+            d.blocks.witness_survey(sched, S, f, 0.5, 65, seed=5)
 
     @pytest.mark.parametrize("beta", [0.5, 0.7])
     def test_witness_survey_matches_point_loop(self, beta):

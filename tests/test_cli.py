@@ -209,6 +209,24 @@ class TestExitCodes:
         assert flag in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, text", [
+        (["lemma32", "--eta", "0.5", "--n", "4", "--seed", "1"], "--count = 65"),
+        (["counterexample", "--alpha", "0.5", "--stages", "1", "--depth", "160",
+          "--pairs", "20", "--seed", "6"], "a survey of 65 points"),
+    ])
+    def test_count_past_the_cell_budget(self, tmp_path, capsys, monkeypatch, argv, text):
+        # one row per lemma32 instance and one big integer per surveyed
+        # point were built before any check; with the budget at 2^6 cells,
+        # a count of 65 is refused by name before its list exists
+        monkeypatch.setattr(martingale, "SWEEP_CELL_BUDGET", 1 << 6)
+        flag = "--count" if argv[0] == "lemma32" else "--points"
+        assert run(argv + [flag, "65", "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert text in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+        if argv[0] == "lemma32":
+            assert run(argv + [flag, "64", "--out", str(tmp_path / "p")]) == 0
+
     @pytest.mark.parametrize("argv", [
         ["theta", "--eps", "0.01", "--points", "0"],
         ["theta", "--eps", "0.01", "--points", "-1"],

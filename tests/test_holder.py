@@ -576,9 +576,10 @@ class TestRunLengthPrimitive:
             assert f.eval_dyadic(x) == pytest.approx(walk, rel=1e-13, abs=0)
 
     def test_depth_cap(self, block_martingale_half):
+        # the scalar pair read checks the cap once, before its `primitive`s
         S = block_martingale_half
-        with pytest.raises(d.DepthCapError):
-            S.primitive(d.unit_interval(), 0.0, 1, S.max_depth + 1)
+        with pytest.raises(d.DepthCapError, match=f"level {S.max_depth + 1} beyond"):
+            S.pair_primitive(0, 1, S.max_depth + 1)
 
     def test_no_increment_calls(self, monkeypatch, block_schedule_half,
                                 block_martingale_half):
@@ -865,7 +866,7 @@ class TestPairPrimitive:
 
 
 def _hook_kinds():
-    """Six kinds whose `pair_primitives` is the hook descent, to level 80."""
+    """Six kinds whose `_descend` is the hook descent, to level 80."""
     return {"binary": d.binary_digit_martingale(max_depth=80),
             "zero": d.martingale._ZeroMartingale(max_depth=80, name="zero"),
             "random-sign": d.RandomSignMartingale(41, max_depth=80),
@@ -875,7 +876,7 @@ def _hook_kinds():
 
 
 class TestHookDescent:
-    """The base `pair_primitives`, one hook read per level for all pairs,
+    """The base `_descend`, one hook read per level for all pairs,
     against `pair_loop`: the loop over the ancestor-chain `value` and the
     bit walk that it replaced."""
 
@@ -1144,7 +1145,8 @@ class TestPairVectorizedDifferences:
         assert got.tolist() == [f.difference(DR(a, 60), DR(b, 60)) for a, b in zip(lo, hi)]
 
     def test_deep_block_pairs_make_no_scalar_descent(self, monkeypatch, block_f):
-        # uint64 numerators at depth 60, Python ints at depth 200
+        # uint64 numerators at depth 60, Python ints at depth 200: one base
+        # `pair_primitives` call each, over the block kind's `_descend`
         rng = random.Random(25)
         cases = []
         for depth, dtype in ((60, np.uint64), (200, object)):
@@ -1155,8 +1157,17 @@ class TestPairVectorizedDifferences:
         for name in ("primitive", "pair_primitive", "value"):
             monkeypatch.setattr(d.BlockMartingale, name,
                                 lambda *a: pytest.fail("a scalar descent"))
+        calls = []
+        descent = d.Martingale.pair_primitives
+
+        def counting(self, *args):
+            calls.append(type(self))
+            return descent(self, *args)
+
+        monkeypatch.setattr(d.Martingale, "pair_primitives", counting)
         for depth, lo, hi, want in cases:
             assert block_f.dyadic_differences(lo, hi, depth).tolist() == want
+        assert calls == [d.BlockMartingale] * 2
 
     @pytest.fixture(scope="class")
     def deep_cases(self, blocks_f):

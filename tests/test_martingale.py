@@ -126,12 +126,16 @@ class TestFromFunction:
 
     def test_errors_of_scalar_and_range_reads(self):
         S = d.from_function(d.LinearFunction(1.0, 0.5), 5)
-        with pytest.raises(d.DomainError, match="outside the unit interval"):
+        # the one level gate's messages; an empty range past the depth is
+        # refused like any other read there
+        with pytest.raises(d.DomainError, match=r"\[8, 9\) is not a range of level-3 indices"):
             S.value(DI(3, 8))
         for call in (lambda: S.value(DI(6, 0)), lambda: S.level_values_range(6, 0, 1)):
             with pytest.raises(d.DepthCapError, match="level 6 beyond max depth 5"):
                 call()
-        empty = S.level_values_range(9, 3, 3)
+        with pytest.raises(d.DepthCapError, match="level 9 beyond max depth 5"):
+            S.level_values_range(9, 3, 3)
+        empty = S.level_values_range(5, 3, 3)
         assert empty.dtype == np.float64 and empty.size == 0
 
 
@@ -939,6 +943,10 @@ class TestPastLevel64:
                 I = DI(n, j)
                 assert S.value(I).hex() == oracle.value(I).hex()
                 assert S.increment(I).hex() == oracle.increment(I).hex()
+            # the gated level read, on parents past 2^64 from level 66 on
+            got = S.level_increments(n, lo >> 1, (lo >> 1) + 2)
+            want = [oracle.increment(DI(n, j)) for j in range(lo & -2, (lo & -2) + 4)]
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
 
     def test_paired_hook_on_python_int_parents(self):
         # the right jumps were subtracted from the object-float left
@@ -1190,3 +1198,127 @@ class TestLevelsAgainstOwnValues:
         for walk, own in pairs:
             np.testing.assert_allclose(walk, own, rtol=1e-13, atol=0.0)
         assert sum(int(np.count_nonzero(walk != own)) for walk, own in pairs) == cells
+
+
+class TestReadGate:
+    """Every read refuses through one of two gates, `_check_range` for the
+    level reads and `_check_pairs` for the pair reads, with one message
+    per family, on every kind.  Before the gates, the walk and its
+    certificates answered past `max_depth`, the block kind's pair reads
+    took numerators outside [0, 2^depth), and the divided-difference kind
+    answered an empty range past its depth."""
+
+    KINDS = ["binary", "zero", "random-sign", "random-uniform", "scaled", "growth",
+             "block", "from-function"]
+
+    @pytest.fixture
+    def kinds(self, block_martingale_half):
+        """The eight kinds, each but the block kind to depth 10."""
+        return {"binary": d.binary_digit_martingale(max_depth=10),
+                "zero": martingale._ZeroMartingale(max_depth=10, name="zero"),
+                "random-sign": d.RandomSignMartingale(3, max_depth=10),
+                "random-uniform": martingale._RandomUniformMartingale(4, max_depth=10),
+                "scaled": d.ScaledMartingale(d.RandomSignMartingale(5, max_depth=10), 0.3),
+                "growth": d.random_growth_martingale(0.6, 6, max_depth=10),
+                "block": block_martingale_half,
+                "from-function": d.from_function(d.LinearFunction(1.0, 0.5), 10)}
+
+    @staticmethod
+    def _reads(S, n):
+        """Each read at level (or pair depth) n, its indices inside the level."""
+        u = np.uint64
+        return {"value": lambda: S.value(DI(n, 0)),
+                "increment": lambda: S.increment(DI(n, 1)),
+                "level_increments": lambda: S.level_increments(n),
+                "level_values_range": lambda: S.level_values_range(n, 0, 1),
+                "empty level_values_range": lambda: S.level_values_range(n, 3, 3),
+                "level_values": lambda: S.level_values(n),
+                "level_blocks": lambda: list(S.level_blocks(n)),
+                "levels": lambda: list(S.levels(n)),
+                "pair_primitives": lambda: S.pair_primitives(np.array([0], u),
+                                                             np.array([1], u), n),
+                "pair_primitive": lambda: S.pair_primitive(0, 1, n)}
+
+    @staticmethod
+    def _outside(S):
+        """Each read with an index outside level 3, or numerators outside
+        [0, 2^10): uint64, negative and wide Python ints."""
+        u, o = np.uint64, object
+        return {"value": lambda: S.value(DI(3, 8)),
+                "increment": lambda: S.increment(DI(3, 8)),
+                "level_increments": lambda: S.level_increments(3, 0, 5),
+                "level_values_range": lambda: S.level_values_range(3, 0, 9),
+                "pair_primitives": lambda: S.pair_primitives(
+                    np.array([3, 1 << 10], u), np.array([5, (1 << 10) + 7], u), 10),
+                "negative pair_primitives": lambda: S.pair_primitives(
+                    np.array([-1], o), np.array([0], o), 10),
+                "wide pair_primitives": lambda: S.pair_primitives(
+                    np.array([1 << 70], o), np.array([0], o), 10),
+                "pair_primitive": lambda: S.pair_primitive(3, 1 << 10, 10),
+                "negative pair_primitive": lambda: S.pair_primitive(-1, 0, 10)}
+
+    @pytest.mark.parametrize("name", KINDS)
+    def test_one_depth_cap_message(self, kinds, name):
+        S = kinds[name]
+        m = S.max_depth
+        for read, call in self._reads(S, m + 1).items():
+            with pytest.raises(d.DepthCapError) as err:
+                call()
+            assert str(err.value) == f"level {m + 1} beyond max depth {m}", (name, read)
+
+    @pytest.mark.parametrize("name", KINDS)
+    def test_one_domain_message_per_family(self, kinds, name):
+        S = kinds[name]
+        for read, call in self._outside(S).items():
+            with pytest.raises(d.DomainError) as err:
+                call()
+            want = ("numerators outside [0, 2^10)" if "pair" in read
+                    else "is not a range of level-3 indices")
+            assert want in str(err.value), (name, read)
+
+    def test_whole_level_refused_before_it_is_built(self, kinds):
+        # level 10^9: 2^(10^9 - 1), the whole level's end, is a 125 MB int
+        S = kinds["random-sign"]
+        for read in ("level_increments", "level_values", "level_blocks", "levels"):
+            tracemalloc.start()
+            try:
+                with pytest.raises(d.DepthCapError, match="level 1000000000 beyond"):
+                    self._reads(S, 10 ** 9)[read]()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, read
+
+    @pytest.mark.parametrize("name", KINDS)
+    def test_reads_answer_at_max_depth(self, kinds, name):
+        # the reads that do not build the whole level
+        S = kinds[name]
+        reads = self._reads(S, S.max_depth)
+        for read in ("value", "increment", "level_values_range", "pair_primitives",
+                     "pair_primitive"):
+            reads[read]()
+        assert S.level_increments(S.max_depth, 0, 1).size == 2
+        assert S.level_values_range(S.max_depth, 3, 3).size == 0
+
+
+class TestBitLengths:
+    """`bit_lengths`, the one bit scan (uint64 arrays by the frexp of their
+    isolated top bits, Python ints by `int.bit_length`), and `_clz`, which
+    reads it, against `int.bit_length` across the uint64 range."""
+
+    VALUES = [0, 1, 2, 3, (1 << 53) - 1, 1 << 53, (1 << 53) + 1, (1 << 54) - 1,
+              (1 << 63) - 1, 1 << 63, (1 << 63) + 1, (1 << 64) - 2, (1 << 64) - 1]
+
+    def test_uint64_and_python_ints(self):
+        rng = random.Random(7)
+        values = self.VALUES + [rng.getrandbits(rng.randint(1, 64)) for _ in range(2000)]
+        want = [v.bit_length() for v in values]
+        for dtype in (np.uint64, object):
+            got = martingale.bit_lengths(np.array(values, dtype=dtype))
+            assert got.dtype == np.int32 and got.tolist() == want, dtype
+        wide = [1 << 64, (1 << 200) - 1]
+        assert martingale.bit_lengths(np.array(wide, dtype=object)).tolist() == [65, 200]
+
+    def test_clz(self):
+        got = martingale._clz(np.array(self.VALUES, dtype=np.uint64))
+        assert got.tolist() == [1 << 30] + [64 - v.bit_length() for v in self.VALUES[1:]]
